@@ -37,7 +37,7 @@ from .quasimodular import (
     is_basis_letter,
     letter_sort_key,
 )
-from .shuffle_lyndon import LyndonPoly, Word, to_lyndon_basis
+from .shuffle_lyndon import LyndonPoly, to_lyndon_basis
 
 
 class ModularModeError(ValueError):
@@ -119,9 +119,6 @@ class CanonicalForm:
     poly: LyndonPoly
     basis: tuple[QMPoly, ...]
     modular: bool = False
-
-    def words_used(self) -> set[Word]:
-        return {w for mono in self.poly.terms for w in mono}
 
     def expansion(self, trunc: int) -> LogQSeries:
         """Shuffle the Lyndon monomials back out and expand, exactly."""

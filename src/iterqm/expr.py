@@ -13,7 +13,7 @@ Expressions evaluate either to a quasimodular polynomial or, when they
 contain integral nodes, to a linear combination of bar words.  An ``I``
 may not occur inside the arguments of another ``I`` (or of ``D``); such
 typing errors carry the path to the offending node, while syntax errors
-carry the byte offset.
+carry the byte offset.  Brackets nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
@@ -85,12 +85,15 @@ class ICall:
 Node = Union[Lit, Gen, Pow, Mul, Add, DCall, ICall]
 
 _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
+#: Four parser frames per level keep this well inside the recursion limit.
+MAX_NESTING = 200
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # brackets around the expression being parsed
 
     # -- lexing helpers --
 
@@ -133,11 +136,15 @@ class _Parser:
 
     def expr(self) -> Node:
         start = self.pos
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"brackets nested deeper than {MAX_NESTING}", offset=start)
+        self.depth += 1
         terms = [(1, self.term())]
         while self._peek() in ("+", "-"):
             sign = 1 if self._peek() == "+" else -1
             self.pos += 1
             terms.append((sign, self.term()))
+        self.depth -= 1
         return terms[0][1] if len(terms) == 1 else Add(tuple(terms), start)
 
     def term(self) -> Node:

@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Union
 
 from .qseries import LogQSeries, primitive
 from .quasimodular import ONE, QMPoly, expand
+from .shuffle_lyndon import _shuffle
 
 BarWord = tuple[QMPoly, ...]
 _QM_ONE = ONE
@@ -124,7 +125,7 @@ class BarCombo:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 coeff = c1 * c2
-                for word, mult in _shuffle_words(w1, w2).items():
+                for word, mult in _shuffle(w1, w2).items():
                     s = total.get(word)
                     add = coeff * mult
                     s = add if s is None else s + add
@@ -142,26 +143,9 @@ class BarCombo:
         return total
 
 
-@lru_cache(maxsize=None)
-def _shuffle_words(w1: BarWord, w2: BarWord) -> dict[BarWord, int]:
-    """All interleavings of w1 and w2 preserving both internal orders."""
-    if not w1:
-        return {w2: 1}
-    if not w2:
-        return {w1: 1}
-    out: dict[BarWord, int] = {}
-    for word, mult in _shuffle_words(w1[1:], w2).items():
-        key = (w1[0],) + word
-        out[key] = out.get(key, 0) + mult
-    for word, mult in _shuffle_words(w1, w2[1:]).items():
-        key = (w2[0],) + word
-        out[key] = out.get(key, 0) + mult
-    return out
-
-
 def shuffle_product_words(w1: Iterable[QMPoly], w2: Iterable[QMPoly]) -> BarCombo:
     """Shuffle product of two bar words, with unit coefficients."""
-    return BarCombo(_shuffle_words(_as_word(w1), _as_word(w2)))
+    return BarCombo(_shuffle(_as_word(w1), _as_word(w2)))
 
 
 def iter_integral(word: Iterable[QMPoly], trunc: int) -> LogQSeries:

@@ -13,7 +13,9 @@ inverts ``D`` with the normalization that the coefficient of ``q^0 L^0``
 vanishes; this is the regularization used for all integrals downstream.
 
 All arithmetic is exact over the rationals.  Floating point enters only in
-:func:`eval_numeric`.
+:func:`eval_numeric`.  Series are multiplied on integers (Kronecker
+substitution): both operands are scaled to integers, packed into one big
+integer each with ``2^b`` per coefficient, and multiplied once.
 """
 
 from __future__ import annotations
@@ -121,16 +123,24 @@ class QSeries:
             return NotImplemented
         if isinstance(other, QSeries):
             n = min(self.trunc, other.trunc)
-            a, b = self.coeffs, other.coeffs
-            out = [_ZERO] * (n + 1)
-            for i in range(n + 1):
-                ai = a[i]
-                if ai == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
+            a, da = _integer_coeffs(self.coeffs[: n + 1])
+            b, db = _integer_coeffs(other.coeffs[: n + 1])
+            bound = max(map(abs, a)) * max(map(abs, b)) * (n + 1)
+            if not bound:
+                return QSeries.zero(n)
+            # Each product coefficient is at most bound in absolute value, so a
+            # slot of bound's bits plus a sign and a guard bit holds it exactly.
+            bits = bound.bit_length() + 2
+            packed = math.prod(sum(x << bits * i for i, x in enumerate(xs)) for xs in (a, b))
+            mask, half, d = (1 << bits) - 1, 1 << (bits - 1), da * db
+            out = []
+            for _ in range(n + 1):
+                slot = packed & mask
+                packed >>= bits
+                if slot >= half:  # a negative slot borrowed one from the next
+                    slot -= 1 << bits
+                    packed += 1
+                out.append(Fraction(slot, d))
             return QSeries(n, out)
         return self.scale(other)
 
@@ -156,6 +166,12 @@ class QSeries:
     def q_derivative(self) -> "QSeries":
         """Apply q d/dq coefficientwise."""
         return QSeries(self.trunc, [m * c for m, c in enumerate(self.coeffs)])
+
+
+def _integer_coeffs(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers x and a denominator d with coeffs[i] == x[i] / d (d the lcm)."""
+    d = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def split(f: QSeries) -> tuple[Fraction, QSeries]:
@@ -290,20 +306,6 @@ class LogQSeries:
 
 def as_logq(f: Union[QSeries, LogQSeries]) -> LogQSeries:
     return f if isinstance(f, LogQSeries) else LogQSeries.from_qseries(f)
-
-
-def series_arith(a: LogQSeries, b, op: str) -> LogQSeries:
-    """Named dispatch over the ring operations; b is a scalar for 'scale'."""
-    a = as_logq(a)
-    if op == "add":
-        return a + as_logq(b)
-    if op == "sub":
-        return a - as_logq(b)
-    if op == "mul":
-        return a * as_logq(b)
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def d_op(f: Union[QSeries, LogQSeries]) -> LogQSeries:

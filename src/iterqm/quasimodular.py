@@ -10,7 +10,8 @@ filtered by depth (the E2-degree).  The module provides
 * :func:`transform_coeffs`, the polynomial coefficients governing the
   behaviour under the modular group, built from the E2 shift by 12X,
 * :func:`decompose` and :func:`derivative_decomposition`, which split any
-  homogeneous form along QM = C*E2 + D(QM) + M, and
+  homogeneous form along QM = C*E2 + D(QM) + M with one inverted linear
+  system per weight, and
 * :func:`basis_b`, the ordered monomial basis of C*E2 + M used as the
   alphabet for canonical forms of iterated integrals.
 
@@ -339,22 +340,42 @@ def _monomials_of_weight(k: int) -> list[Exponents]:
     return sorted(out)
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve M x = rhs over Q by Gaussian elimination; M square, invertible."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+#: Weights whose inverted system :func:`decompose` keeps (a few dozen occur).
+_INVERSE_CACHE_WEIGHTS = 64
+
+
+@lru_cache(maxsize=_INVERSE_CACHE_WEIGHTS)
+def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], dict]:
+    """The weight-k system of :func:`decompose`, inverted by one Gauss-Jordan
+    elimination over [M | I].  Unknowns: the modular monomials of weight k,
+    then the monomials h of weight k-2 (column derive(h)).  Returns both
+    lists and, per weight-k monomial, its nonzero column entries of M^-1.
+    """
+    target = _monomials_of_weight(k)
+    index = {mono: i for i, mono in enumerate(target)}
+    modular = [mono for mono in target if mono[0] == 0]
+    lower = _monomials_of_weight(k - 2)
+    n = len(target)
+    rows = [[Fraction(0)] * n + [Fraction(int(r == i)) for i in range(n)] for r in range(n)]
+    for j, mono in enumerate(modular):
+        rows[index[mono]][j] = Fraction(1)
+    for j, mono in enumerate(lower, len(modular)):
+        for key, val in derive(QMPoly({mono: 1})).terms.items():
+            rows[index[key]][j] = val
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
             raise ArithmeticError("singular system in weight decomposition")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    columns = {mono: [(j, rows[j][n + i]) for j in range(n) if rows[j][n + i]]
+               for i, mono in enumerate(target)}
+    return modular, lower, columns
 
 
 def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
@@ -362,7 +383,9 @@ def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
 
     m is a polynomial in E4, E6 of the same weight, h has weight k - 2,
     and c vanishes unless k = 2.  At weight 2 the derivative part is
-    trivial (D kills constants), and h is normalized to 0.
+    trivial (D kills constants), and h is normalized to 0.  The split is
+    linear: the weight's system is inverted once and cached, and the
+    solution sums p's coefficients times their columns of the inverse.
     """
     if p.is_zero():
         return Fraction(0), ZERO, ZERO
@@ -374,26 +397,11 @@ def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
     if k == 2:
         return p.terms.get((1, 0, 0), Fraction(0)), ZERO, ZERO
 
-    target = _monomials_of_weight(k)
-    index = {mono: i for i, mono in enumerate(target)}
-    modular = [mono for mono in target if mono[0] == 0]
-    lower = _monomials_of_weight(k - 2)
-
-    columns: list[list[Fraction]] = []
-    for mono in modular:
-        col = [Fraction(0)] * len(target)
-        col[index[mono]] = Fraction(1)
-        columns.append(col)
-    for mono in lower:
-        image = derive(QMPoly({mono: 1}))
-        col = [Fraction(0)] * len(target)
-        for key, val in image.terms.items():
-            col[index[key]] = val
-        columns.append(col)
-
-    matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(target))]
-    rhs = [p.terms.get(mono, Fraction(0)) for mono in target]
-    sol = _solve_exact(matrix, rhs)
+    modular, lower, columns = _decomposition_inverse(k)
+    sol = [Fraction(0)] * (len(modular) + len(lower))
+    for mono, coeff in p.terms.items():
+        for j, value in columns[mono]:
+            sol[j] += coeff * value
 
     m = QMPoly({mono: sol[i] for i, mono in enumerate(modular)})
     h = QMPoly({mono: sol[len(modular) + i] for i, mono in enumerate(lower)})

@@ -23,6 +23,7 @@ Word = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _shuffle(w1: Word, w2: Word) -> dict[Word, int]:
+    """Interleavings with multiplicity; letters may be any hashables (bar words too)."""
     if not w1:
         return {w2: 1}
     if not w2:

@@ -143,6 +143,17 @@ class TestCommands:
         assert code == 1
         assert "byte 4" in err
 
+    def test_nesting_at_limit_parses(self, capsys):
+        code, out, _ = run(capsys, ["expand", "(" * 200 + "E4" + ")" * 200, "-N", "1"])
+        assert code == 0
+        assert out == "1 + 240*q\n"
+
+    def test_nesting_past_limit_is_an_error(self, capsys):
+        code, out, err = run(capsys, ["expand", "(" * 400 + "E4" + ")" * 400, "-N", "1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "byte 201" in err
+
     def test_cocycle_e2_command(self, capsys):
         code, out, _ = run(capsys, ["cocycle", "e2", "s1*s2*s1^-1"])
         assert code == 0

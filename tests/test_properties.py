@@ -1,0 +1,52 @@
+"""Generated-input properties of the series product and the weight split.
+
+Runs only where Hypothesis is installed; the seeded tests in
+test_qseries.py and test_quasimodular.py cover the same code without it.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import monomials_of_weight  # noqa: E402
+from iterqm.qseries import QSeries  # noqa: E402
+from iterqm.quasimodular import E2, QMPoly, decompose, derive  # noqa: E402
+from test_qseries import schoolbook  # noqa: E402
+from test_quasimodular import reference_decompose  # noqa: E402
+
+fractions = st.fractions(max_denominator=10**9).filter(lambda x: abs(x) < 10**40)
+
+
+def series(trunc):
+    return st.lists(fractions, min_size=0, max_size=trunc + 1).map(lambda cs: QSeries(trunc, cs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 20), st.integers(0, 20), st.data())
+def test_product_matches_schoolbook(n1, n2, data):
+    a, b = data.draw(series(n1)), data.draw(series(n2))
+    assert a * b == schoolbook(a, b)
+
+
+@st.composite
+def homogeneous(draw):
+    k = draw(st.integers(2, 12)) * 2
+    monos = monomials_of_weight(k)
+    coeffs = draw(st.lists(st.fractions(max_denominator=50).filter(lambda x: abs(x) < 1000),
+                           min_size=len(monos), max_size=len(monos)))
+    return QMPoly(dict(zip(monos, coeffs)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(homogeneous())
+def test_decompose_round_trip(p):
+    c, m, h = decompose(p)
+    assert c * E2 + m + derive(h) == p
+    assert m.is_modular()
+    if not p.is_zero() and p.weight() > 2:
+        assert (c, m, h) == reference_decompose(p)
+        assert c == F(0)

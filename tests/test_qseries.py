@@ -4,8 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from iterqm.qseries import (LogQSeries, QSeries, d_op, eval_numeric, primitive,
-                            series_arith, split)
+from iterqm.qseries import LogQSeries, QSeries, d_op, eval_numeric, primitive, split
 
 
 def L(trunc, k=1, coeff=1):
@@ -41,16 +40,6 @@ class TestArithmetic:
         s = LogQSeries(2, {0: QSeries(2, [1]), 3: QSeries.zero(2)})
         assert set(s.parts) == {0}
 
-    def test_named_dispatch(self):
-        a = LogQSeries.from_qseries(QSeries(2, [1, 2, 3]))
-        b = LogQSeries.log_power(1, 2)
-        assert series_arith(a, b, "add") == a + b
-        assert series_arith(a, b, "sub") == a - b
-        assert series_arith(a, b, "mul") == a * b
-        assert series_arith(a, F(1, 3), "scale") == a.scale(F(1, 3))
-        with pytest.raises(ValueError):
-            series_arith(a, b, "div")
-
     def test_mul_commutative_associative_random(self):
         rng = random.Random(11)
 
@@ -65,6 +54,91 @@ class TestArithmetic:
             a, b, c = rand_series(n), rand_series(n), rand_series(n)
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
+
+
+
+def schoolbook(a: QSeries, b: QSeries) -> QSeries:
+    """Reference product: the plain Fraction convolution, truncated."""
+    n = min(a.trunc, b.trunc)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return QSeries(n, out)
+
+
+class TestIntegerProduct:
+    """QSeries.__mul__ packs integers into one big int; check it against schoolbook."""
+
+    def check(self, a, b):
+        got = a * b
+        assert got == schoolbook(a, b)
+        assert all(type(c) is F for c in got.coeffs)
+        return got
+
+    def test_signed_rationals_unrelated_denominators(self):
+        rng = random.Random(31)
+        dens = [1, 2, 3, 7, 11, 13, 97, 101, 2**31 - 1, 10**12 + 39]
+        for _ in range(200):
+            n = rng.randint(0, 15)
+            a, b = (
+                QSeries(n, [F(rng.randint(-10**6, 10**6), rng.choice(dens)) for _ in range(n + 1)])
+                for _ in range(2)
+            )
+            self.check(a, b)
+
+    def test_sparse_random(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            a, b = (
+                QSeries(n, [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.3 else 0
+                            for _ in range(n + 1)])
+                for _ in range(2)
+            )
+            self.check(a, b)
+
+    def test_zero_operand(self):
+        rng = random.Random(33)
+        for n in (0, 1, 7, 30):
+            a = QSeries(n, [F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n + 1)])
+            assert self.check(a, QSeries.zero(n)) == QSeries.zero(n)
+            assert self.check(QSeries.zero(n), a) == QSeries.zero(n)
+            assert self.check(QSeries.zero(n), QSeries.zero(n)) == QSeries.zero(n)
+
+    def test_single_coefficient_at_top(self):
+        rng = random.Random(34)
+        for n in (0, 1, 5, 30):
+            top = QSeries.monomial(F(-5, 3), n, n)
+            b = QSeries(n, [F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n + 1)])
+            assert self.check(top, b) == QSeries.monomial(F(-5, 3) * b[0], n, n)
+            self.check(b, top)
+            want = QSeries.monomial(F(25, 9), 0, 0) if n == 0 else QSeries.zero(n)
+            assert self.check(top, top) == want
+
+    def test_unequal_truncations(self):
+        rng = random.Random(35)
+        for _ in range(50):
+            n1, n2 = rng.randint(0, 20), rng.randint(0, 20)
+            a = QSeries(n1, [F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(n1 + 1)])
+            b = QSeries(n2, [F(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(n2 + 1)])
+            assert self.check(a, b).trunc == min(n1, n2)
+            self.check(b, a)
+
+    def test_large_coefficients(self):
+        from iterqm.quasimodular import eisenstein_qexp
+
+        e4, e6 = eisenstein_qexp(4, 200), eisenstein_qexp(6, 200)
+        e4_10, e6_7 = QSeries.constant(1, 200), QSeries.constant(1, 200)
+        for _ in range(10):
+            e4_10 = schoolbook(e4_10, e4)
+        for _ in range(7):
+            e6_7 = schoolbook(e6_7, e6)
+        assert e4 ** 10 == e4_10
+        assert e6 ** 7 == e6_7
+        prod = self.check(e4_10, e6_7)
+        assert max(abs(c.numerator) for c in prod.coeffs).bit_length() > 300
+        self.check(e4_10.scale(F(-1, 691)), e6_7.scale(F(7, 2730)))
 
 
 class TestSplit:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_homogeneous
+from conftest import monomials_of_weight, random_homogeneous
 from iterqm.qseries import LogQSeries, QSeries, d_op
 from iterqm.quasimodular import (
     DELTA,
@@ -186,6 +186,56 @@ class TestDecompose:
     def test_rejects_mixed_weight(self):
         with pytest.raises(ValueError):
             decompose(ONE + E2)
+
+
+
+def reference_decompose(p: QMPoly):
+    """The split p = m + derive(h) by a fresh Gaussian elimination per call."""
+    k = p.weight()
+    target = monomials_of_weight(k)
+    modular = [mono for mono in target if mono[0] == 0]
+    lower = monomials_of_weight(k - 2)
+    columns = [QMPoly({mono: 1}) for mono in modular]
+    columns += [derive(QMPoly({mono: 1})) for mono in lower]
+    n = len(target)
+    aug = [[col.terms.get(mono, F(0)) for col in columns] + [p.terms.get(mono, F(0))]
+           for mono in target]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    sol = [aug[r][n] for r in range(n)]
+    m = QMPoly({mono: sol[i] for i, mono in enumerate(modular)})
+    h = QMPoly({mono: sol[len(modular) + i] for i, mono in enumerate(lower)})
+    return F(0), m, h
+
+
+class TestDecomposeEveryWeight:
+    @pytest.mark.parametrize("k", range(4, 42, 2))
+    def test_random_forms(self, k):
+        rng = random.Random(1000 + k)
+        for _ in range(3):
+            p = random_homogeneous(rng, k)
+            c, m, h = decompose(p)
+            assert c * E2 + m + derive(h) == p
+            assert c == 0
+            assert m.is_modular()
+            assert h.is_zero() or h.weight() == k - 2
+            assert (c, m, h) == reference_decompose(p)
+
+    @pytest.mark.parametrize("k", range(4, 18, 2))
+    def test_every_monomial(self, k):
+        for mono in monomials_of_weight(k):
+            unit = QMPoly({mono: 1})
+            assert decompose(unit) == reference_decompose(unit)
+
+    def test_inverse_cache_is_bounded(self):
+        from iterqm.quasimodular import _INVERSE_CACHE_WEIGHTS, _decomposition_inverse
+
+        assert _decomposition_inverse.cache_info().maxsize == _INVERSE_CACHE_WEIGHTS
 
 
 class TestDerivativeDecomposition:
