@@ -23,17 +23,19 @@ All computations run at a fixed working precision well beyond double:
 the slash action mixes coefficients spanning many orders of magnitude
 (powers of matrix entries times powers of tau), and the cocycle relation
 cancels those almost completely, so double precision cannot certify the
-1e-8 tolerances this module is tested at.
+1e-8 tolerances this module is tested at.  The 50 digits come from a
+private mpmath context: the module neither reads nor changes mpmath's
+process-wide precision, so a caller's precision is left untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Iterable, Sequence, Union
 
-from mpmath import mp, mpc, mpf
+from mpmath import MPContext
 
 from .quasimodular import E2, QMPoly, derivative_decomposition, expand
 
@@ -45,6 +47,10 @@ DEFAULT_TERMS = 80
 
 #: Smallest imaginary part accepted for evaluation points.
 MIN_IMAG = 0.2
+
+_ctx = MPContext()
+_ctx.dps = WORKING_DPS
+mpc, mpf, pi, exp, log = _ctx.mpc, _ctx.mpf, _ctx.pi, _ctx.exp, _ctx.log
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,6 @@ class SL2Mat:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "SL2Mat":
-        return SL2Mat(self.d, -self.b, -self.c, self.a)
 
     def moebius(self, tau):
         return (self.a * tau + self.b) / (self.c * tau + self.d)
@@ -108,24 +111,21 @@ class XYPoly:
     def __add__(self, other: "XYPoly") -> "XYPoly":
         if self.degree != other.degree:
             raise ValueError("degrees differ")
-        with mp.workdps(WORKING_DPS):
-            return XYPoly(self.degree, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+        return XYPoly(self.degree, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
         if self.degree != other.degree:
             raise ValueError("degrees differ")
-        with mp.workdps(WORKING_DPS):
-            return XYPoly(self.degree, [x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return XYPoly(self.degree, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "XYPoly":
         return XYPoly(self.degree, [-x for x in self.coeffs])
 
     def scale(self, factor) -> "XYPoly":
-        with mp.workdps(WORKING_DPS):
-            if isinstance(factor, Fraction):
-                factor = mpf(factor.numerator) / factor.denominator
-            factor = mpc(factor)
-            return XYPoly(self.degree, [factor * x for x in self.coeffs])
+        if isinstance(factor, Fraction):
+            factor = mpf(factor.numerator) / factor.denominator
+        factor = mpc(factor)
+        return XYPoly(self.degree, [factor * x for x in self.coeffs])
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs), default=mpf(0))
@@ -133,9 +133,6 @@ class XYPoly:
     def distance(self, other: "XYPoly") -> float:
         """Max-coefficient distance; degrees must agree."""
         return float((self - other).max_abs())
-
-    def is_small(self, tol: float = 1e-10) -> bool:
-        return float(self.max_abs()) < tol
 
     def __repr__(self) -> str:
         d = self.degree
@@ -145,11 +142,6 @@ class XYPoly:
 
 def slash_poly(poly: XYPoly, g: SL2Mat) -> XYPoly:
     """The right action P(X, Y) -> P(aX + bY, cX + dY)."""
-    with mp.workdps(WORKING_DPS):
-        return _slash_poly(poly, g)
-
-
-def _slash_poly(poly: XYPoly, g: SL2Mat) -> XYPoly:
     d = poly.degree
     a, b, c, dd = g.entries()
     out = [mpc(0)] * (d + 1)
@@ -189,53 +181,42 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     k = f.weight()
     if k < 4 or k % 2:
         raise ValueError("weight must be an even integer >= 4")
-    with mp.workdps(WORKING_DPS):
-        tau = mpc(tau)
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
-        d = k - 2
-        coeffs = expand(f, n_terms).coeffs
-        two_pi_i = 2j * mp.pi
-        q = mp.exp(two_pi_i * tau)
-        tau_pow = [mpc(1)]
-        for _ in range(d + 1):
-            tau_pow.append(tau_pow[-1] * tau)
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    d = k - 2
+    coeffs = expand(f, n_terms).coeffs
+    two_pi_i = 2j * pi
+    q = exp(two_pi_i * tau)
 
-        # integrals I_j = int_tau^{i oo} f(t) t^j dt
-        ints = [mpc(0)] * (d + 1)
-        a0 = coeffs[0]
-        if a0:
-            for j in range(d + 1):
-                ints[j] -= mpf(a0.numerator) / a0.denominator * tau_pow[j + 1] / (j + 1)
-        qn = mpc(1)
-        falling = [[mpf(1)] for _ in range(d + 1)]  # falling[j][r] = j!/(j-r)!
-        for j in range(d + 1):
-            for r in range(1, j + 1):
-                falling[j].append(falling[j][r - 1] * (j - r + 1))
-        for n in range(1, n_terms + 1):
-            qn *= q
-            an = coeffs[n]
-            if an == 0:
-                continue
-            cn = two_pi_i * n
-            inv = [1 / cn]
-            an_mp = mpf(an.numerator) / an.denominator
-            for j in range(d + 1):
-                while len(inv) <= j:
-                    inv.append(inv[-1] / cn)
-                acc = mpc(0)
-                sign = 1
-                for r in range(j + 1):
-                    acc += sign * falling[j][r] * tau_pow[j - r] * inv[r]
-                    sign = -sign
-                ints[j] -= an_mp * qn * acc
+    # sums[r] = sum_{n >= 1} a_n q^n / (2 pi i n)^(r+1)
+    sums = [mpc(0)] * (d + 1)
+    qn = mpc(1)
+    for n in range(1, n_terms + 1):
+        qn *= q
+        an = coeffs[n]
+        if an == 0:
+            continue
+        cn = two_pi_i * n
+        term = mpf(an.numerator) / an.denominator * qn
+        for r in range(d + 1):
+            term /= cn
+            sums[r] += term
 
-        front = two_pi_i ** (k - 1)
-        out = []
-        for j in range(d + 1):
-            sign = -1 if j % 2 else 1
-            out.append(front * comb(d, j) * sign * ints[j])
-        return XYPoly(d, out)
+    # integrals I_j = int_tau^{i oo} f(t) t^j dt; integrating q^n t^j by
+    # parts j times gives -q^n sum_r (-1)^r j!/(j-r)! t^(j-r) / (2 pi i n)^(r+1)
+    a0 = mpf(coeffs[0].numerator) / coeffs[0].denominator
+    tau_pow = [mpc(1)]
+    for _ in range(d + 1):
+        tau_pow.append(tau_pow[-1] * tau)
+    front = two_pi_i ** (k - 1)
+    out = []
+    for j in range(d + 1):
+        integral = -a0 * tau_pow[j + 1] / (j + 1) - sum(
+            (-1) ** r * perm(j, r) * tau_pow[j - r] * sums[r] for r in range(j + 1)
+        )
+        out.append(front * comb(d, j) * (-1) ** j * integral)
+    return XYPoly(d, out)
 
 
 def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
@@ -244,20 +225,17 @@ def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly
     Requires Im(tau) and Im(g.tau) at least 0.2; the result does not
     depend on tau.
     """
-    with mp.workdps(WORKING_DPS):
-        tau = _require_upper(tau)
-        gtau = g.moebius(tau)
-        _require_upper(gtau, "g.tau")
-        p_here = eichler_integral(f, tau, n_terms)
-        p_there = eichler_integral(f, gtau, n_terms)
-        return p_here - slash_poly(p_there, g)
+    tau = _require_upper(tau)
+    gtau = g.moebius(tau)
+    _require_upper(gtau, "g.tau")
+    p_here = eichler_integral(f, tau, n_terms)
+    p_there = eichler_integral(f, gtau, n_terms)
+    return p_here - slash_poly(p_there, g)
 
 
 # --- braid group ----------------------------------------------------------
 
 B3Word = tuple[int, ...]  # entries in {1, -1, 2, -2} for the generators
-
-SIGMA1, SIGMA2 = 1, 2
 
 _GEN_MATS = {
     1: SL2Mat(1, 1, 0, 1),
@@ -282,26 +260,28 @@ def _branch_log(word: B3Word, tau) -> mpc:
 
     Generators use the principal branch (their c*tau + d never meets the
     negative real axis on the upper half-plane); words compose by
-    l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau).
+    l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau), read here from
+    the right, one generator at a time, with ``rest`` the exact matrix of
+    the suffix read so far.
     """
-    if not word:
-        return mpc(0)
-    head, rest = word[0], tuple(word[1:])
-    rest_mat = b3_to_sl2(rest)
-    m = _GEN_MATS[head]
-    point = rest_mat.moebius(tau)
-    return mp.log(m.c * point + m.d) + _branch_log(rest, tau)
+    total = mpc(0)
+    rest = IDENTITY
+    for g in reversed(word):
+        m = _GEN_MATS[g]
+        total = log(m.c * rest.moebius(tau) + m.d) + total
+        rest = m * rest
+    return total
 
 
 def _log_disc(tau, n_terms: int) -> mpc:
     """Continuous branch of the logarithm of the discriminant form."""
-    two_pi_i = 2j * mp.pi
-    q = mp.exp(two_pi_i * tau)
+    two_pi_i = 2j * pi
+    q = exp(two_pi_i * tau)
     total = two_pi_i * tau
     qn = mpc(1)
     for n in range(1, n_terms + 1):
         qn *= q
-        total += 24 * mp.log(1 - qn)
+        total += 24 * log(1 - qn)
     return total
 
 
@@ -318,13 +298,12 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     """
     word = tuple(word)
     mat = b3_to_sl2(word)
-    with mp.workdps(WORKING_DPS):
-        tau = _require_upper(tau)
-        gtau = mat.moebius(tau)
-        _require_upper(gtau, "gamma.tau")
-        f_here = -_log_disc(tau, n_terms)
-        f_there = -_log_disc(gtau, n_terms)
-        return f_there - f_here + 12 * _branch_log(word, tau)
+    tau = _require_upper(tau)
+    gtau = mat.moebius(tau)
+    _require_upper(gtau, "gamma.tau")
+    f_here = -_log_disc(tau, n_terms)
+    f_there = -_log_disc(gtau, n_terms)
+    return f_there - f_here + 12 * _branch_log(word, tau)
 
 
 def quasimodular_cocycle(
@@ -358,9 +337,7 @@ def quasimodular_cocycle(
                 raise ValueError(
                     "the E2 component needs a braid word, not just a matrix"
                 )
-            value = e2_cocycle(word, tau, n_terms)
-            with mp.workdps(WORKING_DPS):
-                out.append(XYPoly(0, [lam * value]))
+            out.append(XYPoly(0, [lam * e2_cocycle(word, tau, n_terms)]))
         else:
             out.append(cocycle_r(g, mat, tau, n_terms).scale(Fraction(lam)))
     return out
@@ -371,23 +348,22 @@ def admissible_tau(g: SL2Mat, candidates: Sequence[complex] = ()) -> mpc:
 
     Falls back to a point centered for the translation part when c = 0.
     """
-    with mp.workdps(WORKING_DPS):
-        pool = list(candidates) or [
-            mpc(0, 1.3),
-            mpc(0, 1),
-            mpc(0.4, 0.9),
-            mpc(0, 2),
-            mpc(-0.5, 1.1),
-            mpc(0.5, 1.1),
-        ]
-        for tau in pool:
-            tau = mpc(tau)
-            if tau.imag >= MIN_IMAG and g.moebius(tau).imag >= MIN_IMAG:
-                return tau
-        if g.c == 0:
-            return mpc(-mpf(g.b) / (2 * g.d), 2)
-        # center the pair (tau, g.tau) around the fixed-size geodesic
-        tau = mpc(-mpf(g.d) / g.c, 1 / abs(g.c))
+    pool = list(candidates) or [
+        mpc(0, 1.3),
+        mpc(0, 1),
+        mpc(0.4, 0.9),
+        mpc(0, 2),
+        mpc(-0.5, 1.1),
+        mpc(0.5, 1.1),
+    ]
+    for tau in pool:
+        tau = mpc(tau)
         if tau.imag >= MIN_IMAG and g.moebius(tau).imag >= MIN_IMAG:
             return tau
-        raise ValueError(f"no admissible evaluation point found for {g}")
+    if g.c == 0:
+        return mpc(-mpf(g.b) / (2 * g.d), 2)
+    # center the pair (tau, g.tau) around the fixed-size geodesic
+    tau = mpc(-mpf(g.d) / g.c, 1 / abs(g.c))
+    if tau.imag >= MIN_IMAG and g.moebius(tau).imag >= MIN_IMAG:
+        return tau
+    raise ValueError(f"no admissible evaluation point found for {g}")

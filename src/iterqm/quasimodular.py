@@ -296,15 +296,19 @@ _D_E6 = (E2 * E6 - E4 * E4) * Fraction(1, 2)
 
 def derive(p: QMPoly) -> QMPoly:
     """The derivation extending D on the generators; raises weight by 2."""
-    out = ZERO
-    for (a, b, c), coeff in p.terms.items():
-        if a:
-            out = out + QMPoly({(a - 1, b, c): coeff * a}) * _D_E2
-        if b:
-            out = out + QMPoly({(a, b - 1, c): coeff * b}) * _D_E4
-        if c:
-            out = out + QMPoly({(a, b, c - 1): coeff * c}) * _D_E6
-    return out
+    # product rule: a generator of exponent e contributes e times the
+    # monomial with that exponent lowered by one, times the generator's image
+    return QMPoly(
+        ((r2 + x, r4 + y, r6 + z), coeff * e * v)
+        for (a, b, c), coeff in p.terms.items()
+        for e, (r2, r4, r6), image in (
+            (a, (a - 1, b, c), _D_E2),
+            (b, (a, b - 1, c), _D_E4),
+            (c, (a, b, c - 1), _D_E6),
+        )
+        if e
+        for (x, y, z), v in image.terms.items()
+    )
 
 
 def transform_coeffs(p: QMPoly) -> list[QMPoly]:

@@ -159,6 +159,11 @@ class TestCommands:
         assert code == 0
         assert "multiple_of_2pi_i: -1" in out
 
+    def test_cocycle_e2_long_word(self, capsys):
+        code, out, _ = run(capsys, ["cocycle", "e2", "*".join(["s1*s2"] * 600), "--json"])
+        assert code == 0
+        assert json.loads(out)["multiple_of_2pi_i"] == -1200
+
     def test_cocycle_check_small(self, capsys):
         code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "2", "--n-terms", "40"])
         assert code == 0

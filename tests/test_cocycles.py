@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc, zeta
+from mpmath import mp, mpc, mpf, zeta
 
 from iterqm.cocycles import (
     IDENTITY,
@@ -20,9 +21,37 @@ from iterqm.cocycles import (
 )
 from iterqm.iterint import iter_integral
 from iterqm.qseries import eval_numeric
-from iterqm.quasimodular import DELTA, E2, E4, E6, QMPoly, derive
+from iterqm.quasimodular import DELTA, E2, E4, E6, QMPoly, derive, expand
 
 TWO_PI_I = 2j * math.pi
+
+
+def reference_eichler_integral(f: QMPoly, tau, n_terms: int) -> XYPoly:
+    """Term-by-term Eichler integral, O(N d^2): each a_n q^n integrated by
+    parts into every coefficient separately."""
+    with mp.workdps(50):
+        tau = mpc(tau)
+        k = f.weight()
+        d = k - 2
+        coeffs = expand(f, n_terms).coeffs
+        two_pi_i = 2j * mp.pi
+        q = mp.exp(two_pi_i * tau)
+        ints = [mpc(0)] * (d + 1)
+        a0 = mpf(coeffs[0].numerator) / coeffs[0].denominator
+        for j in range(d + 1):
+            ints[j] -= a0 * tau ** (j + 1) / (j + 1)
+        qn = mpc(1)
+        for n in range(1, n_terms + 1):
+            qn *= q
+            an = mpf(coeffs[n].numerator) / coeffs[n].denominator
+            cn = two_pi_i * n
+            for j in range(d + 1):
+                acc = mpc(0)
+                for r in range(j + 1):
+                    acc += (-1) ** r * math.perm(j, r) * tau ** (j - r) / cn ** (r + 1)
+                ints[j] -= an * qn * acc
+        front = two_pi_i ** (k - 1)
+        return XYPoly(d, [front * math.comb(d, j) * (-1) ** j * ints[j] for j in range(d + 1)])
 
 
 class TestSlash:
@@ -88,6 +117,14 @@ class TestEichlerIntegral:
         assert abs(top - reference) <= 1e-9 * max(1.0, abs(reference))
 
 
+    @pytest.mark.parametrize("f", [E4, DELTA, QMPoly({(0, 2, 2): Fraction(1)})], ids=["E4", "Delta", "E4^2*E6^2"])
+    @pytest.mark.parametrize("tau", [1j, 0.4 + 0.9j])
+    def test_matches_term_by_term_reference(self, f, tau):
+        got = eichler_integral(f, tau, 80)
+        want = reference_eichler_integral(f, tau, 80)
+        assert got.distance(want) <= 1e-40 * float(want.max_abs())
+
+
 class TestModularCocycle:
     def test_identity_vanishes(self):
         assert float(cocycle_r(E4, IDENTITY, 1.3j).max_abs()) < 1e-20
@@ -118,6 +155,23 @@ class TestModularCocycle:
             mid = mpc(0, -1) * (2 * mp.pi) ** 5 * mp.mpf(7) / 10
             want = XYPoly(4, [z5, mid, 0, mid, -z5])
         assert V.distance(want) < 1e-20
+
+    def test_negation_keeps_working_precision(self):
+        V = cocycle_r(E4, S, 1j)
+        assert (V + (-V)).max_abs() < 1e-40
+
+    def test_caller_precision_untouched(self):
+        with mp.workdps(30):
+            z3 = 240 * zeta(3)
+            mid = mpc(0, 1) * (2 * mp.pi) ** 3 * mp.mpf(5) / 3
+            want = XYPoly(2, [-z3, mid, z3])
+        saved = mp.dps
+        try:
+            mp.dps = 5
+            assert cocycle_r(E4, S, 1j).distance(want) < 1e-20
+            assert mp.dps == 5
+        finally:
+            mp.dps = saved
 
     def test_s_squared_relation(self):
         V = cocycle_r(E4, S, 1j)
@@ -201,6 +255,14 @@ class TestE2Cocycle:
             ratio = complex(e2_cocycle(w, tau) / TWO_PI_I)
             assert abs(ratio - round(ratio.real)) < 1e-8, w
             done += 1
+
+    @pytest.mark.parametrize("word", [(1, 2) * 600, (-2, -1) * 3000], ids=["1200", "6000"])
+    def test_long_word(self, word):
+        # far past the interpreter's recursion limit; the value is -2 pi i
+        # times the exponent sum of the word
+        value = complex(e2_cocycle(word, admissible_tau(b3_to_sl2(word))))
+        exponent_sum = sum(1 if g > 0 else -1 for g in word)
+        assert abs(value - (-TWO_PI_I) * exponent_sum) < 1e-8
 
     def test_central_element_value(self):
         # the center of the braid group maps to 1 in the modular group but

@@ -112,6 +112,12 @@ class TestDerive:
             if not d.is_zero():
                 assert d.weight() == p.weight() + 2
 
+    def test_deeply_nested_derivative(self):
+        p, series = E4, as_logq(expand(E4, 3))
+        for _ in range(40):
+            p, series = derive(p), d_op(series)
+        assert as_logq(expand(p, 3)) == series
+
 
 class TestTransform:
     def test_e2(self):
