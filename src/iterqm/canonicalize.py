@@ -17,13 +17,15 @@ proceeds in two stages:
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
-exact rank computation.
+exact rank: full rank modulo a fixed prime is already a certificate, and
+only a deficient matrix falls back to elimination over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .iterint import BarCombo, BarWord, iter_integral
@@ -31,6 +33,7 @@ from .qseries import LogQSeries
 from .quasimodular import (
     E2,
     QMPoly,
+    _row_reduce,
     basis_b,
     decompose,
     expand,
@@ -165,33 +168,27 @@ def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm
     return CanonicalForm(poly=poly, basis=basis, modular=modular_only)
 
 
+#: The largest prime below 2^30: row operations mod it stay on small ints,
+#: and a rank that drops mod it but not over Q is rare.
+_RANK_PRIME = 2**30 - 35
+
+
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a dense rational matrix, by exact Gaussian elimination."""
-    matrix = [list(row) for row in rows if any(x != 0 for x in row)]
-    if not matrix:
-        return 0
-    ncols = len(matrix[0])
-    rank = 0
-    col = 0
-    while matrix and col < ncols:
-        pivot_row = next((r for r in range(len(matrix)) if matrix[r][col] != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        matrix[0], matrix[pivot_row] = matrix[pivot_row], matrix[0]
-        inv = 1 / matrix[0][col]
-        pivot = [x * inv for x in matrix[0]]
-        rest = []
-        for row in matrix[1:]:
-            factor = row[col]
-            if factor != 0:
-                row = [x - factor * y for x, y in zip(row, pivot)]
-            if any(x != 0 for x in row):
-                rest.append(row)
-        matrix = rest
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q of a dense rational matrix, exactly.
+
+    Rows are scaled to integers by the lcm of their denominators and taken
+    mod a fixed prime, where the rank can only drop.  Full rank there (the
+    number of nonzero rows or of columns) is therefore the answer; a
+    deficient matrix falls back to exact elimination over Q.
+    """
+    matrix = [list(row) for row in rows if any(row)]
+    scales = [lcm(*(x.denominator for x in row)) for row in matrix]
+    scaled = [[x.numerator * (s // x.denominator) % _RANK_PRIME for x in row]
+              for row, s in zip(matrix, scales)]
+    rank = len(_row_reduce(scaled, _RANK_PRIME))
+    if rank == len(matrix) or rank == len(matrix[0]):
+        return rank
+    return len(_row_reduce(matrix))
 
 
 def independence_rank(
@@ -204,7 +201,8 @@ def independence_rank(
     Each series expand(multiplier) * integral(word) is flattened over the
     q^m L^k grid (m <= trunc, k up to the longest word).  Full rank
     certifies Q-linear independence of the family at this truncation: a
-    finite witness, never a proof.
+    finite witness, never a proof.  The rank is exact: full rank mod a
+    prime certifies it, and a deficient matrix is settled over Q.
     """
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")

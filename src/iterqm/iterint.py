@@ -155,7 +155,12 @@ def iter_integral(word: Iterable[QMPoly], trunc: int) -> LogQSeries:
     the primitive (with vanishing q^0 L^0 coefficient) of minus the
     expansion of the first letter times the integral of the tail.
     """
-    return _iter_integral(_as_word(word), trunc)
+    word = _as_word(word)
+    # Fill the cache from the last letter, 128 letters a call, so that no call
+    # recurses deeper; shorter words make plain recursion's cache lookups.
+    for start in range(len(word) - 128, 0, -128):
+        _iter_integral(word[start:], trunc)
+    return _iter_integral(word, trunc)
 
 
 @lru_cache(maxsize=None)

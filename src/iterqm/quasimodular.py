@@ -344,6 +344,31 @@ def _monomials_of_weight(k: int) -> list[Exponents]:
     return sorted(out)
 
 
+def _row_reduce(rows: list[list], modulus: int = 0, reduced: bool = False) -> list[int]:
+    """Gaussian elimination of ``rows`` in place; returns the pivot columns.
+
+    Entries are rationals (over Q), or ints reduced mod a prime ``modulus``.
+    Row i ends with a 1 in column pivots[i] and zeros below it (and above it
+    too if ``reduced``: Gauss-Jordan); the rows after the pivots are zero.
+    """
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        rows[top], rows[r] = rows[r], rows[top]
+        inv = pow(rows[top][col], -1, modulus) if modulus else Fraction(1) / rows[top][col]
+        pivot = rows[top] = [x * inv % modulus if modulus else x * inv for x in rows[top]]
+        for i in range(0 if reduced else top + 1, len(rows)):
+            row, f = rows[i], rows[i][col]
+            if f and i != top:
+                rows[i] = ([(x - f * y) % modulus for x, y in zip(row, pivot)] if modulus
+                           else [x - f * y for x, y in zip(row, pivot)])
+        pivots.append(col)
+    return pivots
+
+
 #: Weights whose inverted system :func:`decompose` keeps (a few dozen occur).
 _INVERSE_CACHE_WEIGHTS = 64
 
@@ -366,17 +391,8 @@ def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], di
     for j, mono in enumerate(lower, len(modular)):
         for key, val in derive(QMPoly({mono: 1})).terms.items():
             rows[index[key]][j] = val
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular system in weight decomposition")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    if _row_reduce(rows, reduced=True)[:n] != list(range(n)):
+        raise ArithmeticError("singular system in weight decomposition")
     columns = {mono: [(j, rows[j][n + i]) for j in range(n) if rows[j][n + i]]
                for i, mono in enumerate(target)}
     return modular, lower, columns

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import iterqm.canonicalize as canonicalize
 from conftest import random_homogeneous, random_qmpoly
 from iterqm.canonicalize import (
+    _RANK_PRIME,
     ModularModeError,
     canonical_form,
     independence_rank,
@@ -168,3 +170,133 @@ class TestRank:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             independence_rank([()], [ONE, ONE], 5)
+
+
+def reference_rank(rows):
+    """Rank over Q by plain Fraction elimination, the old algorithm."""
+    matrix = [[F(x) for x in row] for row in rows if any(x != 0 for x in row)]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col] / matrix[rank][col]
+            matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin: the first 12 prime bases decide n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+P = _RANK_PRIME
+
+
+class TestModularCertificate:
+    """Full rank mod P certifies; any deficiency mod P is settled over Q."""
+
+    @pytest.fixture
+    def moduli(self, monkeypatch):
+        seen = []
+        real = canonicalize._row_reduce
+
+        def spy(rows, modulus=0, reduced=False):
+            seen.append(modulus)
+            return real(rows, modulus, reduced)
+
+        monkeypatch.setattr(canonicalize, "_row_reduce", spy)
+        return seen
+
+    def test_modulus_is_prime(self):
+        assert P.bit_length() >= 30 and is_prime(P)
+        assert P != 2**61 - 1  # the benchmark oracle's prime stays independent
+        assert [is_prime(n) for n in (1, 2, 561, 2**31 - 1, 2**32 + 1, 3215031751)] == [
+            False, True, False, True, False, False]
+
+    def test_full_rank_is_certified_mod_p(self, moduli):
+        assert rational_rank([[F(1, 3), F(2)], [F(5), F(-7, 2)]]) == 2
+        assert moduli == [P]
+
+    def test_diagonal_p_falls_back(self, moduli):
+        assert rational_rank([[F(P), F(0)], [F(0), F(1)]]) == 2
+        assert moduli == [P, 0]
+
+    def test_row_of_multiples_of_p_falls_back(self, moduli):
+        rows = [[F(P, 3), F(2 * P, 5), F(-P)], [F(1), F(0), F(2)]]
+        assert rational_rank(rows) == 2
+        assert moduli == [P, 0]
+
+    def test_denominators_divisible_by_p(self, moduli):
+        # scaled rows [1, P] and [1, 2P] agree mod P; the determinant over Q is 1
+        assert rational_rank([[F(1, P), F(1)], [F(1), F(2 * P)]]) == 2
+        assert moduli == [P, 0]
+        assert rational_rank([[F(1, P * P), F(3, P)], [F(2, 7 * P), F(1, 5)]]) == 2
+
+    def test_deficient_over_q_too(self, moduli):
+        # det = (1/P) * P - 1 = 0: rank 1 over Q, confirmed by the fallback
+        assert rational_rank([[F(1, P), F(1)], [F(1), F(P)]]) == 1
+        assert moduli == [P, 0]
+
+    def test_wide(self, moduli):
+        assert rational_rank([[F(1), F(2), F(3), F(4), F(5)], [F(0), F(1), F(1, 2), F(0), F(9)]]) == 2
+        assert moduli == [P]
+        wide = [[F(i + j) for j in range(6)] for i in range(3)]
+        assert rational_rank(wide) == 2
+
+    def test_tall(self, moduli):
+        tall = [[F(i), F(i * i + 1, 3)] for i in range(6)]
+        assert rational_rank(tall) == 2
+        assert moduli == [P]  # rank mod P reached the column count
+        assert rational_rank([[F(3 * i), F(-i, 2)] for i in range(5)]) == 1
+
+    def test_zero_rows(self, moduli):
+        zero = [F(0)] * 3
+        assert rational_rank([zero, [F(1), F(2), F(3)], zero]) == 1
+        assert moduli == [P]
+        assert rational_rank([zero, zero]) == 0
+        assert rational_rank([[], []]) == 0
+
+    def test_integer_entries_stay_exact(self, moduli):
+        # det = -1 and -P: floats saw both rows as equal
+        assert rational_rank([[10**17, 1], [10**17 + 1, 1]]) == 2
+        assert rational_rank([[P * 10**17, 1], [P * 10**17 + P, 1]]) == 2
+        assert moduli == [P, P, 0]
+
+    def test_leaves_input_alone(self):
+        rows = [[F(2), F(4)], [F(1), F(2)]]
+        assert rational_rank(rows) == 1
+        assert rows == [[F(2), F(4)], [F(1), F(2)]]
+
+    def test_random_against_reference(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            pool = [0, 1, -1, 2, P, -P, 2 * P, F(1, P), F(P, 3), F(3, 7)]
+            rows = [[F(rng.choice(pool)) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:  # plant a dependence
+                a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.choice(pool))
+                rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+            assert rational_rank(rows) == reference_rank(rows), rows

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -163,6 +164,29 @@ class TestCommands:
         code, out, _ = run(capsys, ["cocycle", "e2", "*".join(["s1*s2"] * 600), "--json"])
         assert code == 0
         assert json.loads(out)["multiple_of_2pi_i"] == -1200
+
+    def test_integral_long_word(self, capsys):
+        code, out, err = run(capsys, ["integral", "I(" + ",".join(["E4"] * 1100) + ")", "-N", "0"])
+        assert code == 0
+        assert "error:" not in err
+        assert out == f"1/{math.factorial(1100)}*L^1100\n"
+
+    def test_rank_full_json(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys, ["rank", "-N", "10", "--json"],
+            stdin="E4\nE6\n1,E4\nE2,E6\n-\n", monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == '{"rank":5,"count":5}\n'
+
+    def test_rank_deficient_json(self, capsys, monkeypatch):
+        # I(2*E4) = 2*I(E4): rank 2 of 3, settled by elimination over Q
+        code, out, _ = run(
+            capsys, ["rank", "-N", "10", "--json"],
+            stdin="E4\n2*E4\nE6\n", monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == '{"rank":2,"count":3}\n'
 
     def test_cocycle_check_small(self, capsys):
         code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "2", "--n-terms", "40"])

@@ -7,6 +7,7 @@ import pytest
 
 from iterqm.iterint import (
     BarCombo,
+    _iter_integral,
     ibp_first,
     ibp_last,
     ibp_middle,
@@ -106,6 +107,26 @@ class TestIterIntegral:
             for k in range(s.log_degree() + 1):
                 expected = coeff if k == n else F(0)
                 assert s.coefficient(0, k) == expected, (word, k)
+
+
+class TestLongWords:
+    def test_1100_letters(self):
+        # I(1, ..., 1) = (-L)^n / n!; plain recursion ran out of stack here
+        got = iter_integral((ONE,) * 1100, 0)
+        assert got == L(0, k=1100, coeff=F(1, math.factorial(1100)))
+
+    def test_short_words_make_the_same_lookups(self):
+        # a fresh word of n letters costs n + 1 misses and no hit, as with
+        # plain recursion; repeating it is one hit
+        word = (E4, QMPoly({(0, 0, 1): 7}), E2 * E6)
+        _iter_integral.cache_clear()
+        before = _iter_integral.cache_info()
+        iter_integral(word, 3)
+        mid = _iter_integral.cache_info()
+        assert (mid.misses - before.misses, mid.hits - before.hits) == (4, 0)
+        iter_integral(word, 3)
+        after = _iter_integral.cache_info()
+        assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
 
 
 class TestShuffleWords:

@@ -1,7 +1,9 @@
-"""Generated-input properties of the series product and the weight split.
+"""Generated-input properties of the series product, the weight split and
+the exact rank.
 
 Runs only where Hypothesis is installed; the seeded tests in
-test_qseries.py and test_quasimodular.py cover the same code without it.
+test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
+same code without it.
 """
 
 from fractions import Fraction as F
@@ -13,8 +15,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight  # noqa: E402
+from iterqm.canonicalize import _RANK_PRIME, rational_rank  # noqa: E402
 from iterqm.qseries import QSeries  # noqa: E402
 from iterqm.quasimodular import E2, QMPoly, decompose, derive  # noqa: E402
+from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_quasimodular import reference_decompose  # noqa: E402
 
@@ -50,3 +54,26 @@ def test_decompose_round_trip(p):
     if not p.is_zero() and p.weight() > 2:
         assert (c, m, h) == reference_decompose(p)
         assert c == F(0)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small matrices, with entries that are multiples or fractions of the
+    rank prime and rows that are combinations of earlier ones."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+        st.sampled_from([F(_RANK_PRIME), F(-2 * _RANK_PRIME), F(1, _RANK_PRIME), F(_RANK_PRIME, 7)]),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(entry), draw(entry)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rational_matrices())
+def test_rational_rank_matches_elimination(rows):
+    assert rational_rank(rows) == reference_rank(rows)

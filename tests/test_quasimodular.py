@@ -244,6 +244,28 @@ class TestDecomposeEveryWeight:
         assert _decomposition_inverse.cache_info().maxsize == _INVERSE_CACHE_WEIGHTS
 
 
+class TestRowReduce:
+    """The one elimination routine, in its three uses."""
+
+    def test_gauss_jordan_inverts(self):
+        from iterqm.quasimodular import _row_reduce
+
+        rows = [[F(2), F(4), F(1), F(0)], [F(1), F(3), F(0), F(1)]]
+        assert _row_reduce(rows, reduced=True) == [0, 1]
+        assert rows == [[1, 0, F(3, 2), -2], [0, 1, F(-1, 2), 1]]
+
+    def test_echelon_over_q_and_mod_p(self):
+        from iterqm.quasimodular import _row_reduce
+
+        rows = [[F(0), F(2), F(4)], [F(0), F(1), F(2)], [F(3), F(0), F(1)]]
+        assert _row_reduce(rows) == [0, 1]
+        assert rows[0] == [1, 0, F(1, 3)] and rows[1] == [0, 1, 2] and rows[2] == [0, 0, 0]
+        mod7 = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
+        assert _row_reduce(mod7, 7) == [0, 1]
+        assert mod7 == [[1, 0, 5], [0, 1, 2], [0, 0, 0]]  # 1/3 = 5 mod 7
+        assert _row_reduce([[0, 0]], 7) == [] and _row_reduce([]) == []
+
+
 class TestDerivativeDecomposition:
     def test_modular(self):
         assert derivative_decomposition(E4) == [(F(1), 0, E4)]
