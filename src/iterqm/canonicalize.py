@@ -9,7 +9,7 @@ proceeds in two stages:
 1. :func:`reduce_letters` replaces every letter by basis letters, using
    the weight decomposition of each letter and integration by parts to
    eliminate derivative components; each elimination shortens the word,
-   so the recursion terminates.
+   so the rewriting terminates.
 2. :func:`canonical_form` rewrites the resulting words as polynomials in
    Lyndon words via the triangular shuffle elimination of
    :mod:`~iterqm.shuffle_lyndon`.
@@ -23,12 +23,13 @@ only a deficient matrix falls back to elimination over Q.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .iterint import BarCombo, BarWord, iter_integral
+from .iterint import BarCombo, BarWord, ibp_first, ibp_last, ibp_middle, iter_integral
 from .qseries import LogQSeries
 from .quasimodular import (
     E2,
@@ -41,6 +42,8 @@ from .quasimodular import (
     letter_sort_key,
 )
 from .shuffle_lyndon import LyndonPoly, to_lyndon_basis
+
+logger = logging.getLogger(__name__)
 
 
 class ModularModeError(ValueError):
@@ -57,58 +60,69 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
     Letters are split into homogeneous parts and decomposed along
     QM = C*E2 + D(QM) + M; pure-basis components are pulled out by
     multilinearity (their rational multiples join the coefficient), and
-    derivative components are eliminated by integration by parts, which
-    strictly shortens the word.  The expansion of the result equals the
-    expansion of the input exactly.
+    derivative components are eliminated by the integration-by-parts rules
+    ``ibp_first``, ``ibp_middle`` and ``ibp_last`` of :mod:`~iterqm.iterint`,
+    which shorten the word.  Pending words wait, merged, in one dict per
+    (length, first non-basis position); longer words and then earlier
+    positions go first.  A rewrite shortens the word or moves that position
+    right, so a word is rewritten once, after all its contributions, and
+    not at all if they cancel.  Each distinct letter is split, and each
+    homogeneous piece decomposed, once per call.  The expansion of the
+    result equals the expansion of the input exactly.
     """
     out: dict[BarWord, QMPoly] = {}
-    work: list[tuple[BarWord, QMPoly]] = list(combo.terms.items())
+    pending: dict[tuple[int, int], dict[BarWord, QMPoly]] = {}
+    decomposed: dict[QMPoly, tuple[Fraction, QMPoly, QMPoly]] = {}
+    splits: dict[QMPoly, tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]] = {}
 
-    def emit(word: BarWord, coeff: QMPoly) -> None:
-        cur = out.get(word)
-        cur = coeff if cur is None else cur + coeff
-        if cur:
-            out[word] = cur
-        else:
-            out.pop(word, None)
+    def push(word: BarWord, coeff: QMPoly, start: int) -> None:
+        if not coeff:
+            return
+        pos = next((i for i in range(start, len(word)) if not is_basis_letter(word[i])), None)
+        bucket = out if pos is None else pending.setdefault((len(word), pos), {})
+        cur = bucket.get(word)
+        bucket[word] = coeff if cur is None else cur + coeff
 
-    def push(word: BarWord, coeff: QMPoly) -> None:
-        if coeff and not any(l.is_zero() for l in word):
-            work.append((word, coeff))
-
-    while work:
-        word, coeff = work.pop()
-        pos = next((i for i, l in enumerate(word) if not is_basis_letter(l)), None)
-        if pos is None:
-            emit(word, coeff)
-            continue
-        letter = word[pos]
-        for _, piece in letter.weight_split().items():
-            c, m, h = decompose(piece)
+    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]:
+        """Basis letters with their multiples, and the h of each D(h) part."""
+        subs, derivs = [], []
+        for piece in letter.weight_split().values():
+            c, m, h = decomposed.get(piece) or decomposed.setdefault(piece, decompose(piece))
             if c:
-                push(word[:pos] + (E2,) + word[pos + 1 :], coeff * c)
-            for mono, mcoeff in m.terms.items():
-                push(word[:pos] + (QMPoly({mono: 1}),) + word[pos + 1 :], coeff * mcoeff)
-            if h.is_zero():
-                continue
-            # Eliminate the derivative letter D(h); every branch shortens
-            # the word by one.
-            prefix, suffix = word[:pos], word[pos + 1 :]
-            if not prefix and not suffix:
-                cusp = h.cusp_value()
-                push((), coeff * (QMPoly.constant(cusp) - h))
-            elif not prefix:
-                push((h * suffix[0],) + suffix[1:], coeff)
-                push(suffix, -(coeff * h))
-            elif not suffix:
-                cusp = h.cusp_value()
-                if cusp:
-                    push(prefix, coeff * cusp)
-                push(prefix[:-1] + (prefix[-1] * h,), -coeff)
-            else:
-                push(prefix + (h * suffix[0],) + suffix[1:], coeff)
-                push(prefix[:-1] + (prefix[-1] * h,) + suffix, -coeff)
-    return BarCombo(out)
+                subs.append((E2, c))
+            subs.extend((QMPoly({mono: 1}), mcoeff) for mono, mcoeff in m.terms.items())
+            if h:
+                derivs.append(h)
+        return subs, derivs
+
+    for word, coeff in combo.terms.items():
+        push(word, coeff, 0)
+    debug = logger.isEnabledFor(logging.DEBUG)
+    for n in range(max(map(len, combo.terms), default=0), 0, -1):
+        for pos in range(n):
+            for word, coeff in pending.pop((n, pos), {}).items():
+                if not coeff:
+                    continue
+                subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
+                prefix, suffix = word[:pos], word[pos + 1 :]
+                for basis_letter, scalar in subs:
+                    push(prefix + (basis_letter,) + suffix, coeff * scalar, pos + 1)
+                # Eliminate each D(h); every rule shortens the word by one
+                # and keeps the letters before pos - 1.
+                for h in derivs:
+                    if prefix and suffix:
+                        rule, terms = "ibp_middle", ibp_middle(prefix, h, suffix).terms.items()
+                    elif suffix:
+                        first, (g, tail) = ibp_first(h, suffix)
+                        rule, terms = "ibp_first", [*first.terms.items(), (tail, g)]
+                    else:
+                        rule, (scalar, front, correction) = "ibp_last", ibp_last(prefix, h)
+                        terms = [(front, scalar), *((w, -c) for w, c in correction.terms.items())]
+                    if debug:
+                        logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
+                    for w, c in terms:
+                        push(w, coeff * c, max(pos - 1, 0))
+    return BarCombo({word: coeff for word, coeff in out.items() if coeff})
 
 
 @dataclass(frozen=True)
@@ -161,11 +175,12 @@ def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm
     basis = tuple(basis_b(max_weight, modular_only=modular_only))
     rank = {letter: i for i, letter in enumerate(basis)}
 
-    poly = LyndonPoly.zero()
+    terms: dict[tuple, QMPoly] = {}
     for word, coeff in reduced.terms.items():
-        iword = tuple(rank[l] for l in word)
-        poly = poly + to_lyndon_basis(iword).map_coefficients(lambda f: coeff * f)
-    return CanonicalForm(poly=poly, basis=basis, modular=modular_only)
+        for mono, f in to_lyndon_basis(tuple(rank[l] for l in word)).terms.items():
+            cur = terms.get(mono)
+            terms[mono] = coeff * f if cur is None else cur + coeff * f
+    return CanonicalForm(poly=LyndonPoly(terms), basis=basis, modular=modular_only)
 
 
 #: The largest prime below 2^30: row operations mod it stay on small ints,

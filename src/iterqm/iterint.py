@@ -21,9 +21,10 @@ coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .qseries import LogQSeries, primitive
 from .quasimodular import ONE, QMPoly, expand

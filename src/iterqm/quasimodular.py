@@ -20,10 +20,11 @@ Everything is exact; q-expansions are :class:`~iterqm.qseries.QSeries`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .qseries import QSeries
 
@@ -63,6 +64,14 @@ class QMPoly:
     @classmethod
     def constant(cls, value: Scalar) -> "QMPoly":
         return cls({(0, 0, 0): value})
+
+    @classmethod
+    def _of(cls, terms: dict[Exponents, Fraction]) -> "QMPoly":
+        """Wrap a fresh dict of int triples to nonzero Fractions, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     # -- structure ----------------------------------------------------------
 
@@ -116,7 +125,7 @@ class QMPoly:
         for key, coeff in self.terms.items():
             a, b, c = key
             buckets.setdefault(2 * a + 4 * b + 6 * c, {})[key] = coeff
-        return {w: QMPoly(t) for w, t in sorted(buckets.items())}
+        return {w: QMPoly._of(t) for w, t in sorted(buckets.items())}
 
     def depth(self) -> int:
         """The E2-degree (0 for the zero form)."""
@@ -142,12 +151,13 @@ class QMPoly:
             return NotImplemented
         terms = dict(self.terms)
         for key, val in other.terms.items():
-            s = terms.get(key, Fraction(0)) + val
+            s = terms.get(key)
+            s = val if s is None else s + val
             if s:
                 terms[key] = s
             else:
-                terms.pop(key, None)
-        return QMPoly(terms)
+                del terms[key]
+        return QMPoly._of(terms)
 
     __radd__ = __add__
 
@@ -164,9 +174,11 @@ class QMPoly:
         return other + (-self)
 
     def __neg__(self) -> "QMPoly":
-        return QMPoly({k: -v for k, v in self.terms.items()})
+        return QMPoly._of({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "QMPoly":
+        if isinstance(other, (int, Fraction)):
+            return QMPoly._of({k: v * other for k, v in self.terms.items()} if other else {})
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -174,12 +186,13 @@ class QMPoly:
         for (a1, b1, c1), v1 in self.terms.items():
             for (a2, b2, c2), v2 in other.terms.items():
                 key = (a1 + a2, b1 + b2, c1 + c2)
-                s = terms.get(key, Fraction(0)) + v1 * v2
+                s = terms.get(key)
+                s = v1 * v2 if s is None else s + v1 * v2
                 if s:
                     terms[key] = s
                 else:
-                    terms.pop(key, None)
-        return QMPoly(terms)
+                    del terms[key]
+        return QMPoly._of(terms)
 
     __rmul__ = __mul__
 
@@ -423,8 +436,8 @@ def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
         for j, value in columns[mono]:
             sol[j] += coeff * value
 
-    m = QMPoly({mono: sol[i] for i, mono in enumerate(modular)})
-    h = QMPoly({mono: sol[len(modular) + i] for i, mono in enumerate(lower)})
+    m = QMPoly._of({mono: x for mono, x in zip(modular, sol) if x})
+    h = QMPoly._of({mono: x for mono, x in zip(lower, sol[len(modular):]) if x})
     return Fraction(0), m, h
 
 

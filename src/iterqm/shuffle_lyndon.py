@@ -13,10 +13,11 @@ QMPoly both qualify).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 Word = tuple[int, ...]
 
@@ -218,9 +219,6 @@ class LyndonPoly:
                 else:
                     terms.pop(mono, None)
         return LyndonPoly(terms)
-
-    def map_coefficients(self, fn) -> "LyndonPoly":
-        return LyndonPoly({m: fn(c) for m, c in self.terms.items()})
 
     def shuffle_expand(self) -> dict[Word, object]:
         """Evaluate the polynomial in the shuffle algebra: a word combination."""

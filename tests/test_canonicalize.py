@@ -1,4 +1,6 @@
+import logging
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -49,6 +51,68 @@ class TestReduceLetters:
             word = tuple(random_qmpoly(rng, 8) for _ in range(rng.randint(0, 3)))
             combo = BarCombo({word: random_qmpoly(rng, 4)})
             assert reduce_letters(combo).expansion(20) == combo.expansion(20)
+
+
+class TestMergedReduction:
+    def test_eight_letters(self):
+        # about 16 s without merging equal pending words
+        letter = 2 * E4 + E2 * E2
+        combo = BarCombo({(letter,) * 8: 1})
+        got = reduce_letters(combo)
+        assert all(is_basis_letter(l) for w in got.terms for l in w)
+        assert got.expansion(3) == combo.expansion(3)
+
+    def test_each_piece_decomposed_once(self, monkeypatch):
+        calls = Counter()
+        real = canonicalize.decompose
+
+        def counting(piece):
+            calls[piece] += 1
+            return real(piece)
+
+        monkeypatch.setattr(canonicalize, "decompose", counting)
+        # the letters share their weight-6 piece E2*E4
+        a, b = E4 + E2 * E4, E6 + E2 * E4 + E2 * E2
+        combo = BarCombo({(a, b, a): 1, (b, a, ONE, b): E2, (a, a): E4})
+        got = reduce_letters(combo)
+        assert calls[E2 * E4] == 1
+        assert max(calls.values()) == 1
+        assert got.expansion(6) == combo.expansion(6)
+
+    def test_logs_each_rule(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        reduce_letters(BarCombo({(derive(E4), E6): 1}))
+        assert [r.getMessage() for r in caplog.records] == [
+            "ibp_first: letter weight 6, word length 2"]
+        caplog.clear()
+        reduce_letters(BarCombo({(E6, derive(E4)): 1}))
+        assert [r.getMessage() for r in caplog.records] == [
+            "ibp_last: letter weight 6, word length 2"]
+        caplog.clear()
+        reduce_letters(BarCombo({(E6, derive(E4), E4): 1}))
+        assert "ibp_middle: letter weight 6, word length 3" in caplog.messages
+
+    def test_silent_without_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="iterqm.canonicalize")
+        reduce_letters(BarCombo({(derive(E4), E6): 1}))
+        assert not caplog.records
+
+    def test_cancelled_word_is_not_expanded(self, monkeypatch):
+        # ibp_first on the first word and ibp_middle on the second both
+        # yield (E2*E4, E4), with opposite signs
+        calls = Counter()
+        real = canonicalize.decompose
+
+        def counting(piece):
+            calls[piece] += 1
+            return real(piece)
+
+        monkeypatch.setattr(canonicalize, "decompose", counting)
+        combo = BarCombo({(derive(E4), E2, E4): 1, (E2, derive(E4), E4): 1})
+        got = reduce_letters(combo)
+        assert calls[E2 * E4] == 0
+        assert got == BarCombo({(E2, E4 * E4): 1, (E2, E4): -E4})
+        assert got.expansion(10) == combo.expansion(10)
 
 
 class TestCanonicalForm:

@@ -1,5 +1,5 @@
-"""Generated-input properties of the series product, the weight split and
-the exact rank.
+"""Generated-input properties of the series product, the weight split, the
+exact rank and the canonical form.
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -15,9 +15,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight  # noqa: E402
-from iterqm.canonicalize import _RANK_PRIME, rational_rank  # noqa: E402
+from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
+from iterqm.iterint import BarCombo  # noqa: E402
 from iterqm.qseries import QSeries  # noqa: E402
-from iterqm.quasimodular import E2, QMPoly, decompose, derive  # noqa: E402
+from iterqm.quasimodular import E2, QMPoly, decompose, derive, is_basis_letter  # noqa: E402
+from iterqm.shuffle_lyndon import is_lyndon  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_quasimodular import reference_decompose  # noqa: E402
@@ -77,3 +79,28 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rational_rank_matches_elimination(rows):
     assert rational_rank(rows) == reference_rank(rows)
+
+
+def forms(max_weight):
+    """Nonzero forms of weight <= max_weight, E2 included, mixed weights allowed."""
+    monos = [mono for k in range(0, max_weight + 1, 2) for mono in monomials_of_weight(k)]
+    coeff = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    return st.dictionaries(st.sampled_from(monos), coeff, min_size=1, max_size=3).map(QMPoly)
+
+
+@st.composite
+def bar_combos(draw):
+    letter = forms(8).filter(lambda p: not is_basis_letter(p))
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        word = tuple(draw(st.lists(letter, max_size=3)))
+        terms[word] = draw(forms(4))
+    return BarCombo(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bar_combos())
+def test_canonical_form_round_trip(combo):
+    cf = canonical_form(combo)
+    assert cf.expansion(6) == combo.expansion(6)
+    assert all(is_lyndon(w) for mono in cf.poly.terms for w in mono)

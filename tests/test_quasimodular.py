@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import monomials_of_weight, random_homogeneous
+from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
 from iterqm.qseries import LogQSeries, QSeries, d_op
 from iterqm.quasimodular import (
     DELTA,
@@ -192,6 +192,40 @@ class TestDecompose:
     def test_rejects_mixed_weight(self):
         with pytest.raises(ValueError):
             decompose(ONE + E2)
+
+
+class TestTrustedArithmetic:
+    """Ring operations build their results without re-validation; each must
+    equal what the validating constructor makes of the same terms."""
+
+    @staticmethod
+    def assert_valid(p: QMPoly):
+        again = QMPoly(dict(p.terms))
+        assert p == again and hash(p) == hash(again)
+        # hash and == treat F(3) and 3 alike, so check the stored types too
+        assert all(type(v) is F and v != 0 for v in p.terms.values())
+
+    def test_random_operations(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            p, q = random_qmpoly(rng, 10), random_qmpoly(rng, 10)
+            for r in (p + q, p - q, -p, p * q, q * p, p - p):
+                self.assert_valid(r)
+            for c in (3, -1, F(-5, 7), F(4, 2), 0):
+                self.assert_valid(p * c)
+                self.assert_valid(c * p)
+                assert p * c == p * QMPoly.constant(c)
+            self.assert_valid(p * q + q * p * -1)
+
+    def test_scalar_that_cancels(self):
+        p = 3 * E4 + F(1, 2) * E2 * E2
+        assert (p + p * -1).terms == {}
+        assert (p * 0).terms == {} and (0 * p).terms == {}
+        assert (p * F(2, 3)).terms == {(0, 1, 0): F(2), (2, 0, 0): F(1, 3)}
+
+    def test_difference_of_equals_is_empty(self):
+        assert (E4 - E4).terms == {}
+        assert decompose(E4)[2].terms == {}
 
 
 
