@@ -16,7 +16,6 @@ from iterqm import (
     shuffle_product_words,
 )
 from iterqm.cli import format_series
-from iterqm.qseries import LogQSeries
 
 N = 8
 
@@ -34,7 +33,7 @@ print("  I(E2,E4) =", format_series(iter_integral((E2, E4), 5)))
 
 print("\nThe defining ODE: D I(f1,...,fn) + f1 * I(f2,...,fn) = 0")
 word = (E2, E4)
-residual = d_op(iter_integral(word, N)) + LogQSeries.from_qseries(expand(E2, N)) * iter_integral((E4,), N)
+residual = d_op(iter_integral(word, N)) + expand(E2, N) * iter_integral((E4,), N)
 print("  residual for I(E2,E4):", format_series(residual))
 
 print("\nProducts of integrals are shuffles (exact identity):")
@@ -46,5 +45,5 @@ print("\nIntegration by parts removes derivative letters, shortening the word:")
 combo, (coeff, tail) = ibp_first(E4, (DELTA,))
 print("  I(D(E4), Delta) = I(E4*Delta) - E4 * I(Delta)")
 lhs = iter_integral((derive(E4), DELTA), N)
-rhs = combo.expansion(N) + LogQSeries.from_qseries(expand(coeff, N)) * iter_integral(tail, N)
+rhs = combo.expansion(N) + expand(coeff, N) * iter_integral(tail, N)
 print("  residual:", format_series(lhs - rhs))

@@ -35,7 +35,7 @@ from .iterint import (
     r_map,
     shuffle_product_words,
 )
-from .qseries import LogQSeries, QSeries, d_op, eval_numeric, primitive, split
+from .qseries import LogQSeries, d_op, eval_numeric, primitive
 from .quasimodular import (
     DELTA,
     E2,
@@ -77,7 +77,6 @@ __all__ = [
     "ModularModeError",
     "ONE",
     "QMPoly",
-    "QSeries",
     "SL2Mat",
     "XYPoly",
     "b3_to_sl2",
@@ -109,7 +108,6 @@ __all__ = [
     "shuffle",
     "shuffle_product_words",
     "slash_poly",
-    "split",
     "to_lyndon_basis",
     "transform_coeffs",
 ]

@@ -223,8 +223,7 @@ def independence_rank(
         raise ValueError("words and multipliers must pair up")
     series: list[LogQSeries] = []
     for word, mult in zip(words, multipliers):
-        s = LogQSeries.from_qseries(expand(mult, trunc)) * iter_integral(tuple(word), trunc)
-        series.append(s)
+        series.append(expand(mult, trunc) * iter_integral(tuple(word), trunc))
     max_log = max((s.log_degree() for s in series), default=0)
     rows = [
         [s.coefficient(m, k) for m in range(trunc + 1) for k in range(max_log + 1)]

@@ -9,6 +9,7 @@ by -N or the ITERQM_DEFAULT_N environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from fractions import Fraction
 from . import cocycles
 from .canonicalize import CanonicalForm, canonical_form, independence_rank
 from .expr import ExprError, eval_combo, eval_quasimodular, parse
-from .qseries import LogQSeries, QSeries
+from .qseries import LogQSeries
 from .quasimodular import ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key
 from .shuffle_lyndon import LyndonPoly, lyndon_words
 
@@ -45,9 +46,7 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
     return "".join(out)
 
 
-def format_series(s: LogQSeries | QSeries) -> str:
-    if isinstance(s, QSeries):
-        s = LogQSeries.from_qseries(s)
+def format_series(s: LogQSeries) -> str:
     terms = []
     for m in range(s.trunc + 1):
         for k in sorted(s.parts):
@@ -127,9 +126,7 @@ def format_canonical(cf: CanonicalForm) -> str:
 # ---------------------------------------------------------------- JSON codecs
 
 
-def series_to_json(s: LogQSeries | QSeries) -> dict:
-    if isinstance(s, QSeries):
-        s = LogQSeries.from_qseries(s)
+def series_to_json(s: LogQSeries) -> dict:
     terms = []
     for m in range(s.trunc + 1):
         for k in sorted(s.parts):
@@ -145,7 +142,7 @@ def series_from_json(data: dict) -> LogQSeries:
     for term in data["terms"]:
         k = term["logq"]
         parts.setdefault(k, [Fraction(0)] * (trunc + 1))[term["q"]] = Fraction(term["coeff"])
-    return LogQSeries(trunc, {k: QSeries(trunc, cs) for k, cs in parts.items()})
+    return LogQSeries(trunc, parts)
 
 
 def qmpoly_to_json(p: QMPoly) -> dict:
@@ -345,9 +342,11 @@ def _default_trunc() -> int:
     return 50
 
 
-def build_parser(default_n: int) -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; ``main`` fills in the default of -N."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-N", type=int, default=default_n, help="series truncation order")
+    common.add_argument("-N", type=int, default=None, help="series truncation order")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable output")
     fmt.add_argument("--text", dest="json", action="store_false", help="plain text output (default)")
@@ -403,8 +402,10 @@ def build_parser(default_n: int) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser(_default_trunc())
-    args = parser.parse_args(argv)
+    default_n = _default_trunc()
+    args = build_parser().parse_args(argv)
+    if args.N is None:
+        args.N = default_n
     try:
         return args.func(args)
     except ExprError as exc:

@@ -185,7 +185,7 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     d = k - 2
-    coeffs = expand(f, n_terms).coeffs
+    series = expand(f, n_terms)
     two_pi_i = 2j * pi
     q = exp(two_pi_i * tau)
 
@@ -194,7 +194,7 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     qn = mpc(1)
     for n in range(1, n_terms + 1):
         qn *= q
-        an = coeffs[n]
+        an = series.coefficient(n, 0)
         if an == 0:
             continue
         cn = two_pi_i * n
@@ -205,7 +205,8 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
 
     # integrals I_j = int_tau^{i oo} f(t) t^j dt; integrating q^n t^j by
     # parts j times gives -q^n sum_r (-1)^r j!/(j-r)! t^(j-r) / (2 pi i n)^(r+1)
-    a0 = mpf(coeffs[0].numerator) / coeffs[0].denominator
+    c0 = series.coefficient(0, 0)
+    a0 = mpf(c0.numerator) / c0.denominator
     tau_pow = [mpc(1)]
     for _ in range(d + 1):
         tau_pow.append(tau_pow[-1] * tau)

@@ -170,7 +170,7 @@ def _iter_integral(word: BarWord, trunc: int) -> LogQSeries:
         return LogQSeries.constant(1, trunc)
     head = expand(word[0], trunc)
     tail = _iter_integral(word[1:], trunc)
-    return primitive((LogQSeries.from_qseries(head) * tail).scale(-1))
+    return primitive(-(head * tail))
 
 
 def r_map(word: Iterable[QMPoly]) -> BarCombo:

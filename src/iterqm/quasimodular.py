@@ -15,7 +15,8 @@ filtered by depth (the E2-degree).  The module provides
 * :func:`basis_b`, the ordered monomial basis of C*E2 + M used as the
   alphabet for canonical forms of iterated integrals.
 
-Everything is exact; q-expansions are :class:`~iterqm.qseries.QSeries`.
+Everything is exact; q-expansions are :class:`~iterqm.qseries.LogQSeries`
+of log-degree 0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 from math import comb
 from typing import Union
 
-from .qseries import QSeries
+from .qseries import LogQSeries
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, int, int]  # powers of (E2, E4, E6)
@@ -258,7 +259,7 @@ def _sigma(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def eisenstein_qexp(weight: int, trunc: int) -> QSeries:
+def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     """q-expansion of the normalized Eisenstein series of the given weight.
 
     The coefficient of q^n for n >= 1 is -(4k/B_{2k}) * sigma_{2k-1}(n)
@@ -269,14 +270,14 @@ def eisenstein_qexp(weight: int, trunc: int) -> QSeries:
     k2 = weight  # = 2k
     factor = Fraction(-2 * k2, 1) / bernoulli(k2)
     coeffs = [Fraction(1)] + [factor * _sigma(n, k2 - 1) for n in range(1, trunc + 1)]
-    return QSeries(trunc, coeffs)
+    return LogQSeries(trunc, {0: coeffs})
 
 
 @lru_cache(maxsize=None)
-def _gen_power(which: int, exponent: int, trunc: int) -> QSeries:
+def _gen_power(which: int, exponent: int, trunc: int) -> LogQSeries:
     """Cached powers of the generator q-expansions; which is 2, 4 or 6."""
     if exponent == 0:
-        return QSeries.constant(1, trunc)
+        return LogQSeries.constant(1, trunc)
     if exponent == 1:
         return eisenstein_qexp(which, trunc)
     half = _gen_power(which, exponent // 2, trunc)
@@ -284,18 +285,20 @@ def _gen_power(which: int, exponent: int, trunc: int) -> QSeries:
     return sq * eisenstein_qexp(which, trunc) if exponent % 2 else sq
 
 
-def expand(p: QMPoly, trunc: int) -> QSeries:
-    """Evaluation homomorphism into q-expansions, exact at the truncation."""
-    total = QSeries.zero(trunc)
-    for (a, b, c), coeff in p.terms.items():
-        mono = QSeries.constant(coeff, trunc)
-        if a:
-            mono = mono * _gen_power(2, a, trunc)
-        if b:
-            mono = mono * _gen_power(4, b, trunc)
-        if c:
-            mono = mono * _gen_power(6, c, trunc)
-        total = total + mono
+def expand(p: QMPoly, trunc: int) -> LogQSeries:
+    """Evaluation homomorphism into q-expansions, exact at the truncation.
+
+    Each monomial is the product of its cached generator powers, scaled by
+    its coefficient.
+    """
+    total = LogQSeries.zero(trunc)
+    for exponents, coeff in p.terms.items():
+        mono = None
+        for which, e in zip((2, 4, 6), exponents):
+            if e:
+                power = _gen_power(which, e, trunc)
+                mono = power if mono is None else mono * power
+        total = total + (LogQSeries.constant(coeff, trunc) if mono is None else mono.scale(coeff))
     return total
 
 

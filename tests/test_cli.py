@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from iterqm.cli import (
+    build_parser,
     canonical_from_json,
     canonical_to_json,
     format_series,
@@ -16,7 +20,7 @@ from iterqm.cli import (
 )
 from iterqm.canonicalize import canonical_form
 from iterqm.iterint import BarCombo
-from iterqm.qseries import LogQSeries, QSeries
+from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import E2, E4, ONE
 
 
@@ -61,7 +65,7 @@ class TestPinnedOutputs:
 
 class TestJsonRoundTrip:
     def test_series_schema(self):
-        s = LogQSeries(2, {0: QSeries(2, [0, 24, 36]), 1: QSeries(2, [-1, 0, 0])})
+        s = LogQSeries(2, {0: [0, 24, 36], 1: [-1, 0, 0]})
         data = series_to_json(s)
         assert data == {
             "truncation": 2,
@@ -80,7 +84,7 @@ class TestJsonRoundTrip:
             parts = {}
             for k in range(rng.randint(0, 3)):
                 coeffs = [F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n + 1)]
-                parts[k] = QSeries(n, coeffs)
+                parts[k] = coeffs
             s = LogQSeries(n, parts)
             data = json.loads(json.dumps(series_to_json(s)))
             assert series_from_json(data) == s
@@ -194,6 +198,50 @@ class TestCommands:
         assert "PASS" in out
 
 
+def fresh_output(argv, env_n=None):
+    """Output of the command in a new interpreter, with ITERQM_DEFAULT_N set or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "ITERQM_DEFAULT_N"}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if env_n is not None:
+        env["ITERQM_DEFAULT_N"] = env_n
+    proc = subprocess.run(
+        [sys.executable, "-m", "iterqm.cli", *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+class TestParserReuse:
+    """The parser is built once per process; -N's default is read on every call."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_outputs_match_fresh_processes(self, capsys, monkeypatch):
+        cases = [
+            ("3", ["expand", "E2"]),
+            (None, ["expand", "E2"]),
+            ("3", ["integral", "I(E2,E4)", "--json"]),
+            (None, ["integral", "I(E2,E4)"]),
+            ("3", ["expand", "E4", "-N", "2", "--json"]),
+        ]
+        for env_n, argv in cases:
+            if env_n is None:
+                monkeypatch.delenv("ITERQM_DEFAULT_N", raising=False)
+            else:
+                monkeypatch.setenv("ITERQM_DEFAULT_N", env_n)
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out == fresh_output(argv, env_n), (env_n, argv)
+
+    def test_malformed_env_rejected_on_every_call(self, capsys, monkeypatch):
+        assert run(capsys, ["expand", "E2", "-N", "1"])[0] == 0
+        monkeypatch.setenv("ITERQM_DEFAULT_N", "fifty")
+        for argv in (["expand", "E2"], ["expand", "E2", "-N", "1"]):
+            with pytest.raises(SystemExit, match="ITERQM_DEFAULT_N must be an integer"):
+                main(argv)
+
+
 class TestBraidWordParsing:
     def test_tokens(self):
         assert parse_braid_word("s1*s2*s1^-1") == (1, 2, -1)
@@ -212,5 +260,5 @@ def test_format_series_zero():
 
 
 def test_format_series_signs():
-    s = LogQSeries(2, {0: QSeries(2, [F(-1, 2), 0, 3]), 2: QSeries(2, [0, -1, 0])})
+    s = LogQSeries(2, {0: [F(-1, 2), 0, 3], 2: [0, -1, 0]})
     assert format_series(s) == "-1/2 - q*L^2 + 3*q^2"

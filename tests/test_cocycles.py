@@ -33,7 +33,8 @@ def reference_eichler_integral(f: QMPoly, tau, n_terms: int) -> XYPoly:
         tau = mpc(tau)
         k = f.weight()
         d = k - 2
-        coeffs = expand(f, n_terms).coeffs
+        series = expand(f, n_terms)
+        coeffs = [series.coefficient(m, 0) for m in range(n_terms + 1)]
         two_pi_i = 2j * mp.pi
         q = mp.exp(two_pi_i * tau)
         ints = [mpc(0)] * (d + 1)

@@ -1,11 +1,12 @@
-"""Generated-input properties of the series product, the weight split, the
-exact rank and the canonical form.
+"""Generated-input properties of the series ring, the weight split, the
+exact rank, the shuffle product and the canonical form.
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
 same code without it.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +17,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight  # noqa: E402
 from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
-from iterqm.iterint import BarCombo  # noqa: E402
-from iterqm.qseries import QSeries  # noqa: E402
-from iterqm.quasimodular import E2, QMPoly, decompose, derive, is_basis_letter  # noqa: E402
+from iterqm.cli import series_from_json, series_to_json  # noqa: E402
+from iterqm.iterint import BarCombo, iter_integral  # noqa: E402
+from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
+from iterqm.quasimodular import E2, ONE, QMPoly, basis_b, decompose, derive, is_basis_letter  # noqa: E402
 from iterqm.shuffle_lyndon import is_lyndon  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
@@ -28,7 +30,9 @@ fractions = st.fractions(max_denominator=10**9).filter(lambda x: abs(x) < 10**40
 
 
 def series(trunc):
-    return st.lists(fractions, min_size=0, max_size=trunc + 1).map(lambda cs: QSeries(trunc, cs))
+    return st.lists(fractions, min_size=0, max_size=trunc + 1).map(
+        lambda cs: LogQSeries(trunc, {0: cs})
+    )
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -36,6 +40,38 @@ def series(trunc):
 def test_product_matches_schoolbook(n1, n2, data):
     a, b = data.draw(series(n1)), data.draw(series(n2))
     assert a * b == schoolbook(a, b)
+
+
+@st.composite
+def log_series(draw, trunc=None):
+    """Series of log-degree at most 3 whose parts have unrelated denominators."""
+    n = draw(st.integers(0, 12)) if trunc is None else trunc
+    degrees = draw(st.sets(st.integers(0, 3), max_size=4))
+    return LogQSeries(n, {k: draw(st.lists(fractions, max_size=n + 1)) for k in degrees})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(log_series())
+def test_d_op_inverts_primitive(f):
+    assert d_op(primitive(f)) == f
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(log_series())
+def test_json_round_trip_is_bit_exact(s):
+    text = json.dumps(series_to_json(s))
+    again = series_from_json(json.loads(text))
+    assert again == s
+    assert json.dumps(series_to_json(again)) == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(log_series(n), log_series(n))))
+def test_equal_series_have_equal_representations(pair):
+    a, b = pair
+    for x, y in ((a * b, b * a), ((a + b) - b, a), (a - a, LogQSeries.zero(a.trunc))):
+        assert x == y
+        assert (x.den, x.parts, repr(x)) == (y.den, y.parts, repr(y))
 
 
 @st.composite
@@ -96,6 +132,19 @@ def bar_combos(draw):
         word = tuple(draw(st.lists(letter, max_size=3)))
         terms[word] = draw(forms(4))
     return BarCombo(terms)
+
+
+def words(max_len):
+    """Bar words of at most max_len letters drawn from the weight <= 6 basis."""
+    return st.lists(st.sampled_from(basis_b(6)), max_size=max_len).map(tuple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(words(3), words(3))
+def test_shuffle_expands_to_product_of_integrals(w1, w2):
+    n = 6
+    product = BarCombo({w1: ONE}).shuffle(BarCombo({w2: ONE}))
+    assert product.expansion(n) == iter_integral(w1, n) * iter_integral(w2, n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

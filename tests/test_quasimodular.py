@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
-from iterqm.qseries import LogQSeries, QSeries, d_op
+from test_qseries import schoolbook
+from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import (
     DELTA,
     E2,
@@ -24,10 +25,6 @@ from iterqm.quasimodular import (
 )
 
 
-def as_logq(qs: QSeries) -> LogQSeries:
-    return LogQSeries.from_qseries(qs)
-
-
 @pytest.mark.parametrize(
     "n,value",
     [(0, F(1)), (1, F(-1, 2)), (2, F(1, 6)), (4, F(-1, 30)), (6, F(1, 42)),
@@ -43,13 +40,13 @@ def test_bernoulli_odd_vanish():
 
 class TestEisenstein:
     def test_weight2(self):
-        assert eisenstein_qexp(2, 3) == QSeries(3, [1, -24, -72, -96])
+        assert eisenstein_qexp(2, 3) == LogQSeries(3, {0: [1, -24, -72, -96]})
 
     def test_weight4(self):
-        assert eisenstein_qexp(4, 2) == QSeries(2, [1, 240, 2160])
+        assert eisenstein_qexp(4, 2) == LogQSeries(2, {0: [1, 240, 2160]})
 
     def test_weight6(self):
-        assert eisenstein_qexp(6, 2) == QSeries(2, [1, -504, -16632])
+        assert eisenstein_qexp(6, 2) == LogQSeries(2, {0: [1, -504, -16632]})
 
     def test_rejects_bad_weight(self):
         for w in (0, -2, 3, 5):
@@ -61,17 +58,40 @@ class TestExpand:
     def test_discriminant_product_formula(self):
         # oracle: Delta = q * prod (1-q^n)^24
         n = 60
-        prod = QSeries.constant(1, n)
+        prod = LogQSeries.constant(1, n)
         for m in range(1, n + 1):
-            prod = prod * QSeries(n, [1] + [0] * (m - 1) + [-1])
-        oracle = QSeries(n, [0, 1]) * prod**24
+            prod = prod * LogQSeries(n, {0: [1] + [0] * (m - 1) + [-1]})
+        oracle = LogQSeries(n, {0: [0, 1]})
+        for _ in range(24):
+            oracle = oracle * prod
         assert expand(DELTA, n) == oracle
 
     def test_constant(self):
-        assert expand(ONE, 5) == QSeries.constant(1, 5)
+        assert expand(ONE, 5) == LogQSeries.constant(1, 5)
 
     def test_e2(self):
-        assert expand(E2, 1) == QSeries(1, [1, -24])
+        assert expand(E2, 1) == LogQSeries(1, {0: [1, -24]})
+
+    def test_monomials_scale_cached_generator_powers(self, monkeypatch):
+        n = 30
+        scaled_cube, triple = QMPoly({(0, 3, 0): F(-5, 7)}), E2 * E4 * E6
+        expand(scaled_cube, n), expand(triple, n)  # fills the generator-power cache
+        products = []
+        mul = LogQSeries.__mul__
+
+        def counting(a, b):
+            products.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(LogQSeries, "__mul__", counting)
+        got_cube = expand(scaled_cube, n)
+        assert len(products) == 0
+        got_triple = expand(triple, n)
+        assert len(products) == 2
+        monkeypatch.undo()
+        e2, e4, e6 = (eisenstein_qexp(w, n) for w in (2, 4, 6))
+        assert got_cube == schoolbook(schoolbook(e4, e4), e4).scale(F(-5, 7))
+        assert got_triple == schoolbook(schoolbook(e2, e4), e6)
 
     def test_ring_homomorphism(self):
         rng = random.Random(3)
@@ -86,7 +106,7 @@ class TestDerive:
         # the Ramanujan images are imported knowledge; this is their
         # required validation: expand(derive(p)) == d_op(expand(p))
         for p in (E2, E4, E6):
-            assert as_logq(expand(derive(p), 100)) == d_op(as_logq(expand(p, 100)))
+            assert expand(derive(p), 100) == d_op(expand(p, 100))
 
     def test_derive_e2_closed_form(self):
         assert derive(E2) == (E2 * E2 - E4) * F(1, 12)
@@ -113,10 +133,10 @@ class TestDerive:
                 assert d.weight() == p.weight() + 2
 
     def test_deeply_nested_derivative(self):
-        p, series = E4, as_logq(expand(E4, 3))
+        p, series = E4, expand(E4, 3)
         for _ in range(40):
             p, series = derive(p), d_op(series)
-        assert as_logq(expand(p, 3)) == series
+        assert expand(p, 3) == series
 
 
 class TestTransform:
