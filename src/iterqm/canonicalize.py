@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -141,16 +142,10 @@ class CanonicalForm:
         """Shuffle the Lyndon monomials back out and expand, exactly."""
         total = LogQSeries.zero(trunc)
         for mono, coeff in self.poly.terms.items():
-            value = LogQSeries.constant(1, trunc)
-            for iword in mono:
-                letters = tuple(self.basis[i] for i in iword)
-                value = value * iter_integral(letters, trunc)
+            factors = [iter_integral(tuple(self.basis[i] for i in iword), trunc) for iword in mono]
+            value = reduce(LogQSeries.__mul__, factors) if factors else LogQSeries.constant(1, trunc)
             total = total + expand(coeff, trunc) * value
         return total
-
-
-def _letters_in(combo: BarCombo) -> list[QMPoly]:
-    return [l for word in combo.terms for l in word]
 
 
 def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm:
@@ -169,9 +164,7 @@ def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm
 
     reduced = reduce_letters(combo)
 
-    max_weight = 0
-    for letter in _letters_in(reduced):
-        max_weight = max(max_weight, letter_sort_key(letter)[0])
+    max_weight = max((letter_sort_key(letter)[0] for word in reduced.terms for letter in word), default=0)
     basis = tuple(basis_b(max_weight, modular_only=modular_only))
     rank = {letter: i for i, letter in enumerate(basis)}
 

@@ -282,8 +282,7 @@ def _cmd_cocycle(args) -> int:
 
     if args.which == "e2":
         word = parse_braid_word(args.word)
-        mat = cocycles.b3_to_sl2(word)
-        tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(mat))
+        tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
         value = cocycles.e2_cocycle(word, tau, args.n_terms)
         ratio = complex(value / (2j * math.pi))
         nearest = round(ratio.real)
@@ -408,11 +407,8 @@ def main(argv: list[str] | None = None) -> int:
         args.N = default_n
     try:
         return args.func(args)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:  # ExprError too
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -12,12 +12,12 @@ is independent of tau and satisfies the cocycle relation
 The weight-two Eisenstein series is not modular; its transformation defect
 is a homomorphism not of the modular group but of the braid group on three
 strands, which surjects onto it with central kernel.  :func:`e2_cocycle`
-computes that homomorphism from the continuous branch of the logarithm of
-the discriminant form, together with a branch of log(c*tau + d) assembled
-along the braid word; its values lie in 2*pi*i times the integers.  A
-general homogeneous quasimodular form is handled componentwise through its
-expression in derivatives of modular forms and of the weight-two series
-(:func:`quasimodular_cocycle`).
+computes it from the continuous branch of log Delta and the branch of
+log(c*tau + d) the braid word selects: one log plus 2*pi*i times a winding
+count read from integer signs in one pass over the word.  Its values lie in
+2*pi*i*Z.  A general homogeneous quasimodular form is handled componentwise
+through its expression in derivatives of modular forms and of the
+weight-two series (:func:`quasimodular_cocycle`).
 
 All computations run at a fixed working precision well beyond double:
 the slash action mixes coefficients spanning many orders of magnitude
@@ -238,52 +238,65 @@ def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly
 
 B3Word = tuple[int, ...]  # entries in {1, -1, 2, -2} for the generators
 
-_GEN_MATS = {
-    1: SL2Mat(1, 1, 0, 1),
-    -1: SL2Mat(1, -1, 0, 1),
-    2: SL2Mat(1, 0, -1, 1),
-    -2: SL2Mat(1, 0, 1, 1),
-}
+
+def _read_braid(word: Iterable[int]) -> tuple[SL2Mat, int]:
+    """The word's matrix and winding count, read from the right over integers.
+
+    For the suffix read so far, (a, b; c, d) and j = c*tau + d: s1^(+-1)
+    changes only (a, b); s2^(+-1) sets (c, d) -+= (a, b), turning j clockwise
+    (s2) or counterclockwise (s2^-1) by less than pi.  ``turns`` counts
+    crossings of the principal cut (Arg(-1) = +pi); on it, j = -1 only.
+    """
+    a, b, c, d, turns = 1, 0, 0, 1, 0
+    for g in reversed(tuple(word)):
+        if g == 1:
+            a, b = a + c, b + d
+        elif g == -1:
+            a, b = a - c, b - d
+        elif g == 2:
+            old_c, c, d = c, c - a, d - b
+            if old_c < 0 < c or (c, d) == (0, -1):
+                turns -= 1
+        elif g == -2:
+            if c > 0 > c + a or (c, d) == (0, -1):
+                turns += 1
+            c, d = c + a, d + b
+        else:
+            raise ValueError(f"unknown braid generator {g!r}")
+    return SL2Mat(a, b, c, d), turns
 
 
 def b3_to_sl2(word: Iterable[int]) -> SL2Mat:
     """Image of a braid word under the projection to the modular group."""
-    out = IDENTITY
-    for g in word:
-        if g not in _GEN_MATS:
-            raise ValueError(f"unknown braid generator {g!r}")
-        out = out * _GEN_MATS[g]
-    return out
+    return _read_braid(word)[0]
 
 
 def _branch_log(word: B3Word, tau) -> mpc:
     """The branch of log(c*tau + d) the braid word selects.
 
-    Generators use the principal branch (their c*tau + d never meets the
-    negative real axis on the upper half-plane); words compose by
-    l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau), read here from
-    the right, one generator at a time, with ``rest`` the exact matrix of
-    the suffix read so far.
+    Generators take the principal branch and words compose by
+    l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau).  Each generator's
+    factor lies in an open half-plane (Im < 0 for s2, Im > 0 for s2^-1; it
+    is 1 for s1^(+-1)), so the sum is the principal log of the word's own
+    c*tau + d plus 2*pi*i times the winding count of :func:`_read_braid`.
     """
-    total = mpc(0)
-    rest = IDENTITY
-    for g in reversed(word):
-        m = _GEN_MATS[g]
-        total = log(m.c * rest.moebius(tau) + m.d) + total
-        rest = m * rest
-    return total
+    mat, turns = _read_braid(word)
+    return log(mat.c * mpc(tau) + mat.d) + 2j * pi * turns
 
 
 def _log_disc(tau, n_terms: int) -> mpc:
-    """Continuous branch of the logarithm of the discriminant form."""
+    """Continuous branch of the logarithm of the discriminant form.
+
+    2*pi*i*tau + 24 * sum_{n <= n_terms} Log(1 - q^n), as one log of the product:
+    for Im(tau) >= MIN_IMAG = 0.2, |Im sum| <= -log prod(1 - |q|^n) ~ 0.452 < pi.
+    """
     two_pi_i = 2j * pi
     q = exp(two_pi_i * tau)
-    total = two_pi_i * tau
-    qn = mpc(1)
-    for n in range(1, n_terms + 1):
+    prod = qn = mpc(1)
+    for _ in range(n_terms):
         qn *= q
-        total += 24 * log(1 - qn)
-    return total
+        prod *= 1 - qn
+    return two_pi_i * tau + 24 * log(prod)
 
 
 def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
@@ -297,14 +310,12 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     which is independent of tau, additive in the word, and lies in
     2*pi*i*Z.
     """
-    word = tuple(word)
-    mat = b3_to_sl2(word)
+    mat, turns = _read_braid(word)
     tau = _require_upper(tau)
     gtau = mat.moebius(tau)
     _require_upper(gtau, "gamma.tau")
-    f_here = -_log_disc(tau, n_terms)
-    f_there = -_log_disc(gtau, n_terms)
-    return f_there - f_here + 12 * _branch_log(word, tau)
+    l_word = log(mat.c * tau + mat.d) + 2j * pi * turns  # _branch_log, from this one read
+    return _log_disc(tau, n_terms) - _log_disc(gtau, n_terms) + 12 * l_word
 
 
 def quasimodular_cocycle(

@@ -16,6 +16,7 @@ from iterqm.canonicalize import (
     reduce_letters,
 )
 from iterqm.iterint import BarCombo, shuffle_product_words
+from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, derive, is_basis_letter
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon
 
@@ -129,6 +130,18 @@ class TestCanonicalForm:
             [(i1, i4)], QMPoly.constant(-1)
         )
         assert cf.poly == want
+
+    def test_expansion_multiplies_only_between_factors(self, monkeypatch):
+        # [E4|1] has monomials I(1)*I(E4) and I(1,E4): one product inside the
+        # first, one by its coefficient each, and none by a constant 1
+        cf = canonical_form(BarCombo({(E4, ONE): E2}))
+        assert sorted(map(len, cf.poly.terms)) == [1, 2]
+        want = cf.expansion(8)  # warms the integral and expansion caches
+        calls = []
+        mul = LogQSeries.__mul__
+        monkeypatch.setattr(LogQSeries, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert cf.expansion(8) == want
+        assert len(calls) == 3
 
     def test_square_of_log(self):
         cf = canonical_form(BarCombo({(ONE, ONE): 1}))

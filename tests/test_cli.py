@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import iterqm.cli as cli
 from iterqm.cli import (
     build_parser,
     canonical_from_json,
@@ -158,6 +159,19 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "byte 201" in err
+
+    @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
+    def test_interpreter_limits_are_errors(self, capsys, monkeypatch, exc):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_expand", handler)
+        # a parser built now dispatches to the patched handler
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        code, out, err = run(capsys, ["expand", "E4"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {str(exc) or type(exc).__name__}\n"
 
     def test_cocycle_e2_command(self, capsys):
         code, out, _ = run(capsys, ["cocycle", "e2", "s1*s2*s1^-1"])

@@ -7,10 +7,13 @@ from mpmath import mp, mpc, mpf, zeta
 
 from iterqm.cocycles import (
     IDENTITY,
+    MIN_IMAG,
     S,
     SL2Mat,
     T,
     XYPoly,
+    _branch_log,
+    _log_disc,
     admissible_tau,
     b3_to_sl2,
     cocycle_r,
@@ -55,6 +58,38 @@ def reference_eichler_integral(f: QMPoly, tau, n_terms: int) -> XYPoly:
         return XYPoly(d, [front * math.comb(d, j) * (-1) ** j * ints[j] for j in range(d + 1)])
 
 
+#: The generators' images in the modular group.
+GEN_MATS = {1: SL2Mat(1, 1, 0, 1), -1: SL2Mat(1, -1, 0, 1), 2: SL2Mat(1, 0, -1, 1), -2: SL2Mat(1, 0, 1, 1)}
+
+
+def reference_branch_log(word, tau):
+    """One principal log per generator, at the image of tau under the suffix
+    after it: l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau), read
+    from the right with exact matrix products."""
+    with mp.workdps(50):
+        tau = mpc(tau)
+        total = mpc(0)
+        rest = IDENTITY
+        for g in reversed(word):
+            m = GEN_MATS[g]
+            total = mp.log(m.c * rest.moebius(tau) + m.d) + total
+            rest = m * rest
+        return total
+
+
+def reference_log_disc(tau, n_terms):
+    """2*pi*i*tau + 24 * sum of the principal logs of 1 - q^n, term by term."""
+    with mp.workdps(50):
+        tau = mpc(tau)
+        q = mp.exp(2j * mp.pi * tau)
+        return 2j * mp.pi * tau + 24 * mp.fsum(mp.log(1 - q**n) for n in range(1, n_terms + 1))
+
+
+def branch_log_gap(word, tau) -> float:
+    with mp.workdps(50):
+        return float(abs(_branch_log(word, tau) - reference_branch_log(word, tau)))
+
+
 class TestSlash:
     def test_identity(self):
         p = XYPoly(3, [1, 2j, -1, 0.5])
@@ -92,10 +127,56 @@ class TestBraidGroup:
         assert b3_to_sl2((1, -1)) == IDENTITY
         assert b3_to_sl2((2, -2)) == IDENTITY
 
+    def test_half_twist_squared_is_minus_identity(self):
+        assert b3_to_sl2((1, 2, 1) * 2) == SL2Mat(-1, 0, 0, -1)
+
     def test_central_element_maps_to_identity(self):
         # (sigma1 sigma2)^6 generates the center and projects to the identity
         word = (1, 2) * 6
         assert b3_to_sl2(word) == IDENTITY
+
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(ValueError):
+            b3_to_sl2((1, 3, 2))
+        with pytest.raises(ValueError):
+            e2_cocycle((3,), 1.2j)
+
+
+class TestBranchLog:
+    def test_matches_per_generator_reference(self):
+        rng = random.Random(47)
+        for length in list(range(13)) + list(range(16, 401, 8)):
+            word = tuple(rng.choice((1, -1, 2, -2)) for _ in range(length))
+            tau = mpc(rng.uniform(-2, 2), rng.uniform(MIN_IMAG, 2))
+            assert branch_log_gap(word, tau) < 1e-40, (length, tau)
+
+    @pytest.mark.parametrize("word", [(1, -2) * 100, (-1, 2) * 150, (1, 1, -2, -2) * 60], ids=["1,-2", "-1,2", "1,1,-2,-2"])
+    def test_large_entries(self, word):
+        assert max(map(abs, b3_to_sl2(word).entries())) > 10**40
+        for tau in (mpc(0.1, 0.2), mpc(-1.3, 0.7), mpc(0, 2)):
+            assert branch_log_gap(word, tau) < 1e-40
+
+    @pytest.mark.parametrize("word", [(1, 2, 1) * 2, (2, 1, 2) * 2, (-1, -2, -1) * 2, (1, 2) * 3, (-2, -1) * 9])
+    def test_suffix_through_minus_identity(self, word):
+        # some suffix has (c, d) = (0, -1): its j = -1 lies on the cut
+        assert any(b3_to_sl2(word[i:]).entries()[2:] == (0, -1) for i in range(len(word)))
+        for tau in (mpc(0, 0.2), mpc(0.45, 0.3), mpc(-0.7, 1.4)):
+            assert branch_log_gap(word, tau) < 1e-40
+
+    @pytest.mark.parametrize("g", [2, -2])
+    def test_powers_of_sigma2(self, g):
+        for k in range(13):
+            for tau in (mpc(0, 0.2), mpc(0.5, 0.25), mpc(-0.9, 1), mpc(2.5, 2)):
+                assert branch_log_gap((g,) * k, tau) < 1e-40, (k, tau)
+
+
+class TestLogDisc:
+    @pytest.mark.parametrize("n_terms", [80, 300])
+    @pytest.mark.parametrize("tau", [0.2j, 0.37 + 0.2j, -0.5 + 0.25j, 0.1 + 1.3j])
+    def test_one_log_matches_sum_of_logs(self, tau, n_terms):
+        with mp.workdps(50):
+            gap = abs(_log_disc(mpc(tau), n_terms) - reference_log_disc(tau, n_terms))
+        assert gap < 1e-40
 
 
 class TestEichlerIntegral:

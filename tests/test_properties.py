@@ -1,5 +1,6 @@
 """Generated-input properties of the series ring, the weight split, the
-exact rank, the shuffle product and the canonical form.
+exact rank, the shuffle product, the canonical form and the braid-word
+branch of log(c*tau + d).
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -12,12 +13,13 @@ from fractions import Fraction as F
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight  # noqa: E402
 from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
 from iterqm.cli import series_from_json, series_to_json  # noqa: E402
+from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.iterint import BarCombo, iter_integral  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import E2, ONE, QMPoly, basis_b, decompose, derive, is_basis_letter  # noqa: E402
@@ -153,3 +155,18 @@ def test_canonical_form_round_trip(combo):
     cf = canonical_form(combo)
     assert cf.expansion(6) == combo.expansion(6)
     assert all(is_lyndon(w) for mono in cf.poly.terms for w in mono)
+
+
+braid_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=12).map(tuple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(braid_words, braid_words)
+def test_branch_log_composes_along_the_word(w1, w2):
+    g2 = b3_to_sl2(w2)
+    try:
+        tau = admissible_tau(g2)
+    except ValueError:
+        assume(False)
+    split = _branch_log(w1, g2.moebius(mpc(tau))) + _branch_log(w2, tau)
+    assert abs(_branch_log(w1 + w2, tau) - split) < 1e-40
