@@ -150,7 +150,9 @@ class TestBranchLog:
             tau = mpc(rng.uniform(-2, 2), rng.uniform(MIN_IMAG, 2))
             assert branch_log_gap(word, tau) < 1e-40, (length, tau)
 
-    @pytest.mark.parametrize("word", [(1, -2) * 100, (-1, 2) * 150, (1, 1, -2, -2) * 60], ids=["1,-2", "-1,2", "1,1,-2,-2"])
+    @pytest.mark.parametrize(
+        "word", [(1, -2) * 100, (-1, 2) * 150, (1, 1, -2, -2) * 60], ids=["1,-2", "-1,2", "1,1,-2,-2"]
+    )
     def test_large_entries(self, word):
         assert max(map(abs, b3_to_sl2(word).entries())) > 10**40
         for tau in (mpc(0.1, 0.2), mpc(-1.3, 0.7), mpc(0, 2)):
