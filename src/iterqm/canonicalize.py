@@ -17,8 +17,9 @@ proceeds in two stages:
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
-exact rank: full rank modulo a fixed prime is already a certificate, and
-only a deficient matrix falls back to elimination over Q.
+exact rank on integer rows: full rank modulo a fixed prime is already a
+certificate, a deficiency is proved by the kernel found mod p, lifted to Q
+and checked exactly, and only a failed lift falls back to elimination over Q.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .iterint import BarCombo, BarWord, ibp_first, ibp_last, ibp_middle, iter_integral
-from .qseries import LogQSeries
+from .qseries import LogQSeries, Scalar
 from .quasimodular import (
     E2,
     QMPoly,
@@ -179,22 +180,49 @@ def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm
 #: The largest prime below 2^30: row operations mod it stay on small ints,
 #: and a rank that drops mod it but not over Q is rare.
 _RANK_PRIME = 2**30 - 35
+_LIFT_BOUND = isqrt(_RANK_PRIME // 2)
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a dense rational matrix, exactly.
+def _rational_lift(u: int) -> Fraction | None:
+    """The a/b = u mod _RANK_PRIME with |a|, b <= _LIFT_BOUND, by half-extended Euclid, or None."""
+    r0, r1, t0, t1 = _RANK_PRIME, u, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
-    Rows are scaled to integers by the lcm of their denominators and taken
-    mod a fixed prime, where the rank can only drop.  Full rank there (the
-    number of nonzero rows or of columns) is therefore the answer; a
-    deficient matrix falls back to exact elimination over Q.
+
+def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank over Q of a dense matrix of ints or Fractions, exactly.
+
+    Rows are scaled to integers A by the lcm of their denominators and taken
+    mod a fixed prime p, where the rank r can only drop: full rank there is
+    the answer.  Otherwise the n - r kernel vectors of [A mod p | I], which
+    are independent, are lifted to Q by rational reconstruction; if each
+    lift v has v*A = 0 exactly, the rank over Q is at most, so exactly, r.
+    Should a lift or its check fail, elimination over Q settles the rank.
     """
-    matrix = [list(row) for row in rows if any(row)]
+    matrix = [row for row in rows if any(row)]
     scales = [lcm(*(x.denominator for x in row)) for row in matrix]
-    scaled = [[x.numerator * (s // x.denominator) % _RANK_PRIME for x in row]
-              for row, s in zip(matrix, scales)]
-    rank = len(_row_reduce(scaled, _RANK_PRIME))
-    if rank == len(matrix) or rank == len(matrix[0]):
+    matrix = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(matrix, scales)]
+    n = len(matrix)
+    rank = len(_row_reduce([[x % _RANK_PRIME for x in row] for row in matrix], _RANK_PRIME))
+    if rank == n or rank == len(matrix[0]):
+        return rank
+    augmented = [[x % _RANK_PRIME for x in row] + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(matrix)]
+    _row_reduce(augmented, _RANK_PRIME, reduced=True)
+    for row in augmented[rank:]:
+        lifts = [_rational_lift(u) for u in row[-n:]]
+        if None in lifts:
+            break
+        den = lcm(*(c.denominator for c in lifts))
+        kernel = [(c.numerator * (den // c.denominator), a) for c, a in zip(lifts, matrix) if c]
+        if any(sum(c * a[j] for c, a in kernel) for j in range(len(matrix[0]))):
+            break
+    else:
         return rank
     return len(_row_reduce(matrix))
 
@@ -207,19 +235,17 @@ def independence_rank(
     """Exact rank of the multiplied integrals' coefficient vectors.
 
     Each series expand(multiplier) * integral(word) is flattened over the
-    q^m L^k grid (m <= trunc, k up to the longest word).  Full rank
-    certifies Q-linear independence of the family at this truncation: a
-    finite witness, never a proof.  The rank is exact: full rank mod a
-    prime certifies it, and a deficient matrix is settled over Q.
+    q^m L^k grid (m <= trunc, k up to the longest word) as its integer
+    numerators, highest L-power first so that rows of lower log-degree sit
+    out the first pivots.  Full rank certifies Q-linear independence of
+    the family at this truncation: a finite witness, never a proof.  The
+    rank is exact (see :func:`rational_rank`).
     """
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
-    series: list[LogQSeries] = []
-    for word, mult in zip(words, multipliers):
-        series.append(expand(mult, trunc) * iter_integral(tuple(word), trunc))
+    series = [expand(mult, trunc) * iter_integral(tuple(word), trunc)
+              for word, mult in zip(words, multipliers)]
     max_log = max((s.log_degree() for s in series), default=0)
-    rows = [
-        [s.coefficient(m, k) for m in range(trunc + 1) for k in range(max_log + 1)]
-        for s in series
-    ]
+    zero = (0,) * (trunc + 1)
+    rows = [[x for k in range(max_log, -1, -1) for x in s.parts.get(k, zero)] for s in series]
     return rational_rank(rows)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -235,30 +236,23 @@ def primitive(f: LogQSeries) -> LogQSeries:
     For each q-power m the equations ``m*a_k + (k+1)*a_{k+1} = c_k`` are
     upper triangular in the log-degree; they are solved top-down for m >= 1
     and directly (raising the log-degree by one) for m = 0.  They are solved
-    for ``den * a`` from the numerators of ``c``, and the result is then
-    divided by ``den``.
+    in integers for ``den * S * a`` with exact division, where S clears the
+    divisions that occur: k + 1 for each nonzero q^0 L^k coefficient, and
+    m^(j+1) for a q^m column whose highest nonzero coefficient is at L^j.
     """
-    n, top = f.trunc, f.log_degree()
-    numerators = [f.parts.get(k) for k in range(top + 1)]
-    out: dict[int, list[Fraction]] = {}
-
-    def set_coeff(m: int, k: int, value: Fraction) -> None:
-        if value:
-            out.setdefault(k, [0] * (n + 1))[m] = value
-
-    for k, p in enumerate(numerators):
-        if p:
-            # a_{k+1} = c_k / (k+1); a_0 = 0 by normalization.
-            set_coeff(0, k + 1, Fraction(p[0], k + 1))
-    for m in range(1, n + 1):
-        above = 0  # den * a_{m, k+1}
-        for k in range(top, -1, -1):
-            p = numerators[k]
-            c = p[m] if p else 0
-            if c or above:
-                above = Fraction(c - (k + 1) * above, m)
-                set_coeff(m, k, above)
-    return LogQSeries(n, out).scale(Fraction(1, f.den))
+    n, parts = f.trunc, f.parts
+    highest = {m: max((k for k, p in parts.items() if p[m]), default=-1) for m in range(1, n + 1)}
+    scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]),
+                     *(m ** (j + 1) for m, j in highest.items() if j >= 0))
+    out: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (n + 1))
+    for k, p in parts.items():
+        out[k + 1][0] = scale * p[0] // (k + 1)  # a_0 = 0 by normalization
+    for m, j in highest.items():
+        above = 0  # den * S * a_{m, k+1}
+        for k in range(j, -1, -1):
+            p = parts.get(k)
+            above = out[k][m] = ((scale * p[m] if p else 0) - (k + 1) * above) // m
+    return LogQSeries._of(n, f.den * scale, {k: tuple(p) for k, p in out.items()})
 
 
 def eval_numeric(f: LogQSeries, tau: complex) -> complex:

@@ -2,6 +2,7 @@ import logging
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import random_homogeneous, random_qmpoly
 from iterqm.canonicalize import (
     _RANK_PRIME,
     ModularModeError,
+    _rational_lift,
     canonical_form,
     independence_rank,
     rational_rank,
@@ -293,7 +295,8 @@ P = _RANK_PRIME
 
 
 class TestModularCertificate:
-    """Full rank mod P certifies; any deficiency mod P is settled over Q."""
+    """Full rank mod P certifies; a deficiency mod P is proved by its kernel
+    lifted to Q and checked exactly, or else settled by elimination over Q."""
 
     @pytest.fixture
     def moduli(self, monkeypatch):
@@ -319,23 +322,23 @@ class TestModularCertificate:
 
     def test_diagonal_p_falls_back(self, moduli):
         assert rational_rank([[F(P), F(0)], [F(0), F(1)]]) == 2
-        assert moduli == [P, 0]
+        assert moduli == [P, P, 0]  # the kernel (1, 0) lifts but fails the exact check
 
     def test_row_of_multiples_of_p_falls_back(self, moduli):
         rows = [[F(P, 3), F(2 * P, 5), F(-P)], [F(1), F(0), F(2)]]
         assert rational_rank(rows) == 2
-        assert moduli == [P, 0]
+        assert moduli == [P, P, 0]
 
     def test_denominators_divisible_by_p(self, moduli):
         # scaled rows [1, P] and [1, 2P] agree mod P; the determinant over Q is 1
         assert rational_rank([[F(1, P), F(1)], [F(1), F(2 * P)]]) == 2
-        assert moduli == [P, 0]
+        assert moduli == [P, P, 0]
         assert rational_rank([[F(1, P * P), F(3, P)], [F(2, 7 * P), F(1, 5)]]) == 2
 
     def test_deficient_over_q_too(self, moduli):
-        # det = (1/P) * P - 1 = 0: rank 1 over Q, confirmed by the fallback
+        # det = (1/P) * P - 1 = 0: rank 1 over Q, proved by the lifted kernel
         assert rational_rank([[F(1, P), F(1)], [F(1), F(P)]]) == 1
-        assert moduli == [P, 0]
+        assert moduli == [P, P]  # the kernel (1, -1) lifts and checks: no elimination over Q
 
     def test_wide(self, moduli):
         assert rational_rank([[F(1), F(2), F(3), F(4), F(5)], [F(0), F(1), F(1, 2), F(0), F(9)]]) == 2
@@ -360,7 +363,37 @@ class TestModularCertificate:
         # det = -1 and -P: floats saw both rows as equal
         assert rational_rank([[10**17, 1], [10**17 + 1, 1]]) == 2
         assert rational_rank([[P * 10**17, 1], [P * 10**17 + P, 1]]) == 2
+        assert moduli == [P, P, P, 0]
+
+    def test_planted_relation_takes_the_kernel_path(self, moduli):
+        # I(D(E4)) = 1 - E4, the regularized integral of a derivative
+        words = [(E6,), (derive(E4),), (ONE, E4), (), ()]
+        mults = [ONE, ONE, E2, ONE, E4]
+        assert independence_rank(words, mults, 12) == 4
+        assert moduli == [P, P]
+
+    def test_large_kernel_entries_fall_back(self, moduli):
+        a, b = 10**6 + 3, 999_999  # the kernel (1, b/a, -1/a) is beyond sqrt(P/2)
+        rows = [[1, 0, 2], [0, 1, 3], [a, b, 2 * a + 3 * b]]
+        assert rational_rank(rows) == 2
         assert moduli == [P, P, 0]
+        assert _rational_lift(b * pow(a, -1, P) % P) is None
+
+    def test_rational_lift_bound(self):
+        bound = isqrt(P // 2)
+        for a, b in [(0, 1), (1, 3), (-5, 7), (bound, bound - 1), (-bound, 1), (1, bound)]:
+            assert _rational_lift(a * pow(b, -1, P) % P) == F(a, b)
+        assert _rational_lift((bound + 1) * pow(bound, -1, P) % P) is None
+        assert _rational_lift(pow(10**6 + 3, -1, P)) is None
+
+    def test_rows_skip_coefficient(self, monkeypatch):
+        calls = []
+        real = LogQSeries.coefficient
+        monkeypatch.setattr(LogQSeries, "coefficient", lambda s, m, k: calls.append((m, k)) or real(s, m, k))
+        assert LogQSeries.constant(1, 2).coefficient(0, 0) == 1 and calls == [(0, 0)]
+        calls.clear()
+        assert independence_rank([(E4,), (E6,), (ONE, E4), (ONE, E4)], [ONE, E2, ONE, ONE], 10) == 3
+        assert calls == []
 
     def test_leaves_input_alone(self):
         rows = [[F(2), F(4)], [F(1), F(2)]]

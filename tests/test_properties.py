@@ -23,7 +23,7 @@ from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa:
 from iterqm.iterint import BarCombo, iter_integral  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import E2, ONE, QMPoly, basis_b, decompose, derive, is_basis_letter  # noqa: E402
-from iterqm.shuffle_lyndon import is_lyndon  # noqa: E402
+from iterqm.shuffle_lyndon import is_lyndon, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_quasimodular import reference_decompose  # noqa: E402
@@ -98,17 +98,25 @@ def test_decompose_round_trip(p):
 
 @st.composite
 def rational_matrices(draw):
-    """Small matrices, with entries that are multiples or fractions of the
-    rank prime and rows that are combinations of earlier ones."""
+    """Small matrices of Fraction or int rows, with entries that are multiples
+    or fractions of the rank prime and rows that are combinations of earlier
+    ones.  Large combination coefficients give kernels beyond the reach of
+    rational reconstruction, so both the lifted kernel and the fallback to
+    elimination over Q are exercised."""
     ncols = draw(st.integers(1, 6))
     entry = st.one_of(
         st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
         st.sampled_from([F(_RANK_PRIME), F(-2 * _RANK_PRIME), F(1, _RANK_PRIME), F(_RANK_PRIME, 7)]),
     )
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    row = st.one_of(
+        st.lists(entry, min_size=ncols, max_size=ncols),
+        st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols),
+    )
+    coeff = st.one_of(entry, st.integers(-50, 50), st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 7)))
+    rows = draw(st.lists(row, min_size=1, max_size=5))
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-        a, b = draw(entry), draw(entry)
+        a, b = draw(coeff), draw(coeff)
         rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
     return draw(st.permutations(rows))
 
@@ -147,6 +155,12 @@ def test_shuffle_expands_to_product_of_integrals(w1, w2):
     n = 6
     product = BarCombo({w1: ONE}).shuffle(BarCombo({w2: ONE}))
     assert product.expansion(n) == iter_integral(w1, n) * iter_integral(w2, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.integers(0, 3), max_size=6).map(tuple))
+def test_lyndon_basis_shuffles_back_to_the_word(w):
+    assert to_lyndon_basis(w).shuffle_expand() == {w: 1}
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
