@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # Regularized iterated integrals as exact series in q and L = log q:
 # the defining differential equation, the shuffle product, and
-# integration by parts.
+# integration by parts: one rule, ibp, for a derivative letter at any
+# position of a word.
 
 from iterqm import (
     DELTA,
@@ -11,7 +12,7 @@ from iterqm import (
     d_op,
     derive,
     expand,
-    ibp_first,
+    ibp,
     iter_integral,
     shuffle_product_words,
 )
@@ -41,9 +42,13 @@ lhs = iter_integral((E2,), N) * iter_integral((E4,), N)
 rhs = shuffle_product_words((E2,), (E4,)).expansion(N)
 print("  I(E2)*I(E4) - (I(E2,E4) + I(E4,E2)) =", format_series(lhs - rhs))
 
-print("\nIntegration by parts removes derivative letters, shortening the word:")
-combo, (coeff, tail) = ibp_first(E4, (DELTA,))
-print("  I(D(E4), Delta) = I(E4*Delta) - E4 * I(Delta)")
-lhs = iter_integral((derive(E4), DELTA), N)
-rhs = combo.expansion(N) + expand(coeff, N) * iter_integral(tail, N)
-print("  residual:", format_series(lhs - rhs))
+print("\nIntegration by parts removes a derivative letter at any position,")
+print("leaving words one letter shorter:")
+for prefix, suffix, label in (
+    ((), (DELTA,), "I(D(E4), Delta) = I(E4*Delta) - E4 * I(Delta)"),
+    ((E2,), (DELTA,), "I(E2, D(E4), Delta) = I(E2, E4*Delta) - I(E2*E4, Delta)"),
+    ((DELTA,), (), "I(Delta, D(E4)) = E4(cusp) * I(Delta) - I(Delta*E4)"),
+):
+    lhs = iter_integral(prefix + (derive(E4),) + suffix, N)
+    rhs = ibp(prefix, E4, suffix).expansion(N)
+    print(f"  {label}: residual {format_series(lhs - rhs)}")

@@ -28,9 +28,7 @@ from .cocycles import (
 from .iterint import (
     BarCombo,
     BarWord,
-    ibp_first,
-    ibp_last,
-    ibp_middle,
+    ibp,
     iter_integral,
     r_map,
     shuffle_product_words,
@@ -93,9 +91,7 @@ __all__ = [
     "eisenstein_qexp",
     "eval_numeric",
     "expand",
-    "ibp_first",
-    "ibp_last",
-    "ibp_middle",
+    "ibp",
     "independence_rank",
     "is_lyndon",
     "iter_integral",

@@ -31,7 +31,7 @@ from functools import reduce
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-from .iterint import BarCombo, BarWord, ibp_first, ibp_last, ibp_middle, iter_integral
+from .iterint import BarCombo, BarWord, ibp, iter_integral
 from .qseries import LogQSeries, Scalar
 from .quasimodular import (
     E2,
@@ -62,15 +62,16 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
     Letters are split into homogeneous parts and decomposed along
     QM = C*E2 + D(QM) + M; pure-basis components are pulled out by
     multilinearity (their rational multiples join the coefficient), and
-    derivative components are eliminated by the integration-by-parts rules
-    ``ibp_first``, ``ibp_middle`` and ``ibp_last`` of :mod:`~iterqm.iterint`,
-    which shorten the word.  Pending words wait, merged, in one dict per
-    (length, first non-basis position); longer words and then earlier
-    positions go first.  A rewrite shortens the word or moves that position
-    right, so a word is rewritten once, after all its contributions, and
-    not at all if they cancel.  Each distinct letter is split, and each
-    homogeneous piece decomposed, once per call.  The expansion of the
-    result equals the expansion of the input exactly.
+    derivative components are eliminated by :func:`~iterqm.iterint.ibp`,
+    integration by parts, which shortens the word by one letter.  At DEBUG,
+    each elimination is logged under the name of its position in the word
+    (``ibp_first``, ``ibp_middle`` or ``ibp_last``).  Pending words wait,
+    merged, in one dict per (length, first non-basis position); longer
+    words and then earlier positions go first.  A rewrite shortens the word
+    or moves that position right, so a word is rewritten once, after all
+    its contributions, and not at all if they cancel.  Each distinct letter
+    is split, and each homogeneous piece decomposed, once per call.  The
+    expansion of the result equals the expansion of the input exactly.
     """
     out: dict[BarWord, QMPoly] = {}
     pending: dict[tuple[int, int], dict[BarWord, QMPoly]] = {}
@@ -109,20 +110,13 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
                 prefix, suffix = word[:pos], word[pos + 1 :]
                 for basis_letter, scalar in subs:
                     push(prefix + (basis_letter,) + suffix, coeff * scalar, pos + 1)
-                # Eliminate each D(h); every rule shortens the word by one
-                # and keeps the letters before pos - 1.
+                # Eliminate each D(h): ibp shortens the word by one and keeps
+                # the letters before pos - 1.
                 for h in derivs:
-                    if prefix and suffix:
-                        rule, terms = "ibp_middle", ibp_middle(prefix, h, suffix).terms.items()
-                    elif suffix:
-                        first, (g, tail) = ibp_first(h, suffix)
-                        rule, terms = "ibp_first", [*first.terms.items(), (tail, g)]
-                    else:
-                        rule, (scalar, front, correction) = "ibp_last", ibp_last(prefix, h)
-                        terms = [(front, scalar), *((w, -c) for w, c in correction.terms.items())]
                     if debug:
+                        rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
                         logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
-                    for w, c in terms:
+                    for w, c in ibp(prefix, h, suffix).terms.items():
                         push(w, coeff * c, max(pos - 1, 0))
     return BarCombo({word: coeff for word, coeff in out.items() if coeff})
 

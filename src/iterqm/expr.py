@@ -213,22 +213,6 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
-def contains_integral(node: Node) -> bool:
-    if isinstance(node, ICall):
-        return True
-    if isinstance(node, (Lit, Gen)):
-        return False
-    if isinstance(node, Pow):
-        return contains_integral(node.base)
-    if isinstance(node, DCall):
-        return contains_integral(node.arg)
-    if isinstance(node, Mul):
-        return any(contains_integral(f) for f in node.factors)
-    if isinstance(node, Add):
-        return any(contains_integral(t) for _, t in node.terms)
-    raise TypeError(f"unknown node {node!r}")
-
-
 def eval_quasimodular(node: Node, path: str = "expr") -> QMPoly:
     """Evaluate to a quasimodular polynomial; integral nodes are rejected."""
     from .quasimodular import derive

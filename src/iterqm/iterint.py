@@ -13,8 +13,8 @@ integration at q^0 L^0 is exactly the cusp regularization.  The result is
 an exact element of W[log q] whose log-degree is at most the word length.
 
 The algebraic identities these integrals satisfy (shuffle product, R-map
-combination of truncated words with constant-letter words, and the three
-integration-by-parts rules) are provided as word-level operations on
+combination of truncated words with constant-letter words, and integration
+by parts at any position of a word) are provided as word-level operations on
 :class:`BarCombo`, a linear combination of bar words with quasimodular
 coefficients.
 """
@@ -28,10 +28,9 @@ from typing import Union
 
 from .qseries import LogQSeries, primitive
 from .quasimodular import ONE, QMPoly, expand
-from .shuffle_lyndon import _shuffle
+from .shuffle_lyndon import _shuffle, shuffle_combos
 
 BarWord = tuple[QMPoly, ...]
-_QM_ONE = ONE
 
 
 def _as_word(letters: Iterable[QMPoly]) -> BarWord:
@@ -77,7 +76,7 @@ class BarCombo:
 
     @classmethod
     def unit(cls) -> "BarCombo":
-        return cls({(): _QM_ONE})
+        return cls({(): ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -122,19 +121,7 @@ class BarCombo:
 
     def shuffle(self, other: "BarCombo") -> "BarCombo":
         """Product in the algebra: shuffle on words, product on coefficients."""
-        total: dict[BarWord, QMPoly] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                coeff = c1 * c2
-                for word, mult in _shuffle(w1, w2).items():
-                    s = total.get(word)
-                    add = coeff * mult
-                    s = add if s is None else s + add
-                    if s:
-                        total[word] = s
-                    else:
-                        total.pop(word, None)
-        return BarCombo(total)
+        return BarCombo(shuffle_combos(self.terms, other.terms))
 
     def expansion(self, trunc: int) -> LogQSeries:
         """Sum of expand(coeff) * integral(word) as an exact LogQSeries."""
@@ -190,49 +177,17 @@ def r_map(word: Iterable[QMPoly]) -> BarCombo:
     return total
 
 
-def ibp_first(g: QMPoly, rest: Iterable[QMPoly]) -> tuple[BarCombo, tuple[QMPoly, BarWord]]:
-    """Remove a leading derivative letter:
+def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> BarCombo:
+    """Integration by parts: I(prefix, D(g), suffix) as words one letter shorter.
 
-    I(D(g), f2, ..., fn) = I(g*f2, f3, ..., fn) - g * I(f2, ..., fn).
+        I(..., f, D(g), h, ...) = I(..., f, g*h, ...) - I(..., f*g, h, ...)
 
-    Returns the word combination and the boundary term (-g, tail word).
-    """
-    rest = _as_word(rest)
-    if not rest:
-        raise ValueError("ibp_first needs a nonempty tail; use ibp_last for a final letter")
-    combo = BarCombo.word((g * rest[0],) + rest[1:])
-    return combo, (-g, rest)
-
-
-def ibp_middle(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> BarCombo:
-    """Remove an interior derivative letter:
-
-    I(..., f_i, D(g), f_{i+1}, ...) =
-        I(..., f_i, g*f_{i+1}, ...) - I(..., f_i*g, f_{i+1}, ...).
+    At an end of the word the missing neighbour gives a boundary term
+    instead: g(cusp) * I(prefix) at the right end, -g * I(suffix) at the
+    left, so I(D(g)) = g(cusp) - g.  Equal words merge, so that, for
+    example, I(f, D(1), h) is 0.
     """
     prefix, suffix = _as_word(prefix), _as_word(suffix)
-    if not prefix:
-        raise ValueError("ibp_middle needs a nonempty prefix; use ibp_first")
-    if not suffix:
-        raise ValueError("ibp_middle needs a nonempty suffix; use ibp_last")
-    right = BarCombo.word(prefix + (g * suffix[0],) + suffix[1:])
-    left = BarCombo.word(prefix[:-1] + (prefix[-1] * g,) + suffix)
-    return right - left
-
-
-def ibp_last(front: Iterable[QMPoly], g: QMPoly) -> tuple[Fraction, BarWord, BarCombo]:
-    """Remove a trailing derivative letter:
-
-    I(f1, ..., f_{n-1}, D(g)) = g(cusp) * I(f1, ..., f_{n-1}) - I(correction),
-
-    where the correction multiplies the last front letter by g.  For an
-    empty front the identity degenerates to I(D(g)) = g(cusp) - g, so the
-    correction is the empty word with coefficient g.
-    """
-    front = _as_word(front)
-    scalar = g.cusp_value()
-    if front:
-        correction = BarCombo.word(front[:-1] + (front[-1] * g,))
-    else:
-        correction = BarCombo({(): g})
-    return scalar, front, correction
+    right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (prefix, g.cusp_value())
+    left = (prefix[:-1] + (prefix[-1] * g,) + suffix, -ONE) if prefix else (suffix, -g)
+    return BarCombo([right, left])

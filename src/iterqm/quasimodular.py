@@ -375,12 +375,15 @@ def _row_reduce(rows: list[list], modulus: int = 0, reduced: bool = False) -> li
             continue
         rows[top], rows[r] = rows[r], rows[top]
         inv = pow(rows[top][col], -1, modulus) if modulus else Fraction(1) / rows[top][col]
-        pivot = rows[top] = [x * inv % modulus if modulus else x * inv for x in rows[top]]
+        # Rows from top on are zero left of col, so both updates start at col.
+        pivot = [x * inv % modulus if modulus else x * inv for x in rows[top][col:]]
+        rows[top] = rows[top][:col] + pivot
         for i in range(0 if reduced else top + 1, len(rows)):
             row, f = rows[i], rows[i][col]
             if f and i != top:
-                rows[i] = ([(x - f * y) % modulus for x, y in zip(row, pivot)] if modulus
-                           else [x - f * y for x, y in zip(row, pivot)])
+                pairs = zip(row[col:], pivot)
+                rows[i] = row[:col] + ([(x - f * y) % modulus for x, y in pairs] if modulus
+                                       else [x - f * y for x, y in pairs])
         pivots.append(col)
     return pivots
 

@@ -61,6 +61,14 @@ def shuffle_combos(c1: Mapping[Word, object], c2: Mapping[Word, object]) -> dict
     return out
 
 
+def _shuffle_all(words: Iterable[Word]) -> dict[Word, int]:
+    """Shuffle product of a sequence of words, with multiplicity."""
+    out: dict[Word, int] = {(): 1}
+    for w in words:
+        out = shuffle_combos(out, {w: 1})
+    return out
+
+
 def is_lyndon(w: Iterable[int]) -> bool:
     """True when the word is nonempty and smaller than all proper suffixes."""
     w = tuple(w)
@@ -224,10 +232,7 @@ class LyndonPoly:
         """Evaluate the polynomial in the shuffle algebra: a word combination."""
         out: dict[Word, object] = {}
         for mono, coeff in self.terms.items():
-            expanded: dict[Word, object] = {(): 1}
-            for w in mono:
-                expanded = shuffle_combos(expanded, {w: 1})
-            for word, mult in expanded.items():
+            for word, mult in _shuffle_all(mono).items():
                 cur = out.get(word)
                 add = coeff * mult
                 cur = add if cur is None else cur + add
@@ -252,9 +257,7 @@ def _to_lyndon_basis(w: Word) -> LyndonPoly:
     lead = 1
     for mult in counts.values():
         lead *= factorial(mult)
-    shuffled: dict[Word, int] = {(): 1}
-    for f in factors:
-        shuffled = shuffle_combos(shuffled, {f: 1})
+    shuffled = _shuffle_all(factors)
     assert shuffled.get(w) == lead, "triangularity violated"
 
     inv = Fraction(1, lead)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from iterqm.expr import ExprError, contains_integral, eval_combo, eval_quasimodular, parse
+from iterqm.expr import ExprError, eval_combo, eval_quasimodular, parse
 from iterqm.iterint import BarCombo, shuffle_product_words
 from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive
 
@@ -31,10 +31,6 @@ class TestParse:
     def test_empty_integral_arguments_not_allowed(self):
         with pytest.raises(ExprError):
             parse("I()")
-
-    def test_contains_integral(self):
-        assert contains_integral(parse("E2*I(E4)"))
-        assert not contains_integral(parse("D(E2)+5"))
 
 
 class TestParseErrors:

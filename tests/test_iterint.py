@@ -3,14 +3,10 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
-import pytest
-
 from iterqm.iterint import (
     BarCombo,
     _iter_integral,
-    ibp_first,
-    ibp_last,
-    ibp_middle,
+    ibp,
     iter_integral,
     r_map,
     shuffle_product_words,
@@ -226,58 +222,40 @@ class TestRMap:
 
 
 class TestIntegrationByParts:
-    def test_ibp_first_shape(self):
-        combo, (coeff, word) = ibp_first(E2, (E4,))
-        assert combo == BarCombo({(E2 * E4,): 1})
-        assert coeff == -E2 and word == (E4,)
+    """ibp at each position, named like the rules reduce_letters logs."""
 
-    def test_ibp_first_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ibp_first(E2, ())
+    def test_ibp_first_shape(self):
+        # I(D(g), f2) = I(g f2) - g I(f2)
+        assert ibp((), E2, (E4,)) == BarCombo([((E2 * E4,), 1), ((E4,), -E2)])
 
     def test_ibp_first_numeric(self):
         # I(D(g), f2) = I(g f2) - g I(f2), exact at N=25
         g, f2 = E4, E6
-        lhs = iter_integral((derive(g), f2), 25)
-        combo, (coeff, word) = ibp_first(g, (f2,))
-        rhs = combo.expansion(25) + expand(coeff, 25) * iter_integral(word, 25)
-        assert lhs == rhs
+        assert ibp((), g, (f2,)).expansion(25) == iter_integral((derive(g), f2), 25)
 
     def test_ibp_middle_cancels_for_unit(self):
-        assert ibp_middle((E2,), ONE, (E4,)).is_zero()
+        assert ibp((E2,), ONE, (E4,)).is_zero()
 
     def test_ibp_middle_numeric(self):
         for prefix, g, suffix in [((ONE,), E4, (ONE,)), ((E2,), E2, (E4,)), ((E4,), E6, (ONE, E2))]:
             lhs = iter_integral(prefix + (derive(g),) + suffix, 20)
-            rhs = ibp_middle(prefix, g, suffix).expansion(20)
+            rhs = ibp(prefix, g, suffix).expansion(20)
             assert lhs == rhs, (prefix, g, suffix)
 
-    def test_ibp_middle_preconditions(self):
-        with pytest.raises(ValueError):
-            ibp_middle((), E4, (ONE,))
-        with pytest.raises(ValueError):
-            ibp_middle((ONE,), E4, ())
-
     def test_ibp_last_shapes(self):
-        scalar, front, corr = ibp_last((ONE,), E4)
-        assert (scalar, front) == (1, (ONE,)) and corr == BarCombo({(E4,): 1})
-        scalar, front, corr = ibp_last((E4,), DELTA)
-        assert scalar == 0 and corr == BarCombo({(E4 * DELTA,): 1})
+        # I(f, D(g)) = g(cusp) I(f) - I(f g); a cusp form drops the first term
+        assert ibp((ONE,), E4, ()) == BarCombo([((ONE,), 1), ((E4,), -1)])
+        assert ibp((E4,), DELTA, ()) == BarCombo({(E4 * DELTA,): -1})
 
     def test_ibp_last_numeric(self):
         front, g = (E2,), E6
-        lhs = iter_integral(front + (derive(g),), 25)
-        scalar, fw, corr = ibp_last(front, g)
-        rhs = iter_integral(fw, 25).scale(scalar) - corr.expansion(25)
-        assert lhs == rhs
+        assert ibp(front, g, ()).expansion(25) == iter_integral(front + (derive(g),), 25)
 
     def test_ibp_last_empty_front(self):
-        # I(D(g)) = g(cusp) - g
+        # I(D(g)) = g(cusp) - g, on the empty word
         for g in (E4, E2 * E4, DELTA):
-            lhs = iter_integral((derive(g),), 20)
-            scalar, fw, corr = ibp_last((), g)
-            rhs = iter_integral(fw, 20).scale(scalar) - corr.expansion(20)
-            assert lhs == rhs, g
+            assert ibp((), g, ()) == BarCombo({(): QMPoly.constant(g.cusp_value()) - g}), g
+            assert ibp((), g, ()).expansion(20) == iter_integral((derive(g),), 20), g
 
     def test_random_instances(self):
         rng = random.Random(24)
@@ -288,20 +266,12 @@ class TestIntegrationByParts:
             word = [rng.choice(pool) for _ in range(n)]
             pos = rng.randint(0, n)
             full = tuple(word[:pos]) + (derive(g),) + tuple(word[pos:])
-            lhs = iter_integral(full, 15)
-            if pos == 0 and n > 0:
-                combo, (coeff, tail) = ibp_first(g, tuple(word))
-                rhs = combo.expansion(15) + expand(coeff, 15) * iter_integral(tail, 15)
-            elif pos == n:
-                scalar, fw, corr = ibp_last(tuple(word), g)
-                rhs = iter_integral(fw, 15).scale(scalar) - corr.expansion(15)
-            else:
-                rhs = ibp_middle(tuple(word[:pos]), g, tuple(word[pos:])).expansion(15)
-            assert lhs == rhs
+            rhs = ibp(tuple(word[:pos]), g, tuple(word[pos:])).expansion(15)
+            assert iter_integral(full, 15) == rhs
 
     def test_length_filtration_witness(self):
         # a word containing a derivative letter lies in the span of
-        # strictly shorter integrals: eliminate and compare lengths
+        # integrals exactly one letter shorter
         rng = random.Random(25)
         pool = [ONE, E2, E4, E6]
         for _ in range(10):
@@ -310,17 +280,6 @@ class TestIntegrationByParts:
             word = [rng.choice(pool) for _ in range(n)]
             pos = rng.randint(0, n)
             full = tuple(word[:pos]) + (derive(g),) + tuple(word[pos:])
-            if pos == 0:
-                combo, (coeff, tail) = ibp_first(g, tuple(word))
-                words = list(combo.terms) + [tail]
-                rhs = combo.expansion(12) + expand(coeff, 12) * iter_integral(tail, 12)
-            elif pos == n:
-                scalar, fw, corr = ibp_last(tuple(word), g)
-                words = [fw] + list(corr.terms)
-                rhs = iter_integral(fw, 12).scale(scalar) - corr.expansion(12)
-            else:
-                combo = ibp_middle(tuple(word[:pos]), g, tuple(word[pos:]))
-                words = list(combo.terms)
-                rhs = combo.expansion(12)
-            assert all(len(w) <= len(full) - 1 for w in words)
-            assert iter_integral(full, 12) == rhs
+            combo = ibp(tuple(word[:pos]), g, tuple(word[pos:]))
+            assert all(len(w) == len(full) - 1 for w in combo.terms)
+            assert iter_integral(full, 12) == combo.expansion(12)

@@ -1,6 +1,6 @@
 """Generated-input properties of the series ring, the weight split, the
-exact rank, the shuffle product, the canonical form and the braid-word
-branch of log(c*tau + d).
+exact rank, integration by parts, the shuffle product, the canonical form
+and the braid-word branch of log(c*tau + d).
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -13,16 +13,16 @@ from fractions import Fraction as F
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight  # noqa: E402
 from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
 from iterqm.cli import series_from_json, series_to_json  # noqa: E402
 from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
-from iterqm.iterint import BarCombo, iter_integral  # noqa: E402
+from iterqm.iterint import BarCombo, ibp, iter_integral  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
-from iterqm.quasimodular import E2, ONE, QMPoly, basis_b, decompose, derive, is_basis_letter  # noqa: E402
+from iterqm.quasimodular import E2, E4, ONE, QMPoly, basis_b, decompose, derive, is_basis_letter  # noqa: E402
 from iterqm.shuffle_lyndon import is_lyndon, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
@@ -155,6 +155,21 @@ def test_shuffle_expands_to_product_of_integrals(w1, w2):
     n = 6
     product = BarCombo({w1: ONE}).shuffle(BarCombo({w2: ONE}))
     assert product.expansion(n) == iter_integral(w1, n) * iter_integral(w2, n)
+
+
+def form_words(max_len):
+    """Bar words of at most max_len letters, each any form of weight <= 6."""
+    return st.lists(forms(6), max_size=max_len).map(tuple)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(form_words(3), forms(6), form_words(3))
+@example((), E4, ())
+def test_ibp_equals_the_integral_with_a_derivative_letter(prefix, g, suffix):
+    n = 6
+    combo = ibp(prefix, g, suffix)
+    assert combo.expansion(n) == iter_integral(prefix + (derive(g),) + suffix, n)
+    assert all(len(w) == len(prefix) + len(suffix) for w in combo.terms)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
