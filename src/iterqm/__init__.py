@@ -22,6 +22,7 @@ from .cocycles import (
     cocycle_r,
     e2_cocycle,
     eichler_integral,
+    eval_numeric,
     quasimodular_cocycle,
     slash_poly,
 )
@@ -33,7 +34,7 @@ from .iterint import (
     r_map,
     shuffle_product_words,
 )
-from .qseries import LogQSeries, d_op, eval_numeric, primitive
+from .qseries import LogQSeries, d_op, primitive
 from .quasimodular import (
     DELTA,
     E2,

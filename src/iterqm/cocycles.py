@@ -7,15 +7,17 @@ polynomial in X, Y (:func:`eichler_integral`); the difference
     r_f(gamma) = P(tau) - P(gamma.tau)|gamma
 
 is independent of tau and satisfies the cocycle relation
-``r(g1 g2) = r(g1)|g2 + r(g2)`` (:func:`cocycle_r`).
+``r(g1 g2) = r(g1)|g2 + r(g2)`` (:func:`cocycle_r`).  Its coefficients are
+read from the engine's own exact iterated integrals I(1, ..., 1, f) of
+:mod:`iterqm.iterint`, whose cusp regularization is Eichler's.
 
 The weight-two Eisenstein series is not modular; its transformation defect
 is a homomorphism not of the modular group but of the braid group on three
 strands, which surjects onto it with central kernel.  :func:`e2_cocycle`
-computes it from the continuous branch of log Delta and the branch of
-log(c*tau + d) the braid word selects: one log plus 2*pi*i times a winding
-count read from integer signs in one pass over the word.  Its values lie in
-2*pi*i*Z.  A general homogeneous quasimodular form is handled componentwise
+computes it from log Delta = -I(E2), continuous by construction, and the
+branch of log(c*tau + d) the braid word selects: one log plus 2*pi*i
+times a winding count read from integer signs in one pass over the word.
+Its values lie in 2*pi*i*Z.  A general homogeneous quasimodular form is handled componentwise
 through its expression in derivatives of modular forms and of the
 weight-two series (:func:`quasimodular_cocycle`).
 
@@ -23,9 +25,11 @@ All computations run at a fixed working precision well beyond double:
 the slash action mixes coefficients spanning many orders of magnitude
 (powers of matrix entries times powers of tau), and the cocycle relation
 cancels those almost completely, so double precision cannot certify the
-1e-8 tolerances this module is tested at.  The 50 digits come from a
-private mpmath context: the module neither reads nor changes mpmath's
-process-wide precision, so a caller's precision is left untouched.
+1e-8 tolerances this module is tested at.  Exact series become numbers
+in one place, :func:`eval_numeric`, at q = e(tau) and L = 2*pi*i*tau.
+The 50 digits come from a private mpmath context: the module neither
+reads nor changes mpmath's process-wide precision, so a caller's
+precision is left untouched.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from typing import Iterable, Sequence, Union
 
 from mpmath import MPContext
 
-from .quasimodular import E2, QMPoly, derivative_decomposition, expand
+from .iterint import iter_integral
+from .qseries import LogQSeries
+from .quasimodular import E2, ONE, QMPoly, derivative_decomposition
 
 #: Working precision (decimal digits) for all cocycle arithmetic.
 WORKING_DPS = 50
@@ -167,12 +173,57 @@ def _require_upper(tau, label: str = "tau") -> mpc:
     return tau
 
 
+def eval_numeric(f: LogQSeries, tau) -> mpc:
+    """The value of the truncated sum at q = exp(2*pi*i*tau), L = 2*pi*i*tau.
+
+    50 digits; requires tau in the open upper half-plane.
+    """
+    return _values([f], tau)[0]
+
+
+def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
+    """Values of exact series at one point, as in :func:`eval_numeric`.
+
+    The module's only numeric summation of a series.  One table of
+    q^0, ..., q^N at tau serves every series, so each nonzero coefficient
+    costs one product of an ``mpc`` by its integer numerator; the log-parts
+    then combine by Horner in L, and each value is divided once by its
+    series' denominator.
+    """
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    ell = 2j * pi * tau
+    q = exp(ell)
+    powers = [mpc(1)]
+    for _ in range(max(s.trunc for s in series)):
+        powers.append(powers[-1] * q)
+    out = []
+    for s in series:
+        total = mpc(0)
+        for k in range(s.log_degree(), -1, -1):
+            part = s.parts.get(k, ())
+            total = total * ell + sum((qm * x for qm, x in zip(powers, part) if x), mpc(0))
+        out.append(total / s.den)
+    return out
+
+
 def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     """Regularized integral of the weighted form of a modular f, from tau.
 
-    Termwise: a coefficient a_n q^n contributes a closed-form polynomial in
-    tau from repeated integration by parts; the constant term a_0 tau^m is
-    assigned the regularized primitive -a_0 tau^(m+1)/(m+1).
+    The moments come from the engine's own iterated integrals: the word of
+    r letters 1 followed by f has I(1, ..., 1, f)(tau) =
+    (2*pi*i)^(r+1) * int_tau^{i oo} (t - tau)^r / r! * f(t) dt, so with V_r
+    its value at tau,
+
+        int_tau^{i oo} f(t) t^j dt = sum_{r <= j} j!/(j-r)! tau^(j-r) V_r / (2*pi*i)^(r+1).
+
+    The regularizations agree: the constant term a_0 enters V_r only as
+    -a_0 (-L)^(r+1) / (r+1)! (the cusp normalization of
+    :func:`~iterqm.qseries.primitive`), and since
+    sum_r (-1)^r C(j+1, r+1) = 1 these sum to Eichler's regularized
+    primitive -a_0 tau^(j+1)/(j+1) exactly.  The d + 1 words are suffixes
+    of the longest, so their series are built once per (f, n_terms).
     """
     if f.is_zero():
         return XYPoly.zero(0)
@@ -181,41 +232,19 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     k = f.weight()
     if k < 4 or k % 2:
         raise ValueError("weight must be an even integer >= 4")
-    tau = mpc(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
     d = k - 2
-    series = expand(f, n_terms)
+    tau = mpc(tau)
+    values = _values([iter_integral((ONE,) * r + (f,), n_terms) for r in range(d + 1)], tau)
     two_pi_i = 2j * pi
-    q = exp(two_pi_i * tau)
-
-    # sums[r] = sum_{n >= 1} a_n q^n / (2 pi i n)^(r+1)
-    sums = [mpc(0)] * (d + 1)
-    qn = mpc(1)
-    for n in range(1, n_terms + 1):
-        qn *= q
-        an = series.coefficient(n, 0)
-        if an == 0:
-            continue
-        cn = two_pi_i * n
-        term = mpf(an.numerator) / an.denominator * qn
-        for r in range(d + 1):
-            term /= cn
-            sums[r] += term
-
-    # integrals I_j = int_tau^{i oo} f(t) t^j dt; integrating q^n t^j by
-    # parts j times gives -q^n sum_r (-1)^r j!/(j-r)! t^(j-r) / (2 pi i n)^(r+1)
-    c0 = series.coefficient(0, 0)
-    a0 = mpf(c0.numerator) / c0.denominator
+    # moments[r] = int_tau^{i oo} (t - tau)^r / r! * f(t) dt
+    moments = [v / two_pi_i ** (r + 1) for r, v in enumerate(values)]
     tau_pow = [mpc(1)]
-    for _ in range(d + 1):
+    for _ in range(d):
         tau_pow.append(tau_pow[-1] * tau)
     front = two_pi_i ** (k - 1)
     out = []
     for j in range(d + 1):
-        integral = -a0 * tau_pow[j + 1] / (j + 1) - sum(
-            (-1) ** r * perm(j, r) * tau_pow[j - r] * sums[r] for r in range(j + 1)
-        )
+        integral = sum(perm(j, r) * tau_pow[j - r] * moments[r] for r in range(j + 1))
         out.append(front * comb(d, j) * (-1) ** j * integral)
     return XYPoly(d, out)
 
@@ -284,38 +313,27 @@ def _branch_log(word: B3Word, tau) -> mpc:
     return log(mat.c * mpc(tau) + mat.d) + 2j * pi * turns
 
 
-def _log_disc(tau, n_terms: int) -> mpc:
-    """Continuous branch of the logarithm of the discriminant form.
-
-    2*pi*i*tau + 24 * sum_{n <= n_terms} Log(1 - q^n), as one log of the product:
-    for Im(tau) >= MIN_IMAG = 0.2, |Im sum| <= -log prod(1 - |q|^n) ~ 0.452 < pi.
-    """
-    two_pi_i = 2j * pi
-    q = exp(two_pi_i * tau)
-    prod = qn = mpc(1)
-    for _ in range(n_terms):
-        qn *= q
-        prod *= 1 - qn
-    return two_pi_i * tau + 24 * log(prod)
-
-
 def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     """The braid-group cocycle of the weight-two Eisenstein series.
 
-    With F the numeric value of the regularized integral of the weight-two
-    series (a branch of minus the log of the discriminant), the value is
+    With F the value of the regularized integral I(E2) of the weight-two
+    series, the value is
 
         F(gamma.tau) - F(tau) + 12 * l_word(tau),
 
     which is independent of tau, additive in the word, and lies in
-    2*pi*i*Z.
+    2*pi*i*Z.  F is minus log Delta on its continuous branch: D(log Delta)
+    = E2, and log Delta = L + 24 * sum log(1 - q^n) has no q^0 L^0 term,
+    which is the normalization of I(E2).  So no principal log of a product
+    is taken.
     """
     mat, turns = _read_braid(word)
     tau = _require_upper(tau)
     gtau = mat.moebius(tau)
     _require_upper(gtau, "gamma.tau")
+    minus_log_disc = iter_integral((E2,), n_terms)
     l_word = log(mat.c * tau + mat.d) + 2j * pi * turns  # _branch_log, from this one read
-    return _log_disc(tau, n_terms) - _log_disc(gtau, n_terms) + 12 * l_word
+    return eval_numeric(minus_log_disc, gtau) - eval_numeric(minus_log_disc, tau) + 12 * l_word
 
 
 def quasimodular_cocycle(

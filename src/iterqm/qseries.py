@@ -15,15 +15,15 @@ vanishes; this is the regularization used for all integrals downstream.
 All arithmetic is exact over the rationals: a series stores integer
 numerators over one positive denominator shared by all its log-parts, and
 :class:`~fractions.Fraction` appears only where values come in (the
-constructor) and go out (:meth:`LogQSeries.coefficient`).  Floating point
-enters only in :func:`eval_numeric`.  Series are multiplied on integers
+constructor) and go out (:meth:`LogQSeries.coefficient`); this module
+has no floating point.  Numeric values of series are taken in
+:func:`iterqm.cocycles.eval_numeric`.  Series are multiplied on integers
 (Kronecker substitution): each log-part is packed into one big integer
 with ``2^b`` per coefficient, and each pair of parts is multiplied once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -253,25 +253,3 @@ def primitive(f: LogQSeries) -> LogQSeries:
             p = parts.get(k)
             above = out[k][m] = ((scale * p[m] if p else 0) - (k + 1) * above) // m
     return LogQSeries._of(n, f.den * scale, {k: tuple(p) for k, p in out.items()})
-
-
-def eval_numeric(f: LogQSeries, tau: complex) -> complex:
-    """Evaluate the truncated sum at q = exp(2*pi*i*tau), L = 2*pi*i*tau.
-
-    Double precision; requires tau in the open upper half-plane.
-    """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must have positive imaginary part")
-    q = cmath.exp(2j * math.pi * tau)
-    ell = 2j * math.pi * tau
-    total = 0j
-    for k, p in sorted(f.parts.items()):
-        qpow = 1 + 0j
-        acc = 0j
-        for x in p:
-            if x:
-                acc += x / f.den * qpow
-            qpow *= q
-        total += acc * ell**k
-    return total

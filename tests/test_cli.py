@@ -183,6 +183,12 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["multiple_of_2pi_i"] == -1200
 
+    def test_cocycle_e2_negative_terms(self, capsys):
+        code, out, err = run(capsys, ["cocycle", "e2", "s1*s2", "--n-terms", "-5"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: truncation order must be >= 0\n"
+
     def test_integral_long_word(self, capsys):
         code, out, err = run(capsys, ["integral", "I(" + ",".join(["E4"] * 1100) + ")", "-N", "0"])
         assert code == 0

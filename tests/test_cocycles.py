@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpc, mpf, zeta
+from mpmath import MPContext, mp, mpc, mpf, zeta
 
 from iterqm.cocycles import (
     IDENTITY,
@@ -13,17 +13,17 @@ from iterqm.cocycles import (
     T,
     XYPoly,
     _branch_log,
-    _log_disc,
     admissible_tau,
     b3_to_sl2,
     cocycle_r,
     e2_cocycle,
     eichler_integral,
+    eval_numeric,
     quasimodular_cocycle,
     slash_poly,
 )
 from iterqm.iterint import iter_integral
-from iterqm.qseries import eval_numeric
+from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import DELTA, E2, E4, E6, QMPoly, derive, expand
 
 TWO_PI_I = 2j * math.pi
@@ -83,6 +83,23 @@ def reference_log_disc(tau, n_terms):
         tau = mpc(tau)
         q = mp.exp(2j * mp.pi * tau)
         return 2j * mp.pi * tau + 24 * mp.fsum(mp.log(1 - q**n) for n in range(1, n_terms + 1))
+
+
+def quadrature_delta_integrals(tau, powers):
+    """int_tau^{i oo} Delta(t) t^j dt for j in powers, by mpmath quadrature
+    along t = tau + i s, with Delta = q (q; q)_oo^24 from mpmath's own
+    q-Pochhammer symbol, at 30 digits in a context of its own.  The
+    integrand has no constant term, so no regularization enters; beyond
+    s = 20 it is below e^(-100) for j <= 10."""
+    ctx = MPContext()
+    ctx.dps = 30
+    tau = ctx.mpc(tau)
+
+    def delta(t):
+        q = ctx.expjpi(2 * t)
+        return q * ctx.qp(q) ** 24
+
+    return [1j * ctx.quad(lambda s: delta(tau + 1j * s) * (tau + 1j * s) ** j, [0, 2, 20]) for j in powers]
 
 
 def branch_log_gap(word, tau) -> float:
@@ -176,9 +193,41 @@ class TestLogDisc:
     @pytest.mark.parametrize("n_terms", [80, 300])
     @pytest.mark.parametrize("tau", [0.2j, 0.37 + 0.2j, -0.5 + 0.25j, 0.1 + 1.3j])
     def test_one_log_matches_sum_of_logs(self, tau, n_terms):
+        # log Delta = -I(E2), read from the series: no principal log is taken
         with mp.workdps(50):
-            gap = abs(_log_disc(mpc(tau), n_terms) - reference_log_disc(tau, n_terms))
+            gap = abs(-eval_numeric(iter_integral((E2,), n_terms), tau) - reference_log_disc(tau, n_terms))
         assert gap < 1e-40
+
+
+class TestEvalNumeric:
+    def test_zero(self):
+        assert eval_numeric(LogQSeries.zero(5), 1j) == 0
+
+    def test_log_at_i(self):
+        with mp.workdps(50):
+            assert abs(eval_numeric(LogQSeries.log_power(1, 5), 1j) - (-2 * mp.pi)) < 1e-40
+
+    def test_e4_at_i(self):
+        # E4(i) = 3 Gamma(1/4)^8 / (2 pi)^6
+        with mp.workdps(50):
+            want = 3 * mp.gamma(mpf(1) / 4) ** 8 / (2 * mp.pi) ** 6
+            value = eval_numeric(expand(E4, 60), 1j)
+            assert abs(value - want) < 1e-40
+
+    def test_rejects_lower_half_plane(self):
+        with pytest.raises(ValueError):
+            eval_numeric(LogQSeries.zero(2), 1 - 1j)
+        with pytest.raises(ValueError):
+            eval_numeric(LogQSeries.zero(2), 0.5)
+
+    def test_quadrature_oracle(self):
+        # I(Delta) = 2 pi i int_tau^{i oo} Delta(t) dt, against mpmath's
+        # quadrature of mpmath's own product for Delta
+        tau = 0.4 + 0.9j
+        with mp.workdps(50):
+            want = 2j * mp.pi * quadrature_delta_integrals(tau, [0])[0]
+            got = eval_numeric(iter_integral((DELTA,), 80), tau)
+            assert abs(got - want) < 1e-25 * abs(want)
 
 
 class TestEichlerIntegral:
@@ -201,12 +250,29 @@ class TestEichlerIntegral:
         assert abs(top - reference) <= 1e-9 * max(1.0, abs(reference))
 
 
-    @pytest.mark.parametrize("f", [E4, DELTA, QMPoly({(0, 2, 2): Fraction(1)})], ids=["E4", "Delta", "E4^2*E6^2"])
-    @pytest.mark.parametrize("tau", [1j, 0.4 + 0.9j])
+    @pytest.mark.parametrize(
+        "f",
+        [E4, DELTA, QMPoly({(0, 2, 2): Fraction(1)}), E4 * DELTA, E6 * DELTA],
+        ids=["E4", "Delta", "E4^2*E6^2", "E4*Delta", "E6*Delta"],
+    )
+    @pytest.mark.parametrize("tau", [1j, 0.4 + 0.9j, 0.1 + 0.31j])
     def test_matches_term_by_term_reference(self, f, tau):
         got = eichler_integral(f, tau, 80)
         want = reference_eichler_integral(f, tau, 80)
         assert got.distance(want) <= 1e-40 * float(want.max_abs())
+
+    def test_matches_quadrature(self):
+        # coefficient j is (2 pi i)^11 C(10, j) (-1)^j int_tau^{i oo} Delta(t) t^j dt
+        tau = 0.4 + 0.9j
+        got = eichler_integral(DELTA, tau, 80)
+        with mp.workdps(50):
+            for j, moment in zip((0, 5, 10), quadrature_delta_integrals(tau, (0, 5, 10))):
+                want = (2j * mp.pi) ** 11 * math.comb(10, j) * (-1) ** j * moment
+                assert abs(got.coeffs[j] - want) < 1e-20 * abs(want), j
+
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            eichler_integral(E4, 1j, -5)
 
 
 class TestModularCocycle:
@@ -347,6 +413,10 @@ class TestE2Cocycle:
         value = complex(e2_cocycle(word, admissible_tau(b3_to_sl2(word))))
         exponent_sum = sum(1 if g > 0 else -1 for g in word)
         assert abs(value - (-TWO_PI_I) * exponent_sum) < 1e-8
+
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            e2_cocycle((1, 2), 1.2j, -5)
 
     def test_central_element_value(self):
         # the center of the braid group maps to 1 in the modular group but

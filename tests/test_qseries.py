@@ -1,10 +1,9 @@
-import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from iterqm.qseries import LogQSeries, d_op, eval_numeric, primitive
+from iterqm.qseries import LogQSeries, d_op, primitive
 
 
 def L(trunc, k=1, coeff=1):
@@ -292,26 +291,3 @@ class TestPrimitive:
             n = rng.randint(0, 8)
             f = LogQSeries(n, {0: [F(rng.randint(-5, 5)) for _ in range(n + 1)]})
             assert primitive(f).coefficient(0, 0) == 0
-
-
-class TestEvalNumeric:
-    def test_zero(self):
-        assert eval_numeric(LogQSeries.zero(5), 1j) == 0
-
-    def test_log_at_i(self):
-        assert abs(eval_numeric(L(5), 1j) - (-2 * math.pi)) < 1e-12
-
-    def test_e4_at_i(self):
-        # oracle recorded from 50-digit summation, independently equal to
-        # 3*Gamma(1/4)^8/(2 pi)^6
-        from iterqm.quasimodular import E4, expand
-
-        value = eval_numeric(expand(E4, 60), 1j)
-        assert abs(value - 1.4557628922687093) < 1e-12
-        assert abs(value.imag) < 1e-15
-
-    def test_rejects_lower_half_plane(self):
-        with pytest.raises(ValueError):
-            eval_numeric(LogQSeries.zero(2), 1 - 1j)
-        with pytest.raises(ValueError):
-            eval_numeric(LogQSeries.zero(2), 0.5)
