@@ -32,6 +32,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .iterint import BarCombo, BarWord, ibp, iter_integral
+from .linear import _accumulate
 from .qseries import LogQSeries, Scalar
 from .quasimodular import (
     E2,
@@ -79,12 +80,8 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
     splits: dict[QMPoly, tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]] = {}
 
     def push(word: BarWord, coeff: QMPoly, start: int) -> None:
-        if not coeff:
-            return
         pos = next((i for i in range(start, len(word)) if not is_basis_letter(word[i])), None)
-        bucket = out if pos is None else pending.setdefault((len(word), pos), {})
-        cur = bucket.get(word)
-        bucket[word] = coeff if cur is None else cur + coeff
+        _accumulate(out if pos is None else pending.setdefault((len(word), pos), {}), ((word, coeff),))
 
     def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]:
         """Basis letters with their multiples, and the h of each D(h) part."""
@@ -104,8 +101,6 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
     for n in range(max(map(len, combo.terms), default=0), 0, -1):
         for pos in range(n):
             for word, coeff in pending.pop((n, pos), {}).items():
-                if not coeff:
-                    continue
                 subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
                 prefix, suffix = word[:pos], word[pos + 1 :]
                 for basis_letter, scalar in subs:
@@ -118,7 +113,7 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
                         logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
                     for w, c in ibp(prefix, h, suffix).terms.items():
                         push(w, coeff * c, max(pos - 1, 0))
-    return BarCombo({word: coeff for word, coeff in out.items() if coeff})
+    return BarCombo._of(out)
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,9 @@ def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm
 
     terms: dict[tuple, QMPoly] = {}
     for word, coeff in reduced.terms.items():
-        for mono, f in to_lyndon_basis(tuple(rank[l] for l in word)).terms.items():
-            cur = terms.get(mono)
-            terms[mono] = coeff * f if cur is None else cur + coeff * f
-    return CanonicalForm(poly=LyndonPoly(terms), basis=basis, modular=modular_only)
+        lyndon = to_lyndon_basis(tuple(rank[l] for l in word))
+        _accumulate(terms, ((mono, coeff * f) for mono, f in lyndon.terms.items()))
+    return CanonicalForm(poly=LyndonPoly._of(terms), basis=basis, modular=modular_only)
 
 
 #: The largest prime below 2^30: row operations mod it stay on small ints,

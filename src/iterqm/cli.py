@@ -15,6 +15,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import cocycles
@@ -98,9 +99,7 @@ def format_canonical(cf: CanonicalForm) -> str:
     for mono in order:
         coeff = cf.poly.terms[mono]
         factors = []
-        seen: dict[tuple[int, ...], int] = {}
-        for w in mono:
-            seen[w] = seen.get(w, 0) + 1
+        seen = Counter(mono)
         for w in sorted(seen):
             name = _word_name(w, cf.basis)
             factors.append(name if seen[w] == 1 else f"{name}^{seen[w]}")
@@ -176,10 +175,10 @@ def canonical_to_json(cf: CanonicalForm) -> dict:
 def canonical_from_json(data: dict) -> CanonicalForm:
     basis = tuple(basis_b(data["basis_max_weight"], modular_only=data["modular"]))
     rank = {letter_name(l): i for i, l in enumerate(basis)}
-    poly = LyndonPoly.zero()
-    for term in data["terms"]:
-        mono = tuple(tuple(rank[name] for name in w) for w in term["monomial"])
-        poly = poly + LyndonPoly({mono: qmpoly_from_json(term["coeff"])})
+    poly = LyndonPoly(
+        (tuple(tuple(rank[name] for name in w) for w in term["monomial"]), qmpoly_from_json(term["coeff"]))
+        for term in data["terms"]
+    )
     return CanonicalForm(poly=poly, basis=basis, modular=data["modular"])
 
 

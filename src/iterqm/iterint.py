@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from .linear import LinearCombination, _accumulate
 from .qseries import LogQSeries, primitive
 from .quasimodular import ONE, QMPoly, expand
 from .shuffle_lyndon import _shuffle, shuffle_combos
@@ -41,34 +42,24 @@ def _as_word(letters: Iterable[QMPoly]) -> BarWord:
     return word
 
 
-class BarCombo:
+class BarCombo(LinearCombination):
     """A finite linear combination of bar words with QMPoly coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[BarWord, Union[QMPoly, int, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[BarWord, QMPoly] = {}
-        for word, coeff in items:
-            word = _as_word(word)
-            if not isinstance(coeff, QMPoly):
-                coeff = QMPoly.constant(coeff)
-            if any(letter.is_zero() for letter in word):
-                continue  # the integral is multilinear; a zero letter kills the term
-            if word in cleaned:
-                coeff = cleaned[word] + coeff
-            if coeff:
-                cleaned[word] = coeff
-            else:
-                cleaned.pop(word, None)
-        object.__setattr__(self, "terms", cleaned)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("BarCombo is immutable")
+        def checked():
+            for word, coeff in items:
+                word = _as_word(word)
+                if not isinstance(coeff, QMPoly):
+                    coeff = QMPoly.constant(coeff)
+                # the integral is multilinear; a zero letter kills the term
+                if not any(letter.is_zero() for letter in word):
+                    yield word, coeff
 
-    @classmethod
-    def zero(cls) -> "BarCombo":
-        return cls()
+        object.__setattr__(self, "terms", _accumulate({}, checked()))
 
     @classmethod
     def word(cls, letters: Iterable[QMPoly], coeff: Union[QMPoly, int, Fraction] = 1) -> "BarCombo":
@@ -77,16 +68,6 @@ class BarCombo:
     @classmethod
     def unit(cls) -> "BarCombo":
         return cls({(): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BarCombo):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -97,31 +78,9 @@ class BarCombo:
             bits.append(f"({coeff!r})*[{body}]")
         return "BarCombo(" + " + ".join(bits) + ")"
 
-    def __add__(self, other: "BarCombo") -> "BarCombo":
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            s = terms.get(word)
-            s = coeff if s is None else s + coeff
-            if s:
-                terms[word] = s
-            else:
-                terms.pop(word, None)
-        return BarCombo(terms)
-
-    def __sub__(self, other: "BarCombo") -> "BarCombo":
-        return self + (-other)
-
-    def __neg__(self) -> "BarCombo":
-        return BarCombo({w: -c for w, c in self.terms.items()})
-
-    def scale(self, factor: Union[QMPoly, int, Fraction]) -> "BarCombo":
-        if not isinstance(factor, QMPoly):
-            factor = QMPoly.constant(factor)
-        return BarCombo({w: factor * c for w, c in self.terms.items()})
-
     def shuffle(self, other: "BarCombo") -> "BarCombo":
         """Product in the algebra: shuffle on words, product on coefficients."""
-        return BarCombo(shuffle_combos(self.terms, other.terms))
+        return BarCombo._of(shuffle_combos(self.terms, other.terms))
 
     def expansion(self, trunc: int) -> LogQSeries:
         """Sum of expand(coeff) * integral(word) as an exact LogQSeries."""

@@ -27,6 +27,7 @@ from functools import lru_cache
 from math import comb
 from typing import Union
 
+from .linear import _accumulate
 from .qseries import LogQSeries
 
 Scalar = Union[int, Fraction]
@@ -45,18 +46,14 @@ class QMPoly:
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[Exponents, Fraction] = {}
-        for key, val in items:
-            a, b, c = key
-            if a < 0 or b < 0 or c < 0:
-                raise ValueError("negative exponents are not allowed")
-            val = Fraction(val)
-            if val != 0:
-                key = (int(a), int(b), int(c))
-                cleaned[key] = cleaned.get(key, Fraction(0)) + val
-                if cleaned[key] == 0:
-                    del cleaned[key]
-        object.__setattr__(self, "terms", cleaned)
+
+        def checked():
+            for (a, b, c), val in items:
+                if a < 0 or b < 0 or c < 0:
+                    raise ValueError("negative exponents are not allowed")
+                yield (int(a), int(b), int(c)), Fraction(val)
+
+        object.__setattr__(self, "terms", _accumulate({}, checked()))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -150,15 +147,7 @@ class QMPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, val in other.terms.items():
-            s = terms.get(key)
-            s = val if s is None else s + val
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return QMPoly._of(terms)
+        return QMPoly._of(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -183,17 +172,11 @@ class QMPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[Exponents, Fraction] = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                s = terms.get(key)
-                s = v1 * v2 if s is None else s + v1 * v2
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return QMPoly._of(terms)
+        return QMPoly._of(_accumulate({}, (
+            ((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
+            for (a1, b1, c1), v1 in self.terms.items()
+            for (a2, b2, c2), v2 in other.terms.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -211,7 +194,7 @@ class QMPoly:
 
     def d_de2(self) -> "QMPoly":
         """Formal partial derivative with respect to E2."""
-        return QMPoly({(a - 1, b, c): a * v for (a, b, c), v in self.terms.items() if a})
+        return QMPoly._of({(a - 1, b, c): a * v for (a, b, c), v in self.terms.items() if a})
 
 
 def _coerce(x) -> QMPoly | None:
@@ -314,7 +297,7 @@ def derive(p: QMPoly) -> QMPoly:
     """The derivation extending D on the generators; raises weight by 2."""
     # product rule: a generator of exponent e contributes e times the
     # monomial with that exponent lowered by one, times the generator's image
-    return QMPoly(
+    return QMPoly._of(_accumulate({}, (
         ((r2 + x, r4 + y, r6 + z), coeff * e * v)
         for (a, b, c), coeff in p.terms.items()
         for e, (r2, r4, r6), image in (
@@ -324,7 +307,7 @@ def derive(p: QMPoly) -> QMPoly:
         )
         if e
         for (x, y, z), v in image.terms.items()
-    )
+    )))
 
 
 def transform_coeffs(p: QMPoly) -> list[QMPoly]:

@@ -13,11 +13,14 @@ QMPoly both qualify).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Optional
+
+from .linear import LinearCombination, _accumulate
 
 Word = tuple[int, ...]
 
@@ -29,14 +32,8 @@ def _shuffle(w1: Word, w2: Word) -> dict[Word, int]:
         return {w2: 1}
     if not w2:
         return {w1: 1}
-    out: dict[Word, int] = {}
-    for word, mult in _shuffle(w1[1:], w2).items():
-        key = (w1[0],) + word
-        out[key] = out.get(key, 0) + mult
-    for word, mult in _shuffle(w1, w2[1:]).items():
-        key = (w2[0],) + word
-        out[key] = out.get(key, 0) + mult
-    return out
+    out = _accumulate({}, (((w1[0],) + word, mult) for word, mult in _shuffle(w1[1:], w2).items()))
+    return _accumulate(out, (((w2[0],) + word, mult) for word, mult in _shuffle(w1, w2[1:]).items()))
 
 
 def shuffle(w1: Iterable[int], w2: Iterable[int]) -> dict[Word, int]:
@@ -50,14 +47,7 @@ def shuffle_combos(c1: Mapping[Word, object], c2: Mapping[Word, object]) -> dict
     for w1, a in c1.items():
         for w2, b in c2.items():
             ab = a * b
-            for word, mult in _shuffle(w1, w2).items():
-                cur = out.get(word)
-                add = ab * mult
-                cur = add if cur is None else cur + add
-                if cur:
-                    out[word] = cur
-                else:
-                    out.pop(word, None)
+            _accumulate(out, ((word, ab * mult) for word, mult in _shuffle(w1, w2).items()))
     return out
 
 
@@ -85,28 +75,27 @@ def lyndon_words(
 ) -> list[Word]:
     """All Lyndon words of length <= max_len, in lexicographic order.
 
-    Generated by Duval's algorithm.  When letter weights are given, words
-    whose total weight exceeds max_weight are filtered out.
+    Generated by Duval's algorithm.  When letter weights are given, only
+    words of total weight at most max_weight are kept.  The weights must be
+    non-negative, so no extension of a heavier word is kept either, and the
+    enumeration skips them.
     """
     if alphabet_size < 1 or max_len < 1:
         return []
-
-    def admissible(word: Word) -> bool:
-        if letter_weight is None or max_weight is None:
-            return True
-        return sum(letter_weight[l] for l in word) <= max_weight
+    bounded = letter_weight is not None and max_weight is not None
+    if bounded and any(letter_weight[l] < 0 for l in range(alphabet_size)):
+        raise ValueError("letter weights must be non-negative")
 
     out: list[Word] = []
     w = [0]
     while w:
-        word = tuple(w)
-        if admissible(word):
-            out.append(word)
-        # periodic extension to full length, then increment the last
-        # non-maximal letter
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) % m])
+        if not bounded or sum(letter_weight[l] for l in w) <= max_weight:
+            out.append(tuple(w))
+            # periodic extension to full length
+            m = len(w)
+            while len(w) < max_len:
+                w.append(w[len(w) % m])
+        # increment the last non-maximal letter
         while w and w[-1] == alphabet_size - 1:
             w.pop()
         if w:
@@ -136,7 +125,7 @@ def lyndon_factorize(w: Iterable[int]) -> list[Word]:
     return factors
 
 
-class LyndonPoly:
+class LyndonPoly(LinearCombination):
     """A polynomial in Lyndon words: monomials are multisets of Lyndon words.
 
     A monomial is stored as a sorted tuple of words.  Multiplication is the
@@ -144,44 +133,24 @@ class LyndonPoly:
     coefficients may be Fractions or any commutative ring elements.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[Word, ...], object] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[tuple[Word, ...], object] = {}
-        for mono, coeff in items:
-            mono = tuple(sorted(tuple(w) for w in mono))
-            for w in mono:
-                if not is_lyndon(w):
-                    raise ValueError(f"monomial contains a non-Lyndon word {w}")
-            if mono in cleaned:
-                coeff = cleaned[mono] + coeff
-            if coeff:
-                cleaned[mono] = coeff
-            else:
-                cleaned.pop(mono, None)
-        object.__setattr__(self, "terms", cleaned)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("LyndonPoly is immutable")
+        def checked():
+            for mono, coeff in items:
+                mono = tuple(sorted(tuple(w) for w in mono))
+                for w in mono:
+                    if not is_lyndon(w):
+                        raise ValueError(f"monomial contains a non-Lyndon word {w}")
+                yield mono, coeff
 
-    @classmethod
-    def zero(cls) -> "LyndonPoly":
-        return cls()
+        object.__setattr__(self, "terms", _accumulate({}, checked()))
 
     @classmethod
     def monomial(cls, words: Iterable[Iterable[int]], coeff=Fraction(1)) -> "LyndonPoly":
         return cls({tuple(tuple(w) for w in words): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LyndonPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -192,55 +161,20 @@ class LyndonPoly:
             bits.append(f"({coeff!r})*{body}")
         return "LyndonPoly(" + " + ".join(bits) + ")"
 
-    def __add__(self, other: "LyndonPoly") -> "LyndonPoly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            cur = terms.get(mono)
-            cur = coeff if cur is None else cur + coeff
-            if cur:
-                terms[mono] = cur
-            else:
-                terms.pop(mono, None)
-        return LyndonPoly(terms)
-
-    def __sub__(self, other: "LyndonPoly") -> "LyndonPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LyndonPoly":
-        return self.scale(-1)
-
-    def scale(self, factor) -> "LyndonPoly":
-        if not factor:
-            return LyndonPoly()
-        return LyndonPoly({m: factor * c for m, c in self.terms.items()})
-
     def __mul__(self, other: "LyndonPoly") -> "LyndonPoly":
-        terms: dict[tuple[Word, ...], object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                coeff = c1 * c2
-                cur = terms.get(mono)
-                cur = coeff if cur is None else cur + coeff
-                if cur:
-                    terms[mono] = cur
-                else:
-                    terms.pop(mono, None)
-        return LyndonPoly(terms)
+        return LyndonPoly._of(_accumulate({}, (
+            (tuple(sorted(m1 + m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )))
 
     def shuffle_expand(self) -> dict[Word, object]:
         """Evaluate the polynomial in the shuffle algebra: a word combination."""
-        out: dict[Word, object] = {}
-        for mono, coeff in self.terms.items():
-            for word, mult in _shuffle_all(mono).items():
-                cur = out.get(word)
-                add = coeff * mult
-                cur = add if cur is None else cur + add
-                if cur:
-                    out[word] = cur
-                else:
-                    out.pop(word, None)
-        return out
+        return _accumulate({}, (
+            (word, coeff * mult)
+            for mono, coeff in self.terms.items()
+            for word, mult in _shuffle_all(mono).items()
+        ))
 
 
 @lru_cache(maxsize=None)
@@ -248,25 +182,19 @@ def _to_lyndon_basis(w: Word) -> LyndonPoly:
     if not w:
         return LyndonPoly.monomial(())
     factors = lyndon_factorize(w)
-    counts: dict[Word, int] = {}
-    for f in factors:
-        counts[f] = counts.get(f, 0) + 1
 
     # Shuffling the factorization back together yields (prod multiplicities!)
     # times w plus lexicographically larger words of the same length.
-    lead = 1
-    for mult in counts.values():
-        lead *= factorial(mult)
+    lead = prod(factorial(mult) for mult in Counter(factors).values())
     shuffled = _shuffle_all(factors)
     assert shuffled.get(w) == lead, "triangularity violated"
 
-    inv = Fraction(1, lead)
-    result = LyndonPoly.monomial([f for f, m in counts.items() for _ in range(m)], inv)
+    terms = {tuple(sorted(factors)): Fraction(1, lead)}
     for word, mult in shuffled.items():
-        if word == w:
-            continue
-        result = result + _to_lyndon_basis(word).scale(Fraction(-mult, lead))
-    return result
+        if word != w:
+            scale = Fraction(-mult, lead)
+            _accumulate(terms, ((mono, scale * c) for mono, c in _to_lyndon_basis(word).terms.items()))
+    return LyndonPoly._of(terms)
 
 
 def to_lyndon_basis(w: Iterable[int]) -> LyndonPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import iterqm.cli as cli
+from conftest import monomials_of_weight
 from iterqm.cli import (
     build_parser,
     canonical_from_json,
@@ -36,7 +38,63 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, out, err
 
 
+def random_form_text(rng, max_weight):
+    """Expression text of a sum of two nonzero homogeneous forms of weight <= max_weight."""
+    parts = []
+    for _ in range(2):
+        weight = 2 * rng.randint(0, max_weight // 2)
+        homogeneous = []
+        while not homogeneous:
+            for exponents in monomials_of_weight(weight):
+                coeff = rng.randint(-9, 9) if rng.random() < 0.7 else 0
+                if coeff:
+                    gens = [g if e == 1 else f"{g}^{e}" for g, e in zip(("E2", "E4", "E6"), exponents) if e]
+                    homogeneous.append("*".join([str(coeff)] + gens))
+        parts.extend(homogeneous)
+    return "(" + " + ".join(parts) + ")"
+
+
+def pinned_expressions():
+    """Criterion-09 shapes: 1-2 terms, words of 0-3 letters of weight <= 10,
+    coefficients of weight <= 6; drawn from a fixed seed."""
+    rng = random.Random(1209)
+    exprs = []
+    for _ in range(30):
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            coeff = random_form_text(rng, 6)
+            letters = [random_form_text(rng, 10) for _ in range(rng.randint(0, 3))]
+            terms.append(f"{coeff}*I({','.join(letters)})" if letters else coeff)
+        exprs.append(" + ".join(terms))
+    return exprs
+
+
+#: The sha256 of the outputs of :func:`pinned_json_digest`.  Exact commands
+#: keep bit-identical JSON, so any change of this digest is a change of output.
+PINNED_JSON_SHA256 = "91f21b3aa3c12f4e95d096d957117d00e2eac230d92bab738114814de4e87098"
+
+
+def pinned_json_digest(capsys):
+    argvs = [
+        ["canonical", "I(E4,1)"],
+        ["canonical", "I(E4,E6)", "--modular"],
+        ["integral", "I(1)", "-N", "1"],
+        ["integral", "I(E2,E4)", "-N", "5"],
+    ]
+    for expr in pinned_expressions():
+        argvs += [["canonical", expr], ["integral", expr, "-N", "30"]]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, argv + ["--json"])
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
 class TestPinnedOutputs:
+    def test_json_outputs_are_pinned(self, capsys):
+        assert pinned_json_digest(capsys) == PINNED_JSON_SHA256
+
     def test_expand_discriminant(self, capsys):
         code, out, _ = run(capsys, ["expand", "E4^3-E6^2", "-N", "2"])
         assert code == 0
@@ -62,6 +120,12 @@ class TestPinnedOutputs:
             "I(1,E6)\n"
             "I(E2,E4)\n"
         )
+
+    def test_lyndon_long_words_of_small_weight(self, capsys):
+        # the unweighted enumeration would visit about 2^40/40 words
+        code, out, _ = run(capsys, ["lyndon", "--max-weight", "2", "--max-len", "40"])
+        assert code == 0
+        assert out.splitlines() == ["I(1)", "I(E2)"] + [f"I({'1,' * j}E2)" for j in range(1, 40)]
 
 
 class TestJsonRoundTrip:

@@ -1,6 +1,7 @@
-"""Generated-input properties of the series ring, the weight split, the
-exact rank, integration by parts, the shuffle product, the canonical form
-and the braid-word branch of log(c*tau + d).
+"""Generated-input properties of the series ring, the ring of quasimodular
+polynomials and its derivation, the weight split, the exact rank, the
+linear combinations of words, integration by parts, the shuffle product,
+the canonical form and the braid-word branch of log(c*tau + d).
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -22,8 +23,10 @@ from iterqm.cli import series_from_json, series_to_json  # noqa: E402
 from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.iterint import BarCombo, ibp, iter_integral  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
-from iterqm.quasimodular import E2, E4, ONE, QMPoly, basis_b, decompose, derive, is_basis_letter  # noqa: E402
-from iterqm.shuffle_lyndon import is_lyndon, to_lyndon_basis  # noqa: E402
+from iterqm.quasimodular import (  # noqa: E402
+    E2, E4, ONE, ZERO, QMPoly, basis_b, decompose, derive, is_basis_letter,
+)
+from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_quasimodular import reference_decompose  # noqa: E402
@@ -85,6 +88,30 @@ def homogeneous(draw):
     return QMPoly(dict(zip(monos, coeffs)))
 
 
+def polys(max_weight=8):
+    """Forms of weight <= max_weight, zero included, with coefficients that may cancel."""
+    monos = [mono for k in range(0, max_weight + 1, 2) for mono in monomials_of_weight(k)]
+    coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    return st.lists(st.tuples(st.sampled_from(monos), coeff), max_size=5).map(QMPoly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(polys(), polys(), polys())
+def test_qmpoly_ring_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a * ONE == a and (a * ONE).terms == a.terms
+    assert (a - a).terms == {} and a - a == ZERO
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(polys(), polys())
+def test_derive_is_a_derivation(a, b):
+    assert derive(a * b) == derive(a) * b + a * derive(b)
+    assert derive(a + b) == derive(a) + derive(b)
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(homogeneous())
 def test_decompose_round_trip(p):
@@ -142,6 +169,29 @@ def bar_combos(draw):
         word = tuple(draw(st.lists(letter, max_size=3)))
         terms[word] = draw(forms(4))
     return BarCombo(terms)
+
+
+lyndon_monomials = st.lists(
+    st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple).filter(is_lyndon), max_size=3
+)
+
+
+@st.composite
+def lyndon_polys(draw):
+    coeff = st.one_of(st.builds(F, st.integers(-3, 3), st.integers(1, 3)), polys(4))
+    return LyndonPoly(draw(st.lists(st.tuples(lyndon_monomials, coeff), max_size=4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(st.tuples(bar_combos(), bar_combos()), st.tuples(lyndon_polys(), lyndon_polys())),
+       st.sampled_from([-1, 1, F(-1, 2)]))
+def test_combinations_form_a_group(pair, factor):
+    x, z = pair
+    # y shares x's keys, so that x + y cancels some or all of them
+    for y in (z, x.scale(factor) + z):
+        assert (x + y) - y == x
+    assert x - x == x.zero() and (x - x).terms == {}
+    assert -x + x == x.zero() and x.scale(0).terms == {}
 
 
 def words(max_len):

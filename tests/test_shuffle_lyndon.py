@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -101,6 +102,17 @@ class TestEnumeration:
         words = lyndon_words(3, 3, weights, 4)
         assert all(sum(weights[l] for l in w) <= 4 for w in words)
         assert (0, 2) in words and (1, 2) not in words
+        rng = random.Random(12)
+        for _ in range(200):
+            k, n = rng.randint(1, 4), rng.randint(1, 7)
+            weights = {l: rng.randint(0, 5) for l in range(k)}
+            bound = rng.randint(0, 20)
+            expected = [w for w in lyndon_words(k, n) if sum(weights[l] for l in w) <= bound]
+            assert lyndon_words(k, n, weights, bound) == expected
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            lyndon_words(2, 3, {0: 1, 1: -1}, 4)
 
 
 class TestFactorization:
