@@ -90,7 +90,7 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
             c, m, h = decomposed.get(piece) or decomposed.setdefault(piece, decompose(piece))
             if c:
                 subs.append((E2, c))
-            subs.extend((QMPoly({mono: 1}), mcoeff) for mono, mcoeff in m.terms.items())
+            subs.extend((QMPoly._of({mono: 1}), Fraction(num, m.den)) for mono, num in m.nums.items())
             if h:
                 derivs.append(h)
         return subs, derivs

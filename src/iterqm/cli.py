@@ -22,7 +22,7 @@ from . import cocycles
 from .canonicalize import CanonicalForm, canonical_form, independence_rank
 from .expr import ExprError, eval_combo, eval_quasimodular, parse
 from .qseries import LogQSeries
-from .quasimodular import ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key
+from .quasimodular import ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key, monomial_name
 from .shuffle_lyndon import LyndonPoly, lyndon_words
 
 # ---------------------------------------------------------------- rendering
@@ -67,24 +67,15 @@ def format_series(s: LogQSeries) -> str:
     return _join_terms(terms)
 
 
-def _monomial_name(exponents: tuple[int, int, int]) -> str:
-    a, b, c = exponents
-    bits = [f"{g}^{e}" if e > 1 else g for g, e in (("E2", a), ("E4", b), ("E6", c)) if e]
-    return "*".join(bits)
-
-
 def format_qmpoly(p: QMPoly) -> str:
-    if p.is_zero():
-        return "0"
-    keys = sorted(p.terms, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
-    return _join_terms([(p.terms[k], _monomial_name(k)) for k in keys])
+    terms = p.terms
+    keys = sorted(terms, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
+    return _join_terms([(terms[k], monomial_name(k)) for k in keys])
 
 
 def letter_name(letter: QMPoly) -> str:
-    if letter == ONE:
-        return "1"
-    (exponents,) = letter.terms
-    return _monomial_name(exponents)
+    (exponents,) = letter.nums
+    return monomial_name(exponents) or "1"
 
 
 def _word_name(word: tuple[int, ...], basis) -> str:
@@ -145,11 +136,10 @@ def series_from_json(data: dict) -> LogQSeries:
 
 
 def qmpoly_to_json(p: QMPoly) -> dict:
-    terms = [
-        {"e2": a, "e4": b, "e6": c, "coeff": str(p.terms[(a, b, c)])}
-        for (a, b, c) in sorted(p.terms)
-    ]
-    return {"terms": terms}
+    return {"terms": [
+        {"e2": a, "e4": b, "e6": c, "coeff": str(coeff)}
+        for (a, b, c), coeff in sorted(p.terms.items())
+    ]}
 
 
 def qmpoly_from_json(data: dict) -> QMPoly:
@@ -207,9 +197,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p = eval_quasimodular(parse(args.expr))
-    pieces = [decompose(piece) for piece in p.weight_split().values()] or [
-        (Fraction(0), QMPoly(), QMPoly())
-    ]
+    pieces = [decompose(piece) for piece in p.weight_split().values()]
     c = sum((x[0] for x in pieces), Fraction(0))
     m = sum((x[1] for x in pieces), QMPoly())
     h = sum((x[2] for x in pieces), QMPoly())

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 from .iterint import BarCombo
-from .quasimodular import E2, E4, E6, QMPoly
+from .quasimodular import E2, E4, E6, ONE, ZERO, QMPoly, derive
 
 
 class ExprError(ValueError):
@@ -215,8 +215,6 @@ def parse(text: str) -> Node:
 
 def eval_quasimodular(node: Node, path: str = "expr") -> QMPoly:
     """Evaluate to a quasimodular polynomial; integral nodes are rejected."""
-    from .quasimodular import derive
-
     if isinstance(node, Lit):
         return QMPoly.constant(node.value)
     if isinstance(node, Gen):
@@ -224,12 +222,12 @@ def eval_quasimodular(node: Node, path: str = "expr") -> QMPoly:
     if isinstance(node, Pow):
         return eval_quasimodular(node.base, path + ".^") ** node.exponent
     if isinstance(node, Mul):
-        out = QMPoly.constant(1)
+        out = ONE
         for i, f in enumerate(node.factors, 1):
             out = out * eval_quasimodular(f, f"{path}.factor{i}")
         return out
     if isinstance(node, Add):
-        out = QMPoly()
+        out = ZERO
         for i, (sign, t) in enumerate(node.terms, 1):
             val = eval_quasimodular(t, f"{path}.term{i}")
             out = out + (val if sign > 0 else -val)

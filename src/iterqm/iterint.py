@@ -147,6 +147,9 @@ def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> BarCom
     example, I(f, D(1), h) is 0.
     """
     prefix, suffix = _as_word(prefix), _as_word(suffix)
-    right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (prefix, g.cusp_value())
+    # the integral is multilinear: a zero letter, D(g) included, kills it
+    if not g or not all(prefix + suffix):
+        return BarCombo.zero()
+    right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (prefix, QMPoly.constant(g.cusp_value()))
     left = (prefix[:-1] + (prefix[-1] * g,) + suffix, -ONE) if prefix else (suffix, -g)
-    return BarCombo([right, left])
+    return BarCombo._of(_accumulate({}, (right, left)))

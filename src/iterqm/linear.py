@@ -40,6 +40,9 @@ class LinearCombination:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self)._of, (self.terms,)
+
     @classmethod
     def _of(cls, terms: dict):
         """Wrap a fresh dict of valid keys to nonzero coefficients, unchecked."""

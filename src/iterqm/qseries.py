@@ -93,6 +93,9 @@ class LogQSeries:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LogQSeries is immutable")
 
+    def __reduce__(self):
+        return type(self)._of, (self.trunc, self.den, self.parts)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -15,8 +15,9 @@ filtered by depth (the E2-degree).  The module provides
 * :func:`basis_b`, the ordered monomial basis of C*E2 + M used as the
   alphabet for canonical forms of iterated integrals.
 
-Everything is exact; q-expansions are :class:`~iterqm.qseries.LogQSeries`
-of log-degree 0.
+Everything is exact: like a series, a polynomial is integer numerators over
+one denominator.  q-expansions are :class:`~iterqm.qseries.LogQSeries` of
+log-degree 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 from typing import Union
 
 from .linear import _accumulate
@@ -35,148 +36,151 @@ Exponents = tuple[int, int, int]  # powers of (E2, E4, E6)
 
 
 class QMPoly:
-    """A polynomial in E2, E4, E6 with Fraction coefficients.
+    """A polynomial in E2, E4, E6 with rational coefficients.
 
-    ``terms`` maps exponent triples (a, b, c) to nonzero coefficients; the
-    monomial E2^a E4^b E6^c has weight 2a + 4b + 6c.  Instances are
+    ``nums`` maps exponent triples (a, b, c) to nonzero integer numerators,
+    all over the positive integer ``den``, with gcd(den, *nums) = 1 (so the
+    zero form has den 1): equal polynomials have equal fields.  ``terms``
+    is the same polynomial with Fraction coefficients, for outside readers.
+    The monomial E2^a E4^b E6^c has weight 2a + 4b + 6c.  Instances are
     immutable and hashable, so they can serve as letters of bar words.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("nums", "den", "_hash")
 
-    def __init__(self, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-
-        def checked():
-            for (a, b, c), val in items:
-                if a < 0 or b < 0 or c < 0:
-                    raise ValueError("negative exponents are not allowed")
-                yield (int(a), int(b), int(c)), Fraction(val)
-
-        object.__setattr__(self, "terms", _accumulate({}, checked()))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()) -> "QMPoly":
+        rational: dict[Exponents, Fraction] = {}
+        for (a, b, c), val in terms.items() if isinstance(terms, Mapping) else terms:
+            if a < 0 or b < 0 or c < 0:
+                raise ValueError("negative exponents are not allowed")
+            _accumulate(rational, [((int(a), int(b), int(c)), Fraction(val))])
+        den = lcm(*(v.denominator for v in rational.values()))
+        return cls._of({k: v.numerator * (den // v.denominator) for k, v in rational.items()}, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QMPoly is immutable")
 
-    @classmethod
-    def constant(cls, value: Scalar) -> "QMPoly":
-        return cls({(0, 0, 0): value})
+    def __reduce__(self):
+        return type(self)._of, (self.nums, self.den)
 
     @classmethod
-    def _of(cls, terms: dict[Exponents, Fraction]) -> "QMPoly":
-        """Wrap a fresh dict of int triples to nonzero Fractions, unchecked."""
+    def constant(cls, value: Scalar) -> "QMPoly":
+        value = Fraction(value)
+        return cls._of({(0, 0, 0): value.numerator} if value else {}, value.denominator)
+
+    @classmethod
+    def _of(cls, nums: dict[Exponents, int], den: int = 1) -> "QMPoly":
+        """Unchecked: a fresh dict of int triples to nonzero ints over den > 0;
+        common factors of den and the numerators are cancelled here."""
+        if den != 1 and (g := gcd(den, *nums.values())) != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
         return self
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """A fresh dict of the coefficients as Fractions."""
+        return {k: Fraction(v, self.den) for k, v in self.nums.items()}
 
     # -- structure ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QMPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == QMPoly.constant(other)
-        return NotImplemented
+        # Never equal to a scalar: bar words of constants would then collide
+        # with words of letter indices in the shared shuffle cache.
+        if not isinstance(other, QMPoly):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            h = hash((self.den, frozenset(self.nums.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "QMPoly(0)"
-        bits = []
-        for (a, b, c), coeff in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{g}^{e}" if e > 1 else g
-                for g, e in (("E2", a), ("E4", b), ("E6", c))
-                if e
-            )
-            bits.append(f"{coeff}*{mono}" if mono else f"{coeff}")
-        return "QMPoly(" + " + ".join(bits) + ")"
+        bits = [f"{c}*{monomial_name(k)}" if any(k) else str(c) for k, c in sorted(self.terms.items())]
+        return "QMPoly(" + (" + ".join(bits) or "0") + ")"
 
     def is_homogeneous(self) -> bool:
-        weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.terms}
+        weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.nums}
         return len(weights) <= 1
 
     def weight(self) -> int:
         """Weight of a homogeneous form; raises on zero or mixed input."""
-        weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.terms}
+        weights = {2 * a + 4 * b + 6 * c for (a, b, c) in self.nums}
         if len(weights) != 1:
             raise ValueError("weight is defined only for nonzero homogeneous forms")
         return weights.pop()
 
     def weight_split(self) -> dict[int, "QMPoly"]:
         """Decompose into homogeneous components, keyed by weight."""
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
-        for key, coeff in self.terms.items():
+        buckets: dict[int, dict[Exponents, int]] = {}
+        for key, num in self.nums.items():
             a, b, c = key
-            buckets.setdefault(2 * a + 4 * b + 6 * c, {})[key] = coeff
-        return {w: QMPoly._of(t) for w, t in sorted(buckets.items())}
+            buckets.setdefault(2 * a + 4 * b + 6 * c, {})[key] = num
+        return {w: QMPoly._of(t, self.den) for w, t in sorted(buckets.items())}
 
     def depth(self) -> int:
         """The E2-degree (0 for the zero form)."""
-        return max((a for (a, _, _) in self.terms), default=0)
+        return max((a for (a, _, _) in self.nums), default=0)
 
     def is_modular(self) -> bool:
         """True when no E2 occurs (depth zero)."""
-        return all(a == 0 for (a, _, _) in self.terms)
+        return all(a == 0 for (a, _, _) in self.nums)
 
     def cusp_value(self) -> Fraction:
         """The constant term of the q-expansion (every E_{2k} starts at 1)."""
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def constant_part(self) -> Fraction:
         """Coefficient of the monomial 1."""
-        return self.terms.get((0, 0, 0), Fraction(0))
+        return Fraction(self.nums.get((0, 0, 0), 0), self.den)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "QMPoly":
-        other = _coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = QMPoly.constant(other)
+        elif not isinstance(other, QMPoly):
             return NotImplemented
-        return QMPoly._of(_accumulate(dict(self.terms), other.terms.items()))
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        out = {k: f1 * v for k, v in self.nums.items()}
+        return QMPoly._of(_accumulate(out, ((k, f2 * v) for k, v in other.nums.items())), den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QMPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other) -> "QMPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __neg__(self) -> "QMPoly":
-        return QMPoly._of({k: -v for k, v in self.terms.items()})
+        return QMPoly._of({k: -v for k, v in self.nums.items()}, self.den)
 
     def __mul__(self, other) -> "QMPoly":
         if isinstance(other, (int, Fraction)):
-            return QMPoly._of({k: v * other for k, v in self.terms.items()} if other else {})
-        other = _coerce(other)
-        if other is None:
+            n = other.numerator
+            return QMPoly._of({k: v * n for k, v in self.nums.items()} if n else {}, self.den * other.denominator)
+        if not isinstance(other, QMPoly):
             return NotImplemented
         return QMPoly._of(_accumulate({}, (
             ((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
-            for (a1, b1, c1), v1 in self.terms.items()
-            for (a2, b2, c2), v2 in other.terms.items()
-        )))
+            for (a1, b1, c1), v1 in self.nums.items()
+            for (a2, b2, c2), v2 in other.nums.items()
+        )), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -194,15 +198,12 @@ class QMPoly:
 
     def d_de2(self) -> "QMPoly":
         """Formal partial derivative with respect to E2."""
-        return QMPoly._of({(a - 1, b, c): a * v for (a, b, c), v in self.terms.items() if a})
+        return QMPoly._of({(a - 1, b, c): a * v for (a, b, c), v in self.nums.items() if a}, self.den)
 
 
-def _coerce(x) -> QMPoly | None:
-    if isinstance(x, QMPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QMPoly.constant(x)
-    return None
+def monomial_name(exponents: Exponents) -> str:
+    """E2^a*E4^b*E6^c without the unit exponents and absent generators."""
+    return "*".join(f"{g}^{e}" if e > 1 else g for g, e in zip(("E2", "E4", "E6"), exponents) if e)
 
 
 ZERO = QMPoly()
@@ -272,25 +273,25 @@ def expand(p: QMPoly, trunc: int) -> LogQSeries:
     """Evaluation homomorphism into q-expansions, exact at the truncation.
 
     Each monomial is the product of its cached generator powers, scaled by
-    its coefficient.
+    its numerator; the sum is divided by the denominator once.
     """
     total = LogQSeries.zero(trunc)
-    for exponents, coeff in p.terms.items():
+    for exponents, num in p.nums.items():
         mono = None
         for which, e in zip((2, 4, 6), exponents):
             if e:
                 power = _gen_power(which, e, trunc)
                 mono = power if mono is None else mono * power
-        total = total + (LogQSeries.constant(coeff, trunc) if mono is None else mono.scale(coeff))
-    return total
+        total = total + (LogQSeries.constant(num, trunc) if mono is None else mono.scale(num))
+    return total if p.den == 1 else total.scale(Fraction(1, p.den))
 
 
-# Ramanujan's images of the generators under D = q d/dq.  These are imported
-# knowledge; the test suite validates them against the q-expansion oracle
-# expand(derive(p)) == d_op(expand(p)).
-_D_E2 = (E2 * E2 - E4) * Fraction(1, 12)
-_D_E4 = (E2 * E4 - E6) * Fraction(1, 3)
-_D_E6 = (E2 * E6 - E4 * E4) * Fraction(1, 2)
+# Ramanujan's images of the generators under D = q d/dq, times 12 so that
+# they are integral.  These are imported knowledge; the test suite validates
+# them against the q-expansion oracle expand(derive(p)) == d_op(expand(p)).
+_D_E2_12 = (E2 * E2 - E4).nums
+_D_E4_12 = ((E2 * E4 - E6) * 4).nums
+_D_E6_12 = ((E2 * E6 - E4 * E4) * 6).nums
 
 
 def derive(p: QMPoly) -> QMPoly:
@@ -298,16 +299,16 @@ def derive(p: QMPoly) -> QMPoly:
     # product rule: a generator of exponent e contributes e times the
     # monomial with that exponent lowered by one, times the generator's image
     return QMPoly._of(_accumulate({}, (
-        ((r2 + x, r4 + y, r6 + z), coeff * e * v)
-        for (a, b, c), coeff in p.terms.items()
+        ((r2 + x, r4 + y, r6 + z), num * e * v)
+        for (a, b, c), num in p.nums.items()
         for e, (r2, r4, r6), image in (
-            (a, (a - 1, b, c), _D_E2),
-            (b, (a, b - 1, c), _D_E4),
-            (c, (a, b, c - 1), _D_E6),
+            (a, (a - 1, b, c), _D_E2_12),
+            (b, (a, b - 1, c), _D_E4_12),
+            (c, (a, b, c - 1), _D_E6_12),
         )
         if e
-        for (x, y, z), v in image.terms.items()
-    )))
+        for (x, y, z), v in image.items()
+    )), 12 * p.den)
 
 
 def transform_coeffs(p: QMPoly) -> list[QMPoly]:
@@ -376,28 +377,32 @@ _INVERSE_CACHE_WEIGHTS = 64
 
 
 @lru_cache(maxsize=_INVERSE_CACHE_WEIGHTS)
-def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], dict]:
-    """The weight-k system of :func:`decompose`, inverted by one Gauss-Jordan
-    elimination over [M | I].  Unknowns: the modular monomials of weight k,
-    then the monomials h of weight k-2 (column derive(h)).  Returns both
-    lists and, per weight-k monomial, its nonzero column entries of M^-1.
+def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], dict, int]:
+    """The weight-k system of :func:`decompose`, solved once per monomial.
+
+    Unknowns: the modular monomials of weight k, then the monomials h of
+    weight k-2.  D raises the E2-degree by at most one, and the top part of
+    D(E2^a E4^b E6^c) is (a + 4b + 6c)/12 * E2^(a+1) E4^b E6^c, nonzero
+    for k > 2.  So a weight-k monomial is solved by peeling its top
+    E2-degree part off as D of an h-part until a modular part is left.
+    Returns both lists, per weight-k monomial its nonzero solution entries
+    as integer numerators, and their one common denominator.
     """
-    target = _monomials_of_weight(k)
-    index = {mono: i for i, mono in enumerate(target)}
-    modular = [mono for mono in target if mono[0] == 0]
+    modular = [mono for mono in _monomials_of_weight(k) if mono[0] == 0]
     lower = _monomials_of_weight(k - 2)
-    n = len(target)
-    rows = [[Fraction(0)] * n + [Fraction(int(r == i)) for i in range(n)] for r in range(n)]
-    for j, mono in enumerate(modular):
-        rows[index[mono]][j] = Fraction(1)
-    for j, mono in enumerate(lower, len(modular)):
-        for key, val in derive(QMPoly({mono: 1})).terms.items():
-            rows[index[key]][j] = val
-    if _row_reduce(rows, reduced=True)[:n] != list(range(n)):
-        raise ArithmeticError("singular system in weight decomposition")
-    columns = {mono: [(j, rows[j][n + i]) for j in range(n) if rows[j][n + i]]
-               for i, mono in enumerate(target)}
-    return modular, lower, columns
+    solutions = {}
+    for mono in _monomials_of_weight(k):
+        rest, h = QMPoly._of({mono: 1}), ZERO
+        while top := rest.depth():
+            step = QMPoly({(a - 1, b, c): Fraction(12 * v, (a - 1 + 4 * b + 6 * c) * rest.den)
+                           for (a, b, c), v in rest.nums.items() if a == top})
+            rest, h = rest - derive(step), h + step
+        solutions[mono] = rest + h  # of weights k and k - 2: no monomial in common
+    index = {mono: j for j, mono in enumerate(modular + lower)}
+    den = lcm(*(x.den for x in solutions.values()))
+    columns = {mono: [(index[key], v * (den // x.den)) for key, v in x.nums.items()]
+               for mono, x in solutions.items()}
+    return modular, lower, columns, den
 
 
 def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
@@ -407,26 +412,25 @@ def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
     and c vanishes unless k = 2.  At weight 2 the derivative part is
     trivial (D kills constants), and h is normalized to 0.  The split is
     linear: the weight's system is inverted once and cached, and the
-    solution sums p's coefficients times their columns of the inverse.
+    solution sums p's numerators times their integer columns of the inverse.
     """
     if p.is_zero():
         return Fraction(0), ZERO, ZERO
     if not p.is_homogeneous():
         raise ValueError("decompose needs a homogeneous form; split by weight first")
     k = p.weight()
-    if k == 0:
-        return Fraction(0), p, ZERO
     if k == 2:
-        return p.terms.get((1, 0, 0), Fraction(0)), ZERO, ZERO
+        return Fraction(p.nums.get((1, 0, 0), 0), p.den), ZERO, ZERO
 
-    modular, lower, columns = _decomposition_inverse(k)
-    sol = [Fraction(0)] * (len(modular) + len(lower))
-    for mono, coeff in p.terms.items():
+    modular, lower, columns, den = _decomposition_inverse(k)
+    sol = [0] * (len(modular) + len(lower))
+    for mono, num in p.nums.items():
         for j, value in columns[mono]:
-            sol[j] += coeff * value
+            sol[j] += num * value
 
-    m = QMPoly._of({mono: x for mono, x in zip(modular, sol) if x})
-    h = QMPoly._of({mono: x for mono, x in zip(lower, sol[len(modular):]) if x})
+    den *= p.den
+    m = QMPoly._of({mono: x for mono, x in zip(modular, sol) if x}, den)
+    h = QMPoly._of({mono: x for mono, x in zip(lower, sol[len(modular):]) if x}, den)
     return Fraction(0), m, h
 
 
@@ -464,28 +468,19 @@ def basis_b(max_weight: int, modular_only: bool = False) -> list[QMPoly]:
     if max_weight >= 2 and not modular_only:
         letters.append(E2)
     for k in range(4, max_weight + 1, 2):
-        for a in range(k // 4 + 1):
-            rem = k - 4 * a
-            if rem % 6 == 0:
-                letters.append(QMPoly({(0, a, rem // 6): 1}))
+        letters.extend(QMPoly._of({mono: 1}) for mono in _monomials_of_weight(k) if mono[0] == 0)
     return letters
 
 
 def letter_sort_key(letter: QMPoly) -> tuple[int, int, int]:
     """Total order on basis letters: weight, then E4- and E6-exponent."""
-    if letter == ONE:
-        return (0, 0, 0)
-    (a, b, c) = next(iter(letter.terms))
+    (a, b, c) = next(iter(letter.nums))
     return (2 * a + 4 * b + 6 * c, b, c)
 
 
 def is_basis_letter(p: QMPoly, modular_only: bool = False) -> bool:
     """True for 1, E2 (unless modular_only) and monic monomials E4^a E6^b."""
-    if len(p.terms) != 1:
+    if len(p.nums) != 1 or p.den != 1:
         return False
-    (a, b, c), coeff = next(iter(p.terms.items()))
-    if coeff != 1:
-        return False
-    if a == 0:
-        return True
-    return a == 1 and b == 0 and c == 0 and not modular_only
+    (((a, b, c), num),) = p.nums.items()
+    return num == 1 and (a == 0 or ((a, b, c) == (1, 0, 0) and not modular_only))

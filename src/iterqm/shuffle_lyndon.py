@@ -78,28 +78,34 @@ def lyndon_words(
     Generated by Duval's algorithm.  When letter weights are given, only
     words of total weight at most max_weight are kept.  The weights must be
     non-negative, so no extension of a heavier word is kept either, and the
-    enumeration skips them.
+    enumeration skips them: it keeps the weight of every prefix and stops
+    extending a word at the first letter that passes the bound.
     """
     if alphabet_size < 1 or max_len < 1:
         return []
-    bounded = letter_weight is not None and max_weight is not None
-    if bounded and any(letter_weight[l] < 0 for l in range(alphabet_size)):
+    if letter_weight is None or max_weight is None:
+        letter_weight, max_weight = [0] * alphabet_size, 0
+    elif any(letter_weight[l] < 0 for l in range(alphabet_size)):
         raise ValueError("letter weights must be non-negative")
 
     out: list[Word] = []
-    w = [0]
+    w, prefix = [0], [0, letter_weight[0]]  # prefix[i]: weight of w[:i]
     while w:
-        if not bounded or sum(letter_weight[l] for l in w) <= max_weight:
+        if prefix[-1] <= max_weight:
             out.append(tuple(w))
-            # periodic extension to full length
+            # periodic extension to full length, or to the first prefix over
+            # the bound: every word extending that prefix is skipped
             m = len(w)
-            while len(w) < max_len:
+            while len(w) < max_len and prefix[-1] <= max_weight:
                 w.append(w[len(w) % m])
+                prefix.append(prefix[-1] + letter_weight[w[-1]])
         # increment the last non-maximal letter
         while w and w[-1] == alphabet_size - 1:
             w.pop()
+            prefix.pop()
         if w:
             w[-1] += 1
+            prefix[-1] = prefix[-2] + letter_weight[w[-1]]
     return out
 
 

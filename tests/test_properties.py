@@ -10,6 +10,7 @@ same code without it.
 
 import json
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -110,6 +111,35 @@ def test_qmpoly_ring_axioms(a, b, c):
 def test_derive_is_a_derivation(a, b):
     assert derive(a * b) == derive(a) * b + a * derive(b)
     assert derive(a + b) == derive(a) + derive(b)
+
+
+def assert_normal_form(p: QMPoly):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert p.terms == {k: F(v, p.den) for k, v in p.nums.items()}
+
+
+scalars = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-20, 20), st.integers(1, 12)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(polys(), polys(), st.integers(0, 3), scalars)
+def test_qmpoly_operations_keep_normal_form(a, b, n, c):
+    pieces = list(a.weight_split().values())
+    results = [a, a + b, a - b, -a, a * b, a**n, a * c, c * a, a + c, c - a, derive(a), a.d_de2(), *pieces]
+    for piece in pieces:
+        results.extend(decompose(piece)[1:])
+    for p in results:
+        assert_normal_form(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(polys(), polys())
+def test_equal_polynomials_have_equal_fields(a, b):
+    halves = QMPoly([(k, v / 2) for k, v in a.terms.items()] * 2)
+    for x in (halves, QMPoly(a.terms), (a + b) - b, a * 3 - a * 2, a * F(1, 3) * 3, a + (b * a - a * b)):
+        assert (x.nums, x.den, hash(x)) == (a.nums, a.den, hash(a))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

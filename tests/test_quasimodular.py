@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -5,6 +7,8 @@ import pytest
 
 from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
 from test_qseries import schoolbook
+from iterqm.canonicalize import canonical_form
+from iterqm.iterint import BarCombo, shuffle_product_words
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import (
     DELTA,
@@ -23,6 +27,7 @@ from iterqm.quasimodular import (
     is_basis_letter,
     transform_coeffs,
 )
+from iterqm.shuffle_lyndon import shuffle
 
 
 @pytest.mark.parametrize(
@@ -248,6 +253,27 @@ class TestTrustedArithmetic:
         assert decompose(E4)[2].terms == {}
 
 
+class TestValueSemantics:
+    def test_pickle_and_deepcopy_preserve_equality_and_hash(self):
+        p = F(3, 4) * E2 * E4 - 5 * E6
+        combo = BarCombo({(E4, p): E2, (E6 * E6, E2): F(1, 3)})
+        cf = canonical_form(combo)
+        for x in (p, QMPoly(), combo, cf.poly, cf, combo.expansion(4)):
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+                assert type(y) is type(x) and y == x
+        for y in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert (y.nums, y.den, hash(y)) == (p.nums, p.den, hash(p))
+
+    def test_never_equal_to_a_scalar(self):
+        two = QMPoly.constant(2)
+        assert two == QMPoly.constant(F(4, 2)) and two != 2 and two != F(2)
+        assert len({two, 2}) == 2
+        # so a bar word of constant letters and a word of letter indices
+        # stay apart in the shuffle cache the two kinds of word share
+        shuffle_product_words([ONE], [ONE])
+        assert all(type(l) is int for w in shuffle((1,), (1,)) for l in w)
+
+
 
 def reference_decompose(p: QMPoly):
     """The split p = m + derive(h) by a fresh Gaussian elimination per call."""
@@ -296,6 +322,16 @@ class TestDecomposeEveryWeight:
         from iterqm.quasimodular import _INVERSE_CACHE_WEIGHTS, _decomposition_inverse
 
         assert _decomposition_inverse.cache_info().maxsize == _INVERSE_CACHE_WEIGHTS
+
+
+def test_deep_derivatives_of_e4():
+    """D^k(E4) = 240 * sum n^k sigma_3(n) q^n, exactly, to 120 derivatives."""
+    p = E4
+    for k in range(1, 121):
+        p = derive(p)
+        if k <= 3 or k % 20 == 0:
+            s = expand(p, 3)
+            assert [s.coefficient(n, 0) for n in range(4)] == [0, 240, 240 * 2**k * 9, 240 * 3**k * 28]
 
 
 class TestRowReduce:

@@ -109,6 +109,10 @@ class TestEnumeration:
             bound = rng.randint(0, 20)
             expected = [w for w in lyndon_words(k, n) if sum(weights[l] for l in w) <= bound]
             assert lyndon_words(k, n, weights, bound) == expected
+        # long words of small weight: 1, E2 and 1^j E2 for j < 400
+        long_words = lyndon_words(2, 400, {0: 0, 1: 2}, 2)
+        assert len(long_words) == 401
+        assert long_words == [(0,)] + [(0,) * j + (1,) for j in range(399, -1, -1)]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
