@@ -3,7 +3,10 @@
 Subcommands: expand, derive, decompose, integral, canonical, lyndon,
 rank (word list on stdin), cocycle check|e2.  Output is plain text by
 default or JSON with --json; the default truncation is 50, overridable
-by -N or the ITERQM_DEFAULT_N environment variable.
+by -N or the ITERQM_DEFAULT_N environment variable.  Each command renders
+its result in the requested format only.  Text and JSON list the same
+terms in the same order: series by (q, logq), canonical forms by total
+word length, then by monomial.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from . import cocycles
 from .canonicalize import CanonicalForm, canonical_form, independence_rank
 from .expr import ExprError, eval_combo, eval_quasimodular, parse
 from .qseries import LogQSeries
-from .quasimodular import ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key, monomial_name
+from .quasimodular import (
+    DELTA, E4, E6, ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key, monomial_name,
+)
 from .shuffle_lyndon import LyndonPoly, lyndon_words
 
 # ---------------------------------------------------------------- rendering
@@ -47,30 +52,29 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
     return "".join(out)
 
 
+def _power(base: str, exponent: int) -> str:
+    return "" if exponent == 0 else base if exponent == 1 else f"{base}^{exponent}"
+
+
+def _series_terms(s: LogQSeries) -> list[tuple[int, int, Fraction]]:
+    """The nonzero coefficients of ``s`` as (m, k, coefficient of q^m L^k), in (q, logq) order."""
+    parts = sorted(s.parts.items())
+    return [(m, k, Fraction(p[m], s.den)) for m in range(s.trunc + 1) for k, p in parts if p[m]]
+
+
 def format_series(s: LogQSeries) -> str:
-    terms = []
-    for m in range(s.trunc + 1):
-        for k in sorted(s.parts):
-            c = s.coefficient(m, k)
-            if c == 0:
-                continue
-            var = []
-            if m == 1:
-                var.append("q")
-            elif m > 1:
-                var.append(f"q^{m}")
-            if k == 1:
-                var.append("L")
-            elif k > 1:
-                var.append(f"L^{k}")
-            terms.append((c, "*".join(var)))
-    return _join_terms(terms)
+    terms = _series_terms(s)
+    return _join_terms([(c, "*".join(filter(None, (_power("q", m), _power("L", k))))) for m, k, c in terms])
+
+
+def _qmpoly_terms(p: QMPoly) -> list[tuple[Fraction, str]]:
+    terms = p.terms
+    keys = sorted(terms, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
+    return [(terms[k], monomial_name(k)) for k in keys]
 
 
 def format_qmpoly(p: QMPoly) -> str:
-    terms = p.terms
-    keys = sorted(terms, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
-    return _join_terms([(terms[k], monomial_name(k)) for k in keys])
+    return _join_terms(_qmpoly_terms(p))
 
 
 def letter_name(letter: QMPoly) -> str:
@@ -82,47 +86,29 @@ def _word_name(word: tuple[int, ...], basis) -> str:
     return "I(" + ",".join(letter_name(basis[i]) for i in word) + ")"
 
 
+def _canonical_terms(cf: CanonicalForm) -> list[tuple[tuple, QMPoly]]:
+    """The (monomial, coefficient) pairs of ``cf`` by total word length, then by monomial."""
+    return sorted(cf.poly.terms.items(), key=lambda term: (sum(len(w) for w in term[0]), term[0]))
+
+
 def format_canonical(cf: CanonicalForm) -> str:
-    if cf.poly.is_zero():
-        return "0"
-    pieces = []
-    order = sorted(cf.poly.terms, key=lambda mono: (sum(len(w) for w in mono), mono))
-    for mono in order:
-        coeff = cf.poly.terms[mono]
-        factors = []
-        seen = Counter(mono)
-        for w in sorted(seen):
-            name = _word_name(w, cf.basis)
-            factors.append(name if seen[w] == 1 else f"{name}^{seen[w]}")
-        mono_str = "*".join(factors)
-        constant = coeff.constant_part()
-        if not mono_str:
-            pieces.append(format_qmpoly(coeff))
-        elif coeff == QMPoly.constant(constant):  # scalar coefficient
-            if constant == 1:
-                pieces.append(mono_str)
-            elif constant == -1:
-                pieces.append(f"-{mono_str}")
-            else:
-                pieces.append(f"{constant}*{mono_str}")
+    terms = []
+    for mono, coeff in _canonical_terms(cf):
+        mono_str = "*".join(_power(_word_name(w, cf.basis), n) for w, n in sorted(Counter(mono).items()))
+        if not mono_str:  # the constant term's own terms, each signed as in format_qmpoly
+            terms += _qmpoly_terms(coeff)
+        elif coeff.nums.keys() == {(0, 0, 0)}:  # scalar coefficient
+            terms.append((coeff.constant_part(), mono_str))
         else:
-            pieces.append(f"({format_qmpoly(coeff)})*{mono_str}")
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
-    return out
+            terms.append((1, f"({format_qmpoly(coeff)})*{mono_str}"))
+    return _join_terms(terms)
 
 
 # ---------------------------------------------------------------- JSON codecs
 
 
 def series_to_json(s: LogQSeries) -> dict:
-    terms = []
-    for m in range(s.trunc + 1):
-        for k in sorted(s.parts):
-            c = s.coefficient(m, k)
-            if c != 0:
-                terms.append({"q": m, "logq": k, "coeff": str(c)})
+    terms = [{"q": m, "logq": k, "coeff": str(c)} for m, k, c in _series_terms(s)]
     return {"truncation": s.trunc, "terms": terms}
 
 
@@ -150,15 +136,10 @@ def qmpoly_from_json(data: dict) -> QMPoly:
 
 def canonical_to_json(cf: CanonicalForm) -> dict:
     basis_weight = max((letter_sort_key(l)[0] for l in cf.basis), default=0)
-    terms = []
-    for mono in sorted(cf.poly.terms, key=lambda m: (sum(len(w) for w in m), m)):
-        coeff = cf.poly.terms[mono]
-        terms.append(
-            {
-                "coeff": qmpoly_to_json(coeff),
-                "monomial": [[letter_name(cf.basis[i]) for i in w] for w in mono],
-            }
-        )
+    terms = [
+        {"coeff": qmpoly_to_json(coeff), "monomial": [[letter_name(cf.basis[i]) for i in w] for w in mono]}
+        for mono, coeff in _canonical_terms(cf)
+    ]
     return {"modular": cf.modular, "basis_max_weight": basis_weight, "terms": terms}
 
 
@@ -175,23 +156,21 @@ def canonical_from_json(data: dict) -> CanonicalForm:
 # ---------------------------------------------------------------- commands
 
 
-def _emit(args, text: str, payload) -> None:
+def _emit(args, result, to_text, to_json) -> None:
+    """Print ``result`` through the renderer of the requested format only."""
     if args.json:
-        print(json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=False))
+        print(json.dumps(to_json(result), separators=(",", ":")))
     else:
-        print(text)
+        print(to_text(result))
 
 
 def _cmd_expand(args) -> int:
-    node = parse(args.expr)
-    series = expand(eval_quasimodular(node), args.N)
-    _emit(args, format_series(series), series_to_json(series))
+    _emit(args, expand(eval_quasimodular(parse(args.expr)), args.N), format_series, series_to_json)
     return 0
 
 
 def _cmd_derive(args) -> int:
-    p = derive(eval_quasimodular(parse(args.expr)))
-    _emit(args, format_qmpoly(p), qmpoly_to_json(p))
+    _emit(args, derive(eval_quasimodular(parse(args.expr))), format_qmpoly, qmpoly_to_json)
     return 0
 
 
@@ -201,24 +180,23 @@ def _cmd_decompose(args) -> int:
     c = sum((x[0] for x in pieces), Fraction(0))
     m = sum((x[1] for x in pieces), QMPoly())
     h = sum((x[2] for x in pieces), QMPoly())
-    text = "\n".join(
-        [f"e2_coefficient: {c}", f"modular_part: {format_qmpoly(m)}", f"derivative_of: {format_qmpoly(h)}"]
+    _emit(
+        args, (c, m, h),
+        lambda r: f"e2_coefficient: {r[0]}\nmodular_part: {format_qmpoly(r[1])}\n"
+                  f"derivative_of: {format_qmpoly(r[2])}",
+        lambda r: {"e2": str(r[0]), "modular": qmpoly_to_json(r[1]), "derivative_of": qmpoly_to_json(r[2])},
     )
-    _emit(args, text, {"e2": str(c), "modular": qmpoly_to_json(m), "derivative_of": qmpoly_to_json(h)})
     return 0
 
 
 def _cmd_integral(args) -> int:
-    combo = eval_combo(parse(args.expr))
-    series = combo.expansion(args.N)
-    _emit(args, format_series(series), series_to_json(series))
+    _emit(args, eval_combo(parse(args.expr)).expansion(args.N), format_series, series_to_json)
     return 0
 
 
 def _cmd_canonical(args) -> int:
-    combo = eval_combo(parse(args.expr))
-    cf = canonical_form(combo, modular_only=args.modular)
-    _emit(args, format_canonical(cf), canonical_to_json(cf))
+    cf = canonical_form(eval_combo(parse(args.expr)), modular_only=args.modular)
+    _emit(args, cf, format_canonical, canonical_to_json)
     return 0
 
 
@@ -227,8 +205,11 @@ def _cmd_lyndon(args) -> int:
     weights = {i: letter_sort_key(l)[0] for i, l in enumerate(basis)}
     words = lyndon_words(len(basis), args.max_len, weights, args.max_weight)
     words.sort(key=lambda w: (sum(weights[i] for i in w), len(w), w))
-    names = [_word_name(w, basis) for w in words]
-    _emit(args, "\n".join(names), [[letter_name(basis[i]) for i in w] for w in words])
+    _emit(
+        args, words,
+        lambda ws: "\n".join(_word_name(w, basis) for w in ws),
+        lambda ws: [[letter_name(basis[i]) for i in w] for w in ws],
+    )
     return 0
 
 
@@ -244,7 +225,7 @@ def _cmd_rank(args) -> int:
         letters = tuple(eval_quasimodular(parse(part)) for part in line.split(","))
         words.append(letters)
     r = independence_rank(words, [ONE] * len(words), args.N)
-    _emit(args, str(r), {"rank": r, "count": len(words)})
+    _emit(args, r, str, lambda r: {"rank": r, "count": len(words)})
     return 0
 
 
@@ -264,28 +245,28 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cmd_cocycle(args) -> int:
-    from .quasimodular import DELTA, E4, E6
+def _cmd_cocycle_e2(args) -> int:
+    word = parse_braid_word(args.word)
+    tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
+    value = cocycles.e2_cocycle(word, tau, args.n_terms)
+    ratio = complex(value / (2j * math.pi))
+    nearest = round(ratio.real)
+    resid = abs(ratio - nearest)
+    _emit(
+        args, (value, nearest, resid),
+        lambda r: f"value: {complex(r[0])}\nmultiple_of_2pi_i: {r[1]}\nresidual: {r[2]:.3e}",
+        lambda r: {"value": [float(r[0].real), float(r[0].imag)], "multiple_of_2pi_i": r[1],
+                   "residual": float(r[2])},
+    )
+    return 0 if resid < args.precision else 1
 
-    if args.which == "e2":
-        word = parse_braid_word(args.word)
-        tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
-        value = cocycles.e2_cocycle(word, tau, args.n_terms)
-        ratio = complex(value / (2j * math.pi))
-        nearest = round(ratio.real)
-        resid = abs(ratio - nearest)
-        text = f"value: {complex(value)}\nmultiple_of_2pi_i: {nearest}\nresidual: {resid:.3e}"
-        _emit(args, text, {"value": [float(value.real), float(value.imag)],
-                           "multiple_of_2pi_i": nearest, "residual": float(resid)})
-        return 0 if resid < args.precision else 1
 
-    # relation check over random admissible word pairs
+def _cmd_cocycle_check(args) -> int:
+    """The cocycle relation over random admissible word pairs."""
     rng = random.Random(args.seed)
     pool = [cocycles.T, cocycles.S]
-    forms = {"E4": E4, "E6": E6, "Delta": DELTA}
-    worst = 0.0
-    lines = []
-    for name, f in forms.items():
+    residuals = {}
+    for name, f in {"E4": E4, "E6": E6, "Delta": DELTA}.items():
         produced = 0
         form_worst = 0.0
         while produced < args.pairs:
@@ -307,11 +288,15 @@ def _cmd_cocycle(args) -> int:
             rhs = rhs + cocycles.cocycle_r(f, g2, t2, args.n_terms)
             form_worst = max(form_worst, lhs.distance(rhs))
             produced += 1
-        worst = max(worst, form_worst)
-        lines.append(f"{name}: max residual {form_worst:.3e} over {args.pairs} pairs")
+        residuals[name] = form_worst
+    worst = max(residuals.values())
     ok = worst < args.precision
-    lines.append(f"{'PASS' if ok else 'FAIL'} (tolerance {args.precision:g})")
-    _emit(args, "\n".join(lines), {"max_residual": worst, "pass": ok})
+    _emit(
+        args, residuals,
+        lambda r: "\n".join([f"{name}: max residual {x:.3e} over {args.pairs} pairs" for name, x in r.items()]
+                            + [f"{'PASS' if ok else 'FAIL'} (tolerance {args.precision:g})"]),
+        lambda r: {"max_residual": worst, "pass": ok},
+    )
     return 0 if ok else 1
 
 
@@ -378,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--pairs", type=int, default=10)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--n-terms", type=int, default=cocycles.DEFAULT_TERMS)
-    pc.set_defaults(func=_cmd_cocycle)
+    pc.set_defaults(func=_cmd_cocycle_check)
     pe = which.add_parser("e2", parents=[common], help="braid-group cocycle of E2")
     pe.add_argument("word", help="braid word, e.g. 's1*s2*s1^-1'")
     pe.add_argument("--tau", default=None, help="evaluation point, e.g. '0.3+1.2j'")
     pe.add_argument("--n-terms", type=int, default=cocycles.DEFAULT_TERMS)
-    pe.set_defaults(func=_cmd_cocycle)
+    pe.set_defaults(func=_cmd_cocycle_e2)
     return parser
 
 

@@ -3,9 +3,11 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,12 @@ from iterqm.cli import (
     build_parser,
     canonical_from_json,
     canonical_to_json,
+    format_canonical,
+    format_qmpoly,
     format_series,
     main,
     parse_braid_word,
+    qmpoly_from_json,
     series_from_json,
     series_to_json,
 )
@@ -73,8 +78,12 @@ def pinned_expressions():
 #: keep bit-identical JSON, so any change of this digest is a change of output.
 PINNED_JSON_SHA256 = "91f21b3aa3c12f4e95d096d957117d00e2eac230d92bab738114814de4e87098"
 
+#: The sha256 of the outputs of :func:`pinned_text_digest`: the same commands
+#: in text mode, plus one each of derive, decompose, lyndon and expand.
+PINNED_TEXT_SHA256 = "eb6f2e8315cf8606e490ca6f56a81182ad7399d56528c01ccec068288081b899"
 
-def pinned_json_digest(capsys):
+
+def pinned_argvs():
     argvs = [
         ["canonical", "I(E4,1)"],
         ["canonical", "I(E4,E6)", "--modular"],
@@ -83,17 +92,38 @@ def pinned_json_digest(capsys):
     ]
     for expr in pinned_expressions():
         argvs += [["canonical", expr], ["integral", expr, "-N", "30"]]
+    return argvs
+
+
+def outputs_digest(capsys, argvs):
     digest = hashlib.sha256()
     for argv in argvs:
-        code, out, err = run(capsys, argv + ["--json"])
+        code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         digest.update(out.encode())
     return digest.hexdigest()
 
 
+def pinned_json_digest(capsys):
+    return outputs_digest(capsys, [argv + ["--json"] for argv in pinned_argvs()])
+
+
+def pinned_text_digest(capsys):
+    extra = [
+        ["derive", "E2"],
+        ["decompose", "E2^2"],
+        ["lyndon", "--max-weight", "6", "--max-len", "2"],
+        ["expand", "E4^3-E6^2", "-N", "2"],
+    ]
+    return outputs_digest(capsys, pinned_argvs() + extra)
+
+
 class TestPinnedOutputs:
     def test_json_outputs_are_pinned(self, capsys):
         assert pinned_json_digest(capsys) == PINNED_JSON_SHA256
+
+    def test_text_outputs_are_pinned(self, capsys):
+        assert pinned_text_digest(capsys) == PINNED_TEXT_SHA256
 
     def test_expand_discriminant(self, capsys):
         code, out, _ = run(capsys, ["expand", "E4^3-E6^2", "-N", "2"])
@@ -280,6 +310,90 @@ class TestCommands:
         code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "2", "--n-terms", "40"])
         assert code == 0
         assert "PASS" in out
+
+
+class TestOnlyRequestedRendererRuns:
+    """Each command renders its result in the requested format only."""
+
+    COMMANDS = [
+        ["canonical", "E2*I(E4,1) + I(E6) - 2"],
+        ["integral", "I(E2,E4)", "-N", "3"],
+        ["expand", "E4^3-E6^2", "-N", "2"],
+        ["derive", "E2"],
+        ["decompose", "E2^2"],
+    ]
+    TEXT_RENDERERS = ["format_canonical", "format_series", "format_qmpoly"]
+    JSON_RENDERERS = ["canonical_to_json", "series_to_json", "qmpoly_to_json"]
+
+    def check(self, capsys, monkeypatch, argv, forbidden):
+        expected = run(capsys, argv)
+
+        def refuse(*args):
+            raise AssertionError("the renderer of the other format ran")
+
+        for name in forbidden:
+            monkeypatch.setattr(cli, name, refuse)
+        assert run(capsys, argv) == expected
+        assert expected[0] == 0
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_json_mode_renders_no_text(self, capsys, monkeypatch, argv):
+        self.check(capsys, monkeypatch, argv + ["--json"], self.TEXT_RENDERERS)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_text_mode_renders_no_json(self, capsys, monkeypatch, argv):
+        self.check(capsys, monkeypatch, argv, self.JSON_RENDERERS)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: Commands whose trailing comment in README is their text output, with the
+#: JSON decoder and text renderer that must reproduce it from ``--json``.
+DOCUMENTED_OUTPUTS = {
+    "expand": (series_from_json, format_series),
+    "integral": (series_from_json, format_series),
+    "derive": (qmpoly_from_json, format_qmpoly),
+    "canonical": (canonical_from_json, format_canonical),
+}
+
+
+def readme_commands():
+    """(argv, stdin, comment) for each line of the sh block under README's "Command line"."""
+    text = README.read_text()
+    start = text.index("```sh\n", text.index("## Command line")) + len("```sh\n")
+    commands = []
+    for line in text[start:text.index("```", start)].splitlines():
+        command, _, comment = line.partition(" # ")
+        stdin = None
+        if "|" in command:
+            producer, command = command.split("|")
+            stdin = shlex.split(producer)[1].encode().decode("unicode_escape")  # printf's escapes
+        argv = shlex.split(command)
+        assert argv[0] == "iterqm", line
+        commands.append((argv[1:], stdin, comment.strip()))
+    return commands
+
+
+class TestReadmeExamples:
+    def test_documented_outputs_are_present(self):
+        commands = readme_commands()
+        documented = [argv[0] for argv, _, comment in commands if comment and argv[0] in DOCUMENTED_OUTPUTS]
+        assert documented == ["expand", "derive", "integral", "canonical"]
+
+    @pytest.mark.parametrize(
+        "argv, stdin, comment", [pytest.param(*command, id=" ".join(command[0])) for command in readme_commands()]
+    )
+    def test_command(self, capsys, monkeypatch, argv, stdin, comment):
+        monkeypatch.delenv("ITERQM_DEFAULT_N", raising=False)
+        code, text, err = run(capsys, argv, stdin, monkeypatch)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, argv + ["--json"], stdin, monkeypatch)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        if comment and argv[0] in DOCUMENTED_OUTPUTS:
+            assert text == comment + "\n"
+            from_json, render = DOCUMENTED_OUTPUTS[argv[0]]
+            assert render(from_json(data)) == comment
 
 
 def fresh_output(argv, env_n=None):
