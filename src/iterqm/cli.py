@@ -2,11 +2,12 @@
 
 Subcommands: expand, derive, decompose, integral, canonical, lyndon,
 rank (word list on stdin), cocycle check|e2.  Output is plain text by
-default or JSON with --json; the default truncation is 50, overridable
-by -N or the ITERQM_DEFAULT_N environment variable.  Each command renders
-its result in the requested format only.  Text and JSON list the same
-terms in the same order: series by (q, logq), canonical forms by total
-word length, then by monomial.
+default or JSON with --json; expand, integral and rank truncate at -N,
+by default 50 or the ITERQM_DEFAULT_N environment variable.  An
+expression that begins with '-' goes after '--', as in
+'expand -N 1 -- -E4'.  Each command renders its result in the requested
+format only.  Text and JSON list the same terms in the same order: series
+by (q, logq), canonical forms by total word length, then by monomial.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import cocycles
 from .canonicalize import CanonicalForm, canonical_form, independence_rank
-from .expr import ExprError, eval_combo, eval_quasimodular, parse
+from .expr import ExprError, parse
 from .qseries import LogQSeries
 from .quasimodular import (
     DELTA, E4, E6, ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key, monomial_name,
@@ -165,17 +166,17 @@ def _emit(args, result, to_text, to_json) -> None:
 
 
 def _cmd_expand(args) -> int:
-    _emit(args, expand(eval_quasimodular(parse(args.expr)), args.N), format_series, series_to_json)
+    _emit(args, expand(parse(args.expr, integrals=False), args.N), format_series, series_to_json)
     return 0
 
 
 def _cmd_derive(args) -> int:
-    _emit(args, derive(eval_quasimodular(parse(args.expr))), format_qmpoly, qmpoly_to_json)
+    _emit(args, derive(parse(args.expr, integrals=False)), format_qmpoly, qmpoly_to_json)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    p = eval_quasimodular(parse(args.expr))
+    p = parse(args.expr, integrals=False)
     pieces = [decompose(piece) for piece in p.weight_split().values()]
     c = sum((x[0] for x in pieces), Fraction(0))
     m = sum((x[1] for x in pieces), QMPoly())
@@ -190,12 +191,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_integral(args) -> int:
-    _emit(args, eval_combo(parse(args.expr)).expansion(args.N), format_series, series_to_json)
+    _emit(args, parse(args.expr).expansion(args.N), format_series, series_to_json)
     return 0
 
 
 def _cmd_canonical(args) -> int:
-    cf = canonical_form(eval_combo(parse(args.expr)), modular_only=args.modular)
+    cf = canonical_form(parse(args.expr), modular_only=args.modular)
     _emit(args, cf, format_canonical, canonical_to_json)
     return 0
 
@@ -222,8 +223,7 @@ def _cmd_rank(args) -> int:
         if line == "-":
             words.append(())
             continue
-        letters = tuple(eval_quasimodular(parse(part)) for part in line.split(","))
-        words.append(letters)
+        words.append(tuple(parse(part, integrals=False) for part in line.split(",")))
     r = independence_rank(words, [ONE] * len(words), args.N)
     _emit(args, r, str, lambda r: {"rank": r, "count": len(words)})
     return 0
@@ -233,15 +233,17 @@ _B3_TOKENS = {"s1": 1, "s2": 2, "s1^-1": -1, "s2^-1": -2}
 
 
 def parse_braid_word(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
     out = []
+    offset = 0
     for token in text.replace(",", "*").split("*"):
-        token = token.strip()
-        if token not in _B3_TOKENS:
-            raise ExprError(f"unknown braid generator {token!r} (use s1, s2, s1^-1, s2^-1)")
-        out.append(_B3_TOKENS[token])
+        name = token.strip()
+        if name not in _B3_TOKENS:
+            where = offset + len(token) - len(token.lstrip())
+            raise ExprError(f"unknown braid generator {name!r} (use s1, s2, s1^-1, s2^-1)", where)
+        out.append(_B3_TOKENS[name])
+        offset += len(token) + 1
     return tuple(out)
 
 
@@ -316,55 +318,50 @@ def _default_trunc() -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``main`` fills in the default of -N."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-N", type=int, default=None, help="series truncation order")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable output")
-    fmt.add_argument("--text", dest="json", action="store_false", help="plain text output (default)")
-    common.add_argument("--precision", type=float, default=1e-8, help="numeric tolerance for checks")
-    common.set_defaults(json=False)
+    fmt = argparse.ArgumentParser(add_help=False)
+    group = fmt.add_mutually_exclusive_group()
+    group.add_argument("--json", action="store_true", help="machine-readable output")
+    group.add_argument("--text", dest="json", action="store_false", help="plain text output (default)")
+    fmt.set_defaults(json=False)
+    trunc = argparse.ArgumentParser(add_help=False)
+    trunc.add_argument("-N", type=int, default=None, help="series truncation order")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=float, default=1e-8, help="numeric tolerance for checks")
 
     parser = argparse.ArgumentParser(prog="iterqm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    expr_help = "expression; put it after -- if it begins with '-'"
+    for name, func, options, about in (
+        ("expand", _cmd_expand, [fmt, trunc], "q-expansion of a quasimodular expression"),
+        ("derive", _cmd_derive, [fmt], "derivative of a quasimodular expression"),
+        ("decompose", _cmd_decompose, [fmt], "split into c*E2 + modular + D(h)"),
+        ("integral", _cmd_integral, [fmt, trunc], "q/log-q series of an integral expression"),
+        ("canonical", _cmd_canonical, [fmt], "canonical Lyndon polynomial form"),
+    ):
+        p = sub.add_parser(name, parents=options, help=about)
+        p.add_argument("expr", help=expr_help)
+        p.set_defaults(func=func)
+    sub.choices["canonical"].add_argument(
+        "--modular", action="store_true", help="restrict to the modular subalgebra"
+    )
 
-    p = sub.add_parser("expand", parents=[common], help="q-expansion of a quasimodular expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("derive", parents=[common], help="derivative of a quasimodular expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("decompose", parents=[common], help="split into c*E2 + modular + D(h)")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("integral", parents=[common], help="q/log-q series of an integral expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_integral)
-
-    p = sub.add_parser("canonical", parents=[common], help="canonical Lyndon polynomial form")
-    p.add_argument("expr")
-    p.add_argument("--modular", action="store_true", help="restrict to the modular subalgebra")
-    p.set_defaults(func=_cmd_canonical)
-
-    p = sub.add_parser("lyndon", parents=[common], help="Lyndon words over the basis alphabet")
+    p = sub.add_parser("lyndon", parents=[fmt], help="Lyndon words over the basis alphabet")
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--modular", action="store_true")
     p.set_defaults(func=_cmd_lyndon)
 
-    p = sub.add_parser("rank", parents=[common], help="exact rank of integrals read from stdin")
+    p = sub.add_parser("rank", parents=[fmt, trunc], help="exact rank of integrals read from stdin")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("cocycle", parents=[common], help="numeric cocycle checks")
+    p = sub.add_parser("cocycle", help="numeric cocycle checks")
     which = p.add_subparsers(dest="which", required=True)
-    pc = which.add_parser("check", parents=[common], help="verify the cocycle relation")
+    pc = which.add_parser("check", parents=[fmt, precision], help="verify the cocycle relation")
     pc.add_argument("--pairs", type=int, default=10)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--n-terms", type=int, default=cocycles.DEFAULT_TERMS)
     pc.set_defaults(func=_cmd_cocycle_check)
-    pe = which.add_parser("e2", parents=[common], help="braid-group cocycle of E2")
+    pe = which.add_parser("e2", parents=[fmt, precision], help="braid-group cocycle of E2")
     pe.add_argument("word", help="braid word, e.g. 's1*s2*s1^-1'")
     pe.add_argument("--tau", default=None, help="evaluation point, e.g. '0.3+1.2j'")
     pe.add_argument("--n-terms", type=int, default=cocycles.DEFAULT_TERMS)
@@ -375,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     default_n = _default_trunc()
     args = build_parser().parse_args(argv)
-    if args.N is None:
+    if getattr(args, "N", 0) is None:  # only expand, integral and rank have -N
         args.N = default_n
     try:
         return args.func(args)

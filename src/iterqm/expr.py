@@ -1,99 +1,56 @@
-"""Parser for the small expression language of the command line.
+"""The expression language of the command line, evaluated as it is parsed.
 
 Grammar::
 
     expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := atom ('^' uint)?
+    factor   := '-' factor | atom ('^' uint)?
     atom     := 'E2' | 'E4' | 'E6' | rational
               | 'D(' expr ')' | 'I(' expr (',' expr)* ')' | '(' expr ')'
-    rational := int ('/' uint)?
+    rational := '-'? uint ('/' uint)?
 
-Expressions evaluate either to a quasimodular polynomial or, when they
-contain integral nodes, to a linear combination of bar words.  An ``I``
-may not occur inside the arguments of another ``I`` (or of ``D``); such
-typing errors carry the path to the offending node, while syntax errors
-carry the byte offset.  Brackets nest at most :data:`MAX_NESTING` deep.
+A ``-`` that is followed, after any whitespace, by a digit is the sign of a
+rational literal, so ``-2^2`` is 4; any other leading ``-`` negates its
+factor.  Each rule returns its value: a :class:`QMPoly` until an integral
+occurs, a :class:`BarCombo` from then on, with sums and products of the two
+kinds promoted to bar combinations (products of integrals are shuffles).
+An ``I`` may not occur inside the arguments of another ``I`` or of ``D``,
+nor anywhere in a form.  Every error carries the byte offset where it was
+found.  Brackets nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .iterint import BarCombo
-from .quasimodular import E2, E4, E6, ONE, ZERO, QMPoly, derive
+from .quasimodular import E2, E4, E6, QMPoly, derive
+
+Value = Union[QMPoly, BarCombo]
 
 
 class ExprError(ValueError):
-    def __init__(self, message: str, offset: int | None = None, path: str | None = None):
+    def __init__(self, message: str, offset: int):
         self.offset = offset
-        self.path = path
-        where = []
-        if offset is not None:
-            where.append(f"at byte {offset}")
-        if path is not None:
-            where.append(f"in {path}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+        super().__init__(f"{message} (at byte {offset})")
 
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-    pos: int
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple["Node", ...]
-    pos: int
-
-
-@dataclass(frozen=True)
-class Add:
-    terms: tuple[tuple[int, "Node"], ...]  # (sign, node)
-    pos: int
-
-
-@dataclass(frozen=True)
-class DCall:
-    arg: "Node"
-    pos: int
-
-
-@dataclass(frozen=True)
-class ICall:
-    args: tuple["Node", ...]
-    pos: int
-
-
-Node = Union[Lit, Gen, Pow, Mul, Add, DCall, ICall]
 
 _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
 #: Four parser frames per level keep this well inside the recursion limit.
 MAX_NESTING = 200
 
 
+def _combo(value: Value) -> BarCombo:
+    return value if isinstance(value, BarCombo) else BarCombo({(): value})
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, integrals: bool):
         self.text = text
         self.pos = 0
         self.depth = 0  # brackets around the expression being parsed
+        self.integrals = integrals  # whether an I may occur at this point
 
     # -- lexing helpers --
 
@@ -125,60 +82,81 @@ class _Parser:
             self.pos += 1
         return self.text[start : self.pos]
 
+    def _signs_literal(self) -> bool:
+        """Whether the '-' at the current position is followed by a digit."""
+        i = self.pos + 1
+        while i < len(self.text) and self.text[i].isspace():
+            i += 1
+        return i < len(self.text) and self.text[i].isdigit()
+
     # -- grammar --
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> Value:
+        value = self.expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ExprError("unexpected trailing input", offset=self.pos)
-        return node
+        return value
 
-    def expr(self) -> Node:
-        start = self.pos
+    def expr(self) -> Value:
         if self.depth > MAX_NESTING:
-            raise ExprError(f"brackets nested deeper than {MAX_NESTING}", offset=start)
+            raise ExprError(f"brackets nested deeper than {MAX_NESTING}", offset=self.pos)
         self.depth += 1
-        terms = [(1, self.term())]
-        while self._peek() in ("+", "-"):
-            sign = 1 if self._peek() == "+" else -1
+        value = self.term()
+        while (op := self._peek()) in ("+", "-"):
             self.pos += 1
-            terms.append((sign, self.term()))
+            other = self.term()
+            if op == "-":
+                other = -other
+            if isinstance(value, QMPoly) and isinstance(other, QMPoly):
+                value = value + other
+            else:
+                value = _combo(value) + _combo(other)
         self.depth -= 1
-        return terms[0][1] if len(terms) == 1 else Add(tuple(terms), start)
+        return value
 
-    def term(self) -> Node:
-        start = self.pos
-        factors = [self.factor()]
+    def term(self) -> Value:
+        value = self.factor()
         while self._peek() == "*":
             self.pos += 1
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Mul(tuple(factors), start)
+            other = self.factor()
+            if isinstance(value, QMPoly) and isinstance(other, QMPoly):
+                value = value * other
+            else:
+                value = _combo(value).shuffle(_combo(other))
+        return value
 
-    def factor(self) -> Node:
-        node = self.atom()
+    def factor(self) -> Value:
+        negate = False
+        while self._peek() == "-" and not self._signs_literal():
+            self.pos += 1
+            negate = not negate
+        value = self.atom()
         if self._peek() == "^":
             self.pos += 1
             exponent = self._uint()
-            node = Pow(node, exponent, node.pos)
-        return node
+            if isinstance(value, QMPoly):
+                value = value**exponent
+            else:
+                power = BarCombo.unit()
+                for _ in range(exponent):
+                    power = power.shuffle(value)
+                value = power
+        return -value if negate else value
 
-    def atom(self) -> Node:
+    def atom(self) -> Value:
         ch = self._peek()
         start = self.pos
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            value = self.expr()
             self._expect(")")
-            return node
+            return value
         if ch == "-" or ch.isdigit():
             sign = 1
             if ch == "-":
                 self.pos += 1
                 sign = -1
-                self._skip_ws()
-                if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
-                    raise ExprError("expected an integer after '-'", offset=self.pos)
             numerator = self._uint()
             denominator = 1
             if self._peek() == "/":
@@ -186,84 +164,34 @@ class _Parser:
                 denominator = self._uint()
                 if denominator == 0:
                     raise ExprError("zero denominator", offset=self.pos - 1)
-            return Lit(Fraction(sign * numerator, denominator), start)
+            return QMPoly.constant(Fraction(sign * numerator, denominator))
         if ch.isalpha():
             name = self._name()
             if name in _GENERATORS:
-                return Gen(name, start)
-            if name == "D":
+                return _GENERATORS[name]
+            if name in ("D", "I"):
+                if name == "I" and not self.integrals:
+                    raise ExprError("an integral is not allowed here", offset=start)
                 self._expect("(")
-                node = self.expr()
-                self._expect(")")
-                return DCall(node, start)
-            if name == "I":
-                self._expect("(")
+                # the arguments are forms: no I may occur in them
+                integrals, self.integrals = self.integrals, False
                 args = [self.expr()]
-                while self._peek() == ",":
+                while name == "I" and self._peek() == ",":
                     self.pos += 1
                     args.append(self.expr())
                 self._expect(")")
-                return ICall(tuple(args), start)
+                self.integrals = integrals
+                return derive(args[0]) if name == "D" else BarCombo.word(args)
             raise ExprError(f"unknown name {name!r}", offset=start)
         raise ExprError("expected an atom", offset=start)
 
 
-def parse(text: str) -> Node:
-    """Parse an expression; raises ExprError with a byte offset on bad syntax."""
-    return _Parser(text).parse()
+def parse(text: str, integrals: bool = True) -> Value:
+    """Parse and evaluate an expression.
 
-
-def eval_quasimodular(node: Node, path: str = "expr") -> QMPoly:
-    """Evaluate to a quasimodular polynomial; integral nodes are rejected."""
-    if isinstance(node, Lit):
-        return QMPoly.constant(node.value)
-    if isinstance(node, Gen):
-        return _GENERATORS[node.name]
-    if isinstance(node, Pow):
-        return eval_quasimodular(node.base, path + ".^") ** node.exponent
-    if isinstance(node, Mul):
-        out = ONE
-        for i, f in enumerate(node.factors, 1):
-            out = out * eval_quasimodular(f, f"{path}.factor{i}")
-        return out
-    if isinstance(node, Add):
-        out = ZERO
-        for i, (sign, t) in enumerate(node.terms, 1):
-            val = eval_quasimodular(t, f"{path}.term{i}")
-            out = out + (val if sign > 0 else -val)
-        return out
-    if isinstance(node, DCall):
-        return derive(eval_quasimodular(node.arg, path + ".D"))
-    if isinstance(node, ICall):
-        raise ExprError("an integral is not allowed here", path=path + ".I")
-    raise TypeError(f"unknown node {node!r}")
-
-
-def eval_combo(node: Node, path: str = "expr") -> BarCombo:
-    """Evaluate to a bar combination; products of integrals become shuffles."""
-    if isinstance(node, ICall):
-        letters = tuple(
-            eval_quasimodular(arg, f"{path}.I(arg {i})")
-            for i, arg in enumerate(node.args, 1)
-        )
-        return BarCombo.word(letters)
-    if isinstance(node, (Lit, Gen, DCall)):
-        return BarCombo({(): eval_quasimodular(node, path)})
-    if isinstance(node, Pow):
-        base = eval_combo(node.base, path + ".^")
-        out = BarCombo.unit()
-        for _ in range(node.exponent):
-            out = out.shuffle(base)
-        return out
-    if isinstance(node, Mul):
-        out = BarCombo.unit()
-        for i, f in enumerate(node.factors, 1):
-            out = out.shuffle(eval_combo(f, f"{path}.factor{i}"))
-        return out
-    if isinstance(node, Add):
-        out = BarCombo.zero()
-        for i, (sign, t) in enumerate(node.terms, 1):
-            val = eval_combo(t, f"{path}.term{i}")
-            out = out + (val if sign > 0 else -val)
-        return out
-    raise TypeError(f"unknown node {node!r}")
+    Returns a :class:`BarCombo`, or with ``integrals=False`` a
+    :class:`QMPoly`, in which case an ``I`` is an error.  Raises
+    :class:`ExprError` with the byte offset of the fault.
+    """
+    value = _Parser(text, integrals).parse()
+    return _combo(value) if integrals else value

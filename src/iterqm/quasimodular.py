@@ -26,12 +26,10 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Union
 
 from .linear import _accumulate
-from .qseries import LogQSeries
+from .qseries import LogQSeries, Scalar, _as_fraction
 
-Scalar = Union[int, Fraction]
 Exponents = tuple[int, int, int]  # powers of (E2, E4, E6)
 
 
@@ -53,7 +51,7 @@ class QMPoly:
         for (a, b, c), val in terms.items() if isinstance(terms, Mapping) else terms:
             if a < 0 or b < 0 or c < 0:
                 raise ValueError("negative exponents are not allowed")
-            _accumulate(rational, [((int(a), int(b), int(c)), Fraction(val))])
+            _accumulate(rational, [((int(a), int(b), int(c)), _as_fraction(val))])
         den = lcm(*(v.denominator for v in rational.values()))
         return cls._of({k: v.numerator * (den // v.denominator) for k, v in rational.items()}, den)
 
@@ -65,7 +63,7 @@ class QMPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "QMPoly":
-        value = Fraction(value)
+        value = _as_fraction(value)
         return cls._of({(0, 0, 0): value.numerator} if value else {}, value.denominator)
 
     @classmethod

@@ -254,6 +254,15 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error:") and "byte 201" in err
 
+    def test_expression_after_double_dash(self, capsys):
+        assert run(capsys, ["expand", "-N", "1", "--", "-E4"]) == (0, "-1 - 240*q\n", "")
+        assert run(capsys, ["derive", "--", "-2*E4"]) == (0, "-2/3*E2*E4 + 2/3*E6\n", "")
+
+    def test_integral_where_a_form_is_required(self, capsys):
+        code, out, err = run(capsys, ["expand", "E2 + I(E4)"])
+        assert (code, out) == (1, "")
+        assert err == "error: an integral is not allowed here (at byte 5)\n"
+
     @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), MemoryError()])
     def test_interpreter_limits_are_errors(self, capsys, monkeypatch, exc):
         def handler(args):
@@ -310,6 +319,33 @@ class TestCommands:
         code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "2", "--n-terms", "40"])
         assert code == 0
         assert "PASS" in out
+
+
+class TestOptionsPerCommand:
+    """Each command accepts only the options it reads: -N on expand, integral
+    and rank, --precision on the cocycle commands, --json/--text on every leaf."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cocycle", "e2", "s1*s2", "-N", "3"],
+            ["cocycle", "--json", "e2", "s1*s2"],
+            ["derive", "E4", "-N", "7"],
+            ["canonical", "I(E4)", "-N", "7"],
+            ["lyndon", "--max-weight", "4", "--max-len", "2", "-N", "7"],
+            ["expand", "E4", "--precision", "1e-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_unread_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_read_options_are_accepted(self, capsys):
+        assert run(capsys, ["cocycle", "e2", "s1*s2", "--json", "--precision", "1e-6"])[0] == 0
+        assert run(capsys, ["expand", "E4", "-N", "1", "--text"]) == (0, "1 + 240*q\n", "")
 
 
 class TestOnlyRequestedRendererRuns:
@@ -451,6 +487,8 @@ class TestBraidWordParsing:
 
         with pytest.raises(ExprError):
             parse_braid_word("s3")
+        with pytest.raises(ExprError, match=r"'s3' .* \(at byte 4\)"):
+            parse_braid_word("s1* s3*s2")
 
 
 def test_format_series_zero():

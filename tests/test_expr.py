@@ -2,35 +2,70 @@ from fractions import Fraction as F
 
 import pytest
 
-from iterqm.expr import ExprError, eval_combo, eval_quasimodular, parse
+from iterqm.expr import MAX_NESTING, ExprError, parse
 from iterqm.iterint import BarCombo, shuffle_product_words
 from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive
 
 
+def form(text):
+    return parse(text, integrals=False)
+
+
 class TestParse:
     def test_polynomial(self):
-        node = parse("E4^3 - E6^2")
-        assert eval_quasimodular(node) == E4**3 - E6**2
+        assert form("E4^3 - E6^2") == E4**3 - E6**2
 
     def test_integral_with_product_letter(self):
-        node = parse("I(E2, E4*E6)")
-        assert eval_combo(node) == BarCombo({(E2, E4 * E6): 1})
+        assert parse("I(E2, E4*E6)") == BarCombo({(E2, E4 * E6): 1})
 
     def test_rationals(self):
-        assert eval_quasimodular(parse("1/1728*(E4^3-E6^2)")) == DELTA
-        assert eval_quasimodular(parse("-3/2")) == QMPoly.constant(F(-3, 2))
-        assert eval_quasimodular(parse("2-5")) == QMPoly.constant(-3)
+        assert form("1/1728*(E4^3-E6^2)") == DELTA
+        assert form("-3/2") == QMPoly.constant(F(-3, 2))
+        assert form("2-5") == QMPoly.constant(-3)
 
     def test_derivative_call(self):
-        assert eval_quasimodular(parse("D(E2)")) == derive(E2)
-        assert eval_quasimodular(parse("D(D(E4))")) == derive(derive(E4))
+        assert form("D(E2)") == derive(E2)
+        assert form("D(D(E4))") == derive(derive(E4))
 
     def test_whitespace(self):
-        assert eval_quasimodular(parse("  E2 * ( E4 + 1 ) ")) == E2 * (E4 + ONE)
+        assert form("  E2 * ( E4 + 1 ) ") == E2 * (E4 + ONE)
 
     def test_empty_integral_arguments_not_allowed(self):
         with pytest.raises(ExprError):
             parse("I()")
+
+
+class TestUnaryMinus:
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("-E4", -E4),
+            ("-(E4)", -E4),
+            ("E6*-E4", -E6 * E4),
+            ("E4 - -E6", E4 + E6),
+            ("-E4^2", -(E4**2)),
+            ("--E4", E4),
+            ("-D(E2)", -derive(E2)),
+        ],
+    )
+    def test_negates_its_factor(self, text, value):
+        assert form(text) == value
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("-2^2", 4), ("- 2^2", 4), ("-(2^2)", -4), ("--2", 2), ("E4 -2", E4 - 2), ("E4*-1/2", E4 * F(-1, 2))],
+    )
+    def test_minus_before_a_digit_signs_the_literal(self, text, value):
+        assert form(text) == (value if isinstance(value, QMPoly) else QMPoly.constant(value))
+
+    def test_negated_integral(self):
+        assert parse("-I(E4)") == BarCombo({(E4,): -1})
+        assert parse("E2*-I(E4)") == BarCombo({(E4,): -E2})
+
+    @pytest.mark.parametrize("count", [9_999, 10_000])
+    def test_long_run_of_minus_signs(self, count):
+        assert form("-" * count + "E4") == (-E4 if count % 2 else E4)
+        assert parse("-" * count + "I(E4)") == BarCombo({(E4,): -1 if count % 2 else 1})
 
 
 class TestParseErrors:
@@ -51,34 +86,41 @@ class TestParseErrors:
             parse(text)
         assert err.value.offset == offset
 
-    def test_nested_integral_reports_path(self):
-        with pytest.raises(ExprError) as err:
-            eval_combo(parse("I(I(E2))"))
-        assert err.value.path is not None
-        assert "I" in err.value.path
+    def test_nested_integral_reports_offset(self):
+        with pytest.raises(ExprError, match=r"at byte 2\)") as err:
+            parse("I(I(E2))")
+        assert err.value.offset == 2
 
     def test_integral_inside_derivative(self):
         with pytest.raises(ExprError) as err:
-            eval_combo(parse("D(I(E2))"))
-        assert err.value.path is not None
+            parse("D(I(E2))")
+        assert err.value.offset == 2
 
     def test_integral_in_quasimodular_context(self):
-        with pytest.raises(ExprError):
-            eval_quasimodular(parse("E2 + I(E4)"))
+        with pytest.raises(ExprError) as err:
+            form("E2 + I(E4)")
+        assert err.value.offset == 5
+
+    def test_nesting_limit(self):
+        assert form("(" * MAX_NESTING + "E4" + ")" * MAX_NESTING) == E4
+        assert form("D(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == QMPoly()
+        with pytest.raises(ExprError) as err:
+            form("(" * (MAX_NESTING + 1) + "E4" + ")" * (MAX_NESTING + 1))
+        assert err.value.offset == MAX_NESTING + 1  # where the innermost expression starts
 
 
 class TestEvalCombo:
     def test_product_of_integrals_is_shuffle(self):
-        got = eval_combo(parse("I(E2)*I(E4)"))
-        assert got == shuffle_product_words((E2,), (E4,))
+        assert parse("I(E2)*I(E4)") == shuffle_product_words((E2,), (E4,))
 
     def test_power_of_integral(self):
-        got = eval_combo(parse("I(1)^2"))
-        assert got == BarCombo({(ONE, ONE): 2})
+        assert parse("I(1)^2") == BarCombo({(ONE, ONE): 2})
+        assert parse("I(1)^0") == BarCombo.unit()
 
     def test_scalar_coefficients(self):
-        got = eval_combo(parse("E2*I(E4) - 3*I(E6)"))
+        got = parse("E2*I(E4) - 3*I(E6)")
         assert got == BarCombo({(E4,): E2, (E6,): QMPoly.constant(-3)})
 
     def test_pure_polynomial_becomes_empty_word(self):
-        assert eval_combo(parse("E2^2")) == BarCombo({(): E2 * E2})
+        assert parse("E2^2") == BarCombo({(): E2 * E2})
+        assert parse("E2 - E2") == BarCombo.zero()

@@ -1,7 +1,8 @@
 """Generated-input properties of the series ring, the ring of quasimodular
 polynomials and its derivation, the weight split, the exact rank, the
 linear combinations of words, integration by parts, the shuffle product,
-the canonical form and the braid-word branch of log(c*tau + d).
+the canonical form, the braid-word branch of log(c*tau + d) and the
+expression parser.
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -22,10 +23,11 @@ from conftest import monomials_of_weight  # noqa: E402
 from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
 from iterqm.cli import series_from_json, series_to_json  # noqa: E402
 from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
+from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import BarCombo, ibp, iter_integral  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import (  # noqa: E402
-    E2, E4, ONE, ZERO, QMPoly, basis_b, decompose, derive, is_basis_letter,
+    E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, is_basis_letter,
 )
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
@@ -279,3 +281,91 @@ def test_branch_log_composes_along_the_word(w1, w2):
         assume(False)
     split = _branch_log(w1, g2.moebius(mpc(tau))) + _branch_log(w2, tau)
     assert abs(_branch_log(w1 + w2, tau) - split) < 1e-40
+
+
+# Expression trees as (text, precedence, value, letters): the text is rendered
+# with the brackets that precedence needs, the value is built directly with
+# QMPoly or BarCombo operators, and letters bounds the word length of a combo.
+SUM, TERM, FACTOR, ATOM = range(4)
+MAX_LETTERS = 5
+
+
+def _operand(node, level):
+    return node[0] if node[1] >= level else f"({node[0]})"
+
+
+def _negate(node):
+    text = _operand(node, FACTOR)
+    return (f"-({text})" if text[0].isdigit() else f"-{text}", FACTOR, -node[2], node[3])
+
+
+def _expressions(leaves, times, power, extra=()):
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-"), children).map(lambda t: (
+                f"{t[0][0]} {t[1]} {_operand(t[2], TERM)}", SUM,
+                t[0][2] + t[2][2] if t[1] == "+" else t[0][2] - t[2][2], max(t[0][3], t[2][3]),
+            )),
+            st.tuples(children, children).filter(lambda t: t[0][3] + t[1][3] <= MAX_LETTERS).map(lambda t: (
+                f"{_operand(t[0], TERM)}*{_operand(t[1], FACTOR)}", TERM, times(t[0][2], t[1][2]), t[0][3] + t[1][3],
+            )),
+            children.map(_negate),
+            st.tuples(children, st.integers(0, 3)).filter(lambda t: t[0][3] * t[1] <= MAX_LETTERS).map(lambda t: (
+                f"{_operand(t[0], ATOM)}^{t[1]}", FACTOR, power(t[0][2], t[1]), t[0][3] * t[1],
+            )),
+            *(f(children) for f in extra),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def _derivatives(children):
+    return children.map(lambda n: (f"D({n[0]})", ATOM, derive(n[2]), 0))
+
+
+form_exprs = _expressions(
+    st.one_of(
+        st.sampled_from([("E2", ATOM, E2, 0), ("E4", ATOM, E4, 0), ("E6", ATOM, E6, 0)]),
+        st.fractions(max_denominator=12).filter(lambda x: abs(x) < 100).map(
+            lambda x: (str(x), ATOM, QMPoly.constant(x), 0)
+        ),
+    ),
+    lambda a, b: a * b,
+    lambda a, n: a**n,
+    extra=(_derivatives,),
+)
+
+
+def _shuffle_power(combo, n):
+    out = BarCombo.unit()
+    for _ in range(n):
+        out = out.shuffle(combo)
+    return out
+
+
+combo_exprs = _expressions(
+    st.one_of(
+        form_exprs.map(lambda n: (n[0], n[1], BarCombo({(): n[2]}), 0)),
+        st.lists(form_exprs, min_size=1, max_size=2).map(lambda letters: (
+            "I(" + ", ".join(n[0] for n in letters) + ")", ATOM,
+            BarCombo.word(n[2] for n in letters), len(letters),
+        )),
+    ),
+    lambda a, b: a.shuffle(b),
+    _shuffle_power,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(form_exprs)
+@example(("-2^2", FACTOR, QMPoly.constant(4), 0))  # a '-' before a digit signs the literal
+@example(("E6*-3/2^2", TERM, E6 * F(9, 4), 0))
+def test_parse_evaluates_forms(node):
+    assert parse(node[0], integrals=False) == node[2], node[0]
+    assert parse(node[0]) == BarCombo({(): node[2]}), node[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(combo_exprs)
+def test_parse_evaluates_combos(node):
+    assert parse(node[0]) == node[2], node[0]

@@ -264,6 +264,18 @@ class TestValueSemantics:
         for y in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             assert (y.nums, y.den, hash(y)) == (p.nums, p.den, hash(p))
 
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/3", 1 + 0j])
+    def test_coefficients_must_be_exact_rationals(self, value):
+        for make in (
+            lambda: QMPoly({(0, 0, 0): value}),
+            lambda: QMPoly([((1, 0, 0), value)]),
+            lambda: QMPoly.constant(value),
+            lambda: BarCombo({(E4,): value}),
+            lambda: BarCombo.word((E4,), value),
+        ):
+            with pytest.raises(TypeError, match="exact rational"):
+                make()
+
     def test_never_equal_to_a_scalar(self):
         two = QMPoly.constant(2)
         assert two == QMPoly.constant(F(4, 2)) and two != 2 and two != F(2)
