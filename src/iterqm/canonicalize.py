@@ -10,9 +10,9 @@ proceeds in two stages:
    the weight decomposition of each letter and integration by parts to
    eliminate derivative components; each elimination shortens the word,
    so the rewriting terminates.
-2. :func:`canonical_form` rewrites the resulting words as polynomials in
-   Lyndon words via the triangular shuffle elimination of
-   :mod:`~iterqm.shuffle_lyndon`.
+2. :func:`canonical_form` rewrites the resulting combination as a whole
+   into a polynomial in Lyndon words by the leading-word reduction of
+   :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`, with no cache.
 
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
@@ -157,12 +157,8 @@ def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm
     max_weight = max((letter_sort_key(letter)[0] for word in reduced.terms for letter in word), default=0)
     basis = tuple(basis_b(max_weight, modular_only=modular_only))
     rank = {letter: i for i, letter in enumerate(basis)}
-
-    terms: dict[tuple, QMPoly] = {}
-    for word, coeff in reduced.terms.items():
-        lyndon = to_lyndon_basis(tuple(rank[l] for l in word))
-        _accumulate(terms, ((mono, coeff * f) for mono, f in lyndon.terms.items()))
-    return CanonicalForm(poly=LyndonPoly._of(terms), basis=basis, modular=modular_only)
+    ranked = {tuple(rank[l] for l in word): coeff for word, coeff in reduced.terms.items()}
+    return CanonicalForm(poly=to_lyndon_basis(ranked), basis=basis, modular=modular_only)
 
 
 #: The largest prime below 2^30: row operations mod it stay on small ints,

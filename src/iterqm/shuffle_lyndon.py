@@ -3,8 +3,9 @@
 Words are tuples of non-negative letter indices; the order on letters is
 the integer order and words compare lexicographically.  Provides Lyndon
 word testing and enumeration (Duval's algorithm), the unique nonincreasing
-factorization of a word into Lyndon words, and the rewriting of any word
-as a polynomial in Lyndon words with respect to the shuffle product.
+factorization of a word into Lyndon words, and the rewriting of any
+combination of words as a polynomial in Lyndon words with respect to the
+shuffle product, by leading-word reduction.
 
 Coefficients of a :class:`LyndonPoly` live in any commutative ring that
 supports +, *, unary -, and truthiness for zero tests (Fraction and
@@ -13,11 +14,10 @@ QMPoly both qualify).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .linear import LinearCombination, _accumulate
@@ -183,31 +183,35 @@ class LyndonPoly(LinearCombination):
         ))
 
 
-@lru_cache(maxsize=None)
-def _to_lyndon_basis(w: Word) -> LyndonPoly:
-    if not w:
-        return LyndonPoly.monomial(())
-    factors = lyndon_factorize(w)
+def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
+    """Rewrite a word, or a mapping of words to coefficients, as a polynomial in Lyndon words.
 
-    # Shuffling the factorization back together yields (prod multiplicities!)
-    # times w plus lexicographically larger words of the same length.
-    lead = prod(factorial(mult) for mult in Counter(factors).values())
-    shuffled = _shuffle_all(factors)
-    assert shuffled.get(w) == lead, "triangularity violated"
-
-    terms = {tuple(sorted(factors)): Fraction(1, lead)}
-    for word, mult in shuffled.items():
-        if word != w:
-            scale = Fraction(-mult, lead)
-            _accumulate(terms, ((mono, scale * c) for mono, c in _to_lyndon_basis(word).terms.items()))
-    return LyndonPoly._of(terms)
-
-
-def to_lyndon_basis(w: Iterable[int]) -> LyndonPoly:
-    """Rewrite a word as a polynomial in Lyndon words under shuffle.
-
-    Shuffle-expanding the result returns exactly the input word.  The
-    rewriting is triangular: the correction words are lexicographically
-    larger, of the same length.
+    Leading-word reduction (Radford): the largest remaining word w, with
+    coefficient c, gives c/lead times the monomial of its Lyndon factors,
+    and c/lead times their shuffle, lead*w plus smaller words of w's
+    length, is subtracted.  Shuffle-expanding returns exactly the input.
     """
-    return _to_lyndon_basis(tuple(w))
+    pending = _accumulate({}, combo.items() if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))])
+    # a min-heap on negated letters: words of different lengths never interact
+    heap = [tuple(-l for l in w) for w in pending]
+    heapify(heap)
+    terms = {}
+    while heap:
+        w = tuple(-l for l in heappop(heap))
+        c = pending.pop(w, None)
+        if c is None:  # cancelled, or pushed again after cancelling
+            continue
+        factors = lyndon_factorize(w) if w else []
+        if len(factors) > 1:
+            shuffled = _shuffle_all(factors)
+            assert max(shuffled) == w, "triangularity violated"
+            lead = shuffled[w]
+            if lead != 1:
+                c = c * Fraction(1, lead)
+            for word, mult in shuffled.items():
+                if word != w:
+                    if word not in pending:
+                        heappush(heap, tuple(-l for l in word))
+                    _accumulate(pending, ((word, -c * mult),))
+        terms[tuple(sorted(factors))] = c  # no other word has these factors
+    return LyndonPoly._of(terms)

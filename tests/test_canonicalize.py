@@ -17,6 +17,7 @@ from iterqm.canonicalize import (
     rational_rank,
     reduce_letters,
 )
+from iterqm.expr import parse
 from iterqm.iterint import BarCombo, shuffle_product_words
 from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, derive, is_basis_letter
@@ -186,6 +187,13 @@ class TestCanonicalForm:
             c2 = canonical_form(BarCombo({w2: 1}))
             assert prod.poly == c1.poly * c2.poly
             assert prod.expansion(18) == c1.expansion(18) * c2.expansion(18)
+
+    def test_powers_of_an_integral(self):
+        base = canonical_form(parse("I(E4,E6)")).poly
+        power = base
+        for k in range(2, 8):
+            power = power * base
+            assert canonical_form(parse(f"I(E4,E6)^{k}")).poly == power
 
     def test_basis_prefix_stability(self):
         from iterqm.quasimodular import basis_b

@@ -165,6 +165,12 @@ class TestLyndonBasis:
                 assert set(expanded) == {w}
                 assert expanded[w] == 1
 
+    @pytest.mark.parametrize("w, monomials", [((1, 0) * 6, 360), ((2, 1, 0) * 3, 333)])
+    def test_long_words(self, w, monomials):
+        poly = to_lyndon_basis(w)
+        assert len(poly.terms) == monomials
+        assert poly.shuffle_expand() == {w: 1}
+
     def test_algebra_morphism(self):
         for w1 in [(A,), (A, B), (B, A), (A, A)]:
             for w2 in [(B,), (A, C), (C, B)]:
