@@ -8,7 +8,6 @@ braid-group cocycles.
 """
 
 from .canonicalize import (
-    CanonicalForm,
     ModularModeError,
     canonical_form,
     independence_rank,
@@ -29,6 +28,7 @@ from .cocycles import (
 from .iterint import (
     BarCombo,
     BarWord,
+    IntegralPoly,
     ibp,
     iter_integral,
     r_map,
@@ -66,11 +66,11 @@ __all__ = [
     "BarCombo",
     "BarWord",
     "B3Word",
-    "CanonicalForm",
     "DELTA",
     "E2",
     "E4",
     "E6",
+    "IntegralPoly",
     "LogQSeries",
     "LyndonPoly",
     "ModularModeError",

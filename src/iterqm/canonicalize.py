@@ -1,17 +1,17 @@
 """Canonical forms of iterated integrals in the Lyndon-word polynomial basis.
 
-Any linear combination of bar words of quasimodular forms, with
-quasimodular coefficients, equals a unique polynomial (over the ring of
-quasimodular forms) in the iterated integrals of Lyndon words over the
-ordered alphabet of :func:`~iterqm.quasimodular.basis_b`.  The rewriting
-proceeds in two stages:
+Any polynomial in iterated integrals of bar words, with quasimodular
+coefficients, equals a unique polynomial (over the ring of quasimodular
+forms) in the iterated integrals of Lyndon words over the ordered alphabet
+of :func:`~iterqm.quasimodular.basis_b`.  :func:`canonical_form` computes it
+as a ring homomorphism, rewriting each combination of words in two stages:
 
 1. :func:`reduce_letters` replaces every letter by basis letters, using
    the weight decomposition of each letter and integration by parts to
    eliminate derivative components; each elimination shortens the word,
    so the rewriting terminates.
-2. :func:`canonical_form` rewrites the resulting combination as a whole
-   into a polynomial in Lyndon words by the leading-word reduction of
+2. the resulting combination is rewritten as a whole into a polynomial in
+   Lyndon words by the leading-word reduction of
    :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`, with no cache.
 
 Soundness is checkable: re-expanding the output reproduces the input
@@ -25,17 +25,18 @@ and checked exactly, and only a failed lift falls back to elimination over Q.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-from .iterint import BarCombo, BarWord, ibp, iter_integral
+from .iterint import BarCombo, BarWord, IntegralPoly, ibp, iter_integral
 from .linear import _accumulate
-from .qseries import LogQSeries, Scalar
+from .qseries import Scalar
 from .quasimodular import (
     E2,
+    ONE,
     QMPoly,
     _row_reduce,
     basis_b,
@@ -116,49 +117,48 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
     return BarCombo._of(out)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A polynomial in Lyndon words over the ordered basis alphabet.
+def canonical_form(integrals: IntegralPoly | BarCombo, modular_only: bool = False) -> IntegralPoly:
+    """Rewrite a polynomial in integrals, or a bar combination, in the canonical basis.
 
-    ``poly`` has QMPoly coefficients and monomials that are multisets of
-    Lyndon words; word letters are indices into ``basis``.
+    A ring homomorphism: products are not shuffled out.  Monomials are
+    grouped by all but their last word; each group's combination of last
+    words (the empty word for a constant) is rewritten as a whole, then
+    multiplied by the canonical forms of the group's other words.  The basis
+    is the prefix of ``basis_b`` that the letters of the result need.  In
+    modular-only mode every letter and coefficient of the unexpanded input
+    must avoid E2; the offending element is reported otherwise.
     """
-
-    poly: LyndonPoly
-    basis: tuple[QMPoly, ...]
-    modular: bool = False
-
-    def expansion(self, trunc: int) -> LogQSeries:
-        """Shuffle the Lyndon monomials back out and expand, exactly."""
-        total = LogQSeries.zero(trunc)
-        for mono, coeff in self.poly.terms.items():
-            factors = [iter_integral(tuple(self.basis[i] for i in iword), trunc) for iword in mono]
-            value = reduce(LogQSeries.__mul__, factors) if factors else LogQSeries.constant(1, trunc)
-            total = total + expand(coeff, trunc) * value
-        return total
-
-
-def canonical_form(combo: BarCombo, modular_only: bool = False) -> CanonicalForm:
-    """Rewrite a bar combination in the canonical Lyndon polynomial basis.
-
-    In modular-only mode every input letter and coefficient must avoid E2;
-    the offending element is reported otherwise.
-    """
+    if isinstance(integrals, BarCombo):
+        groups = {(): integrals.terms}
+    else:
+        groups = {}
+        for mono, coeff in integrals.poly.terms.items():
+            words = [tuple(integrals.basis[i] for i in w) for w in mono] or [()]
+            groups.setdefault(tuple(words[:-1]), {})[words[-1]] = coeff
     if modular_only:
-        for word, coeff in combo.terms.items():
-            if not coeff.is_modular():
-                raise ModularModeError(coeff, "a coefficient")
-            for letter in word:
-                if not letter.is_modular():
+        for rest, combo in groups.items():
+            for word, coeff in combo.items():
+                if not coeff.is_modular():
+                    raise ModularModeError(coeff, "a coefficient")
+                if (letter := next((l for l in chain(word, *rest) if not l.is_modular()), None)) is not None:
                     raise ModularModeError(letter, "a letter")
 
-    reduced = reduce_letters(combo)
-
-    max_weight = max((letter_sort_key(letter)[0] for word in reduced.terms for letter in word), default=0)
+    reduced = {rest: reduce_letters(BarCombo._of(combo)) for rest, combo in groups.items()}
+    factors = {word: reduce_letters(BarCombo._of({word: ONE})) for rest in groups for word in rest}
+    max_weight = max((letter_sort_key(letter)[0] for combo in chain(reduced.values(), factors.values())
+                      for word in combo.terms for letter in word), default=0)
     basis = tuple(basis_b(max_weight, modular_only=modular_only))
     rank = {letter: i for i, letter in enumerate(basis)}
-    ranked = {tuple(rank[l] for l in word): coeff for word, coeff in reduced.terms.items()}
-    return CanonicalForm(poly=to_lyndon_basis(ranked), basis=basis, modular=modular_only)
+
+    def lyndon(combo: BarCombo) -> LyndonPoly:
+        return to_lyndon_basis({tuple(rank[l] for l in word): coeff for word, coeff in combo.terms.items()})
+
+    images = {word: lyndon(combo) for word, combo in factors.items()}
+    poly = sum((reduce(LyndonPoly.__mul__, (images[w] for w in rest), lyndon(combo))
+                for rest, combo in reduced.items()), LyndonPoly.zero())
+    # the letters of the result fix the basis: ranks grow with weight
+    top = letter_sort_key(basis[max((i for mono in poly.terms for w in mono for i in w), default=0)])[0]
+    return IntegralPoly(poly, tuple(l for l in basis if letter_sort_key(l)[0] <= top), modular_only)
 
 
 #: The largest prime below 2^30: row operations mod it stay on small ints,

@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import cocycles
-from .canonicalize import CanonicalForm, canonical_form, independence_rank
+from .canonicalize import IntegralPoly, canonical_form, independence_rank
 from .expr import ExprError, parse
 from .qseries import LogQSeries
 from .quasimodular import (
@@ -87,12 +87,12 @@ def _word_name(word: tuple[int, ...], basis) -> str:
     return "I(" + ",".join(letter_name(basis[i]) for i in word) + ")"
 
 
-def _canonical_terms(cf: CanonicalForm) -> list[tuple[tuple, QMPoly]]:
+def _canonical_terms(cf: IntegralPoly) -> list[tuple[tuple, QMPoly]]:
     """The (monomial, coefficient) pairs of ``cf`` by total word length, then by monomial."""
     return sorted(cf.poly.terms.items(), key=lambda term: (sum(len(w) for w in term[0]), term[0]))
 
 
-def format_canonical(cf: CanonicalForm) -> str:
+def format_canonical(cf: IntegralPoly) -> str:
     terms = []
     for mono, coeff in _canonical_terms(cf):
         mono_str = "*".join(_power(_word_name(w, cf.basis), n) for w, n in sorted(Counter(mono).items()))
@@ -135,7 +135,7 @@ def qmpoly_from_json(data: dict) -> QMPoly:
     )
 
 
-def canonical_to_json(cf: CanonicalForm) -> dict:
+def canonical_to_json(cf: IntegralPoly) -> dict:
     basis_weight = max((letter_sort_key(l)[0] for l in cf.basis), default=0)
     terms = [
         {"coeff": qmpoly_to_json(coeff), "monomial": [[letter_name(cf.basis[i]) for i in w] for w in mono]}
@@ -144,14 +144,14 @@ def canonical_to_json(cf: CanonicalForm) -> dict:
     return {"modular": cf.modular, "basis_max_weight": basis_weight, "terms": terms}
 
 
-def canonical_from_json(data: dict) -> CanonicalForm:
+def canonical_from_json(data: dict) -> IntegralPoly:
     basis = tuple(basis_b(data["basis_max_weight"], modular_only=data["modular"]))
     rank = {letter_name(l): i for i, l in enumerate(basis)}
     poly = LyndonPoly(
         (tuple(tuple(rank[name] for name in w) for w in term["monomial"]), qmpoly_from_json(term["coeff"]))
         for term in data["terms"]
     )
-    return CanonicalForm(poly=poly, basis=basis, modular=data["modular"])
+    return IntegralPoly(poly=poly, basis=basis, modular=data["modular"])
 
 
 # ---------------------------------------------------------------- commands

@@ -11,23 +11,23 @@ Grammar::
 
 A ``-`` that is followed, after any whitespace, by a digit is the sign of a
 rational literal, so ``-2^2`` is 4; any other leading ``-`` negates its
-factor.  Each rule returns its value: a :class:`QMPoly` until an integral
-occurs, a :class:`BarCombo` from then on, with sums and products of the two
-kinds promoted to bar combinations (products of integrals are shuffles).
-An ``I`` may not occur inside the arguments of another ``I`` or of ``D``,
-nor anywhere in a form.  Every error carries the byte offset where it was
-found.  Brackets nest at most :data:`MAX_NESTING` deep.
+factor.  Each rule returns its value: where an ``I`` may occur, a
+polynomial (:class:`LyndonPoly`) in integrals, each ``I(...)`` one variable
+over letters numbered as read, so a product of integrals is not shuffled
+out; elsewhere (in ``I`` and ``D`` arguments and in forms) a
+:class:`QMPoly`.  Every error carries the byte offset where it was found.
+Brackets nest at most :data:`MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-from .iterint import BarCombo
-from .quasimodular import E2, E4, E6, QMPoly, derive
+from .iterint import IntegralPoly
+from .quasimodular import E2, E4, E6, ONE, QMPoly, derive
+from .shuffle_lyndon import LyndonPoly
 
-Value = Union[QMPoly, BarCombo]
+Value = QMPoly | LyndonPoly
 
 
 class ExprError(ValueError):
@@ -41,16 +41,17 @@ _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
 MAX_NESTING = 200
 
 
-def _combo(value: Value) -> BarCombo:
-    return value if isinstance(value, BarCombo) else BarCombo({(): value})
-
-
 class _Parser:
     def __init__(self, text: str, integrals: bool):
         self.text = text
         self.pos = 0
         self.depth = 0  # brackets around the expression being parsed
         self.integrals = integrals  # whether an I may occur at this point
+        self.letters: dict[QMPoly, int] = {}  # each integrand letter's index
+
+    def _form(self, form: QMPoly) -> Value:
+        """A form as a value: a constant polynomial where an I may occur."""
+        return LyndonPoly._of({(): form} if form else {}) if self.integrals else form
 
     # -- lexing helpers --
 
@@ -91,12 +92,12 @@ class _Parser:
 
     # -- grammar --
 
-    def parse(self) -> Value:
+    def parse(self) -> IntegralPoly | QMPoly:
         value = self.expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ExprError("unexpected trailing input", offset=self.pos)
-        return value
+        return IntegralPoly(value, tuple(self.letters)) if self.integrals else value
 
     def expr(self) -> Value:
         if self.depth > MAX_NESTING:
@@ -106,12 +107,7 @@ class _Parser:
         while (op := self._peek()) in ("+", "-"):
             self.pos += 1
             other = self.term()
-            if op == "-":
-                other = -other
-            if isinstance(value, QMPoly) and isinstance(other, QMPoly):
-                value = value + other
-            else:
-                value = _combo(value) + _combo(other)
+            value = value - other if op == "-" else value + other
         self.depth -= 1
         return value
 
@@ -119,11 +115,7 @@ class _Parser:
         value = self.factor()
         while self._peek() == "*":
             self.pos += 1
-            other = self.factor()
-            if isinstance(value, QMPoly) and isinstance(other, QMPoly):
-                value = value * other
-            else:
-                value = _combo(value).shuffle(_combo(other))
+            value = value * self.factor()
         return value
 
     def factor(self) -> Value:
@@ -135,13 +127,7 @@ class _Parser:
         if self._peek() == "^":
             self.pos += 1
             exponent = self._uint()
-            if isinstance(value, QMPoly):
-                value = value**exponent
-            else:
-                power = BarCombo.unit()
-                for _ in range(exponent):
-                    power = power.shuffle(value)
-                value = power
+            value = value**exponent if exponent else self._form(ONE)
         return -value if negate else value
 
     def atom(self) -> Value:
@@ -164,11 +150,11 @@ class _Parser:
                 denominator = self._uint()
                 if denominator == 0:
                     raise ExprError("zero denominator", offset=self.pos - 1)
-            return QMPoly.constant(Fraction(sign * numerator, denominator))
+            return self._form(QMPoly.constant(Fraction(sign * numerator, denominator)))
         if ch.isalpha():
             name = self._name()
             if name in _GENERATORS:
-                return _GENERATORS[name]
+                return self._form(_GENERATORS[name])
             if name in ("D", "I"):
                 if name == "I" and not self.integrals:
                     raise ExprError("an integral is not allowed here", offset=start)
@@ -181,17 +167,21 @@ class _Parser:
                     args.append(self.expr())
                 self._expect(")")
                 self.integrals = integrals
-                return derive(args[0]) if name == "D" else BarCombo.word(args)
+                if name == "D":
+                    return self._form(derive(args[0]))
+                if not all(args):  # the integral is multilinear: a zero letter kills it
+                    return LyndonPoly.zero()
+                word = tuple(self.letters.setdefault(letter, len(self.letters)) for letter in args)
+                return LyndonPoly._of({(word,): ONE})
             raise ExprError(f"unknown name {name!r}", offset=start)
         raise ExprError("expected an atom", offset=start)
 
 
-def parse(text: str, integrals: bool = True) -> Value:
+def parse(text: str, integrals: bool = True) -> IntegralPoly | QMPoly:
     """Parse and evaluate an expression.
 
-    Returns a :class:`BarCombo`, or with ``integrals=False`` a
-    :class:`QMPoly`, in which case an ``I`` is an error.  Raises
-    :class:`ExprError` with the byte offset of the fault.
+    Returns an :class:`IntegralPoly` over the letters read, or with
+    ``integrals=False`` a :class:`QMPoly`, in which case an ``I`` is an
+    error.  Raises :class:`ExprError` with the byte offset of the fault.
     """
-    value = _Parser(text, integrals).parse()
-    return _combo(value) if integrals else value
+    return _Parser(text, integrals).parse()

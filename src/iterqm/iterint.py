@@ -16,20 +16,22 @@ The algebraic identities these integrals satisfy (shuffle product, R-map
 combination of truncated words with constant-letter words, and integration
 by parts at any position of a word) are provided as word-level operations on
 :class:`BarCombo`, a linear combination of bar words with quasimodular
-coefficients.
+coefficients.  The shuffle of two words is the product of their integrals
+(Chen), so :class:`IntegralPoly`, a polynomial in integrals, is unexpanded.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Union
 
 from .linear import LinearCombination, _accumulate
 from .qseries import LogQSeries, primitive
 from .quasimodular import ONE, QMPoly, expand
-from .shuffle_lyndon import _shuffle, shuffle_combos
+from .shuffle_lyndon import LyndonPoly, _shuffle, shuffle_combos
 
 BarWord = tuple[QMPoly, ...]
 
@@ -88,6 +90,24 @@ class BarCombo(LinearCombination):
         for word, coeff in self.terms.items():
             total = total + expand(coeff, trunc) * iter_integral(word, trunc)
         return total
+
+
+@dataclass(frozen=True)
+class IntegralPoly:
+    """A polynomial in iterated integrals with QMPoly coefficients: the
+    monomials of ``poly`` are multisets of words whose letters index
+    ``basis``.  ``parse`` gives one over the letters it read, in that order,
+    and ``canonical_form`` one in Lyndon words over ``basis_b``."""
+
+    poly: LyndonPoly
+    basis: tuple[QMPoly, ...]
+    modular: bool = False
+
+    def expansion(self, trunc: int) -> LogQSeries:
+        """Evaluate exactly: each word's integral once, multiplied out per monomial."""
+        series = {w: iter_integral([self.basis[i] for i in w], trunc) for mono in self.poly.terms for w in mono}
+        return sum((reduce(LogQSeries.__mul__, (series[w] for w in mono), expand(coeff, trunc))
+                    for mono, coeff in self.poly.terms.items()), LogQSeries.zero(trunc))
 
 
 def shuffle_product_words(w1: Iterable[QMPoly], w2: Iterable[QMPoly]) -> BarCombo:

@@ -1,11 +1,11 @@
 """Sparse linear combinations: dicts from keys to nonzero coefficients.
 
 Quasimodular polynomials (monomials to rationals), bar combinations (bar
-words to polynomials) and Lyndon polynomials (multisets of Lyndon words to
-coefficients) are all finite linear combinations.  :func:`_accumulate` is
-the one routine that adds terms into such a dict and drops those that
-cancel; :class:`LinearCombination` is the immutable base class of the
-last two.  Coefficients may be any commutative ring elements that support
+words to polynomials) and polynomials in words (multisets of words, Lyndon
+or not, to coefficients) are all finite linear combinations.
+:func:`_accumulate` is the one routine that adds terms into such a dict and
+drops those that cancel; :class:`LinearCombination` is the immutable base
+class of the last two.  Coefficients may be any commutative ring elements that support
 +, *, unary - and truthiness for zero tests.
 """
 

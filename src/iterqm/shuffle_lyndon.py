@@ -132,11 +132,12 @@ def lyndon_factorize(w: Iterable[int]) -> list[Word]:
 
 
 class LyndonPoly(LinearCombination):
-    """A polynomial in Lyndon words: monomials are multisets of Lyndon words.
+    """A polynomial in words: monomials are multisets of words.
 
     A monomial is stored as a sorted tuple of words.  Multiplication is the
     free commutative product of monomials with coefficient products; the
-    coefficients may be Fractions or any commutative ring elements.
+    coefficients may be Fractions or any commutative ring elements.  Only
+    the constructor checks that the words are Lyndon: a parse has others.
     """
 
     __slots__ = ()
@@ -173,6 +174,15 @@ class LyndonPoly(LinearCombination):
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items()
         )))
+
+    def __pow__(self, n: int) -> "LyndonPoly":
+        """The n-th power for n >= 1 (the coefficient ring's 1 is unknown), by squaring."""
+        if n < 1:
+            raise ValueError("only positive powers are defined")
+        if n == 1:
+            return self
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def shuffle_expand(self) -> dict[Word, object]:
         """Evaluate the polynomial in the shuffle algebra: a word combination."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from iterqm.iterint import BarCombo
 from iterqm.quasimodular import QMPoly
 
 
@@ -35,3 +36,10 @@ def random_qmpoly(rng: random.Random, max_weight: int, parts: int = 2) -> QMPoly
         w = 2 * rng.randint(0, max_weight // 2)
         total = total + random_homogeneous(rng, w)
     return total
+
+
+def shuffle_expansion(integrals) -> BarCombo:
+    """The bar combination that a polynomial in integrals equals by Chen's
+    identity: each monomial's words shuffled together."""
+    basis = integrals.basis
+    return BarCombo({tuple(basis[i] for i in w): c for w, c in integrals.poly.shuffle_expand().items()})

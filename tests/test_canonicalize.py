@@ -195,6 +195,17 @@ class TestCanonicalForm:
             power = power * base
             assert canonical_form(parse(f"I(E4,E6)^{k}")).poly == power
 
+    def test_powers_are_products_of_the_integral(self):
+        """canonical and integral -N 30 of I(E4,E6)^k are the k-th powers of those of I(E4,E6)."""
+        integral = parse("I(E4,E6)")
+        base, series = canonical_form(integral).poly, integral.expansion(30)
+        power, power_series = LyndonPoly.monomial([], ONE), LogQSeries.constant(1, 30)
+        for k in range(1, 13):
+            power, power_series = power * base, power_series * series
+            got = parse(f"I(E4,E6)^{k}")
+            assert canonical_form(got).poly == power
+            assert got.expansion(30) == power_series
+
     def test_basis_prefix_stability(self):
         from iterqm.quasimodular import basis_b
 

@@ -222,6 +222,14 @@ class TestCommands:
         assert code == 1
         assert "E2" in err
 
+    def test_canonical_modular_checks_products_unexpanded(self, capsys):
+        """An E2 coefficient that cancels only once the product is shuffled out is still reported."""
+        text = "E2*I(E4)*I(E6) - E2*I(E4,E6) - E2*I(E6,E4)"
+        assert run(capsys, ["canonical", text]) == (0, "0\n", "")
+        code, out, err = run(capsys, ["canonical", text, "--modular"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: modular-only mode: a coefficient involves E2")
+
     def test_rank_stdin(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys,

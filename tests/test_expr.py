@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import shuffle_expansion
 from iterqm.expr import MAX_NESTING, ExprError, parse
 from iterqm.iterint import BarCombo, shuffle_product_words
 from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive
+from iterqm.shuffle_lyndon import _shuffle
 
 
 def form(text):
@@ -16,7 +18,7 @@ class TestParse:
         assert form("E4^3 - E6^2") == E4**3 - E6**2
 
     def test_integral_with_product_letter(self):
-        assert parse("I(E2, E4*E6)") == BarCombo({(E2, E4 * E6): 1})
+        assert shuffle_expansion(parse("I(E2, E4*E6)")) == BarCombo({(E2, E4 * E6): 1})
 
     def test_rationals(self):
         assert form("1/1728*(E4^3-E6^2)") == DELTA
@@ -59,13 +61,13 @@ class TestUnaryMinus:
         assert form(text) == (value if isinstance(value, QMPoly) else QMPoly.constant(value))
 
     def test_negated_integral(self):
-        assert parse("-I(E4)") == BarCombo({(E4,): -1})
-        assert parse("E2*-I(E4)") == BarCombo({(E4,): -E2})
+        assert shuffle_expansion(parse("-I(E4)")) == BarCombo({(E4,): -1})
+        assert shuffle_expansion(parse("E2*-I(E4)")) == BarCombo({(E4,): -E2})
 
     @pytest.mark.parametrize("count", [9_999, 10_000])
     def test_long_run_of_minus_signs(self, count):
         assert form("-" * count + "E4") == (-E4 if count % 2 else E4)
-        assert parse("-" * count + "I(E4)") == BarCombo({(E4,): -1 if count % 2 else 1})
+        assert shuffle_expansion(parse("-" * count + "I(E4)")) == BarCombo({(E4,): -1 if count % 2 else 1})
 
 
 class TestParseErrors:
@@ -111,16 +113,26 @@ class TestParseErrors:
 
 class TestEvalCombo:
     def test_product_of_integrals_is_shuffle(self):
-        assert parse("I(E2)*I(E4)") == shuffle_product_words((E2,), (E4,))
+        assert shuffle_expansion(parse("I(E2)*I(E4)")) == shuffle_product_words((E2,), (E4,))
 
     def test_power_of_integral(self):
-        assert parse("I(1)^2") == BarCombo({(ONE, ONE): 2})
-        assert parse("I(1)^0") == BarCombo.unit()
+        assert shuffle_expansion(parse("I(1)^2")) == BarCombo({(ONE, ONE): 2})
+        assert shuffle_expansion(parse("I(1)^0")) == BarCombo.unit()
 
     def test_scalar_coefficients(self):
-        got = parse("E2*I(E4) - 3*I(E6)")
+        got = shuffle_expansion(parse("E2*I(E4) - 3*I(E6)"))
         assert got == BarCombo({(E4,): E2, (E6,): QMPoly.constant(-3)})
 
+    def test_products_stay_unexpanded(self):
+        got = parse("I(E4,E6)^12")
+        assert got.poly.terms == {((0, 1),) * 12: ONE}
+        assert got.basis == (E4, E6)
+
+    def test_parse_leaves_the_shuffle_cache_alone(self):
+        _shuffle.cache_clear()
+        parse("2*I(E4) + E6*I(E6,E4)")
+        assert _shuffle.cache_info().currsize == 0
+
     def test_pure_polynomial_becomes_empty_word(self):
-        assert parse("E2^2") == BarCombo({(): E2 * E2})
-        assert parse("E2 - E2") == BarCombo.zero()
+        assert shuffle_expansion(parse("E2^2")) == BarCombo({(): E2 * E2})
+        assert shuffle_expansion(parse("E2 - E2")) == BarCombo.zero()

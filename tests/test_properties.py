@@ -19,9 +19,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import monomials_of_weight  # noqa: E402
+from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
-from iterqm.cli import series_from_json, series_to_json  # noqa: E402
+from iterqm.cli import format_qmpoly, series_from_json, series_to_json  # noqa: E402
 from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import BarCombo, ibp, iter_integral  # noqa: E402
@@ -194,8 +194,8 @@ def forms(max_weight):
 
 
 @st.composite
-def bar_combos(draw, max_len=3):
-    letter = forms(8).filter(lambda p: not is_basis_letter(p))
+def bar_combos(draw, max_len=3, letter_weight=8):
+    letter = forms(letter_weight).filter(lambda p: not is_basis_letter(p))
     terms = {}
     for _ in range(draw(st.integers(1, 2))):
         word = tuple(draw(st.lists(letter, max_size=max_len)))
@@ -303,6 +303,27 @@ def test_canonical_form_is_a_ring_homomorphism(x, y):
     assert cxy.poly == cx.poly * cy.poly
 
 
+def _render(combo):
+    """Expression text for a bar combination, every form in brackets."""
+    def form(p):
+        return f"({format_qmpoly(p)})"
+    return " + ".join(f"{form(c)}*I({', '.join(map(form, w))})" if w else form(c)
+                      for w, c in combo.terms.items()) or "0"
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(bar_combos(letter_weight=4), bar_combos(letter_weight=4))
+def test_integral_and_canonical_are_ring_homomorphisms(x, y):
+    """A parsed product is the product of its factors' series and canonical
+    forms, and agrees with the canonical form of the expanded shuffle."""
+    n = 6
+    px, py, pxy = parse(_render(x)), parse(_render(y)), parse(f"({_render(x)})*({_render(y)})")
+    assert pxy.expansion(n) == px.expansion(n) * py.expansion(n)
+    cxy = canonical_form(pxy)
+    assert cxy.poly == canonical_form(px).poly * canonical_form(py).poly
+    assert cxy == canonical_form(x.shuffle(y))
+
+
 braid_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=12).map(tuple)
 
 
@@ -397,10 +418,10 @@ combo_exprs = _expressions(
 @example(("E6*-3/2^2", TERM, E6 * F(9, 4), 0))
 def test_parse_evaluates_forms(node):
     assert parse(node[0], integrals=False) == node[2], node[0]
-    assert parse(node[0]) == BarCombo({(): node[2]}), node[0]
+    assert shuffle_expansion(parse(node[0])) == BarCombo({(): node[2]}), node[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(combo_exprs)
 def test_parse_evaluates_combos(node):
-    assert parse(node[0]) == node[2], node[0]
+    assert shuffle_expansion(parse(node[0])) == node[2], node[0]
