@@ -29,6 +29,7 @@ from .iterint import (
     BarCombo,
     BarWord,
     IntegralPoly,
+    _iter_integral,
     ibp,
     iter_integral,
     r_map,
@@ -36,6 +37,8 @@ from .iterint import (
 )
 from .qseries import LogQSeries, d_op, primitive
 from .quasimodular import (
+    _decomposition_inverse,
+    _gen_power,
     DELTA,
     E2,
     E4,
@@ -52,6 +55,7 @@ from .quasimodular import (
     transform_coeffs,
 )
 from .shuffle_lyndon import (
+    _shuffle,
     LyndonPoly,
     is_lyndon,
     lyndon_factorize,
@@ -61,6 +65,15 @@ from .shuffle_lyndon import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module cache: Bernoulli numbers, q-expansions, generator
+    powers, iterated integrals (exact and mod p), word shuffles and inverted
+    decomposition systems.  Results stay the same; only reuse is lost."""
+    for cache in (bernoulli, eisenstein_qexp, _gen_power, _iter_integral, _shuffle, _decomposition_inverse):
+        cache.cache_clear()
+
 
 __all__ = [
     "BarCombo",
@@ -82,6 +95,7 @@ __all__ = [
     "basis_b",
     "bernoulli",
     "canonical_form",
+    "clear_caches",
     "cocycle_r",
     "d_op",
     "decompose",

@@ -17,9 +17,12 @@ as a ring homomorphism, rewriting each combination of words in two stages:
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
-exact rank on integer rows: full rank modulo a fixed prime is already a
-certificate, a deficiency is proved by the kernel found mod p, lifted to Q
-and checked exactly, and only a failed lift falls back to elimination over Q.
+exact rank on rows built modulo a fixed prime p from the start, each the
+exact row times a unit mod p: full rank there is already a certificate, a
+deficiency is proved by the kernel found mod p, lifted to Q and checked on
+exact series built only for the rows it involves.  A denominator divisible
+by p takes exact rows throughout, and a failed lift or check falls back to
+elimination over Q.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .iterint import BarCombo, BarWord, IntegralPoly, ibp, iter_integral
 from .linear import _accumulate
-from .qseries import Scalar
+from .qseries import LogQSeries, Scalar
 from .quasimodular import (
     E2,
     ONE,
@@ -178,37 +181,56 @@ def _rational_lift(u: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
+def _certified_rank(residues: list[list[int]], ncols: int, is_kernel) -> int | None:
+    """The rank over Q of a matrix A, from its rows mod _RANK_PRIME, where they prove it.
+
+    The rank r mod p can only be lower than over Q, so r = len(residues) or
+    r = ncols (A's true column count, or a bound on it) is the answer.
+    Otherwise the n - r kernel vectors of [A mod p | I], which are
+    independent, are lifted to Q by rational reconstruction; if ``is_kernel``
+    confirms v*A = 0 exactly for each lift v, the rank over Q is at most, so
+    exactly, r.  None when a lift or its check fails.
+    """
+    n = len(residues)
+    rank = len(_row_reduce([list(row) for row in residues], _RANK_PRIME))
+    if rank == n or rank == ncols:
+        return rank
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(residues)]
+    _row_reduce(augmented, _RANK_PRIME, reduced=True)
+    for row in augmented[rank:]:
+        lifts = [_rational_lift(u) for u in row[-n:]]
+        if None in lifts or not is_kernel(lifts):
+            return None
+    return rank
+
+
 def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank over Q of a dense matrix of ints or Fractions, exactly.
 
     Rows are scaled to integers A by the lcm of their denominators and taken
-    mod a fixed prime p, where the rank r can only drop: full rank there is
-    the answer.  Otherwise the n - r kernel vectors of [A mod p | I], which
-    are independent, are lifted to Q by rational reconstruction; if each
-    lift v has v*A = 0 exactly, the rank over Q is at most, so exactly, r.
-    Should a lift or its check fail, elimination over Q settles the rank.
+    mod a fixed prime p: full rank there, or a kernel lifted to Q that
+    checks exactly, is the answer (see :func:`_certified_rank`).  Should a
+    lift or its check fail, elimination over Q settles the rank.
     """
     matrix = [row for row in rows if any(row)]
     scales = [lcm(*(x.denominator for x in row)) for row in matrix]
     matrix = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(matrix, scales)]
-    n = len(matrix)
-    rank = len(_row_reduce([[x % _RANK_PRIME for x in row] for row in matrix], _RANK_PRIME))
-    if rank == n or rank == len(matrix[0]):
-        return rank
-    augmented = [[x % _RANK_PRIME for x in row] + [int(i == j) for j in range(n)]
-                 for i, row in enumerate(matrix)]
-    _row_reduce(augmented, _RANK_PRIME, reduced=True)
-    for row in augmented[rank:]:
-        lifts = [_rational_lift(u) for u in row[-n:]]
-        if None in lifts:
-            break
+    ncols = len(matrix[0]) if matrix else 0
+
+    def is_kernel(lifts: list[Fraction]) -> bool:
         den = lcm(*(c.denominator for c in lifts))
         kernel = [(c.numerator * (den // c.denominator), a) for c, a in zip(lifts, matrix) if c]
-        if any(sum(c * a[j] for c, a in kernel) for j in range(len(matrix[0]))):
-            break
-    else:
-        return rank
-    return len(_row_reduce(matrix))
+        return not any(sum(c * a[j] for c, a in kernel) for j in range(ncols))
+
+    rank = _certified_rank([[x % _RANK_PRIME for x in row] for row in matrix], ncols, is_kernel)
+    return len(_row_reduce(matrix)) if rank is None else rank
+
+
+def _rows(series: Sequence[LogQSeries], trunc: int) -> list[list[int]]:
+    """Each series' numerators over the q^m L^k grid, highest L-power first."""
+    max_log = max((s.log_degree() for s in series), default=0)
+    zero = (0,) * (trunc + 1)
+    return [[x for k in range(max_log, -1, -1) for x in s.parts.get(k, zero)] for s in series]
 
 
 def independence_rank(
@@ -219,17 +241,46 @@ def independence_rank(
     """Exact rank of the multiplied integrals' coefficient vectors.
 
     Each series expand(multiplier) * integral(word) is flattened over the
-    q^m L^k grid (m <= trunc, k up to the longest word) as its integer
-    numerators, highest L-power first so that rows of lower log-degree sit
-    out the first pivots.  Full rank certifies Q-linear independence of
-    the family at this truncation: a finite witness, never a proof.  The
-    rank is exact (see :func:`rational_rank`).
+    q^m L^k grid (m <= trunc, k up to the longest word), highest L-power
+    first so that rows of lower log-degree sit out the first pivots.  Full
+    rank certifies Q-linear independence of the family at this truncation:
+    a finite witness, never a proof.  The rank is exact.  The rows are
+    built mod a fixed prime p from the start: each is the exact row times a
+    unit mod p, so full rank there is the answer, and a kernel found there
+    is lifted to Q and checked on exact series built only for the rows it
+    involves (see :func:`_certified_rank`).  Should p divide a denominator
+    of the family, or a lift or its check fail, the exact rows decide as
+    in :func:`rational_rank`.
     """
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
-    series = [expand(mult, trunc) * iter_integral(tuple(word), trunc)
-              for word, mult in zip(words, multipliers)]
-    max_log = max((s.log_degree() for s in series), default=0)
-    zero = (0,) * (trunc + 1)
-    rows = [[x for k in range(max_log, -1, -1) for x in s.parts.get(k, zero)] for s in series]
-    return rational_rank(rows)
+    words = [tuple(word) for word in words]
+    expanded: dict[tuple[QMPoly, int], LogQSeries] = {}  # a few multipliers serve many rows
+
+    def series(i: int, modulus: int = 0) -> LogQSeries:
+        key = (multipliers[i], modulus)
+        if key not in expanded:
+            expanded[key] = expand(multipliers[i], trunc, modulus)
+        return expanded[key] * iter_integral(words[i], trunc, modulus)
+
+    def exact_rows() -> list[list[int]]:
+        return _rows([series(i) for i in range(len(words))], trunc)
+
+    try:
+        residues = _rows([series(i, _RANK_PRIME) for i in range(len(words))], trunc)
+    except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
+        return rational_rank(exact_rows())
+    exact: dict[int, LogQSeries] = {}
+
+    def is_kernel(lifts: list[Fraction]) -> bool:
+        total = LogQSeries.zero(trunc)
+        for i, c in enumerate(lifts):
+            if c:
+                if i not in exact:
+                    exact[i] = series(i)
+                total = total + exact[i].scale(c)
+        return total.is_zero()
+
+    width = (trunc + 1) * (1 + max(map(len, words), default=0))
+    rank = _certified_rank(residues, width, is_kernel)
+    return len(_row_reduce(exact_rows())) if rank is None else rank

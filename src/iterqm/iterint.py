@@ -115,27 +115,28 @@ def shuffle_product_words(w1: Iterable[QMPoly], w2: Iterable[QMPoly]) -> BarComb
     return BarCombo(_shuffle(_as_word(w1), _as_word(w2)))
 
 
-def iter_integral(word: Iterable[QMPoly], trunc: int) -> LogQSeries:
+def iter_integral(word: Iterable[QMPoly], trunc: int, modulus: int = 0) -> LogQSeries:
     """The regularized iterated integral of a bar word, as a LogQSeries.
 
     The empty word integrates to the constant 1; otherwise the series is
     the primitive (with vanishing q^0 L^0 coefficient) of minus the
-    expansion of the first letter times the integral of the tail.
+    expansion of the first letter times the integral of the tail.  With a
+    prime ``modulus`` the same steps run over Z/p.
     """
     word = _as_word(word)
     # Fill the cache from the last letter, 128 letters a call, so that no call
     # recurses deeper; shorter words make plain recursion's cache lookups.
     for start in range(len(word) - 128, 0, -128):
-        _iter_integral(word[start:], trunc)
-    return _iter_integral(word, trunc)
+        _iter_integral(word[start:], trunc, modulus)
+    return _iter_integral(word, trunc, modulus)
 
 
 @lru_cache(maxsize=None)
-def _iter_integral(word: BarWord, trunc: int) -> LogQSeries:
+def _iter_integral(word: BarWord, trunc: int, modulus: int) -> LogQSeries:
     if not word:
-        return LogQSeries.constant(1, trunc)
-    head = expand(word[0], trunc)
-    tail = _iter_integral(word[1:], trunc)
+        return LogQSeries.constant(1, trunc, modulus)
+    head = expand(word[0], trunc, modulus)
+    tail = _iter_integral(word[1:], trunc, modulus)
     return primitive(-(head * tail))
 
 

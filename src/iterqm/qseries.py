@@ -16,7 +16,10 @@ All arithmetic is exact over the rationals: a series stores integer
 numerators over one positive denominator shared by all its log-parts, and
 :class:`~fractions.Fraction` appears only where values come in (the
 constructor) and go out (:meth:`LogQSeries.coefficient`); this module
-has no floating point.  Numeric values of series are taken in
+has no floating point.  A series with a prime ``modulus`` is the same
+series over Z/p instead: its denominator is folded into the numerators,
+which are residues, by the same arithmetic (exact rank certificates read
+their rows this way).  Numeric values of series are taken in
 :func:`iterqm.cocycles.eval_numeric`.  Series are multiplied on integers
 (Kronecker substitution): each log-part is packed into one big integer
 with ``2^b`` per coefficient, and each pair of parts is multiplied once.
@@ -49,13 +52,18 @@ class LogQSeries:
     numerators, so equal series have equal fields.  Binary operations
     never extend knowledge: they truncate to the smaller of the two
     operand truncations.
+
+    ``modulus`` is 0 for a series over Q, or a prime p for its image over
+    Z/p: then ``den`` is 1 and the numerators are residues in [0, p).  A
+    denominator divisible by p raises ZeroDivisionError, and operations
+    mixing two rings raise ValueError.
     """
 
-    __slots__ = ("trunc", "den", "parts")
+    __slots__ = ("trunc", "den", "parts", "modulus")
 
-    def __init__(self, trunc: int, parts: Mapping[int, Iterable[Scalar]]):
+    def __init__(self, trunc: int, parts: Mapping[int, Iterable[Scalar]], modulus: int = 0):
         """``parts`` maps k to the rational coefficients of q^0 L^k, q^1 L^k, ...;
-        missing trailing coefficients are zero."""
+        missing trailing coefficients are zero.  A prime ``modulus`` reduces them."""
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
         rational: dict[int, list[Fraction]] = {}
@@ -70,41 +78,66 @@ class LogQSeries:
         numerators = {
             k: tuple(c.numerator * (den // c.denominator) for c in cs) for k, cs in rational.items()
         }
-        self._set(trunc, den, numerators)
+        self._set(trunc, den, numerators, modulus)
 
-    def _set(self, trunc: int, den: int, parts: dict[int, tuple[int, ...]]) -> None:
-        """Store the series, dropping zero parts and cancelling common factors."""
-        parts = {k: p for k, p in parts.items() if any(p)}
-        g = math.gcd(den, *(x for p in parts.values() for x in p)) if parts else den
-        if g != 1:
-            den //= g
-            parts = {k: tuple(x // g for x in p) for k, p in parts.items()}
+    def _set(self, trunc: int, den: int, parts: dict[int, tuple[int, ...]], modulus: int = 0) -> None:
+        """Store the series, dropping zero parts and cancelling common factors;
+        modulo a prime, the numerators times den^-1 are reduced instead."""
+        if modulus:
+            if den % modulus == 0:
+                raise ZeroDivisionError(f"denominator {den} is not invertible mod {modulus}")
+            u, den, reduce = pow(den, -1, modulus), 1, modulus.__rmod__
+            parts = {k: r for k, p in parts.items() if any(r := tuple(map(reduce, map(u.__mul__, p))))}
+        else:
+            parts = {k: p for k, p in parts.items() if any(p)}
+            g = math.gcd(den, *(x for p in parts.values() for x in p)) if parts else den
+            if g != 1:
+                den //= g
+                parts = {k: tuple(x // g for x in p) for k, p in parts.items()}
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
-    def _of(cls, trunc: int, den: int, parts: dict[int, tuple[int, ...]]) -> "LogQSeries":
+    def _of(cls, trunc: int, den: int, parts: dict[int, tuple[int, ...]], modulus: int = 0) -> "LogQSeries":
         """Unchecked: a series from integer numerators of length trunc + 1 over den > 0."""
         obj = object.__new__(cls)
-        obj._set(trunc, den, parts)
+        obj._set(trunc, den, parts, modulus)
         return obj
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("LogQSeries is immutable")
 
     def __reduce__(self):
-        return type(self)._of, (self.trunc, self.den, self.parts)
+        return type(self)._of, (self.trunc, self.den, self.parts, self.modulus)
+
+    def _ring(self, other: "LogQSeries") -> int:
+        """The modulus both operands share."""
+        if self.modulus != other.modulus:
+            raise ValueError(f"cannot combine series mod {self.modulus} and mod {other.modulus} (0: over Q)")
+        return self.modulus
+
+    def modulo(self, modulus: int) -> "LogQSeries":
+        """This series over Z/modulus for a prime modulus, or itself for 0."""
+        if modulus == self.modulus:
+            return self
+        if self.modulus:
+            raise ValueError(f"a series mod {self.modulus} has no image mod {modulus}")
+        return LogQSeries._of(self.trunc, self.den, self.parts, modulus)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc: int) -> "LogQSeries":
-        return cls(trunc, {})
+    def zero(cls, trunc: int, modulus: int = 0) -> "LogQSeries":
+        return cls.constant(0, trunc, modulus)
 
     @classmethod
-    def constant(cls, value: Scalar, trunc: int) -> "LogQSeries":
-        return cls(trunc, {0: [value]})
+    def constant(cls, value: Scalar, trunc: int, modulus: int = 0) -> "LogQSeries":
+        if trunc < 0:
+            raise ValueError("truncation order must be >= 0")
+        value = _as_fraction(value)
+        return cls._of(trunc, value.denominator, {0: (value.numerator,) + (0,) * trunc}, modulus)
 
     @classmethod
     def log_power(cls, k: int, trunc: int, coeff: Scalar = 1) -> "LogQSeries":
@@ -118,7 +151,7 @@ class LogQSeries:
         return max(self.parts, default=0)
 
     def coefficient(self, m: int, k: int) -> Fraction:
-        """Coefficient of q^m L^k."""
+        """Coefficient of q^m L^k (its residue, for a series mod p)."""
         p = self.parts.get(k)
         return Fraction(p[m], self.den) if p is not None else Fraction(0)
 
@@ -128,12 +161,13 @@ class LogQSeries:
     def truncate(self, trunc: int) -> "LogQSeries":
         if trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
-        return LogQSeries._of(trunc, self.den, {k: p[: trunc + 1] for k, p in self.parts.items()})
+        return LogQSeries._of(trunc, self.den, {k: p[: trunc + 1] for k, p in self.parts.items()}, self.modulus)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogQSeries):
             return NotImplemented
-        return (self.trunc, self.den, self.parts) == (other.trunc, other.den, other.parts)
+        return (self.trunc, self.den, self.parts, self.modulus) == (other.trunc, other.den, other.parts,
+                                                                     other.modulus)
 
     __hash__ = None  # mutable-looking container semantics; not hashable
 
@@ -144,11 +178,13 @@ class LogQSeries:
             for m in range(self.trunc + 1)
             if self.parts[k][m]
         ]
-        return f"LogQSeries({' + '.join(terms) or '0'} + O(q^{self.trunc + 1}))"
+        ring = f" mod {self.modulus}" if self.modulus else ""
+        return f"LogQSeries({' + '.join(terms) or '0'} + O(q^{self.trunc + 1}){ring})"
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LogQSeries") -> "LogQSeries":
+        modulus = self._ring(other)
         n = min(self.trunc, other.trunc)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
@@ -157,32 +193,42 @@ class LogQSeries:
             mine = parts.get(k)
             scaled = [fb * y for y in p[: n + 1]]
             parts[k] = tuple(map(int.__add__, mine, scaled)) if mine else tuple(scaled)
-        return LogQSeries._of(n, den, parts)
+        return LogQSeries._of(n, den, parts, modulus)
 
     def __sub__(self, other: "LogQSeries") -> "LogQSeries":
         return self + (-other)
 
     def __neg__(self) -> "LogQSeries":
         parts = {k: tuple(-x for x in p) for k, p in self.parts.items()}
-        return LogQSeries._of(self.trunc, self.den, parts)
+        return LogQSeries._of(self.trunc, self.den, parts, self.modulus)
 
     def __mul__(self, other) -> "LogQSeries":
         if not isinstance(other, LogQSeries):
             return self.scale(other)
+        modulus = self._ring(other)
         n = min(self.trunc, other.trunc)
         if not (self.parts and other.parts):
-            return LogQSeries.zero(n)
+            return LogQSeries.zero(n, modulus)
+        for c, f in ((self, other), (other, self)):
+            if c.parts.keys() == {0} and not any(c.parts[0][1 : n + 1]):  # a constant scales
+                num = c.parts[0][0]
+                if num == c.den == 1 and f.trunc == n:
+                    return f
+                parts = {k: tuple(num * x for x in p[: n + 1]) for k, p in f.parts.items()}
+                return LogQSeries._of(n, c.den * f.den, parts, modulus)
         # Every product coefficient, summed over the pairs of parts that meet
-        # at one L-exponent, is at most bound in absolute value, so a slot of
-        # bound's bits plus a sign and a guard bit holds it exactly.
+        # at one L-exponent, is at most bound in absolute value (residues are
+        # below the modulus), so a slot of bound's bits plus a sign and a guard
+        # bit holds it exactly.
         pairs = min(len(self.parts), len(other.parts))
-        bound = pairs * (n + 1) * max(max(map(abs, p)) for p in self.parts.values()) * max(
-            max(map(abs, p)) for p in other.parts.values()
-        )
+        bound = pairs * (n + 1) * (
+            (modulus - 1) ** 2 if modulus else max(max(map(abs, p)) for p in self.parts.values()) * max(
+                max(map(abs, p)) for p in other.parts.values()))
         bits = bound.bit_length() + 2
+        shifts = range(0, bits * (n + 1), bits)
 
         def pack(p: tuple[int, ...]) -> int:
-            return sum(x << bits * i for i, x in enumerate(p[: n + 1]))
+            return sum(map(int.__lshift__, p[: n + 1], shifts))
 
         packed_b = {k: pack(p) for k, p in other.parts.items()}
         sums: dict[int, int] = {}
@@ -203,7 +249,7 @@ class LogQSeries:
                     packed += 1
                 out.append(slot)
             parts[k] = tuple(out)
-        return LogQSeries._of(n, self.den * other.den, parts)
+        return LogQSeries._of(n, self.den * other.den, parts, modulus)
 
     def __rmul__(self, other) -> "LogQSeries":
         return self.scale(other)
@@ -212,7 +258,7 @@ class LogQSeries:
         c = _as_fraction(c)
         num = c.numerator
         parts = {k: tuple(num * x for x in p) for k, p in self.parts.items()} if num else {}
-        return LogQSeries._of(self.trunc, self.den * c.denominator, parts)
+        return LogQSeries._of(self.trunc, self.den * c.denominator, parts, self.modulus)
 
 
 #: ``bench/tracing.py`` times series products by wrapping
@@ -230,7 +276,7 @@ def d_op(f: LogQSeries) -> LogQSeries:
         parts[k] = tuple(x + (k + 1) * y for x, y in zip(dp, below)) if below else dp
         if k >= 1 and k - 1 not in f.parts:
             parts[k - 1] = tuple(k * x for x in p)
-    return LogQSeries._of(f.trunc, f.den, parts)
+    return LogQSeries._of(f.trunc, f.den, parts, f.modulus)
 
 
 def primitive(f: LogQSeries) -> LogQSeries:
@@ -242,6 +288,8 @@ def primitive(f: LogQSeries) -> LogQSeries:
     in integers for ``den * S * a`` with exact division, where S clears the
     divisions that occur: k + 1 for each nonzero q^0 L^k coefficient, and
     m^(j+1) for a q^m column whose highest nonzero coefficient is at L^j.
+    The divisions are exact for any integer numerators, so residues mod a
+    prime p > trunc take the same steps (S is then a unit mod p).
     """
     n, parts = f.trunc, f.parts
     highest = {m: max((k for k, p in parts.items() if p[m]), default=-1) for m in range(1, n + 1)}
@@ -255,4 +303,4 @@ def primitive(f: LogQSeries) -> LogQSeries:
         for k in range(j, -1, -1):
             p = parts.get(k)
             above = out[k][m] = ((scale * p[m] if p else 0) - (k + 1) * above) // m
-    return LogQSeries._of(n, f.den * scale, {k: tuple(p) for k, p in out.items()})
+    return LogQSeries._of(n, f.den * scale, {k: tuple(p) for k, p in out.items()}, f.modulus)

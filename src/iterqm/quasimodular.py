@@ -256,31 +256,39 @@ def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
 
 
 @lru_cache(maxsize=None)
-def _gen_power(which: int, exponent: int, trunc: int) -> LogQSeries:
+def _gen_power(which: int, exponent: int, trunc: int, modulus: int) -> LogQSeries:
     """Cached powers of the generator q-expansions; which is 2, 4 or 6."""
     if exponent == 0:
-        return LogQSeries.constant(1, trunc)
+        return LogQSeries.constant(1, trunc, modulus)
     if exponent == 1:
-        return eisenstein_qexp(which, trunc)
-    half = _gen_power(which, exponent // 2, trunc)
+        return eisenstein_qexp(which, trunc).modulo(modulus)
+    half = _gen_power(which, exponent // 2, trunc, modulus)
     sq = half * half
-    return sq * eisenstein_qexp(which, trunc) if exponent % 2 else sq
+    return sq * _gen_power(which, 1, trunc, modulus) if exponent % 2 else sq
 
 
-def expand(p: QMPoly, trunc: int) -> LogQSeries:
+def expand(p: QMPoly, trunc: int, modulus: int = 0) -> LogQSeries:
     """Evaluation homomorphism into q-expansions, exact at the truncation.
 
     Each monomial is the product of its cached generator powers, scaled by
-    its numerator; the sum is divided by the denominator once.
+    its numerator; the sum is divided by the denominator once.  With a
+    prime ``modulus`` the result is the series over Z/p (see
+    :class:`~iterqm.qseries.LogQSeries`).
     """
-    total = LogQSeries.zero(trunc)
+    total = None
     for exponents, num in p.nums.items():
         mono = None
         for which, e in zip((2, 4, 6), exponents):
             if e:
-                power = _gen_power(which, e, trunc)
+                power = _gen_power(which, e, trunc, modulus)
                 mono = power if mono is None else mono * power
-        total = total + (LogQSeries.constant(num, trunc) if mono is None else mono.scale(num))
+        if mono is None:
+            mono = LogQSeries.constant(num, trunc, modulus)
+        elif num != 1:
+            mono = mono.scale(num)
+        total = mono if total is None else total + mono
+    if total is None:
+        return LogQSeries.zero(trunc, modulus)
     return total if p.den == 1 else total.scale(Fraction(1, p.den))
 
 
@@ -345,14 +353,18 @@ def _monomials_of_weight(k: int) -> list[Exponents]:
 def _row_reduce(rows: list[list], modulus: int = 0, reduced: bool = False) -> list[int]:
     """Gaussian elimination of ``rows`` in place; returns the pivot columns.
 
-    Entries are rationals (over Q), or ints reduced mod a prime ``modulus``.
+    Entries are rationals (over Q), or ints taken mod a prime ``modulus``.
     Row i ends with a 1 in column pivots[i] and zeros below it (and above it
     too if ``reduced``: Gauss-Jordan); the rows after the pivots are zero.
+    Mod p, a row update subtracts f * pivot with f and the pivot row reduced
+    but leaves the sums unreduced (each pivot adds less than p^2 to an
+    entry); the entries are reduced once, at the end.
     """
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
-        r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        r = next((r for r in range(top, len(rows)) if (rows[r][col] % modulus if modulus else rows[r][col])),
+                 None)
         if r is None:
             continue
         rows[top], rows[r] = rows[r], rows[top]
@@ -361,12 +373,13 @@ def _row_reduce(rows: list[list], modulus: int = 0, reduced: bool = False) -> li
         pivot = [x * inv % modulus if modulus else x * inv for x in rows[top][col:]]
         rows[top] = rows[top][:col] + pivot
         for i in range(0 if reduced else top + 1, len(rows)):
-            row, f = rows[i], rows[i][col]
+            row = rows[i]
+            f = row[col] % modulus if modulus else row[col]
             if f and i != top:
-                pairs = zip(row[col:], pivot)
-                rows[i] = row[:col] + ([(x - f * y) % modulus for x, y in pairs] if modulus
-                                       else [x - f * y for x, y in pairs])
+                rows[i] = row[:col] + [x - f * y for x, y in zip(row[col:], pivot)]
         pivots.append(col)
+    if modulus:
+        rows[:] = [[x % modulus for x in row] for row in rows]
     return pivots
 
 

@@ -1,12 +1,15 @@
 import logging
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
 
 import pytest
 
+import iterqm
 import iterqm.canonicalize as canonicalize
+import iterqm.iterint as iterint
 from conftest import random_homogeneous, random_qmpoly
 from iterqm.canonicalize import (
     _RANK_PRIME,
@@ -414,6 +417,53 @@ class TestModularCertificate:
         assert independence_rank([(E4,), (E6,), (ONE, E4), (ONE, E4)], [ONE, E2, ONE, ONE], 10) == 3
         assert calls == []
 
+    @pytest.fixture
+    def exact_words(self, monkeypatch):
+        """The words whose exact integral is computed, and the multipliers expanded exactly."""
+        seen = {"words": [], "multipliers": []}
+        integral, expand = iterint._iter_integral, canonicalize.expand
+
+        def integral_spy(word, trunc, modulus):
+            if not modulus:
+                seen["words"].append(word)
+            return integral(word, trunc, modulus)
+
+        def expand_spy(p, trunc, modulus=0):
+            if not modulus:
+                seen["multipliers"].append(p)
+            return expand(p, trunc, modulus)
+
+        monkeypatch.setattr(iterint, "_iter_integral", integral_spy)
+        monkeypatch.setattr(canonicalize, "expand", expand_spy)
+        return seen
+
+    def test_multiplier_divisible_by_p_falls_back(self, moduli):
+        # the row of P * I() is zero mod P; its kernel vector lifts but fails the exact check
+        assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10) == 2
+        assert moduli == [P, P, 0]
+
+    def test_denominator_p_takes_the_exact_path(self, moduli, monkeypatch):
+        exact = []
+        real = canonicalize.rational_rank
+        monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: exact.append(rows) or real(rows))
+        assert independence_rank([(E4,), (E4,)], [ONE, QMPoly.constant(F(1, P))], 10) == 1
+        assert len(exact) == 1 and moduli == [P, P]  # no rows mod P: 1/P has no residue
+        assert independence_rank([(E4 * F(1, P),), (E4,), (E6,)], [ONE] * 3, 10) == 2
+        assert len(exact) == 2
+
+    def test_full_rank_builds_no_exact_series(self, exact_words, moduli):
+        words = [(E4,), (E6,), (ONE, E4), (E2, E6), ()]
+        assert independence_rank(words, [ONE, E2, ONE, E4, E6], 10) == 5
+        assert exact_words == {"words": [], "multipliers": []} and moduli == [P]
+
+    def test_deficiency_builds_exact_series_on_the_kernel_support(self, exact_words, moduli):
+        # the kernel is (0, 0, 1, -1): only I(1, E4) is computed exactly
+        words = [(E6,), (E2, E4), (ONE, E4), (ONE, E4)]
+        assert independence_rank(words, [E2, E4, ONE, ONE], 10) == 3
+        assert moduli == [P, P]
+        assert exact_words["words"] and set(exact_words["words"]) <= {(ONE, E4), (E4,), ()}
+        assert exact_words["multipliers"] == [ONE]
+
     def test_leaves_input_alone(self):
         rows = [[F(2), F(4)], [F(1), F(2)]]
         assert rational_rank(rows) == 1
@@ -429,3 +479,27 @@ class TestModularCertificate:
                 a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.choice(pool))
                 rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
             assert rational_rank(rows) == reference_rank(rows), rows
+
+
+class TestClearCaches:
+    def test_every_module_cache_is_emptied_and_results_stay(self):
+        words = [(E4,), (E6,), (E4 + E6,), (ONE, E4), ()]
+
+        def results():
+            integrals = parse("I(E2^2, E4*E6) * I(E6) + E4*I(D(E4), 1)")
+            return (independence_rank(words, [ONE, ONE, ONE, E2, E4], 12), canonical_form(integrals),
+                    integrals.expansion(12), shuffle_product_words((E4, E2), (E6,)))
+
+        before = results()
+        # every functools cache in the package but the CLI's one argument parser
+        caches = {obj for name, module in list(sys.modules.items()) if name.split(".")[0] == "iterqm"
+                  for obj in vars(module).values()
+                  if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
+                  and obj.__name__ != "build_parser"}
+        assert {c.__name__ for c in caches} == {"bernoulli", "eisenstein_qexp", "_gen_power", "_iter_integral",
+                                                "_shuffle", "_decomposition_inverse"}
+        assert all(c.cache_info().currsize for c in caches)
+        iterqm.clear_caches()
+        assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+        assert results() == before
+        assert before[0] == 4

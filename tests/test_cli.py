@@ -315,7 +315,7 @@ class TestCommands:
         assert out == '{"rank":5,"count":5}\n'
 
     def test_rank_deficient_json(self, capsys, monkeypatch):
-        # I(2*E4) = 2*I(E4): rank 2 of 3, settled by elimination over Q
+        # I(2*E4) = 2*I(E4): rank 2 of 3, proved by the kernel lifted from the rows mod p
         code, out, _ = run(
             capsys, ["rank", "-N", "10", "--json"],
             stdin="E4\n2*E4\nE6\n", monkeypatch=monkeypatch,

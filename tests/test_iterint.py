@@ -128,6 +128,19 @@ class TestLongWords:
         assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
 
 
+class TestResidues:
+    def test_integrals_and_expansions_reduce(self):
+        # the same steps over Z/p give the exact results' images
+        p = 2**30 - 35
+        rng = random.Random(61)
+        letters = [ONE, E2, E4, E6, DELTA, derive(E4), E4 * F(-5, 691), E2 * E2 - E4]
+        for _ in range(30):
+            n = rng.randint(0, 12)
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            assert iter_integral(word, n, p) == iter_integral(word, n).modulo(p)
+            assert expand(word[0] if word else DELTA, n, p) == expand(word[0] if word else DELTA, n).modulo(p)
+
+
 class TestShuffleWords:
     def test_two_singletons(self):
         assert shuffle_product_words((E4,), (E6,)) == BarCombo({(E4, E6): 1, (E6, E4): 1})

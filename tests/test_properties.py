@@ -20,14 +20,14 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
-from iterqm.canonicalize import _RANK_PRIME, canonical_form, rational_rank  # noqa: E402
+from iterqm.canonicalize import _RANK_PRIME, canonical_form, independence_rank, rational_rank  # noqa: E402
 from iterqm.cli import format_qmpoly, series_from_json, series_to_json  # noqa: E402
 from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import BarCombo, ibp, iter_integral  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import (  # noqa: E402
-    E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, is_basis_letter,
+    E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter,
 )
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
@@ -184,6 +184,54 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rational_rank_matches_elimination(rows):
     assert rational_rank(rows) == reference_rank(rows)
+
+
+def exact_rank_rows(words, multipliers, trunc):
+    """The rank rows built from exact series: each series' integer numerators
+    over the q^m L^k grid, highest L-power first (the reference for rows
+    built mod p)."""
+    series = [expand(m, trunc) * iter_integral(w, trunc) for w, m in zip(words, multipliers)]
+    max_log = max((s.log_degree() for s in series), default=0)
+    zero = (0,) * (trunc + 1)
+    return [[x for k in range(max_log, -1, -1) for x in s.parts.get(k, zero)] for s in series]
+
+
+FAMILY_LETTERS = [ONE, E2, E4, E6, E4 + E6, E2 * E4 - E6, derive(E4), E4 * F(3, 7)]
+FAMILY_MULTIPLIERS = [ONE, E2, E4, E4 + E6, QMPoly.constant(F(-3, 2)), QMPoly.constant(_RANK_PRIME),
+                      QMPoly.constant(F(1, _RANK_PRIME))]
+
+
+@st.composite
+def integral_families(draw):
+    """Rows (word, multiplier) with planted relations: by multilinearity in a
+    letter (I(.., a, ..) + I(.., b, ..) = I(.., a + b, ..)), a repeated row
+    with a scaled multiplier, or a multiplier that is the sum of two others.
+    Multipliers divisible by the rank prime, or with it in a denominator,
+    reach the exact escapes."""
+    word = st.lists(st.sampled_from(FAMILY_LETTERS), max_size=3).map(tuple)
+    rows = draw(st.lists(st.tuples(word, st.sampled_from(FAMILY_MULTIPLIERS)), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        w, m = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["letter", "scale", "sum"] if w else ["scale", "sum"]))
+        if kind == "letter":
+            i, b = draw(st.integers(0, len(w) - 1)), draw(st.sampled_from(FAMILY_LETTERS))
+            rows += [(w[:i] + (b,) + w[i + 1 :], m), (w[:i] + (w[i] + b,) + w[i + 1 :], m)]
+        elif kind == "scale":
+            rows.append((w, m * draw(st.sampled_from([F(2), F(-1, 3), F(_RANK_PRIME)]))))
+        else:
+            m2 = draw(st.sampled_from(FAMILY_MULTIPLIERS))
+            rows += [(w, m2), (w, m + m2)]
+    rows = draw(st.permutations(rows))
+    return [w for w, _ in rows], [m for _, m in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(integral_families(), st.integers(0, 8))
+@example(([(E4,), (E6,), (E4 + E6,)], [ONE] * 3), 6)
+@example(([(E4,), (E6, ONE), (E4 + E6,), (E6,), (E4, ONE)], [E2, ONE, E2, E2, ONE]), 5)
+def test_independence_rank_matches_exact_rows(family, trunc):
+    words, multipliers = family
+    assert independence_rank(words, multipliers, trunc) == rational_rank(exact_rank_rows(words, multipliers, trunc))
 
 
 def forms(max_weight):

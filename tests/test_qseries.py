@@ -1,8 +1,10 @@
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from iterqm.canonicalize import _RANK_PRIME as P
 from iterqm.qseries import LogQSeries, d_op, primitive
 
 
@@ -291,3 +293,55 @@ class TestPrimitive:
             n = rng.randint(0, 8)
             f = LogQSeries(n, {0: [F(rng.randint(-5, 5)) for _ in range(n + 1)]})
             assert primitive(f).coefficient(0, 0) == 0
+
+
+class TestResidues:
+    """A series with a prime modulus is the image of the exact series over Z/p."""
+
+    def random_series(self, rng, n):
+        return LogQSeries(n, {k: [F(rng.randint(-10**12, 10**12), rng.randint(1, 10**6)) for _ in range(n + 1)]
+                              for k in rng.sample(range(4), rng.randint(0, 3))})
+
+    def test_reduction_is_a_ring_homomorphism(self):
+        rng = random.Random(51)
+        for _ in range(100):
+            n = rng.randint(0, 10)
+            a, b = self.random_series(rng, n), self.random_series(rng, rng.randint(0, 10))
+            ap, bp = a.modulo(P), b.modulo(P)
+            assert ap.den == 1 and all(0 <= x < P for p in ap.parts.values() for x in p)
+            c = a.coefficient(n, 0)
+            assert ap.coefficient(n, 0) == c.numerator * pow(c.denominator, -1, P) % P
+            assert (a * b).modulo(P) == ap * bp == schoolbook(a, b).modulo(P)
+            assert (a + b).modulo(P) == ap + bp and (a - b).modulo(P) == ap - bp
+            assert primitive(a).modulo(P) == primitive(ap)
+            assert d_op(a).modulo(P) == d_op(ap)
+            assert a.scale(F(-3, 7)).modulo(P) == ap.scale(F(-3, 7)) == ap * F(-3, 7)
+
+    def test_constructors(self):
+        assert LogQSeries(2, {0: [F(1, 2), 3], 1: [P]}, P) == LogQSeries(2, {0: [F(1, 2), 3]}).modulo(P)
+        assert LogQSeries.constant(-1, 1, P).parts == {0: (P - 1, 0)}
+        assert LogQSeries.zero(3, P).is_zero() and LogQSeries.zero(3, P).modulus == P
+        assert LogQSeries(2, {0: [F(P, 3)]}).modulo(P).is_zero()
+
+    def test_denominator_divisible_by_p(self):
+        with pytest.raises(ZeroDivisionError):
+            LogQSeries(2, {0: [F(1, P)]}).modulo(P)
+        with pytest.raises(ZeroDivisionError):
+            LogQSeries.constant(F(2, 3 * P), 2, P)
+        with pytest.raises(ZeroDivisionError):
+            LogQSeries.constant(1, 2, P).scale(F(1, 2 * P))
+
+    def test_rings_do_not_mix(self):
+        a, b = LogQSeries.constant(1, 3), LogQSeries.constant(1, 3, P)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
+        with pytest.raises(ValueError):
+            b.modulo(7)
+        assert b.modulo(P) is b and a.modulo(0) is a
+        assert a != b
+
+    def test_repr(self):
+        assert repr(LogQSeries.constant(-1, 1, P)) == f"LogQSeries({P - 1}*q^0 + O(q^2) mod {P})"
