@@ -9,14 +9,16 @@ from iterqm import (
     E2,
     E4,
     ONE,
+    IntegralPoly,
     d_op,
     derive,
     expand,
     ibp,
     iter_integral,
-    shuffle_product_words,
+    shuffle,
 )
 from iterqm.cli import format_series
+from iterqm.expr import parse
 
 N = 8
 
@@ -37,9 +39,9 @@ word = (E2, E4)
 residual = d_op(iter_integral(word, N)) + expand(E2, N) * iter_integral((E4,), N)
 print("  residual for I(E2,E4):", format_series(residual))
 
-print("\nProducts of integrals are shuffles (exact identity):")
-lhs = iter_integral((E2,), N) * iter_integral((E4,), N)
-rhs = shuffle_product_words((E2,), (E4,)).expansion(N)
+print("\nProducts of integrals are shuffles (Chen's identity, exact):")
+lhs = parse("I(E2)*I(E4)").expansion(N)
+rhs = IntegralPoly.linear(shuffle((E2,), (E4,))).expansion(N)
 print("  I(E2)*I(E4) - (I(E2,E4) + I(E4,E2)) =", format_series(lhs - rhs))
 
 print("\nIntegration by parts removes a derivative letter at any position,")
@@ -50,5 +52,5 @@ for prefix, suffix, label in (
     ((DELTA,), (), "I(Delta, D(E4)) = E4(cusp) * I(Delta) - I(Delta*E4)"),
 ):
     lhs = iter_integral(prefix + (derive(E4),) + suffix, N)
-    rhs = ibp(prefix, E4, suffix).expansion(N)
+    rhs = IntegralPoly.linear(ibp(prefix, E4, suffix)).expansion(N)
     print(f"  {label}: residual {format_series(lhs - rhs)}")

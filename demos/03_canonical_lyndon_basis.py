@@ -9,7 +9,7 @@ from iterqm import (
     E4,
     E6,
     ONE,
-    BarCombo,
+    IntegralPoly,
     basis_b,
     canonical_form,
     derive,
@@ -32,16 +32,16 @@ for w in lyndon_words(len(basis), 3, weights, 12):
 
 print("\nCanonicalizing integrals whose words are not Lyndon:")
 for combo, label in (
-    (BarCombo({(E4, ONE): 1}), "I(E4,1)"),
-    (BarCombo({(ONE, ONE): 1}), "I(1,1)"),
-    (BarCombo({(E2 * E2,): 1}), "I(E2^2)"),
-    (BarCombo({(ONE, derive(E4)): 1}), "I(1,D(E4))"),
+    (IntegralPoly.linear({(E4, ONE): 1}), "I(E4,1)"),
+    (IntegralPoly.linear({(ONE, ONE): 1}), "I(1,1)"),
+    (IntegralPoly.linear({(E2 * E2,): 1}), "I(E2^2)"),
+    (IntegralPoly.linear({(ONE, derive(E4)): 1}), "I(1,D(E4))"),
 ):
     cf = canonical_form(combo)
     print(f"  {label} = {format_canonical(cf)}")
 
 print("\nSoundness is checkable: the canonical form re-expands to the input.")
-combo = BarCombo({(E2 * E4, E6): E2})
+combo = IntegralPoly.linear({(E2 * E4, E6): E2})
 cf = canonical_form(combo)
 print("  input == output expansion at N=20:", cf.expansion(20) == combo.expansion(20))
 

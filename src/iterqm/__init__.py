@@ -26,14 +26,12 @@ from .cocycles import (
     slash_poly,
 )
 from .iterint import (
-    BarCombo,
     BarWord,
     IntegralPoly,
     _iter_integral,
     ibp,
     iter_integral,
     r_map,
-    shuffle_product_words,
 )
 from .qseries import LogQSeries, d_op, primitive
 from .quasimodular import (
@@ -76,7 +74,6 @@ def clear_caches() -> None:
 
 
 __all__ = [
-    "BarCombo",
     "BarWord",
     "B3Word",
     "DELTA",
@@ -117,7 +114,6 @@ __all__ = [
     "r_map",
     "reduce_letters",
     "shuffle",
-    "shuffle_product_words",
     "slash_poly",
     "to_lyndon_basis",
     "transform_coeffs",

@@ -32,9 +32,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .iterint import BarCombo, BarWord, IntegralPoly, ibp, iter_integral
+from .iterint import BarWord, IntegralPoly, ibp, iter_integral
 from .linear import _accumulate
 from .qseries import LogQSeries, Scalar
 from .quasimodular import (
@@ -61,8 +61,8 @@ class ModularModeError(ValueError):
         super().__init__(f"modular-only mode: {where} involves E2: {offending!r}")
 
 
-def reduce_letters(combo: BarCombo) -> BarCombo:
-    """Rewrite a bar combination so that every letter is a basis letter.
+def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
+    """Rewrite a combination of bar words so that every letter is a basis letter.
 
     Letters are split into homogeneous parts and decomposed along
     QM = C*E2 + D(QM) + M; pure-basis components are pulled out by
@@ -99,10 +99,10 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
                 derivs.append(h)
         return subs, derivs
 
-    for word, coeff in combo.terms.items():
+    for word, coeff in combo.items():
         push(word, coeff, 0)
     debug = logger.isEnabledFor(logging.DEBUG)
-    for n in range(max(map(len, combo.terms), default=0), 0, -1):
+    for n in range(max(map(len, combo), default=0), 0, -1):
         for pos in range(n):
             for word, coeff in pending.pop((n, pos), {}).items():
                 subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
@@ -115,13 +115,13 @@ def reduce_letters(combo: BarCombo) -> BarCombo:
                     if debug:
                         rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
                         logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
-                    for w, c in ibp(prefix, h, suffix).terms.items():
+                    for w, c in ibp(prefix, h, suffix).items():
                         push(w, coeff * c, max(pos - 1, 0))
-    return BarCombo._of(out)
+    return out
 
 
-def canonical_form(integrals: IntegralPoly | BarCombo, modular_only: bool = False) -> IntegralPoly:
-    """Rewrite a polynomial in integrals, or a bar combination, in the canonical basis.
+def canonical_form(integrals: IntegralPoly, modular_only: bool = False) -> IntegralPoly:
+    """Rewrite a polynomial in integrals in the canonical basis.
 
     A ring homomorphism: products are not shuffled out.  Monomials are
     grouped by all but their last word; each group's combination of last
@@ -131,13 +131,10 @@ def canonical_form(integrals: IntegralPoly | BarCombo, modular_only: bool = Fals
     modular-only mode every letter and coefficient of the unexpanded input
     must avoid E2; the offending element is reported otherwise.
     """
-    if isinstance(integrals, BarCombo):
-        groups = {(): integrals.terms}
-    else:
-        groups = {}
-        for mono, coeff in integrals.poly.terms.items():
-            words = [tuple(integrals.basis[i] for i in w) for w in mono] or [()]
-            groups.setdefault(tuple(words[:-1]), {})[words[-1]] = coeff
+    groups = {}
+    for mono, coeff in integrals.poly.terms.items():
+        words = [tuple(integrals.basis[i] for i in w) for w in mono] or [()]
+        groups.setdefault(tuple(words[:-1]), {})[words[-1]] = coeff
     if modular_only:
         for rest, combo in groups.items():
             for word, coeff in combo.items():
@@ -146,15 +143,15 @@ def canonical_form(integrals: IntegralPoly | BarCombo, modular_only: bool = Fals
                 if (letter := next((l for l in chain(word, *rest) if not l.is_modular()), None)) is not None:
                     raise ModularModeError(letter, "a letter")
 
-    reduced = {rest: reduce_letters(BarCombo._of(combo)) for rest, combo in groups.items()}
-    factors = {word: reduce_letters(BarCombo._of({word: ONE})) for rest in groups for word in rest}
+    reduced = {rest: reduce_letters(combo) for rest, combo in groups.items()}
+    factors = {word: reduce_letters({word: ONE}) for rest in groups for word in rest}
     max_weight = max((letter_sort_key(letter)[0] for combo in chain(reduced.values(), factors.values())
-                      for word in combo.terms for letter in word), default=0)
+                      for word in combo for letter in word), default=0)
     basis = tuple(basis_b(max_weight, modular_only=modular_only))
     rank = {letter: i for i, letter in enumerate(basis)}
 
-    def lyndon(combo: BarCombo) -> LyndonPoly:
-        return to_lyndon_basis({tuple(rank[l] for l in word): coeff for word, coeff in combo.terms.items()})
+    def lyndon(combo: dict[BarWord, QMPoly]) -> LyndonPoly:
+        return to_lyndon_basis({tuple(rank[l] for l in word): coeff for word, coeff in combo.items()})
 
     images = {word: lyndon(combo) for word, combo in factors.items()}
     poly = sum((reduce(LyndonPoly.__mul__, (images[w] for w in rest), lyndon(combo))

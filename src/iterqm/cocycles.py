@@ -166,8 +166,16 @@ def slash_poly(poly: XYPoly, g: SL2Mat) -> XYPoly:
     return XYPoly(d, out)
 
 
-def _require_upper(tau, label: str = "tau") -> mpc:
+def _finite(tau, label: str = "tau") -> mpc:
+    """tau as an mpc; NaN and infinite parts would pass every bound on Im."""
     tau = mpc(tau)
+    if not _ctx.isfinite(tau):
+        raise ValueError(f"{label} must be finite, got {complex(tau)}")
+    return tau
+
+
+def _require_upper(tau, label: str = "tau") -> mpc:
+    tau = _finite(tau, label)
     if tau.imag < MIN_IMAG:
         raise ValueError(f"{label} must satisfy Im >= {MIN_IMAG}, got {complex(tau)}")
     return tau
@@ -190,7 +198,7 @@ def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
     then combine by Horner in L, and each value is divided once by its
     series' denominator.
     """
-    tau = mpc(tau)
+    tau = _finite(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     ell = 2j * pi * tau
@@ -300,16 +308,16 @@ def b3_to_sl2(word: Iterable[int]) -> SL2Mat:
     return _read_braid(word)[0]
 
 
-def _branch_log(word: B3Word, tau) -> mpc:
-    """The branch of log(c*tau + d) the braid word selects.
+def _branch_log(mat: SL2Mat, turns: int, tau) -> mpc:
+    """The branch of log(c*tau + d) a braid word selects, from its matrix
+    and winding count as :func:`_read_braid` reads them.
 
     Generators take the principal branch and words compose by
     l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau).  Each generator's
     factor lies in an open half-plane (Im < 0 for s2, Im > 0 for s2^-1; it
     is 1 for s1^(+-1)), so the sum is the principal log of the word's own
-    c*tau + d plus 2*pi*i times the winding count of :func:`_read_braid`.
+    c*tau + d plus 2*pi*i times the winding count.
     """
-    mat, turns = _read_braid(word)
     return log(mat.c * mpc(tau) + mat.d) + 2j * pi * turns
 
 
@@ -332,7 +340,7 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     gtau = mat.moebius(tau)
     _require_upper(gtau, "gamma.tau")
     minus_log_disc = iter_integral((E2,), n_terms)
-    l_word = log(mat.c * tau + mat.d) + 2j * pi * turns  # _branch_log, from this one read
+    l_word = _branch_log(mat, turns, tau)
     return eval_numeric(minus_log_disc, gtau) - eval_numeric(minus_log_disc, tau) + 12 * l_word
 
 

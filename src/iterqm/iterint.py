@@ -12,12 +12,13 @@ integrating with :func:`~iterqm.qseries.primitive`, whose zero constant of
 integration at q^0 L^0 is exactly the cusp regularization.  The result is
 an exact element of W[log q] whose log-degree is at most the word length.
 
-The algebraic identities these integrals satisfy (shuffle product, R-map
-combination of truncated words with constant-letter words, and integration
-by parts at any position of a word) are provided as word-level operations on
-:class:`BarCombo`, a linear combination of bar words with quasimodular
-coefficients.  The shuffle of two words is the product of their integrals
-(Chen), so :class:`IntegralPoly`, a polynomial in integrals, is unexpanded.
+The algebraic identities these integrals satisfy (R-map combination of
+truncated words with constant-letter words, and integration by parts at any
+position of a word) are word-level operations returning a linear combination
+of bar words: a dict from words to QMPoly coefficients.  The shuffle of two
+words is the product of their integrals (Chen), so :class:`IntegralPoly`, a
+polynomial in integrals, is unexpanded; a combination of words is one of
+degree one (:meth:`IntegralPoly.linear`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Union
 
-from .linear import LinearCombination, _accumulate
+from .linear import _accumulate
 from .qseries import LogQSeries, primitive
 from .quasimodular import ONE, QMPoly, expand
-from .shuffle_lyndon import LyndonPoly, _shuffle, shuffle_combos
+from .shuffle_lyndon import LyndonPoly, shuffle
 
 BarWord = tuple[QMPoly, ...]
 
@@ -42,54 +43,6 @@ def _as_word(letters: Iterable[QMPoly]) -> BarWord:
         if not isinstance(letter, QMPoly):
             raise TypeError("bar word letters must be QMPoly")
     return word
-
-
-class BarCombo(LinearCombination):
-    """A finite linear combination of bar words with QMPoly coefficients."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[BarWord, Union[QMPoly, int, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-
-        def checked():
-            for word, coeff in items:
-                word = _as_word(word)
-                if not isinstance(coeff, QMPoly):
-                    coeff = QMPoly.constant(coeff)
-                # the integral is multilinear; a zero letter kills the term
-                if not any(letter.is_zero() for letter in word):
-                    yield word, coeff
-
-        object.__setattr__(self, "terms", _accumulate({}, checked()))
-
-    @classmethod
-    def word(cls, letters: Iterable[QMPoly], coeff: Union[QMPoly, int, Fraction] = 1) -> "BarCombo":
-        return cls({_as_word(letters): coeff})
-
-    @classmethod
-    def unit(cls) -> "BarCombo":
-        return cls({(): ONE})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "BarCombo(0)"
-        bits = []
-        for word, coeff in self.terms.items():
-            body = "|".join(repr(l) for l in word)
-            bits.append(f"({coeff!r})*[{body}]")
-        return "BarCombo(" + " + ".join(bits) + ")"
-
-    def shuffle(self, other: "BarCombo") -> "BarCombo":
-        """Product in the algebra: shuffle on words, product on coefficients."""
-        return BarCombo._of(shuffle_combos(self.terms, other.terms))
-
-    def expansion(self, trunc: int) -> LogQSeries:
-        """Sum of expand(coeff) * integral(word) as an exact LogQSeries."""
-        total = LogQSeries.zero(trunc)
-        for word, coeff in self.terms.items():
-            total = total + expand(coeff, trunc) * iter_integral(word, trunc)
-        return total
 
 
 @dataclass(frozen=True)
@@ -103,16 +56,30 @@ class IntegralPoly:
     basis: tuple[QMPoly, ...]
     modular: bool = False
 
+    @classmethod
+    def linear(cls, terms: Mapping[Iterable[QMPoly], Union[QMPoly, int, Fraction]]) -> "IntegralPoly":
+        """The combination sum c * I(w) of a mapping of words w to coefficients c.
+
+        As :func:`~iterqm.expr.parse` reads it: letters are numbered as first
+        seen, the empty word is the constant monomial (I() = 1), rational
+        coefficients become constant forms, and a word with a zero letter is
+        dropped, since the integral is multilinear.
+        """
+        letters: dict[QMPoly, int] = {}
+        out = {}
+        for word, coeff in terms.items():
+            word = _as_word(word)
+            if not isinstance(coeff, QMPoly):
+                coeff = QMPoly.constant(coeff)
+            if coeff and all(word):
+                out[(tuple(letters.setdefault(l, len(letters)) for l in word),) if word else ()] = coeff
+        return cls(LyndonPoly._of(out), tuple(letters))
+
     def expansion(self, trunc: int) -> LogQSeries:
         """Evaluate exactly: each word's integral once, multiplied out per monomial."""
         series = {w: iter_integral([self.basis[i] for i in w], trunc) for mono in self.poly.terms for w in mono}
         return sum((reduce(LogQSeries.__mul__, (series[w] for w in mono), expand(coeff, trunc))
                     for mono, coeff in self.poly.terms.items()), LogQSeries.zero(trunc))
-
-
-def shuffle_product_words(w1: Iterable[QMPoly], w2: Iterable[QMPoly]) -> BarCombo:
-    """Shuffle product of two bar words, with unit coefficients."""
-    return BarCombo(_shuffle(_as_word(w1), _as_word(w2)))
 
 
 def iter_integral(word: Iterable[QMPoly], trunc: int, modulus: int = 0) -> LogQSeries:
@@ -140,7 +107,7 @@ def _iter_integral(word: BarWord, trunc: int, modulus: int) -> LogQSeries:
     return primitive(-(head * tail))
 
 
-def r_map(word: Iterable[QMPoly]) -> BarCombo:
+def r_map(word: Iterable[QMPoly]) -> dict[BarWord, QMPoly]:
     """Alternating shuffle of prefixes against reversed constant-term letters.
 
     The n-th letter contributes its cusp value as a constant letter; the
@@ -149,15 +116,17 @@ def r_map(word: Iterable[QMPoly]) -> BarCombo:
     """
     word = _as_word(word)
     n = len(word)
-    total = BarCombo.zero()
+    consts = tuple(QMPoly.constant(letter.cusp_value()) for letter in reversed(word))
+    total: dict[BarWord, QMPoly] = {}
     for i in range(n + 1):
-        consts = tuple(QMPoly.constant(word[j].cusp_value()) for j in range(n - 1, i - 1, -1))
-        piece = shuffle_product_words(word[:i], consts)
-        total = total + (piece if (n - i) % 2 == 0 else -piece)
+        front, back = word[:i], consts[: n - i]
+        if all(front + back):  # the integral is multilinear: a zero letter kills it
+            sign = -1 if (n - i) % 2 else 1
+            _accumulate(total, ((w, QMPoly.constant(sign * m)) for w, m in shuffle(front, back).items()))
     return total
 
 
-def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> BarCombo:
+def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> dict[BarWord, QMPoly]:
     """Integration by parts: I(prefix, D(g), suffix) as words one letter shorter.
 
         I(..., f, D(g), h, ...) = I(..., f, g*h, ...) - I(..., f*g, h, ...)
@@ -170,7 +139,7 @@ def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> BarCom
     prefix, suffix = _as_word(prefix), _as_word(suffix)
     # the integral is multilinear: a zero letter, D(g) included, kills it
     if not g or not all(prefix + suffix):
-        return BarCombo.zero()
+        return {}
     right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (prefix, QMPoly.constant(g.cusp_value()))
     left = (prefix[:-1] + (prefix[-1] * g,) + suffix, -ONE) if prefix else (suffix, -g)
-    return BarCombo._of(_accumulate({}, (right, left)))
+    return _accumulate({}, (right, left))

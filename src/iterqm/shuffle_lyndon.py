@@ -20,7 +20,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .linear import LinearCombination, _accumulate
+from .linear import _accumulate
 
 Word = tuple[int, ...]
 
@@ -36,8 +36,12 @@ def _shuffle(w1: Word, w2: Word) -> dict[Word, int]:
     return _accumulate(out, (((w2[0],) + word, mult) for word, mult in _shuffle(w1, w2[1:]).items()))
 
 
-def shuffle(w1: Iterable[int], w2: Iterable[int]) -> dict[Word, int]:
-    """Shuffle product of two words: interleavings with multiplicity."""
+def shuffle(w1: Iterable, w2: Iterable) -> dict[tuple, int]:
+    """Shuffle product of two words: interleavings with multiplicity.
+
+    Letters may be indices or the QMPoly letters of bar words: the shuffle
+    of two bar words is the product of their integrals (Chen).
+    """
     return dict(_shuffle(tuple(w1), tuple(w2)))
 
 
@@ -131,16 +135,18 @@ def lyndon_factorize(w: Iterable[int]) -> list[Word]:
     return factors
 
 
-class LyndonPoly(LinearCombination):
-    """A polynomial in words: monomials are multisets of words.
+class LyndonPoly:
+    """An immutable polynomial in words: ``terms`` maps monomials, multisets
+    of words stored as sorted tuples, to nonzero coefficients.
 
-    A monomial is stored as a sorted tuple of words.  Multiplication is the
-    free commutative product of monomials with coefficient products; the
-    coefficients may be Fractions or any commutative ring elements.  Only
-    the constructor checks that the words are Lyndon: a parse has others.
+    Multiplication is the free commutative product of monomials with
+    coefficient products; the coefficients may be Fractions or any
+    commutative ring elements.  Only the constructor checks that the words
+    are Lyndon (a parse has others): the operations build their results
+    with the unchecked :meth:`_of`.
     """
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[Word, ...], object] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -154,6 +160,48 @@ class LyndonPoly(LinearCombination):
                 yield mono, coeff
 
         object.__setattr__(self, "terms", _accumulate({}, checked()))
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError("LyndonPoly is immutable")
+
+    def __reduce__(self):
+        return LyndonPoly._of, (self.terms,)
+
+    @classmethod
+    def _of(cls, terms: dict) -> "LyndonPoly":
+        """Wrap a fresh dict of monomials to nonzero coefficients, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
+    def zero(cls) -> "LyndonPoly":
+        return cls._of({})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LyndonPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other: "LyndonPoly") -> "LyndonPoly":
+        if not isinstance(other, LyndonPoly):
+            return NotImplemented
+        return LyndonPoly._of(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other: "LyndonPoly") -> "LyndonPoly":
+        return self + -other
+
+    def __neg__(self) -> "LyndonPoly":
+        return LyndonPoly._of({mono: -coeff for mono, coeff in self.terms.items()})
+
+    def scale(self, factor) -> "LyndonPoly":
+        """Every coefficient times ``factor``; products that vanish are dropped."""
+        return LyndonPoly._of(_accumulate({}, ((mono, factor * coeff) for mono, coeff in self.terms.items())))
 
     @classmethod
     def monomial(cls, words: Iterable[Iterable[int]], coeff=Fraction(1)) -> "LyndonPoly":

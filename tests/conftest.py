@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from iterqm.iterint import BarCombo
 from iterqm.quasimodular import QMPoly
 
 
@@ -38,8 +37,9 @@ def random_qmpoly(rng: random.Random, max_weight: int, parts: int = 2) -> QMPoly
     return total
 
 
-def shuffle_expansion(integrals) -> BarCombo:
-    """The bar combination that a polynomial in integrals equals by Chen's
-    identity: each monomial's words shuffled together."""
+def shuffle_expansion(integrals) -> dict:
+    """The combination of bar words, a dict from words to coefficients, that
+    a polynomial in integrals equals by Chen's identity: each monomial's
+    words shuffled together."""
     basis = integrals.basis
-    return BarCombo({tuple(basis[i] for i in w): c for w, c in integrals.poly.shuffle_expand().items()})
+    return {tuple(basis[i] for i in w): c for w, c in integrals.poly.shuffle_expand().items()}

@@ -24,12 +24,7 @@ from iterqm.cocycles import (
     e2_cocycle,
     slash_poly,
 )
-from iterqm.iterint import (
-    BarCombo,
-    ibp,
-    iter_integral,
-    shuffle_product_words,
-)
+from iterqm.iterint import IntegralPoly, ibp, iter_integral
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import (
     DELTA,
@@ -46,7 +41,7 @@ from iterqm.quasimodular import (
     letter_sort_key,
     transform_coeffs,
 )
-from iterqm.shuffle_lyndon import is_lyndon, lyndon_words
+from iterqm.shuffle_lyndon import is_lyndon, lyndon_words, shuffle
 
 TWO_PI_I = 2j * math.pi
 
@@ -117,10 +112,10 @@ def test_criterion_05_shuffle_identity():
         for w2 in words[i:]:
             if len(w1) + len(w2) > 4:
                 continue
-            combo = shuffle_product_words(w1, w2)
-            assert combo == shuffle_product_words(w2, w1)
+            combo = shuffle(w1, w2)
+            assert combo == shuffle(w2, w1)
             lhs = iter_integral(w1, n) * iter_integral(w2, n)
-            assert lhs == combo.expansion(n), (w1, w2)
+            assert lhs == IntegralPoly.linear(combo).expansion(n), (w1, w2)
             cases += 1
     assert cases >= 200
     _report(5, f"shuffle identity exact at N=30 for all {cases} word pairs (letters 1,E2,E4,E6)")
@@ -182,8 +177,8 @@ def test_criterion_08_integration_by_parts():
         pos = rng.randint(0, length)
         full = tuple(word[:pos]) + (derive(g),) + tuple(word[pos:])
         combo = ibp(tuple(word[:pos]), g, tuple(word[pos:]))
-        assert all(len(w) == length for w in combo.terms)
-        assert iter_integral(full, n) == combo.expansion(n)
+        assert all(len(w) == length for w in combo)
+        assert iter_integral(full, n) == IntegralPoly.linear(combo).expansion(n)
     # length filtration: eliminating a derivative letter lands in shorter words
     witnessed = 0
     while witnessed < 20:
@@ -192,9 +187,9 @@ def test_criterion_08_integration_by_parts():
         word = [rng.choice(pool[:4]) for _ in range(length)]
         pos = rng.randint(0, length)
         full = tuple(word[:pos]) + (derive(g),) + tuple(word[pos:])
-        reduced = reduce_letters(BarCombo({full: 1}))
-        assert all(len(w) <= len(full) - 1 for w in reduced.terms)
-        assert reduced.expansion(15) == iter_integral(full, 15)
+        reduced = reduce_letters({full: ONE})
+        assert all(len(w) <= len(full) - 1 for w in reduced)
+        assert IntegralPoly.linear(reduced).expansion(15) == iter_integral(full, 15)
         witnessed += 1
     _report(8, "integration by parts exact at N=25 (50 cases); length filtration witnessed (20 cases)")
 
@@ -207,7 +202,7 @@ def test_criterion_09_canonicalization_soundness():
         for _ in range(rng.randint(1, 2)):
             word = tuple(random_qmpoly(rng, 10) for _ in range(rng.randint(0, 3)))
             terms[word] = random_qmpoly(rng, 6)
-        combo = BarCombo(terms)
+        combo = IntegralPoly.linear(terms)
         cf = canonical_form(combo)
         assert cf.expansion(n) == combo.expansion(n)
         for mono in cf.poly.terms:

@@ -21,53 +21,55 @@ from iterqm.canonicalize import (
     reduce_letters,
 )
 from iterqm.expr import parse
-from iterqm.iterint import BarCombo, shuffle_product_words
+from iterqm.iterint import IntegralPoly
 from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, derive, is_basis_letter
-from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon
+from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle
+
+linear = IntegralPoly.linear
 
 
 class TestReduceLetters:
     def test_basis_letter_untouched(self):
-        combo = BarCombo({(E4,): 1})
+        combo = {(E4,): ONE}
         assert reduce_letters(combo) == combo
 
     def test_e2_squared_letter(self):
-        got = reduce_letters(BarCombo({(E2 * E2,): 1}))
-        want = BarCombo({(E4,): 1, (): QMPoly.constant(12) - 12 * E2})
+        got = reduce_letters({(E2 * E2,): ONE})
+        want = {(E4,): ONE, (): QMPoly.constant(12) - 12 * E2}
         assert got == want
-        assert got.expansion(30) == BarCombo({(E2 * E2,): 1}).expansion(30)
+        assert linear(got).expansion(30) == linear({(E2 * E2,): 1}).expansion(30)
 
     def test_derivative_letter_in_word(self):
-        combo = BarCombo({(ONE, derive(E4)): 1})
+        combo = {(ONE, derive(E4)): ONE}
         got = reduce_letters(combo)
-        assert got == BarCombo({(ONE,): 1, (E4,): -1})
-        assert got.expansion(30) == combo.expansion(30)
+        assert got == {(ONE,): ONE, (E4,): -ONE}
+        assert linear(got).expansion(30) == linear(combo).expansion(30)
 
     def test_every_letter_lands_in_basis(self):
         rng = random.Random(31)
         for _ in range(20):
             word = tuple(random_qmpoly(rng, 8) for _ in range(rng.randint(1, 3)))
-            got = reduce_letters(BarCombo({word: 1}))
-            for w in got.terms:
+            got = reduce_letters({word: ONE})
+            for w in got:
                 assert all(is_basis_letter(l) for l in w)
 
     def test_expansion_equality_random(self):
         rng = random.Random(32)
         for _ in range(15):
             word = tuple(random_qmpoly(rng, 8) for _ in range(rng.randint(0, 3)))
-            combo = BarCombo({word: random_qmpoly(rng, 4)})
-            assert reduce_letters(combo).expansion(20) == combo.expansion(20)
+            combo = {word: random_qmpoly(rng, 4)}
+            assert linear(reduce_letters(combo)).expansion(20) == linear(combo).expansion(20)
 
 
 class TestMergedReduction:
     def test_eight_letters(self):
         # about 16 s without merging equal pending words
         letter = 2 * E4 + E2 * E2
-        combo = BarCombo({(letter,) * 8: 1})
+        combo = {(letter,) * 8: ONE}
         got = reduce_letters(combo)
-        assert all(is_basis_letter(l) for w in got.terms for l in w)
-        assert got.expansion(3) == combo.expansion(3)
+        assert all(is_basis_letter(l) for w in got for l in w)
+        assert linear(got).expansion(3) == linear(combo).expansion(3)
 
     def test_each_piece_decomposed_once(self, monkeypatch):
         calls = Counter()
@@ -80,28 +82,28 @@ class TestMergedReduction:
         monkeypatch.setattr(canonicalize, "decompose", counting)
         # the letters share their weight-6 piece E2*E4
         a, b = E4 + E2 * E4, E6 + E2 * E4 + E2 * E2
-        combo = BarCombo({(a, b, a): 1, (b, a, ONE, b): E2, (a, a): E4})
+        combo = {(a, b, a): ONE, (b, a, ONE, b): E2, (a, a): E4}
         got = reduce_letters(combo)
         assert calls[E2 * E4] == 1
         assert max(calls.values()) == 1
-        assert got.expansion(6) == combo.expansion(6)
+        assert linear(got).expansion(6) == linear(combo).expansion(6)
 
     def test_logs_each_rule(self, caplog):
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
-        reduce_letters(BarCombo({(derive(E4), E6): 1}))
+        reduce_letters({(derive(E4), E6): ONE})
         assert [r.getMessage() for r in caplog.records] == [
             "ibp_first: letter weight 6, word length 2"]
         caplog.clear()
-        reduce_letters(BarCombo({(E6, derive(E4)): 1}))
+        reduce_letters({(E6, derive(E4)): ONE})
         assert [r.getMessage() for r in caplog.records] == [
             "ibp_last: letter weight 6, word length 2"]
         caplog.clear()
-        reduce_letters(BarCombo({(E6, derive(E4), E4): 1}))
+        reduce_letters({(E6, derive(E4), E4): ONE})
         assert "ibp_middle: letter weight 6, word length 3" in caplog.messages
 
     def test_silent_without_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="iterqm.canonicalize")
-        reduce_letters(BarCombo({(derive(E4), E6): 1}))
+        reduce_letters({(derive(E4), E6): ONE})
         assert not caplog.records
 
     def test_cancelled_word_is_not_expanded(self, monkeypatch):
@@ -115,22 +117,22 @@ class TestMergedReduction:
             return real(piece)
 
         monkeypatch.setattr(canonicalize, "decompose", counting)
-        combo = BarCombo({(derive(E4), E2, E4): 1, (E2, derive(E4), E4): 1})
+        combo = {(derive(E4), E2, E4): ONE, (E2, derive(E4), E4): ONE}
         got = reduce_letters(combo)
         assert calls[E2 * E4] == 0
-        assert got == BarCombo({(E2, E4 * E4): 1, (E2, E4): -E4})
-        assert got.expansion(10) == combo.expansion(10)
+        assert got == {(E2, E4 * E4): ONE, (E2, E4): -E4}
+        assert linear(got).expansion(10) == linear(combo).expansion(10)
 
 
 class TestCanonicalForm:
     def test_single_basis_word(self):
-        cf = canonical_form(BarCombo({(E4,): 1}))
+        cf = canonical_form(linear({(E4,): 1}))
         idx = cf.basis.index(E4)
         assert cf.poly == LyndonPoly.monomial([(idx,)], QMPoly.constant(1))
 
     def test_reversed_word(self):
         # [E4|1] = [1] sh [E4] - [1|E4]
-        cf = canonical_form(BarCombo({(E4, ONE): 1}))
+        cf = canonical_form(linear({(E4, ONE): 1}))
         i1, i4 = cf.basis.index(ONE), cf.basis.index(E4)
         want = LyndonPoly.monomial([(i1,), (i4,)], QMPoly.constant(1)) + LyndonPoly.monomial(
             [(i1, i4)], QMPoly.constant(-1)
@@ -140,7 +142,7 @@ class TestCanonicalForm:
     def test_expansion_multiplies_only_between_factors(self, monkeypatch):
         # [E4|1] has monomials I(1)*I(E4) and I(1,E4): one product inside the
         # first, one by its coefficient each, and none by a constant 1
-        cf = canonical_form(BarCombo({(E4, ONE): E2}))
+        cf = canonical_form(linear({(E4, ONE): E2}))
         assert sorted(map(len, cf.poly.terms)) == [1, 2]
         want = cf.expansion(8)  # warms the integral and expansion caches
         calls = []
@@ -150,7 +152,7 @@ class TestCanonicalForm:
         assert len(calls) == 3
 
     def test_square_of_log(self):
-        cf = canonical_form(BarCombo({(ONE, ONE): 1}))
+        cf = canonical_form(linear({(ONE, ONE): 1}))
         i1 = cf.basis.index(ONE)
         assert cf.poly == LyndonPoly.monomial([(i1,), (i1,)], QMPoly.constant(F(1, 2)))
 
@@ -161,7 +163,7 @@ class TestCanonicalForm:
                 tuple(random_qmpoly(rng, 6) for _ in range(rng.randint(0, 3))): random_qmpoly(rng, 4)
                 for _ in range(rng.randint(1, 2))
             }
-            cf = canonical_form(BarCombo(terms))
+            cf = canonical_form(linear(terms))
             for mono in cf.poly.terms:
                 assert all(is_lyndon(w) for w in mono)
 
@@ -172,7 +174,7 @@ class TestCanonicalForm:
                 tuple(random_qmpoly(rng, 8) for _ in range(rng.randint(0, 3))): random_qmpoly(rng, 4)
                 for _ in range(rng.randint(1, 2))
             }
-            combo = BarCombo(terms)
+            combo = linear(terms)
             cf = canonical_form(combo)
             assert cf.expansion(25) == combo.expansion(25)
 
@@ -185,9 +187,9 @@ class TestCanonicalForm:
         for _ in range(8):
             w1 = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
             w2 = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
-            prod = canonical_form(shuffle_product_words(w1, w2))
-            c1 = canonical_form(BarCombo({w1: 1}))
-            c2 = canonical_form(BarCombo({w2: 1}))
+            prod = canonical_form(linear(shuffle(w1, w2)))
+            c1 = canonical_form(linear({w1: 1}))
+            c2 = canonical_form(linear({w2: 1}))
             assert prod.poly == c1.poly * c2.poly
             assert prod.expansion(18) == c1.expansion(18) * c2.expansion(18)
 
@@ -217,7 +219,7 @@ class TestCanonicalForm:
 
     def test_idempotent_on_canonical_input(self):
         # a combination whose words are already Lyndon over the basis
-        combo = BarCombo({(ONE, E4): E2, (E2, E4): QMPoly.constant(3)})
+        combo = linear({(ONE, E4): E2, (E2, E4): QMPoly.constant(3)})
         cf = canonical_form(combo)
         i1, i2, i4 = (cf.basis.index(x) for x in (ONE, E2, E4))
         want = LyndonPoly.monomial([(i1, i4)], E2) + LyndonPoly.monomial(
@@ -227,9 +229,9 @@ class TestCanonicalForm:
 
     def test_modular_mode_rejects_e2(self):
         with pytest.raises(ModularModeError):
-            canonical_form(BarCombo({(E2,): 1}), modular_only=True)
+            canonical_form(linear({(E2,): 1}), modular_only=True)
         with pytest.raises(ModularModeError):
-            canonical_form(BarCombo({(E4,): E2}), modular_only=True)
+            canonical_form(linear({(E4,): E2}), modular_only=True)
 
     def test_modular_mode_agrees_with_general(self):
         rng = random.Random(36)
@@ -238,7 +240,7 @@ class TestCanonicalForm:
                 random_homogeneous(rng, 4 * rng.randint(0, 2)) for _ in range(rng.randint(0, 2))
             )
             word = tuple(p if p.is_modular() else E4 for p in word)
-            combo = BarCombo({word: E4})
+            combo = linear({word: E4})
             general = canonical_form(combo)
             modular = canonical_form(combo, modular_only=True)
             assert modular.modular and E2 not in modular.basis
@@ -488,7 +490,7 @@ class TestClearCaches:
         def results():
             integrals = parse("I(E2^2, E4*E6) * I(E6) + E4*I(D(E4), 1)")
             return (independence_rank(words, [ONE, ONE, ONE, E2, E4], 12), canonical_form(integrals),
-                    integrals.expansion(12), shuffle_product_words((E4, E2), (E6,)))
+                    integrals.expansion(12), shuffle((E4, E2), (E6,)))
 
         before = results()
         # every functools cache in the package but the CLI's one argument parser

@@ -27,7 +27,7 @@ from iterqm.cli import (
     series_to_json,
 )
 from iterqm.canonicalize import canonical_form
-from iterqm.iterint import BarCombo
+from iterqm.iterint import IntegralPoly
 from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import E2, E4, ONE
 
@@ -185,7 +185,7 @@ class TestJsonRoundTrip:
             assert series_from_json(data) == s
 
     def test_canonical_roundtrip(self):
-        combo = BarCombo({(E4, ONE): E2, (ONE, ONE): 1})
+        combo = IntegralPoly.linear({(E4, ONE): E2, (ONE, ONE): 1})
         cf = canonical_form(combo)
         data = json.loads(json.dumps(canonical_to_json(cf)))
         back = canonical_from_json(data)
@@ -299,6 +299,12 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err == "error: truncation order must be >= 0\n"
+
+    @pytest.mark.parametrize("tau", ["nan+1j", "infj", "inf+1j"])
+    def test_cocycle_e2_non_finite_tau(self, capsys, tau):
+        code, out, err = run(capsys, ["cocycle", "e2", "s1", "--tau", tau])
+        assert (code, out) == (1, "")
+        assert err == f"error: tau must be finite, got {complex(tau)}\n"
 
     def test_integral_long_word(self, capsys):
         code, out, err = run(capsys, ["integral", "I(" + ",".join(["E4"] * 1100) + ")", "-N", "0"])

@@ -13,6 +13,8 @@ from iterqm.cocycles import (
     T,
     XYPoly,
     _branch_log,
+    _read_braid,
+    _require_upper,
     admissible_tau,
     b3_to_sl2,
     cocycle_r,
@@ -104,7 +106,7 @@ def quadrature_delta_integrals(tau, powers):
 
 def branch_log_gap(word, tau) -> float:
     with mp.workdps(50):
-        return float(abs(_branch_log(word, tau) - reference_branch_log(word, tau)))
+        return float(abs(_branch_log(*_read_braid(word), tau) - reference_branch_log(word, tau)))
 
 
 class TestSlash:
@@ -228,6 +230,28 @@ class TestEvalNumeric:
             want = 2j * mp.pi * quadrature_delta_integrals(tau, [0])[0]
             got = eval_numeric(iter_integral((DELTA,), 80), tau)
             assert abs(got - want) < 1e-25 * abs(want)
+
+
+class TestNonFiniteTau:
+    """NaN compares false with every bound on Im, and an infinite tau passes
+    them: each entry point names a point that is not finite."""
+
+    @pytest.mark.parametrize("tau", [complex("nan+1j"), complex(0, math.inf), complex("inf+1j"),
+                                     complex(0.5, math.nan)], ids=str)
+    def test_rejected_by_every_entry_point(self, tau):
+        for call in (
+            lambda: cocycle_r(E4, S, tau),
+            lambda: e2_cocycle((1, 2), tau),
+            lambda: eval_numeric(iter_integral((E4,), 4), tau),
+            lambda: eichler_integral(E4, tau),
+            lambda: quasimodular_cocycle(E2, (1,), tau),
+        ):
+            with pytest.raises(ValueError, match="^tau must be finite"):
+                call()
+
+    def test_image_point_is_named(self):
+        with pytest.raises(ValueError, match="^g.tau must be finite"):
+            _require_upper(complex("nan+1j"), "g.tau")
 
 
 class TestEichlerIntegral:

@@ -3,16 +3,21 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
+
+import iterqm
+import iterqm.iterint as iterint
+from iterqm.expr import parse
 from iterqm.iterint import (
-    BarCombo,
+    IntegralPoly,
     _iter_integral,
     ibp,
     iter_integral,
     r_map,
-    shuffle_product_words,
 )
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive, expand
+from iterqm.shuffle_lyndon import LyndonPoly, shuffle
 
 
 def L(trunc, k=1, coeff=1):
@@ -143,14 +148,14 @@ class TestResidues:
 
 class TestShuffleWords:
     def test_two_singletons(self):
-        assert shuffle_product_words((E4,), (E6,)) == BarCombo({(E4, E6): 1, (E6, E4): 1})
+        assert shuffle((E4,), (E6,)) == {(E4, E6): 1, (E6, E4): 1}
 
     def test_unit(self):
-        assert shuffle_product_words((E4,), ()) == BarCombo({(E4,): 1})
+        assert shuffle((E4,), ()) == {(E4,): 1}
 
     def test_length_three(self):
-        got = shuffle_product_words((E2, E4), (E6,))
-        want = BarCombo({(E2, E4, E6): 1, (E2, E6, E4): 1, (E6, E2, E4): 1})
+        got = shuffle((E2, E4), (E6,))
+        want = {(E2, E4, E6): 1, (E2, E6, E4): 1, (E6, E2, E4): 1}
         assert got == want
 
     def test_shuffle_identity_exact(self):
@@ -163,14 +168,14 @@ class TestShuffleWords:
             w1 = tuple(rng.choice(pool) for _ in range(n1))
             w2 = tuple(rng.choice(pool) for _ in range(n2))
             lhs = iter_integral(w1, 30) * iter_integral(w2, 30)
-            assert lhs == shuffle_product_words(w1, w2).expansion(30)
+            assert lhs == IntegralPoly.linear(shuffle(w1, w2)).expansion(30)
             cases += 1
         assert cases == 40
 
 
 def _combo_integral(combo, n):
     total = LogQSeries.zero(n)
-    for word, coeff in combo.terms.items():
+    for word, coeff in combo.items():
         total = total + expand(coeff, n) * iter_integral(word, n)
     return total
 
@@ -214,23 +219,20 @@ class TestRegularizationAgreesWithAlternatingSum:
 
 class TestRMap:
     def test_single_eisenstein(self):
-        assert r_map((E4,)) == BarCombo({(E4,): 1, (ONE,): -1})
+        assert r_map((E4,)) == {(E4,): ONE, (ONE,): -ONE}
 
     def test_cusp_form_unchanged(self):
-        assert r_map((DELTA,)) == BarCombo({(DELTA,): 1})
+        assert r_map((DELTA,)) == {(DELTA,): ONE}
 
     def test_empty(self):
-        assert r_map(()) == BarCombo.unit()
+        assert r_map(()) == {(): ONE}
 
     def test_length_two_shape(self):
         # R[f|g] = [f|g] - [f] sh [g^inf] + [g^inf|f^inf]
         f, g = E4, E6
         one = QMPoly.constant(1)
-        want = (
-            BarCombo({(f, g): 1})
-            - shuffle_product_words((f,), (one,))
-            + BarCombo({(one, one): 1})
-        )
+        want = {(f, g): ONE, (one, one): ONE}
+        want.update({w: QMPoly.constant(-m) for w, m in shuffle((f,), (one,)).items()})
         assert r_map((f, g)) == want
 
 
@@ -239,36 +241,36 @@ class TestIntegrationByParts:
 
     def test_ibp_first_shape(self):
         # I(D(g), f2) = I(g f2) - g I(f2)
-        assert ibp((), E2, (E4,)) == BarCombo([((E2 * E4,), 1), ((E4,), -E2)])
+        assert ibp((), E2, (E4,)) == {(E2 * E4,): ONE, (E4,): -E2}
 
     def test_ibp_first_numeric(self):
         # I(D(g), f2) = I(g f2) - g I(f2), exact at N=25
         g, f2 = E4, E6
-        assert ibp((), g, (f2,)).expansion(25) == iter_integral((derive(g), f2), 25)
+        assert IntegralPoly.linear(ibp((), g, (f2,))).expansion(25) == iter_integral((derive(g), f2), 25)
 
     def test_ibp_middle_cancels_for_unit(self):
-        assert ibp((E2,), ONE, (E4,)).is_zero()
+        assert ibp((E2,), ONE, (E4,)) == {}
 
     def test_ibp_middle_numeric(self):
         for prefix, g, suffix in [((ONE,), E4, (ONE,)), ((E2,), E2, (E4,)), ((E4,), E6, (ONE, E2))]:
             lhs = iter_integral(prefix + (derive(g),) + suffix, 20)
-            rhs = ibp(prefix, g, suffix).expansion(20)
+            rhs = IntegralPoly.linear(ibp(prefix, g, suffix)).expansion(20)
             assert lhs == rhs, (prefix, g, suffix)
 
     def test_ibp_last_shapes(self):
         # I(f, D(g)) = g(cusp) I(f) - I(f g); a cusp form drops the first term
-        assert ibp((ONE,), E4, ()) == BarCombo([((ONE,), 1), ((E4,), -1)])
-        assert ibp((E4,), DELTA, ()) == BarCombo({(E4 * DELTA,): -1})
+        assert ibp((ONE,), E4, ()) == {(ONE,): ONE, (E4,): -ONE}
+        assert ibp((E4,), DELTA, ()) == {(E4 * DELTA,): -ONE}
 
     def test_ibp_last_numeric(self):
         front, g = (E2,), E6
-        assert ibp(front, g, ()).expansion(25) == iter_integral(front + (derive(g),), 25)
+        assert IntegralPoly.linear(ibp(front, g, ())).expansion(25) == iter_integral(front + (derive(g),), 25)
 
     def test_ibp_last_empty_front(self):
         # I(D(g)) = g(cusp) - g, on the empty word
         for g in (E4, E2 * E4, DELTA):
-            assert ibp((), g, ()) == BarCombo({(): QMPoly.constant(g.cusp_value()) - g}), g
-            assert ibp((), g, ()).expansion(20) == iter_integral((derive(g),), 20), g
+            assert ibp((), g, ()) == {(): QMPoly.constant(g.cusp_value()) - g}, g
+            assert IntegralPoly.linear(ibp((), g, ())).expansion(20) == iter_integral((derive(g),), 20), g
 
     def test_random_instances(self):
         rng = random.Random(24)
@@ -279,7 +281,7 @@ class TestIntegrationByParts:
             word = [rng.choice(pool) for _ in range(n)]
             pos = rng.randint(0, n)
             full = tuple(word[:pos]) + (derive(g),) + tuple(word[pos:])
-            rhs = ibp(tuple(word[:pos]), g, tuple(word[pos:])).expansion(15)
+            rhs = IntegralPoly.linear(ibp(tuple(word[:pos]), g, tuple(word[pos:]))).expansion(15)
             assert iter_integral(full, 15) == rhs
 
     def test_length_filtration_witness(self):
@@ -294,5 +296,44 @@ class TestIntegrationByParts:
             pos = rng.randint(0, n)
             full = tuple(word[:pos]) + (derive(g),) + tuple(word[pos:])
             combo = ibp(tuple(word[:pos]), g, tuple(word[pos:]))
-            assert all(len(w) == len(full) - 1 for w in combo.terms)
-            assert iter_integral(full, 12) == combo.expansion(12)
+            assert all(len(w) == len(full) - 1 for w in combo)
+            assert iter_integral(full, 12) == IntegralPoly.linear(combo).expansion(12)
+
+
+class TestLinear:
+    """IntegralPoly.linear: a combination of words as a polynomial of degree one."""
+
+    def test_letters_must_be_forms(self):
+        with pytest.raises(TypeError, match="QMPoly"):
+            IntegralPoly.linear({(E4, 1): ONE})
+
+    def test_word_with_a_zero_letter_is_dropped(self):
+        got = IntegralPoly.linear({(E4, QMPoly()): ONE, (E6,): E2})
+        assert got == IntegralPoly(LyndonPoly._of({((0,),): E2}), (E6,))
+
+    def test_rational_coefficients_become_forms(self):
+        got = IntegralPoly.linear({(E4,): 2, (E6,): F(-1, 3), (E2,): 0})
+        assert got.poly.terms == {((0,),): QMPoly.constant(2), ((1,),): QMPoly.constant(F(-1, 3))}
+        assert got.basis == (E4, E6)
+
+    def test_empty_word_is_the_constant_monomial(self):
+        got = IntegralPoly.linear({(): 5, (E4,): E2})
+        assert got.poly.terms == {(): QMPoly.constant(5), ((0,),): E2}
+        assert got == parse("5 + E2*I(E4)")
+        assert got.expansion(6) == LogQSeries.constant(5, 6) + expand(E2, 6) * iter_integral((E4,), 6)
+
+    def test_letters_numbered_as_first_seen(self):
+        got = IntegralPoly.linear({(E6, E4): ONE, (E4, E2, E6): E2})
+        assert got.basis == (E6, E4, E2)
+        assert got == parse("I(E6, E4) + E2*I(E4, E2, E6)")
+
+
+def test_public_names():
+    """Every exported name resolves, once; iterint exports integrals, the
+    R-map, integration by parts and the two forms of a combination only."""
+    assert len(iterqm.__all__) == len(set(iterqm.__all__))
+    assert all(hasattr(iterqm, name) for name in iterqm.__all__)
+    own = {name for name, obj in vars(iterint).items()
+           if not name.startswith("_") and getattr(obj, "__module__", None) == iterint.__name__}
+    assert own == {"IntegralPoly", "iter_integral", "r_map", "ibp"}
+    assert {"BarWord", "IntegralPoly", "iter_integral", "r_map", "ibp", "shuffle"} <= set(iterqm.__all__)

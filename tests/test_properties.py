@@ -10,6 +10,7 @@ same code without it.
 """
 
 import json
+import operator
 from fractions import Fraction as F
 from math import gcd
 
@@ -22,14 +23,15 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import _RANK_PRIME, canonical_form, independence_rank, rational_rank  # noqa: E402
 from iterqm.cli import format_qmpoly, series_from_json, series_to_json  # noqa: E402
-from iterqm.cocycles import _branch_log, admissible_tau, b3_to_sl2, mpc  # noqa: E402
+from iterqm.cocycles import _branch_log, _read_braid, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
-from iterqm.iterint import BarCombo, ibp, iter_integral  # noqa: E402
+from iterqm.iterint import IntegralPoly, ibp, iter_integral  # noqa: E402
+from iterqm.linear import _accumulate  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import (  # noqa: E402
     E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter,
 )
-from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, to_lyndon_basis  # noqa: E402
+from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle_combos, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_quasimodular import reference_decompose  # noqa: E402
@@ -243,12 +245,13 @@ def forms(max_weight):
 
 @st.composite
 def bar_combos(draw, max_len=3, letter_weight=8):
+    """Combinations of bar words: dicts from words to nonzero coefficients."""
     letter = forms(letter_weight).filter(lambda p: not is_basis_letter(p))
     terms = {}
     for _ in range(draw(st.integers(1, 2))):
         word = tuple(draw(st.lists(letter, max_size=max_len)))
         terms[word] = draw(forms(4))
-    return BarCombo(terms)
+    return terms
 
 
 lyndon_monomials = st.lists(
@@ -256,15 +259,20 @@ lyndon_monomials = st.lists(
 )
 
 
-@st.composite
-def lyndon_polys(draw):
-    coeff = st.one_of(st.builds(F, st.integers(-3, 3), st.integers(1, 3)), polys(4))
-    return LyndonPoly(draw(st.lists(st.tuples(lyndon_monomials, coeff), max_size=4)))
+def lyndon_polys(coeff):
+    return st.lists(st.tuples(lyndon_monomials, coeff), max_size=4).map(LyndonPoly)
+
+
+# Both polynomials of a pair take their coefficients in one ring, Q or QM: a
+# QMPoly never equals a Fraction, so sums across the two are not a group.
+lyndon_poly_pairs = st.one_of(*(
+    st.tuples(lyndon_polys(coeff), lyndon_polys(coeff))
+    for coeff in (st.builds(F, st.integers(-3, 3), st.integers(1, 3)), polys(4))
+))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.one_of(st.tuples(bar_combos(), bar_combos()), st.tuples(lyndon_polys(), lyndon_polys())),
-       st.sampled_from([-1, 1, F(-1, 2)]))
+@given(lyndon_poly_pairs, st.sampled_from([-1, 1, F(-1, 2)]))
 def test_combinations_form_a_group(pair, factor):
     x, z = pair
     # y shares x's keys, so that x + y cancels some or all of them
@@ -283,8 +291,8 @@ def words(max_len):
 @given(words(3), words(3))
 def test_shuffle_expands_to_product_of_integrals(w1, w2):
     n = 6
-    product = BarCombo({w1: ONE}).shuffle(BarCombo({w2: ONE}))
-    assert product.expansion(n) == iter_integral(w1, n) * iter_integral(w2, n)
+    product = shuffle_combos({w1: ONE}, {w2: ONE})
+    assert IntegralPoly.linear(product).expansion(n) == iter_integral(w1, n) * iter_integral(w2, n)
 
 
 def form_words(max_len):
@@ -298,8 +306,8 @@ def form_words(max_len):
 def test_ibp_equals_the_integral_with_a_derivative_letter(prefix, g, suffix):
     n = 6
     combo = ibp(prefix, g, suffix)
-    assert combo.expansion(n) == iter_integral(prefix + (derive(g),) + suffix, n)
-    assert all(len(w) == len(prefix) + len(suffix) for w in combo.terms)
+    assert IntegralPoly.linear(combo).expansion(n) == iter_integral(prefix + (derive(g),) + suffix, n)
+    assert all(len(w) == len(prefix) + len(suffix) for w in combo)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -331,8 +339,9 @@ def test_lyndon_basis_of_a_combination(combo):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(bar_combos())
 def test_canonical_form_round_trip(combo):
-    cf = canonical_form(combo)
-    assert cf.expansion(6) == combo.expansion(6)
+    integrals = IntegralPoly.linear(combo)
+    cf = canonical_form(integrals)
+    assert cf.expansion(6) == integrals.expansion(6)
     assert all(is_lyndon(w) for mono in cf.poly.terms for w in mono)
 
 
@@ -347,16 +356,24 @@ def test_canonical_form_is_a_ring_homomorphism(x, y):
     with three, reducing the letters of the six-letter product words made
     the 60 examples take over a minute.
     """
-    cx, cy, cxy = canonical_form(x), canonical_form(y), canonical_form(x.shuffle(y))
+    cx, cy = canonical_form(IntegralPoly.linear(x)), canonical_form(IntegralPoly.linear(y))
+    cxy = canonical_form(IntegralPoly.linear(shuffle_combos(x, y)))
     assert cxy.poly == cx.poly * cy.poly
 
 
 def _render(combo):
-    """Expression text for a bar combination, every form in brackets."""
+    """Expression text for a combination of bar words, every form in brackets."""
     def form(p):
         return f"({format_qmpoly(p)})"
     return " + ".join(f"{form(c)}*I({', '.join(map(form, w))})" if w else form(c)
-                      for w, c in combo.terms.items()) or "0"
+                      for w, c in combo.items()) or "0"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(bar_combos())
+def test_linear_is_the_parse_of_the_combination(combo):
+    """Letters numbered as first seen, the empty word as the constant monomial."""
+    assert IntegralPoly.linear(combo) == parse(_render(combo))
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -369,10 +386,14 @@ def test_integral_and_canonical_are_ring_homomorphisms(x, y):
     assert pxy.expansion(n) == px.expansion(n) * py.expansion(n)
     cxy = canonical_form(pxy)
     assert cxy.poly == canonical_form(px).poly * canonical_form(py).poly
-    assert cxy == canonical_form(x.shuffle(y))
+    assert cxy == canonical_form(IntegralPoly.linear(shuffle_combos(x, y)))
 
 
 braid_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=12).map(tuple)
+
+
+def branch_log(word, tau):
+    return _branch_log(*_read_braid(word), tau)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -383,13 +404,14 @@ def test_branch_log_composes_along_the_word(w1, w2):
         tau = admissible_tau(g2)
     except ValueError:
         assume(False)
-    split = _branch_log(w1, g2.moebius(mpc(tau))) + _branch_log(w2, tau)
-    assert abs(_branch_log(w1 + w2, tau) - split) < 1e-40
+    split = branch_log(w1, g2.moebius(mpc(tau))) + branch_log(w2, tau)
+    assert abs(branch_log(w1 + w2, tau) - split) < 1e-40
 
 
 # Expression trees as (text, precedence, value, letters): the text is rendered
-# with the brackets that precedence needs, the value is built directly with
-# QMPoly or BarCombo operators, and letters bounds the word length of a combo.
+# with the brackets that precedence needs, the value is built directly, a
+# QMPoly by its operators or a combination of bar words (a dict) by
+# _accumulate and shuffle_combos, and letters bounds the word length of a combo.
 SUM, TERM, FACTOR, ATOM = range(4)
 MAX_LETTERS = 5
 
@@ -398,22 +420,22 @@ def _operand(node, level):
     return node[0] if node[1] >= level else f"({node[0]})"
 
 
-def _negate(node):
+def _negate(node, neg):
     text = _operand(node, FACTOR)
-    return (f"-({text})" if text[0].isdigit() else f"-{text}", FACTOR, -node[2], node[3])
+    return (f"-({text})" if text[0].isdigit() else f"-{text}", FACTOR, neg(node[2]), node[3])
 
 
-def _expressions(leaves, times, power, extra=()):
+def _expressions(leaves, add, neg, times, power, extra=()):
     def extend(children):
         return st.one_of(
             st.tuples(children, st.sampled_from("+-"), children).map(lambda t: (
                 f"{t[0][0]} {t[1]} {_operand(t[2], TERM)}", SUM,
-                t[0][2] + t[2][2] if t[1] == "+" else t[0][2] - t[2][2], max(t[0][3], t[2][3]),
+                add(t[0][2], t[2][2] if t[1] == "+" else neg(t[2][2])), max(t[0][3], t[2][3]),
             )),
             st.tuples(children, children).filter(lambda t: t[0][3] + t[1][3] <= MAX_LETTERS).map(lambda t: (
                 f"{_operand(t[0], TERM)}*{_operand(t[1], FACTOR)}", TERM, times(t[0][2], t[1][2]), t[0][3] + t[1][3],
             )),
-            children.map(_negate),
+            children.map(lambda n: _negate(n, neg)),
             st.tuples(children, st.integers(0, 3)).filter(lambda t: t[0][3] * t[1] <= MAX_LETTERS).map(lambda t: (
                 f"{_operand(t[0], ATOM)}^{t[1]}", FACTOR, power(t[0][2], t[1]), t[0][3] * t[1],
             )),
@@ -434,6 +456,8 @@ form_exprs = _expressions(
             lambda x: (str(x), ATOM, QMPoly.constant(x), 0)
         ),
     ),
+    operator.add,
+    operator.neg,
     lambda a, b: a * b,
     lambda a, n: a**n,
     extra=(_derivatives,),
@@ -441,21 +465,28 @@ form_exprs = _expressions(
 
 
 def _shuffle_power(combo, n):
-    out = BarCombo.unit()
+    out = {(): ONE}
     for _ in range(n):
-        out = out.shuffle(combo)
+        out = shuffle_combos(out, combo)
     return out
+
+
+def _word(letters):
+    """The combination 1 * I(letters); a zero letter kills the integral."""
+    return {letters: ONE} if all(letters) else {}
 
 
 combo_exprs = _expressions(
     st.one_of(
-        form_exprs.map(lambda n: (n[0], n[1], BarCombo({(): n[2]}), 0)),
+        form_exprs.map(lambda n: (n[0], n[1], _accumulate({}, [((), n[2])]), 0)),
         st.lists(form_exprs, min_size=1, max_size=2).map(lambda letters: (
             "I(" + ", ".join(n[0] for n in letters) + ")", ATOM,
-            BarCombo.word(n[2] for n in letters), len(letters),
+            _word(tuple(n[2] for n in letters)), len(letters),
         )),
     ),
-    lambda a, b: a.shuffle(b),
+    lambda a, b: _accumulate(dict(a), b.items()),
+    lambda a: {w: -c for w, c in a.items()},
+    shuffle_combos,
     _shuffle_power,
 )
 
@@ -466,7 +497,7 @@ combo_exprs = _expressions(
 @example(("E6*-3/2^2", TERM, E6 * F(9, 4), 0))
 def test_parse_evaluates_forms(node):
     assert parse(node[0], integrals=False) == node[2], node[0]
-    assert shuffle_expansion(parse(node[0])) == BarCombo({(): node[2]}), node[0]
+    assert shuffle_expansion(parse(node[0])) == _accumulate({}, [((), node[2])]), node[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -8,7 +8,7 @@ import pytest
 from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
 from test_qseries import schoolbook
 from iterqm.canonicalize import canonical_form
-from iterqm.iterint import BarCombo, shuffle_product_words
+from iterqm.iterint import IntegralPoly
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import (
     DELTA,
@@ -256,7 +256,7 @@ class TestTrustedArithmetic:
 class TestValueSemantics:
     def test_pickle_and_deepcopy_preserve_equality_and_hash(self):
         p = F(3, 4) * E2 * E4 - 5 * E6
-        combo = BarCombo({(E4, p): E2, (E6 * E6, E2): F(1, 3)})
+        combo = IntegralPoly.linear({(E4, p): E2, (E6 * E6, E2): F(1, 3)})
         cf = canonical_form(combo)
         for x in (p, QMPoly(), combo, cf.poly, cf, combo.expansion(4)):
             for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
@@ -270,8 +270,7 @@ class TestValueSemantics:
             lambda: QMPoly({(0, 0, 0): value}),
             lambda: QMPoly([((1, 0, 0), value)]),
             lambda: QMPoly.constant(value),
-            lambda: BarCombo({(E4,): value}),
-            lambda: BarCombo.word((E4,), value),
+            lambda: IntegralPoly.linear({(E4,): value}),
         ):
             with pytest.raises(TypeError, match="exact rational"):
                 make()
@@ -282,7 +281,7 @@ class TestValueSemantics:
         assert len({two, 2}) == 2
         # so a bar word of constant letters and a word of letter indices
         # stay apart in the shuffle cache the two kinds of word share
-        shuffle_product_words([ONE], [ONE])
+        shuffle((ONE,), (ONE,))
         assert all(type(l) is int for w in shuffle((1,), (1,)) for l in w)
 
 
