@@ -26,10 +26,12 @@ the slash action mixes coefficients spanning many orders of magnitude
 (powers of matrix entries times powers of tau), and the cocycle relation
 cancels those almost completely, so double precision cannot certify the
 1e-8 tolerances this module is tested at.  Exact series become numbers
-in one place, :func:`eval_numeric`, at q = e(tau) and L = 2*pi*i*tau.
-The 50 digits come from a private mpmath context: the module neither
-reads nor changes mpmath's process-wide precision, so a caller's
-precision is left untouched.
+in one place, :func:`eval_numeric`, at q = e(tau) and L = 2*pi*i*tau: each
+log-part is summed by Horner on Python integers in fixed-point q, with
+guard bits, and rounded to a number once.  The 50 digits come from a
+private mpmath context: the module neither reads nor changes mpmath's
+process-wide precision, so a caller's precision is left untouched.  |tau|
+is at most 10^30, so that (tau + 1) - tau keeps 20 of the 50 digits.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ MIN_IMAG = 0.2
 
 _ctx = MPContext()
 _ctx.dps = WORKING_DPS
-mpc, mpf, pi, exp, log = _ctx.mpc, _ctx.mpf, _ctx.pi, _ctx.exp, _ctx.log
+mpc, mpf, pi, log, ldexp = _ctx.mpc, _ctx.mpf, _ctx.pi, _ctx.log, _ctx.ldexp
 
 
 @dataclass(frozen=True)
@@ -110,19 +112,13 @@ class XYPoly:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("XYPoly is immutable")
 
-    @classmethod
-    def zero(cls, degree: int = 0) -> "XYPoly":
-        return cls(degree)
-
     def __add__(self, other: "XYPoly") -> "XYPoly":
         if self.degree != other.degree:
             raise ValueError("degrees differ")
         return XYPoly(self.degree, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return XYPoly(self.degree, [x - y for x, y in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self) -> "XYPoly":
         return XYPoly(self.degree, [-x for x in self.coeffs])
@@ -167,10 +163,13 @@ def slash_poly(poly: XYPoly, g: SL2Mat) -> XYPoly:
 
 
 def _finite(tau, label: str = "tau") -> mpc:
-    """tau as an mpc; NaN and infinite parts would pass every bound on Im."""
+    """tau as an mpc; NaN and infinite parts would pass every bound on Im, and
+    past |tau| = 10^(WORKING_DPS - 20), tau + 1 keeps too few digits."""
     tau = mpc(tau)
     if not _ctx.isfinite(tau):
         raise ValueError(f"{label} must be finite, got {complex(tau)}")
+    if abs(complex(tau)) > 10.0 ** (WORKING_DPS - 20):
+        raise ValueError(f"|{label}| must be at most 1e{WORKING_DPS - 20}, got {complex(tau)}")
     return tau
 
 
@@ -184,7 +183,8 @@ def _require_upper(tau, label: str = "tau") -> mpc:
 def eval_numeric(f: LogQSeries, tau) -> mpc:
     """The value of the truncated sum at q = exp(2*pi*i*tau), L = 2*pi*i*tau.
 
-    50 digits; requires tau in the open upper half-plane.
+    50 digits, from the integer kernel of :func:`_values`; requires tau in
+    the open upper half-plane with |tau| <= 10^(WORKING_DPS - 20).
     """
     return _values([f], tau)[0]
 
@@ -192,26 +192,40 @@ def eval_numeric(f: LogQSeries, tau) -> mpc:
 def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
     """Values of exact series at one point, as in :func:`eval_numeric`.
 
-    The module's only numeric summation of a series.  One table of
-    q^0, ..., q^N at tau serves every series, so each nonzero coefficient
-    costs one product of an ``mpc`` by its integer numerator; the log-parts
-    then combine by Horner in L, and each value is divided once by its
-    series' denominator.
+    The module's only numeric summation of a series.  q = e(tau) is rounded
+    once to qr + i*qi = q * 2^(bits + e), where 2^-(e+2) <= |q| <= 2^-e and
+    ``bits`` is the working precision plus guard bits.  Each log-part
+    sum_n c_n q^n is q^m times a Horner sum on integers, from its first
+    nonzero c_m, in units of 2^-bits * 2^(bit length of c_m), up to the last
+    term that reaches a unit; terms beyond it are dropped, so the work stays
+    bounded as Im tau grows.  Each part is rounded to ``mpc`` once, the parts
+    combine by Horner in L, and each value is divided by its denominator.
     """
     tau = _finite(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
+    bits = _ctx.prec + max(s.trunc for s in series).bit_length() + 12
+    with _ctx.workprec(bits):
+        q = _ctx.expjpi(2 * tau)
+    e = -_ctx.mag(q)
+    qr, qi = int(ldexp(q.real, bits + e)), int(ldexp(q.imag, bits + e))
     ell = 2j * pi * tau
-    q = exp(ell)
-    powers = [mpc(1)]
-    for _ in range(max(s.trunc for s in series)):
-        powers.append(powers[-1] * q)
     out = []
     for s in series:
         total = mpc(0)
         for k in range(s.log_degree(), -1, -1):
-            part = s.parts.get(k, ())
-            total = total * ell + sum((qm * x for qm, x in zip(powers, part) if x), mpc(0))
+            total *= ell
+            if k not in s.parts:
+                continue
+            cs = s.parts[k]
+            m = next(n for n, x in enumerate(cs) if x)
+            lead = cs[m].bit_length()
+            top = next(n for n in range(len(cs) - 1, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
+            ar = ai = 0
+            for x in reversed(cs[m : top + 1]):
+                ar, ai = ((ar * qr - ai * qi) >> (bits + e)) + ((x << bits) >> lead), (ar * qi + ai * qr) >> (bits + e)
+            part = mpc(ldexp(ar, lead - bits), ldexp(ai, lead - bits))
+            total += part * q**m if m else part
         out.append(total / s.den)
     return out
 
@@ -234,7 +248,7 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     of the longest, so their series are built once per (f, n_terms).
     """
     if f.is_zero():
-        return XYPoly.zero(0)
+        return XYPoly(0)
     if not f.is_modular():
         raise ValueError("the Eichler integral needs a modular form (depth 0)")
     k = f.weight()
@@ -246,9 +260,7 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     two_pi_i = 2j * pi
     # moments[r] = int_tau^{i oo} (t - tau)^r / r! * f(t) dt
     moments = [v / two_pi_i ** (r + 1) for r, v in enumerate(values)]
-    tau_pow = [mpc(1)]
-    for _ in range(d):
-        tau_pow.append(tau_pow[-1] * tau)
+    tau_pow = [tau**j for j in range(d + 1)]
     front = two_pi_i ** (k - 1)
     out = []
     for j in range(d + 1):
@@ -266,9 +278,7 @@ def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly
     tau = _require_upper(tau)
     gtau = g.moebius(tau)
     _require_upper(gtau, "g.tau")
-    p_here = eichler_integral(f, tau, n_terms)
-    p_there = eichler_integral(f, gtau, n_terms)
-    return p_here - slash_poly(p_there, g)
+    return eichler_integral(f, tau, n_terms) - slash_poly(eichler_integral(f, gtau, n_terms), g)
 
 
 # --- braid group ----------------------------------------------------------
@@ -340,8 +350,7 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     gtau = mat.moebius(tau)
     _require_upper(gtau, "gamma.tau")
     minus_log_disc = iter_integral((E2,), n_terms)
-    l_word = _branch_log(mat, turns, tau)
-    return eval_numeric(minus_log_disc, gtau) - eval_numeric(minus_log_disc, tau) + 12 * l_word
+    return eval_numeric(minus_log_disc, gtau) - eval_numeric(minus_log_disc, tau) + 12 * _branch_log(mat, turns, tau)
 
 
 def quasimodular_cocycle(
@@ -384,24 +393,13 @@ def quasimodular_cocycle(
 def admissible_tau(g: SL2Mat, candidates: Sequence[complex] = ()) -> mpc:
     """A point with Im(tau) and Im(g.tau) both >= 0.2, preferring candidates.
 
-    Falls back to a point centered for the translation part when c = 0.
+    Falls back to a point centered for the translation part when c = 0, and
+    otherwise to one that centers the pair (tau, g.tau) around the
+    fixed-size geodesic.
     """
-    pool = list(candidates) or [
-        mpc(0, 1.3),
-        mpc(0, 1),
-        mpc(0.4, 0.9),
-        mpc(0, 2),
-        mpc(-0.5, 1.1),
-        mpc(0.5, 1.1),
-    ]
-    for tau in pool:
-        tau = mpc(tau)
+    pool = list(candidates) or [1.3j, 1j, 0.4 + 0.9j, 2j, -0.5 + 1.1j, 0.5 + 1.1j]
+    pool.append(mpc(-mpf(g.b) / (2 * g.d), 2) if g.c == 0 else mpc(-mpf(g.d) / g.c, 1 / abs(g.c)))
+    for tau in map(mpc, pool):
         if tau.imag >= MIN_IMAG and g.moebius(tau).imag >= MIN_IMAG:
             return tau
-    if g.c == 0:
-        return mpc(-mpf(g.b) / (2 * g.d), 2)
-    # center the pair (tau, g.tau) around the fixed-size geodesic
-    tau = mpc(-mpf(g.d) / g.c, 1 / abs(g.c))
-    if tau.imag >= MIN_IMAG and g.moebius(tau).imag >= MIN_IMAG:
-        return tau
     raise ValueError(f"no admissible evaluation point found for {g}")

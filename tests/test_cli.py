@@ -306,6 +306,17 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: tau must be finite, got {complex(tau)}\n"
 
+    def test_cocycle_e2_tau_too_large(self, capsys):
+        # tau + 1 rounds to tau at 50 digits: the value used to read 0
+        code, out, err = run(capsys, ["cocycle", "e2", "s1", "--tau", "1e52+1j"])
+        assert (code, out) == (1, "")
+        assert err == "error: |tau| must be at most 1e30, got (1e+52+1j)\n"
+
+    def test_cocycle_e2_far_up(self, capsys):
+        code, out, _ = run(capsys, ["cocycle", "e2", "s1", "--tau", "0.5+1e20j"])
+        assert code == 0
+        assert "multiple_of_2pi_i: -1" in out
+
     def test_integral_long_word(self, capsys):
         code, out, err = run(capsys, ["integral", "I(" + ",".join(["E4"] * 1100) + ")", "-N", "0"])
         assert code == 0

@@ -1,13 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import MPContext, mp, mpc, mpf, zeta
+from mpmath.libmp import dps_to_prec
 
 from iterqm.cocycles import (
     IDENTITY,
     MIN_IMAG,
+    WORKING_DPS,
     S,
     SL2Mat,
     T,
@@ -26,7 +29,7 @@ from iterqm.cocycles import (
 )
 from iterqm.iterint import iter_integral
 from iterqm.qseries import LogQSeries
-from iterqm.quasimodular import DELTA, E2, E4, E6, QMPoly, derive, expand
+from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive, expand
 
 TWO_PI_I = 2j * math.pi
 
@@ -102,6 +105,27 @@ def quadrature_delta_integrals(tau, powers):
         return q * ctx.qp(q) ** 24
 
     return [1j * ctx.quad(lambda s: delta(tau + 1j * s) * (tau + 1j * s) ** j, [0, 2, 20]) for j in powers]
+
+
+def reference_values(series: LogQSeries, tau, dps: int):
+    """The power-table summation the integer kernel replaced, in a context
+    of ``dps`` digits of its own: one table of q^0, ..., q^N, one product of
+    an mpc by each nonzero numerator, Horner in L.  Returns the value and
+    the sum of the moduli of its terms."""
+    ctx = MPContext()
+    ctx.dps = dps
+    tau = ctx.mpc(tau)
+    ell = 2j * ctx.pi * tau
+    q = ctx.exp(ell)
+    powers = [ctx.mpc(1)]
+    for _ in range(series.trunc):
+        powers.append(powers[-1] * q)
+    total, size = ctx.mpc(0), ctx.mpf(0)
+    for k in range(series.log_degree(), -1, -1):
+        part = series.parts.get(k, ())
+        total = total * ell + sum((qm * x for qm, x in zip(powers, part) if x), ctx.mpc(0))
+        size += abs(ell) ** k * sum(abs(qm) * abs(x) for qm, x in zip(powers, part))
+    return total / series.den, size / series.den
 
 
 def branch_log_gap(word, tau) -> float:
@@ -232,6 +256,56 @@ class TestEvalNumeric:
             assert abs(got - want) < 1e-25 * abs(want)
 
 
+E4SQ_E6SQ = QMPoly({(0, 2, 2): Fraction(1)})
+
+
+class TestIntegerKernel:
+    """eval_numeric sums each log-part by Horner on integers in fixed-point
+    q.  Against the power-table summation at 120 digits, its error may
+    exceed that of the power table at working precision by at most
+    2^-(prec - 8) times the sum of the moduli of the terms."""
+
+    SERIES = {
+        "I(E2)": lambda: iter_integral((E2,), 80),
+        **{f"I(1^{r},E4^2E6^2)": (lambda r=r: iter_integral((ONE,) * r + (E4SQ_E6SQ,), 80)) for r in range(19)},
+        "I(Delta^2,E4)": lambda: iter_integral((DELTA * DELTA, E4), 80),
+        "signs": lambda: LogQSeries(60, {
+            0: [(-1) ** n * Fraction(n**3 + 1, n % 7 + 1) for n in range(61)],
+            1: [0, 0, 0] + [Fraction(-5, n) for n in range(3, 61)],
+            3: [(-2) ** n for n in range(20)],
+        }),
+    }
+    POINTS = [0.3 + 0.05j, -0.1 + 0.2j, 0.45 + 0.3j, -0.25 + 1j, 0.5 + 4j, 0.7 + 20j, 0.5 + 1e6j]
+
+    @pytest.mark.parametrize("name", SERIES)
+    def test_error_within_power_table_error(self, name):
+        series = self.SERIES[name]()
+        ctx = MPContext()
+        ctx.dps = 120
+        slack = ctx.ldexp(1, -(dps_to_prec(WORKING_DPS) - 8))
+        for tau in self.POINTS:
+            truth, size = reference_values(series, tau, 120)
+            table = ctx.mpc(reference_values(series, tau, WORKING_DPS)[0])
+            kernel = ctx.mpc(eval_numeric(series, tau))
+            assert abs(kernel - truth) <= abs(table - truth) + slack * size, (name, tau)
+
+    def test_delta_squared_parts_start_at_q2(self):
+        # q^2 is factored out of every part before the Horner sum
+        parts = iter_integral((DELTA * DELTA, E4), 80).parts
+        assert sorted(parts) == [0, 1]
+        assert all(p[:2] == (0, 0) and p[2] for p in parts.values())
+
+    def test_large_imaginary_part_is_fast(self):
+        # terms that cannot reach working precision are dropped, so the work
+        # does not grow with Im tau
+        minus_log_disc = iter_integral((E2,), 80)
+        start = time.perf_counter()
+        value = eval_numeric(minus_log_disc, 0.5 + 1e6j)
+        assert time.perf_counter() - start < 1
+        with mp.workdps(50):  # -log Delta = -L - 24 q + ..., with |q| = e^(-2 pi 10^6)
+            assert abs(value + 2j * mp.pi * mpc(0.5, 1e6)) < 1e-40
+
+
 class TestNonFiniteTau:
     """NaN compares false with every bound on Im, and an infinite tau passes
     them: each entry point names a point that is not finite."""
@@ -252,6 +326,51 @@ class TestNonFiniteTau:
     def test_image_point_is_named(self):
         with pytest.raises(ValueError, match="^g.tau must be finite"):
             _require_upper(complex("nan+1j"), "g.tau")
+
+
+class TestLargeTau:
+    """Beyond |tau| = 10^(WORKING_DPS - 20), tau + 1 and 2*pi*i*tau keep too
+    few digits: at 1e52 + i, tau + 1 rounds to tau, and e2_cocycle of s1
+    would read 0 instead of -2*pi*i."""
+
+    @pytest.mark.parametrize("call", [lambda t: e2_cocycle((1,), t), lambda t: cocycle_r(E4, S, t),
+                                      lambda t: eval_numeric(iter_integral((E2,), 4), t)],
+                             ids=["e2_cocycle", "cocycle_r", "eval_numeric"])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^\|tau\| must be at most 1e30"):
+            call(1e52 + 1j)
+
+    def test_large_imaginary_part_still_evaluates(self):
+        assert abs(complex(e2_cocycle((1,), 0.5 + 1e20j)) - (-TWO_PI_I)) < 1e-8
+
+
+class TestClosedFormPeriods:
+    """r_f(S) of a normalized Eisenstein series E_k, d = k - 2, has a closed
+    form (Kohnen-Zagier): c_0 = -c_d = (2k/B_k)(d!/2) zeta(k - 1), and for
+    1 <= j <= d - 1, c_j = (2 pi i)^(k-1) (k/B_k) C(d, j) B_(j+1) B_(k-1-j)
+    / ((j + 1)(k - 1 - j)).  M_k is one-dimensional for these k, so E4E6 is
+    E_10, and so on."""
+
+    @staticmethod
+    def closed_form(k: int):
+        ctx = MPContext()
+        ctx.dps = 70
+        d, bern = k - 2, ctx.bernoulli
+        c = [ctx.mpc(0)] * (d + 1)
+        c[0] = 2 * k / bern(k) * math.factorial(d) / 2 * ctx.zeta(k - 1)
+        c[d] = -c[0]
+        for j in range(1, d):
+            c[j] = ((2j * ctx.pi) ** (k - 1) * k / bern(k) * math.comb(d, j) * bern(j + 1) * bern(k - 1 - j)
+                    / ((j + 1) * (k - 1 - j)))
+        return ctx, c
+
+    @pytest.mark.parametrize("f", [E4, E6, E4 * E4, E4 * E6, E4 * E4 * E6], ids=["E4", "E6", "E8", "E10", "E14"])
+    @pytest.mark.parametrize("tau,bound", [(0.05 + 1j, 1e-44), (0.1 + 0.3j, 1e-39)])
+    def test_matches_closed_form(self, f, tau, bound):
+        ctx, want = self.closed_form(f.weight())
+        got = cocycle_r(f, S, tau).coeffs
+        gap = max(abs(ctx.mpc(g) - w) for g, w in zip(got, want))
+        assert gap <= bound * max(map(abs, want))
 
 
 class TestEichlerIntegral:
