@@ -9,7 +9,8 @@ as a ring homomorphism, rewriting each combination of words in two stages:
 1. :func:`reduce_letters` replaces every letter by basis letters, using
    the weight decomposition of each letter and integration by parts to
    eliminate derivative components; each elimination shortens the word,
-   so the rewriting terminates.
+   so the rewriting terminates.  Each word's coefficient is carried as
+   integer numerators over a denominator, made a QMPoly once per word.
 2. the resulting combination is rewritten as a whole into a polynomial in
    Lyndon words by the leading-word reduction of
    :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`, with no cache.
@@ -75,49 +76,67 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     words and then earlier positions go first.  A rewrite shortens the word
     or moves that position right, so a word is rewritten once, after all
     its contributions, and not at all if they cancel.  Each distinct letter
-    is split, and each homogeneous piece decomposed, once per call.  The
-    expansion of the result equals the expansion of the input exactly.
+    is split, and each homogeneous piece decomposed, once per call.  A
+    word's coefficient is an integer row: a denominator and a dict from
+    monomials to numerators, added into by :func:`~iterqm.linear._accumulate`.
+    A rational multiple, or an ibp coefficient that is a constant, costs one
+    int product per entry; only ibp's boundary term -g*I(suffix) multiplies
+    by a form.  A row becomes a QMPoly once, when its word is rewritten or
+    returned.  The expansion of the result equals that of the input exactly.
     """
-    out: dict[BarWord, QMPoly] = {}
-    pending: dict[tuple[int, int], dict[BarWord, QMPoly]] = {}
+    out: dict[BarWord, list] = {}
+    pending: dict[tuple[int, int], dict[BarWord, list]] = {}
     decomposed: dict[QMPoly, tuple[Fraction, QMPoly, QMPoly]] = {}
-    splits: dict[QMPoly, tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]] = {}
+    splits: dict[QMPoly, tuple[list[tuple[QMPoly, int, int]], list[QMPoly]]] = {}
 
-    def push(word: BarWord, coeff: QMPoly, start: int) -> None:
+    def push(word: BarWord, coeff: QMPoly, num: int, den: int, start: int) -> None:
         pos = next((i for i in range(start, len(word)) if not is_basis_letter(word[i])), None)
-        _accumulate(out if pos is None else pending.setdefault((len(word), pos), {}), ((word, coeff),))
+        bucket = out if pos is None else pending.setdefault((len(word), pos), {})
+        den *= coeff.den
+        row = bucket.get(word)
+        if row is None:
+            bucket[word] = [den, {k: v * num for k, v in coeff.nums.items()}]
+            return
+        if (common := lcm(row[0], den)) != row[0]:
+            row[:] = common, {k: v * (common // row[0]) for k, v in row[1].items()}
+        _accumulate(row[1], ((k, v * (num * common // den)) for k, v in coeff.nums.items()))
 
-    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]:
+    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, int, int]], list[QMPoly]]:
         """Basis letters with their multiples, and the h of each D(h) part."""
         subs, derivs = [], []
         for piece in letter.weight_split().values():
             c, m, h = decomposed.get(piece) or decomposed.setdefault(piece, decompose(piece))
             if c:
-                subs.append((E2, c))
-            subs.extend((QMPoly._of({mono: 1}), Fraction(num, m.den)) for mono, num in m.nums.items())
+                subs.append((E2, c.numerator, c.denominator))
+            subs.extend((QMPoly._of({mono: 1}), num, m.den) for mono, num in m.nums.items())
             if h:
                 derivs.append(h)
         return subs, derivs
 
     for word, coeff in combo.items():
-        push(word, coeff, 0)
+        push(word, coeff, 1, 1, 0)
     debug = logger.isEnabledFor(logging.DEBUG)
     for n in range(max(map(len, combo), default=0), 0, -1):
         for pos in range(n):
-            for word, coeff in pending.pop((n, pos), {}).items():
+            for word, (den, nums) in pending.pop((n, pos), {}).items():
+                if not nums:
+                    continue
+                coeff = QMPoly._of(nums, den)
                 subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
                 prefix, suffix = word[:pos], word[pos + 1 :]
-                for basis_letter, scalar in subs:
-                    push(prefix + (basis_letter,) + suffix, coeff * scalar, pos + 1)
-                # Eliminate each D(h): ibp shortens the word by one and keeps
-                # the letters before pos - 1.
+                for basis_letter, num, d in subs:
+                    push(prefix + (basis_letter,) + suffix, coeff, num, d, pos + 1)
+                # ibp shortens the word by one and keeps the letters before pos - 1
                 for h in derivs:
                     if debug:
                         rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
                         logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
                     for w, c in ibp(prefix, h, suffix).items():
-                        push(w, coeff * c, max(pos - 1, 0))
-    return out
+                        if len(c.nums) == 1 and (num := c.nums.get((0, 0, 0))):
+                            push(w, coeff, num, c.den, max(pos - 1, 0))
+                        else:
+                            push(w, c * coeff, 1, 1, max(pos - 1, 0))
+    return {word: QMPoly._of(nums, den) for word, (den, nums) in out.items() if nums}
 
 
 def canonical_form(integrals: IntegralPoly, modular_only: bool = False) -> IntegralPoly:

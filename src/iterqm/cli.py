@@ -57,15 +57,21 @@ def _power(base: str, exponent: int) -> str:
     return "" if exponent == 0 else base if exponent == 1 else f"{base}^{exponent}"
 
 
-def _series_terms(s: LogQSeries) -> list[tuple[int, int, Fraction]]:
-    """The nonzero coefficients of ``s`` as (m, k, coefficient of q^m L^k), in (q, logq) order."""
+def _series_terms(s: LogQSeries) -> list[tuple[int, int, int]]:
+    """The nonzero coefficients of ``s`` as (m, k, numerator of q^m L^k over s.den), in (q, logq) order."""
     parts = sorted(s.parts.items())
-    return [(m, k, Fraction(p[m], s.den)) for m in range(s.trunc + 1) for k, p in parts if p[m]]
+    return [(m, k, p[m]) for m in range(s.trunc + 1) for k, p in parts if p[m]]
+
+
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, with one gcd and no Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def format_series(s: LogQSeries) -> str:
-    terms = _series_terms(s)
-    return _join_terms([(c, "*".join(filter(None, (_power("q", m), _power("L", k))))) for m, k, c in terms])
+    return _join_terms([(Fraction(n, s.den), "*".join(filter(None, (_power("q", m), _power("L", k)))))
+                        for m, k, n in _series_terms(s)])
 
 
 def _qmpoly_terms(p: QMPoly) -> list[tuple[Fraction, str]]:
@@ -109,7 +115,7 @@ def format_canonical(cf: IntegralPoly) -> str:
 
 
 def series_to_json(s: LogQSeries) -> dict:
-    terms = [{"q": m, "logq": k, "coeff": str(c)} for m, k, c in _series_terms(s)]
+    terms = [{"q": m, "logq": k, "coeff": _ratio(n, s.den)} for m, k, n in _series_terms(s)]
     return {"truncation": s.trunc, "terms": terms}
 
 
@@ -123,10 +129,8 @@ def series_from_json(data: dict) -> LogQSeries:
 
 
 def qmpoly_to_json(p: QMPoly) -> dict:
-    return {"terms": [
-        {"e2": a, "e4": b, "e6": c, "coeff": str(coeff)}
-        for (a, b, c), coeff in sorted(p.terms.items())
-    ]}
+    return {"terms": [{"e2": a, "e4": b, "e6": c, "coeff": _ratio(num, p.den)}
+                      for (a, b, c), num in sorted(p.nums.items())]}
 
 
 def qmpoly_from_json(data: dict) -> QMPoly:
@@ -215,15 +219,8 @@ def _cmd_lyndon(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    words = []
-    for line in sys.stdin.read().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line == "-":
-            words.append(())
-            continue
-        words.append(tuple(parse(part, integrals=False) for part in line.split(",")))
+    lines = filter(None, map(str.strip, sys.stdin.read().splitlines()))
+    words = [() if line == "-" else tuple(parse(part, integrals=False) for part in line.split(",")) for line in lines]
     r = independence_rank(words, [ONE] * len(words), args.N)
     _emit(args, r, str, lambda r: {"rank": r, "count": len(words)})
     return 0

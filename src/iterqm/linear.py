@@ -1,11 +1,12 @@
 """Sparse linear combinations: dicts from keys to nonzero coefficients.
 
-Quasimodular polynomials (monomials to rationals), combinations of bar
-words (words to polynomials) and polynomials in words (multisets of words,
-Lyndon or not, to coefficients) are all finite linear combinations.
+Quasimodular polynomials and the rows of letter reduction (monomials to
+integer numerators over a denominator kept beside the dict), combinations of
+bar words (words to polynomials) and polynomials in words (multisets of
+words, Lyndon or not, to coefficients) are all finite linear combinations.
 :func:`_accumulate` is the one routine that adds terms into such a dict and
-drops those that cancel.  Coefficients may be any commutative ring elements
-that support + and truthiness for zero tests.
+drops those that cancel.  Coefficients may be any commutative ring elements,
+ints included, that support + and truthiness for zero tests.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -90,7 +91,7 @@ class LogQSeries:
             parts = {k: r for k, p in parts.items() if any(r := tuple(map(reduce, map(u.__mul__, p))))}
         else:
             parts = {k: p for k, p in parts.items() if any(p)}
-            g = math.gcd(den, *(x for p in parts.values() for x in p)) if parts else den
+            g = math.gcd(den, *chain.from_iterable(parts.values()))
             if g != 1:
                 den //= g
                 parts = {k: tuple(x // g for x in p) for k, p in parts.items()}

@@ -328,26 +328,16 @@ def transform_coeffs(p: QMPoly) -> list[QMPoly]:
         return [ZERO]
     if not p.is_homogeneous():
         raise ValueError("transformation coefficients need a homogeneous form; split by weight first")
-    coeffs = []
-    current = p
-    r = 0
-    while current:
-        coeffs.append(current)
-        current = current.d_de2() * Fraction(12, r + 1)
-        r += 1
-    return coeffs
+    coeffs = [p]
+    while coeffs[-1]:
+        coeffs.append(coeffs[-1].d_de2() * Fraction(12, len(coeffs)))
+    return coeffs[:-1]
 
 
 def _monomials_of_weight(k: int) -> list[Exponents]:
     """All (a, b, c) with 2a + 4b + 6c = k, ordered lexicographically."""
-    out = []
-    for a in range(k // 2 + 1):
-        rem_a = k - 2 * a
-        for b in range(rem_a // 4 + 1):
-            rem = rem_a - 4 * b
-            if rem % 6 == 0:
-                out.append((a, b, rem // 6))
-    return sorted(out)
+    return [(a, b, (k - 2 * a - 4 * b) // 6) for a in range(k // 2 + 1) for b in range((k - 2 * a) // 4 + 1)
+            if (k - 2 * a - 4 * b) % 6 == 0]
 
 
 def _row_reduce(rows: list[list], modulus: int = 0, reduced: bool = False) -> list[int]:

@@ -2,6 +2,8 @@ import logging
 import random
 import sys
 from collections import Counter
+from collections.abc import Mapping
+from fractions import Fraction
 from fractions import Fraction as F
 from math import isqrt
 
@@ -21,12 +23,75 @@ from iterqm.canonicalize import (
     reduce_letters,
 )
 from iterqm.expr import parse
-from iterqm.iterint import IntegralPoly
+from iterqm.iterint import BarWord, IntegralPoly, ibp
+from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries
-from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, derive, is_basis_letter
+from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, decompose, derive, is_basis_letter
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle
 
 linear = IntegralPoly.linear
+logger = logging.getLogger("iterqm.canonicalize")
+
+
+# The letter reduction as it stood before it carried integer rows: every
+# step scales and adds whole QMPoly coefficients.  For tests only.
+def reference_reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
+    """Rewrite a combination of bar words so that every letter is a basis letter.
+
+    Letters are split into homogeneous parts and decomposed along
+    QM = C*E2 + D(QM) + M; pure-basis components are pulled out by
+    multilinearity (their rational multiples join the coefficient), and
+    derivative components are eliminated by :func:`~iterqm.iterint.ibp`,
+    integration by parts, which shortens the word by one letter.  At DEBUG,
+    each elimination is logged under the name of its position in the word
+    (``ibp_first``, ``ibp_middle`` or ``ibp_last``).  Pending words wait,
+    merged, in one dict per (length, first non-basis position); longer
+    words and then earlier positions go first.  A rewrite shortens the word
+    or moves that position right, so a word is rewritten once, after all
+    its contributions, and not at all if they cancel.  Each distinct letter
+    is split, and each homogeneous piece decomposed, once per call.  The
+    expansion of the result equals the expansion of the input exactly.
+    """
+    out: dict[BarWord, QMPoly] = {}
+    pending: dict[tuple[int, int], dict[BarWord, QMPoly]] = {}
+    decomposed: dict[QMPoly, tuple[Fraction, QMPoly, QMPoly]] = {}
+    splits: dict[QMPoly, tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]] = {}
+
+    def push(word: BarWord, coeff: QMPoly, start: int) -> None:
+        pos = next((i for i in range(start, len(word)) if not is_basis_letter(word[i])), None)
+        _accumulate(out if pos is None else pending.setdefault((len(word), pos), {}), ((word, coeff),))
+
+    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]:
+        """Basis letters with their multiples, and the h of each D(h) part."""
+        subs, derivs = [], []
+        for piece in letter.weight_split().values():
+            c, m, h = decomposed.get(piece) or decomposed.setdefault(piece, decompose(piece))
+            if c:
+                subs.append((E2, c))
+            subs.extend((QMPoly._of({mono: 1}), Fraction(num, m.den)) for mono, num in m.nums.items())
+            if h:
+                derivs.append(h)
+        return subs, derivs
+
+    for word, coeff in combo.items():
+        push(word, coeff, 0)
+    debug = logger.isEnabledFor(logging.DEBUG)
+    for n in range(max(map(len, combo), default=0), 0, -1):
+        for pos in range(n):
+            for word, coeff in pending.pop((n, pos), {}).items():
+                subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
+                prefix, suffix = word[:pos], word[pos + 1 :]
+                for basis_letter, scalar in subs:
+                    push(prefix + (basis_letter,) + suffix, coeff * scalar, pos + 1)
+                # Eliminate each D(h): ibp shortens the word by one and keeps
+                # the letters before pos - 1.
+                for h in derivs:
+                    if debug:
+                        rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
+                        logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
+                    for w, c in ibp(prefix, h, suffix).items():
+                        push(w, coeff * c, max(pos - 1, 0))
+    return out
 
 
 class TestReduceLetters:
@@ -60,6 +125,15 @@ class TestReduceLetters:
             word = tuple(random_qmpoly(rng, 8) for _ in range(rng.randint(0, 3)))
             combo = {word: random_qmpoly(rng, 4)}
             assert linear(reduce_letters(combo)).expansion(20) == linear(combo).expansion(20)
+
+
+    def test_matches_reference(self):
+        rng = random.Random(33)
+        for _ in range(15):
+            combo = {tuple(random_qmpoly(rng, 8) for _ in range(rng.randint(0, 3))): random_qmpoly(rng, 4)
+                     for _ in range(2)}
+            combo = {w: c * F(rng.randint(1, 4), rng.randint(1, 4)) for w, c in combo.items()}
+            assert reduce_letters(combo) == reference_reduce_letters(combo)
 
 
 class TestMergedReduction:

@@ -7,6 +7,7 @@ import pytest
 from mpmath import MPContext, mp, mpc, mpf, zeta
 from mpmath.libmp import dps_to_prec
 
+import iterqm.cocycles as cocycles
 from iterqm.cocycles import (
     IDENTITY,
     MIN_IMAG,
@@ -16,6 +17,7 @@ from iterqm.cocycles import (
     T,
     XYPoly,
     _branch_log,
+    _last_term,
     _read_braid,
     _require_upper,
     admissible_tau,
@@ -288,6 +290,24 @@ class TestIntegerKernel:
             table = ctx.mpc(reference_values(series, tau, WORKING_DPS)[0])
             kernel = ctx.mpc(eval_numeric(series, tau))
             assert abs(kernel - truth) <= abs(table - truth) + slack * size, (name, tau)
+
+    def test_scan_start_keeps_the_full_scans_last_term(self, monkeypatch):
+        # the backward scan for the last useful term starts at a bound from the
+        # largest bit length when |q| <= 1/2, and at the end of the part otherwise
+        seen = []
+
+        def checked(cs, m, lead, bits, e):
+            full = next(n for n in range(len(cs) - 1, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
+            assert _last_term(cs, m, lead, bits, e) == full
+            seen.append(e)
+            return full
+
+        monkeypatch.setattr(cocycles, "_last_term", checked)
+        for make in self.SERIES.values():
+            series = make()
+            for tau in self.POINTS:
+                eval_numeric(series, tau)
+        assert min(seen) <= 0 and max(seen) > 100
 
     def test_delta_squared_parts_start_at_q2(self):
         # q^2 is factored out of every part before the Horner sum

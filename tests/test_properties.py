@@ -21,7 +21,9 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
-from iterqm.canonicalize import _RANK_PRIME, canonical_form, independence_rank, rational_rank  # noqa: E402
+from iterqm.canonicalize import (  # noqa: E402
+    _RANK_PRIME, canonical_form, independence_rank, rational_rank, reduce_letters,
+)
 from iterqm.cli import format_qmpoly, series_from_json, series_to_json  # noqa: E402
 from iterqm.cocycles import _branch_log, _read_braid, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
@@ -32,7 +34,7 @@ from iterqm.quasimodular import (  # noqa: E402
     E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter,
 )
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle_combos, to_lyndon_basis  # noqa: E402
-from test_canonicalize import reference_rank  # noqa: E402
+from test_canonicalize import reference_rank, reference_reduce_letters  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_quasimodular import reference_decompose  # noqa: E402
 
@@ -334,6 +336,13 @@ def test_lyndon_basis_of_a_combination(combo):
     for w, c in combo.items():
         per_word = per_word + to_lyndon_basis(w).scale(c)
     assert poly == per_word
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(bar_combos(letter_weight=8))
+def test_reduce_letters_matches_the_reference(combo):
+    """Integer rows give the same dict of QMPoly as whole-QMPoly arithmetic."""
+    assert reduce_letters(combo) == reference_reduce_letters(combo)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
