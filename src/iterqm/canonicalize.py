@@ -19,11 +19,11 @@ Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
 exact rank on rows built modulo a fixed prime p from the start, each the
-exact row times a unit mod p: full rank there is already a certificate, a
-deficiency is proved by the kernel found mod p, lifted to Q and checked on
-exact series built only for the rows it involves.  A denominator divisible
-by p takes exact rows throughout, and a failed lift or check falls back to
-elimination over Q.
+exact row times a unit mod p, and read q-power by q-power in one pass that
+gives the rank and the kernel: full rank is already a certificate, and a
+deficiency is proved by the kernel, lifted to Q and checked on exact series
+of the rows it involves.  A denominator divisible by p takes exact rows
+throughout, and a failed lift or check falls back to elimination over Q.
 """
 
 from __future__ import annotations
@@ -197,24 +197,24 @@ def _rational_lift(u: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _certified_rank(residues: list[list[int]], ncols: int, is_kernel) -> int | None:
-    """The rank over Q of a matrix A, from its rows mod _RANK_PRIME, where they prove it.
+def _certified_rank(columns: list[Sequence[int]], ncols: int, is_kernel) -> int | None:
+    """The rank over Q of a matrix A, from its columns mod _RANK_PRIME, where they prove it.
 
-    The rank r mod p can only be lower than over Q, so r = len(residues) or
-    r = ncols (A's true column count, or a bound on it) is the answer.
-    Otherwise the n - r kernel vectors of [A mod p | I], which are
-    independent, are lifted to Q by rational reconstruction; if ``is_kernel``
-    confirms v*A = 0 exactly for each lift v, the rank over Q is at most, so
-    exactly, r.  None when a lift or its check fails.
+    Each column lists A's entries from its last row up.  One Gauss-Jordan pass mod p,
+    which stops once all n rows have a pivot, gives the rank r mod p, never above the
+    rank over Q: r = n or r = ncols (A's true column count, or a bound on it) is the
+    answer.  Else the pass's null space holds n - r independent v with v*A = 0 mod p,
+    in reduced row echelon form as the rows are reversed; if ``is_kernel`` confirms
+    v*A = 0 for the rational lift of each, the rank over Q is r, else this is None.
     """
-    n = len(residues)
-    rank = len(_row_reduce([list(row) for row in residues], _RANK_PRIME))
+    n = len(columns[0]) if columns else 0
+    pivots = _row_reduce(columns, _RANK_PRIME, reduced=True)
+    rank = len(pivots)
     if rank == n or rank == ncols:
         return rank
-    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(residues)]
-    _row_reduce(augmented, _RANK_PRIME, reduced=True)
-    for row in augmented[rank:]:
-        lifts = [_rational_lift(u) for u in row[-n:]]
+    for free in sorted(set(range(n)).difference(pivots), reverse=True):
+        v = {free: 1, **{c: -row[free] % _RANK_PRIME for c, row in zip(pivots, columns)}}
+        lifts = [_rational_lift(v.get(i, 0)) for i in reversed(range(n))]
         if None in lifts or not is_kernel(lifts):
             return None
     return rank
@@ -238,15 +238,17 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
         kernel = [(c.numerator * (den // c.denominator), a) for c, a in zip(lifts, matrix) if c]
         return not any(sum(c * a[j] for c, a in kernel) for j in range(ncols))
 
-    rank = _certified_rank([[x % _RANK_PRIME for x in row] for row in matrix], ncols, is_kernel)
+    rank = _certified_rank(list(zip(*([x % _RANK_PRIME for x in r] for r in matrix[::-1]))), ncols, is_kernel)
     return len(_row_reduce(matrix)) if rank is None else rank
 
 
-def _rows(series: Sequence[LogQSeries], trunc: int) -> list[list[int]]:
-    """Each series' numerators over the q^m L^k grid, highest L-power first."""
+def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
+    """The series' numerators over the q^m L^k grid as columns, one per (m, k) in
+    order of m, then k; each lists the series from the last to the first."""
     max_log = max((s.log_degree() for s in series), default=0)
     zero = (0,) * (trunc + 1)
-    return [[x for k in range(max_log, -1, -1) for x in s.parts.get(k, zero)] for s in series]
+    parts = [zip(*(s.parts.get(k, zero) for s in reversed(series))) for k in range(max_log + 1)]
+    return [column for at_m in zip(*parts) for column in at_m]
 
 
 def independence_rank(
@@ -256,17 +258,17 @@ def independence_rank(
 ) -> int:
     """Exact rank of the multiplied integrals' coefficient vectors.
 
-    Each series expand(multiplier) * integral(word) is flattened over the
-    q^m L^k grid (m <= trunc, k up to the longest word), highest L-power
-    first so that rows of lower log-degree sit out the first pivots.  Full
-    rank certifies Q-linear independence of the family at this truncation:
-    a finite witness, never a proof.  The rank is exact.  The rows are
-    built mod a fixed prime p from the start: each is the exact row times a
-    unit mod p, so full rank there is the answer, and a kernel found there
-    is lifted to Q and checked on exact series built only for the rows it
+    Each series expand(multiplier) * integral(word) is a row over the q^m L^k
+    grid (m <= trunc, k up to the longest word), read column by column in
+    order of q-power, so that full rank shows on the first few.  Full rank
+    certifies Q-linear independence of the family at this truncation: a
+    finite witness, never a proof.  The rank is exact.  The rows are built
+    mod a fixed prime p from the start: each is the exact row times a unit
+    mod p, so full rank there is the answer, and a kernel found there is
+    lifted to Q and checked on exact series built only for the rows it
     involves (see :func:`_certified_rank`).  Should p divide a denominator
-    of the family, or a lift or its check fail, the exact rows decide as
-    in :func:`rational_rank`.
+    of the family, or a lift or its check fail, the exact rows decide as in
+    :func:`rational_rank`.
     """
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
@@ -279,13 +281,13 @@ def independence_rank(
             expanded[key] = expand(multipliers[i], trunc, modulus)
         return expanded[key] * iter_integral(words[i], trunc, modulus)
 
-    def exact_rows() -> list[list[int]]:
-        return _rows([series(i) for i in range(len(words))], trunc)
+    def exact_columns() -> list[tuple[int, ...]]:
+        return _columns([series(i) for i in range(len(words))], trunc)
 
     try:
-        residues = _rows([series(i, _RANK_PRIME) for i in range(len(words))], trunc)
+        residues = _columns([series(i, _RANK_PRIME) for i in range(len(words))], trunc)
     except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
-        return rational_rank(exact_rows())
+        return rational_rank(list(zip(*exact_columns())))
     exact: dict[int, LogQSeries] = {}
 
     def is_kernel(lifts: list[Fraction]) -> bool:
@@ -299,4 +301,4 @@ def independence_rank(
 
     width = (trunc + 1) * (1 + max(map(len, words), default=0))
     rank = _certified_rank(residues, width, is_kernel)
-    return len(_row_reduce(exact_rows())) if rank is None else rank
+    return len(_row_reduce(exact_columns())) if rank is None else rank

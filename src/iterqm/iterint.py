@@ -35,6 +35,7 @@ from .quasimodular import ONE, QMPoly, expand
 from .shuffle_lyndon import LyndonPoly, shuffle
 
 BarWord = tuple[QMPoly, ...]
+_MINUS_ONE = -ONE
 
 
 def _as_word(letters: Iterable[QMPoly]) -> BarWord:
@@ -140,6 +141,8 @@ def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> dict[B
     # the integral is multilinear: a zero letter, D(g) included, kills it
     if not g or not all(prefix + suffix):
         return {}
-    right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (prefix, QMPoly.constant(g.cusp_value()))
-    left = (prefix[:-1] + (prefix[-1] * g,) + suffix, -ONE) if prefix else (suffix, -g)
+    s = sum(g.nums.values())  # g(cusp) = s / g.den
+    right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (
+        prefix, QMPoly._of({(0, 0, 0): s} if s else {}, g.den))
+    left = (prefix[:-1] + (prefix[-1] * g,) + suffix, _MINUS_ONE) if prefix else (suffix, -g)
     return _accumulate({}, (right, left))

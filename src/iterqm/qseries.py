@@ -17,12 +17,12 @@ numerators over one positive denominator shared by all its log-parts, and
 :class:`~fractions.Fraction` appears only where values come in (the
 constructor) and go out (:meth:`LogQSeries.coefficient`); this module
 has no floating point.  A series with a prime ``modulus`` is the same
-series over Z/p instead: its denominator is folded into the numerators,
-which are residues, by the same arithmetic (exact rank certificates read
-their rows this way).  Numeric values of series are taken in
+series over Z/p: its numerators are residues, the denominator folded in,
+and :func:`primitive` multiplies by inverses of 1..N mod p (exact rank
+certificates read their rows this way).  Numeric values are taken in
 :func:`iterqm.cocycles.eval_numeric`.  Series are multiplied on integers
-(Kronecker substitution): each log-part is packed into one big integer
-with ``2^b`` per coefficient, and each pair of parts is multiplied once.
+(Kronecker substitution): each log-part is packed into one big integer,
+``2^b`` per coefficient, and each pair of parts is multiplied once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -42,6 +42,11 @@ def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _pack(residues: Iterable[int], size: int) -> int:
+    """Ints in [0, 2^(8*size)) as the slots of one int, size bytes each, the first lowest."""
+    return int.from_bytes(b"".join(map(int.to_bytes, residues, repeat(size), repeat("little"))), "little")
 
 
 class LogQSeries:
@@ -220,16 +225,16 @@ class LogQSeries:
         # Every product coefficient, summed over the pairs of parts that meet
         # at one L-exponent, is at most bound in absolute value (residues are
         # below the modulus), so a slot of bound's bits plus a sign and a guard
-        # bit holds it exactly.
+        # bit holds it exactly; residues are packed by their bytes, in whole bytes.
         pairs = min(len(self.parts), len(other.parts))
         bound = pairs * (n + 1) * (
             (modulus - 1) ** 2 if modulus else max(max(map(abs, p)) for p in self.parts.values()) * max(
                 max(map(abs, p)) for p in other.parts.values()))
-        bits = bound.bit_length() + 2
+        bits = (bound.bit_length() + 9) // 8 * 8 if modulus else bound.bit_length() + 2
         shifts = range(0, bits * (n + 1), bits)
 
         def pack(p: tuple[int, ...]) -> int:
-            return sum(map(int.__lshift__, p[: n + 1], shifts))
+            return _pack(p[: n + 1], bits // 8) if modulus else sum(map(int.__lshift__, p[: n + 1], shifts))
 
         packed_b = {k: pack(p) for k, p in other.parts.items()}
         sums: dict[int, int] = {}
@@ -283,16 +288,27 @@ def d_op(f: LogQSeries) -> LogQSeries:
 def primitive(f: LogQSeries) -> LogQSeries:
     """The unique g with D(g) = f and zero coefficient of q^0 L^0.
 
-    For each q-power m the equations ``m*a_k + (k+1)*a_{k+1} = c_k`` are
-    upper triangular in the log-degree; they are solved top-down for m >= 1
-    and directly (raising the log-degree by one) for m = 0.  They are solved
-    in integers for ``den * S * a`` with exact division, where S clears the
-    divisions that occur: k + 1 for each nonzero q^0 L^k coefficient, and
-    m^(j+1) for a q^m column whose highest nonzero coefficient is at L^j.
-    The divisions are exact for any integer numerators, so residues mod a
-    prime p > trunc take the same steps (S is then a unit mod p).
+    For each q-power m the equations ``m*a_k + (k+1)*a_{k+1} = c_k`` are upper
+    triangular in the log-degree; they are solved top-down for m >= 1 and directly
+    (raising the log-degree by one) for m = 0.  Over Q they are solved in integers
+    for ``den * S * a`` with exact division, S clearing the divisions that occur:
+    k + 1 for each nonzero q^0 L^k coefficient, m^(j+1) for a q^m column whose
+    highest nonzero coefficient is at L^j.  Over Z/p an L-part is solved at once,
+    by a table of the inverses of 1..max(trunc, log-degree + 1); a division by a
+    multiple of p raises ZeroDivisionError.
     """
-    n, parts = f.trunc, f.parts
+    n, parts, modulus = f.trunc, f.parts, f.modulus
+    if modulus:
+        if any(c[m] for k, c in parts.items() for m in range((k + 1) % modulus and modulus, n + 1, modulus)):
+            raise ZeroDivisionError(f"the primitive divides by a multiple of {modulus}")  # k + 1 at m = 0
+        inv, zero = [0, 1], (0,) * (n + 1)  # 1/i = -(p // i) * 1/(p % i) for i < p
+        for i in range(2, max(n, max(parts, default=0) + 1) + 1):
+            inv.append(inv[i % modulus] if i >= modulus else -(modulus // i) * inv[modulus % i] % modulus)
+        out = {k + 1: [c[0] * inv[k + 1] % modulus] + [0] * n for k, c in parts.items()}  # D(L^(k+1)) = (k+1) L^k
+        for k in range(max(parts, default=-1), -1, -1):  # the q^m for m >= 1, an L-part at a time
+            rhs = map(int.__sub__, parts.get(k, zero), map((k + 1).__mul__, out.get(k + 1, zero)))
+            out.setdefault(k, [0] * (n + 1))[1:] = islice(map(modulus.__rmod__, map(int.__mul__, rhs, inv)), 1, None)
+        return LogQSeries._of(n, 1, {k: tuple(a) for k, a in out.items()}, modulus)
     highest = {m: max((k for k, p in parts.items() if p[m]), default=-1) for m in range(1, n + 1)}
     scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]),
                      *(m ** (j + 1) for m, j in highest.items() if j >= 0))

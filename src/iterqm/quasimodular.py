@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .linear import _accumulate
-from .qseries import LogQSeries, Scalar, _as_fraction
+from .qseries import LogQSeries, Scalar, _as_fraction, _pack
 
 Exponents = tuple[int, int, int]  # powers of (E2, E4, E6)
 
@@ -340,37 +340,56 @@ def _monomials_of_weight(k: int) -> list[Exponents]:
             if (k - 2 * a - 4 * b) % 6 == 0]
 
 
-def _row_reduce(rows: list[list], modulus: int = 0, reduced: bool = False) -> list[int]:
-    """Gaussian elimination of ``rows`` in place; returns the pivot columns.
+def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int]:
+    """Gaussian elimination of ``rows`` in place, a row at a time; returns the pivot columns.
 
-    Entries are rationals (over Q), or ints taken mod a prime ``modulus``.
-    Row i ends with a 1 in column pivots[i] and zeros below it (and above it
-    too if ``reduced``: Gauss-Jordan); the rows after the pivots are zero.
-    Mod p, a row update subtracts f * pivot with f and the pivot row reduced
-    but leaves the sums unreduced (each pivot adds less than p^2 to an
-    entry); the entries are reduced once, at the end.
+    Entries are rationals (over Q), or residues in [0, p) for a prime
+    ``modulus`` p.  Each row is reduced against the pivots found so far and,
+    unless it vanishes, scaled to a new one with a 1 at its first nonzero
+    entry, until every column has a pivot.  Row i ends with its 1 in column
+    pivots[i] and zeros below it (and above it too if ``reduced``); the rows
+    after the pivots are zero.  Mod p a pivot is also packed in one int, a
+    byte-aligned slot of p - y per entry y, so a row update is one multiply-add.
     """
-    pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        top = len(pivots)
-        r = next((r for r in range(top, len(rows)) if (rows[r][col] % modulus if modulus else rows[r][col])),
-                 None)
-        if r is None:
-            continue
-        rows[top], rows[r] = rows[r], rows[top]
-        inv = pow(rows[top][col], -1, modulus) if modulus else Fraction(1) / rows[top][col]
-        # Rows from top on are zero left of col, so both updates start at col.
-        pivot = [x * inv % modulus if modulus else x * inv for x in rows[top][col:]]
-        rows[top] = rows[top][:col] + pivot
-        for i in range(0 if reduced else top + 1, len(rows)):
-            row = rows[i]
-            f = row[col] % modulus if modulus else row[col]
-            if f and i != top:
-                rows[i] = row[:col] + [x - f * y for x, y in zip(row[col:], pivot)]
-        pivots.append(col)
-    if modulus:
-        rows[:] = [[x % modulus for x in row] for row in rows]
-    return pivots
+    width = len(rows[0]) if rows else 0
+    size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
+    shifts, mask = range(0, 8 * size * width, 8 * size), (1 << 8 * size) - 1
+
+    def reduce(row, pivots):  # the row less its multiples of the pivots: a list over Q, packed mod p
+        if modulus:
+            x = _pack(row, size)
+            for c, _, negated in pivots:
+                if f := (x >> shifts[c] & mask) % modulus:
+                    x += f * negated
+            return x
+        row = list(row)
+        for c, y, _ in pivots:
+            if f := row[c]:  # y is zero left of c
+                row[c:] = [a - f * b for a, b in zip(row[c:], y[c:])]
+        return row
+
+    def pivot(c: int, x) -> tuple:  # the reduced row scaled to a 1 in column c, and its packed negation
+        row = [(x >> s & mask) % modulus for s in shifts] if modulus else x
+        inv = pow(row[c], -1, modulus) if modulus else 1 / Fraction(row[c])
+        y = [a * inv % modulus for a in row] if modulus else [a * inv for a in row]
+        return c, y, modulus and _pack([-a % modulus for a in y], size)
+
+    found, free = [], list(range(width))  # pivots (column, row, negation) as found; columns without
+    for row in rows:
+        x = reduce(row, found)
+        if (c := next((j for j in free if ((x >> shifts[j] & mask) % modulus if modulus else x[j])), None)) is not None:
+            found.append(pivot(c, x))
+            free.remove(c)
+            if not free:
+                break
+    if reduced and not free:  # every column has a pivot: the identity
+        found = [(c, [int(j == c) for j in range(width)], 0) for c, _, _ in found]
+    elif reduced:  # rows found later are zero in the pivot columns of earlier ones
+        for i in range(len(found) - 2, -1, -1):
+            found[i] = pivot(found[i][0], reduce(found[i][1], found[i + 1 :]))
+    found.sort()
+    rows[:] = [y for _, y, _ in found] + [[0] * width for _ in range(len(rows) - len(found))]
+    return [c for c, _, _ in found]
 
 
 #: Weights whose inverted system :func:`decompose` keeps (a few dozen occur).

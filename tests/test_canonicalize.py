@@ -16,6 +16,7 @@ from conftest import random_homogeneous, random_qmpoly
 from iterqm.canonicalize import (
     _RANK_PRIME,
     ModularModeError,
+    _certified_rank,
     _rational_lift,
     canonical_form,
     independence_rank,
@@ -26,7 +27,7 @@ from iterqm.expr import parse
 from iterqm.iterint import BarWord, IntegralPoly, ibp
 from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries
-from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, decompose, derive, is_basis_letter
+from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, _row_reduce, decompose, derive, is_basis_letter
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle
 
 linear = IntegralPoly.linear
@@ -392,6 +393,83 @@ def is_prime(n):
 P = _RANK_PRIME
 
 
+def reference_certified_rank(residues: list[list[int]], ncols: int, is_kernel) -> int | None:
+    """The rank over Q of a matrix A, from its rows mod _RANK_PRIME, where they prove it.
+
+    The certificate as it stood before it read A by columns in one pass: the
+    rank from an echelon form of the rows, then the kernel from Gauss-Jordan
+    on [A mod p | I].  For tests only.
+    """
+    n = len(residues)
+    rank = len(_row_reduce([list(row) for row in residues], _RANK_PRIME))
+    if rank == n or rank == ncols:
+        return rank
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(residues)]
+    _row_reduce(augmented, _RANK_PRIME, reduced=True)
+    for row in augmented[rank:]:
+        lifts = [_rational_lift(u) for u in row[-n:]]
+        if None in lifts or not is_kernel(lifts):
+            return None
+    return rank
+
+
+class TestOnePassCertificate:
+    """One column pass gives the rank and kernel of the two-pass reference."""
+
+    @staticmethod
+    def both(rows, ncols=None, accept=True):
+        """(rank, kernel lifts) from the reference on the rows and from _certified_rank on the columns."""
+        ncols = len(rows[0]) if ncols is None else ncols
+        results = []
+        for certify, matrix in ((reference_certified_rank, rows), (_certified_rank, list(zip(*reversed(rows))))):
+            lifts = []
+            results.append((certify(matrix, ncols, lambda v: lifts.append(v) or accept), lifts))
+        return results
+
+    @staticmethod
+    def small_rows(rng, n, width, relations=0):
+        """Small integer rows mod P, ``relations`` of them, at random places, combinations of two others."""
+        rows = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(n - relations)]
+        for _ in range(relations):
+            (i, a), (j, b) = ((rng.randrange(len(rows)), rng.randint(-3, 3)) for _ in range(2))
+            rows.insert(rng.randrange(len(rows) + 1), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+        return [[x % P for x in row] for row in rows]
+
+    def test_full_rank(self):
+        rng = random.Random(7)
+        for n, width in [(1, 1), (1, 5), (3, 3), (5, 12), (16, 30), (20, 41)]:
+            rows = [[rng.randrange(P) for _ in range(width)] for _ in range(n)]
+            (rank, lifts), new = self.both(rows)
+            assert rank == n and not lifts and new == (rank, lifts)
+        rows = [[rng.randrange(P) for _ in range(3)] for _ in range(6)]  # tall: the rank is the column count
+        assert self.both(rows) == [(3, []), (3, [])]
+
+    @pytest.mark.parametrize("relations", [1, 2])
+    def test_deficient(self, relations):
+        rng = random.Random(relations)
+        for n, width in [(3, 4), (6, 10), (11, 20), (15, 40)]:
+            for _ in range(5):
+                rows = self.small_rows(rng, n, width, relations)
+                (rank, lifts), new = self.both(rows)
+                assert rank == n - relations and len(lifts) == relations and new == (rank, lifts)
+                assert self.both(rows, accept=False) == [(None, lifts[:1])] * 2
+
+    def test_full_rank_only_at_the_last_column(self):
+        rng = random.Random(11)
+        for n, width in [(2, 3), (8, 20), (20, 41)]:
+            rows = self.small_rows(rng, n, width - 1, relations=1)
+            rows = [row + [rng.randrange(P)] for row in rows]
+            (rank, lifts), new = self.both(rows)
+            assert rank == n and new == (rank, lifts)
+            assert len(_row_reduce(list(zip(*reversed(rows)))[:-1], P)) == n - 1
+
+    def test_zero_or_one_row(self):
+        assert self.both([], ncols=5) == [(0, [])] * 2
+        assert self.both([[0, 0, 0]]) == [(0, [[F(1)]])] * 2  # a zero row is its own kernel
+        assert self.both([[0, 4, 1]]) == [(1, [])] * 2
+        assert self.both([[0, 0], [0, 0]]) == [(0, [[F(1), F(0)], [F(0), F(1)]])] * 2
+
+
 class TestModularCertificate:
     """Full rank mod P certifies; a deficiency mod P is proved by its kernel
     lifted to Q and checked exactly, or else settled by elimination over Q."""
@@ -420,23 +498,23 @@ class TestModularCertificate:
 
     def test_diagonal_p_falls_back(self, moduli):
         assert rational_rank([[F(P), F(0)], [F(0), F(1)]]) == 2
-        assert moduli == [P, P, 0]  # the kernel (1, 0) lifts but fails the exact check
+        assert moduli == [P, 0]  # the kernel (1, 0) lifts but fails the exact check
 
     def test_row_of_multiples_of_p_falls_back(self, moduli):
         rows = [[F(P, 3), F(2 * P, 5), F(-P)], [F(1), F(0), F(2)]]
         assert rational_rank(rows) == 2
-        assert moduli == [P, P, 0]
+        assert moduli == [P, 0]
 
     def test_denominators_divisible_by_p(self, moduli):
         # scaled rows [1, P] and [1, 2P] agree mod P; the determinant over Q is 1
         assert rational_rank([[F(1, P), F(1)], [F(1), F(2 * P)]]) == 2
-        assert moduli == [P, P, 0]
+        assert moduli == [P, 0]
         assert rational_rank([[F(1, P * P), F(3, P)], [F(2, 7 * P), F(1, 5)]]) == 2
 
     def test_deficient_over_q_too(self, moduli):
         # det = (1/P) * P - 1 = 0: rank 1 over Q, proved by the lifted kernel
         assert rational_rank([[F(1, P), F(1)], [F(1), F(P)]]) == 1
-        assert moduli == [P, P]  # the kernel (1, -1) lifts and checks: no elimination over Q
+        assert moduli == [P]  # the kernel (1, -1) lifts and checks: no elimination over Q
 
     def test_wide(self, moduli):
         assert rational_rank([[F(1), F(2), F(3), F(4), F(5)], [F(0), F(1), F(1, 2), F(0), F(9)]]) == 2
@@ -461,20 +539,20 @@ class TestModularCertificate:
         # det = -1 and -P: floats saw both rows as equal
         assert rational_rank([[10**17, 1], [10**17 + 1, 1]]) == 2
         assert rational_rank([[P * 10**17, 1], [P * 10**17 + P, 1]]) == 2
-        assert moduli == [P, P, P, 0]
+        assert moduli == [P, P, 0]
 
     def test_planted_relation_takes_the_kernel_path(self, moduli):
         # I(D(E4)) = 1 - E4, the regularized integral of a derivative
         words = [(E6,), (derive(E4),), (ONE, E4), (), ()]
         mults = [ONE, ONE, E2, ONE, E4]
         assert independence_rank(words, mults, 12) == 4
-        assert moduli == [P, P]
+        assert moduli == [P]
 
     def test_large_kernel_entries_fall_back(self, moduli):
         a, b = 10**6 + 3, 999_999  # the kernel (1, b/a, -1/a) is beyond sqrt(P/2)
         rows = [[1, 0, 2], [0, 1, 3], [a, b, 2 * a + 3 * b]]
         assert rational_rank(rows) == 2
-        assert moduli == [P, P, 0]
+        assert moduli == [P, 0]
         assert _rational_lift(b * pow(a, -1, P) % P) is None
 
     def test_rational_lift_bound(self):
@@ -516,14 +594,14 @@ class TestModularCertificate:
     def test_multiplier_divisible_by_p_falls_back(self, moduli):
         # the row of P * I() is zero mod P; its kernel vector lifts but fails the exact check
         assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10) == 2
-        assert moduli == [P, P, 0]
+        assert moduli == [P, 0]
 
     def test_denominator_p_takes_the_exact_path(self, moduli, monkeypatch):
         exact = []
         real = canonicalize.rational_rank
         monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: exact.append(rows) or real(rows))
         assert independence_rank([(E4,), (E4,)], [ONE, QMPoly.constant(F(1, P))], 10) == 1
-        assert len(exact) == 1 and moduli == [P, P]  # no rows mod P: 1/P has no residue
+        assert len(exact) == 1 and moduli == [P]  # no rows mod P: 1/P has no residue
         assert independence_rank([(E4 * F(1, P),), (E4,), (E6,)], [ONE] * 3, 10) == 2
         assert len(exact) == 2
 
@@ -536,7 +614,7 @@ class TestModularCertificate:
         # the kernel is (0, 0, 1, -1): only I(1, E4) is computed exactly
         words = [(E6,), (E2, E4), (ONE, E4), (ONE, E4)]
         assert independence_rank(words, [E2, E4, ONE, ONE], 10) == 3
-        assert moduli == [P, P]
+        assert moduli == [P]
         assert exact_words["words"] and set(exact_words["words"]) <= {(ONE, E4), (E4,), ()}
         assert exact_words["multipliers"] == [ONE]
 

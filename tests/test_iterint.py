@@ -145,6 +145,19 @@ class TestResidues:
             assert iter_integral(word, n, p) == iter_integral(word, n).modulo(p)
             assert expand(word[0] if word else DELTA, n, p) == expand(word[0] if word else DELTA, n).modulo(p)
 
+    @pytest.mark.parametrize("n, p", [(20, 2**30 - 35), (40, 2**30 - 35), (20, 23), (40, 41)])
+    def test_agreement_at_certify_sizes(self, n, p):
+        # words of up to four letters: log-degree up to 4, residues near p for a prime just above n
+        rng = random.Random(n + p)
+        letters = [ONE, E2, E4, E6, DELTA, derive(E4), E4 * F(-5, 691), E2 * E2 - E4]
+        for _ in range(6):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            mult = rng.choice(letters)
+            exact = expand(mult, n) * iter_integral(word, n)
+            assert exact.log_degree() <= 4
+            assert iter_integral(word, n, p) == iter_integral(word, n).modulo(p)
+            assert expand(mult, n, p) * iter_integral(word, n, p) == exact.modulo(p)
+
 
 class TestShuffleWords:
     def test_two_singletons(self):
@@ -261,6 +274,13 @@ class TestIntegrationByParts:
         # I(f, D(g)) = g(cusp) I(f) - I(f g); a cusp form drops the first term
         assert ibp((ONE,), E4, ()) == {(ONE,): ONE, (E4,): -ONE}
         assert ibp((E4,), DELTA, ()) == {(E4 * DELTA,): -ONE}
+
+    def test_ibp_last_boundary_is_the_cusp_value(self):
+        # g(cusp) * I(f), built from g's numerators: the same dict as QMPoly.constant(g.cusp_value())
+        for g in (E4, E2 * F(-3, 7), E4 * F(6, 5) - E2 * E6 * F(1, 10), DELTA, E4 - E2 * E2, E6 * 691 + ONE):
+            want = {(E6,): QMPoly.constant(g.cusp_value())} if g.cusp_value() else {}
+            assert {w: c for w, c in ibp((E6,), g, ()).items() if w == (E6,)} == want, g
+            assert ibp((), g, ()) == {(): QMPoly.constant(g.cusp_value()) - g}, g
 
     def test_ibp_last_numeric(self):
         front, g = (E2,), E6

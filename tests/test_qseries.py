@@ -317,6 +317,32 @@ class TestResidues:
             assert d_op(a).modulo(P) == d_op(ap)
             assert a.scale(F(-3, 7)).modulo(P) == ap.scale(F(-3, 7)) == ap * F(-3, 7)
 
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_agreement_at_certify_sizes(self, n):
+        # residues sit near p for the prime just above the truncation (41 at N = 40)
+        rng = random.Random(n)
+        for p in (P, next(q for q in range(n + 1, 2 * n + 2) if all(q % d for d in range(2, q)))):
+            for _ in range(4):
+                a, b = (LogQSeries(n, {k: [F(rng.randint(-10**6, 10**6), rng.choice([1, 2, 3, 7, 9, 11, 13]))
+                                           for _ in range(n + 1)] for k in rng.sample(range(5), rng.randint(1, 5))})
+                        for _ in range(2))
+                ap, bp = a.modulo(p), b.modulo(p)
+                assert a.log_degree() <= 4 and (a * b).modulo(p) == ap * bp
+                assert primitive(a).modulo(p) == primitive(ap) and primitive(b).modulo(p) == primitive(bp)
+
+    def test_primitive_by_a_multiple_of_p_raises(self):
+        # the division by 7 occurs: the exact fallback of independence_rank relies on the error
+        q7 = [0] * 7 + [3]
+        with pytest.raises(ZeroDivisionError):
+            primitive(LogQSeries(10, {0: q7}, 7))
+        with pytest.raises(ZeroDivisionError):
+            primitive(LogQSeries(10, {1: [0, 1], 2: q7}, 7))
+        with pytest.raises(ZeroDivisionError):
+            primitive(LogQSeries(10, {6: [2]}, 7))  # q^0 L^6 integrates to q^0 L^7 / 7
+        # no division by 7 occurs: q^8 is divided by 8 = 1 mod 7
+        f = LogQSeries(10, {0: [0, 1] + [0] * 6 + [5], 5: [1, 0, 2]})
+        assert primitive(f.modulo(7)) == primitive(f).modulo(7)
+
     def test_constructors(self):
         assert LogQSeries(2, {0: [F(1, 2), 3], 1: [P]}, P) == LogQSeries(2, {0: [F(1, 2), 3]}).modulo(P)
         assert LogQSeries.constant(-1, 1, P).parts == {0: (P - 1, 0)}

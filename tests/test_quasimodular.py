@@ -366,6 +366,26 @@ class TestRowReduce:
         assert mod7 == [[1, 0, 5], [0, 1, 2], [0, 0, 0]]  # 1/3 = 5 mod 7
         assert _row_reduce([[0, 0]], 7) == [] and _row_reduce([]) == []
 
+    def test_rows_after_full_rank_are_not_read(self):
+        from iterqm.quasimodular import _row_reduce
+
+        for modulus in (0, 7):
+            rows = [[0, 3], [2, 1], [5, 5], "never read"]
+            assert _row_reduce(rows, modulus, reduced=True) == [0, 1]
+            assert rows == [[1, 0], [0, 1], [0, 0], [0, 0]]
+
+    def test_gauss_jordan_mod_p_against_fractions(self):
+        from iterqm.quasimodular import _row_reduce
+
+        rng = random.Random(3)
+        p = 2**30 - 35
+        for n, width in [(4, 6), (9, 5), (12, 30)]:
+            rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(n)]
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            exact, residues = [[F(x) for x in row] for row in rows], [[x % p for x in row] for row in rows]
+            assert _row_reduce(exact, reduced=True) == _row_reduce(residues, p, reduced=True)
+            assert residues == [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in exact]
+
 
 class TestDerivativeDecomposition:
     def test_modular(self):
