@@ -18,12 +18,13 @@ as a ring homomorphism, rewriting each combination of words in two stages:
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
-exact rank on rows built modulo a fixed prime p from the start, each the
-exact row times a unit mod p, and read q-power by q-power in one pass that
-gives the rank and the kernel: full rank is already a certificate, and a
-deficiency is proved by the kernel, lifted to Q and checked on exact series
-of the rows it involves.  A denominator divisible by p takes exact rows
-throughout, and a failed lift or check falls back to elimination over Q.
+exact rank on rows built modulo a fixed prime p, each the exact row times
+a unit mod p, first to q^t for t = 2*ceil(n/(1+l)) (n rows of words of
+length <= l), read q-power by q-power in one pass that gives the rank and
+the kernel: full rank is already a certificate, and a deficiency is proved
+by the kernel, lifted to Q and checked on exact series of the rows it
+involves.  Should that fail, the rows mod p are read to the full truncation,
+then exactly; a denominator divisible by p takes exact rows throughout.
 """
 
 from __future__ import annotations
@@ -198,14 +199,14 @@ def _rational_lift(u: int) -> Fraction | None:
 
 
 def _certified_rank(columns: list[Sequence[int]], ncols: int, is_kernel) -> int | None:
-    """The rank over Q of a matrix A, from its columns mod _RANK_PRIME, where they prove it.
+    """The rank over Q of a matrix A, from some of its columns mod _RANK_PRIME, where they prove it.
 
     Each column lists A's entries from its last row up.  One Gauss-Jordan pass mod p,
-    which stops once all n rows have a pivot, gives the rank r mod p, never above the
-    rank over Q: r = n or r = ncols (A's true column count, or a bound on it) is the
-    answer.  Else the pass's null space holds n - r independent v with v*A = 0 mod p,
-    in reduced row echelon form as the rows are reversed; if ``is_kernel`` confirms
-    v*A = 0 for the rational lift of each, the rank over Q is r, else this is None.
+    which stops once all n rows have a pivot, gives the rank r mod p of those columns,
+    never above A's rank over Q: r = n or r = ncols (A's true column count, or a bound
+    on it) is the answer.  Else the null space holds n - r independent v that vanish
+    on them mod p, in reduced row echelon form as the rows are reversed; if ``is_kernel``
+    confirms v*A = 0 for the rational lift of each, A's rank is r, else this is None.
     """
     n = len(columns[0]) if columns else 0
     pivots = _row_reduce(columns, _RANK_PRIME, reduced=True)
@@ -259,35 +260,32 @@ def independence_rank(
     """Exact rank of the multiplied integrals' coefficient vectors.
 
     Each series expand(multiplier) * integral(word) is a row over the q^m L^k
-    grid (m <= trunc, k up to the longest word), read column by column in
-    order of q-power, so that full rank shows on the first few.  Full rank
-    certifies Q-linear independence of the family at this truncation: a
-    finite witness, never a proof.  The rank is exact.  The rows are built
-    mod a fixed prime p from the start: each is the exact row times a unit
-    mod p, so full rank there is the answer, and a kernel found there is
-    lifted to Q and checked on exact series built only for the rows it
-    involves (see :func:`_certified_rank`).  Should p divide a denominator
-    of the family, or a lift or its check fail, the exact rows decide as in
-    :func:`rational_rank`.
+    grid (m <= trunc, k up to the longest word, l), read column by column in
+    order of q-power.  Full rank certifies Q-linear independence of the family
+    at this truncation: a finite witness, never a proof.  The rank is exact.
+    The n rows are built mod a fixed prime p, each the exact row times a unit,
+    first to q^t for t = min(trunc, 2*ceil(n/(1+l))): their columns are some
+    of those at trunc, so full rank is the answer, and a kernel is lifted to Q
+    and checked on exact series to q^trunc of the rows it involves (see
+    :func:`_certified_rank`).  Should that fail, one more pass mod p reads the
+    rows to q^trunc; should that fail too, or p divide a denominator, the exact
+    rows decide.  A DEBUG line names the truncation that decided and the route.
     """
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
     words = [tuple(word) for word in words]
-    expanded: dict[tuple[QMPoly, int], LogQSeries] = {}  # a few multipliers serve many rows
+    n, longest = len(words), max(map(len, words), default=0)
+    expanded: dict[tuple[QMPoly, int, int], LogQSeries] = {}  # a few multipliers serve many rows
 
-    def series(i: int, modulus: int = 0) -> LogQSeries:
-        key = (multipliers[i], modulus)
+    def series(i: int, t: int, modulus: int = 0) -> LogQSeries:
+        key = (multipliers[i], t, modulus)
         if key not in expanded:
-            expanded[key] = expand(multipliers[i], trunc, modulus)
-        return expanded[key] * iter_integral(words[i], trunc, modulus)
+            expanded[key] = expand(multipliers[i], t, modulus)
+        return expanded[key] * iter_integral(words[i], t, modulus)
 
     def exact_columns() -> list[tuple[int, ...]]:
-        return _columns([series(i) for i in range(len(words))], trunc)
+        return _columns([series(i, trunc) for i in range(n)], trunc)
 
-    try:
-        residues = _columns([series(i, _RANK_PRIME) for i in range(len(words))], trunc)
-    except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
-        return rational_rank(list(zip(*exact_columns())))
     exact: dict[int, LogQSeries] = {}
 
     def is_kernel(lifts: list[Fraction]) -> bool:
@@ -295,10 +293,20 @@ def independence_rank(
         for i, c in enumerate(lifts):
             if c:
                 if i not in exact:
-                    exact[i] = series(i)
+                    exact[i] = series(i, trunc)
                 total = total + exact[i].scale(c)
         return total.is_zero()
 
-    width = (trunc + 1) * (1 + max(map(len, words), default=0))
-    rank = _certified_rank(residues, width, is_kernel)
-    return len(_row_reduce(exact_columns())) if rank is None else rank
+    width = (trunc + 1) * (1 + longest)
+    for t in dict.fromkeys((min(trunc, 2 * -(-n // (1 + longest))), trunc)):  # trunc once if t = trunc
+        try:
+            residues = _columns([series(i, t, _RANK_PRIME) for i in range(n)], t)
+        except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
+            logger.debug("rank at q^%d: exact rows, p divides a denominator", trunc)
+            return rational_rank(list(zip(*exact_columns())))
+        if (rank := _certified_rank(residues, width, is_kernel)) is not None:
+            route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
+            logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
+            return rank
+    logger.debug("rank at q^%d: exact elimination, the kernel mod p did not lift or check", trunc)
+    return len(_row_reduce(exact_columns()))

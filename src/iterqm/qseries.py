@@ -93,7 +93,8 @@ class LogQSeries:
             if den % modulus == 0:
                 raise ZeroDivisionError(f"denominator {den} is not invertible mod {modulus}")
             u, den, reduce = pow(den, -1, modulus), 1, modulus.__rmod__
-            parts = {k: r for k, p in parts.items() if any(r := tuple(map(reduce, map(u.__mul__, p))))}
+            scaled = parts.items() if u == 1 else ((k, map(u.__mul__, p)) for k, p in parts.items())
+            parts = {k: r for k, p in scaled if any(r := tuple(map(reduce, p)))}  # u = 1: only reduced
         else:
             parts = {k: p for k, p in parts.items() if any(p)}
             g = math.gcd(den, *chain.from_iterable(parts.values()))

@@ -470,21 +470,43 @@ class TestOnePassCertificate:
         assert self.both([[0, 0], [0, 0]]) == [(0, [[F(1), F(0)], [F(0), F(1)]])] * 2
 
 
+@pytest.fixture
+def moduli(monkeypatch):
+    seen = []
+    real = canonicalize._row_reduce
+
+    def spy(rows, modulus=0, reduced=False):
+        seen.append(modulus)
+        return real(rows, modulus, reduced)
+
+    monkeypatch.setattr(canonicalize, "_row_reduce", spy)
+    return seen
+
+
+@pytest.fixture
+def exact_words(monkeypatch):
+    """The words whose exact integral is computed, and the multipliers expanded exactly."""
+    seen = {"words": [], "multipliers": []}
+    integral, expand = iterint._iter_integral, canonicalize.expand
+
+    def integral_spy(word, trunc, modulus):
+        if not modulus:
+            seen["words"].append(word)
+        return integral(word, trunc, modulus)
+
+    def expand_spy(p, trunc, modulus=0):
+        if not modulus:
+            seen["multipliers"].append(p)
+        return expand(p, trunc, modulus)
+
+    monkeypatch.setattr(iterint, "_iter_integral", integral_spy)
+    monkeypatch.setattr(canonicalize, "expand", expand_spy)
+    return seen
+
+
 class TestModularCertificate:
     """Full rank mod P certifies; a deficiency mod P is proved by its kernel
     lifted to Q and checked exactly, or else settled by elimination over Q."""
-
-    @pytest.fixture
-    def moduli(self, monkeypatch):
-        seen = []
-        real = canonicalize._row_reduce
-
-        def spy(rows, modulus=0, reduced=False):
-            seen.append(modulus)
-            return real(rows, modulus, reduced)
-
-        monkeypatch.setattr(canonicalize, "_row_reduce", spy)
-        return seen
 
     def test_modulus_is_prime(self):
         assert P.bit_length() >= 30 and is_prime(P)
@@ -571,30 +593,10 @@ class TestModularCertificate:
         assert independence_rank([(E4,), (E6,), (ONE, E4), (ONE, E4)], [ONE, E2, ONE, ONE], 10) == 3
         assert calls == []
 
-    @pytest.fixture
-    def exact_words(self, monkeypatch):
-        """The words whose exact integral is computed, and the multipliers expanded exactly."""
-        seen = {"words": [], "multipliers": []}
-        integral, expand = iterint._iter_integral, canonicalize.expand
-
-        def integral_spy(word, trunc, modulus):
-            if not modulus:
-                seen["words"].append(word)
-            return integral(word, trunc, modulus)
-
-        def expand_spy(p, trunc, modulus=0):
-            if not modulus:
-                seen["multipliers"].append(p)
-            return expand(p, trunc, modulus)
-
-        monkeypatch.setattr(iterint, "_iter_integral", integral_spy)
-        monkeypatch.setattr(canonicalize, "expand", expand_spy)
-        return seen
-
     def test_multiplier_divisible_by_p_falls_back(self, moduli):
         # the row of P * I() is zero mod P; its kernel vector lifts but fails the exact check
         assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10) == 2
-        assert moduli == [P, 0]
+        assert moduli == [P, P, 0]  # at q^2, then at q^10, then over Q
 
     def test_denominator_p_takes_the_exact_path(self, moduli, monkeypatch):
         exact = []
@@ -617,6 +619,79 @@ class TestModularCertificate:
         assert moduli == [P]
         assert exact_words["words"] and set(exact_words["words"]) <= {(ONE, E4), (E4,), ()}
         assert exact_words["multipliers"] == [ONE]
+
+
+class TestFirstTruncation:
+    """Rows mod p are read to q^t for t = min(N, 2*ceil(n/(1+l))) first, and to
+    q^N only when the kernel found at q^t does not lift or check at q^N."""
+
+    #: Agrees with E4 to q^3: 1728*Delta = E4^3 - E6^2 starts at q.
+    CLOSE = E4 + (E4**3 - E6**2) ** 4
+
+    @pytest.fixture
+    def truncations(self, monkeypatch):
+        """The (trunc, modulus) of every integral and multiplier series built."""
+        seen = {"integrals": set(), "multipliers": set()}
+        integral, expand = iterint._iter_integral, canonicalize.expand
+
+        def integral_spy(word, trunc, modulus):
+            seen["integrals"].add((trunc, modulus))
+            return integral(word, trunc, modulus)
+
+        def expand_spy(p, trunc, modulus=0):
+            seen["multipliers"].add((trunc, modulus))
+            return expand(p, trunc, modulus)
+
+        monkeypatch.setattr(iterint, "_iter_integral", integral_spy)
+        monkeypatch.setattr(canonicalize, "expand", expand_spy)
+        return seen
+
+    def test_false_kernel_at_the_first_truncation(self, moduli, truncations):
+        # n = 2 rows of words of length 1: t = 2, where the rows are equal
+        assert independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20) == 2
+        assert moduli == [P, P]
+        assert truncations["integrals"] == {(2, P), (20, 0), (20, P)}
+
+    def test_full_rank_builds_no_residue_series_above_it(self, moduli, truncations):
+        words = [(E4,), (E6,), (ONE, E4), (E2, E6), ()]  # n = 5, l = 2: t = 4
+        assert independence_rank(words, [ONE, E2, ONE, E4, E6], 30) == 5
+        assert moduli == [P]
+        assert truncations == {"integrals": {(4, P)}, "multipliers": {(4, P)}}
+
+    def test_planted_relation_is_decided_there(self, moduli, truncations, exact_words):
+        # I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = 4
+        words = [(E6,), (derive(E4),), (ONE, E4), (), ()]
+        assert independence_rank(words, [ONE, ONE, E2, ONE, E4], 30) == 4
+        assert moduli == [P]
+        assert {t for t, m in truncations["integrals"] if m} == {4}
+        assert set(exact_words["words"]) == {(derive(E4),), ()}
+        assert sorted(exact_words["multipliers"], key=repr) == sorted([ONE, E4], key=repr)
+
+    def test_short_truncation_is_read_once(self, moduli, truncations):
+        # t = min(N, 2*ceil(n/(1+l))) = N: one pass
+        assert independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 1) == 1
+        assert moduli == [P]
+        assert truncations["integrals"] == {(1, P), (1, 0)}
+
+    def test_logs_the_truncation_and_route(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        independence_rank([(E4,), (E6,)], [ONE, ONE], 20)
+        independence_rank([(derive(E4),), (), ()], [ONE, ONE, E4], 20)
+        independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20)
+        independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10)
+        independence_rank([(E4,), (E4,)], [ONE, QMPoly.constant(F(1, P))], 10)
+        assert caplog.messages == [
+            "rank 2 at q^2 of q^20: full rank",
+            "rank 2 at q^4 of q^20: kernel of 1 checked, 3 rows exact",
+            "rank 2 at q^20 of q^20: full rank",
+            "rank at q^10: exact elimination, the kernel mod p did not lift or check",
+            "rank at q^10: exact rows, p divides a denominator",
+        ]
+
+    def test_silent_without_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="iterqm.canonicalize")
+        independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20)
+        assert not caplog.records
 
     def test_leaves_input_alone(self):
         rows = [[F(2), F(4)], [F(1), F(2)]]
