@@ -620,6 +620,22 @@ class TestModularCertificate:
         assert exact_words["words"] and set(exact_words["words"]) <= {(ONE, E4), (E4,), ()}
         assert exact_words["multipliers"] == [ONE]
 
+    def test_leaves_input_alone(self):
+        rows = [[F(2), F(4)], [F(1), F(2)]]
+        assert rational_rank(rows) == 1
+        assert rows == [[F(2), F(4)], [F(1), F(2)]]
+
+    def test_random_against_reference(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            pool = [0, 1, -1, 2, P, -P, 2 * P, F(1, P), F(P, 3), F(3, 7)]
+            rows = [[F(rng.choice(pool)) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:  # plant a dependence
+                a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.choice(pool))
+                rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+            assert rational_rank(rows) == reference_rank(rows), rows
+
 
 class TestFirstTruncation:
     """Rows mod p are read to q^t for t = min(N, 2*ceil(n/(1+l))) first, and to
@@ -692,22 +708,6 @@ class TestFirstTruncation:
         caplog.set_level(logging.INFO, logger="iterqm.canonicalize")
         independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20)
         assert not caplog.records
-
-    def test_leaves_input_alone(self):
-        rows = [[F(2), F(4)], [F(1), F(2)]]
-        assert rational_rank(rows) == 1
-        assert rows == [[F(2), F(4)], [F(1), F(2)]]
-
-    def test_random_against_reference(self):
-        rng = random.Random(41)
-        for _ in range(150):
-            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            pool = [0, 1, -1, 2, P, -P, 2 * P, F(1, P), F(P, 3), F(3, 7)]
-            rows = [[F(rng.choice(pool)) for _ in range(ncols)] for _ in range(nrows)]
-            if nrows > 1 and rng.random() < 0.5:  # plant a dependence
-                a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.choice(pool))
-                rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
-            assert rational_rank(rows) == reference_rank(rows), rows
 
 
 class TestClearCaches:
