@@ -4,7 +4,8 @@ A :class:`QMPoly` is a polynomial with rational coefficients in the three
 Eisenstein series, graded by weight (E2, E4, E6 have weights 2, 4, 6) and
 filtered by depth (the E2-degree).  The module provides
 
-* q-expansions (:func:`eisenstein_qexp`, :func:`expand`),
+* q-expansions (:func:`eisenstein_qexp`, and :func:`expand`, which dots a
+  form's numerators with a table of at most 512 monomial expansions),
 * the weight-raising derivation :func:`derive`, whose images on the
   generators are the classical Ramanujan identities,
 * :func:`transform_coeffs`, the polynomial coefficients governing the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 
 from .linear import _accumulate
@@ -255,41 +256,40 @@ def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     return LogQSeries(trunc, {0: coeffs})
 
 
-@lru_cache(maxsize=None)
-def _gen_power(which: int, exponent: int, trunc: int, modulus: int) -> LogQSeries:
-    """Cached powers of the generator q-expansions; which is 2, 4 or 6."""
-    if exponent == 0:
+_MONOMIAL_CACHE_SIZE = 512  #: monomial q-expansions kept; a benchmark round reads 12 to 117
+
+
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
+def _gen_power(exponents: Exponents, trunc: int, modulus: int) -> LogQSeries:
+    """The q-expansion of E2^a E4^b E6^c over Z (Eisenstein coefficients are integers) or
+    Z/p: one generator's power by square-and-multiply, else its generators' powers' product."""
+    if not any(exponents):
         return LogQSeries.constant(1, trunc, modulus)
-    if exponent == 1:
-        return eisenstein_qexp(which, trunc).modulo(modulus)
-    half = _gen_power(which, exponent // 2, trunc, modulus)
-    sq = half * half
-    return sq * _gen_power(which, 1, trunc, modulus) if exponent % 2 else sq
+    powers = [tuple(e if j == i else 0 for j in range(3)) for i, e in enumerate(exponents) if e]
+    if len(powers) > 1:  # at most two products of cached powers
+        return reduce(LogQSeries.__mul__, (_gen_power(x, trunc, modulus) for x in powers))
+    if sum(exponents) == 1:
+        return eisenstein_qexp(2 + 2 * exponents.index(1), trunc).modulo(modulus)
+    half = _gen_power(tuple(e // 2 for e in exponents), trunc, modulus)
+    square = half * half
+    return square * _gen_power(tuple(min(e, 1) for e in exponents), trunc, modulus) if sum(exponents) % 2 else square
 
 
 def expand(p: QMPoly, trunc: int, modulus: int = 0) -> LogQSeries:
     """Evaluation homomorphism into q-expansions, exact at the truncation.
 
-    Each monomial is the product of its cached generator powers, scaled by
-    its numerator; the sum is divided by the denominator once.  With a
-    prime ``modulus`` the result is the series over Z/p (see
-    :class:`~iterqm.qseries.LogQSeries`).
+    Its q^m coefficient is p's integer numerators dotted with the q^m column of
+    its monomials' cached expansions (:func:`_gen_power`), over p's denominator;
+    a monic monomial is its cached series.  With a prime ``modulus`` the result
+    is the series over Z/p (see :class:`~iterqm.qseries.LogQSeries`).
     """
-    total = None
-    for exponents, num in p.nums.items():
-        mono = None
-        for which, e in zip((2, 4, 6), exponents):
-            if e:
-                power = _gen_power(which, e, trunc, modulus)
-                mono = power if mono is None else mono * power
-        if mono is None:
-            mono = LogQSeries.constant(num, trunc, modulus)
-        elif num != 1:
-            mono = mono.scale(num)
-        total = mono if total is None else total + mono
-    if total is None:
+    if not p.nums:
         return LogQSeries.zero(trunc, modulus)
-    return total if p.den == 1 else total.scale(Fraction(1, p.den))
+    series, nums = [_gen_power(mono, trunc, modulus) for mono in p.nums], list(p.nums.values())
+    if p.den == 1 and nums == [1]:
+        return series[0]
+    columns = zip(*(s.parts[0] for s in series))  # every monomial starts at 1, so no part is missing
+    return LogQSeries._of(trunc, p.den, {0: tuple(sum(map(int.__mul__, nums, c)) for c in columns)}, modulus)
 
 
 # Ramanujan's images of the generators under D = q d/dq, times 12 so that

@@ -294,6 +294,16 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["multiple_of_2pi_i"] == -1200
 
+    @pytest.mark.parametrize("argv, stdin", [
+        *((["expand", "-N", "-1", expr], None) for expr in ("1", "0", "E2^0", "E4")),
+        *((["integral", "-N", "-1", expr], None) for expr in ("1", "I(E4)")),
+        (["rank", "-N", "-1"], "E4\nE6\n"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+    def test_negative_truncation_is_an_error(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_cocycle_e2_negative_terms(self, capsys):
         code, out, err = run(capsys, ["cocycle", "e2", "s1*s2", "--n-terms", "-5"])
         assert code == 1

@@ -16,7 +16,10 @@ from iterqm.quasimodular import (
     E4,
     E6,
     ONE,
+    ZERO,
     QMPoly,
+    _MONOMIAL_CACHE_SIZE,
+    _gen_power,
     basis_b,
     bernoulli,
     decompose,
@@ -59,6 +62,33 @@ class TestEisenstein:
                 eisenstein_qexp(w, 5)
 
 
+def _generator_power(which: int, exponent: int, trunc: int, modulus: int) -> LogQSeries:
+    """A generator's q-expansion to the given power, by repeated products."""
+    power = LogQSeries.constant(1, trunc, modulus)
+    for _ in range(exponent):
+        power = power * eisenstein_qexp(which, trunc).modulo(modulus)
+    return power
+
+
+def reference_expand(p: QMPoly, trunc: int, modulus: int = 0) -> LogQSeries:
+    """expand() as one product of generator powers per monomial, scaled and summed."""
+    total = None
+    for exponents, num in p.nums.items():
+        mono = None
+        for which, e in zip((2, 4, 6), exponents):
+            if e:
+                power = _generator_power(which, e, trunc, modulus)
+                mono = power if mono is None else mono * power
+        if mono is None:
+            mono = LogQSeries.constant(num, trunc, modulus)
+        elif num != 1:
+            mono = mono.scale(num)
+        total = mono if total is None else total + mono
+    if total is None:
+        return LogQSeries.zero(trunc, modulus)
+    return total if p.den == 1 else total.scale(F(1, p.den))
+
+
 class TestExpand:
     def test_discriminant_product_formula(self):
         # oracle: Delta = q * prod (1-q^n)^24
@@ -80,7 +110,7 @@ class TestExpand:
     def test_monomials_scale_cached_generator_powers(self, monkeypatch):
         n = 30
         scaled_cube, triple = QMPoly({(0, 3, 0): F(-5, 7)}), E2 * E4 * E6
-        expand(scaled_cube, n), expand(triple, n)  # fills the generator-power cache
+        expand(scaled_cube, n), expand(triple, n)  # fills the monomial table
         products = []
         mul = LogQSeries.__mul__
 
@@ -90,13 +120,37 @@ class TestExpand:
 
         monkeypatch.setattr(LogQSeries, "__mul__", counting)
         got_cube = expand(scaled_cube, n)
-        assert len(products) == 0
         got_triple = expand(triple, n)
-        assert len(products) == 2
+        assert products == []  # a warm expand is a dot product, no series product
         monkeypatch.undo()
+        assert got_triple is _gen_power((1, 1, 1), n, 0)  # a monic monomial is the cached series
         e2, e4, e6 = (eisenstein_qexp(w, n) for w in (2, 4, 6))
         assert got_cube == schoolbook(schoolbook(e4, e4), e4).scale(F(-5, 7))
         assert got_triple == schoolbook(schoolbook(e2, e4), e6)
+
+    def test_monomial_table_is_bounded(self):
+        assert _gen_power.cache_info().maxsize == _MONOMIAL_CACHE_SIZE
+
+    @pytest.mark.parametrize("p", [ZERO, ONE, E4, QMPoly.constant(F(1, 7)), E4 * F(1, 7) + E6])
+    def test_negative_truncation_is_an_error(self, p):
+        for modulus in (0, 7):
+            with pytest.raises(ValueError):
+                expand(p, -1, modulus)
+
+    def test_matches_the_per_monomial_reference(self):
+        """Equal series, or ZeroDivisionError on both sides where the modulus divides the denominator."""
+        rng = random.Random(24)
+        fixed = [ZERO, E4 * 7, QMPoly.constant(F(1, 7)), E4 * F(1, 7) + E6, E2 * F(3, 14)]
+        for p in fixed + [random_qmpoly(rng, 12) * F(1, rng.choice([1, 2, 7, 2**30 - 35])) for _ in range(30)]:
+            for modulus in (0, 7, 2**30 - 35):
+                n = rng.randint(0, 20)
+                try:
+                    want = reference_expand(p, n, modulus)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        expand(p, n, modulus)
+                else:
+                    assert expand(p, n, modulus) == want
 
     def test_ring_homomorphism(self):
         rng = random.Random(3)
