@@ -66,10 +66,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module cache: Bernoulli numbers, q-expansions, monomial
-    q-expansions (at most 512), iterated integrals (exact and mod p), word shuffles
-    and inverted decomposition systems.  Results stay the same; only reuse is lost."""
-    for cache in (bernoulli, eisenstein_qexp, _gen_power, _iter_integral, _shuffle, _decomposition_inverse):
+    """Empty every module cache: monomial q-expansions (at most 512), iterated integrals
+    (exact and mod p), word shuffles and decomposition inverses.  Results stay the same."""
+    for cache in (_gen_power, _iter_integral, _shuffle, _decomposition_inverse):
         cache.cache_clear()
 
 

@@ -77,9 +77,9 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     words and then earlier positions go first.  A rewrite shortens the word
     or moves that position right, so a word is rewritten once, after all
     its contributions, and not at all if they cancel.  Each distinct letter
-    is split, and each homogeneous piece decomposed, once per call.  A
-    word's coefficient is an integer row: a denominator and a dict from
-    monomials to numerators, added into by :func:`~iterqm.linear._accumulate`.
+    is split once per call.  A word's coefficient is an integer row: a
+    denominator and a dict from monomials to numerators, added into by
+    :func:`~iterqm.linear._accumulate`.
     A rational multiple, or an ibp coefficient that is a constant, costs one
     int product per entry; only ibp's boundary term -g*I(suffix) multiplies
     by a form.  A row becomes a QMPoly once, when its word is rewritten or
@@ -87,7 +87,6 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     """
     out: dict[BarWord, list] = {}
     pending: dict[tuple[int, int], dict[BarWord, list]] = {}
-    decomposed: dict[QMPoly, tuple[Fraction, QMPoly, QMPoly]] = {}
     splits: dict[QMPoly, tuple[list[tuple[QMPoly, int, int]], list[QMPoly]]] = {}
 
     def push(word: BarWord, coeff: QMPoly, num: int, den: int, start: int) -> None:
@@ -106,7 +105,7 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
         """Basis letters with their multiples, and the h of each D(h) part."""
         subs, derivs = [], []
         for piece in letter.weight_split().values():
-            c, m, h = decomposed.get(piece) or decomposed.setdefault(piece, decompose(piece))
+            c, m, h = decompose(piece)
             if c:
                 subs.append((E2, c.numerator, c.denominator))
             subs.extend((QMPoly._of({mono: 1}), num, m.den) for mono, num in m.nums.items())
@@ -271,6 +270,8 @@ def independence_rank(
     rows to q^trunc; should that fail too, or p divide a denominator, the exact
     rows decide.  A DEBUG line names the truncation that decided and the route.
     """
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
     words = [tuple(word) for word in words]

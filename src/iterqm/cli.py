@@ -262,6 +262,8 @@ def _cmd_cocycle_e2(args) -> int:
 
 def _cmd_cocycle_check(args) -> int:
     """The cocycle relation over random admissible word pairs."""
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     rng = random.Random(args.seed)
     pool = [cocycles.T, cocycles.S]
     residuals = {}

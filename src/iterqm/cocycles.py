@@ -189,13 +189,6 @@ def eval_numeric(f: LogQSeries, tau) -> mpc:
     return _values([f], tau)[0]
 
 
-def _last_term(cs: Sequence[int], m: int, lead: int, bits: int, e: int) -> int:
-    """The last n with bit length of c_n + bits - lead > e*(n - m), by a backward scan
-    from m + (B + bits - lead - 1) // e when e > 0, B the largest bit length."""
-    top = len(cs) - 1 if e <= 0 else min(len(cs) - 1, m + (max(map(int.bit_length, cs)) + bits - lead - 1) // e)
-    return next(n for n in range(top, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
-
-
 def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
     """Values of exact series at one point, as in :func:`eval_numeric`.
 
@@ -227,7 +220,7 @@ def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
             cs = s.parts[k]
             m = next(n for n, x in enumerate(cs) if x)
             lead = cs[m].bit_length()
-            top = _last_term(cs, m, lead, bits, e)
+            top = next(n for n in range(len(cs) - 1, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
             ar = ai = 0
             for x in reversed(cs[m : top + 1]):
                 ar, ai = ((ar * qr - ai * qi) >> (bits + e)) + ((x << bits) >> lead), (ar * qi + ai * qr) >> (bits + e)

@@ -213,18 +213,14 @@ E6 = QMPoly({(0, 0, 1): 1})
 DELTA = (E4**3 - E6**2) * Fraction(1, 1728)
 
 
-@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n, convention B_1 = -1/2.
-
-    Computed from sum_{j=0}^{n} C(n+1, j) B_j = 0.
-    """
+    """Bernoulli number B_n, B_1 = -1/2, from sum_{j<=m} C(m+1, j) B_j = 0 for m = 1..n."""
     if n < 0:
         raise ValueError("Bernoulli numbers need n >= 0")
-    if n == 0:
-        return Fraction(1)
-    acc = sum(comb(n + 1, j) * bernoulli(j) for j in range(n))
-    return Fraction(-acc, n + 1)
+    bs = [Fraction(1)]
+    for m in range(1, n + 1):
+        bs.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bs)) / (m + 1))
+    return bs[n]
 
 
 def _sigma(n: int, k: int) -> int:
@@ -241,7 +237,6 @@ def _sigma(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     """q-expansion of the normalized Eisenstein series of the given weight.
 
@@ -250,9 +245,8 @@ def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     """
     if weight <= 0 or weight % 2:
         raise ValueError("Eisenstein series exist for positive even weight only")
-    k2 = weight  # = 2k
-    factor = Fraction(-2 * k2, 1) / bernoulli(k2)
-    coeffs = [Fraction(1)] + [factor * _sigma(n, k2 - 1) for n in range(1, trunc + 1)]
+    factor = Fraction(-2 * weight) / bernoulli(weight)
+    coeffs = [Fraction(1)] + [factor * _sigma(n, weight - 1) for n in range(1, trunc + 1)]
     return LogQSeries(trunc, {0: coeffs})
 
 

@@ -146,22 +146,21 @@ class TestMergedReduction:
         assert all(is_basis_letter(l) for w in got for l in w)
         assert linear(got).expansion(3) == linear(combo).expansion(3)
 
-    def test_each_piece_decomposed_once(self, monkeypatch):
+    def test_each_letter_split_once(self, monkeypatch):
         calls = Counter()
-        real = canonicalize.decompose
+        real = QMPoly.weight_split
 
-        def counting(piece):
-            calls[piece] += 1
-            return real(piece)
+        def counting(letter):
+            calls[letter] += 1
+            return real(letter)
 
-        monkeypatch.setattr(canonicalize, "decompose", counting)
-        # the letters share their weight-6 piece E2*E4
+        monkeypatch.setattr(QMPoly, "weight_split", counting)
+        # a and b recur across words and positions
         a, b = E4 + E2 * E4, E6 + E2 * E4 + E2 * E2
         combo = {(a, b, a): ONE, (b, a, ONE, b): E2, (a, a): E4}
-        got = reduce_letters(combo)
-        assert calls[E2 * E4] == 1
+        reduce_letters(combo)
+        assert calls[a] == calls[b] == 1
         assert max(calls.values()) == 1
-        assert linear(got).expansion(6) == linear(combo).expansion(6)
 
     def test_logs_each_rule(self, caplog):
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
@@ -725,8 +724,7 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"bernoulli", "eisenstein_qexp", "_gen_power", "_iter_integral",
-                                                "_shuffle", "_decomposition_inverse"}
+        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_shuffle", "_decomposition_inverse"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
         assert [c.cache_info().currsize for c in caches] == [0] * len(caches)

@@ -298,6 +298,7 @@ class TestCommands:
         *((["expand", "-N", "-1", expr], None) for expr in ("1", "0", "E2^0", "E4")),
         *((["integral", "-N", "-1", expr], None) for expr in ("1", "I(E4)")),
         (["rank", "-N", "-1"], "E4\nE6\n"),
+        (["rank", "-N", "-1"], ""),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
     def test_negative_truncation_is_an_error(self, capsys, monkeypatch, argv, stdin):
         code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
@@ -354,6 +355,13 @@ class TestCommands:
         code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "2", "--n-terms", "40"])
         assert code == 0
         assert "PASS" in out
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_cocycle_check_needs_a_pair(self, capsys, pairs):
+        # no pair checked is no pass
+        code, out, err = run(capsys, ["cocycle", "check", "--pairs", pairs])
+        assert (code, out) == (1, "")
+        assert err == f"error: --pairs must be >= 1, got {pairs}\n"
 
 
 class TestOptionsPerCommand:

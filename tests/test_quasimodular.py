@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
@@ -40,6 +41,10 @@ from iterqm.shuffle_lyndon import shuffle
 )
 def test_bernoulli(n, value):
     assert bernoulli(n) == value
+
+
+def test_bernoulli_matches_mpmath():
+    assert [bernoulli(n) for n in range(61)] == [F(*mpmath.bernfrac(n)) for n in range(61)]
 
 
 def test_bernoulli_odd_vanish():
