@@ -22,7 +22,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from . import cocycles
 from .canonicalize import IntegralPoly, canonical_form, independence_rank
 from .expr import ExprError, parse
 from .qseries import LogQSeries
@@ -64,7 +63,9 @@ def _series_terms(s: LogQSeries) -> list[tuple[int, int, int]]:
 
 
 def _ratio(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for den > 0, with one gcd and no Fraction."""
+    """``str(Fraction(num, den))`` for den > 0, with at most one gcd and no Fraction."""
+    if den == 1:
+        return str(num)
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -112,11 +113,15 @@ def format_canonical(cf: IntegralPoly) -> str:
 
 
 # ---------------------------------------------------------------- JSON codecs
+# The *_to_json renderers write json.dumps(..., separators=(",", ":"))'s text
+# straight from the exact numerators.  Its only strings are letter names and
+# rationals: ASCII with no quote or backslash, so nothing needs escaping.
 
 
-def series_to_json(s: LogQSeries) -> dict:
-    terms = [{"q": m, "logq": k, "coeff": _ratio(n, s.den)} for m, k, n in _series_terms(s)]
-    return {"truncation": s.trunc, "terms": terms}
+def series_to_json(s: LogQSeries) -> str:
+    den = s.den
+    terms = ",".join([f'{{"q":{m},"logq":{k},"coeff":"{_ratio(n, den)}"}}' for m, k, n in _series_terms(s)])
+    return f'{{"truncation":{s.trunc},"terms":[{terms}]}}'
 
 
 def series_from_json(data: dict) -> LogQSeries:
@@ -128,9 +133,11 @@ def series_from_json(data: dict) -> LogQSeries:
     return LogQSeries(trunc, parts)
 
 
-def qmpoly_to_json(p: QMPoly) -> dict:
-    return {"terms": [{"e2": a, "e4": b, "e6": c, "coeff": _ratio(num, p.den)}
-                      for (a, b, c), num in sorted(p.nums.items())]}
+def qmpoly_to_json(p: QMPoly) -> str:
+    den = p.den
+    terms = ",".join([f'{{"e2":{a},"e4":{b},"e6":{c},"coeff":"{_ratio(num, den)}"}}'
+                      for (a, b, c), num in sorted(p.nums.items())])
+    return f'{{"terms":[{terms}]}}'
 
 
 def qmpoly_from_json(data: dict) -> QMPoly:
@@ -139,13 +146,17 @@ def qmpoly_from_json(data: dict) -> QMPoly:
     )
 
 
-def canonical_to_json(cf: IntegralPoly) -> dict:
+def canonical_to_json(cf: IntegralPoly) -> str:
     basis_weight = max((letter_sort_key(l)[0] for l in cf.basis), default=0)
-    terms = [
-        {"coeff": qmpoly_to_json(coeff), "monomial": [[letter_name(cf.basis[i]) for i in w] for w in mono]}
-        for mono, coeff in _canonical_terms(cf)
-    ]
-    return {"modular": cf.modular, "basis_max_weight": basis_weight, "terms": terms}
+    names = [f'"{letter_name(l)}"' for l in cf.basis]  # once per letter of the basis
+
+    def word(w: tuple[int, ...]) -> str:
+        return "[" + ",".join([names[i] for i in w]) + "]"
+
+    terms = ",".join([f'{{"coeff":{qmpoly_to_json(coeff)},"monomial":[{",".join(map(word, mono))}]}}'
+                      for mono, coeff in _canonical_terms(cf)])
+    modular = "true" if cf.modular else "false"
+    return f'{{"modular":{modular},"basis_max_weight":{basis_weight},"terms":[{terms}]}}'
 
 
 def canonical_from_json(data: dict) -> IntegralPoly:
@@ -161,12 +172,13 @@ def canonical_from_json(data: dict) -> IntegralPoly:
 # ---------------------------------------------------------------- commands
 
 
+def _compact(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
 def _emit(args, result, to_text, to_json) -> None:
-    """Print ``result`` through the renderer of the requested format only."""
-    if args.json:
-        print(json.dumps(to_json(result), separators=(",", ":")))
-    else:
-        print(to_text(result))
+    """Print ``result`` through the renderer of the requested format only; both return text."""
+    print(to_json(result) if args.json else to_text(result))
 
 
 def _cmd_expand(args) -> int:
@@ -189,7 +201,7 @@ def _cmd_decompose(args) -> int:
         args, (c, m, h),
         lambda r: f"e2_coefficient: {r[0]}\nmodular_part: {format_qmpoly(r[1])}\n"
                   f"derivative_of: {format_qmpoly(r[2])}",
-        lambda r: {"e2": str(r[0]), "modular": qmpoly_to_json(r[1]), "derivative_of": qmpoly_to_json(r[2])},
+        lambda r: f'{{"e2":"{r[0]}","modular":{qmpoly_to_json(r[1])},"derivative_of":{qmpoly_to_json(r[2])}}}',
     )
     return 0
 
@@ -213,7 +225,7 @@ def _cmd_lyndon(args) -> int:
     _emit(
         args, words,
         lambda ws: "\n".join(_word_name(w, basis) for w in ws),
-        lambda ws: [[letter_name(basis[i]) for i in w] for w in ws],
+        lambda ws: _compact([[letter_name(basis[i]) for i in w] for w in ws]),
     )
     return 0
 
@@ -222,7 +234,7 @@ def _cmd_rank(args) -> int:
     lines = filter(None, map(str.strip, sys.stdin.read().splitlines()))
     words = [() if line == "-" else tuple(parse(part, integrals=False) for part in line.split(",")) for line in lines]
     r = independence_rank(words, [ONE] * len(words), args.N)
-    _emit(args, r, str, lambda r: {"rank": r, "count": len(words)})
+    _emit(args, r, str, lambda r: _compact({"rank": r, "count": len(words)}))
     return 0
 
 
@@ -245,25 +257,30 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
 
 
 def _cmd_cocycle_e2(args) -> int:
+    from . import cocycles  # the numeric layer, loaded on first use
+
     word = parse_braid_word(args.word)
     tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
-    value = cocycles.e2_cocycle(word, tau, args.n_terms)
+    value = cocycles.e2_cocycle(word, tau, cocycles.DEFAULT_TERMS if args.n_terms is None else args.n_terms)
     ratio = complex(value / (2j * math.pi))
     nearest = round(ratio.real)
     resid = abs(ratio - nearest)
     _emit(
         args, (value, nearest, resid),
         lambda r: f"value: {complex(r[0])}\nmultiple_of_2pi_i: {r[1]}\nresidual: {r[2]:.3e}",
-        lambda r: {"value": [float(r[0].real), float(r[0].imag)], "multiple_of_2pi_i": r[1],
-                   "residual": float(r[2])},
+        lambda r: _compact({"value": [float(r[0].real), float(r[0].imag)], "multiple_of_2pi_i": r[1],
+                            "residual": float(r[2])}),
     )
     return 0 if resid < args.precision else 1
 
 
 def _cmd_cocycle_check(args) -> int:
     """The cocycle relation over random admissible word pairs."""
+    from . import cocycles  # the numeric layer, loaded on first use
+
     if args.pairs < 1:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+    n_terms = cocycles.DEFAULT_TERMS if args.n_terms is None else args.n_terms
     rng = random.Random(args.seed)
     pool = [cocycles.T, cocycles.S]
     residuals = {}
@@ -284,9 +301,9 @@ def _cmd_cocycle_check(args) -> int:
                 t2 = cocycles.admissible_tau(g2)
             except ValueError:
                 continue
-            lhs = cocycles.cocycle_r(f, g1 * g2, t12, args.n_terms)
-            rhs = cocycles.slash_poly(cocycles.cocycle_r(f, g1, t1, args.n_terms), g2)
-            rhs = rhs + cocycles.cocycle_r(f, g2, t2, args.n_terms)
+            lhs = cocycles.cocycle_r(f, g1 * g2, t12, n_terms)
+            rhs = cocycles.slash_poly(cocycles.cocycle_r(f, g1, t1, n_terms), g2)
+            rhs = rhs + cocycles.cocycle_r(f, g2, t2, n_terms)
             form_worst = max(form_worst, lhs.distance(rhs))
             produced += 1
         residuals[name] = form_worst
@@ -296,7 +313,7 @@ def _cmd_cocycle_check(args) -> int:
         args, residuals,
         lambda r: "\n".join([f"{name}: max residual {x:.3e} over {args.pairs} pairs" for name, x in r.items()]
                             + [f"{'PASS' if ok else 'FAIL'} (tolerance {args.precision:g})"]),
-        lambda r: {"max_residual": worst, "pass": ok},
+        lambda r: _compact({"max_residual": worst, "pass": ok}),
     )
     return 0 if ok else 1
 
@@ -314,7 +331,7 @@ def _default_trunc() -> int:
     return 50
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``main`` fills in the default of -N."""
     fmt = argparse.ArgumentParser(add_help=False)
@@ -358,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc = which.add_parser("check", parents=[fmt, precision], help="verify the cocycle relation")
     pc.add_argument("--pairs", type=int, default=10)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--n-terms", type=int, default=cocycles.DEFAULT_TERMS)
+    pc.add_argument("--n-terms", type=int, default=None, help="q-series terms (default: the library's)")
     pc.set_defaults(func=_cmd_cocycle_check)
     pe = which.add_parser("e2", parents=[fmt, precision], help="braid-group cocycle of E2")
     pe.add_argument("word", help="braid word, e.g. 's1*s2*s1^-1'")
     pe.add_argument("--tau", default=None, help="evaluation point, e.g. '0.3+1.2j'")
-    pe.add_argument("--n-terms", type=int, default=cocycles.DEFAULT_TERMS)
+    pe.add_argument("--n-terms", type=int, default=None, help="q-series terms (default: the library's)")
     pe.set_defaults(func=_cmd_cocycle_e2)
     return parser
 

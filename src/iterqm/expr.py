@@ -17,10 +17,18 @@ over letters numbered as read, so a product of integrals is not shuffled
 out; elsewhere (in ``I`` and ``D`` arguments and in forms) a
 :class:`QMPoly`.  Every error carries the byte offset where it was found.
 Brackets nest at most :data:`MAX_NESTING` deep.
+
+A term that is one monomial, an optional signed integer times generator
+powers such as ``-8*E2^2*E4`` followed by ``+``, ``-``, ``,``, ``)`` or the
+end, is recognised by one regular expression and built as one
+:class:`QMPoly` rather than as a product of factors.  It accepts only text
+that the grammar reads to the same value, so every other term, and every
+error with its offset, comes from the recursive descent above.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .iterint import IntegralPoly
@@ -37,6 +45,13 @@ class ExprError(ValueError):
 
 
 _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
+_WS = r"[ \t\n\r\f\v]*"  # characters that str.isspace() accepts too
+_GEN = rf"E[246](?:{_WS}\^{_WS}[0-9]+)?"
+_GENS = rf"{_GEN}(?:{_WS}\*{_WS}{_GEN})*"
+#: A whole term that is a monomial, such as ``-8*E2^2*E4``: a signed integer,
+#: generator powers or both, then what may follow a term.
+_MONOMIAL = re.compile(rf"{_WS}(?:(-?){_WS}([0-9]+)(?:{_WS}\*{_WS}({_GENS}))?|({_GENS})){_WS}(?=[-+,)]|\Z)")
+_POWERS = re.compile(rf"E([246])(?:{_WS}\^{_WS}([0-9]+))?")
 #: Four parser frames per level keep this well inside the recursion limit.
 MAX_NESTING = 200
 
@@ -112,6 +127,14 @@ class _Parser:
         return value
 
     def term(self) -> Value:
+        if match := _MONOMIAL.match(self.text, self.pos):  # one product, built at once
+            sign, digits, after_digits, alone = match.groups()
+            exponents = [0, 0, 0]
+            for g, e in _POWERS.findall(after_digits or alone or ""):
+                exponents["246".index(g)] += int(e or 1)
+            num = -int(digits) if sign else int(digits) if digits else 1
+            self.pos = match.end()
+            return self._form(QMPoly._of({tuple(exponents): num} if num else {}))
         value = self.factor()
         while self._peek() == "*":
             self.pos += 1

@@ -99,7 +99,10 @@ def iter_integral(word: Iterable[QMPoly], trunc: int, modulus: int = 0) -> LogQS
     return _iter_integral(word, trunc, modulus)
 
 
-@lru_cache(maxsize=None)
+_INTEGRAL_CACHE_SIZE = 4096  #: integrals of words (suffixes included) kept; a benchmark round makes at most 315
+
+
+@lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _iter_integral(word: BarWord, trunc: int, modulus: int) -> LogQSeries:
     if not word:
         return LogQSeries.constant(1, trunc, modulus)

@@ -25,7 +25,10 @@ from .linear import _accumulate
 Word = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+_SHUFFLE_CACHE_SIZE = 4096  #: word pairs' shuffles kept; a benchmark round makes at most 271
+
+
+@lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
 def _shuffle(w1: Word, w2: Word) -> dict[Word, int]:
     """Interleavings with multiplicity; letters may be any hashables (bar words too)."""
     if not w1:

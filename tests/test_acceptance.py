@@ -369,6 +369,6 @@ def test_criterion_14_cli(capsys, monkeypatch):
         for k in range(rng.randint(0, 3)):
             parts[k] = [F(rng.randint(-999, 999), rng.randint(1, 60)) for _ in range(n + 1)]
         series = LogQSeries(n, parts)
-        payload = json.loads(json.dumps(series_to_json(series)))
+        payload = json.loads(series_to_json(series))
         assert series_from_json(payload) == series
     _report(14, "CLI outputs byte-identical; JSON round trip exact on 100 random series")

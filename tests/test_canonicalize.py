@@ -1,4 +1,6 @@
+import importlib
 import logging
+import pkgutil
 import random
 import sys
 from collections import Counter
@@ -730,3 +732,10 @@ class TestClearCaches:
         assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
         assert results() == before
         assert before[0] == 4
+
+    def test_every_module_cache_is_bounded(self):
+        modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
+        caches = [obj for module in modules for obj in vars(module).values()
+                  if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
+        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_shuffle", "build_parser"}
+        assert [c.__name__ for c in caches if c.cache_parameters()["maxsize"] is None] == []

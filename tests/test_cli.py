@@ -161,7 +161,10 @@ class TestPinnedOutputs:
 class TestJsonRoundTrip:
     def test_series_schema(self):
         s = LogQSeries(2, {0: [0, 24, 36], 1: [-1, 0, 0]})
-        data = series_to_json(s)
+        text = series_to_json(s)
+        assert text == '{"truncation":2,"terms":[{"q":0,"logq":1,"coeff":"-1"},{"q":1,"logq":0,"coeff":"24"},' \
+                       '{"q":2,"logq":0,"coeff":"36"}]}'
+        data = json.loads(text)
         assert data == {
             "truncation": 2,
             "terms": [
@@ -181,13 +184,13 @@ class TestJsonRoundTrip:
                 coeffs = [F(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n + 1)]
                 parts[k] = coeffs
             s = LogQSeries(n, parts)
-            data = json.loads(json.dumps(series_to_json(s)))
+            data = json.loads(series_to_json(s))
             assert series_from_json(data) == s
 
     def test_canonical_roundtrip(self):
         combo = IntegralPoly.linear({(E4, ONE): E2, (ONE, ONE): 1})
         cf = canonical_form(combo)
-        data = json.loads(json.dumps(canonical_to_json(cf)))
+        data = json.loads(canonical_to_json(cf))
         back = canonical_from_json(data)
         assert back.poly == cf.poly
         assert back.basis == cf.basis
@@ -541,3 +544,42 @@ def test_format_series_zero():
 def test_format_series_signs():
     s = LogQSeries(2, {0: [F(-1, 2), 0, 3], 2: [0, -1, 0]})
     assert format_series(s) == "-1/2 - q*L^2 + 3*q^2"
+
+
+class TestNumericLayerOnFirstUse:
+    """``import iterqm`` and the exact commands leave mpmath unloaded; the
+    numeric names are still served from the package."""
+
+    def test_exact_commands_do_not_load_mpmath(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys, iterqm, iterqm.cli\n"
+            "iterqm.cli.main(['canonical', 'E2*I(E4,1)', '--json'])\n"
+            "print('mpmath' in sys.modules)\n"
+            "iterqm.cli.main(['cocycle', 'e2', 's1', '--json'])\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[1::2] == ["False", "True"]
+
+    def test_from_import(self):
+        from iterqm import cocycles, e2_cocycle
+
+        assert e2_cocycle is cocycles.e2_cocycle
+
+    def test_attribute(self):
+        import iterqm
+        from iterqm import cocycles
+
+        assert iterqm.SL2Mat is cocycles.SL2Mat
+        with pytest.raises(AttributeError, match="no attribute 'sl2mat'"):
+            iterqm.sl2mat
+
+    def test_star_import(self):
+        import iterqm
+
+        namespace = {}
+        exec("from iterqm import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(iterqm.__all__)
+        assert namespace["eichler_integral"] is iterqm.cocycles.eichler_integral

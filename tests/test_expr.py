@@ -36,6 +36,43 @@ class TestParse:
             parse("I()")
 
 
+class TestMonomialTerms:
+    """A term that is one signed integer times generator powers is built at
+    once; any other term goes through the grammar, with the same values."""
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("-8*E2^2*E4", -8 * E2**2 * E4),
+            ("E4*E4", E4**2),
+            ("3", QMPoly.constant(3)),
+            ("- 3 * E4 ^ 2", -3 * E4**2),
+            ("0*E6", QMPoly()),
+            ("-0", QMPoly()),
+            ("E4^0*E6", E6),
+            ("007*E6^01", 7 * E6),
+            ("E2*E4 - 2*E6 + -5", E2 * E4 - 2 * E6 - 5),
+            ("2^2*E4", 4 * E4),
+            ("-2^2*E4", 4 * E4),
+            ("3/2*E4", F(3, 2) * E4),
+            ("E4*(E6)", E4 * E6),
+        ],
+    )
+    def test_value(self, text, value):
+        assert (form(text).nums, form(text).den) == (value.nums, value.den)
+        assert shuffle_expansion(parse(f"I({text})")) == ({(value,): ONE} if value else {})
+
+    def test_built_without_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a monomial term was multiplied out")
+
+        monkeypatch.setattr(QMPoly, "__mul__", refuse)
+        monomial, integral = form("-8*E2^2*E4"), parse("I(E4*E6, 3*E2) - 2")
+        monkeypatch.undo()
+        assert monomial.nums == {(2, 1, 0): -8}
+        assert shuffle_expansion(integral) == {(E4 * E6, E2 * 3): ONE, (): -2 * ONE}
+
+
 class TestUnaryMinus:
     @pytest.mark.parametrize(
         "text,value",
@@ -80,6 +117,10 @@ class TestParseErrors:
             ("E5", 0),
             ("1/0", 2),
             ("E4 E6", 3),
+            ("E4*", 3),
+            ("-8*E2^2*E4 E6", 11),
+            ("2*E4^2^2", 6),
+            ("E24*E4", 0),
         ],
     )
     def test_syntax_error_offsets(self, text, offset):

@@ -11,6 +11,7 @@ same code without it.
 
 import json
 import operator
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -22,9 +23,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import (  # noqa: E402
-    _RANK_PRIME, canonical_form, independence_rank, rational_rank, reduce_letters,
+    _RANK_PRIME, ModularModeError, canonical_form, independence_rank, rational_rank, reduce_letters,
 )
-from iterqm.cli import format_qmpoly, series_from_json, series_to_json  # noqa: E402
+from iterqm.cli import (  # noqa: E402
+    canonical_from_json, canonical_to_json, format_qmpoly, qmpoly_from_json, qmpoly_to_json, series_from_json,
+    series_to_json,
+)
 from iterqm.cocycles import _branch_log, _read_braid, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import IntegralPoly, ibp, iter_integral  # noqa: E402
@@ -71,10 +75,16 @@ def test_d_op_inverts_primitive(f):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(log_series())
 def test_json_round_trip_is_bit_exact(s):
-    text = json.dumps(series_to_json(s))
-    again = series_from_json(json.loads(text))
-    assert again == s
-    assert json.dumps(series_to_json(again)) == text
+    text = series_to_json(s)
+    assert_compact_json_of(text, s, series_from_json)
+    assert series_to_json(series_from_json(json.loads(text))) == text
+
+
+def assert_compact_json_of(text, obj, from_json):
+    """``text`` is json.dumps's compact form of what it encodes, and decodes to ``obj``."""
+    data = json.loads(text)
+    assert json.dumps(data, separators=(",", ":")) == text
+    assert from_json(data) == obj
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -100,6 +110,12 @@ def polys(max_weight=8):
     monos = [mono for k in range(0, max_weight + 1, 2) for mono in monomials_of_weight(k)]
     coeff = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
     return st.lists(st.tuples(st.sampled_from(monos), coeff), max_size=5).map(QMPoly)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(polys())
+def test_form_json_is_compact_and_exact(p):
+    assert_compact_json_of(qmpoly_to_json(p), p, qmpoly_from_json)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -388,6 +404,18 @@ def test_canonical_form_round_trip(combo):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
+@given(bar_combos(), st.booleans())
+@example({(E4, E6 * E4): E4 + 1, (): E6}, True)
+def test_canonical_json_is_compact_and_exact(combo, modular):
+    integrals = IntegralPoly.linear(combo)
+    try:
+        cf = canonical_form(integrals, modular_only=modular)
+    except ModularModeError:  # modular mode only where the combination avoids E2
+        cf = canonical_form(integrals)
+    assert_compact_json_of(canonical_to_json(cf), cf, canonical_from_json)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(bar_combos(max_len=2), bar_combos(max_len=2))
 def test_canonical_form_is_a_ring_homomorphism(x, y):
     """Shuffle products of integrals map to products of Lyndon polynomials.
@@ -533,16 +561,34 @@ combo_exprs = _expressions(
 )
 
 
+_TOKEN = re.compile(r"E[246]|[0-9]+(?:/[0-9]+)?|\S")
+
+
+def _respellings(text):
+    """``text`` with a space between tokens, with an em space between them (a
+    whitespace no monomial term takes, so every term goes through the grammar),
+    and with every generator and unsigned number not after '-' or '^' in
+    brackets, so that no product is read as one monomial term."""
+    tokens = _TOKEN.findall(text)
+    bracketed = [f"({t})" if t[0] in "E0123456789" and prev not in "-^" else t
+                 for prev, t in zip([""] + tokens, tokens)]
+    return " ".join(tokens), "\u2003".join(tokens), "".join(bracketed)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(form_exprs)
 @example(("-2^2", FACTOR, QMPoly.constant(4), 0))  # a '-' before a digit signs the literal
 @example(("E6*-3/2^2", TERM, E6 * F(9, 4), 0))
+@example(("-8*E2^2*E4 + 3 - -2^2*E6 - 0*E4", SUM, -8 * E2**2 * E4 + 3 - 4 * E6, 0))
 def test_parse_evaluates_forms(node):
-    assert parse(node[0], integrals=False) == node[2], node[0]
-    assert shuffle_expansion(parse(node[0])) == _accumulate({}, [((), node[2])]), node[0]
+    """Every spelling, read by monomial terms or by the grammar alone, has the value."""
+    for text in (node[0], *_respellings(node[0])):
+        assert parse(text, integrals=False) == node[2], text
+        assert shuffle_expansion(parse(text)) == _accumulate({}, [((), node[2])]), text
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(combo_exprs)
 def test_parse_evaluates_combos(node):
-    assert shuffle_expansion(parse(node[0])) == node[2], node[0]
+    for text in (node[0], *_respellings(node[0])):
+        assert shuffle_expansion(parse(text)) == node[2], text
