@@ -7,6 +7,8 @@ polynomial forms, and numeric verification of the associated modular and
 braid-group cocycles.
 """
 
+import importlib
+
 from .canonicalize import (
     ModularModeError,
     canonical_form,
@@ -52,23 +54,22 @@ from .shuffle_lyndon import (
 
 __version__ = "0.1.0"
 
-#: The numeric layer's names, served from :mod:`iterqm.cocycles` on first use
-#: (PEP 562), so that ``import iterqm`` does not load mpmath.
+#: The numeric layer's names, served with :mod:`iterqm.cocycles` itself on first
+#: use (PEP 562), so that ``import iterqm`` does not load mpmath.
 _NUMERIC = {"B3Word", "SL2Mat", "XYPoly", "b3_to_sl2", "cocycle_r", "e2_cocycle", "eichler_integral", "eval_numeric",
             "quasimodular_cocycle", "slash_poly"}
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC:
-        from . import cocycles
-
-        return getattr(cocycles, name)
+    if name in _NUMERIC or name == "cocycles":
+        cocycles = importlib.import_module(".cocycles", __name__)
+        return cocycles if name == "cocycles" else getattr(cocycles, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def clear_caches() -> None:
     """Empty every module cache: monomial q-expansions (at most 512), iterated integrals
-    (exact and mod p, at most 4096), word shuffles (at most 4096) and decomposition
+    (exact and mod p, at most 4096), word shuffles (at most 131,072) and decomposition
     inverses (at most 64 weights).  Results stay the same."""
     for cache in (_gen_power, _iter_integral, _shuffle, _decomposition_inverse):
         cache.cache_clear()

@@ -256,12 +256,18 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cmd_cocycle_e2(args) -> int:
-    from . import cocycles  # the numeric layer, loaded on first use
+def _numeric(args):
+    """The numeric layer, loaded on first use, and the q-series terms to take."""
+    from . import cocycles
 
+    return cocycles, cocycles.DEFAULT_TERMS if args.n_terms is None else args.n_terms
+
+
+def _cmd_cocycle_e2(args) -> int:
+    cocycles, n_terms = _numeric(args)
     word = parse_braid_word(args.word)
     tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
-    value = cocycles.e2_cocycle(word, tau, cocycles.DEFAULT_TERMS if args.n_terms is None else args.n_terms)
+    value = cocycles.e2_cocycle(word, tau, n_terms)
     ratio = complex(value / (2j * math.pi))
     nearest = round(ratio.real)
     resid = abs(ratio - nearest)
@@ -276,11 +282,9 @@ def _cmd_cocycle_e2(args) -> int:
 
 def _cmd_cocycle_check(args) -> int:
     """The cocycle relation over random admissible word pairs."""
-    from . import cocycles  # the numeric layer, loaded on first use
-
     if args.pairs < 1:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
-    n_terms = cocycles.DEFAULT_TERMS if args.n_terms is None else args.n_terms
+    cocycles, n_terms = _numeric(args)
     rng = random.Random(args.seed)
     pool = [cocycles.T, cocycles.S]
     residuals = {}
@@ -331,7 +335,7 @@ def _default_trunc() -> int:
     return 50
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; ``main`` fills in the default of -N."""
     fmt = argparse.ArgumentParser(add_help=False)

@@ -25,7 +25,9 @@ from .linear import _accumulate
 Word = tuple[int, ...]
 
 
-_SHUFFLE_CACHE_SIZE = 4096  #: word pairs' shuffles kept; a benchmark round makes at most 271
+#: word pairs' shuffles kept: a benchmark round makes at most 271, but long words
+#: reuse suffix shuffles, and to_lyndon_basis((2,1,0)*4) makes 85,838
+_SHUFFLE_CACHE_SIZE = 1 << 17
 
 
 @lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)

@@ -563,6 +563,13 @@ class TestNumericLayerOnFirstUse:
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[1::2] == ["False", "True"]
 
+    def test_submodule_attribute_after_plain_import(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = "import sys, iterqm\nprint('mpmath' in sys.modules, iterqm.cocycles.e2_cocycle.__name__)\n"
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "False e2_cocycle\n"
+
     def test_from_import(self):
         from iterqm import cocycles, e2_cocycle
 
