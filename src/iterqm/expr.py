@@ -7,7 +7,7 @@ Grammar::
     factor   := '-' factor | atom ('^' uint)?
     atom     := 'E2' | 'E4' | 'E6' | rational
               | 'D(' expr ')' | 'I(' expr (',' expr)* ')' | '(' expr ')'
-    rational := '-'? uint ('/' uint)?
+    rational := '-'? uint ('/' uint)?,  uint := [0-9]+
 
 A ``-`` that is followed, after any whitespace, by a digit is the sign of a
 rational literal, so ``-2^2`` is 4; any other leading ``-`` negates its
@@ -86,7 +86,7 @@ class _Parser:
     def _uint(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ExprError("expected an unsigned integer", offset=start)
@@ -103,7 +103,7 @@ class _Parser:
         i = self.pos + 1
         while i < len(self.text) and self.text[i].isspace():
             i += 1
-        return i < len(self.text) and self.text[i].isdigit()
+        return i < len(self.text) and "0" <= self.text[i] <= "9"
 
     # -- grammar --
 
@@ -161,7 +161,7 @@ class _Parser:
             value = self.expr()
             self._expect(")")
             return value
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or "0" <= ch <= "9":
             sign = 1
             if ch == "-":
                 self.pos += 1

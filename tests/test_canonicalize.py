@@ -719,7 +719,8 @@ class TestClearCaches:
         def results():
             integrals = parse("I(E2^2, E4*E6) * I(E6) + E4*I(D(E4), 1)")
             return (independence_rank(words, [ONE, ONE, ONE, E2, E4], 12), canonical_form(integrals),
-                    integrals.expansion(12), shuffle((E4, E2), (E6,)))
+                    integrals.expansion(12), shuffle((E4, E2), (E6,)),
+                    repr(iterqm.cocycle_r(E4, iterqm.cocycles.S, 1j)), repr(iterqm.e2_cocycle((1, 2), 1.3j)))
 
         before = results()
         # every functools cache in the package but the CLI's one argument parser
@@ -727,7 +728,8 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_shuffle", "_decomposition_inverse"}
+        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_shuffle", "_decomposition_inverse",
+                                                "_eichler_poly", "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
         assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
@@ -738,7 +740,8 @@ class TestClearCaches:
         modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
-        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_shuffle", "build_parser"}
+        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_shuffle", "build_parser",
+                                                "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []

@@ -555,6 +555,7 @@ class TestNumericLayerOnFirstUse:
         script = (
             "import sys, iterqm, iterqm.cli\n"
             "iterqm.cli.main(['canonical', 'E2*I(E4,1)', '--json'])\n"
+            "iterqm.clear_caches()\n"
             "print('mpmath' in sys.modules)\n"
             "iterqm.cli.main(['cocycle', 'e2', 's1', '--json'])\n"
             "print('mpmath' in sys.modules)\n"

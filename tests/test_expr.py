@@ -121,12 +121,23 @@ class TestParseErrors:
             ("-8*E2^2*E4 E6", 11),
             ("2*E4^2^2", 6),
             ("E24*E4", 0),
+            ("\u0661", 0),  # an Arabic-Indic one is no literal, signed or not
+            ("-\u0661", 1),
+            ("E4 - \u0661", 5),
+            ("1/\u0661", 2),
         ],
     )
     def test_syntax_error_offsets(self, text, offset):
         with pytest.raises(ExprError) as err:
             parse(text)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["E4^\u00b2", "E4^\u0661", "E4^\uff11"])
+    def test_non_ascii_digits_are_refused(self, text):
+        # superscript two, Arabic-Indic one and fullwidth one pass str.isdigit
+        with pytest.raises(ExprError, match=r"^expected an unsigned integer \(at byte 3\)$") as err:
+            parse(text)
+        assert err.value.offset == 3
 
     def test_nested_integral_reports_offset(self):
         with pytest.raises(ExprError, match=r"at byte 2\)") as err:
