@@ -19,15 +19,12 @@ from .canonicalize import (
 from .iterint import (
     BarWord,
     IntegralPoly,
-    _iter_integral,
     ibp,
     iter_integral,
     r_map,
 )
 from .qseries import LogQSeries, d_op, primitive
 from .quasimodular import (
-    _decomposition_inverse,
-    _gen_power,
     DELTA,
     E2,
     E4,
@@ -44,7 +41,6 @@ from .quasimodular import (
     transform_coeffs,
 )
 from .shuffle_lyndon import (
-    _shuffle,
     LyndonPoly,
     is_lyndon,
     lyndon_factorize,
@@ -69,16 +65,13 @@ def __getattr__(name: str):
 
 
 def clear_caches() -> None:
-    """Empty every module cache: monomial q-expansions (at most 512), iterated integrals
-    (exact and mod p, at most 4096), word shuffles (at most 131,072), decomposition
-    inverses (at most 64 weights) and, once :mod:`iterqm.cocycles` is loaded (this does
-    not load it), Eichler polynomials (at most 64) and values of log Delta (at most 128).
-    Results stay the same."""
-    caches = [_gen_power, _iter_integral, _shuffle, _decomposition_inverse]
-    if cocycles := sys.modules.get(f"{__name__}.cocycles"):
-        caches += [cocycles._eichler_poly, cocycles._minus_log_disc]
-    for cache in caches:
-        cache.cache_clear()
+    """Empty every functools cache, each bounded, defined in a loaded :mod:`iterqm` module;
+    :mod:`iterqm.cocycles` is not loaded for it.  Results stay the same."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__name__}."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()
 
 
 __all__ = [

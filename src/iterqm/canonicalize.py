@@ -13,7 +13,7 @@ as a ring homomorphism, rewriting each combination of words in two stages:
    integer numerators over a denominator, made a QMPoly once per word.
 2. the resulting combination is rewritten as a whole into a polynomial in
    Lyndon words by the leading-word reduction of
-   :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`, with no cache.
+   :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`, one shuffle memo per call.
 
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies

@@ -33,23 +33,14 @@ from .shuffle_lyndon import LyndonPoly, lyndon_words
 # ---------------------------------------------------------------- rendering
 
 
-def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
-    if not terms:
-        return "0"
-    out = []
-    for i, (coeff, var) in enumerate(terms):
-        mag = abs(coeff)
-        if var and mag == 1:
-            body = var
-        elif var:
-            body = f"{mag}*{var}"
-        else:
-            body = str(mag)
-        if i == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(out)
+def _join_terms(terms: list[tuple[int, int, str]]) -> str:
+    """Signed terms (numerator, denominator > 0, name) as text; a unit magnitude prints only its name."""
+    parts = []
+    for num, den, var in terms:
+        mag = _ratio(abs(num), den)
+        parts.append((" - " if num < 0 else " + ") + (var if var and mag == "1" else f"{mag}*{var}" if var else mag))
+    text = "".join(parts)  # the first term's sign is " + " or " - " until here
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _power(base: str, exponent: int) -> str:
@@ -71,14 +62,13 @@ def _ratio(num: int, den: int) -> str:
 
 
 def format_series(s: LogQSeries) -> str:
-    return _join_terms([(Fraction(n, s.den), "*".join(filter(None, (_power("q", m), _power("L", k)))))
+    return _join_terms([(n, s.den, "*".join(filter(None, (_power("q", m), _power("L", k)))))
                         for m, k, n in _series_terms(s)])
 
 
-def _qmpoly_terms(p: QMPoly) -> list[tuple[Fraction, str]]:
-    terms = p.terms
-    keys = sorted(terms, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
-    return [(terms[k], monomial_name(k)) for k in keys]
+def _qmpoly_terms(p: QMPoly) -> list[tuple[int, int, str]]:
+    keys = sorted(p.nums, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
+    return [(p.nums[k], p.den, monomial_name(k)) for k in keys]
 
 
 def format_qmpoly(p: QMPoly) -> str:
@@ -106,9 +96,9 @@ def format_canonical(cf: IntegralPoly) -> str:
         if not mono_str:  # the constant term's own terms, each signed as in format_qmpoly
             terms += _qmpoly_terms(coeff)
         elif coeff.nums.keys() == {(0, 0, 0)}:  # scalar coefficient
-            terms.append((coeff.constant_part(), mono_str))
+            terms.append((coeff.nums[0, 0, 0], coeff.den, mono_str))
         else:
-            terms.append((1, f"({format_qmpoly(coeff)})*{mono_str}"))
+            terms.append((1, 1, f"({format_qmpoly(coeff)})*{mono_str}"))
     return _join_terms(terms)
 
 
@@ -257,7 +247,9 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
 
 
 def _numeric(args):
-    """The numeric layer, loaded on first use, and the q-series terms to take."""
+    """The numeric layer, loaded on first use, and the q-series terms to take; a meaningless tolerance is refused."""
+    if not 0 < args.precision < math.inf:
+        raise ValueError(f"--precision must be a positive finite number, got {args.precision:g}")
     from . import cocycles
 
     return cocycles, cocycles.DEFAULT_TERMS if args.n_terms is None else args.n_terms

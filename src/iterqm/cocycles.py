@@ -408,14 +408,14 @@ def quasimodular_cocycle(
     return out
 
 
-def admissible_tau(g: SL2Mat, candidates: Sequence[complex] = ()) -> mpc:
-    """A point with Im(tau) and Im(g.tau) both >= 0.2, preferring candidates.
+def admissible_tau(g: SL2Mat) -> mpc:
+    """A point with Im(tau) and Im(g.tau) both >= 0.2: the first of six fixed points that is.
 
     Falls back to a point centered for the translation part when c = 0, and
     otherwise to one that centers the pair (tau, g.tau) around the
     fixed-size geodesic.
     """
-    pool = list(candidates) or [1.3j, 1j, 0.4 + 0.9j, 2j, -0.5 + 1.1j, 0.5 + 1.1j]
+    pool = [1.3j, 1j, 0.4 + 0.9j, 2j, -0.5 + 1.1j, 0.5 + 1.1j]
     pool.append(mpc(-mpf(g.b) / (2 * g.d), 2) if g.c == 0 else mpc(-mpf(g.d) / g.c, 1 / abs(g.c)))
     for tau in map(mpc, pool):
         if tau.imag >= MIN_IMAG and g.moebius(tau).imag >= MIN_IMAG:

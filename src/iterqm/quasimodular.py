@@ -94,8 +94,8 @@ class QMPoly:
         return not self.nums
 
     def __eq__(self, other) -> bool:
-        # Never equal to a scalar: bar words of constants would then collide
-        # with words of letter indices in the shared shuffle cache.
+        # Never equal to a scalar: bar words of constants would then equal
+        # words of letter indices, as dict keys too.
         if not isinstance(other, QMPoly):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
@@ -141,10 +141,6 @@ class QMPoly:
     def cusp_value(self) -> Fraction:
         """The constant term of the q-expansion (every E_{2k} starts at 1)."""
         return Fraction(sum(self.nums.values()), self.den)
-
-    def constant_part(self) -> Fraction:
-        """Coefficient of the monomial 1."""
-        return Fraction(self.nums.get((0, 0, 0), 0), self.den)
 
     # -- ring operations -----------------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -25,20 +24,26 @@ from .linear import _accumulate
 Word = tuple[int, ...]
 
 
-#: word pairs' shuffles kept: a benchmark round makes at most 271, but long words
-#: reuse suffix shuffles, and to_lyndon_basis((2,1,0)*4) makes 85,838
-_SHUFFLE_CACHE_SIZE = 1 << 17
+def _shuffle(w1: Word, w2: Word, memo: dict) -> dict[Word, int]:
+    """Interleavings with multiplicity; letters may be any hashables (bar words too).
 
-
-@lru_cache(maxsize=_SHUFFLE_CACHE_SIZE)
-def _shuffle(w1: Word, w2: Word) -> dict[Word, int]:
-    """Interleavings with multiplicity; letters may be any hashables (bar words too)."""
+    ``memo`` is the caller's: it maps the word pairs shuffled so far to their interleavings, read but
+    never changed, and each word made so far to itself, so equal words share one tuple (no letter is a
+    tuple, so no pair of words equals a word).
+    """
     if not w1:
         return {w2: 1}
     if not w2:
         return {w1: 1}
-    out = _accumulate({}, (((w1[0],) + word, mult) for word, mult in _shuffle(w1[1:], w2).items()))
-    return _accumulate(out, (((w2[0],) + word, mult) for word, mult in _shuffle(w1, w2[1:]).items()))
+    out = memo.get((w1, w2))
+    if out is None:
+        out = memo[w1, w2] = {}  # filled from strictly shorter pairs only
+        for head, rest in ((w1[:1], _shuffle(w1[1:], w2, memo)), (w2[:1], _shuffle(w1, w2[1:], memo))):
+            for word, mult in rest.items():
+                word = head + word
+                word = memo.setdefault(word, word)
+                out[word] = out.get(word, 0) + mult
+    return out
 
 
 def shuffle(w1: Iterable, w2: Iterable) -> dict[tuple, int]:
@@ -47,24 +52,24 @@ def shuffle(w1: Iterable, w2: Iterable) -> dict[tuple, int]:
     Letters may be indices or the QMPoly letters of bar words: the shuffle
     of two bar words is the product of their integrals (Chen).
     """
-    return dict(_shuffle(tuple(w1), tuple(w2)))
+    return dict(_shuffle(tuple(w1), tuple(w2), {}))
 
 
 def shuffle_combos(c1: Mapping[Word, object], c2: Mapping[Word, object]) -> dict[Word, object]:
     """Bilinear extension of the shuffle product to linear combinations."""
-    out: dict[Word, object] = {}
+    out, memo = {}, {}
     for w1, a in c1.items():
         for w2, b in c2.items():
             ab = a * b
-            _accumulate(out, ((word, ab * mult) for word, mult in _shuffle(w1, w2).items()))
+            _accumulate(out, ((word, ab * mult) for word, mult in _shuffle(w1, w2, memo).items()))
     return out
 
 
-def _shuffle_all(words: Iterable[Word]) -> dict[Word, int]:
+def _shuffle_all(words: Iterable[Word], memo: dict) -> dict[Word, int]:
     """Shuffle product of a sequence of words, with multiplicity."""
     out: dict[Word, int] = {(): 1}
     for w in words:
-        out = shuffle_combos(out, {w: 1})
+        out = _accumulate({}, ((word, a * mult) for u, a in out.items() for word, mult in _shuffle(u, w, memo).items()))
     return out
 
 
@@ -239,10 +244,11 @@ class LyndonPoly:
 
     def shuffle_expand(self) -> dict[Word, object]:
         """Evaluate the polynomial in the shuffle algebra: a word combination."""
+        memo: dict = {}
         return _accumulate({}, (
             (word, coeff * mult)
             for mono, coeff in self.terms.items()
-            for word, mult in _shuffle_all(mono).items()
+            for word, mult in _shuffle_all(mono, memo).items()
         ))
 
 
@@ -253,12 +259,13 @@ def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
     coefficient c, gives c/lead times the monomial of its Lyndon factors,
     and c/lead times their shuffle, lead*w plus smaller words of w's
     length, is subtracted.  Shuffle-expanding returns exactly the input.
+    The factor shuffles of the whole reduction share one memo, dropped on return.
     """
     pending = _accumulate({}, combo.items() if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))])
     # a min-heap on negated letters: words of different lengths never interact
     heap = [tuple(-l for l in w) for w in pending]
     heapify(heap)
-    terms = {}
+    terms, memo = {}, {}
     while heap:
         w = tuple(-l for l in heappop(heap))
         c = pending.pop(w, None)
@@ -266,7 +273,7 @@ def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
             continue
         factors = lyndon_factorize(w) if w else []
         if len(factors) > 1:
-            shuffled = _shuffle_all(factors)
+            shuffled = _shuffle_all(factors, memo)
             assert max(shuffled) == w, "triangularity violated"
             lead = shuffled[w]
             if lead != 1:

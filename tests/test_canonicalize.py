@@ -1,8 +1,10 @@
 import importlib
 import inspect
 import logging
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 from collections import Counter
 from collections.abc import Mapping
@@ -728,7 +730,7 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_shuffle", "_decomposition_inverse",
+        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_decomposition_inverse",
                                                 "_eichler_poly", "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
@@ -740,8 +742,26 @@ class TestClearCaches:
         modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
-        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_shuffle", "build_parser",
+        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "build_parser",
                                                 "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []
+
+    def test_numeric_caches_are_emptied_once_loaded_and_never_loaded(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import sys, iterqm\n"
+            "iterqm.clear_caches()\n"
+            "print('iterqm.cocycles' in sys.modules, 'mpmath' in sys.modules)\n"
+            "from iterqm import cocycles\n"
+            "cocycles.cocycle_r(iterqm.E4, cocycles.S, 1j)\n"
+            "cocycles.e2_cocycle((1, 2), 1.3j)\n"
+            "caches = (cocycles._eichler_poly, cocycles._minus_log_disc)\n"
+            "print(*[c.cache_info().currsize > 0 for c in caches])\n"
+            "iterqm.clear_caches()\n"
+            "print(*[c.cache_info().currsize for c in caches])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["False False", "True True", "0 0"]

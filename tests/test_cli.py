@@ -366,6 +366,17 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: --pairs must be >= 1, got {pairs}\n"
 
+    @pytest.mark.parametrize("precision", ["inf", "-inf", "nan", "0", "-0", "-1"])
+    @pytest.mark.parametrize("command", [["check", "--pairs", "2"], ["e2", "s1*s2"]], ids=["check", "e2"])
+    def test_meaningless_precision_is_refused(self, capsys, monkeypatch, command, precision):
+        # refused before any residual is computed: inf passes everything, nan and 0 nothing
+        import iterqm.cocycles as cocycles
+
+        monkeypatch.setattr(cocycles, "admissible_tau", lambda *args: pytest.fail("a residual was computed"))
+        code, out, err = run(capsys, ["cocycle", *command, f"--precision={precision}"])
+        assert (code, out) == (1, "")
+        assert err == f"error: --precision must be a positive finite number, got {float(precision):g}\n"
+
 
 class TestOptionsPerCommand:
     """Each command accepts only the options it reads: -N on expand, integral

@@ -1,8 +1,8 @@
 """Generated-input properties of the series ring, the ring of quasimodular
 polynomials and its derivation, the weight split, the exact rank, the
 linear combinations of words, integration by parts, the shuffle product,
-the canonical form, the braid-word branch of log(c*tau + d) and the
-expression parser.
+the canonical form, the braid-word branch of log(c*tau + d), the
+expression parser and the CLI's text rendering.
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -12,6 +12,7 @@ same code without it.
 import json
 import operator
 import re
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -26,8 +27,8 @@ from iterqm.canonicalize import (  # noqa: E402
     _RANK_PRIME, ModularModeError, canonical_form, independence_rank, rational_rank, reduce_letters,
 )
 from iterqm.cli import (  # noqa: E402
-    canonical_from_json, canonical_to_json, format_qmpoly, qmpoly_from_json, qmpoly_to_json, series_from_json,
-    series_to_json,
+    _canonical_terms, _power, _word_name, canonical_from_json, canonical_to_json, format_canonical, format_qmpoly,
+    format_series, qmpoly_from_json, qmpoly_to_json, series_from_json, series_to_json,
 )
 from iterqm.cocycles import _branch_log, _read_braid, admissible_tau, b3_to_sl2, mpc  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
@@ -35,7 +36,7 @@ from iterqm.iterint import IntegralPoly, ibp, iter_integral  # noqa: E402
 from iterqm.linear import _accumulate  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import (  # noqa: E402
-    E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter,
+    E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter, monomial_name,
 )
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle_combos, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank, reference_reduce_letters  # noqa: E402
@@ -429,6 +430,63 @@ def test_canonical_form_is_a_ring_homomorphism(x, y):
     cx, cy = canonical_form(IntegralPoly.linear(x)), canonical_form(IntegralPoly.linear(y))
     cxy = canonical_form(IntegralPoly.linear(shuffle_combos(x, y)))
     assert cxy.poly == cx.poly * cy.poly
+
+
+def reference_join(terms):
+    """Signed (Fraction, name) terms as text: the reference for the CLI's joiner on numerators."""
+    if not terms:
+        return "0"
+    out = []
+    for i, (coeff, var) in enumerate(terms):
+        mag = abs(coeff)
+        if var and mag == 1:
+            body = var
+        elif var:
+            body = f"{mag}*{var}"
+        else:
+            body = str(mag)
+        if i == 0:
+            out.append(("-" if coeff < 0 else "") + body)
+        else:
+            out.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(out)
+
+
+def reference_form_terms(p):
+    terms = p.terms
+    keys = sorted(terms, key=lambda k: (2 * k[0] + 4 * k[1] + 6 * k[2], k), reverse=True)
+    return [(terms[k], monomial_name(k)) for k in keys]
+
+
+def reference_format_canonical(cf):
+    terms = []
+    for mono, coeff in _canonical_terms(cf):
+        mono_str = "*".join(_power(_word_name(w, cf.basis), n) for w, n in sorted(Counter(mono).items()))
+        if not mono_str:
+            terms += reference_form_terms(coeff)
+        elif coeff.terms.keys() == {(0, 0, 0)}:
+            terms.append((coeff.terms[0, 0, 0], mono_str))
+        else:
+            terms.append((1, f"({reference_join(reference_form_terms(coeff))})*{mono_str}"))
+    return reference_join(terms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(log_series(), st.one_of(polys(), homogeneous()), st.sampled_from([1, -1, F(-1, 7), F(10**12, 3)]))
+def test_text_rendering_matches_the_fraction_reference(s, p, scale):
+    assert format_series(s) == reference_join([
+        (s.coefficient(m, k), "*".join(filter(None, (_power("q", m), _power("L", k)))))
+        for m in range(s.trunc + 1) for k in sorted(s.parts) if s.coefficient(m, k)
+    ])
+    p = p * scale
+    assert format_qmpoly(p) == reference_join(reference_form_terms(p))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(bar_combos(max_len=2))
+def test_canonical_text_matches_the_fraction_reference(combo):
+    cf = canonical_form(IntegralPoly.linear(combo))
+    assert format_canonical(cf) == reference_format_canonical(cf)
 
 
 def _render(combo):

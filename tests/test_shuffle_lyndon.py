@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import iterqm.shuffle_lyndon as shuffle_lyndon
 from iterqm.shuffle_lyndon import (
     LyndonPoly,
     is_lyndon,
@@ -182,3 +184,44 @@ class TestLyndonBasis:
     def test_rejects_non_lyndon_monomial(self):
         with pytest.raises(ValueError):
             LyndonPoly.monomial([(B, A)])
+
+
+class TestShuffleMemo:
+    """Shuffles are memoized per computation: nothing outlives the call."""
+
+    def test_each_suffix_pair_is_shuffled_once_per_rewrite(self, monkeypatch):
+        computed = Counter()
+        real = shuffle_lyndon._shuffle
+
+        def spy(w1, w2, memo):
+            if w1 and w2 and (w1, w2) not in memo:
+                computed[w1, w2] += 1
+            return real(w1, w2, memo)
+
+        monkeypatch.setattr(shuffle_lyndon, "_shuffle", spy)
+        w = (1, 0) * 5
+        poly = to_lyndon_basis(w)
+        # the factor shuffles of different popped words share suffix pairs
+        assert computed and set(computed.values()) == {1}
+        monkeypatch.setattr(shuffle_lyndon, "_shuffle", real)
+        assert poly.shuffle_expand() == {w: 1}
+
+    def test_a_returned_shuffle_is_the_callers(self):
+        got = shuffle((A, B), (A,))
+        assert got == {(A, B, A): 1, (A, A, B): 2}
+        got[(A, B, A)] = 7
+        got[(C,)] = 1
+        assert shuffle((A, B), (A,)) == {(A, B, A): 1, (A, A, B): 2}
+        assert shuffle_lyndon.shuffle_combos({(A, B): 1}, {(A,): 1}) == {(A, B, A): 1, (A, A, B): 2}
+
+    def test_no_module_level_shuffle_cache(self):
+        def held():
+            return {name: len(obj) for name, obj in vars(shuffle_lyndon).items()
+                    if isinstance(obj, (dict, list, set)) and not name.startswith("__")}
+
+        assert not [name for name, obj in vars(shuffle_lyndon).items() if hasattr(obj, "cache_info")]
+        before = held()
+        to_lyndon_basis((1, 0) * 4)
+        shuffle((A, B, C), (C, B, A))
+        LyndonPoly.monomial([(A,), (A, B)]).shuffle_expand()
+        assert held() == before
