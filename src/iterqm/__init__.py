@@ -51,8 +51,8 @@ from .shuffle_lyndon import (
 
 __version__ = "0.1.0"
 
-#: The numeric layer's names, served with :mod:`iterqm.cocycles` itself on first
-#: use (PEP 562), so that ``import iterqm`` does not load mpmath.
+#: The numeric layer's names, bound here with :mod:`iterqm.cocycles` itself on
+#: first use (PEP 562), so that ``import iterqm`` does not load mpmath.
 _NUMERIC = {"B3Word", "SL2Mat", "XYPoly", "b3_to_sl2", "cocycle_r", "e2_cocycle", "eichler_integral", "eval_numeric",
             "quasimodular_cocycle", "slash_poly"}
 
@@ -60,7 +60,8 @@ _NUMERIC = {"B3Word", "SL2Mat", "XYPoly", "b3_to_sl2", "cocycle_r", "e2_cocycle"
 def __getattr__(name: str):
     if name in _NUMERIC or name == "cocycles":
         cocycles = importlib.import_module(".cocycles", __name__)
-        return cocycles if name == "cocycles" else getattr(cocycles, name)
+        globals().update({n: getattr(cocycles, n) for n in _NUMERIC}, cocycles=cocycles)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

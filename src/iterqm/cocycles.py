@@ -21,17 +21,18 @@ Its values lie in 2*pi*i*Z.  A general homogeneous quasimodular form is handled 
 through its expression in derivatives of modular forms and of the
 weight-two series (:func:`quasimodular_cocycle`).
 
-All computations run at a fixed working precision well beyond double:
-the slash action mixes coefficients spanning many orders of magnitude
-(powers of matrix entries times powers of tau), and the cocycle relation
-cancels those almost completely, so double precision cannot certify the
-1e-8 tolerances this module is tested at.  Exact series become numbers
-in one place, :func:`eval_numeric`, at q = e(tau) and L = 2*pi*i*tau: each
-log-part is summed by Horner on Python integers in fixed-point q, with
-guard bits, and rounded to a number once.  The 50 digits come from a
-private mpmath context: the module neither reads nor changes mpmath's
-process-wide precision, so a caller's precision is left untouched.  |tau|
-is at most 10^30, so that (tau + 1) - tau keeps 20 of the 50 digits.
+All computations run at a fixed working precision well beyond double: the
+slash action mixes coefficients spanning many orders of magnitude, and the
+cocycle relation cancels those almost completely.  The 50 digits come from
+integer arithmetic and one rounding at the edge.  The integer kernel
+:func:`_parts` sums each log-part of an exact series at q = e(tau) by Horner
+on Python integers in fixed-point q, with guard bits, to a Gaussian integer
+over a power of two, which :func:`eval_numeric` rounds.  The Eichler
+polynomial is a fixed-point Taylor shift of those integers, the slash action
+substitutes the integer matrix entries exactly into coefficients read
+exactly, and each :class:`XYPoly` coefficient is rounded once, where it is
+built.  Numbers live in a private mpmath context, so a caller's mpmath
+precision is untouched.  |tau| <= 10^30 keeps 20 digits of (tau + 1) - tau.
 Each point value is computed once: Eichler polynomials are kept per (f, tau,
 n_terms), at most 64, and values of log Delta per (tau, n_terms), at most 128.
 """
@@ -40,11 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, perm
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, repeat
+from math import perm
 from typing import Iterable, Sequence, Union
 
 from mpmath import MPContext
+from mpmath.libmp import from_man_exp, pi_fixed
 
 from .iterint import iter_integral
 from .qseries import LogQSeries
@@ -146,23 +149,34 @@ class XYPoly:
 
 
 def slash_poly(poly: XYPoly, g: SL2Mat) -> XYPoly:
-    """The right action P(X, Y) -> P(aX + bY, cX + dY)."""
-    d = poly.degree
-    a, b, c, dd = g.entries()
-    out = [mpc(0)] * (d + 1)
-    for j, coeff in enumerate(poly.coeffs):
-        if coeff == 0:
-            continue
-        # (aX+bY)^(d-j) convolved with (cX+dY)^j, by Y-degree.
-        first = [comb(d - j, t) * a ** (d - j - t) * b**t for t in range(d - j + 1)]
-        second = [comb(j, t) * c ** (j - t) * dd**t for t in range(j + 1)]
-        for t1, u in enumerate(first):
-            if u == 0:
-                continue
-            for t2, v in enumerate(second):
-                if v:
-                    out[t1 + t2] += coeff * (u * v)
-    return XYPoly(d, out)
+    """The right action P(X, Y) -> P(aX + bY, cX + dY), exact and rounded once."""
+    re, im, x = _read(poly.coeffs)
+    return XYPoly(poly.degree, _rounded(*_slashed(re, im, g), [x] * len(re)))
+
+
+def _read(coeffs: Sequence[mpc]) -> tuple[list[int], list[int], int]:
+    """Numbers exactly, as integer real and imaginary parts over one power of two 2^x."""
+    parts = [p for c in coeffs for p in c._mpc_]
+    x = min((p[2] for p in parts if p[1]), default=0)
+    ints = [(-p[1] if p[0] else p[1]) << (p[2] - x) if p[1] else 0 for p in parts]
+    return ints[0::2], ints[1::2], x
+
+
+def _slashed(re: list[int], im: list[int], g: SL2Mat) -> list[list[int]]:
+    """P(aX + bY, cX + dY) on integer coefficients, by homogeneous Horner:
+    sum_{i <= j} p_i U^(j-i) V^i is the sum for j - 1 times U, plus p_j V^j."""
+    a, b, c, d = g.entries()
+    out, v = [re[:1], im[:1]], [1]
+    for pj in zip(re[1:], im[1:]):
+        v = [c * s + d * t for s, t in zip(v + [0], [0] + v)]
+        out = [[a * s + b * t + p * w for s, t, w in zip(acc + [0], [0] + acc, v)] for acc, p in zip(out, pj)]
+    return out
+
+
+def _rounded(re: list[int], im: list[int], xs: list[int]) -> list[mpc]:
+    """Each (re + i*im) 2^x, both parts rounded once to working precision."""
+    p = _ctx.prec
+    return [_ctx.make_mpc((from_man_exp(r, x, p, "n"), from_man_exp(i, x, p, "n"))) for r, i, x in zip(re, im, xs)]
 
 
 def _finite(tau, label: str = "tau") -> mpc:
@@ -186,24 +200,29 @@ def _require_upper(tau, label: str = "tau") -> mpc:
 def eval_numeric(f: LogQSeries, tau) -> mpc:
     """The value of the truncated sum at q = exp(2*pi*i*tau), L = 2*pi*i*tau.
 
-    50 digits, from the integer kernel of :func:`_values`; requires tau in
-    the open upper half-plane with |tau| <= 10^(WORKING_DPS - 20).
+    50 digits, from the parts of :func:`_parts`, combined by Horner in L; requires
+    tau in the open upper half-plane with |tau| <= 10^(WORKING_DPS - 20).
     """
-    return _values([f], tau)[0]
+    tau, q, (parts,) = _parts([f], tau)
+    ell = 2j * pi * tau
+    total = mpc(0)
+    for k in range(f.log_degree(), -1, -1):
+        re, im, x, m = parts.get(k, (0, 0, 0, 0))
+        part = mpc(ldexp(re, x), ldexp(im, x))
+        total = total * ell + (part * q**m if m else part)
+    return total / f.den
 
 
-def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
-    """Values of exact series at one point, as in :func:`eval_numeric`.
-
-    The module's only numeric summation of a series.  q = e(tau) is rounded
-    once to qr + i*qi = q * 2^(bits + e), where 2^-(e+2) <= |q| <= 2^-e and
-    ``bits`` is the working precision plus guard bits.  Each log-part
-    sum_n c_n q^n is q^m times a Horner sum on integers, from its first
-    nonzero c_m, in units of 2^-bits * 2^(bit length of c_m), up to the last
-    term that reaches a unit; terms beyond it are dropped, so the work stays
-    bounded as Im tau grows.  Each part is rounded to ``mpc`` once, the parts
-    combine by Horner in L, and each value is divided by its denominator.
-    """
+def _parts(series: Sequence[LogQSeries], tau) -> tuple[mpc, mpc, list[dict[int, tuple[int, int, int, int]]]]:
+    """The integer kernel, the module's only numeric summation of a series:
+    tau, q = e(tau) and each series' log-parts, that of L^k as ``k: (re, im,
+    x, m)`` for (re + i*im) 2^x q^m.  q is rounded once to qr + i*qi =
+    q * 2^(bits + e), where 2^-(e+2) <= |q| <= 2^-e and ``bits`` is the
+    working precision plus guard bits.  Each part sum_n c_n q^n is q^m times
+    a Horner sum on integers, from its first nonzero c_m, in units of
+    2^-bits * 2^(bit length of c_m), up to the last term that reaches a
+    unit; terms beyond it are dropped, so the work stays bounded as Im tau
+    grows."""
     tau = _finite(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
@@ -212,25 +231,19 @@ def _values(series: Sequence[LogQSeries], tau) -> list[mpc]:
         q = _ctx.expjpi(2 * tau)
     e = -_ctx.mag(q)
     qr, qi = int(ldexp(q.real, bits + e)), int(ldexp(q.imag, bits + e))
-    ell = 2j * pi * tau
     out = []
     for s in series:
-        total = mpc(0)
-        for k in range(s.log_degree(), -1, -1):
-            total *= ell
-            if k not in s.parts:
-                continue
-            cs = s.parts[k]
+        parts = {}
+        for k, cs in s.parts.items():
             m = next(n for n, x in enumerate(cs) if x)
             lead = cs[m].bit_length()
             top = next(n for n in range(len(cs) - 1, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
             ar = ai = 0
             for x in reversed(cs[m : top + 1]):
                 ar, ai = ((ar * qr - ai * qi) >> (bits + e)) + ((x << bits) >> lead), (ar * qi + ai * qr) >> (bits + e)
-            part = mpc(ldexp(ar, lead - bits), ldexp(ai, lead - bits))
-            total += part * q**m if m else part
-        out.append(total / s.den)
-    return out
+            parts[k] = (ar, ai, lead - bits, m)
+        out.append(parts)
+    return tau, q, out
 
 
 def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
@@ -264,32 +277,58 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
 _EICHLER_CACHE_SIZE = 64  #: Eichler polynomials kept; a benchmark round evaluates at most 36 (form, point) pairs
 
 
+def _mul(z: tuple[int, int, int], w: tuple[int, int, int], bits: int) -> tuple[int, int, int]:
+    """The product of two (re + i*im) 2^x numbers, truncated to ``bits`` bits."""
+    (a, b, x), (c, d, y) = z, w
+    re, im = a * c - b * d, a * d + b * c
+    drop = max(max(abs(re), abs(im)).bit_length() - bits, 0)
+    return re >> drop, im >> drop, x + y + drop
+
+
 @lru_cache(maxsize=_EICHLER_CACHE_SIZE, typed=True)
 def _eichler_poly(f: QMPoly, tau: mpc, n_terms: int) -> XYPoly:
+    # The polynomial is sum_r c_r Y^r (X - tau Y)^(d-r), c_r = (-1)^r d!/(d-r)! (2 pi i)^(d-r) V_r,
+    # V_r summing (2 pi i tau)^k (re + i*im) 2^x q^m / den over its parts.  X = 2^s X', 1 <= |tau / 2^s| < 3,
+    # makes it a Taylor shift, Horner in Z = X' - (tau / 2^s) Y over the c_r 2^(s(d-r)), in units 2^-scale.
     d = f.weight() - 2
-    values = _values([iter_integral((ONE,) * r + (f,), n_terms) for r in range(d + 1)], tau)
-    two_pi_i = 2j * pi
-    # moments[r] = int_tau^{i oo} (t - tau)^r / r! * f(t) dt
-    moments = [v / two_pi_i ** (r + 1) for r, v in enumerate(values)]
-    tau_pow = [tau**j for j in range(d + 1)]
-    front = two_pi_i ** (d + 1)
-    out = []
-    for j in range(d + 1):
-        integral = sum(perm(j, r) * tau_pow[j - r] * moments[r] for r in range(j + 1))
-        out.append(front * comb(d, j) * (-1) ** j * integral)
-    return XYPoly(d, out)
+    series = [iter_integral((ONE,) * r + (f,), n_terms) for r in range(d + 1)]
+    tau, q, parts = _parts(series, tau)
+    bits = _ctx.prec + 3 * d + 16  # the roundings in Horner grow by less than (d + 1) 4^d
+    mul = partial(_mul, bits=bits)
+    ((tr,), (ti,), tx), ((qr,), (qi,), qx) = _read([tau]), _read([q])
+    top = max((k for p in parts for k in p), default=0)
+    u_pow = list(accumulate(repeat((0, pi_fixed(bits), 1 - bits), d + top), mul, initial=(1, 0, 0)))  # (2 pi i)^n
+    tau_pow = list(accumulate(repeat((tr, ti, tx), top), mul, initial=(1, 0, 0)))
+    shift = max(abs(tr), abs(ti)).bit_length() - 1  # tau / 2^s = (tr + i*ti) / 2^shift, s = shift + tx
+    re, im = [], []  # by Y-degree
+    for r, (series_r, p) in enumerate(zip(series, parts)):
+        nb = series_r.den.bit_length()
+        c = (((-1) ** r * perm(d, r)) << (nb + bits)) // series_r.den, 0, (shift + tx) * (d - r) - nb - bits
+        zs = [reduce(mul, [(qr, qi, qx)] * m, mul(mul(mul(z, c), u_pow[d - r + k]), tau_pow[k]))
+              for k, (*z, m) in p.items()]
+        if r == 0:  # V_0 has parts if any V_r has, and c_0 leads, with ``bits`` bits
+            scale = bits - max((max(abs(a), abs(b)).bit_length() + x for a, b, x in zs), default=0)
+        re, im = ([a - ((tr * b - ti * w) >> shift) for a, b, w in zip(re + [0], [0] + re, [0] + im)],
+                  [a - ((tr * w + ti * b) >> shift) for a, b, w in zip(im + [0], [0] + re, [0] + im)])
+        re[r] += sum(a << max(x + scale, 0) >> max(-x - scale, 0) for a, _, x in zs)
+        im[r] += sum(b << max(x + scale, 0) >> max(-x - scale, 0) for _, b, x in zs)
+    return XYPoly(d, _rounded(re, im, [-scale - (shift + tx) * (d - j) for j in range(d + 1)]))
 
 
 def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     """The modular cocycle value r_f(g), computed from the base point tau.
 
     Requires Im(tau) and Im(g.tau) at least 0.2; the result does not
-    depend on tau.
+    depend on tau.  P(tau) - P(g.tau)|g is formed exactly and rounded once.
     """
     tau = _require_upper(tau)
     gtau = g.moebius(tau)
     _require_upper(gtau, "g.tau")
-    return eichler_integral(f, tau, n_terms) - slash_poly(eichler_integral(f, gtau, n_terms), g)
+    p = eichler_integral(f, tau, n_terms).coeffs
+    n = len(p)
+    re, im, x = _read(p + eichler_integral(f, gtau, n_terms).coeffs)
+    out = [[a - b for a, b in zip(u, w)] for u, w in zip((re, im), _slashed(re[n:], im[n:], g))]
+    return XYPoly(n - 1, _rounded(*out, [x] * n))
 
 
 # --- braid group ----------------------------------------------------------

@@ -595,6 +595,22 @@ class TestNumericLayerOnFirstUse:
         with pytest.raises(AttributeError, match="no attribute 'sl2mat'"):
             iterqm.sl2mat
 
+    def test_first_use_binds_every_name(self, monkeypatch):
+        # after one access, each numeric name is a plain attribute of the
+        # package: a second access does not reach the module __getattr__
+        import iterqm
+        from iterqm import cocycles
+
+        iterqm.e2_cocycle
+
+        def fail(name):
+            raise AssertionError(f"iterqm.__getattr__ called for {name!r}")
+
+        monkeypatch.setattr(iterqm, "__getattr__", fail)
+        for name in sorted(iterqm._NUMERIC):
+            assert getattr(iterqm, name) is getattr(cocycles, name)
+        assert iterqm.cocycles is cocycles
+
     def test_star_import(self):
         import iterqm
 

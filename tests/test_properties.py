@@ -1,8 +1,9 @@
 """Generated-input properties of the series ring, the ring of quasimodular
 polynomials and its derivation, the weight split, the exact rank, the
 linear combinations of words, integration by parts, the shuffle product,
-the canonical form, the braid-word branch of log(c*tau + d), the
-expression parser and the CLI's text rendering.
+the canonical form, the braid-word branch of log(c*tau + d), the slash
+action on period polynomials, the expression parser and the CLI's text
+rendering.
 
 Runs only where Hypothesis is installed; the seeded tests in
 test_qseries.py, test_quasimodular.py and test_canonicalize.py cover the
@@ -14,6 +15,7 @@ import operator
 import re
 from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -21,6 +23,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from mpmath.libmp import dps_to_prec  # noqa: E402
 
 from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import (  # noqa: E402
@@ -30,7 +33,10 @@ from iterqm.cli import (  # noqa: E402
     _canonical_terms, _power, _word_name, canonical_from_json, canonical_to_json, format_canonical, format_qmpoly,
     format_series, qmpoly_from_json, qmpoly_to_json, series_from_json, series_to_json,
 )
-from iterqm.cocycles import _branch_log, _read_braid, admissible_tau, b3_to_sl2, mpc  # noqa: E402
+from iterqm.cocycles import (  # noqa: E402
+    IDENTITY, WORKING_DPS, S, SL2Mat, T, XYPoly, _branch_log, _read, _read_braid, _slashed, admissible_tau, b3_to_sl2,
+    ldexp, mpc, slash_poly,
+)
 from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import IntegralPoly, ibp, iter_integral  # noqa: E402
 from iterqm.linear import _accumulate  # noqa: E402
@@ -534,6 +540,28 @@ def test_branch_log_composes_along_the_word(w1, w2):
         assume(False)
     split = branch_log(w1, g2.moebius(mpc(tau))) + branch_log(w2, tau)
     assert abs(branch_log(w1 + w2, tau) - split) < 1e-40
+
+
+st_words = st.lists(st.sampled_from((S, T)), max_size=6).map(lambda gs: reduce(operator.mul, gs, IDENTITY))
+dyadics = st.builds(lambda m, e: ldexp(m, e), st.integers(-2**30, 2**30), st.integers(-20, 20))
+dyadic_polys = st.integers(0, 20).flatmap(
+    lambda d: st.lists(st.builds(mpc, dyadics, dyadics), min_size=d + 1, max_size=d + 1).map(lambda cs: XYPoly(d, cs)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(dyadic_polys, st_words, st_words)
+def test_slash_is_a_right_action(p, g1, g2):
+    # exactly so on integers; each slash_poly rounds once, so the two sides
+    # differ by at most the first rounding carried through g2 plus the last two
+    re, im, _ = _read(p.coeffs)
+    assert _slashed(*_slashed(re, im, g1), g2) == _slashed(re, im, g1 * g2)
+    once = slash_poly(p, g1)
+    lhs, rhs = slash_poly(once, g2), slash_poly(p, g1 * g2)
+    a, b, c, d = g2.entries()
+    spread = sum(map(abs, once.coeffs)) * max(abs(a) + abs(b), abs(c) + abs(d)) ** p.degree
+    assert lhs.distance(rhs) <= ldexp(spread, -(dps_to_prec(WORKING_DPS) - 2))
+    minus = slash_poly(p, SL2Mat(-1, 0, 0, -1))
+    assert minus.coeffs == tuple((-1) ** p.degree * c for c in p.coeffs)
 
 
 # Expression trees as (text, precedence, value, letters): the text is rendered
