@@ -4,16 +4,11 @@ Any polynomial in iterated integrals of bar words, with quasimodular
 coefficients, equals a unique polynomial (over the ring of quasimodular
 forms) in the iterated integrals of Lyndon words over the ordered alphabet
 of :func:`~iterqm.quasimodular.basis_b`.  :func:`canonical_form` computes it
-as a ring homomorphism, rewriting each combination of words in two stages:
-
-1. :func:`reduce_letters` replaces every letter by basis letters, using
-   the weight decomposition of each letter and integration by parts to
-   eliminate derivative components; each elimination shortens the word,
-   so the rewriting terminates.  Each word's coefficient is carried as
-   integer numerators over a denominator, made a QMPoly once per word.
-2. the resulting combination is rewritten as a whole into a polynomial in
-   Lyndon words by the leading-word reduction of
-   :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`, one shuffle memo per call.
+as a ring homomorphism, rewriting each combination of words in two stages,
+both on integer numerators: :func:`reduce_letters` replaces every letter,
+interned as a small int, by basis letters, eliminating derivative parts by
+integration by parts; then :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`
+rewrites the combination by leading-word reduction.
 
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` certifies
@@ -36,21 +31,21 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .iterint import BarWord, IntegralPoly, ibp, iter_integral
+from .iterint import BarWord, IntegralPoly, iter_integral
 from .linear import _accumulate
 from .qseries import LogQSeries, Scalar
 from .quasimodular import (
-    E2,
     ONE,
+    Exponents,
     QMPoly,
     _row_reduce,
+    _split_weights,
     basis_b,
-    decompose,
     expand,
     is_basis_letter,
     letter_sort_key,
 )
-from .shuffle_lyndon import LyndonPoly, to_lyndon_basis
+from .shuffle_lyndon import LyndonPoly, Word, to_lyndon_basis
 
 logger = logging.getLogger(__name__)
 
@@ -66,77 +61,100 @@ class ModularModeError(ValueError):
 def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     """Rewrite a combination of bar words so that every letter is a basis letter.
 
-    Letters are split into homogeneous parts and decomposed along
-    QM = C*E2 + D(QM) + M; pure-basis components are pulled out by
-    multilinearity (their rational multiples join the coefficient), and
-    derivative components are eliminated by :func:`~iterqm.iterint.ibp`,
-    integration by parts, which shortens the word by one letter.  At DEBUG,
-    each elimination is logged under the name of its position in the word
-    (``ibp_first``, ``ibp_middle`` or ``ibp_last``).  Pending words wait,
-    merged, in one dict per (length, first non-basis position); longer
-    words and then earlier positions go first.  A rewrite shortens the word
-    or moves that position right, so a word is rewritten once, after all
-    its contributions, and not at all if they cancel.  Each distinct letter
-    is split once per call.  A word's coefficient is an integer row: a
-    denominator and a dict from monomials to numerators, added into by
-    :func:`~iterqm.linear._accumulate`.
-    A rational multiple, or an ibp coefficient that is a constant, costs one
-    int product per entry; only ibp's boundary term -g*I(suffix) multiplies
-    by a form.  A row becomes a QMPoly once, when its word is rewritten or
-    returned.  The expansion of the result equals that of the input exactly.
+    Letters are split weight by weight along QM = C*E2 + D(QM) + M; basis
+    components are pulled out by multilinearity, and each derivative part
+    D(h) is eliminated by integration by parts, by the rule of
+    :func:`~iterqm.iterint.ibp` applied here to interned letters and integer
+    rows; it shortens the word.  At DEBUG each elimination is logged under
+    the name of its position (``ibp_first``, ``ibp_middle`` or ``ibp_last``).
+    Pending words wait, merged, in one dict per (length, first non-basis
+    position), longer words and then earlier positions first, so a word is
+    rewritten once, after all its contributions, and not at all if they
+    cancel.  Letters are interned as small ints for the call: each distinct
+    letter is split once, and each product with an h formed once.  A word's
+    coefficient is an integer row, numerators by monomial over a
+    denominator; only ibp's boundary term -h*I(suffix) multiplies it by a
+    form.  The expansion of the result equals that of the input exactly.
     """
-    out: dict[BarWord, list] = {}
-    pending: dict[tuple[int, int], dict[BarWord, list]] = {}
-    splits: dict[QMPoly, tuple[list[tuple[QMPoly, int, int]], list[QMPoly]]] = {}
+    letters: list[QMPoly] = []  # by id
+    ids: dict[QMPoly, int] = {}
+    basis: list[bool] = []  # by id
+    monomials: dict[Exponents, int] = {}  # the ids of the monic monomials splits gave
+    splits: dict[int, tuple[list[tuple[int, int, int]], list[tuple[int, int]]]] = {}
+    hs: list[QMPoly] = []  # the h of each D(h) part split off
+    products: dict[tuple[int, int], int] = {}  # (index of h, letter) to the id of their product
+    out: dict[Word, list] = {}
+    pending: dict[tuple[int, int], dict[Word, list]] = {}
 
-    def push(word: BarWord, coeff: QMPoly, num: int, den: int, start: int) -> None:
-        pos = next((i for i in range(start, len(word)) if not is_basis_letter(word[i])), None)
-        bucket = out if pos is None else pending.setdefault((len(word), pos), {})
-        den *= coeff.den
-        row = bucket.get(word)
-        if row is None:
-            bucket[word] = [den, {k: v * num for k, v in coeff.nums.items()}]
+    def intern(letter: QMPoly) -> int:
+        if (i := ids.get(letter)) is None:
+            i = ids[letter] = len(letters)
+            letters.append(letter)
+            basis.append(is_basis_letter(letter))
+        return i
+
+    def split(i: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+        """Basis letters with their multiples num/den, and the weight and index of each D(h) part's h."""
+        subs, derivs = [], []
+        for k, m, h, den in _split_weights(letters[i]):
+            for mono, num in m.items():
+                if (b := monomials.get(mono)) is None:
+                    b = monomials[mono] = intern(QMPoly._of({mono: 1}))
+                subs.append((b, num, den))
+            if h:
+                derivs.append((k, len(hs)))
+                hs.append(QMPoly._of(h, den))
+        return subs, derivs
+
+    def times(g: int, i: int) -> int:
+        if (p := products.get((g, i))) is None:
+            p = products[g, i] = intern(hs[g] * letters[i])
+        return p
+
+    def push(word: Word, start: int, nums: dict[Exponents, int], num: int, den: int) -> None:
+        """Add num/den times the numerators nums to the word's row, filed by its first non-basis position."""
+        for i in range(start, len(word)):
+            if not basis[word[i]]:
+                rows = pending.setdefault((len(word), i), {})
+                break
+        else:
+            rows = out
+        if (row := rows.get(word)) is None:
+            rows[word] = [den, {k: v * num for k, v in nums.items()}]
             return
         if (common := lcm(row[0], den)) != row[0]:
             row[:] = common, {k: v * (common // row[0]) for k, v in row[1].items()}
-        _accumulate(row[1], ((k, v * (num * common // den)) for k, v in coeff.nums.items()))
-
-    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, int, int]], list[QMPoly]]:
-        """Basis letters with their multiples, and the h of each D(h) part."""
-        subs, derivs = [], []
-        for piece in letter.weight_split().values():
-            c, m, h = decompose(piece)
-            if c:
-                subs.append((E2, c.numerator, c.denominator))
-            subs.extend((QMPoly._of({mono: 1}), num, m.den) for mono, num in m.nums.items())
-            if h:
-                derivs.append(h)
-        return subs, derivs
+        _accumulate(row[1], ((k, v * (num * common // den)) for k, v in nums.items()))
 
     for word, coeff in combo.items():
-        push(word, coeff, 1, 1, 0)
+        if all(word):
+            push(tuple(map(intern, word)), 0, coeff.nums, 1, coeff.den)
     debug = logger.isEnabledFor(logging.DEBUG)
     for n in range(max(map(len, combo), default=0), 0, -1):
         for pos in range(n):
             for word, (den, nums) in pending.pop((n, pos), {}).items():
                 if not nums:
                     continue
-                coeff = QMPoly._of(nums, den)
                 subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
                 prefix, suffix = word[:pos], word[pos + 1 :]
-                for basis_letter, num, d in subs:
-                    push(prefix + (basis_letter,) + suffix, coeff, num, d, pos + 1)
-                # ibp shortens the word by one and keeps the letters before pos - 1
-                for h in derivs:
+                for b, num, d in subs:
+                    push(prefix + (b,) + suffix, pos + 1, nums, num, den * d)
+                start = max(pos - 1, 0)  # ibp keeps the letters before pos - 1
+                for k, g in derivs:
                     if debug:
                         rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
-                        logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
-                    for w, c in ibp(prefix, h, suffix).items():
-                        if len(c.nums) == 1 and (num := c.nums.get((0, 0, 0))):
-                            push(w, coeff, num, c.den, max(pos - 1, 0))
-                        else:
-                            push(w, c * coeff, 1, 1, max(pos - 1, 0))
-    return {word: QMPoly._of(nums, den) for word, (den, nums) in out.items() if nums}
+                        logger.debug("%s: letter weight %d, word length %d", rule, k, n)
+                    h = hs[g]  # ibp's terms: I(.., h*g, ..) or h(cusp)*I(prefix), less I(.., f*h, ..) or h*I(suffix)
+                    if suffix:
+                        push(prefix + (times(g, suffix[0]),) + suffix[1:], start, nums, 1, den)
+                    elif cusp := sum(h.nums.values()):
+                        push(prefix, start, nums, cusp, den * h.den)
+                    if prefix:
+                        push(prefix[:-1] + (times(g, prefix[-1]),) + suffix, start, nums, -1, den)
+                    else:
+                        h = h * QMPoly._of(nums)
+                        push(suffix, 0, h.nums, -1, den * h.den)
+    return {tuple(letters[i] for i in word): QMPoly._of(nums, den) for word, (den, nums) in out.items() if nums}
 
 
 def canonical_form(integrals: IntegralPoly, modular_only: bool = False) -> IntegralPoly:

@@ -292,11 +292,16 @@ _D_E6_12 = ((E2 * E6 - E4 * E4) * 6).nums
 
 def derive(p: QMPoly) -> QMPoly:
     """The derivation extending D on the generators; raises weight by 2."""
+    return QMPoly._of(_derive12(p.nums), 12 * p.den)
+
+
+def _derive12(nums: dict[Exponents, int]) -> dict[Exponents, int]:
+    """12 times D of the polynomial with these numerators, as a fresh dict of numerators."""
     # product rule: a generator of exponent e contributes e times the
     # monomial with that exponent lowered by one, times the generator's image
-    return QMPoly._of(_accumulate({}, (
+    return _accumulate({}, (
         ((r2 + x, r4 + y, r6 + z), num * e * v)
-        for (a, b, c), num in p.nums.items()
+        for (a, b, c), num in nums.items()
         for e, (r2, r4, r6), image in (
             (a, (a - 1, b, c), _D_E2_12),
             (b, (a, b - 1, c), _D_E4_12),
@@ -304,7 +309,7 @@ def derive(p: QMPoly) -> QMPoly:
         )
         if e
         for (x, y, z), v in image.items()
-    )), 12 * p.den)
+    ))
 
 
 def transform_coeffs(p: QMPoly) -> list[QMPoly]:
@@ -390,29 +395,52 @@ _INVERSE_CACHE_WEIGHTS = 64
 def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], dict, int]:
     """The weight-k system of :func:`decompose`, solved once per monomial.
 
-    Unknowns: the modular monomials of weight k, then the monomials h of
-    weight k-2.  D raises the E2-degree by at most one, and the top part of
-    D(E2^a E4^b E6^c) is (a + 4b + 6c)/12 * E2^(a+1) E4^b E6^c, nonzero
-    for k > 2.  So a weight-k monomial is solved by peeling its top
-    E2-degree part off as D of an h-part until a modular part is left.
-    Returns both lists, per weight-k monomial its nonzero solution entries
-    as integer numerators, and their one common denominator.
+    Unknowns: the basis letters of weight k (modular monomials, E2 at k = 2),
+    then the monomials h of weight k-2.  D raises the E2-degree by at most
+    one, and the top part of D(E2^a E4^b E6^c) is (a + 4b + 6c)/12 *
+    E2^(a+1) E4^b E6^c, nonzero for k > 2.  So a weight-k monomial is solved
+    by peeling its top E2-degree part off as D of an h-part until a modular
+    part is left, on integer numerators.  Returns both lists, per weight-k
+    monomial its nonzero solution entries as integer numerators, and their
+    one common denominator.
     """
-    modular = [mono for mono in _monomials_of_weight(k) if mono[0] == 0]
+    modular = [mono for mono in _monomials_of_weight(k) if mono[0] == 0 or k == 2]
     lower = _monomials_of_weight(k - 2)
     solutions = {}
     for mono in _monomials_of_weight(k):
-        rest, h = QMPoly._of({mono: 1}), ZERO
-        while top := rest.depth():
-            step = QMPoly({(a - 1, b, c): Fraction(12 * v, (a - 1 + 4 * b + 6 * c) * rest.den)
-                           for (a, b, c), v in rest.nums.items() if a == top})
-            rest, h = rest - derive(step), h + step
-        solutions[mono] = rest + h  # of weights k and k - 2: no monomial in common
+        rest, h, d = {mono: 1}, {}, 1  # numerators over d
+        while k != 2 and (top := max((a for a, _, _ in rest), default=0)):
+            tops = {(a - 1, b, c): v for (a, b, c), v in rest.items() if a == top}
+            scale = 12 * lcm(*(a + 4 * b + 6 * c for a, b, c in tops))
+            step = {m: v * scale // (m[0] + 4 * m[1] + 6 * m[2]) for m, v in tops.items()}  # over d * scale / 12
+            rest = _accumulate({m: v * scale for m, v in rest.items()}, ((m, -v) for m, v in _derive12(step).items()))
+            h = _accumulate({m: v * scale for m, v in h.items()}, ((m, 12 * v) for m, v in step.items()))
+            d *= scale
+        g = gcd(d, *rest.values(), *h.values())
+        solutions[mono] = {m: v // g for m, v in (*rest.items(), *h.items())}, d // g  # weights k and k - 2
     index = {mono: j for j, mono in enumerate(modular + lower)}
-    den = lcm(*(x.den for x in solutions.values()))
-    columns = {mono: [(index[key], v * (den // x.den)) for key, v in x.nums.items()]
-               for mono, x in solutions.items()}
+    den = lcm(*(d for _, d in solutions.values()))
+    columns = {mono: [(index[key], v * (den // d)) for key, v in x.items()] for mono, (x, d) in solutions.items()}
     return modular, lower, columns, den
+
+
+def _split_weights(p: QMPoly) -> list[tuple[int, dict[Exponents, int], dict[Exponents, int], int]]:
+    """p as a sum over its weights k of m_k + derive(h_k), m_k of basis letters: per weight,
+    increasing, k and m_k's and h_k's numerators over one denominator, from the cached inverse."""
+    sols: dict[int, list[int]] = {}
+    for mono, num in p.nums.items():
+        k = 2 * mono[0] + 4 * mono[1] + 6 * mono[2]
+        modular, lower, columns, _ = _decomposition_inverse(k)
+        if (sol := sols.get(k)) is None:
+            sol = sols[k] = [0] * (len(modular) + len(lower))
+        for j, value in columns[mono]:
+            sol[j] += num * value
+    parts = []
+    for k, sol in sorted(sols.items()):
+        modular, lower, _, den = _decomposition_inverse(k)
+        parts.append((k, {mono: x for mono, x in zip(modular, sol) if x},
+                      {mono: x for mono, x in zip(lower, sol[len(modular):]) if x}, den * p.den))
+    return parts
 
 
 def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
@@ -421,27 +449,15 @@ def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
     m is a polynomial in E4, E6 of the same weight, h has weight k - 2,
     and c vanishes unless k = 2.  At weight 2 the derivative part is
     trivial (D kills constants), and h is normalized to 0.  The split is
-    linear: the weight's system is inverted once and cached, and the
-    solution sums p's numerators times their integer columns of the inverse.
+    linear, by the weight's cached inverse (:func:`_split_weights`).
     """
-    if p.is_zero():
-        return Fraction(0), ZERO, ZERO
-    if not p.is_homogeneous():
+    if len(parts := _split_weights(p)) > 1:
         raise ValueError("decompose needs a homogeneous form; split by weight first")
-    k = p.weight()
-    if k == 2:
-        return Fraction(p.nums.get((1, 0, 0), 0), p.den), ZERO, ZERO
-
-    modular, lower, columns, den = _decomposition_inverse(k)
-    sol = [0] * (len(modular) + len(lower))
-    for mono, num in p.nums.items():
-        for j, value in columns[mono]:
-            sol[j] += num * value
-
-    den *= p.den
-    m = QMPoly._of({mono: x for mono, x in zip(modular, sol) if x}, den)
-    h = QMPoly._of({mono: x for mono, x in zip(lower, sol[len(modular):]) if x}, den)
-    return Fraction(0), m, h
+    for k, m, h, den in parts:
+        if k == 2:
+            return Fraction(m[1, 0, 0], den), ZERO, ZERO
+        return Fraction(0), QMPoly._of(m, den), QMPoly._of(h, den)
+    return Fraction(0), ZERO, ZERO
 
 
 def derivative_decomposition(p: QMPoly) -> list[tuple[Fraction, int, QMPoly]]:

@@ -4,12 +4,11 @@ Words are tuples of non-negative letter indices; the order on letters is
 the integer order and words compare lexicographically.  Provides Lyndon
 word testing and enumeration (Duval's algorithm), the unique nonincreasing
 factorization of a word into Lyndon words, and the rewriting of any
-combination of words as a polynomial in Lyndon words with respect to the
-shuffle product, by leading-word reduction.
-
-Coefficients of a :class:`LyndonPoly` live in any commutative ring that
-supports +, *, unary -, and truthiness for zero tests (Fraction and
-QMPoly both qualify).
+combination of words, with rational or QMPoly coefficients, as a
+polynomial in Lyndon words with respect to the shuffle product, by
+leading-word reduction on integer numerators.  Coefficients of a
+:class:`LyndonPoly` live in any commutative ring that supports +, *,
+unary -, and truthiness for zero tests.
 """
 
 from __future__ import annotations
@@ -17,9 +16,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import neg
 from typing import Optional
 
 from .linear import _accumulate
+from .quasimodular import QMPoly
 
 Word = tuple[int, ...]
 
@@ -253,35 +255,60 @@ class LyndonPoly:
 
 
 def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
-    """Rewrite a word, or a mapping of words to coefficients, as a polynomial in Lyndon words.
+    """Rewrite a word, or a mapping of words to rationals or QMPolys, as a polynomial in Lyndon words.
 
-    Leading-word reduction (Radford): the largest remaining word w, with
-    coefficient c, gives c/lead times the monomial of its Lyndon factors,
-    and c/lead times their shuffle, lead*w plus smaller words of w's
-    length, is subtracted.  Shuffle-expanding returns exactly the input.
-    The factor shuffles of the whole reduction share one memo, dropped on return.
+    Leading-word reduction (Radford), one Lyndon factor at a time: the
+    largest remaining word w = l*v, l its first Lyndon factor, has l ш v =
+    lead*w plus smaller words of w's length, lead the number of w's leading
+    factors equal to l.  So c*w is c/lead times l times v, v reduced in turn,
+    less c/lead times those smaller words; longer words go first, so a word
+    is reduced once.  Coefficients are integer numerators, by monomial of
+    the Lyndon words split off, over one running denominator that grows
+    where lead does not divide them.  Lyndon input words keep theirs.
+    Shuffle-expanding returns exactly the input.
     """
-    pending = _accumulate({}, combo.items() if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))])
-    # a min-heap on negated letters: words of different lengths never interact
-    heap = [tuple(-l for l in w) for w in pending]
+    items = list(combo.items()) if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))]
+    kept = {(w,) if w else (): c for w, c in items if len(w) < 2 or is_lyndon(w)}
+    rest = {w: c if isinstance(c, QMPoly) else QMPoly.constant(c) for w, c in items if len(w) > 1 and not is_lyndon(w)}
+    den = lcm(*(c.den for c in rest.values()))
+    pending = {w: {(): {m: v * (den // c.den) for m, v in c.nums.items()}} for w, c in rest.items()}
+    heap = [(-len(w), tuple(map(neg, w))) for w in pending]  # longest, then largest words first
     heapify(heap)
-    terms, memo = {}, {}
+    done, memo = {}, {}  # done: numerators by Lyndon monomial
     while heap:
-        w = tuple(-l for l in heappop(heap))
-        c = pending.pop(w, None)
-        if c is None:  # cancelled, or pushed again after cancelling
+        n, key = heappop(heap)
+        w = tuple(map(neg, key))
+        if not any((row := pending.pop(w)).values()):  # cancelled
             continue
-        factors = lyndon_factorize(w) if w else []
+        factors = lyndon_factorize(w)
+        target, off = done, tuple(factors)  # where the row goes, with the Lyndon words split off
         if len(factors) > 1:
-            shuffled = _shuffle_all(factors, memo)
+            l, v = factors[0], w[len(factors[0]) :]
+            shuffled = _shuffle(l, v, memo)
             assert max(shuffled) == w, "triangularity violated"
-            lead = shuffled[w]
-            if lead != 1:
-                c = c * Fraction(1, lead)
-            for word, mult in shuffled.items():
-                if word != w:
-                    if word not in pending:
-                        heappush(heap, tuple(-l for l in word))
-                    _accumulate(pending, ((word, -c * mult),))
-        terms[tuple(sorted(factors))] = c  # no other word has these factors
-    return LyndonPoly._of(terms)
+            if (lead := shuffled[w]) != 1:
+                g = gcd(lead, *(c for nums in row.values() for c in nums.values()))
+                if (scale := lead // g) != 1:
+                    den *= scale
+                    for nums in (*done.values(), *(nums for r in pending.values() for nums in r.values())):
+                        for m in nums:
+                            nums[m] *= scale
+                row = {mono: {m: c // g for m, c in nums.items()} for mono, nums in row.items()}
+            for u, mult in shuffled.items():
+                if u != w:
+                    if (r := pending.get(u)) is None:
+                        pending[u] = {mono: {m: -c * mult for m, c in nums.items()} for mono, nums in row.items()}
+                        heappush(heap, (n, tuple(map(neg, u))))
+                    else:
+                        for mono, nums in row.items():
+                            _accumulate(r.setdefault(mono, {}), ((m, -c * mult) for m, c in nums.items()))
+            if len(factors) > 2:
+                off = (l,)
+                if (target := pending.get(v)) is None:
+                    target = pending[v] = {}
+                    heappush(heap, (-len(v), tuple(map(neg, v))))
+        for mono, nums in row.items():
+            _accumulate(target.setdefault(tuple(sorted(mono + off)), {}), nums.items())
+    qm = any(isinstance(c, QMPoly) for _, c in items)
+    terms = {mono: QMPoly._of(nums, den) if qm else Fraction(nums[0, 0, 0], den) for mono, nums in done.items() if nums}
+    return LyndonPoly._of(_accumulate(terms, kept.items()))

@@ -153,13 +153,13 @@ class TestMergedReduction:
 
     def test_each_letter_split_once(self, monkeypatch):
         calls = Counter()
-        real = QMPoly.weight_split
+        real = canonicalize._split_weights
 
         def counting(letter):
             calls[letter] += 1
             return real(letter)
 
-        monkeypatch.setattr(QMPoly, "weight_split", counting)
+        monkeypatch.setattr(canonicalize, "_split_weights", counting)
         # a and b recur across words and positions
         a, b = E4 + E2 * E4, E6 + E2 * E4 + E2 * E2
         combo = {(a, b, a): ONE, (b, a, ONE, b): E2, (a, a): E4}
@@ -189,13 +189,13 @@ class TestMergedReduction:
         # ibp_first on the first word and ibp_middle on the second both
         # yield (E2*E4, E4), with opposite signs
         calls = Counter()
-        real = canonicalize.decompose
+        real = canonicalize._split_weights
 
-        def counting(piece):
-            calls[piece] += 1
-            return real(piece)
+        def counting(letter):
+            calls[letter] += 1
+            return real(letter)
 
-        monkeypatch.setattr(canonicalize, "decompose", counting)
+        monkeypatch.setattr(canonicalize, "_split_weights", counting)
         combo = {(derive(E4), E2, E4): ONE, (E2, derive(E4), E4): ONE}
         got = reduce_letters(combo)
         assert calls[E2 * E4] == 0

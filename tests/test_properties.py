@@ -47,6 +47,7 @@ from iterqm.quasimodular import (  # noqa: E402
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle_combos, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank, reference_reduce_letters  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
+from test_shuffle_lyndon import reference_to_lyndon_basis  # noqa: E402
 from test_quasimodular import reference_decompose, reference_expand  # noqa: E402
 
 fractions = st.fractions(max_denominator=10**9).filter(lambda x: abs(x) < 10**40)
@@ -392,6 +393,22 @@ def test_lyndon_basis_of_a_combination(combo):
     for w, c in combo.items():
         per_word = per_word + to_lyndon_basis(w).scale(c)
     assert poly == per_word
+
+
+# squares of words: every Lyndon factor repeats, so lead is not 1 on the first rewrite
+repeating_words = st.one_of(letter_words, st.lists(st.integers(0, 3), max_size=3).map(lambda w: tuple(w) * 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(
+    st.dictionaries(repeating_words, st.fractions(max_denominator=9).filter(bool), max_size=5),
+    st.dictionaries(repeating_words, polys(4).filter(lambda p: not p.is_zero()), max_size=5),
+))
+@example({(1, 0, 1, 0): F(1, 3), (2, 2, 1): F(5), (0, 1, 0, 1): F(-2, 7), (3, 3, 3): F(1)})
+@example({(0, 1, 0, 1, 0, 1): E4 - E2 * E6 * F(1, 3), (3, 3, 3): E6, (2, 1, 2, 1): E2 * F(1, 2), (0,): ONE})
+def test_lyndon_basis_matches_the_reference(combo):
+    """Integer numerators over one running denominator give what reduction on the coefficients gives."""
+    assert to_lyndon_basis(combo) == reference_to_lyndon_basis(combo)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

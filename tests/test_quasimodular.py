@@ -369,7 +369,42 @@ def reference_decompose(p: QMPoly):
     return F(0), m, h
 
 
+def reference_decomposition_inverse(k: int):
+    """The weight-k inverse of decompose by the top-E2-degree peel on QMPoly and Fraction arithmetic."""
+    from math import lcm
+
+    from iterqm.quasimodular import _monomials_of_weight
+
+    modular = [mono for mono in _monomials_of_weight(k) if mono[0] == 0]
+    lower = _monomials_of_weight(k - 2)
+    solutions = {}
+    for mono in _monomials_of_weight(k):
+        rest, h = QMPoly._of({mono: 1}), QMPoly()
+        while top := rest.depth():
+            step = QMPoly({(a - 1, b, c): F(12 * v, (a - 1 + 4 * b + 6 * c) * rest.den)
+                           for (a, b, c), v in rest.nums.items() if a == top})
+            rest, h = rest - derive(step), h + step
+        solutions[mono] = rest + h
+    index = {mono: j for j, mono in enumerate(modular + lower)}
+    den = lcm(*(x.den for x in solutions.values()))
+    columns = {mono: [(index[key], v * (den // x.den)) for key, v in x.nums.items()]
+               for mono, x in solutions.items()}
+    return modular, lower, columns, den
+
+
 class TestDecomposeEveryWeight:
+    @pytest.mark.parametrize("k", range(0, 62, 2))
+    def test_inverse_matches_the_fraction_peel(self, k):
+        """The integer peel gives the same lists, columns (in order) and denominator."""
+        from iterqm.quasimodular import _decomposition_inverse
+
+        if k == 2:  # E2 is its own part at weight 2; the peel divides by zero there
+            assert _decomposition_inverse(2) == ([(1, 0, 0)], [(0, 0, 0)], {(1, 0, 0): [(0, 1)]}, 1)
+            with pytest.raises(ZeroDivisionError):
+                reference_decomposition_inverse(2)
+        else:
+            assert _decomposition_inverse(k) == reference_decomposition_inverse(k)
+
     @pytest.mark.parametrize("k", range(4, 42, 2))
     def test_random_forms(self, k):
         rng = random.Random(1000 + k)

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -6,8 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 import iterqm.shuffle_lyndon as shuffle_lyndon
+from iterqm.linear import _accumulate
 from iterqm.shuffle_lyndon import (
     LyndonPoly,
+    _shuffle_all,
     is_lyndon,
     lyndon_factorize,
     lyndon_words,
@@ -16,6 +19,37 @@ from iterqm.shuffle_lyndon import (
 )
 
 A, B, C = 0, 1, 2
+
+
+def reference_to_lyndon_basis(combo):
+    """Leading-word reduction on the coefficients themselves, a whole factor shuffle per word.
+
+    The largest remaining word w, with coefficient c, gives c/lead times the
+    monomial of its Lyndon factors, and c/lead times their shuffle, lead*w
+    plus smaller words of w's length, is subtracted.
+    """
+    pending = _accumulate({}, combo.items() if isinstance(combo, dict) else [(tuple(combo), F(1))])
+    heap = [tuple(-l for l in w) for w in pending]
+    heapq.heapify(heap)
+    terms, memo = {}, {}
+    while heap:
+        w = tuple(-l for l in heapq.heappop(heap))
+        c = pending.pop(w, None)
+        if c is None:
+            continue
+        factors = lyndon_factorize(w) if w else []
+        if len(factors) > 1:
+            shuffled = _shuffle_all(factors, memo)
+            lead = shuffled[w]
+            if lead != 1:
+                c = c * F(1, lead)
+            for word, mult in shuffled.items():
+                if word != w:
+                    if word not in pending:
+                        heapq.heappush(heap, tuple(-l for l in word))
+                    _accumulate(pending, ((word, -c * mult),))
+        terms[tuple(sorted(factors))] = c
+    return LyndonPoly._of(terms)
 
 
 class TestShuffle:
@@ -172,6 +206,16 @@ class TestLyndonBasis:
         poly = to_lyndon_basis(w)
         assert len(poly.terms) == monomials
         assert poly.shuffle_expand() == {w: 1}
+
+    def test_every_short_word_matches_the_reference(self):
+        words = [w for n in range(6) for w in itertools.product(range(3), repeat=n)]
+        assert len(words) == 364
+        for w in words:
+            assert to_lyndon_basis(w) == reference_to_lyndon_basis(w), w
+
+    @pytest.mark.parametrize("w", [(1, 0) * 6, (2, 1, 0) * 3])
+    def test_long_words_match_the_reference(self, w):
+        assert to_lyndon_basis(w) == reference_to_lyndon_basis(w)
 
     def test_algebra_morphism(self):
         for w1 in [(A,), (A, B), (B, A), (A, A)]:
