@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .canonicalize import IntegralPoly, canonical_form, independence_rank
-from .expr import ExprError, parse
+from .expr import ExprError, parse, parse_letters
 from .qseries import LogQSeries
 from .quasimodular import (
     DELTA, E4, E6, ONE, QMPoly, basis_b, decompose, derive, expand, letter_sort_key, monomial_name,
@@ -220,9 +220,16 @@ def _cmd_lyndon(args) -> int:
     return 0
 
 
+def _read_word(number: int, line: str) -> tuple[QMPoly, ...]:
+    try:
+        return () if line.strip() == "-" else parse_letters(line)
+    except ExprError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+
+
 def _cmd_rank(args) -> int:
-    lines = filter(None, map(str.strip, sys.stdin.read().splitlines()))
-    words = [() if line == "-" else tuple(parse(part, integrals=False) for part in line.split(",")) for line in lines]
+    lines = enumerate(sys.stdin.read().splitlines(), 1)
+    words = [_read_word(number, line) for number, line in lines if line.strip()]
     r = independence_rank(words, [ONE] * len(words), args.N)
     _emit(args, r, str, lambda r: _compact({"rank": r, "count": len(words)}))
     return 0

@@ -18,12 +18,12 @@ out; elsewhere (in ``I`` and ``D`` arguments and in forms) a
 :class:`QMPoly`.  Every error carries the byte offset where it was found.
 Brackets nest at most :data:`MAX_NESTING` deep.
 
-A term that is one monomial, an optional signed integer times generator
-powers such as ``-8*E2^2*E4`` followed by ``+``, ``-``, ``,``, ``)`` or the
-end, is recognised by one regular expression and built as one
-:class:`QMPoly` rather than as a product of factors.  It accepts only text
-that the grammar reads to the same value, so every other term, and every
-error with its offset, comes from the recursive descent above.
+Tokens are read through one regular expression: a run of ASCII digits, a
+name of ``str.isalnum`` characters, one other character, or the end.  A
+term that is one monomial, such as ``-8*E2^2*E4``, followed by ``+``,
+``-``, ``,``, ``)`` or the end, is built at once through another.  Both
+skip whitespace as ``str.isspace`` reads it, and the second accepts only
+text that the grammar reads to the same value.
 """
 
 from __future__ import annotations
@@ -45,13 +45,15 @@ class ExprError(ValueError):
 
 
 _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
-_WS = r"[ \t\n\r\f\v]*"  # characters that str.isspace() accepts too
-_GEN = rf"E[246](?:{_WS}\^{_WS}[0-9]+)?"
-_GENS = rf"{_GEN}(?:{_WS}\*{_WS}{_GEN})*"
+#: A token after any whitespace: ASCII digits, a name, one other character or the end.
+_TOKEN = re.compile(r"\s*([0-9]+|[^\W_]+|.|\Z)", re.S)
+_PUNCTUATORS = frozenset("()+-*^/,")  # read without the pattern
+_GEN = r"E[246](?:\s*\^\s*[0-9]+)?"
+_GENS = rf"{_GEN}(?:\s*\*\s*{_GEN})*"
 #: A whole term that is a monomial, such as ``-8*E2^2*E4``: a signed integer,
 #: generator powers or both, then what may follow a term.
-_MONOMIAL = re.compile(rf"{_WS}(?:(-?){_WS}([0-9]+)(?:{_WS}\*{_WS}({_GENS}))?|({_GENS})){_WS}(?=[-+,)]|\Z)")
-_POWERS = re.compile(rf"E([246])(?:{_WS}\^{_WS}([0-9]+))?")
+_MONOMIAL = re.compile(rf"\s*(?:(-?)\s*([0-9]+)(?:\s*\*\s*({_GENS}))?|({_GENS}))\s*(?=[-+,)]|\Z)")
+_POWERS = re.compile(r"E([246])(?:\s*\^\s*([0-9]+))?")
 #: Four parser frames per level keep this well inside the recursion limit.
 MAX_NESTING = 200
 
@@ -63,56 +65,45 @@ class _Parser:
         self.depth = 0  # brackets around the expression being parsed
         self.integrals = integrals  # whether an I may occur at this point
         self.letters: dict[QMPoly, int] = {}  # each integrand letter's index
+        self.peeked = -1  # the position whose next token is token
+        self.token, self.start, self.end = "", 0, 0
 
     def _form(self, form: QMPoly) -> Value:
         """A form as a value: a constant polynomial where an I may occur."""
         return LyndonPoly._of({(): form} if form else {}) if self.integrals else form
 
-    # -- lexing helpers --
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    # -- tokens --
 
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next token ("" at the end), from start to end; ``self.pos = self.end`` consumes it."""
+        if self.pos != self.peeked:
+            self.peeked = pos = self.pos
+            if (ch := self.text[pos : pos + 1]) in _PUNCTUATORS:
+                self.token, self.start, self.end = ch, pos, pos + 1
+            else:
+                match = _TOKEN.match(self.text, pos)
+                self.token, self.start, self.end = match[1], match.start(1), match.end()
+        return self.token
 
-    def _expect(self, ch: str) -> None:
-        if self._peek() != ch:
-            raise ExprError(f"expected {ch!r}", offset=self.pos)
-        self.pos += 1
+    def _expect(self, token: str) -> None:
+        if self._peek() != token:
+            raise ExprError(f"expected {token!r}", offset=self.start)
+        self.pos = self.end
 
     def _uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            raise ExprError("expected an unsigned integer", offset=start)
-        return int(self.text[start : self.pos])
-
-    def _name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def _signs_literal(self) -> bool:
-        """Whether the '-' at the current position is followed by a digit."""
-        i = self.pos + 1
-        while i < len(self.text) and self.text[i].isspace():
-            i += 1
-        return i < len(self.text) and "0" <= self.text[i] <= "9"
+        if not "0" <= (token := self._peek())[:1] <= "9":
+            raise ExprError("expected an unsigned integer", offset=self.start)
+        self.pos = self.end
+        return int(token)
 
     # -- grammar --
 
-    def parse(self) -> IntegralPoly | QMPoly:
-        value = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ExprError("unexpected trailing input", offset=self.pos)
-        return IntegralPoly(value, tuple(self.letters)) if self.integrals else value
+    def whole(self, rule):
+        """What ``rule`` reads, which must be the whole text."""
+        value = rule()
+        if self._peek():
+            raise ExprError("unexpected trailing input", offset=self.start)
+        return value
 
     def expr(self) -> Value:
         if self.depth > MAX_NESTING:
@@ -120,11 +111,19 @@ class _Parser:
         self.depth += 1
         value = self.term()
         while (op := self._peek()) in ("+", "-"):
-            self.pos += 1
+            self.pos = self.end
             other = self.term()
             value = value - other if op == "-" else value + other
         self.depth -= 1
         return value
+
+    def arguments(self) -> list[Value]:
+        """expr (',' expr)*: the letters of an integral."""
+        args = [self.expr()]
+        while self._peek() == ",":
+            self.pos = self.end
+            args.append(self.expr())
+        return args
 
     def term(self) -> Value:
         if match := _MONOMIAL.match(self.text, self.pos):  # one product, built at once
@@ -137,66 +136,58 @@ class _Parser:
             return self._form(QMPoly._of({tuple(exponents): num} if num else {}))
         value = self.factor()
         while self._peek() == "*":
-            self.pos += 1
+            self.pos = self.end
             value = value * self.factor()
         return value
 
     def factor(self) -> Value:
-        negate = False
-        while self._peek() == "-" and not self._signs_literal():
-            self.pos += 1
+        negate = signed = False
+        while self._peek() == "-":
+            self.pos = self.end
+            if signed := "0" <= self._peek()[:1] <= "9":  # the '-' is the sign of a literal
+                break
             negate = not negate
-        value = self.atom()
+        value = -self.atom() if signed else self.atom()
         if self._peek() == "^":
-            self.pos += 1
+            self.pos = self.end
             exponent = self._uint()
             value = value**exponent if exponent else self._form(ONE)
         return -value if negate else value
 
     def atom(self) -> Value:
-        ch = self._peek()
-        start = self.pos
-        if ch == "(":
-            self.pos += 1
+        token = self._peek()
+        start, self.pos = self.start, self.end
+        if token == "(":
             value = self.expr()
             self._expect(")")
             return value
-        if ch == "-" or "0" <= ch <= "9":
-            sign = 1
-            if ch == "-":
-                self.pos += 1
-                sign = -1
-            numerator = self._uint()
+        if "0" <= token[:1] <= "9":
             denominator = 1
             if self._peek() == "/":
-                self.pos += 1
+                self.pos = self.end
                 denominator = self._uint()
                 if denominator == 0:
                     raise ExprError("zero denominator", offset=self.pos - 1)
-            return self._form(QMPoly.constant(Fraction(sign * numerator, denominator)))
-        if ch.isalpha():
-            name = self._name()
-            if name in _GENERATORS:
-                return self._form(_GENERATORS[name])
-            if name in ("D", "I"):
-                if name == "I" and not self.integrals:
-                    raise ExprError("an integral is not allowed here", offset=start)
-                self._expect("(")
-                # the arguments are forms: no I may occur in them
-                integrals, self.integrals = self.integrals, False
-                args = [self.expr()]
-                while name == "I" and self._peek() == ",":
-                    self.pos += 1
-                    args.append(self.expr())
-                self._expect(")")
-                self.integrals = integrals
-                if name == "D":
-                    return self._form(derive(args[0]))
-                if not all(args):  # the integral is multilinear: a zero letter kills it
-                    return LyndonPoly.zero()
-                word = tuple(self.letters.setdefault(letter, len(self.letters)) for letter in args)
-                return LyndonPoly._of({(word,): ONE})
-            raise ExprError(f"unknown name {name!r}", offset=start)
+            return self._form(QMPoly.constant(Fraction(int(token), denominator)))
+        if token in _GENERATORS:
+            return self._form(_GENERATORS[token])
+        if token in ("D", "I"):
+            if token == "I" and not self.integrals:
+                raise ExprError("an integral is not allowed here", offset=start)
+            self._expect("(")
+            # the arguments are forms: no I may occur in them
+            integrals, self.integrals = self.integrals, False
+            args = self.arguments() if token == "I" else [self.expr()]
+            self._expect(")")
+            self.integrals = integrals
+            if token == "D":
+                return self._form(derive(args[0]))
+            if not all(args):  # the integral is multilinear: a zero letter kills it
+                return LyndonPoly.zero()
+            word = tuple(self.letters.setdefault(letter, len(self.letters)) for letter in args)
+            return LyndonPoly._of({(word,): ONE})
+        if token[:1].isalpha():
+            raise ExprError(f"unknown name {token!r}", offset=start)
         raise ExprError("expected an atom", offset=start)
 
 
@@ -207,4 +198,13 @@ def parse(text: str, integrals: bool = True) -> IntegralPoly | QMPoly:
     ``integrals=False`` a :class:`QMPoly`, in which case an ``I`` is an
     error.  Raises :class:`ExprError` with the byte offset of the fault.
     """
-    return _Parser(text, integrals).parse()
+    parser = _Parser(text, integrals)
+    value = parser.whole(parser.expr)
+    return IntegralPoly(value, tuple(parser.letters)) if integrals else value
+
+
+def parse_letters(text: str) -> tuple[QMPoly, ...]:
+    """The letters of one word, forms separated by commas as in ``I(...)``;
+    errors as in :func:`parse`."""
+    parser = _Parser(text, integrals=False)
+    return tuple(parser.whole(parser.arguments))

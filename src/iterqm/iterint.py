@@ -24,10 +24,9 @@ degree one (:meth:`IntegralPoly.linear`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Union
+from typing import NamedTuple, Union
 
 from .linear import _accumulate
 from .qseries import LogQSeries, primitive
@@ -46,8 +45,7 @@ def _as_word(letters: Iterable[QMPoly]) -> BarWord:
     return word
 
 
-@dataclass(frozen=True)
-class IntegralPoly:
+class IntegralPoly(NamedTuple):
     """A polynomial in iterated integrals with QMPoly coefficients: the
     monomials of ``poly`` are multisets of words whose letters index
     ``basis``.  ``parse`` gives one over the letters it read, in that order,

@@ -504,9 +504,9 @@ def letter_sort_key(letter: QMPoly) -> tuple[int, int, int]:
     return (2 * a + 4 * b + 6 * c, b, c)
 
 
-def is_basis_letter(p: QMPoly, modular_only: bool = False) -> bool:
-    """True for 1, E2 (unless modular_only) and monic monomials E4^a E6^b."""
+def is_basis_letter(p: QMPoly) -> bool:
+    """True for 1, E2 and monic monomials E4^a E6^b."""
     if len(p.nums) != 1 or p.den != 1:
         return False
     (((a, b, c), num),) = p.nums.items()
-    return num == 1 and (a == 0 or ((a, b, c) == (1, 0, 0) and not modular_only))
+    return num == 1 and (a == 0 or (a, b, c) == (1, 0, 0))

@@ -354,6 +354,15 @@ class TestCommands:
         assert code == 0
         assert out == '{"rank":2,"count":3}\n'
 
+    @pytest.mark.parametrize("stdin, message", [
+        ("E4,E6\nE4, E5\n", "line 2: unknown name 'E5' (at byte 4)"),
+        ("E4\n\n  E6,,E4\n", "line 3: expected an atom (at byte 5)"),
+        ("E4, I(E6)\n", "line 1: an integral is not allowed here (at byte 4)"),
+    ])
+    def test_rank_error_names_the_line(self, capsys, monkeypatch, stdin, message):
+        code, out, err = run(capsys, ["rank", "-N", "5"], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_cocycle_check_small(self, capsys):
         code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "2", "--n-terms", "40"])
         assert code == 0

@@ -57,6 +57,7 @@ class TestMonomialTerms:
             ("-2^2*E4", 4 * E4),
             ("3/2*E4", F(3, 2) * E4),
             ("E4*(E6)", E4 * E6),
+            ("-2\u00a0*\u00a0E2^\u00a02 + E4", -2 * E2**2 + E4),
         ],
     )
     def test_value(self, text, value):
@@ -69,8 +70,10 @@ class TestMonomialTerms:
 
         monkeypatch.setattr(QMPoly, "__mul__", refuse)
         monomial, integral = form("-8*E2^2*E4"), parse("I(E4*E6, 3*E2) - 2")
+        spaced = form(" -8*E2^2 *\u3000E4 + E6")  # an ideographic space, as str.isspace reads it
         monkeypatch.undo()
         assert monomial.nums == {(2, 1, 0): -8}
+        assert spaced.nums == {(2, 1, 0): -8, (0, 0, 1): 1}
         assert shuffle_expansion(integral) == {(E4 * E6, E2 * 3): ONE, (): -2 * ONE}
 
 

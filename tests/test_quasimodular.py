@@ -526,4 +526,3 @@ class TestBasisB:
             assert is_basis_letter(letter)
         assert not is_basis_letter(2 * E4)
         assert not is_basis_letter(E2 * E4)
-        assert not is_basis_letter(E2, modular_only=True)

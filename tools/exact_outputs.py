@@ -1,6 +1,6 @@
-"""Print the exact outputs of the benchmark's soundness, certify or cocycle operations.
+"""Print the exact outputs of the benchmark's soundness, certify or cocycle operations, or of the parser.
 
-Usage: python3 tools/exact_outputs.py [--src DIR] [--seed N] [--workload soundness|certify|cocycle]
+Usage: python3 tools/exact_outputs.py [--src DIR] [--seed N] [--workload soundness|certify|cocycle|parse]
 
 The operations of one seed are built by this checkout's
 ``bench/workloads.py`` and run in process with the iterqm package found
@@ -12,9 +12,13 @@ operation it prints the operation's index, its truncation N and the
 ``independence_rank`` of its family.  For each ``cocycle`` operation it
 prints the operation's index, its kind and the ``repr`` of every number it
 returns: the ``e2_cocycle`` value, or each coefficient of ``r1``, ``lhs``
-and ``rhs``.  Two trees give the same results on these inputs exactly
-when the two listings are byte-identical, so a change is checked against a
-base commit with
+and ``rhs``.  For ``parse`` it draws 20,000 seeded texts of the grammar,
+spaced with ASCII and Unicode whitespace, half of them spoiled by a token
+such as ``E5``, ``²``, ``_`` or ``((((``, and prints for each text and each
+of ``iterqm.expr.parse``'s two modes the index, the mode, the SHA-256 of
+the value or the error message with its offset, and the text.  Two trees
+give the same results on these inputs exactly when the two listings are
+byte-identical, so a change is checked against a base commit with
 
     git worktree add ../base BASE
     python3 tools/exact_outputs.py --src ../base/src > base.txt
@@ -27,16 +31,70 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PARSE_TEXTS = 20_000
+SPACES = ("", "", "", "", " ", " ", "\t", "\n", "\u00a0", "\u3000", "\u2003")
+#: What a text may be spoiled with: near-miss names, non-ASCII digits and
+#: stray punctuation, but no ASCII digits, so exponents stay small.
+NOISE = ("E5", "E24", "E", "x", "_", "١", "²", "１", "((((", "D(D(", "I(", "(", ")", ",", "^", "/", "-", "*")
+
+
+def _expression(rng: random.Random, depth: int) -> list[str]:
+    """The tokens of a random text of the grammar, brackets at most ``depth`` deep."""
+    tokens = []
+    for t in range(rng.randint(1, 3)):
+        tokens += [rng.choice("+-")] if t else []
+        for f in range(rng.randint(1, 3)):
+            tokens += ["*"] if f else []
+            tokens += ["-"] * rng.choice((0, 0, 0, 1, 2))
+            kind = rng.random()
+            if depth and kind < 0.3:
+                head = rng.choice(("(", "D(", "I("))
+                tokens += [head, *_expression(rng, depth - 1)]
+                while head == "I(" and rng.random() < 0.4:
+                    tokens += [",", *_expression(rng, depth - 1)]
+                tokens.append(")")
+            elif kind < 0.6:
+                tokens.append(rng.choice(("0", "1", "2", "3", "07")))
+                tokens += ["/", rng.choice(("0", "2", "3", "5", "9"))] if rng.random() < 0.2 else []
+            else:
+                tokens.append(rng.choice(("E2", "E4", "E6")))
+            if rng.random() < 0.2:
+                tokens += ["^", rng.choice(("0", "1", "2", "3", "03"))]
+    return tokens
+
+
+def parse_texts(seed: int) -> list[str]:
+    """The seeded texts of the ``parse`` listing: texts of the grammar, spaced
+    with ASCII and Unicode whitespace, half of them spoiled by a noise token."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(PARSE_TEXTS):
+        tokens = _expression(rng, 2)
+        if rng.random() < 0.5:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(NOISE))
+        texts.append("".join(rng.choice(SPACES) + token for token in tokens) + rng.choice(SPACES))
+    return texts
+
+
+def value_key(value) -> str:
+    """A form, or a polynomial in integrals with its letters in order, as text."""
+    from iterqm.cli import qmpoly_to_json
+
+    if hasattr(value, "basis"):
+        terms = sorted((mono, qmpoly_to_json(coeff)) for mono, coeff in value.poly.terms.items())
+        return repr((terms, [qmpoly_to_json(letter) for letter in value.basis]))
+    return qmpoly_to_json(value)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the iterqm package")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=("soundness", "certify", "cocycle"), default="soundness")
+    parser.add_argument("--workload", choices=("soundness", "certify", "cocycle", "parse"), default="soundness")
     args = parser.parse_args()
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
     from workloads import Certify, Cocycle, Soundness
@@ -45,6 +103,17 @@ def main() -> int:
 
     if os.path.dirname(os.path.dirname(os.path.abspath(iterqm.__file__))) != os.path.abspath(args.src):
         sys.exit(f"iterqm was imported from {iterqm.__file__}, not from {args.src}")
+    if args.workload == "parse":
+        from iterqm.expr import ExprError, parse
+
+        for i, text in enumerate(parse_texts(args.seed)):
+            for integrals in (True, False):
+                try:
+                    out = hashlib.sha256(value_key(parse(text, integrals)).encode()).hexdigest()
+                except ExprError as exc:
+                    out = f"error: {exc}"
+                print(i, "integrals" if integrals else "form", out, repr(text), sep="\t")
+        return 0
     if args.workload == "certify":
         workload = Certify()
         for i, op in enumerate(workload.inputs(args.seed, 1)):
