@@ -15,11 +15,13 @@ series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
 exact rank on rows built modulo a fixed prime p, each the exact row times
 a unit mod p, first to q^t for t = 2*ceil(n/(1+l)) (n rows of words of
-length <= l), read q-power by q-power in one pass that gives the rank and
-the kernel: full rank is already a certificate, and a deficiency is proved
-by the kernel, lifted to Q and checked on exact series of the rows it
-involves.  Should that fail, the rows mod p are read to the full truncation,
-then exactly; a denominator divisible by p takes exact rows throughout.
+length <= l), read L-part by L-part in one pass that gives the rank and
+the kernel, zero columns passed over: a row's L^k part for k >= 1, the
+letters' cusp values times the multiplier, is of low rank and read last.
+Full rank is already a certificate, and a deficiency is proved by the
+kernel, lifted to Q and checked on exact series of the rows it involves.
+Should that fail, the rows mod p are read to the full truncation, then
+exactly; a denominator divisible by p takes exact rows throughout.
 """
 
 from __future__ import annotations
@@ -262,11 +264,11 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
 def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
     """The series' numerators over the q^m L^k grid as columns, one per (m, k) in
-    order of m, then k; each lists the series from the last to the first."""
+    order of k, then m (L-part by L-part); each lists the series from the last to the first."""
     max_log = max((s.log_degree() for s in series), default=0)
     zero = (0,) * (trunc + 1)
     parts = [zip(*(s.parts.get(k, zero) for s in reversed(series))) for k in range(max_log + 1)]
-    return [column for at_m in zip(*parts) for column in at_m]
+    return [column for part in parts for column in part]
 
 
 def independence_rank(
@@ -277,13 +279,14 @@ def independence_rank(
     """Exact rank of the multiplied integrals' coefficient vectors.
 
     Each series expand(multiplier) * integral(word) is a row over the q^m L^k
-    grid (m <= trunc, k up to the longest word, l), read column by column in
-    order of q-power.  Full rank certifies Q-linear independence of the family
-    at this truncation: a finite witness, never a proof.  The rank is exact.
-    The n rows are built mod a fixed prime p, each the exact row times a unit,
-    first to q^t for t = min(trunc, 2*ceil(n/(1+l))): their columns are some
-    of those at trunc, so full rank is the answer, and a kernel is lifted to Q
-    and checked on exact series to q^trunc of the rows it involves (see
+    grid (m <= trunc, k up to the longest word, l), read column by column: the
+    q-powers of L^0, then of L^1 and so on, zero columns passed over, until
+    every row has a pivot.  Full rank certifies Q-linear independence of the
+    family at this truncation: a finite witness, never a proof.  The rank is
+    exact.  The n rows are built mod a fixed prime p, each the exact row times
+    a unit, first to q^t for t = min(trunc, 2*ceil(n/(1+l))): their columns are
+    some of those at trunc, so full rank is the answer, and a kernel is lifted
+    to Q and checked on exact series to q^trunc of the rows it involves (see
     :func:`_certified_rank`).  Should that fail, one more pass mod p reads the
     rows to q^trunc; should that fail too, or p divide a denominator, the exact
     rows decide.  A DEBUG line names the truncation that decided and the route.

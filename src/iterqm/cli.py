@@ -247,7 +247,7 @@ def parse_braid_word(text: str) -> tuple[int, ...]:
         name = token.strip()
         if name not in _B3_TOKENS:
             where = offset + len(token) - len(token.lstrip())
-            raise ExprError(f"unknown braid generator {name!r} (use s1, s2, s1^-1, s2^-1)", where)
+            raise ExprError(f"unknown braid generator {name!r} (use s1, s2, s1^-1, s2^-1)", text, where)
         out.append(_B3_TOKENS[name])
         offset += len(token) + 1
     return tuple(out)

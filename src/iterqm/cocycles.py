@@ -108,7 +108,7 @@ class XYPoly:
     def __init__(self, degree: int, coeffs: Iterable = ()):
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        cs = [mpc(c) for c in coeffs]
+        cs = [c if type(c) is mpc else mpc(c) for c in coeffs]  # an mpc of this context is kept as it is
         if len(cs) > degree + 1:
             raise ValueError("too many coefficients for the degree")
         cs.extend([mpc(0)] * (degree + 1 - len(cs)))

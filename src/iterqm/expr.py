@@ -15,7 +15,7 @@ factor.  Each rule returns its value: where an ``I`` may occur, a
 polynomial (:class:`LyndonPoly`) in integrals, each ``I(...)`` one variable
 over letters numbered as read, so a product of integrals is not shuffled
 out; elsewhere (in ``I`` and ``D`` arguments and in forms) a
-:class:`QMPoly`.  Every error carries the byte offset where it was found.
+:class:`QMPoly`.  Every error carries the UTF-8 byte offset where it was found.
 Brackets nest at most :data:`MAX_NESTING` deep.
 
 Tokens are read through one regular expression: a run of ASCII digits, a
@@ -39,9 +39,9 @@ Value = QMPoly | LyndonPoly
 
 
 class ExprError(ValueError):
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} (at byte {offset})")
+    def __init__(self, message: str, text: str, index: int):
+        self.offset = len(text[:index].encode())  # of text[index] in UTF-8; no lone surrogate is read before a fault
+        super().__init__(f"{message} (at byte {self.offset})")
 
 
 _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
@@ -87,12 +87,12 @@ class _Parser:
 
     def _expect(self, token: str) -> None:
         if self._peek() != token:
-            raise ExprError(f"expected {token!r}", offset=self.start)
+            raise ExprError(f"expected {token!r}", self.text, self.start)
         self.pos = self.end
 
     def _uint(self) -> int:
         if not "0" <= (token := self._peek())[:1] <= "9":
-            raise ExprError("expected an unsigned integer", offset=self.start)
+            raise ExprError("expected an unsigned integer", self.text, self.start)
         self.pos = self.end
         return int(token)
 
@@ -102,12 +102,12 @@ class _Parser:
         """What ``rule`` reads, which must be the whole text."""
         value = rule()
         if self._peek():
-            raise ExprError("unexpected trailing input", offset=self.start)
+            raise ExprError("unexpected trailing input", self.text, self.start)
         return value
 
     def expr(self) -> Value:
         if self.depth > MAX_NESTING:
-            raise ExprError(f"brackets nested deeper than {MAX_NESTING}", offset=self.pos)
+            raise ExprError(f"brackets nested deeper than {MAX_NESTING}", self.text, self.pos)
         self.depth += 1
         value = self.term()
         while (op := self._peek()) in ("+", "-"):
@@ -167,13 +167,13 @@ class _Parser:
                 self.pos = self.end
                 denominator = self._uint()
                 if denominator == 0:
-                    raise ExprError("zero denominator", offset=self.pos - 1)
+                    raise ExprError("zero denominator", self.text, self.pos - 1)
             return self._form(QMPoly.constant(Fraction(int(token), denominator)))
         if token in _GENERATORS:
             return self._form(_GENERATORS[token])
         if token in ("D", "I"):
             if token == "I" and not self.integrals:
-                raise ExprError("an integral is not allowed here", offset=start)
+                raise ExprError("an integral is not allowed here", self.text, start)
             self._expect("(")
             # the arguments are forms: no I may occur in them
             integrals, self.integrals = self.integrals, False
@@ -187,8 +187,8 @@ class _Parser:
             word = tuple(self.letters.setdefault(letter, len(self.letters)) for letter in args)
             return LyndonPoly._of({(word,): ONE})
         if token[:1].isalpha():
-            raise ExprError(f"unknown name {token!r}", offset=start)
-        raise ExprError("expected an atom", offset=start)
+            raise ExprError(f"unknown name {token!r}", self.text, start)
+        raise ExprError("expected an atom", self.text, start)
 
 
 def parse(text: str, integrals: bool = True) -> IntegralPoly | QMPoly:

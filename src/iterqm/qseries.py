@@ -28,10 +28,11 @@ certificates read their rows this way).  Numeric values are taken in
 from __future__ import annotations
 
 import math
+import struct
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from typing import Iterable, Mapping, Union
+from itertools import chain, islice
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -44,9 +45,10 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _pack(residues: Iterable[int], size: int) -> int:
-    """Ints in [0, 2^(8*size)) as the slots of one int, size bytes each, the first lowest."""
-    return int.from_bytes(b"".join(map(int.to_bytes, residues, repeat(size), repeat("little"))), "little")
+def _pack(residues: Sequence[int], size: int) -> int:
+    """Ints in [0, 2^32) as the slots of one int, size >= 4 bytes each, the first lowest:
+    one ``struct.pack`` call, each slot a little-endian uint32 and size - 4 zero bytes."""
+    return int.from_bytes(struct.pack("<" + f"I{size - 4}x" * len(residues), *residues), "little")
 
 
 class LogQSeries:
@@ -226,12 +228,12 @@ class LogQSeries:
         # Every product coefficient, summed over the pairs of parts that meet
         # at one L-exponent, is at most bound in absolute value (residues are
         # below the modulus), so a slot of bound's bits plus a sign and a guard
-        # bit holds it exactly; residues are packed by their bytes, in whole bytes.
+        # bit holds it exactly; residues are packed by their bytes, in whole bytes, at least four.
         pairs = min(len(self.parts), len(other.parts))
         bound = pairs * (n + 1) * (
             (modulus - 1) ** 2 if modulus else max(max(map(abs, p)) for p in self.parts.values()) * max(
                 max(map(abs, p)) for p in other.parts.values()))
-        bits = (bound.bit_length() + 9) // 8 * 8 if modulus else bound.bit_length() + 2
+        bits = max(32, (bound.bit_length() + 9) // 8 * 8) if modulus else bound.bit_length() + 2
         shifts = range(0, bits * (n + 1), bits)
 
         def pack(p: tuple[int, ...]) -> int:

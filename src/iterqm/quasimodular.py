@@ -339,15 +339,15 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
     """Gaussian elimination of ``rows`` in place, a row at a time; returns the pivot columns.
 
     Entries are rationals (over Q), or residues in [0, p) for a prime
-    ``modulus`` p.  Each row is reduced against the pivots found so far and,
-    unless it vanishes, scaled to a new one with a 1 at its first nonzero
-    entry, until every column has a pivot.  Row i ends with its 1 in column
-    pivots[i] and zeros below it (and above it too if ``reduced``); the rows
-    after the pivots are zero.  Mod p a pivot is also packed in one int, a
-    byte-aligned slot of p - y per entry y, so a row update is one multiply-add.
+    ``modulus`` p.  Each row that is not all zero is reduced against the
+    pivots found so far and, unless it vanishes, scaled to a new one with a 1
+    at its first nonzero entry, until every column has a pivot.  Row i ends
+    with its 1 in column pivots[i] and zeros below it (and above it too if
+    ``reduced``); the rows after the pivots are zero.  Mod p a pivot is kept
+    negated, -y mod p, and packed in one int by :func:`_pack`: a row update is one multiply-add.
     """
     width = len(rows[0]) if rows else 0
-    size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
+    size = max(4, (modulus + width * modulus**2).bit_length() // 8 + 1)  # a slot stays below p + rank * p^2
     shifts, mask = range(0, 8 * size * width, 8 * size), (1 << 8 * size) - 1
 
     def reduce(row, pivots):  # the row less its multiples of the pivots: a list over Q, packed mod p
@@ -363,27 +363,32 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
                 row[c:] = [a - f * b for a, b in zip(row[c:], y[c:])]
         return row
 
-    def pivot(c: int, x) -> tuple:  # the reduced row scaled to a 1 in column c, and its packed negation
-        row = [(x >> s & mask) % modulus for s in shifts] if modulus else x
-        inv = pow(row[c], -1, modulus) if modulus else 1 / Fraction(row[c])
-        y = [a * inv % modulus for a in row] if modulus else [a * inv for a in row]
-        return c, y, modulus and _pack([-a % modulus for a in y], size)
+    def pivot(c: int, x) -> tuple:  # the reduced row scaled to a 1 in column c; mod p its negation, also packed
+        if not modulus:
+            inv = 1 / Fraction(x[c])
+            return c, [a * inv for a in x], 0
+        inv = -pow(x >> shifts[c] & mask, -1, modulus)
+        negated = [(x >> s & mask) * inv % modulus for s in shifts]
+        return c, negated, _pack(negated, size)
 
-    found, free = [], list(range(width))  # pivots (column, row, negation) as found; columns without
-    for row in rows:
+    def row_of(y: list) -> list:  # a pivot's row, from what pivot gave
+        return [-a % modulus for a in y] if modulus else y
+
+    found, free = [], list(range(width))  # pivots as found, as pivot gives them; columns without one
+    for row in filter(any, rows):  # a zero row is passed over
         x = reduce(row, found)
         if (c := next((j for j in free if ((x >> shifts[j] & mask) % modulus if modulus else x[j])), None)) is not None:
             found.append(pivot(c, x))
             free.remove(c)
             if not free:
                 break
-    if reduced and not free:  # every column has a pivot: the identity
-        found = [(c, [int(j == c) for j in range(width)], 0) for c, _, _ in found]
-    elif reduced:  # rows found later are zero in the pivot columns of earlier ones
+    if reduced and free:  # rows found later are zero in the pivot columns of earlier ones
         for i in range(len(found) - 2, -1, -1):
-            found[i] = pivot(found[i][0], reduce(found[i][1], found[i + 1 :]))
+            found[i] = pivot(found[i][0], reduce(row_of(found[i][1]), found[i + 1 :]))
     found.sort()
-    rows[:] = [y for _, y, _ in found] + [[0] * width for _ in range(len(rows) - len(found))]
+    identity = reduced and not free  # every column has a pivot
+    rows[:] = [[0] * c + [1] + [0] * (width - 1 - c) if identity else row_of(y) for c, y, _ in found] + [
+        [0] * width for _ in range(len(rows) - len(found))]
     return [c for c, _, _ in found]
 
 

@@ -343,6 +343,14 @@ class TestRank:
         words = [(ONE, E4), (E4, ONE), (ONE, E4)]
         assert independence_rank(words, [ONE, ONE, ONE], 10) == 2
 
+    def test_rows_only_in_the_log_parts(self):
+        # I(1) = L, I(1,1) = L^2/2 and I(1,1,1) = L^3/6: every q^0 L^0 column and
+        # every q^m column for m >= 1 is zero, and the rank lies in the L^k columns
+        words = [(ONE,), (ONE, ONE), (ONE, ONE, ONE)]
+        assert independence_rank(words, [ONE] * 3, 5) == 3
+        assert independence_rank([(ONE,)] + words, [ONE] * 4, 5) == 3
+        assert independence_rank([(ONE,), (ONE, ONE), (ONE,)], [ONE] * 3, 5) == 2
+
     def test_rational_rank_basics(self):
         assert rational_rank([]) == 0
         assert rational_rank([[F(0), F(0)]]) == 0
@@ -466,6 +474,22 @@ class TestOnePassCertificate:
             (rank, lifts), new = self.both(rows)
             assert rank == n and new == (rank, lifts)
             assert len(_row_reduce(list(zip(*reversed(rows)))[:-1], P)) == n - 1
+
+    @pytest.mark.parametrize("relations", [0, 1, 3])
+    def test_column_order_does_not_matter(self, relations):
+        # full rank is n whichever columns prove it, and a deficient matrix reads
+        # every column: its kernel, in reduced echelon form, is unique
+        rng = random.Random(40 + relations)
+        for n, width in [(4, 6), (9, 14), (16, 30)]:
+            columns = list(zip(*reversed(self.small_rows(rng, n, width, relations))))
+            columns += [(0,) * n] * 3  # zero columns too, shuffled in below
+            results = []
+            for _ in range(6):
+                lifts = []
+                results.append((_certified_rank(columns[:], width + 3, lambda v: lifts.append(v) or True), lifts))
+                rng.shuffle(columns)
+            assert results[0][0] == n - relations and len(results[0][1]) == relations
+            assert results == results[:1] * 6
 
     def test_zero_or_one_row(self):
         assert self.both([], ncols=5) == [(0, [])] * 2

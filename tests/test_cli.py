@@ -269,6 +269,10 @@ class TestCommands:
         assert run(capsys, ["expand", "-N", "1", "--", "-E4"]) == (0, "-1 - 240*q\n", "")
         assert run(capsys, ["derive", "--", "-2*E4"]) == (0, "-2/3*E2*E4 + 2/3*E6\n", "")
 
+    def test_error_offset_counts_utf8_bytes(self, capsys):
+        # E5 follows an ideographic space, three bytes of UTF-8
+        assert run(capsys, ["expand", "\u3000E5", "-N", "1"]) == (1, "", "error: unknown name 'E5' (at byte 3)\n")
+
     def test_integral_where_a_form_is_required(self, capsys):
         code, out, err = run(capsys, ["expand", "E2 + I(E4)"])
         assert (code, out) == (1, "")
@@ -358,6 +362,7 @@ class TestCommands:
         ("E4,E6\nE4, E5\n", "line 2: unknown name 'E5' (at byte 4)"),
         ("E4\n\n  E6,,E4\n", "line 3: expected an atom (at byte 5)"),
         ("E4, I(E6)\n", "line 1: an integral is not allowed here (at byte 4)"),
+        ("E4,\u3000E5\n", "line 1: unknown name 'E5' (at byte 6)"),  # the UTF-8 bytes of the line
     ])
     def test_rank_error_names_the_line(self, capsys, monkeypatch, stdin, message):
         code, out, err = run(capsys, ["rank", "-N", "5"], stdin=stdin, monkeypatch=monkeypatch)
@@ -555,6 +560,8 @@ class TestBraidWordParsing:
             parse_braid_word("s3")
         with pytest.raises(ExprError, match=r"'s3' .* \(at byte 4\)"):
             parse_braid_word("s1* s3*s2")
+        with pytest.raises(ExprError, match=r"'s3' .* \(at byte 6\)"):
+            parse_braid_word("s1*\u3000s3")
 
 
 def test_format_series_zero():

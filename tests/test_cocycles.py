@@ -156,6 +156,16 @@ def branch_log_gap(word, tau) -> float:
         return float(abs(_branch_log(*_read_braid(word), tau) - reference_branch_log(word, tau)))
 
 
+class TestXYPoly:
+    def test_coefficients_of_the_context_are_kept(self):
+        # an mpc of the module's context is stored as it is; anything else is converted
+        c = cocycles.mpc(1, 2)
+        p = XYPoly(2, [c, 3, mpc(0.5)])
+        assert p.coeffs[0] is c
+        assert [type(x) for x in p.coeffs] == [cocycles.mpc] * 3
+        assert p.coeffs == (c, cocycles.mpc(3), cocycles.mpc(0.5))
+
+
 class TestSlash:
     def test_identity(self):
         p = XYPoly(3, [1, 2j, -1, 0.5])

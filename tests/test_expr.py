@@ -4,7 +4,7 @@ import pytest
 
 import iterqm.shuffle_lyndon as shuffle_lyndon
 from conftest import shuffle_expansion
-from iterqm.expr import MAX_NESTING, ExprError, parse
+from iterqm.expr import MAX_NESTING, ExprError, parse, parse_letters
 from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive
 from iterqm.shuffle_lyndon import shuffle
 
@@ -142,6 +142,25 @@ class TestParseErrors:
         with pytest.raises(ExprError, match=r"^expected an unsigned integer \(at byte 3\)$") as err:
             parse(text)
         assert err.value.offset == 3
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("\u3000E5", 3),  # an ideographic space is three bytes of UTF-8
+            ("\u00a0 E5", 3),
+            ("(\u2003E4", 6),
+            ("E4*\u00b2", 3),  # ASCII before the fault: the code-point index
+        ],
+    )
+    def test_offsets_count_utf8_bytes(self, text, offset):
+        with pytest.raises(ExprError, match=rf"\(at byte {offset}\)$") as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_letters_offsets_count_utf8_bytes(self):
+        with pytest.raises(ExprError, match=r"^unknown name 'E5' \(at byte 6\)$") as err:
+            parse_letters("E4,\u3000E5")
+        assert err.value.offset == 6
 
     def test_nested_integral_reports_offset(self):
         with pytest.raises(ExprError, match=r"at byte 2\)") as err:

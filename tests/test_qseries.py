@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from iterqm.canonicalize import _RANK_PRIME as P
-from iterqm.qseries import LogQSeries, d_op, primitive
+from iterqm.qseries import LogQSeries, _pack, d_op, primitive
 
 
 def L(trunc, k=1, coeff=1):
@@ -231,6 +231,21 @@ class TestIntegerProduct:
         prod = self.check(e4_10, e6_7)
         assert max(abs(prod.coefficient(m, 0).numerator) for m in range(201)).bit_length() > 300
         self.check(e4_10.scale(F(-1, 691)), e6_7.scale(F(7, 2730)))
+
+
+class TestPack:
+    @staticmethod
+    def joined(residues, size):
+        """The packing by one int.to_bytes per residue."""
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in residues), "little")
+
+    @pytest.mark.parametrize("size", range(4, 17))
+    def test_one_struct_call_equals_the_joined_bytes(self, size):
+        rng = random.Random(size)
+        for n in (0, 1, 2, 25, 48):
+            residues = [rng.choice((0, 1, 2**32 - 1, rng.randrange(2**32))) for _ in range(n)]
+            assert _pack(residues, size) == self.joined(residues, size)
+            assert _pack(tuple(residues), size) == self.joined(residues, size)
 
 
 class TestDerivation:

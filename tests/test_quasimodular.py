@@ -468,6 +468,25 @@ class TestRowReduce:
             assert _row_reduce(rows, modulus, reduced=True) == [0, 1]
             assert rows == [[1, 0], [0, 1], [0, 0], [0, 0]]
 
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_zero_rows_change_nothing(self, reduced):
+        # a zero row is passed over before it is reduced: the pivots and rows are as without it
+        from iterqm.quasimodular import _row_reduce
+
+        rng = random.Random(17)
+        p = 2**30 - 35
+        for modulus in (0, 7, p):
+            for n, width in [(3, 3), (6, 4), (10, 12)]:
+                rows = [[rng.randrange(5) for _ in range(width)] for _ in range(n)]
+                rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]  # a dependent row
+                rows = [[x % modulus if modulus else F(x) for x in row] for row in rows]
+                padded = [list(row) for row in rows]
+                for _ in range(4):
+                    padded.insert(rng.randrange(len(padded) + 1), [0] * width)
+                pivots = _row_reduce(rows, modulus, reduced)
+                assert _row_reduce(padded, modulus, reduced) == pivots
+                assert padded == rows + [[0] * width] * 4
+
     def test_gauss_jordan_mod_p_against_fractions(self):
         from iterqm.quasimodular import _row_reduce
 
