@@ -45,9 +45,11 @@ def _as_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def _pack(residues: Sequence[int], size: int) -> int:
-    """Ints in [0, 2^32) as the slots of one int, size >= 4 bytes each, the first lowest:
-    one ``struct.pack`` call, each slot a little-endian uint32 and size - 4 zero bytes."""
+def _pack(residues: Sequence[int], size: int, modulus: int) -> int:
+    """Residues mod ``modulus`` as the slots of one int, ``size`` bytes each, the first lowest: one ``struct.pack``
+    call, a little-endian uint32 and size - 4 zero bytes a slot, where the slots and a modulus up to 2^32 allow it."""
+    if size < 4 or modulus > 1 << 32:  # else one int.to_bytes per residue
+        return int.from_bytes(b"".join(r.to_bytes(size, "little") for r in residues), "little")
     return int.from_bytes(struct.pack("<" + f"I{size - 4}x" * len(residues), *residues), "little")
 
 
@@ -225,19 +227,18 @@ class LogQSeries:
                     return f
                 parts = {k: tuple(num * x for x in p[: n + 1]) for k, p in f.parts.items()}
                 return LogQSeries._of(n, c.den * f.den, parts, modulus)
-        # Every product coefficient, summed over the pairs of parts that meet
-        # at one L-exponent, is at most bound in absolute value (residues are
-        # below the modulus), so a slot of bound's bits plus a sign and a guard
-        # bit holds it exactly; residues are packed by their bytes, in whole bytes, at least four.
+        # Every product coefficient, summed over the pairs of parts that meet at one L-exponent, is at most
+        # bound in absolute value (residues are below the modulus), so a slot of bound's bits plus a sign and
+        # a guard bit holds it exactly; residues are packed by their bytes, in whole bytes.
         pairs = min(len(self.parts), len(other.parts))
         bound = pairs * (n + 1) * (
             (modulus - 1) ** 2 if modulus else max(max(map(abs, p)) for p in self.parts.values()) * max(
                 max(map(abs, p)) for p in other.parts.values()))
-        bits = max(32, (bound.bit_length() + 9) // 8 * 8) if modulus else bound.bit_length() + 2
+        bits = (bound.bit_length() + 9) // 8 * 8 if modulus else bound.bit_length() + 2
         shifts = range(0, bits * (n + 1), bits)
 
         def pack(p: tuple[int, ...]) -> int:
-            return _pack(p[: n + 1], bits // 8) if modulus else sum(map(int.__lshift__, p[: n + 1], shifts))
+            return _pack(p[: n + 1], bits // 8, modulus) if modulus else sum(map(int.__lshift__, p[: n + 1], shifts))
 
         packed_b = {k: pack(p) for k, p in other.parts.items()}
         sums: dict[int, int] = {}

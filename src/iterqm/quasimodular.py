@@ -347,12 +347,12 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
     negated, -y mod p, and packed in one int by :func:`_pack`: a row update is one multiply-add.
     """
     width = len(rows[0]) if rows else 0
-    size = max(4, (modulus + width * modulus**2).bit_length() // 8 + 1)  # a slot stays below p + rank * p^2
+    size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
     shifts, mask = range(0, 8 * size * width, 8 * size), (1 << 8 * size) - 1
 
     def reduce(row, pivots):  # the row less its multiples of the pivots: a list over Q, packed mod p
         if modulus:
-            x = _pack(row, size)
+            x = _pack(row, size, modulus)
             for c, _, negated in pivots:
                 if f := (x >> shifts[c] & mask) % modulus:
                     x += f * negated
@@ -369,10 +369,7 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
             return c, [a * inv for a in x], 0
         inv = -pow(x >> shifts[c] & mask, -1, modulus)
         negated = [(x >> s & mask) * inv % modulus for s in shifts]
-        return c, negated, _pack(negated, size)
-
-    def row_of(y: list) -> list:  # a pivot's row, from what pivot gave
-        return [-a % modulus for a in y] if modulus else y
+        return c, negated, _pack(negated, size, modulus)
 
     found, free = [], list(range(width))  # pivots as found, as pivot gives them; columns without one
     for row in filter(any, rows):  # a zero row is passed over
@@ -382,13 +379,15 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
             free.remove(c)
             if not free:
                 break
-    if reduced and free:  # rows found later are zero in the pivot columns of earlier ones
+    if reduced and free:  # rows found later are zero in the pivot columns of earlier ones (mod p, as negations)
         for i in range(len(found) - 2, -1, -1):
-            found[i] = pivot(found[i][0], reduce(row_of(found[i][1]), found[i + 1 :]))
+            found[i] = pivot(found[i][0], reduce(found[i][1], found[i + 1 :]))
     found.sort()
-    identity = reduced and not free  # every column has a pivot
-    rows[:] = [[0] * c + [1] + [0] * (width - 1 - c) if identity else row_of(y) for c, y, _ in found] + [
-        [0] * width for _ in range(len(rows) - len(found))]
+    if reduced and not free:  # every column has a pivot: the identity
+        found = [(c, [0] * c + [1] + [0] * (width - 1 - c), 0) for c, _, _ in found]
+    elif modulus:  # a pivot mod p was kept negated
+        found = [(c, [-a % modulus for a in y], 0) for c, y, _ in found]
+    rows[:] = [y for _, y, _ in found] + [[0] * width for _ in range(len(rows) - len(found))]
     return [c for c, _, _ in found]
 
 

@@ -244,8 +244,16 @@ class TestPack:
         rng = random.Random(size)
         for n in (0, 1, 2, 25, 48):
             residues = [rng.choice((0, 1, 2**32 - 1, rng.randrange(2**32))) for _ in range(n)]
-            assert _pack(residues, size) == self.joined(residues, size)
-            assert _pack(tuple(residues), size) == self.joined(residues, size)
+            assert _pack(residues, size, 2**32) == self.joined(residues, size)
+            assert _pack(tuple(residues), size, 2**32) == self.joined(residues, size)
+
+    @pytest.mark.parametrize("modulus, sizes", [(7, range(1, 5)), (2**61 - 1, range(8, 17)), (2**89 - 1, range(12, 23))])
+    def test_small_slots_and_large_moduli_are_packed_too(self, modulus, sizes):
+        # slots below 4 bytes and residues of 2^32 or more do not fit a uint32 slot
+        rng = random.Random(modulus)
+        for size in sizes:
+            residues = [rng.choice((0, 1, modulus - 1, rng.randrange(modulus))) for _ in range(25)]
+            assert _pack(residues, size, modulus) == self.joined(residues, size)
 
 
 class TestDerivation:
@@ -331,6 +339,16 @@ class TestResidues:
             assert primitive(a).modulo(P) == primitive(ap)
             assert d_op(a).modulo(P) == d_op(ap)
             assert a.scale(F(-3, 7)).modulo(P) == ap.scale(F(-3, 7)) == ap * F(-3, 7)
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
+    def test_primes_beyond_a_uint32(self, p):
+        # any prime is a modulus: its residues are packed whole, whatever their size
+        rng = random.Random(p)
+        for _ in range(20):
+            a, b = self.random_series(rng, rng.randint(0, 10)), self.random_series(rng, rng.randint(0, 10))
+            ap, bp = a.modulo(p), b.modulo(p)
+            assert (a * b).modulo(p) == ap * bp == schoolbook(a, b).modulo(p)
+            assert primitive(a).modulo(p) == primitive(ap)
 
     @pytest.mark.parametrize("n", [20, 30, 40])
     def test_agreement_at_certify_sizes(self, n):
