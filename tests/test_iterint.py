@@ -145,9 +145,10 @@ class TestResidues:
             assert iter_integral(word, n, p) == iter_integral(word, n).modulo(p)
             assert expand(word[0] if word else DELTA, n, p) == expand(word[0] if word else DELTA, n).modulo(p)
 
-    @pytest.mark.parametrize("n, p", [(20, 2**30 - 35), (40, 2**30 - 35), (20, 23), (40, 41)])
+    @pytest.mark.parametrize("n, p", [(20, 2**30 - 35), (40, 2**30 - 35), (20, 23), (40, 41), (20, 2**61 - 1)])
     def test_agreement_at_certify_sizes(self, n, p):
-        # words of up to four letters: log-degree up to 4, residues near p for a prime just above n
+        # words of up to four letters: log-degree up to 4, residues near p for a prime just above n;
+        # any prime is a modulus, one beyond 2^32 too
         rng = random.Random(n + p)
         letters = [ONE, E2, E4, E6, DELTA, derive(E4), E4 * F(-5, 691), E2 * E2 - E4]
         for _ in range(6):
