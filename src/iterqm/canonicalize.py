@@ -40,6 +40,7 @@ from .quasimodular import (
     ONE,
     Exponents,
     QMPoly,
+    _pivot_rows,
     _row_reduce,
     _split_weights,
     basis_b,
@@ -227,13 +228,12 @@ def _certified_rank(columns: list[Sequence[int]], ncols: int, is_kernel) -> int 
     on them mod p, in reduced row echelon form as the rows are reversed; if ``is_kernel``
     confirms v*A = 0 for the rational lift of each, A's rank is r, else this is None.
     """
-    n = len(columns[0]) if columns else 0
-    pivots = _row_reduce(columns, _RANK_PRIME, reduced=True)
-    rank = len(pivots)
+    found, n = _pivot_rows(columns, _RANK_PRIME, reduced=True)  # pivot rows mod p, negated
+    rank = len(found)
     if rank == n or rank == ncols:
         return rank
-    for free in sorted(set(range(n)).difference(pivots), reverse=True):
-        v = {free: 1, **{c: -row[free] % _RANK_PRIME for c, row in zip(pivots, columns)}}
+    for free in sorted(set(range(n)).difference(c for c, _, _ in found), reverse=True):
+        v = {free: 1, **{c: negated[free] for c, negated, _ in found}}
         lifts = [_rational_lift(v.get(i, 0)) for i in reversed(range(n))]
         if None in lifts or not is_kernel(lifts):
             return None

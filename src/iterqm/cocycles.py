@@ -220,9 +220,9 @@ def _parts(series: Sequence[LogQSeries], tau) -> tuple[mpc, mpc, list[dict[int, 
     q * 2^(bits + e), where 2^-(e+2) <= |q| <= 2^-e and ``bits`` is the
     working precision plus guard bits.  Each part sum_n c_n q^n is q^m times
     a Horner sum on integers, from its first nonzero c_m, in units of
-    2^-bits * 2^(bit length of c_m), up to the last term that reaches a
-    unit; terms beyond it are dropped, so the work stays bounded as Im tau
-    grows."""
+    2^-bits * 2^(bit length of c_m), up to the last term that reaches a unit,
+    sought back from the last index at which one can (for e > 0); later terms
+    are dropped, so the work stays bounded as Im tau grows."""
     tau = _finite(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
@@ -237,7 +237,8 @@ def _parts(series: Sequence[LogQSeries], tau) -> tuple[mpc, mpc, list[dict[int, 
         for k, cs in s.parts.items():
             m = next(n for n, x in enumerate(cs) if x)
             lead = cs[m].bit_length()
-            top = next(n for n in range(len(cs) - 1, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
+            last = min(m + (max(map(int.bit_length, cs)) + bits - lead) // e, len(cs) - 1) if e > 0 else len(cs) - 1
+            top = next(n for n in range(last, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
             ar = ai = 0
             for x in reversed(cs[m : top + 1]):
                 ar, ai = ((ar * qr - ai * qi) >> (bits + e)) + ((x << bits) >> lead), (ar * qi + ai * qr) >> (bits + e)
@@ -378,7 +379,8 @@ def _branch_log(mat: SL2Mat, turns: int, tau) -> mpc:
     is 1 for s1^(+-1)), so the sum is the principal log of the word's own
     c*tau + d plus 2*pi*i times the winding count.
     """
-    return log(mat.c * mpc(tau) + mat.d) + 2j * pi * turns
+    value = log(mat.c * (tau if type(tau) is mpc else mpc(tau)) + mat.d)
+    return value + 2j * pi * turns if turns else value
 
 
 def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:

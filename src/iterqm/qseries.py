@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -101,14 +100,17 @@ class LogQSeries:
             parts = {k: r for k, p in scaled if any(r := tuple(map(reduce, p)))}  # u = 1: only reduced
         else:
             parts = {k: p for k, p in parts.items() if any(p)}
-            g = math.gcd(den, *chain.from_iterable(parts.values()))
+            nums = [*chain.from_iterable(parts.values())]
+            g = math.gcd(math.gcd(den, sum(nums)), *nums)  # den with the sum first: a small multiple of g, often 1
             if g != 1:
                 den //= g
                 parts = {k: tuple(x // g for x in p) for k, p in parts.items()}
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "modulus", modulus)
+        self._store(trunc, den, parts, modulus)
+
+    def _store(self, *fields) -> None:
+        """Store trunc, den, parts and modulus as they are: a normalized series."""
+        for name, value in zip(LogQSeries.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _of(cls, trunc: int, den: int, parts: dict[int, tuple[int, ...]], modulus: int = 0) -> "LogQSeries":
@@ -210,8 +212,12 @@ class LogQSeries:
         return self + (-other)
 
     def __neg__(self) -> "LogQSeries":
-        parts = {k: tuple(-x for x in p) for k, p in self.parts.items()}
-        return LogQSeries._of(self.trunc, self.den, parts, self.modulus)
+        parts = {k: tuple(map(int.__neg__, p)) for k, p in self.parts.items()}
+        if self.modulus:
+            return LogQSeries._of(self.trunc, self.den, parts, self.modulus)
+        neg = object.__new__(LogQSeries)  # over Q, -x keeps every part nonzero and den coprime to the numerators
+        neg._store(self.trunc, self.den, parts, 0)
+        return neg
 
     def __mul__(self, other) -> "LogQSeries":
         if not isinstance(other, LogQSeries):
@@ -293,19 +299,19 @@ def primitive(f: LogQSeries) -> LogQSeries:
     """The unique g with D(g) = f and zero coefficient of q^0 L^0.
 
     For each q-power m the equations ``m*a_k + (k+1)*a_{k+1} = c_k`` are upper
-    triangular in the log-degree; they are solved top-down for m >= 1 and directly
-    (raising the log-degree by one) for m = 0.  Over Q they are solved in integers
-    for ``den * S * a`` with exact division, S clearing the divisions that occur:
-    k + 1 for each nonzero q^0 L^k coefficient, m^(j+1) for a q^m column whose
-    highest nonzero coefficient is at L^j.  Over Z/p an L-part is solved at once,
+    triangular in the log-degree; they are solved directly (raising the log-degree
+    by one) for m = 0 and top-down, an L-part at a time, for m >= 1.  Over Q they are
+    solved in integers for ``den * S * a`` with exact division, S clearing the
+    divisions that occur: k + 1 for each nonzero q^0 L^k coefficient, m^(j+1) for a
+    q^m column whose highest nonzero coefficient is at L^j.  Over Z/p they are solved
     by a table of the inverses of 1..max(trunc, log-degree + 1); a division by a
     multiple of p raises ZeroDivisionError.
     """
-    n, parts, modulus = f.trunc, f.parts, f.modulus
+    n, parts, modulus, zero = f.trunc, f.parts, f.modulus, (0,) * (f.trunc + 1)
     if modulus:
         if any(c[m] for k, c in parts.items() for m in range((k + 1) % modulus and modulus, n + 1, modulus)):
             raise ZeroDivisionError(f"the primitive divides by a multiple of {modulus}")  # k + 1 at m = 0
-        inv, zero = [0, 1], (0,) * (n + 1)  # 1/i = -(p // i) * 1/(p % i) for i < p
+        inv = [0, 1]  # 1/i = -(p // i) * 1/(p % i) for i < p
         for i in range(2, max(n, max(parts, default=0) + 1) + 1):
             inv.append(inv[i % modulus] if i >= modulus else -(modulus // i) * inv[modulus % i] % modulus)
         out = {k + 1: [c[0] * inv[k + 1] % modulus] + [0] * n for k, c in parts.items()}  # D(L^(k+1)) = (k+1) L^k
@@ -313,15 +319,11 @@ def primitive(f: LogQSeries) -> LogQSeries:
             rhs = map(int.__sub__, parts.get(k, zero), map((k + 1).__mul__, out.get(k + 1, zero)))
             out.setdefault(k, [0] * (n + 1))[1:] = islice(map(modulus.__rmod__, map(int.__mul__, rhs, inv)), 1, None)
         return LogQSeries._of(n, 1, {k: tuple(a) for k, a in out.items()}, modulus)
-    highest = {m: max((k for k, p in parts.items() if p[m]), default=-1) for m in range(1, n + 1)}
-    scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]),
-                     *(m ** (j + 1) for m, j in highest.items() if j >= 0))
-    out: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (n + 1))
-    for k, p in parts.items():
-        out[k + 1][0] = scale * p[0] // (k + 1)  # a_0 = 0 by normalization
-    for m, j in highest.items():
-        above = 0  # den * S * a_{m, k+1}
-        for k in range(j, -1, -1):
-            p = parts.get(k)
-            above = out[k][m] = ((scale * p[m] if p else 0) - (k + 1) * above) // m
-    return LogQSeries._of(n, f.den * scale, {k: tuple(p) for k, p in out.items()}, f.modulus)
+    highest = {m: k for k in sorted(parts) for m in compress(range(1, n + 1), parts[k][1:])}  # q^m's top L-power
+    scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]), *(m ** (j + 1) for m, j in highest.items()))
+    out = {k + 1: [scale * p[0] // (k + 1)] + [0] * n for k, p in parts.items()}  # a_0 = 0 by normalization
+    for k in range(max(highest.values(), default=-1), -1, -1):  # the q^m for m >= 1, an L-part at a time
+        below = map((k + 1).__mul__, out.get(k + 1, zero)[1:])
+        rhs = map(int.__sub__, map(scale.__mul__, parts.get(k, zero)[1:]), below)
+        out.setdefault(k, [0] * (n + 1))[1:] = map(int.__floordiv__, rhs, range(1, n + 1))
+    return LogQSeries._of(n, f.den * scale, {k: tuple(a) for k, a in out.items()})

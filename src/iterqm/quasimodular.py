@@ -346,6 +346,17 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
     ``reduced``); the rows after the pivots are zero.  Mod p a pivot is kept
     negated, -y mod p, and packed in one int by :func:`_pack`: a row update is one multiply-add.
     """
+    found, width = _pivot_rows(rows, modulus, reduced)
+    if reduced and len(found) == width:  # every column has a pivot: the identity
+        found = [(c, [0] * c + [1] + [0] * (width - 1 - c), 0) for c, _, _ in found]
+    elif modulus:  # a pivot mod p was kept negated
+        found = [(c, [-a % modulus for a in y], 0) for c, y, _ in found]
+    rows[:] = [y for _, y, _ in found] + [[0] * width for _ in range(len(rows) - len(found))]
+    return [c for c, _, _ in found]
+
+
+def _pivot_rows(rows: list, modulus: int = 0, reduced: bool = False) -> tuple[list[tuple[int, list, int]], int]:
+    """The pivots of :func:`_row_reduce` as (column, row, packed) in order of column, and the width; writes no row."""
     width = len(rows[0]) if rows else 0
     size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
     shifts, mask = range(0, 8 * size * width, 8 * size), (1 << 8 * size) - 1
@@ -382,13 +393,7 @@ def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int
     if reduced and free:  # rows found later are zero in the pivot columns of earlier ones (mod p, as negations)
         for i in range(len(found) - 2, -1, -1):
             found[i] = pivot(found[i][0], reduce(found[i][1], found[i + 1 :]))
-    found.sort()
-    if reduced and not free:  # every column has a pivot: the identity
-        found = [(c, [0] * c + [1] + [0] * (width - 1 - c), 0) for c, _, _ in found]
-    elif modulus:  # a pivot mod p was kept negated
-        found = [(c, [-a % modulus for a in y], 0) for c, y, _ in found]
-    rows[:] = [y for _, y, _ in found] + [[0] * width for _ in range(len(rows) - len(found))]
-    return [c for c, _, _ in found]
+    return sorted(found), width
 
 
 #: Weights whose inverted system :func:`decompose` keeps (a few dozen occur).

@@ -500,14 +500,17 @@ class TestOnePassCertificate:
 
 @pytest.fixture
 def moduli(monkeypatch):
+    """The modulus of each elimination: the certificate's pass mod p and any over Q."""
     seen = []
-    real = canonicalize._row_reduce
 
-    def spy(rows, modulus=0, reduced=False):
-        seen.append(modulus)
-        return real(rows, modulus, reduced)
+    def spy(real):
+        def eliminate(rows, modulus=0, reduced=False):
+            seen.append(modulus)
+            return real(rows, modulus, reduced)
+        return eliminate
 
-    monkeypatch.setattr(canonicalize, "_row_reduce", spy)
+    for name in ("_row_reduce", "_pivot_rows"):
+        monkeypatch.setattr(canonicalize, name, spy(getattr(canonicalize, name)))
     return seen
 
 
@@ -545,6 +548,15 @@ class TestModularCertificate:
     def test_full_rank_is_certified_mod_p(self, moduli):
         assert rational_rank([[F(1, 3), F(2)], [F(5), F(-7, 2)]]) == 2
         assert moduli == [P]
+
+    def test_full_rank_writes_no_rows(self, monkeypatch):
+        # the pass mod p gives its pivots without writing rows back, so full rank builds no identity rows
+        def write_rows(*args, **kwargs):
+            raise AssertionError("rows written by _row_reduce")
+
+        monkeypatch.setattr(canonicalize, "_row_reduce", write_rows)
+        assert rational_rank([[F(1, 3), F(2)], [F(5), F(-7, 2)]]) == 2
+        assert independence_rank([(E4,), (E6,), (E4, E6)], [ONE, E4, ONE], 12) == 3
 
     def test_diagonal_p_falls_back(self, moduli):
         assert rational_rank([[F(P), F(0)], [F(0), F(1)]]) == 2

@@ -151,6 +151,33 @@ def reference_values(series: LogQSeries, tau, dps: int):
     return total / series.den, size / series.den
 
 
+def reference_parts(series: list[LogQSeries], tau) -> list[dict[int, tuple[int, int, int, int]]]:
+    """The log-parts of the integer kernel, each part's last useful term found
+    by a scan back from its last coefficient, one bit length per coefficient:
+    q rounded once to q * 2^(bits + e), then for each part its first nonzero
+    c_m, the last n with bit length(c_n) + bits - bit length(c_m) > e * (n - m),
+    and the Horner sum of c_m..c_n.  For tests only."""
+    ctx = cocycles._ctx
+    bits = ctx.prec + max(s.trunc for s in series).bit_length() + 12
+    with ctx.workprec(bits):
+        q = ctx.expjpi(2 * ctx.mpc(tau))
+    e = -ctx.mag(q)
+    qr, qi = int(ctx.ldexp(q.real, bits + e)), int(ctx.ldexp(q.imag, bits + e))
+    out = []
+    for s in series:
+        parts = {}
+        for k, cs in s.parts.items():
+            m = next(n for n, x in enumerate(cs) if x)
+            lead = cs[m].bit_length()
+            top = next(n for n in range(len(cs) - 1, m - 1, -1) if cs[n].bit_length() + bits - lead > e * (n - m))
+            ar = ai = 0
+            for x in reversed(cs[m : top + 1]):
+                ar, ai = ((ar * qr - ai * qi) >> (bits + e)) + ((x << bits) >> lead), (ar * qi + ai * qr) >> (bits + e)
+            parts[k] = (ar, ai, lead - bits, m)
+        out.append(parts)
+    return out
+
+
 def branch_log_gap(word, tau) -> float:
     with mp.workdps(50):
         return float(abs(_branch_log(*_read_braid(word), tau) - reference_branch_log(word, tau)))
@@ -256,6 +283,16 @@ class TestBranchLog:
         for tau in (mpc(0, 0.2), mpc(0.45, 0.3), mpc(-0.7, 1.4)):
             assert branch_log_gap(word, tau) < 1e-40
 
+    @pytest.mark.parametrize("word, turns", [((1, -2) * 3, 0), ((2, 2, -1), 0), ((1, 2) * 3, -1),
+                                             ((-2, -1) * 9, 1), ((1, 2) * 9, -2)])
+    def test_tau_of_any_kind(self, word, turns):
+        # tau as an mpc of the module's context is used as it is, a global mpmath mpc or a Python
+        # complex is converted; 2 pi i turns is added for a winding word only
+        assert _read_braid(word)[1] == turns
+        for value in (0.3 + 0.4j, -1.2 + 0.25j, 2j):
+            for tau in (cocycles.mpc(value), mpc(value), value):
+                assert branch_log_gap(word, tau) < 1e-40, (word, tau)
+
     @pytest.mark.parametrize("g", [2, -2])
     def test_powers_of_sigma2(self, g):
         for k in range(13):
@@ -336,6 +373,32 @@ class TestIntegerKernel:
             table = ctx.mpc(reference_values(series, tau, WORKING_DPS)[0])
             kernel = ctx.mpc(eval_numeric(series, tau))
             assert abs(kernel - truth) <= abs(table - truth) + slack * size, (name, tau)
+
+    @pytest.mark.parametrize("im", [0.05, 0.2, 0.3, 1, 4])
+    def test_last_term_as_by_a_scan_from_the_end(self, im):
+        # the scan for a part's last useful term starts where no later term can reach a unit; a part
+        # whose largest coefficient c_t (bit length B) has B + bits - lead = e * (t - m) + r, 0 < r < e,
+        # ends exactly at t, so a scan that starts one term earlier misses it
+        rng = random.Random(round(im * 100))
+        n, tau = 250, mpc(rng.uniform(-0.5, 0.5), im)
+        bits = cocycles._ctx.prec + n.bit_length() + 12
+        e = -cocycles._ctx.mag(cocycles._parts([LogQSeries.zero(n)], tau)[1])
+
+        def coefficient(size):  # a random signed integer of this bit length
+            return rng.choice((-1, 1)) * (rng.getrandbits(size - 1) | 1 << (size - 1)) if size else 0
+
+        series = [iter_integral((E2,), n), iter_integral((ONE, ONE, E4SQ_E6SQ), n)]
+        for _ in range(40):  # random sizes, the largest anywhere, mid-series included
+            sizes = {k: [rng.choice((0, rng.randint(1, 400))) for _ in range(n + 1)] for k in range(rng.randint(1, 3))}
+            series.append(LogQSeries(n, {k: [coefficient(b) for b in bs] for k, bs in sizes.items()}))
+        for _ in range(40 if e >= 2 else 0):  # parts that end exactly where the scan starts
+            m, lead, r = rng.randint(0, 5), rng.randint(1, 60), rng.randint(max(1, e // 2), e - 1)
+            d = -(-(bits - r) // e) + rng.randint(0, 2)
+            largest = e * d + r - bits + lead  # the bit length B of c_t, t = m + d
+            cs = [0] * m + [coefficient(lead)] + [coefficient(rng.randint(0, largest - 1)) for _ in range(n - m)]
+            cs[m + d] = coefficient(largest)
+            series.append(LogQSeries(n, {0: cs, 1: cs[::-1]}))
+        assert cocycles._parts(series, tau)[2] == reference_parts(series, tau)
 
     def test_delta_squared_parts_start_at_q2(self):
         # q^2 is factored out of every part before the Horner sum

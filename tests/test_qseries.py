@@ -1,6 +1,9 @@
+import math
 import operator
 import random
+from collections import defaultdict
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
@@ -270,6 +273,71 @@ class TestDerivation:
 
     def test_trunc_preserved(self):
         assert d_op(L(7)).trunc == 7
+
+
+def is_normalized(s: LogQSeries) -> bool:
+    """No zero part, and over Q a positive den coprime to the numerators; mod p den 1 and residues in [0, p)."""
+    nums = list(chain.from_iterable(s.parts.values()))
+    if s.modulus:
+        return s.den == 1 and all(0 <= x < s.modulus for x in nums) and all(map(any, s.parts.values()))
+    return s.den > 0 and math.gcd(s.den, *nums) == 1 and all(map(any, s.parts.values()))
+
+
+def reference_primitive(f: LogQSeries) -> LogQSeries:
+    """The primitive over Q solved a q-column at a time: each column's highest
+    nonzero L-power found by one ``max`` over the parts, S the lcm of k + 1 for
+    each nonzero q^0 L^k and of m^(j+1) for a column m topped at L^j, then the
+    column solved top-down in integers for den * S * a.  For tests only."""
+    n, parts = f.trunc, f.parts
+    highest = {m: max((k for k, p in parts.items() if p[m]), default=-1) for m in range(1, n + 1)}
+    scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]),
+                     *(m ** (j + 1) for m, j in highest.items() if j >= 0))
+    out: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (n + 1))
+    for k, p in parts.items():
+        out[k + 1][0] = scale * p[0] // (k + 1)
+    for m, j in highest.items():
+        above = 0
+        for k in range(j, -1, -1):
+            p = parts.get(k)
+            above = out[k][m] = ((scale * p[m] if p else 0) - (k + 1) * above) // m
+    return LogQSeries._of(n, f.den * scale, {k: tuple(p) for k, p in out.items()})
+
+
+def stepped_series(rng: random.Random, n: int, depth: int) -> LogQSeries:
+    """A series whose q^m column is topped by a nonzero coefficient at its own
+    random L-power (or is zero), with large rational coefficients below it."""
+    parts = {k: [F(0)] * (n + 1) for k in range(depth + 1)}
+    for m in range(n + 1):
+        top = rng.randint(-1, depth)
+        for k in range(top + 1):
+            num = rng.randint(-10**15, 10**15) if k < top else rng.choice((-1, 1)) * rng.randint(1, 10**15)
+            parts[k][m] = F(num, rng.choice((1, 2, 3, 4, 9, 25, 49, 720, 2**40)))
+    return LogQSeries(n, parts)
+
+
+class TestShortcuts:
+    """Negation builds its result without normalizing it again, and the
+    primitive over Q finds each column's highest L-power a part at a time."""
+
+    def test_negation_is_scaling_by_minus_one(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(0, 12)
+            s = stepped_series(rng, n, rng.randint(0, 4))
+            for t in [s, s.modulo(P)] + ([s.modulo(7)] if s.den % 7 else []):
+                neg = -t
+                assert neg == t.scale(-1) and is_normalized(neg) and neg.modulus == t.modulus
+                assert -neg == t and (t + neg).is_zero()
+        assert -LogQSeries.zero(3) == LogQSeries.zero(3) and is_normalized(-LogQSeries.zero(3, P))
+
+    def test_primitive_against_the_column_rule(self):
+        rng = random.Random(63)
+        for _ in range(80):
+            n, depth = rng.randint(0, 16), rng.randint(0, 4)
+            f = stepped_series(rng, n, depth)
+            got = primitive(f)
+            assert got == reference_primitive(f) and is_normalized(got)
+            assert d_op(got) == f
 
 
 class TestPrimitive:
