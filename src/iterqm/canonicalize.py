@@ -15,13 +15,13 @@ series exactly at any truncation.  :func:`independence_rank` certifies
 finite-truncation linear independence of families of such integrals by
 exact rank on rows built modulo a fixed prime p, each the exact row times
 a unit mod p, first to q^t for t = 2*ceil(n/(1+l)) (n rows of words of
-length <= l), read L-part by L-part in one pass that gives the rank and
-the kernel, zero columns passed over: a row's L^k part for k >= 1, the
-letters' cusp values times the multiplier, is of low rank and read last.
-Full rank is already a certificate, and a deficiency is proved by the
-kernel, lifted to Q and checked on exact series of the rows it involves.
-Should that fail, the rows mod p are read to the full truncation, then
-exactly; a denominator divisible by p takes exact rows throughout.
+length <= l), read L-part by L-part in one pass of :func:`_pivot_rows`
+mod p that gives the rank and the kernel, zero columns passed over: a
+row's L^k part for k >= 1, the letters' cusp values times the multiplier,
+is of low rank and read last.  Full rank is a certificate, and a deficiency
+is proved by the kernel, lifted to Q and checked on exact series of the
+rows it involves.  Should that fail, the rows mod p are read to the full
+truncation, then exactly (:func:`_exact_rank`), as when p divides a denominator.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .iterint import BarWord, IntegralPoly, iter_integral
 from .linear import _accumulate
-from .qseries import LogQSeries, Scalar
+from .qseries import LogQSeries, Scalar, _pack
 from .quasimodular import (
     ONE,
     Exponents,
     QMPoly,
-    _pivot_rows,
-    _row_reduce,
     _split_weights,
     basis_b,
     expand,
@@ -218,6 +216,61 @@ def _rational_lift(u: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
+def _pivot_rows(rows: Sequence[Sequence[int]], modulus: int) -> tuple[list[tuple[int, list[int], int]], int]:
+    """Gauss-Jordan elimination of residues in [0, p) mod a prime ``modulus`` p, a row at a time; writes no row.
+
+    Each row that is not all zero is reduced against the pivots found so far
+    and, unless it vanishes, scaled to a new one with a 1 at its first nonzero
+    entry, until every column has a pivot.  A pivot is kept negated, -y mod p,
+    and packed in one int by :func:`~iterqm.qseries._pack`: a row update is one
+    multiply-add.  Should the rows end short of full rank, each pivot is reduced
+    by the later ones, so the pivots are a reduced row echelon form.  Returns
+    the pivots as (column, negated row, packed) in order of column, and the width.
+    """
+    width = len(rows[0]) if rows else 0
+    size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
+    shifts, mask = range(0, 8 * size * width, 8 * size), (1 << 8 * size) - 1
+
+    def reduce(x: int, pivots) -> int:  # the packed row less its multiples of the pivots
+        for c, _, negated in pivots:
+            if f := (x >> shifts[c] & mask) % modulus:
+                x += f * negated
+        return x
+
+    def pivot(c: int, x: int) -> tuple[int, list[int], int]:  # the reduced row scaled to -1 in column c
+        inv = -pow(x >> shifts[c] & mask, -1, modulus)
+        negated = [(x >> s & mask) * inv % modulus for s in shifts]
+        return c, negated, _pack(negated, size, modulus)
+
+    found, free = [], list(range(width))  # pivots as found, as pivot gives them; columns without one
+    for row in filter(any, rows):  # a zero row is passed over
+        x = reduce(_pack(row, size, modulus), found)
+        if (c := next((j for j in free if (x >> shifts[j] & mask) % modulus), None)) is not None:
+            found.append(pivot(c, x))
+            free.remove(c)
+            if not free:
+                break
+    if free:  # rows found later are zero in the pivot columns of earlier ones
+        for i in range(len(found) - 2, -1, -1):
+            found[i] = pivot(found[i][0], reduce(found[i][2], found[i + 1 :]))
+    return sorted(found), width
+
+
+def _exact_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over Q of integer rows: Gaussian elimination on Fractions, a row at a time, until each column has a pivot."""
+    pivots: list[tuple[int, list[Fraction]]] = []  # (column, row with 1 there and 0 left of it and in earlier columns)
+    for row in rows:
+        x = list(row)
+        for c, y in pivots:
+            if f := x[c]:
+                x[c:] = [a - f * b for a, b in zip(x[c:], y[c:])]
+        if (c := next((j for j, a in enumerate(x) if a), None)) is not None:
+            pivots.append((c, [Fraction(a, x[c]) for a in x]))
+            if len(pivots) == len(x):
+                break
+    return len(pivots)
+
+
 def _certified_rank(columns: list[Sequence[int]], ncols: int, is_kernel) -> int | None:
     """The rank over Q of a matrix A, from some of its columns mod _RANK_PRIME, where they prove it.
 
@@ -228,7 +281,7 @@ def _certified_rank(columns: list[Sequence[int]], ncols: int, is_kernel) -> int 
     on them mod p, in reduced row echelon form as the rows are reversed; if ``is_kernel``
     confirms v*A = 0 for the rational lift of each, A's rank is r, else this is None.
     """
-    found, n = _pivot_rows(columns, _RANK_PRIME, reduced=True)  # pivot rows mod p, negated
+    found, n = _pivot_rows(columns, _RANK_PRIME)  # pivot rows mod p, negated
     rank = len(found)
     if rank == n or rank == ncols:
         return rank
@@ -259,7 +312,7 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
         return not any(sum(c * a[j] for c, a in kernel) for j in range(ncols))
 
     rank = _certified_rank(list(zip(*([x % _RANK_PRIME for x in r] for r in matrix[::-1]))), ncols, is_kernel)
-    return len(_row_reduce(matrix)) if rank is None else rank
+    return _exact_rank(matrix) if rank is None else rank
 
 
 def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
@@ -331,4 +384,4 @@ def independence_rank(
             logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
             return rank
     logger.debug("rank at q^%d: exact elimination, the kernel mod p did not lift or check", trunc)
-    return len(_row_reduce(exact_columns()))
+    return _exact_rank(exact_columns())

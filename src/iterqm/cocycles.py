@@ -369,9 +369,9 @@ def b3_to_sl2(word: Iterable[int]) -> SL2Mat:
     return _read_braid(word)[0]
 
 
-def _branch_log(mat: SL2Mat, turns: int, tau) -> mpc:
-    """The branch of log(c*tau + d) a braid word selects, from its matrix
-    and winding count as :func:`_read_braid` reads them.
+def _branch_log(j: mpc, turns: int) -> mpc:
+    """The branch of log(j), j = c*tau + d, a braid word selects, from its
+    matrix and winding count as :func:`_read_braid` reads them.
 
     Generators take the principal branch and words compose by
     l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau).  Each generator's
@@ -379,7 +379,7 @@ def _branch_log(mat: SL2Mat, turns: int, tau) -> mpc:
     is 1 for s1^(+-1)), so the sum is the principal log of the word's own
     c*tau + d plus 2*pi*i times the winding count.
     """
-    value = log(mat.c * (tau if type(tau) is mpc else mpc(tau)) + mat.d)
+    value = log(j)
     return value + 2j * pi * turns if turns else value
 
 
@@ -399,9 +399,9 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     """
     mat, turns = _read_braid(word)
     tau = _require_upper(tau)
-    gtau = mat.moebius(tau)
-    _require_upper(gtau, "gamma.tau")
-    return _minus_log_disc(gtau, n_terms) - _minus_log_disc(tau, n_terms) + 12 * _branch_log(mat, turns, tau)
+    j = mat.c * tau + mat.d
+    gtau = _require_upper((mat.a * tau + mat.b) / j, "gamma.tau")
+    return _minus_log_disc(gtau, n_terms) - _minus_log_disc(tau, n_terms) + 12 * _branch_log(j, turns)
 
 
 _LOG_DISC_CACHE_SIZE = 128  #: values of log Delta kept; a benchmark round evaluates it at 61 to 83 points

@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 
 from .linear import _accumulate
-from .qseries import LogQSeries, Scalar, _as_fraction, _pack
+from .qseries import LogQSeries, Scalar, _as_fraction
 
 Exponents = tuple[int, int, int]  # powers of (E2, E4, E6)
 
@@ -333,67 +333,6 @@ def _monomials_of_weight(k: int) -> list[Exponents]:
     """All (a, b, c) with 2a + 4b + 6c = k, ordered lexicographically."""
     return [(a, b, (k - 2 * a - 4 * b) // 6) for a in range(k // 2 + 1) for b in range((k - 2 * a) // 4 + 1)
             if (k - 2 * a - 4 * b) % 6 == 0]
-
-
-def _row_reduce(rows: list, modulus: int = 0, reduced: bool = False) -> list[int]:
-    """Gaussian elimination of ``rows`` in place, a row at a time; returns the pivot columns.
-
-    Entries are rationals (over Q), or residues in [0, p) for a prime
-    ``modulus`` p.  Each row that is not all zero is reduced against the
-    pivots found so far and, unless it vanishes, scaled to a new one with a 1
-    at its first nonzero entry, until every column has a pivot.  Row i ends
-    with its 1 in column pivots[i] and zeros below it (and above it too if
-    ``reduced``); the rows after the pivots are zero.  Mod p a pivot is kept
-    negated, -y mod p, and packed in one int by :func:`_pack`: a row update is one multiply-add.
-    """
-    found, width = _pivot_rows(rows, modulus, reduced)
-    if reduced and len(found) == width:  # every column has a pivot: the identity
-        found = [(c, [0] * c + [1] + [0] * (width - 1 - c), 0) for c, _, _ in found]
-    elif modulus:  # a pivot mod p was kept negated
-        found = [(c, [-a % modulus for a in y], 0) for c, y, _ in found]
-    rows[:] = [y for _, y, _ in found] + [[0] * width for _ in range(len(rows) - len(found))]
-    return [c for c, _, _ in found]
-
-
-def _pivot_rows(rows: list, modulus: int = 0, reduced: bool = False) -> tuple[list[tuple[int, list, int]], int]:
-    """The pivots of :func:`_row_reduce` as (column, row, packed) in order of column, and the width; writes no row."""
-    width = len(rows[0]) if rows else 0
-    size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
-    shifts, mask = range(0, 8 * size * width, 8 * size), (1 << 8 * size) - 1
-
-    def reduce(row, pivots):  # the row less its multiples of the pivots: a list over Q, packed mod p
-        if modulus:
-            x = _pack(row, size, modulus)
-            for c, _, negated in pivots:
-                if f := (x >> shifts[c] & mask) % modulus:
-                    x += f * negated
-            return x
-        row = list(row)
-        for c, y, _ in pivots:
-            if f := row[c]:  # y is zero left of c
-                row[c:] = [a - f * b for a, b in zip(row[c:], y[c:])]
-        return row
-
-    def pivot(c: int, x) -> tuple:  # the reduced row scaled to a 1 in column c; mod p its negation, also packed
-        if not modulus:
-            inv = 1 / Fraction(x[c])
-            return c, [a * inv for a in x], 0
-        inv = -pow(x >> shifts[c] & mask, -1, modulus)
-        negated = [(x >> s & mask) * inv % modulus for s in shifts]
-        return c, negated, _pack(negated, size, modulus)
-
-    found, free = [], list(range(width))  # pivots as found, as pivot gives them; columns without one
-    for row in filter(any, rows):  # a zero row is passed over
-        x = reduce(row, found)
-        if (c := next((j for j in free if ((x >> shifts[j] & mask) % modulus if modulus else x[j])), None)) is not None:
-            found.append(pivot(c, x))
-            free.remove(c)
-            if not free:
-                break
-    if reduced and free:  # rows found later are zero in the pivot columns of earlier ones (mod p, as negations)
-        for i in range(len(found) - 2, -1, -1):
-            found[i] = pivot(found[i][0], reduce(found[i][1], found[i + 1 :]))
-    return sorted(found), width
 
 
 #: Weights whose inverted system :func:`decompose` keeps (a few dozen occur).

@@ -10,7 +10,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -22,6 +22,8 @@ from iterqm.canonicalize import (
     _RANK_PRIME,
     ModularModeError,
     _certified_rank,
+    _exact_rank,
+    _pivot_rows,
     _rational_lift,
     canonical_form,
     independence_rank,
@@ -32,8 +34,9 @@ from iterqm.expr import parse
 from iterqm.iterint import BarWord, IntegralPoly, ibp
 from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries
-from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, _row_reduce, decompose, derive, is_basis_letter
+from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, decompose, derive, is_basis_letter
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle
+from test_quasimodular import reference_gauss_jordan
 
 linear = IntegralPoly.linear
 logger = logging.getLogger("iterqm.canonicalize")
@@ -409,16 +412,15 @@ def reference_certified_rank(residues: list[list[int]], ncols: int, is_kernel) -
     """The rank over Q of a matrix A, from its rows mod _RANK_PRIME, where they prove it.
 
     The certificate as it stood before it read A by columns in one pass: the
-    rank from an echelon form of the rows, then the kernel from Gauss-Jordan
-    on [A mod p | I].  For tests only.
+    rank from the rows, then the kernel from Gauss-Jordan on [A mod p | I],
+    both by the reference Gauss-Jordan.  For tests only.
     """
     n = len(residues)
-    rank = len(_row_reduce([list(row) for row in residues], _RANK_PRIME))
+    rank = len(reference_gauss_jordan(residues, _RANK_PRIME)[0])
     if rank == n or rank == ncols:
         return rank
     augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(residues)]
-    _row_reduce(augmented, _RANK_PRIME, reduced=True)
-    for row in augmented[rank:]:
+    for row in reference_gauss_jordan(augmented, _RANK_PRIME)[1][rank:]:
         lifts = [_rational_lift(u) for u in row[-n:]]
         if None in lifts or not is_kernel(lifts):
             return None
@@ -473,7 +475,7 @@ class TestOnePassCertificate:
             rows = [row + [rng.randrange(P)] for row in rows]
             (rank, lifts), new = self.both(rows)
             assert rank == n and new == (rank, lifts)
-            assert len(_row_reduce(list(zip(*reversed(rows)))[:-1], P)) == n - 1
+            assert len(_pivot_rows(list(zip(*reversed(rows)))[:-1], P)[0]) == n - 1
 
     @pytest.mark.parametrize("relations", [0, 1, 3])
     def test_column_order_does_not_matter(self, relations):
@@ -502,15 +504,9 @@ class TestOnePassCertificate:
 def moduli(monkeypatch):
     """The modulus of each elimination: the certificate's pass mod p and any over Q."""
     seen = []
-
-    def spy(real):
-        def eliminate(rows, modulus=0, reduced=False):
-            seen.append(modulus)
-            return real(rows, modulus, reduced)
-        return eliminate
-
-    for name in ("_row_reduce", "_pivot_rows"):
-        monkeypatch.setattr(canonicalize, name, spy(getattr(canonicalize, name)))
+    pivot_rows, exact_rank = canonicalize._pivot_rows, canonicalize._exact_rank
+    monkeypatch.setattr(canonicalize, "_pivot_rows", lambda rows, p: seen.append(p) or pivot_rows(rows, p))
+    monkeypatch.setattr(canonicalize, "_exact_rank", lambda rows: seen.append(0) or exact_rank(rows))
     return seen
 
 
@@ -550,11 +546,15 @@ class TestModularCertificate:
         assert moduli == [P]
 
     def test_full_rank_writes_no_rows(self, monkeypatch):
-        # the pass mod p gives its pivots without writing rows back, so full rank builds no identity rows
-        def write_rows(*args, **kwargs):
-            raise AssertionError("rows written by _row_reduce")
+        # a pass mod p that reaches full rank returns its pivots as found, reducing none by the later
+        # ones, and nothing is eliminated over Q
+        found, _ = _pivot_rows([[1, 2], [3, 4]], P)
+        assert [c for c, _, _ in found] == [0, 1] and found[0][1] == [P - 1, P - 2]  # -(1, 2), not -(1, 0)
 
-        monkeypatch.setattr(canonicalize, "_row_reduce", write_rows)
+        def eliminate(rows):
+            raise AssertionError("rows eliminated over Q")
+
+        monkeypatch.setattr(canonicalize, "_exact_rank", eliminate)
         assert rational_rank([[F(1, 3), F(2)], [F(5), F(-7, 2)]]) == 2
         assert independence_rank([(E4,), (E6,), (E4, E6)], [ONE, E4, ONE], 12) == 3
 
@@ -675,6 +675,8 @@ class TestModularCertificate:
                 a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.choice(pool))
                 rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
             assert rational_rank(rows) == reference_rank(rows), rows
+            scales = [lcm(*(x.denominator for x in row)) for row in rows]
+            assert _exact_rank([[int(x * s) for x in row] for row, s in zip(rows, scales)]) == reference_rank(rows)
 
 
 class TestFirstTruncation:

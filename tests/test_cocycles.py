@@ -179,8 +179,10 @@ def reference_parts(series: list[LogQSeries], tau) -> list[dict[int, tuple[int, 
 
 
 def branch_log_gap(word, tau) -> float:
+    # j is formed from tau in the module's context, as e2_cocycle forms it: from a complex, j would be a double
+    mat, turns = _read_braid(word)
     with mp.workdps(50):
-        return float(abs(_branch_log(*_read_braid(word), tau) - reference_branch_log(word, tau)))
+        return float(abs(_branch_log(mat.c * cocycles.mpc(tau) + mat.d, turns) - reference_branch_log(word, tau)))
 
 
 class TestXYPoly:
@@ -286,12 +288,15 @@ class TestBranchLog:
     @pytest.mark.parametrize("word, turns", [((1, -2) * 3, 0), ((2, 2, -1), 0), ((1, 2) * 3, -1),
                                              ((-2, -1) * 9, 1), ((1, 2) * 9, -2)])
     def test_tau_of_any_kind(self, word, turns):
-        # tau as an mpc of the module's context is used as it is, a global mpmath mpc or a Python
-        # complex is converted; 2 pi i turns is added for a winding word only
+        # tau as an mpc of the module's context, a global mpmath mpc or a Python complex gives
+        # the same branch once j is formed in the context; 2 pi i turns is added for a winding word only
         assert _read_braid(word)[1] == turns
         for value in (0.3 + 0.4j, -1.2 + 0.25j, 2j):
-            for tau in (cocycles.mpc(value), mpc(value), value):
+            kinds = (cocycles.mpc(value), mpc(value), value)
+            for tau in kinds:
                 assert branch_log_gap(word, tau) < 1e-40, (word, tau)
+            if b3_to_sl2(word).moebius(kinds[0]).imag >= MIN_IMAG:  # e2_cocycle converts each kind alike
+                assert len({e2_cocycle(word, tau) for tau in kinds}) == 1, (word, value)
 
     @pytest.mark.parametrize("g", [2, -2])
     def test_powers_of_sigma2(self, g):

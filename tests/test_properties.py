@@ -544,7 +544,8 @@ braid_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=12).map(tuple)
 
 
 def branch_log(word, tau):
-    return _branch_log(*_read_braid(word), tau)
+    mat, turns = _read_braid(word)
+    return _branch_log(mat.c * mpc(tau) + mat.d, turns)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
 from test_qseries import schoolbook
-from iterqm.canonicalize import canonical_form
+from iterqm.canonicalize import _pivot_rows, canonical_form
 from iterqm.iterint import IntegralPoly
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import (
@@ -439,64 +439,101 @@ def test_deep_derivatives_of_e4():
             assert [s.coefficient(n, 0) for n in range(4)] == [0, 240, 240 * 2**k * 9, 240 * 3**k * 28]
 
 
+def reference_gauss_jordan(rows, modulus=0):
+    """The pivot columns and the nonzero rows of the reduced row echelon form, by textbook
+    Gauss-Jordan with row swaps on Fractions, or on residues mod a prime ``modulus``."""
+    if modulus:
+        field, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))
+    else:
+        field, inverse = F, (lambda x: 1 / x)
+    matrix = [[field(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(matrix[0]) if matrix else 0):
+        top = len(pivots)
+        if (r := next((r for r in range(top, len(matrix)) if matrix[r][col]), None)) is None:
+            continue
+        matrix[top], matrix[r] = matrix[r], matrix[top]
+        inv = inverse(matrix[top][col])
+        matrix[top] = [field(x * inv) for x in matrix[top]]
+        for i, row in enumerate(matrix):
+            if i != top and (f := row[col]):
+                matrix[i] = [field(x - f * y) for x, y in zip(row, matrix[top])]
+        pivots.append(col)
+    return pivots, matrix[: len(pivots)]
+
+
+def residues(rows, p):
+    """Rational rows mapped to Z/p."""
+    return [[F(x).numerator * pow(F(x).denominator, -1, p) % p for x in row] for row in rows]
+
+
+def pivot_rows(rows, modulus):
+    """The pivot columns and rows of canonicalize._pivot_rows, each row negated back to its 1 at the pivot."""
+    found, _ = _pivot_rows(rows, modulus)
+    return [c for c, _, _ in found], [[-a % modulus for a in negated] for _, negated, _ in found]
+
+
+def assert_reference_pivots(rows, p):
+    """_pivot_rows finds the reference's pivots mod p and, where the rows end short of full rank, its rows."""
+    pivots, reduced = reference_gauss_jordan(rows, p)
+    found = pivot_rows(rows, p)
+    assert (found == (pivots, reduced)) if len(pivots) < len(rows[0]) else (found[0] == pivots)
+
+
 class TestRowReduce:
-    """The one elimination routine, in its three uses."""
+    """The elimination mod p, canonicalize._pivot_rows, against the reference Gauss-Jordan above."""
+
+    MODULI = (7, 2**30 - 35, 2**61 - 1)
 
     def test_gauss_jordan_inverts(self):
-        from iterqm.quasimodular import _row_reduce
-
-        rows = [[F(2), F(4), F(1), F(0)], [F(1), F(3), F(0), F(1)]]
-        assert _row_reduce(rows, reduced=True) == [0, 1]
-        assert rows == [[1, 0, F(3, 2), -2], [0, 1, F(-1, 2), 1]]
+        # [A | I] ends short of full rank, so each pivot is reduced by the later ones: [I | A^-1]
+        for p in self.MODULI:
+            rows = [[2, 4, 1, 0], [1, 3, 0, 1]]
+            assert pivot_rows(rows, p) == ([0, 1], residues([[1, 0, F(3, 2), -2], [0, 1, F(-1, 2), 1]], p))
+            assert pivot_rows(rows, p) == reference_gauss_jordan(rows, p)
 
     def test_echelon_over_q_and_mod_p(self):
-        from iterqm.quasimodular import _row_reduce
-
-        rows = [[F(0), F(2), F(4)], [F(0), F(1), F(2)], [F(3), F(0), F(1)]]
-        assert _row_reduce(rows) == [0, 1]
-        assert rows[0] == [1, 0, F(1, 3)] and rows[1] == [0, 1, 2] and rows[2] == [0, 0, 0]
-        mod7 = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
-        assert _row_reduce(mod7, 7) == [0, 1]
-        assert mod7 == [[1, 0, 5], [0, 1, 2], [0, 0, 0]]  # 1/3 = 5 mod 7
-        assert _row_reduce([[0, 0]], 7) == [] and _row_reduce([]) == []
+        # the reduced echelon form over Q, mapped mod 7, is the one mod 7: 1/3 = 5 mod 7
+        rows = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
+        assert reference_gauss_jordan(rows) == ([0, 1], [[1, 0, F(1, 3)], [0, 1, 2]])
+        assert pivot_rows(rows, 7) == ([0, 1], [[1, 0, 5], [0, 1, 2]]) == reference_gauss_jordan(rows, 7)
+        assert _pivot_rows([[0, 0]], 7) == ([], 2) and _pivot_rows([], 7) == ([], 0)
 
     def test_rows_after_full_rank_are_not_read(self):
-        from iterqm.quasimodular import _row_reduce
+        for p in self.MODULI:
+            found, width = _pivot_rows([[0, 3], [2, 1], [5, 5], "never read"], p)
+            assert [c for c, _, _ in found] == [0, 1] and width == 2
 
-        for modulus in (0, 7):
-            rows = [[0, 3], [2, 1], [5, 5], "never read"]
-            assert _row_reduce(rows, modulus, reduced=True) == [0, 1]
-            assert rows == [[1, 0], [0, 1], [0, 0], [0, 0]]
-
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_zero_rows_change_nothing(self, reduced):
-        # a zero row is passed over before it is reduced: the pivots and rows are as without it
-        from iterqm.quasimodular import _row_reduce
-
+    @pytest.mark.parametrize("short", [False, True])
+    def test_zero_rows_change_nothing(self, short):
+        # a zero row is passed over before it is reduced: the pivots are as without it, on
+        # rows that end short of full rank (and are reduced again) or reach it
         rng = random.Random(17)
-        p = 2**30 - 35
-        for modulus in (0, 7, p):
-            for n, width in [(3, 3), (6, 4), (10, 12)]:
+        for p in self.MODULI:
+            for n, width in [(3, 3), (6, 8), (10, 12)]:
                 rows = [[rng.randrange(5) for _ in range(width)] for _ in range(n)]
                 rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]  # a dependent row
-                rows = [[x % modulus if modulus else F(x) for x in row] for row in rows]
+                if not short:
+                    rows += [[int(i == j) for j in range(width)] for i in range(width)]
                 padded = [list(row) for row in rows]
                 for _ in range(4):
                     padded.insert(rng.randrange(len(padded) + 1), [0] * width)
-                pivots = _row_reduce(rows, modulus, reduced)
-                assert _row_reduce(padded, modulus, reduced) == pivots
-                assert padded == rows + [[0] * width] * 4
+                found = _pivot_rows(rows, p)
+                assert _pivot_rows(padded, p) == found
+                assert (len(found[0]) < width) == short
+                assert_reference_pivots(rows, p)
 
     def test_gauss_jordan_mod_p_against_fractions(self):
-        from iterqm.quasimodular import _row_reduce
-
         rng = random.Random(3)
-        for p, n, width in [(2**30 - 35, 4, 6), (2**30 - 35, 9, 5), (2**30 - 35, 12, 30), (2**61 - 1, 12, 30)]:
+        for p, n, width in [(7, 5, 8), (2**30 - 35, 4, 6), (2**30 - 35, 9, 5), (2**30 - 35, 12, 30),
+                            (2**61 - 1, 12, 30)]:
             rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(n)]
             rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-            exact, residues = [[F(x) for x in row] for row in rows], [[x % p for x in row] for row in rows]
-            assert _row_reduce(exact, reduced=True) == _row_reduce(residues, p, reduced=True)
-            assert residues == [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in exact]
+            assert_reference_pivots([[x % p for x in row] for row in rows], p)
+            if p > 7:  # p divides no pivot of these small rows: the form over Q maps to the one mod p
+                pivots, reduced = reference_gauss_jordan(rows)
+                assert reference_gauss_jordan(rows, p) == (pivots, residues(reduced, p))
+
 
 class TestDerivativeDecomposition:
     def test_modular(self):
