@@ -38,8 +38,8 @@ print("the polynomial transformation coefficients of E2^2 are:")
 for r, c in enumerate(transform_coeffs(E2 * E2)):
     print(f"  f_{r} = {format_qmpoly(c)}")
 
-print("\nEvery homogeneous form splits as c*E2 + (modular) + D(h):")
-for p, label in ((E2 * E2, "E2^2"), (E2 * E4, "E2*E4")):
+print("\nEvery form, of one weight or several, splits as c*E2 + (modular) + D(h):")
+for p, label in ((E2 * E2, "E2^2"), (E2 * E4, "E2*E4"), (E2 * E2 + E2 + 1, "E2^2 + E2 + 1")):
     c, m, h = decompose(p)
     print(f"  {label}: c = {c}, modular = {format_qmpoly(m)}, h = {format_qmpoly(h)}")
 

@@ -11,17 +11,19 @@ integration by parts; then :func:`~iterqm.shuffle_lyndon.to_lyndon_basis`
 rewrites the combination by leading-word reduction.
 
 Soundness is checkable: re-expanding the output reproduces the input
-series exactly at any truncation.  :func:`independence_rank` certifies
-finite-truncation linear independence of families of such integrals by
-exact rank on rows built modulo a fixed prime p, each the exact row times
-a unit mod p, first to q^t for t = 2*ceil(n/(1+l)) (n rows of words of
-length <= l), read L-part by L-part in one pass of :func:`_pivot_rows`
-mod p that gives the rank and the kernel, zero columns passed over: a
-row's L^k part for k >= 1, the letters' cusp values times the multiplier,
-is of low rank and read last.  Full rank is a certificate, and a deficiency
-is proved by the kernel, lifted to Q and checked on exact series of the
-rows it involves.  Should that fail, the rows mod p are read to the full
-truncation, then exactly (:func:`_exact_rank`), as when p divides a denominator.
+series exactly at any truncation.  :func:`independence_rank` gives the
+exact rank of the truncated expansions of families of such integrals, on
+rows built modulo a fixed prime p, each the exact row times a unit mod p,
+first to q^t for t = 2*ceil(n/(1+l)) (n rows of words of length <= l),
+read L-part by L-part in one pass of :func:`_pivot_rows` mod p that gives
+the rank and the kernel, zero columns passed over: a row's L^k part for
+k >= 1, the letters' cusp values times the multiplier, is of low rank and
+read last.  Truncation is a linear map, so full rank at any truncation
+proves the integrals linearly independent over Q; a deficiency is one at
+that truncation only, proved by the kernel, lifted to Q and checked on
+exact series of the rows it involves.  Should that fail, the rows mod p
+are read to the full truncation, then exactly (:func:`_exact_rank`), as
+when p divides a denominator.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .quasimodular import (
     ONE,
     Exponents,
     QMPoly,
-    _split_weights,
+    _split,
     basis_b,
     expand,
     is_basis_letter,
@@ -62,9 +64,9 @@ class ModularModeError(ValueError):
 def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     """Rewrite a combination of bar words so that every letter is a basis letter.
 
-    Letters are split weight by weight along QM = C*E2 + D(QM) + M; basis
-    components are pulled out by multilinearity, and each derivative part
-    D(h) is eliminated by integration by parts, by the rule of
+    Each letter is split once along QM = C*E2 + D(QM) + M; basis
+    components are pulled out by multilinearity, and its derivative part
+    D(h) is eliminated by one integration by parts, by the rule of
     :func:`~iterqm.iterint.ibp` applied here to interned letters and integer
     rows; it shortens the word.  At DEBUG each elimination is logged under
     the name of its position (``ibp_first``, ``ibp_middle`` or ``ibp_last``).
@@ -81,7 +83,7 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     ids: dict[QMPoly, int] = {}
     basis: list[bool] = []  # by id
     monomials: dict[Exponents, int] = {}  # the ids of the monic monomials splits gave
-    splits: dict[int, tuple[list[tuple[int, int, int]], list[tuple[int, int]]]] = {}
+    splits: dict[int, tuple[list[tuple[int, int, int]], int | None]] = {}
     hs: list[QMPoly] = []  # the h of each D(h) part split off
     products: dict[tuple[int, int], int] = {}  # (index of h, letter) to the id of their product
     out: dict[Word, list] = {}
@@ -94,18 +96,17 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
             basis.append(is_basis_letter(letter))
         return i
 
-    def split(i: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-        """Basis letters with their multiples num/den, and the weight and index of each D(h) part's h."""
-        subs, derivs = [], []
-        for k, m, h, den in _split_weights(letters[i]):
-            for mono, num in m.items():
-                if (b := monomials.get(mono)) is None:
-                    b = monomials[mono] = intern(QMPoly._of({mono: 1}))
-                subs.append((b, num, den))
-            if h:
-                derivs.append((k, len(hs)))
-                hs.append(QMPoly._of(h, den))
-        return subs, derivs
+    def split(i: int) -> tuple[list[tuple[int, int, int]], int | None]:
+        """Basis letters with their multiples num/den, and the index of the h of the D(h) part, if any."""
+        m, h, den = _split(letters[i])
+        subs = []
+        for mono, num in m.items():
+            if (b := monomials.get(mono)) is None:
+                b = monomials[mono] = intern(QMPoly._of({mono: 1}))
+            subs.append((b, num, den))
+        if h:
+            hs.append(QMPoly._of(h, den))
+        return subs, len(hs) - 1 if h else None
 
     def times(g: int, i: int) -> int:
         if (p := products.get((g, i))) is None:
@@ -136,25 +137,26 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
             for word, (den, nums) in pending.pop((n, pos), {}).items():
                 if not nums:
                     continue
-                subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
+                subs, g = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
                 prefix, suffix = word[:pos], word[pos + 1 :]
                 for b, num, d in subs:
                     push(prefix + (b,) + suffix, pos + 1, nums, num, den * d)
+                if g is None:
+                    continue
+                if debug:
+                    rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
+                    logger.debug("%s: word length %d", rule, n)
                 start = max(pos - 1, 0)  # ibp keeps the letters before pos - 1
-                for k, g in derivs:
-                    if debug:
-                        rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
-                        logger.debug("%s: letter weight %d, word length %d", rule, k, n)
-                    h = hs[g]  # ibp's terms: I(.., h*g, ..) or h(cusp)*I(prefix), less I(.., f*h, ..) or h*I(suffix)
-                    if suffix:
-                        push(prefix + (times(g, suffix[0]),) + suffix[1:], start, nums, 1, den)
-                    elif cusp := sum(h.nums.values()):
-                        push(prefix, start, nums, cusp, den * h.den)
-                    if prefix:
-                        push(prefix[:-1] + (times(g, prefix[-1]),) + suffix, start, nums, -1, den)
-                    else:
-                        h = h * QMPoly._of(nums)
-                        push(suffix, 0, h.nums, -1, den * h.den)
+                h = hs[g]  # ibp's terms: I(.., h*g, ..) or h(cusp)*I(prefix), less I(.., f*h, ..) or h*I(suffix)
+                if suffix:
+                    push(prefix + (times(g, suffix[0]),) + suffix[1:], start, nums, 1, den)
+                elif cusp := sum(h.nums.values()):
+                    push(prefix, start, nums, cusp, den * h.den)
+                if prefix:
+                    push(prefix[:-1] + (times(g, prefix[-1]),) + suffix, start, nums, -1, den)
+                else:
+                    h = h * QMPoly._of(nums)
+                    push(suffix, 0, h.nums, -1, den * h.den)
     return {tuple(letters[i] for i in word): QMPoly._of(nums, den) for word, (den, nums) in out.items() if nums}
 
 
@@ -334,10 +336,11 @@ def independence_rank(
     Each series expand(multiplier) * integral(word) is a row over the q^m L^k
     grid (m <= trunc, k up to the longest word, l), read column by column: the
     q-powers of L^0, then of L^1 and so on, zero columns passed over, until
-    every row has a pivot.  Full rank certifies Q-linear independence of the
-    family at this truncation: a finite witness, never a proof.  The rank is
-    exact.  The n rows are built mod a fixed prime p, each the exact row times
-    a unit, first to q^t for t = min(trunc, 2*ceil(n/(1+l))): their columns are
+    every row has a pivot.  Truncation is a linear map, so full rank proves the
+    family's functions Q-linearly independent; a lower rank is a deficiency at
+    this truncation only, which a higher one may lift.  The rank is exact.  The
+    n rows are built mod a fixed prime p, each the exact row times a unit,
+    first to q^t for t = min(trunc, 2*ceil(n/(1+l))): their columns are
     some of those at trunc, so full rank is the answer, and a kernel is lifted
     to Q and checked on exact series to q^trunc of the rows it involves (see
     :func:`_certified_rank`).  Should that fail, one more pass mod p reads the

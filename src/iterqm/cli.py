@@ -182,13 +182,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    p = parse(args.expr, integrals=False)
-    pieces = [decompose(piece) for piece in p.weight_split().values()]
-    c = sum((x[0] for x in pieces), Fraction(0))
-    m = sum((x[1] for x in pieces), QMPoly())
-    h = sum((x[2] for x in pieces), QMPoly())
     _emit(
-        args, (c, m, h),
+        args, decompose(parse(args.expr, integrals=False)),
         lambda r: f"e2_coefficient: {r[0]}\nmodular_part: {format_qmpoly(r[1])}\n"
                   f"derivative_of: {format_qmpoly(r[2])}",
         lambda r: f'{{"e2":"{r[0]}","modular":{qmpoly_to_json(r[1])},"derivative_of":{qmpoly_to_json(r[2])}}}',
@@ -208,6 +203,8 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_lyndon(args) -> int:
+    if args.max_len < 0:
+        raise ValueError(f"--max-len must be >= 0, got {args.max_len}")
     basis = basis_b(args.max_weight, modular_only=args.modular)
     weights = {i: letter_sort_key(l)[0] for i, l in enumerate(basis)}
     words = lyndon_words(len(basis), args.max_len, weights, args.max_weight)
@@ -330,7 +327,7 @@ def _default_trunc() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"ITERQM_DEFAULT_N must be an integer, got {env!r}")
+            raise SystemExit(f"error: ITERQM_DEFAULT_N must be an integer, got {env!r}")
     return 50
 
 

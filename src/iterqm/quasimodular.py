@@ -11,8 +11,8 @@ filtered by depth (the E2-degree).  The module provides
 * :func:`transform_coeffs`, the polynomial coefficients governing the
   behaviour under the modular group, built from the E2 shift by 12X,
 * :func:`decompose` and :func:`derivative_decomposition`, which split any
-  homogeneous form along QM = C*E2 + D(QM) + M with one inverted linear
-  system per weight, and
+  form along QM = C*E2 + D(QM) + M, a direct sum in each weight, with one
+  inverted linear system per weight, and
 * :func:`basis_b`, the ordered monomial basis of C*E2 + M used as the
   alphabet for canonical forms of iterated integrals.
 
@@ -121,14 +121,6 @@ class QMPoly:
         if len(weights) != 1:
             raise ValueError("weight is defined only for nonzero homogeneous forms")
         return weights.pop()
-
-    def weight_split(self) -> dict[int, "QMPoly"]:
-        """Decompose into homogeneous components, keyed by weight."""
-        buckets: dict[int, dict[Exponents, int]] = {}
-        for key, num in self.nums.items():
-            a, b, c = key
-            buckets.setdefault(2 * a + 4 * b + 6 * c, {})[key] = num
-        return {w: QMPoly._of(t, self.den) for w, t in sorted(buckets.items())}
 
     def depth(self) -> int:
         """The E2-degree (0 for the zero form)."""
@@ -322,7 +314,7 @@ def transform_coeffs(p: QMPoly) -> list[QMPoly]:
     if p.is_zero():
         return [ZERO]
     if not p.is_homogeneous():
-        raise ValueError("transformation coefficients need a homogeneous form; split by weight first")
+        raise ValueError("transformation coefficients need a homogeneous form")
     coeffs = [p]
     while coeffs[-1]:
         coeffs.append(coeffs[-1].d_de2() * Fraction(12, len(coeffs)))
@@ -372,9 +364,10 @@ def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], di
     return modular, lower, columns, den
 
 
-def _split_weights(p: QMPoly) -> list[tuple[int, dict[Exponents, int], dict[Exponents, int], int]]:
-    """p as a sum over its weights k of m_k + derive(h_k), m_k of basis letters: per weight,
-    increasing, k and m_k's and h_k's numerators over one denominator, from the cached inverse."""
+def _split(p: QMPoly) -> tuple[dict[Exponents, int], dict[Exponents, int], int]:
+    """p = m + derive(h), m of basis letters (E2 at weight 2, the constant at weight 0):
+    m's and h's numerators over one denominator.  Each weight is solved by its cached
+    inverse, and the weights, disjoint, are merged over the lcm of their denominators."""
     sols: dict[int, list[int]] = {}
     for mono, num in p.nums.items():
         k = 2 * mono[0] + 4 * mono[1] + 6 * mono[2]
@@ -383,39 +376,34 @@ def _split_weights(p: QMPoly) -> list[tuple[int, dict[Exponents, int], dict[Expo
             sol = sols[k] = [0] * (len(modular) + len(lower))
         for j, value in columns[mono]:
             sol[j] += num * value
-    parts = []
-    for k, sol in sorted(sols.items()):
-        modular, lower, _, den = _decomposition_inverse(k)
-        parts.append((k, {mono: x for mono, x in zip(modular, sol) if x},
-                      {mono: x for mono, x in zip(lower, sol[len(modular):]) if x}, den * p.den))
-    return parts
+    parts = [(_decomposition_inverse(k), sol) for k, sol in sorted(sols.items())]
+    den = lcm(*(inverse[3] for inverse, _ in parts))
+    m, h = {}, {}
+    for (modular, lower, _, d), sol in parts:
+        f = den // d
+        m.update((mono, x * f) for mono, x in zip(modular, sol) if x)
+        h.update((mono, x * f) for mono, x in zip(lower, sol[len(modular):]) if x)
+    return m, h, den * p.den
 
 
 def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
-    """Split a homogeneous form as p = c*E2 + m + derive(h), uniquely.
+    """Split a form as p = c*E2 + m + derive(h), uniquely.
 
-    m is a polynomial in E4, E6 of the same weight, h has weight k - 2,
-    and c vanishes unless k = 2.  At weight 2 the derivative part is
-    trivial (D kills constants), and h is normalized to 0.  The split is
-    linear, by the weight's cached inverse (:func:`_split_weights`).
+    m is a polynomial in E4, E6, and h has no constant term (D kills
+    constants); weight by weight, m has p's weight k, h weight k - 2,
+    and only k = 2 gives c.  The sum is direct in each weight, so the
+    split is unique and linear (:func:`_split`).
     """
-    if len(parts := _split_weights(p)) > 1:
-        raise ValueError("decompose needs a homogeneous form; split by weight first")
-    for k, m, h, den in parts:
-        if k == 2:
-            return Fraction(m[1, 0, 0], den), ZERO, ZERO
-        return Fraction(0), QMPoly._of(m, den), QMPoly._of(h, den)
-    return Fraction(0), ZERO, ZERO
+    m, h, den = _split(p)
+    return Fraction(m.pop((1, 0, 0), 0), den), QMPoly._of(m, den), QMPoly._of(h, den)
 
 
 def derivative_decomposition(p: QMPoly) -> list[tuple[Fraction, int, QMPoly]]:
-    """Write a homogeneous form as sum lambda * D^order(g), g modular or E2.
+    """Write a form as sum lambda * D^order(g), g modular or E2.
 
     Produced by peeling off decompose() layers; the pieces reproduce the
     input exactly under derive.
     """
-    if not p.is_homogeneous():
-        raise ValueError("derivative decomposition needs a homogeneous form")
     components: list[tuple[Fraction, int, QMPoly]] = []
     order = 0
     current = p

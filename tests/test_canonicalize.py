@@ -47,40 +47,33 @@ logger = logging.getLogger("iterqm.canonicalize")
 def reference_reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     """Rewrite a combination of bar words so that every letter is a basis letter.
 
-    Letters are split into homogeneous parts and decomposed along
-    QM = C*E2 + D(QM) + M; pure-basis components are pulled out by
-    multilinearity (their rational multiples join the coefficient), and
-    derivative components are eliminated by :func:`~iterqm.iterint.ibp`,
-    integration by parts, which shortens the word by one letter.  At DEBUG,
-    each elimination is logged under the name of its position in the word
-    (``ibp_first``, ``ibp_middle`` or ``ibp_last``).  Pending words wait,
-    merged, in one dict per (length, first non-basis position); longer
-    words and then earlier positions go first.  A rewrite shortens the word
-    or moves that position right, so a word is rewritten once, after all
-    its contributions, and not at all if they cancel.  Each distinct letter
-    is split, and each homogeneous piece decomposed, once per call.  The
+    Letters are decomposed whole along QM = C*E2 + D(QM) + M; pure-basis
+    components are pulled out by multilinearity (their rational multiples
+    join the coefficient), and the derivative component is eliminated by
+    :func:`~iterqm.iterint.ibp`, integration by parts, which shortens the
+    word by one letter.  At DEBUG, each elimination is logged under the
+    name of its position in the word (``ibp_first``, ``ibp_middle`` or
+    ``ibp_last``).  Pending words wait, merged, in one dict per (length,
+    first non-basis position); longer words and then earlier positions go
+    first.  A rewrite shortens the word or moves that position right, so a
+    word is rewritten once, after all its contributions, and not at all if
+    they cancel.  Each distinct letter is decomposed once per call.  The
     expansion of the result equals the expansion of the input exactly.
     """
     out: dict[BarWord, QMPoly] = {}
     pending: dict[tuple[int, int], dict[BarWord, QMPoly]] = {}
-    decomposed: dict[QMPoly, tuple[Fraction, QMPoly, QMPoly]] = {}
-    splits: dict[QMPoly, tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]] = {}
+    splits: dict[QMPoly, tuple[list[tuple[QMPoly, Fraction]], QMPoly]] = {}
 
     def push(word: BarWord, coeff: QMPoly, start: int) -> None:
         pos = next((i for i in range(start, len(word)) if not is_basis_letter(word[i])), None)
         _accumulate(out if pos is None else pending.setdefault((len(word), pos), {}), ((word, coeff),))
 
-    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, Fraction]], list[QMPoly]]:
-        """Basis letters with their multiples, and the h of each D(h) part."""
-        subs, derivs = [], []
-        for piece in letter.weight_split().values():
-            c, m, h = decomposed.get(piece) or decomposed.setdefault(piece, decompose(piece))
-            if c:
-                subs.append((E2, c))
-            subs.extend((QMPoly._of({mono: 1}), Fraction(num, m.den)) for mono, num in m.nums.items())
-            if h:
-                derivs.append(h)
-        return subs, derivs
+    def split(letter: QMPoly) -> tuple[list[tuple[QMPoly, Fraction]], QMPoly]:
+        """Basis letters with their multiples, and the h of the D(h) part."""
+        c, m, h = decompose(letter)
+        subs = [(E2, c)] if c else []
+        subs.extend((QMPoly._of({mono: 1}), Fraction(num, m.den)) for mono, num in m.nums.items())
+        return subs, h
 
     for word, coeff in combo.items():
         push(word, coeff, 0)
@@ -88,16 +81,16 @@ def reference_reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, Q
     for n in range(max(map(len, combo), default=0), 0, -1):
         for pos in range(n):
             for word, coeff in pending.pop((n, pos), {}).items():
-                subs, derivs = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
+                subs, h = splits.get(word[pos]) or splits.setdefault(word[pos], split(word[pos]))
                 prefix, suffix = word[:pos], word[pos + 1 :]
                 for basis_letter, scalar in subs:
                     push(prefix + (basis_letter,) + suffix, coeff * scalar, pos + 1)
-                # Eliminate each D(h): ibp shortens the word by one and keeps
+                # Eliminate D(h): ibp shortens the word by one and keeps
                 # the letters before pos - 1.
-                for h in derivs:
+                if h:
                     if debug:
                         rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
-                        logger.debug("%s: letter weight %d, word length %d", rule, h.weight() + 2, n)
+                        logger.debug("%s: word length %d", rule, n)
                     for w, c in ibp(prefix, h, suffix).items():
                         push(w, coeff * c, max(pos - 1, 0))
     return out
@@ -156,13 +149,13 @@ class TestMergedReduction:
 
     def test_each_letter_split_once(self, monkeypatch):
         calls = Counter()
-        real = canonicalize._split_weights
+        real = canonicalize._split
 
         def counting(letter):
             calls[letter] += 1
             return real(letter)
 
-        monkeypatch.setattr(canonicalize, "_split_weights", counting)
+        monkeypatch.setattr(canonicalize, "_split", counting)
         # a and b recur across words and positions
         a, b = E4 + E2 * E4, E6 + E2 * E4 + E2 * E2
         combo = {(a, b, a): ONE, (b, a, ONE, b): E2, (a, a): E4}
@@ -173,15 +166,22 @@ class TestMergedReduction:
     def test_logs_each_rule(self, caplog):
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
         reduce_letters({(derive(E4), E6): ONE})
-        assert [r.getMessage() for r in caplog.records] == [
-            "ibp_first: letter weight 6, word length 2"]
+        assert [r.getMessage() for r in caplog.records] == ["ibp_first: word length 2"]
         caplog.clear()
         reduce_letters({(E6, derive(E4)): ONE})
-        assert [r.getMessage() for r in caplog.records] == [
-            "ibp_last: letter weight 6, word length 2"]
+        assert [r.getMessage() for r in caplog.records] == ["ibp_last: word length 2"]
         caplog.clear()
         reduce_letters({(E6, derive(E4), E4): ONE})
-        assert "ibp_middle: letter weight 6, word length 3" in caplog.messages
+        assert "ibp_middle: word length 3" in caplog.messages
+
+    def test_derivative_parts_of_two_weights_take_one_ibp(self, caplog):
+        # ibp is linear in h: the letter D(E4) + D(E2*E4) of weights 6 and 8
+        # is eliminated by one step, which gives what the two parts give
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        got = reduce_letters({(derive(E4) + derive(E2 * E4), E6): ONE})
+        assert [m for m in caplog.messages if m.startswith("ibp_first")] == ["ibp_first: word length 2"]
+        parts = [reduce_letters({(derive(f), E6): ONE}) for f in (E4, E2 * E4)]
+        assert got == _accumulate(parts[0], parts[1].items())
 
     def test_silent_without_debug(self, caplog):
         caplog.set_level(logging.INFO, logger="iterqm.canonicalize")
@@ -192,13 +192,13 @@ class TestMergedReduction:
         # ibp_first on the first word and ibp_middle on the second both
         # yield (E2*E4, E4), with opposite signs
         calls = Counter()
-        real = canonicalize._split_weights
+        real = canonicalize._split
 
         def counting(letter):
             calls[letter] += 1
             return real(letter)
 
-        monkeypatch.setattr(canonicalize, "_split_weights", counting)
+        monkeypatch.setattr(canonicalize, "_split", counting)
         combo = {(derive(E4), E2, E4): ONE, (E2, derive(E4), E4): ONE}
         got = reduce_letters(combo)
         assert calls[E2 * E4] == 0

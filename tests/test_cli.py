@@ -157,6 +157,12 @@ class TestPinnedOutputs:
         assert code == 0
         assert out.splitlines() == ["I(1)", "I(E2)"] + [f"I({'1,' * j}E2)" for j in range(1, 40)]
 
+    def test_lyndon_negative_length_is_an_error(self, capsys):
+        argv = ["lyndon", "--max-weight", "4", "--max-len"]
+        assert run(capsys, argv + ["-3"]) == (1, "", "error: --max-len must be >= 0, got -3\n")
+        assert run(capsys, argv + ["0"]) == (0, "\n", "")
+        assert run(capsys, argv + ["0", "--json"]) == (0, "[]\n", "")
+
 
 class TestJsonRoundTrip:
     def test_series_schema(self):
@@ -214,6 +220,12 @@ class TestCommands:
         code, out, _ = run(capsys, ["decompose", "E2^2"])
         assert code == 0
         assert out == "e2_coefficient: 0\nmodular_part: E4\nderivative_of: 12*E2\n"
+
+    def test_decompose_mixed_weight(self, capsys):
+        code, out, _ = run(capsys, ["decompose", "E2^3*E4 - 7/3*E2*E6 + E2 + 1"])
+        assert code == 0
+        assert out == ("e2_coefficient: 1\nmodular_part: E4*E6 - 7/3*E4^2 + 1\n"
+                       "derivative_of: 2*E2^2*E4 + 8/7*E2*E6 + 19/14*E4^2 - 14/3*E6\n")
 
     def test_canonical(self, capsys):
         code, out, _ = run(capsys, ["canonical", "I(E4,1)"])
@@ -543,7 +555,7 @@ class TestParserReuse:
         assert run(capsys, ["expand", "E2", "-N", "1"])[0] == 0
         monkeypatch.setenv("ITERQM_DEFAULT_N", "fifty")
         for argv in (["expand", "E2"], ["expand", "E2", "-N", "1"]):
-            with pytest.raises(SystemExit, match="ITERQM_DEFAULT_N must be an integer"):
+            with pytest.raises(SystemExit, match=r"^error: ITERQM_DEFAULT_N must be an integer, got 'fifty'$"):
                 main(argv)
 
 

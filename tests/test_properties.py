@@ -1,5 +1,5 @@
 """Generated-input properties of the series ring, the ring of quasimodular
-polynomials and its derivation, the weight split, the exact rank, the
+polynomials and its derivation, the split c*E2 + m + D(h), the exact rank, the
 linear combinations of words, integration by parts, the shuffle product,
 the canonical form, the braid-word branch of log(c*tau + d), the slash
 action on period polynomials, the expression parser and the CLI's text
@@ -156,10 +156,7 @@ scalars = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-20, 20), st.in
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(polys(), polys(), st.integers(0, 3), scalars)
 def test_qmpoly_operations_keep_normal_form(a, b, n, c):
-    pieces = list(a.weight_split().values())
-    results = [a, a + b, a - b, -a, a * b, a**n, a * c, c * a, a + c, c - a, derive(a), a.d_de2(), *pieces]
-    for piece in pieces:
-        results.extend(decompose(piece)[1:])
+    results = [a, a + b, a - b, -a, a * b, a**n, a * c, c * a, a + c, c - a, derive(a), a.d_de2(), *decompose(a)[1:]]
     for p in results:
         assert_normal_form(p)
 
@@ -181,6 +178,23 @@ def test_decompose_round_trip(p):
     if not p.is_zero() and p.weight() > 2:
         assert (c, m, h) == reference_decompose(p)
         assert c == F(0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(polys())
+@example(E2**3 * E4 - F(7, 3) * E2 * E6 + E2 + 1)
+def test_decompose_splits_any_form(p):
+    """One split of a form of any weights is the sum of the splits of its homogeneous parts."""
+    c, m, h = decompose(p)
+    assert c * E2 + m + derive(h) == p
+    assert m.is_modular()
+    parts: dict[int, dict] = {}
+    for (a, b, e), num in p.nums.items():
+        parts.setdefault(2 * a + 4 * b + 6 * e, {})[a, b, e] = F(num, p.den)
+    pieces = [decompose(QMPoly(part)) for part in parts.values()]
+    assert c == sum((x[0] for x in pieces), F(0))
+    assert m == sum((x[1] for x in pieces), ZERO)
+    assert h == sum((x[2] for x in pieces), ZERO)
 
 
 @st.composite

@@ -273,9 +273,9 @@ class TestDecompose:
             if k != 2:
                 assert c == 0
 
-    def test_rejects_mixed_weight(self):
-        with pytest.raises(ValueError):
-            decompose(ONE + E2)
+    def test_mixed_weight(self):
+        # the split is direct in each weight, so one split serves any form
+        assert decompose(ONE + E2) == (1, ONE, ZERO)
 
 
 class TestTrustedArithmetic:
