@@ -14,16 +14,15 @@ Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` gives the
 exact rank of the truncated expansions of families of such integrals, on
 rows built modulo a fixed prime p, each the exact row times a unit mod p,
-first to q^t for t = 2*ceil(n/(1+l)) (n rows of words of length <= l),
-read L-part by L-part in one pass of :func:`_pivot_rows` mod p that gives
-the rank and the kernel, zero columns passed over: a row's L^k part for
+to q^t for t = 2*ceil(n/(1+l)) (n rows of words of length <= l), read
+L-part by L-part in one pass of :func:`_pivot_rows` mod p that gives the
+rank and the kernel, zero columns passed over: a row's L^k part for
 k >= 1, the letters' cusp values times the multiplier, is of low rank and
 read last.  Truncation is a linear map, so full rank at any truncation
 proves the integrals linearly independent over Q; a deficiency is one at
 that truncation only, proved by the kernel, lifted to Q and checked on
-exact series of the rows it involves.  Should that fail, the rows mod p
-are read to the full truncation, then exactly (:func:`_exact_rank`), as
-when p divides a denominator.
+exact series of the rows it involves.  Should that fail, or p divide a
+denominator, :func:`rational_rank` decides on the exact rows.
 """
 
 from __future__ import annotations
@@ -335,17 +334,16 @@ def independence_rank(
 
     Each series expand(multiplier) * integral(word) is a row over the q^m L^k
     grid (m <= trunc, k up to the longest word, l), read column by column: the
-    q-powers of L^0, then of L^1 and so on, zero columns passed over, until
-    every row has a pivot.  Truncation is a linear map, so full rank proves the
-    family's functions Q-linearly independent; a lower rank is a deficiency at
-    this truncation only, which a higher one may lift.  The rank is exact.  The
-    n rows are built mod a fixed prime p, each the exact row times a unit,
-    first to q^t for t = min(trunc, 2*ceil(n/(1+l))): their columns are
-    some of those at trunc, so full rank is the answer, and a kernel is lifted
-    to Q and checked on exact series to q^trunc of the rows it involves (see
-    :func:`_certified_rank`).  Should that fail, one more pass mod p reads the
-    rows to q^trunc; should that fail too, or p divide a denominator, the exact
-    rows decide.  A DEBUG line names the truncation that decided and the route.
+    q-powers of L^0, then of L^1 and so on, zero columns passed over.
+    Truncation is a linear map, so full rank proves the family's functions
+    Q-linearly independent; a lower rank is a deficiency at this truncation
+    only, which a higher one may lift.  The n rows are built mod a fixed prime
+    p, each the exact row times a unit, to q^t for t = min(trunc,
+    2*ceil(n/(1+l))): their columns are some of those at trunc, so full rank
+    is the answer, and a kernel is lifted to Q and checked on the exact rows
+    to q^trunc that it involves (see :func:`_certified_rank`).  Should that
+    fail, or p divide a denominator, :func:`rational_rank` decides on the
+    exact rows, each built once.  A DEBUG line names the truncation and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -356,15 +354,11 @@ def independence_rank(
     expanded: dict[tuple[QMPoly, int, int], LogQSeries] = {}  # a few multipliers serve many rows
 
     def series(i: int, t: int, modulus: int = 0) -> LogQSeries:
-        key = (multipliers[i], t, modulus)
-        if key not in expanded:
-            expanded[key] = expand(multipliers[i], t, modulus)
+        if (key := (multipliers[i], t, modulus)) not in expanded:
+            expanded[key] = expand(*key)
         return expanded[key] * iter_integral(words[i], t, modulus)
 
-    def exact_columns() -> list[tuple[int, ...]]:
-        return _columns([series(i, trunc) for i in range(n)], trunc)
-
-    exact: dict[int, LogQSeries] = {}
+    exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
 
     def is_kernel(lifts: list[Fraction]) -> bool:
         total = LogQSeries.zero(trunc)
@@ -375,16 +369,17 @@ def independence_rank(
                 total = total + exact[i].scale(c)
         return total.is_zero()
 
-    width = (trunc + 1) * (1 + longest)
-    for t in dict.fromkeys((min(trunc, 2 * -(-n // (1 + longest))), trunc)):  # trunc once if t = trunc
-        try:
-            residues = _columns([series(i, t, _RANK_PRIME) for i in range(n)], t)
-        except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
-            logger.debug("rank at q^%d: exact rows, p divides a denominator", trunc)
-            return rational_rank(list(zip(*exact_columns())))
-        if (rank := _certified_rank(residues, width, is_kernel)) is not None:
-            route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
-            logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
-            return rank
-    logger.debug("rank at q^%d: exact elimination, the kernel mod p did not lift or check", trunc)
-    return _exact_rank(exact_columns())
+    width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
+    try:
+        residues = _columns([series(i, t, _RANK_PRIME) for i in range(n)], t)
+    except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
+        rank, cause = None, "p divides a denominator"
+    else:
+        rank, cause = _certified_rank(residues, width, is_kernel), "the kernel did not lift or check"
+    if rank is None:
+        logger.debug("rank at q^%d: exact rows, %s", trunc, cause)
+        rows = [exact[i] if i in exact else series(i, trunc) for i in range(n)]
+        return rational_rank(list(zip(*_columns(rows, trunc))))
+    route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
+    logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
+    return rank

@@ -167,8 +167,9 @@ def _compact(data) -> str:
 
 
 def _emit(args, result, to_text, to_json) -> None:
-    """Print ``result`` through the renderer of the requested format only; both return text."""
-    print(to_json(result) if args.json else to_text(result))
+    """Print ``result`` through the renderer of the requested format only, unless it gives no text; both return text."""
+    if text := to_json(result) if args.json else to_text(result):
+        print(text)
 
 
 def _cmd_expand(args) -> int:

@@ -97,7 +97,10 @@ def lyndon_words(
     enumeration skips them: it keeps the weight of every prefix and stops
     extending a word at the first letter that passes the bound.
     """
-    if alphabet_size < 1 or max_len < 1:
+    for name, value in (("alphabet_size", alphabet_size), ("max_len", max_len)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not alphabet_size or not max_len:
         return []
     if letter_weight is None or max_weight is None:
         letter_weight, max_weight = [0] * alphabet_size, 0

@@ -680,8 +680,9 @@ class TestModularCertificate:
 
 
 class TestFirstTruncation:
-    """Rows mod p are read to q^t for t = min(N, 2*ceil(n/(1+l))) first, and to
-    q^N only when the kernel found at q^t does not lift or check at q^N."""
+    """Rows mod p are read to q^t for t = min(N, 2*ceil(n/(1+l))) only; when the
+    kernel found there does not lift or check at q^N, rational_rank decides on
+    the exact rows to q^N, each built once."""
 
     #: Agrees with E4 to q^3: 1728*Delta = E4^3 - E6^2 starts at q.
     CLOSE = E4 + (E4**3 - E6**2) ** 4
@@ -707,8 +708,33 @@ class TestFirstTruncation:
     def test_false_kernel_at_the_first_truncation(self, moduli, truncations):
         # n = 2 rows of words of length 1: t = 2, where the rows are equal
         assert independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20) == 2
-        assert moduli == [P, P]
-        assert truncations["integrals"] == {(2, P), (20, 0), (20, P)}
+        assert moduli == [P, P]  # at q^2, then rational_rank's pass on the exact rows
+        assert truncations["integrals"] == {(2, P), (20, 0)}
+
+    def test_false_kernel_hands_the_exact_rows_to_rational_rank(self, truncations, monkeypatch):
+        calls = []
+        real = canonicalize.rational_rank
+        monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: calls.append(rows) or real(rows))
+        assert independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20) == 2
+        assert [len(rows) for rows in calls] == [2]
+        assert (20, P) not in truncations["integrals"] | truncations["multipliers"]  # no residue series at q^N
+
+    def test_each_exact_row_is_built_once(self, monkeypatch):
+        # the kernel check builds the rows of its support over Q; the exit to rational_rank reuses them
+        built = Counter()
+        real = canonicalize.iter_integral
+
+        def spy(word, trunc, modulus=0):
+            if not modulus:
+                built[tuple(word)] += 1
+            return real(word, trunc, modulus)
+
+        monkeypatch.setattr(canonicalize, "iter_integral", spy)
+        for words, multipliers, trunc in [([(E4,), ()], [ONE, QMPoly.constant(P)], 10),
+                                          ([(E4,), (self.CLOSE,)], [ONE, ONE], 20)]:
+            built.clear()
+            assert independence_rank(words, multipliers, trunc) == 2
+            assert built == Counter(words)
 
     def test_full_rank_builds_no_residue_series_above_it(self, moduli, truncations):
         words = [(E4,), (E6,), (ONE, E4), (E2, E6), ()]  # n = 5, l = 2: t = 4
@@ -741,8 +767,8 @@ class TestFirstTruncation:
         assert caplog.messages == [
             "rank 2 at q^2 of q^20: full rank",
             "rank 2 at q^4 of q^20: kernel of 1 checked, 3 rows exact",
-            "rank 2 at q^20 of q^20: full rank",
-            "rank at q^10: exact elimination, the kernel mod p did not lift or check",
+            "rank at q^20: exact rows, the kernel did not lift or check",
+            "rank at q^10: exact rows, the kernel did not lift or check",
             "rank at q^10: exact rows, p divides a denominator",
         ]
 

@@ -160,7 +160,7 @@ class TestPinnedOutputs:
     def test_lyndon_negative_length_is_an_error(self, capsys):
         argv = ["lyndon", "--max-weight", "4", "--max-len"]
         assert run(capsys, argv + ["-3"]) == (1, "", "error: --max-len must be >= 0, got -3\n")
-        assert run(capsys, argv + ["0"]) == (0, "\n", "")
+        assert run(capsys, argv + ["0"]) == (0, "", "")  # no word, no line
         assert run(capsys, argv + ["0", "--json"]) == (0, "[]\n", "")
 
 

@@ -154,6 +154,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="non-negative"):
             lyndon_words(2, 3, {0: 1, 1: -1}, 4)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_len must be >= 0, got -1$"):
+            lyndon_words(2, -1)
+        with pytest.raises(ValueError, match=r"^alphabet_size must be >= 0, got -2$"):
+            lyndon_words(-2, 3)
+        assert lyndon_words(0, 3) == lyndon_words(2, 0) == lyndon_words(0, 0) == []
+
 
 class TestFactorization:
     def test_decreasing_pair(self):
