@@ -302,6 +302,8 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     checks exactly, is the answer (see :func:`_certified_rank`).  Should a
     lift or its check fail, elimination over Q settles the rank.
     """
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows must all have the same length")
     matrix = [row for row in rows if any(row)]
     scales = [lcm(*(x.denominator for x in row)) for row in matrix]
     matrix = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(matrix, scales)]

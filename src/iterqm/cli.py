@@ -3,8 +3,7 @@
 Subcommands: expand, derive, decompose, integral, canonical, lyndon,
 rank (word list on stdin), cocycle check|e2.  Output is plain text by
 default or JSON with --json; expand, integral and rank truncate at -N,
-by default 50 or the ITERQM_DEFAULT_N environment variable.  An
-expression that begins with '-' goes after '--', as in
+by default 50.  An expression that begins with '-' goes after '--', as in
 'expand -N 1 -- -E4'.  Each command renders its result in the requested
 format only.  Text and JSON list the same terms in the same order: series
 by (q, logq), canonical forms by total word length, then by monomial.
@@ -16,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import random
 import sys
 from collections import Counter
@@ -322,28 +320,21 @@ def _cmd_cocycle_check(args) -> int:
 # ---------------------------------------------------------------- entry point
 
 
-def _default_trunc() -> int:
-    env = os.environ.get("ITERQM_DEFAULT_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"error: ITERQM_DEFAULT_N must be an integer, got {env!r}")
-    return 50
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; ``main`` fills in the default of -N."""
+    """The argument parser, built once; an option two commands read is declared once, in a parent."""
     fmt = argparse.ArgumentParser(add_help=False)
     group = fmt.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="machine-readable output")
     group.add_argument("--text", dest="json", action="store_false", help="plain text output (default)")
     fmt.set_defaults(json=False)
     trunc = argparse.ArgumentParser(add_help=False)
-    trunc.add_argument("-N", type=int, default=None, help="series truncation order")
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", type=float, default=1e-8, help="numeric tolerance for checks")
+    trunc.add_argument("-N", type=int, default=50, help="series truncation order")
+    modular = argparse.ArgumentParser(add_help=False)
+    modular.add_argument("--modular", action="store_true", help="restrict to the modular subalgebra")
+    numeric = argparse.ArgumentParser(add_help=False)
+    numeric.add_argument("--precision", type=float, default=1e-8, help="numeric tolerance for checks")
+    numeric.add_argument("--n-terms", type=int, default=None, help="q-series terms (default: the library's)")
 
     parser = argparse.ArgumentParser(prog="iterqm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,19 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("derive", _cmd_derive, [fmt], "derivative of a quasimodular expression"),
         ("decompose", _cmd_decompose, [fmt], "split into c*E2 + modular + D(h)"),
         ("integral", _cmd_integral, [fmt, trunc], "q/log-q series of an integral expression"),
-        ("canonical", _cmd_canonical, [fmt], "canonical Lyndon polynomial form"),
+        ("canonical", _cmd_canonical, [fmt, modular], "canonical Lyndon polynomial form"),
     ):
         p = sub.add_parser(name, parents=options, help=about)
         p.add_argument("expr", help=expr_help)
         p.set_defaults(func=func)
-    sub.choices["canonical"].add_argument(
-        "--modular", action="store_true", help="restrict to the modular subalgebra"
-    )
 
-    p = sub.add_parser("lyndon", parents=[fmt], help="Lyndon words over the basis alphabet")
+    p = sub.add_parser("lyndon", parents=[fmt, modular], help="Lyndon words over the basis alphabet")
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--modular", action="store_true")
     p.set_defaults(func=_cmd_lyndon)
 
     p = sub.add_parser("rank", parents=[fmt, trunc], help="exact rank of integrals read from stdin")
@@ -373,24 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cocycle", help="numeric cocycle checks")
     which = p.add_subparsers(dest="which", required=True)
-    pc = which.add_parser("check", parents=[fmt, precision], help="verify the cocycle relation")
+    pc = which.add_parser("check", parents=[fmt, numeric], help="verify the cocycle relation")
     pc.add_argument("--pairs", type=int, default=10)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--n-terms", type=int, default=None, help="q-series terms (default: the library's)")
     pc.set_defaults(func=_cmd_cocycle_check)
-    pe = which.add_parser("e2", parents=[fmt, precision], help="braid-group cocycle of E2")
+    pe = which.add_parser("e2", parents=[fmt, numeric], help="braid-group cocycle of E2")
     pe.add_argument("word", help="braid word, e.g. 's1*s2*s1^-1'")
     pe.add_argument("--tau", default=None, help="evaluation point, e.g. '0.3+1.2j'")
-    pe.add_argument("--n-terms", type=int, default=None, help="q-series terms (default: the library's)")
     pe.set_defaults(func=_cmd_cocycle_e2)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    default_n = _default_trunc()
     args = build_parser().parse_args(argv)
-    if getattr(args, "N", 0) is None:  # only expand, integral and rank have -N
-        args.N = default_n
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, RecursionError, MemoryError) as exc:  # ExprError too

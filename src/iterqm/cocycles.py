@@ -263,8 +263,10 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     sum_r (-1)^r C(j+1, r+1) = 1 these sum to Eichler's regularized
     primitive -a_0 tau^(j+1)/(j+1) exactly.  The d + 1 words are suffixes
     of the longest, so their series are built once per (f, n_terms), and
-    the polynomial once per (f, tau, n_terms), tau taken as an ``mpc``.
+    the polynomial once per (f, tau, n_terms), tau taken as an ``mpc``
+    with Im tau >= MIN_IMAG, as for :func:`cocycle_r`.
     """
+    tau = _require_upper(tau)
     if f.is_zero():
         return XYPoly(0)
     if not f.is_modular():
@@ -272,7 +274,7 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     k = f.weight()
     if k < 4 or k % 2:
         raise ValueError("weight must be an even integer >= 4")
-    return _eichler_poly(f, mpc(tau), n_terms)
+    return _eichler_poly(f, tau, n_terms)
 
 
 _EICHLER_CACHE_SIZE = 64  #: Eichler polynomials kept; a benchmark round evaluates at most 36 (form, point) pairs

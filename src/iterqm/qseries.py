@@ -172,6 +172,8 @@ class LogQSeries:
         return not self.parts
 
     def truncate(self, trunc: int) -> "LogQSeries":
+        if trunc < 0:
+            raise ValueError("truncation order must be >= 0")
         if trunc > self.trunc:
             raise ValueError("cannot extend a truncated series")
         return LogQSeries._of(trunc, self.den, {k: p[: trunc + 1] for k, p in self.parts.items()}, self.modulus)

@@ -211,20 +211,6 @@ def bernoulli(n: int) -> Fraction:
     return bs[n]
 
 
-def _sigma(n: int, k: int) -> int:
-    """Divisor power sum sigma_k(n)."""
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
-
-
 def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     """q-expansion of the normalized Eisenstein series of the given weight.
 
@@ -234,7 +220,12 @@ def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     if weight <= 0 or weight % 2:
         raise ValueError("Eisenstein series exist for positive even weight only")
     factor = Fraction(-2 * weight) / bernoulli(weight)
-    coeffs = [Fraction(1)] + [factor * _sigma(n, weight - 1) for n in range(1, trunc + 1)]
+    sigma = [0] * (trunc + 1)  # sigma_{2k-1}(n), summed by one sieve over the divisors d <= trunc
+    for d in range(1, trunc + 1):
+        power = d ** (weight - 1)
+        for n in range(d, trunc + 1, d):
+            sigma[n] += power
+    coeffs = [Fraction(1)] + [factor * s for s in sigma[1:]]
     return LogQSeries(trunc, {0: coeffs})
 
 

@@ -92,10 +92,11 @@ def lyndon_words(
     """All Lyndon words of length <= max_len, in lexicographic order.
 
     Generated by Duval's algorithm.  When letter weights are given, only
-    words of total weight at most max_weight are kept.  The weights must be
-    non-negative, so no extension of a heavier word is kept either, and the
-    enumeration skips them: it keeps the weight of every prefix and stops
-    extending a word at the first letter that passes the bound.
+    words of total weight at most max_weight are kept.  Each letter needs a
+    weight, and the weights must be non-negative, so no extension of a
+    heavier word is kept either, and the enumeration skips them: it keeps
+    the weight of every prefix and stops extending a word at the first
+    letter that passes the bound.
     """
     for name, value in (("alphabet_size", alphabet_size), ("max_len", max_len)):
         if value < 0:
@@ -104,8 +105,12 @@ def lyndon_words(
         return []
     if letter_weight is None or max_weight is None:
         letter_weight, max_weight = [0] * alphabet_size, 0
-    elif any(letter_weight[l] < 0 for l in range(alphabet_size)):
-        raise ValueError("letter weights must be non-negative")
+    else:
+        for l in range(alphabet_size):
+            if l not in letter_weight:
+                raise ValueError(f"letter {l} has no weight")
+            if letter_weight[l] < 0:
+                raise ValueError("letter weights must be non-negative")
 
     out: list[Word] = []
     w, prefix = [0], [0, letter_weight[0]]  # prefix[i]: weight of w[:i]

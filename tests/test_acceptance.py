@@ -350,8 +350,7 @@ def test_criterion_13_braid_cocycle():
     _report(13, "braid cocycle: sigma1 -> -2 pi i, additive, braid-invariant, valued in 2 pi i Z")
 
 
-def test_criterion_14_cli(capsys, monkeypatch):
-    monkeypatch.delenv("ITERQM_DEFAULT_N", raising=False)
+def test_criterion_14_cli(capsys):
     assert main(["expand", "E4^3-E6^2", "-N", "2"]) == 0
     assert capsys.readouterr().out == "1728*q - 41472*q^2\n"
     assert main(["integral", "I(1)", "-N", "1"]) == 0

@@ -360,6 +360,12 @@ class TestRank:
         assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
         assert rational_rank([[F(1), F(0)], [F(1), F(1)]]) == 2
 
+    @pytest.mark.parametrize("rows", [[[1, 2], [2, 4, 5]], [[1, 2], [3]]], ids=str)
+    def test_rational_rank_rejects_ragged_rows(self, rows):
+        # the first was read as a rank-1 matrix, the second raised IndexError
+        with pytest.raises(ValueError, match="^rows must all have the same length$"):
+            rational_rank(rows)
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             independence_rank([()], [ONE, ONE], 5)

@@ -255,12 +255,6 @@ class TestCommands:
         assert code == 0
         assert out == "4\n"
 
-    def test_env_default_truncation(self, capsys, monkeypatch):
-        monkeypatch.setenv("ITERQM_DEFAULT_N", "3")
-        code, out, _ = run(capsys, ["expand", "E2"])
-        assert code == 0
-        assert out == "1 - 24*q - 72*q^2 - 96*q^3\n"
-
     def test_parse_error_exit_code(self, capsys):
         code, out, err = run(capsys, ["expand", "E4 +"])
         assert code == 1
@@ -503,7 +497,6 @@ class TestReadmeExamples:
         "argv, stdin, comment", [pytest.param(*command, id=" ".join(command[0])) for command in readme_commands()]
     )
     def test_command(self, capsys, monkeypatch, argv, stdin, comment):
-        monkeypatch.delenv("ITERQM_DEFAULT_N", raising=False)
         code, text, err = run(capsys, argv, stdin, monkeypatch)
         assert (code, err) == (0, "")
         code, out, err = run(capsys, argv + ["--json"], stdin, monkeypatch)
@@ -515,13 +508,10 @@ class TestReadmeExamples:
             assert render(from_json(data)) == comment
 
 
-def fresh_output(argv, env_n=None):
-    """Output of the command in a new interpreter, with ITERQM_DEFAULT_N set or unset."""
-    env = {k: v for k, v in os.environ.items() if k != "ITERQM_DEFAULT_N"}
+def fresh_output(argv, env=None):
+    """Output of the command in a new interpreter, with ``env`` added to the environment."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    if env_n is not None:
-        env["ITERQM_DEFAULT_N"] = env_n
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **(env or {})}
     proc = subprocess.run(
         [sys.executable, "-m", "iterqm.cli", *argv], env=env, capture_output=True, text=True, check=True
     )
@@ -529,34 +519,22 @@ def fresh_output(argv, env_n=None):
 
 
 class TestParserReuse:
-    """The parser is built once per process; -N's default is read on every call."""
+    """The parser is built once per process, and a call reads nothing but its argv."""
 
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_outputs_match_fresh_processes(self, capsys, monkeypatch):
-        cases = [
-            ("3", ["expand", "E2"]),
-            (None, ["expand", "E2"]),
-            ("3", ["integral", "I(E2,E4)", "--json"]),
-            (None, ["integral", "I(E2,E4)"]),
-            ("3", ["expand", "E4", "-N", "2", "--json"]),
-        ]
-        for env_n, argv in cases:
-            if env_n is None:
-                monkeypatch.delenv("ITERQM_DEFAULT_N", raising=False)
-            else:
-                monkeypatch.setenv("ITERQM_DEFAULT_N", env_n)
+    def test_outputs_match_fresh_processes(self, capsys):
+        for argv in (["expand", "E2"], ["integral", "I(E2,E4)", "--json"], ["expand", "E4", "-N", "2", "--json"]):
             code, out, _ = run(capsys, argv)
             assert code == 0
-            assert out == fresh_output(argv, env_n), (env_n, argv)
+            assert out == fresh_output(argv), argv
 
-    def test_malformed_env_rejected_on_every_call(self, capsys, monkeypatch):
-        assert run(capsys, ["expand", "E2", "-N", "1"])[0] == 0
-        monkeypatch.setenv("ITERQM_DEFAULT_N", "fifty")
-        for argv in (["expand", "E2"], ["expand", "E2", "-N", "1"]):
-            with pytest.raises(SystemExit, match=r"^error: ITERQM_DEFAULT_N must be an integer, got 'fifty'$"):
-                main(argv)
+    @pytest.mark.parametrize("value", ["3", "fifty"])
+    @pytest.mark.parametrize("argv", [["expand", "E2"], ["integral", "I(E2,E4)", "--json"]], ids=" ".join)
+    def test_environment_leaves_output_unchanged(self, argv, value):
+        # -N defaults to 50 whatever the environment holds
+        assert fresh_output(argv, {"ITERQM_DEFAULT_N": value}) == fresh_output(argv)
 
 
 class TestBraidWordParsing:

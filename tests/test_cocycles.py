@@ -606,6 +606,13 @@ class TestEichlerIntegral:
         with pytest.raises(ValueError, match="truncation order must be >= 0"):
             eichler_integral(E4, 1j, -5)
 
+    def test_rejects_points_below_min_imag(self):
+        # as cocycle_r does: at 0.05i, 80 terms leave only 9 of the 50 digits right
+        for f in (E4, QMPoly()):
+            with pytest.raises(ValueError, match=r"^tau must satisfy Im >= 0.2, got 0\.19j$"):
+                eichler_integral(f, 0.19j)
+        assert eichler_integral(E4, MIN_IMAG * 1j).degree == 2
+
 
 class TestModularCocycle:
     def test_identity_vanishes(self):

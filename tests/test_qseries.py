@@ -96,8 +96,13 @@ class TestRepresentation:
         s = LogQSeries(2, {0: [1, 0, F(1, 2)], 1: [0, 0, 7]})
         assert s.truncate(1) == LogQSeries.constant(1, 1)
         assert (s.truncate(1).den, s.truncate(1).parts) == (1, {0: (1, 0)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot extend"):
             s.truncate(3)
+
+    def test_truncate_rejects_negative_order(self):
+        with pytest.raises(ValueError, match=r"^truncation order must be >= 0$"):
+            LogQSeries.constant(1, 3).truncate(-1)
+        assert LogQSeries.constant(1, 3).truncate(0) == LogQSeries.constant(1, 0)
 
     def test_constructor_validates(self):
         with pytest.raises(ValueError):

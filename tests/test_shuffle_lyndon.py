@@ -154,6 +154,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="non-negative"):
             lyndon_words(2, 3, {0: 1, 1: -1}, 4)
 
+    def test_letter_without_weight_rejected(self):
+        with pytest.raises(ValueError, match=r"^letter 1 has no weight$"):
+            lyndon_words(2, 2, {0: 0}, 4)
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match=r"^max_len must be >= 0, got -1$"):
             lyndon_words(2, -1)
