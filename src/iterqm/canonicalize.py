@@ -13,16 +13,17 @@ rewrites the combination by leading-word reduction.
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` gives the
 exact rank of the truncated expansions of families of such integrals, on
-rows built modulo a fixed prime p, each the exact row times a unit mod p,
-to q^t for t = 2*ceil(n/(1+l)) (n rows of words of length <= l), read
-L-part by L-part in one pass of :func:`_pivot_rows` mod p that gives the
-rank and the kernel, zero columns passed over: a row's L^k part for
-k >= 1, the letters' cusp values times the multiplier, is of low rank and
-read last.  Truncation is a linear map, so full rank at any truncation
-proves the integrals linearly independent over Q; a deficiency is one at
-that truncation only, proved by the kernel, lifted to Q and checked on
-exact series of the rows it involves.  Should that fail, or p divide a
-denominator, :func:`rational_rank` decides on the exact rows.
+rows built modulo a fixed prime p from the integer numerators of letters
+and multipliers (each the exact row times a positive integer), to q^t for
+t = 2*ceil(n/(1+l)) (n rows of words of length <= l), read L-part by
+L-part in one pass of :func:`_pivot_rows` mod p that gives the rank and
+the kernel, zero columns passed over: a row's L^k part for k >= 1, the
+letters' cusp values times the multiplier, is of low rank and read last.
+Truncation is a linear map, so full rank at any truncation proves the
+integrals linearly independent over Q; a deficiency is one at that
+truncation only, proved by the kernel, lifted to Q and checked on exact
+series of the rows it involves.  Should that fail, :func:`rational_rank`
+decides on the exact rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .iterint import BarWord, IntegralPoly, iter_integral
+from .iterint import BarWord, IntegralPoly, _as_word, iter_integral
 from .linear import _accumulate
 from .qseries import LogQSeries, Scalar, _pack
 from .quasimodular import (
@@ -339,19 +340,22 @@ def independence_rank(
     q-powers of L^0, then of L^1 and so on, zero columns passed over.
     Truncation is a linear map, so full rank proves the family's functions
     Q-linearly independent; a lower rank is a deficiency at this truncation
-    only, which a higher one may lift.  The n rows are built mod a fixed prime
-    p, each the exact row times a unit, to q^t for t = min(trunc,
-    2*ceil(n/(1+l))): their columns are some of those at trunc, so full rank
-    is the answer, and a kernel is lifted to Q and checked on the exact rows
-    to q^trunc that it involves (see :func:`_certified_rank`).  Should that
-    fail, or p divide a denominator, :func:`rational_rank` decides on the
-    exact rows, each built once.  A DEBUG line names the truncation and route.
+    only, which a higher one may lift.  Letters and multipliers enter by their
+    integer numerators, each row times a positive integer, so no denominator
+    meets p.  The n rows are built mod a fixed prime p to q^t for t =
+    min(trunc, 2*ceil(n/(1+l))): their columns are some of those at trunc, so
+    full rank is the answer, and a kernel is lifted to Q and checked on the
+    exact rows to q^trunc that it involves (see :func:`_certified_rank`), or
+    else :func:`rational_rank` decides on the exact rows, each built once.  A
+    DEBUG line names the truncation and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
-    words = [tuple(word) for word in words]
+    # the integral is linear in each letter: numerators multiply a row by a positive integer
+    words = [tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words]
+    multipliers = [m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers]
     n, longest = len(words), max(map(len, words), default=0)
     expanded: dict[tuple[QMPoly, int, int], LogQSeries] = {}  # a few multipliers serve many rows
 
@@ -372,14 +376,9 @@ def independence_rank(
         return total.is_zero()
 
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
-    try:
-        residues = _columns([series(i, t, _RANK_PRIME) for i in range(n)], t)
-    except ZeroDivisionError:  # p divides a denominator: the rows mod p prove nothing
-        rank, cause = None, "p divides a denominator"
-    else:
-        rank, cause = _certified_rank(residues, width, is_kernel), "the kernel did not lift or check"
+    rank = _certified_rank(_columns([series(i, t, _RANK_PRIME) for i in range(n)], t), width, is_kernel)
     if rank is None:
-        logger.debug("rank at q^%d: exact rows, %s", trunc, cause)
+        logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
         rows = [exact[i] if i in exact else series(i, trunc) for i in range(n)]
         return rational_rank(list(zip(*_columns(rows, trunc))))
     route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"

@@ -261,7 +261,7 @@ def _numeric(args):
 def _cmd_cocycle_e2(args) -> int:
     cocycles, n_terms = _numeric(args)
     word = parse_braid_word(args.word)
-    tau = complex(args.tau) if args.tau else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
+    tau = args.tau if args.tau is not None else complex(cocycles.admissible_tau(cocycles.b3_to_sl2(word)))
     value = cocycles.e2_cocycle(word, tau, n_terms)
     ratio = complex(value / (2j * math.pi))
     nearest = round(ratio.real)
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=_cmd_cocycle_check)
     pe = which.add_parser("e2", parents=[fmt, numeric], help="braid-group cocycle of E2")
     pe.add_argument("word", help="braid word, e.g. 's1*s2*s1^-1'")
-    pe.add_argument("--tau", default=None, help="evaluation point, e.g. '0.3+1.2j'")
+    pe.add_argument("--tau", type=complex, help="evaluation point, e.g. '0.3+1.2j'")
     pe.set_defaults(func=_cmd_cocycle_e2)
     return parser
 

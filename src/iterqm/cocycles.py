@@ -77,6 +77,8 @@ class SL2Mat:
     d: int
 
     def __post_init__(self):
+        if any(type(x) is not int for x in self.entries()):  # a float may pass the determinant check, then slash wrongly
+            raise TypeError("SL2Mat entries must be int")
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("determinant must be 1")
 

@@ -91,19 +91,21 @@ def lyndon_words(
 ) -> list[Word]:
     """All Lyndon words of length <= max_len, in lexicographic order.
 
-    Generated by Duval's algorithm.  When letter weights are given, only
-    words of total weight at most max_weight are kept.  Each letter needs a
-    weight, and the weights must be non-negative, so no extension of a
-    heavier word is kept either, and the enumeration skips them: it keeps
-    the weight of every prefix and stops extending a word at the first
-    letter that passes the bound.
+    Generated by Duval's algorithm.  Letter weights and max_weight are given
+    together or not at all; given, only words of total weight at most
+    max_weight are kept.  Each letter needs a weight, and the weights must be
+    non-negative, so no extension of a heavier word is kept either, and the
+    enumeration skips them: it keeps the weight of every prefix and stops
+    extending a word at the first letter that passes the bound.
     """
     for name, value in (("alphabet_size", alphabet_size), ("max_len", max_len)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+    if (letter_weight is None) != (max_weight is None):
+        raise ValueError("letter_weight and max_weight must be given together")
     if not alphabet_size or not max_len:
         return []
-    if letter_weight is None or max_weight is None:
+    if max_weight is None:
         letter_weight, max_weight = [0] * alphabet_size, 0
     else:
         for l in range(alphabet_size):

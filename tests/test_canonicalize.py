@@ -370,6 +370,15 @@ class TestRank:
         with pytest.raises(ValueError):
             independence_rank([()], [ONE, ONE], 5)
 
+    def test_empty_family(self):
+        assert independence_rank([], [], 5) == 0
+        assert independence_rank([], [], 0) == 0
+
+    @pytest.mark.parametrize("word", [(E4, 3), (F(1, 2),), ("E4",)], ids=str)
+    def test_letter_not_qmpoly_rejected(self, word):
+        with pytest.raises(TypeError, match="^bar word letters must be QMPoly$"):
+            independence_rank([(E6,), word], [ONE, ONE], 5)
+
 
 def reference_rank(rows):
     """Rank over Q by plain Fraction elimination, the old algorithm."""
@@ -644,14 +653,16 @@ class TestModularCertificate:
         assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10) == 2
         assert moduli == [P, P, 0]  # at q^2, then at q^10, then over Q
 
-    def test_denominator_p_takes_the_exact_path(self, moduli, monkeypatch):
+    def test_denominator_p_is_decided_mod_p(self, moduli, monkeypatch):
+        # letters and multipliers enter by their numerators: each row times an integer, no denominator P
         exact = []
         real = canonicalize.rational_rank
         monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: exact.append(rows) or real(rows))
         assert independence_rank([(E4,), (E4,)], [ONE, QMPoly.constant(F(1, P))], 10) == 1
-        assert len(exact) == 1 and moduli == [P]  # no rows mod P: 1/P has no residue
+        assert exact == [] and moduli == [P]  # the rows are equal after scaling: the kernel (1, -1) checks
         assert independence_rank([(E4 * F(1, P),), (E4,), (E6,)], [ONE] * 3, 10) == 2
-        assert len(exact) == 2
+        assert independence_rank([(ONE, E6 * F(2, P)), (E4,)], [QMPoly.constant(F(3, 7 * P)), E2], 10) == 2
+        assert exact == [] and moduli == [P, P, P]
 
     def test_full_rank_builds_no_exact_series(self, exact_words, moduli):
         words = [(E4,), (E6,), (ONE, E4), (E2, E6), ()]
@@ -754,7 +765,7 @@ class TestFirstTruncation:
         assert independence_rank(words, [ONE, ONE, E2, ONE, E4], 30) == 4
         assert moduli == [P]
         assert {t for t, m in truncations["integrals"] if m} == {4}
-        assert set(exact_words["words"]) == {(derive(E4),), ()}
+        assert set(exact_words["words"]) == {(3 * derive(E4),), ()}  # the numerators of D(E4)
         assert sorted(exact_words["multipliers"], key=repr) == sorted([ONE, E4], key=repr)
 
     def test_short_truncation_is_read_once(self, moduli, truncations):
@@ -775,7 +786,7 @@ class TestFirstTruncation:
             "rank 2 at q^4 of q^20: kernel of 1 checked, 3 rows exact",
             "rank at q^20: exact rows, the kernel did not lift or check",
             "rank at q^10: exact rows, the kernel did not lift or check",
-            "rank at q^10: exact rows, p divides a denominator",
+            "rank 1 at q^2 of q^10: kernel of 1 checked, 2 rows exact",
         ]
 
     def test_silent_without_debug(self, caplog):

@@ -330,6 +330,19 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: tau must be finite, got {complex(tau)}\n"
 
+    @pytest.mark.parametrize("tau", ["", "abc", "1+", "0.3+1.2i"])
+    def test_cocycle_e2_malformed_tau_is_a_usage_error(self, capsys, tau):
+        # '' was ignored for the admissible point, and 'abc' gave complex()'s message without the flag
+        with pytest.raises(SystemExit) as exit_:
+            main(["cocycle", "e2", "s1", "--tau", tau])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --tau: invalid complex value: {tau!r}\n")
+
+    def test_cocycle_e2_tau_zero_is_refused(self, capsys):
+        # a parsed 0j is falsy, and is still below Im tau = 0.2
+        code, out, err = run(capsys, ["cocycle", "e2", "s1", "--tau", "0"])
+        assert (code, out, err) == (1, "", "error: tau must satisfy Im >= 0.2, got 0j\n")
+
     def test_cocycle_e2_tau_too_large(self, capsys):
         # tau + 1 rounds to tau at 50 digits: the value used to read 0
         code, out, err = run(capsys, ["cocycle", "e2", "s1", "--tau", "1e52+1j"])
@@ -354,6 +367,10 @@ class TestCommands:
         )
         assert code == 0
         assert out == '{"rank":5,"count":5}\n'
+
+    @pytest.mark.parametrize("argv, out", [([], "0\n"), (["--json"], '{"rank":0,"count":0}\n')])
+    def test_rank_empty_family(self, capsys, monkeypatch, argv, out):
+        assert run(capsys, ["rank", "-N", "5", *argv], stdin="", monkeypatch=monkeypatch) == (0, out, "")
 
     def test_rank_deficient_json(self, capsys, monkeypatch):
         # I(2*E4) = 2*I(E4): rank 2 of 3, proved by the kernel lifted from the rows mod p

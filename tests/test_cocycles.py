@@ -261,6 +261,13 @@ class TestBraidGroup:
         with pytest.raises(ValueError):
             e2_cocycle((3,), 1.2j)
 
+    @pytest.mark.parametrize("entries", [(0.5, 0, 0, 2), (True, 1, 0, True), (1, Fraction(0), 0, 1), (1.0, 0, 0, 1)],
+                             ids=str)
+    def test_non_integer_entries_rejected(self, entries):
+        # (0.5, 0; 0, 2) passed the determinant check, and slash_poly gave an X^2 coefficient of 0.0 for 0.25
+        with pytest.raises(TypeError, match="^SL2Mat entries must be int$"):
+            SL2Mat(*entries)
+
 
 class TestBranchLog:
     def test_matches_per_generator_reference(self):

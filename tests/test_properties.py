@@ -250,9 +250,10 @@ FAMILY_MULTIPLIERS = [ONE, E2, E4, E4 + E6, QMPoly.constant(F(-3, 2)), QMPoly.co
 def integral_families(draw):
     """Rows (word, multiplier) with planted relations: by multilinearity in a
     letter (I(.., a, ..) + I(.., b, ..) = I(.., a + b, ..)), a repeated row
-    with a scaled multiplier, or a multiplier that is the sum of two others.
-    Multipliers divisible by the rank prime, or with it in a denominator,
-    reach the exact escapes.  Half the families start from a row and its
+    with a scaled multiplier or one letter scaled, or a multiplier that is the
+    sum of two others.  A multiplier divisible by the rank prime reaches the
+    exact escape; a letter or multiplier with it in a denominator enters by
+    its numerators.  Half the families start from a row and its
     twin, the row with one letter moved by CLOSE_TO_E4 - E4, which agrees
     with it to q^2.  n <= 1 + l rows of words of up to l letters are read
     mod p to q^2 first, where the two look dependent, so only the pass at
@@ -267,12 +268,15 @@ def integral_families(draw):
         rows = draw(st.lists(row, min_size=1, max_size=5))
     for _ in range(draw(st.integers(0, 2))):
         w, m = draw(st.sampled_from(rows))
-        kind = draw(st.sampled_from(["letter", "scale", "sum"] if w else ["scale", "sum"]))
+        kind = draw(st.sampled_from(["letter", "scale", "letter scale", "sum"] if w else ["scale", "sum"]))
         if kind == "letter":
             i, b = draw(st.integers(0, len(w) - 1)), draw(st.sampled_from(FAMILY_LETTERS))
             rows += [(w[:i] + (b,) + w[i + 1 :], m), (w[:i] + (w[i] + b,) + w[i + 1 :], m)]
         elif kind == "scale":
-            rows.append((w, m * draw(st.sampled_from([F(2), F(-1, 3), F(_RANK_PRIME)]))))
+            rows.append((w, m * draw(st.sampled_from([F(2), F(-1, 3), F(_RANK_PRIME), F(1, _RANK_PRIME)]))))
+        elif kind == "letter scale":
+            i, c = draw(st.integers(0, len(w) - 1)), draw(st.sampled_from([F(-1, 3), F(5, 2), F(1, _RANK_PRIME)]))
+            rows.append((w[:i] + (w[i] * c,) + w[i + 1 :], m))
         else:
             m2 = draw(st.sampled_from(FAMILY_MULTIPLIERS))
             rows += [(w, m2), (w, m + m2)]

@@ -154,6 +154,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="non-negative"):
             lyndon_words(2, 3, {0: 1, 1: -1}, 4)
 
+    @pytest.mark.parametrize("args", [({0: 0, 1: 2, 2: 4}, None), (None, 2), ({0: 0}, None)], ids=str)
+    def test_weights_without_bound_rejected(self, args):
+        # each alone was ignored: all six words of length <= 2 over three letters came back
+        for k, n in [(3, 2), (0, 2), (3, 0)]:
+            with pytest.raises(ValueError, match="^letter_weight and max_weight must be given together$"):
+                lyndon_words(k, n, *args)
+
     def test_letter_without_weight_rejected(self):
         with pytest.raises(ValueError, match=r"^letter 1 has no weight$"):
             lyndon_words(2, 2, {0: 0}, 4)
