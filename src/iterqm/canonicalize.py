@@ -353,6 +353,8 @@ def independence_rank(
         raise ValueError("truncation order must be >= 0")
     if len(words) != len(multipliers):
         raise ValueError("words and multipliers must pair up")
+    if not all(isinstance(m, QMPoly) for m in multipliers):
+        raise TypeError("multipliers must be QMPoly")
     # the integral is linear in each letter: numerators multiply a row by a positive integer
     words = [tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words]
     multipliers = [m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers]

@@ -32,9 +32,14 @@ polynomial is a fixed-point Taylor shift of those integers, the slash action
 substitutes the integer matrix entries exactly into coefficients read
 exactly, and each :class:`XYPoly` coefficient is rounded once, where it is
 built.  Numbers live in a private mpmath context, so a caller's mpmath
-precision is untouched.  |tau| <= 10^30 keeps 20 digits of (tau + 1) - tau.
-Each point value is computed once: Eichler polynomials are kept per (f, tau,
-n_terms), at most 64, and values of log Delta per (tau, n_terms), at most 128.
+precision is untouched.  The point checks, :func:`eval_numeric` and the braid
+path work on the raw ``_mpc_`` pairs and call libmp at the context's
+precision and rounding, the same call, and so the same single rounding, that
+each ``mpc`` operator makes: no digit differs from mpc arithmetic.
+|tau| <= 10^30 keeps 20 digits of (tau + 1) - tau.  Each point value is
+computed once: Eichler polynomials are kept per (f, tau, n_terms), at most
+64, and values of log Delta per (tau, n_terms), at most 128, keyed by tau's
+raw pair, which hashes at C speed.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ from math import perm
 from typing import Iterable, Sequence, Union
 
 from mpmath import MPContext
-from mpmath.libmp import from_man_exp, pi_fixed
+from mpmath.libmp import (finf, fninf, fnan, from_float, from_int, from_man_exp, fzero, mpc_add, mpc_add_mpf, mpc_div,
+                          mpc_div_mpf, mpc_expjpi, mpc_log, mpc_mul, mpc_mul_int, mpc_pow_int, mpc_sub, mpc_to_complex,
+                          mpf_le, mpf_lt, mpf_shift, pi_fixed, to_int)
 
 from .iterint import iter_integral
 from .qseries import LogQSeries
@@ -64,7 +71,9 @@ MIN_IMAG = 0.2
 
 _ctx = MPContext()
 _ctx.dps = WORKING_DPS
-mpc, mpf, pi, log, ldexp = _ctx.mpc, _ctx.mpf, _ctx.pi, _ctx.log, _ctx.ldexp
+mpc, mpf = _ctx.mpc, _ctx.mpf
+_PREC = _ctx.prec  # the context's precision; with its rounding "n", each libmp call rounds as an mpc operator does
+_TWO_PI_I, _MIN_IMAG, _NONFINITE = (2j * _ctx.pi)._mpc_, from_float(MIN_IMAG), (finf, fninf, fnan)
 
 
 @dataclass(frozen=True)
@@ -152,13 +161,13 @@ class XYPoly:
 
 def slash_poly(poly: XYPoly, g: SL2Mat) -> XYPoly:
     """The right action P(X, Y) -> P(aX + bY, cX + dY), exact and rounded once."""
-    re, im, x = _read(poly.coeffs)
+    re, im, x = _read([c._mpc_ for c in poly.coeffs])
     return XYPoly(poly.degree, _rounded(*_slashed(re, im, g), [x] * len(re)))
 
 
-def _read(coeffs: Sequence[mpc]) -> tuple[list[int], list[int], int]:
-    """Numbers exactly, as integer real and imaginary parts over one power of two 2^x."""
-    parts = [p for c in coeffs for p in c._mpc_]
+def _read(pairs: Sequence[tuple]) -> tuple[list[int], list[int], int]:
+    """Raw (re, im) pairs exactly, as integer real and imaginary parts over one power of two 2^x."""
+    parts = [p for z in pairs for p in z]
     x = min((p[2] for p in parts if p[1]), default=0)
     ints = [(-p[1] if p[0] else p[1]) << (p[2] - x) if p[1] else 0 for p in parts]
     return ints[0::2], ints[1::2], x
@@ -177,26 +186,28 @@ def _slashed(re: list[int], im: list[int], g: SL2Mat) -> list[list[int]]:
 
 def _rounded(re: list[int], im: list[int], xs: list[int]) -> list[mpc]:
     """Each (re + i*im) 2^x, both parts rounded once to working precision."""
-    p = _ctx.prec
+    p = _PREC
     return [_ctx.make_mpc((from_man_exp(r, x, p, "n"), from_man_exp(i, x, p, "n"))) for r, i, x in zip(re, im, xs)]
 
 
-def _finite(tau, label: str = "tau") -> mpc:
-    """tau as an mpc; NaN and infinite parts would pass every bound on Im, and
+def _finite(tau, label: str = "tau") -> tuple:
+    """The raw (re, im) pair of tau in the context, an mpc of the context read
+    without a copy; NaN and infinite parts would pass every bound on Im, and
     past |tau| = 10^(WORKING_DPS - 20), tau + 1 keeps too few digits."""
-    tau = mpc(tau)
-    if not _ctx.isfinite(tau):
-        raise ValueError(f"{label} must be finite, got {complex(tau)}")
-    if abs(complex(tau)) > 10.0 ** (WORKING_DPS - 20):
-        raise ValueError(f"|{label}| must be at most 1e{WORKING_DPS - 20}, got {complex(tau)}")
-    return tau
+    z = tau._mpc_ if type(tau) is mpc else mpc(tau)._mpc_
+    w = mpc_to_complex(z, False, "n")  # complex(tau)
+    if z[0] in _NONFINITE or z[1] in _NONFINITE:
+        raise ValueError(f"{label} must be finite, got {w}")
+    if abs(w) > 10.0 ** (WORKING_DPS - 20):
+        raise ValueError(f"|{label}| must be at most 1e{WORKING_DPS - 20}, got {w}")
+    return z
 
 
-def _require_upper(tau, label: str = "tau") -> mpc:
-    tau = _finite(tau, label)
-    if tau.imag < MIN_IMAG:
-        raise ValueError(f"{label} must satisfy Im >= {MIN_IMAG}, got {complex(tau)}")
-    return tau
+def _require_upper(tau, label: str = "tau") -> tuple:
+    z = _finite(tau, label)
+    if mpf_lt(z[1], _MIN_IMAG):  # tau.imag < MIN_IMAG, against the exact double
+        raise ValueError(f"{label} must satisfy Im >= {MIN_IMAG}, got {mpc_to_complex(z, False, 'n')}")
+    return z
 
 
 def eval_numeric(f: LogQSeries, tau) -> mpc:
@@ -205,34 +216,33 @@ def eval_numeric(f: LogQSeries, tau) -> mpc:
     50 digits, from the parts of :func:`_parts`, combined by Horner in L; requires
     tau in the open upper half-plane with |tau| <= 10^(WORKING_DPS - 20).
     """
-    tau, q, (parts,) = _parts([f], tau)
-    ell = 2j * pi * tau
-    total = mpc(0)
+    tau, p = _finite(tau), _PREC
+    if mpf_le(tau[1], fzero):
+        raise ValueError("tau must lie in the upper half-plane")
+    q, (parts,) = _parts([f], tau)
+    ell, total = mpc_mul(_TWO_PI_I, tau, p, "n"), (fzero, fzero)
     for k in range(f.log_degree(), -1, -1):
         re, im, x, m = parts.get(k, (0, 0, 0, 0))
-        part = mpc(ldexp(re, x), ldexp(im, x))
-        total = total * ell + (part * q**m if m else part)
-    return total / f.den
+        part = from_man_exp(re, x, p, "n"), from_man_exp(im, x, p, "n")
+        part = mpc_mul(part, mpc_pow_int(q, m, p, "n"), p, "n") if m else part
+        total = mpc_add(mpc_mul(total, ell, p, "n"), part, p, "n")
+    return _ctx.make_mpc(mpc_div_mpf(total, from_int(f.den), p, "n"))
 
 
-def _parts(series: Sequence[LogQSeries], tau) -> tuple[mpc, mpc, list[dict[int, tuple[int, int, int, int]]]]:
+def _parts(series: Sequence[LogQSeries], tau: tuple) -> tuple[tuple, list[dict[int, tuple[int, int, int, int]]]]:
     """The integer kernel, the module's only numeric summation of a series:
-    tau, q = e(tau) and each series' log-parts, that of L^k as ``k: (re, im,
-    x, m)`` for (re + i*im) 2^x q^m.  q is rounded once to qr + i*qi =
+    q = e(tau) and each series' log-parts at a raw tau with Im tau > 0, that of
+    L^k as ``k: (re, im, x, m)`` for (re + i*im) 2^x q^m.  q is rounded once to qr + i*qi =
     q * 2^(bits + e), where 2^-(e+2) <= |q| <= 2^-e and ``bits`` is the
     working precision plus guard bits.  Each part sum_n c_n q^n is q^m times
     a Horner sum on integers, from its first nonzero c_m, in units of
     2^-bits * 2^(bit length of c_m), up to the last term that reaches a unit,
     sought back from the last index at which one can (for e > 0); later terms
     are dropped, so the work stays bounded as Im tau grows."""
-    tau = _finite(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    bits = _ctx.prec + max(s.trunc for s in series).bit_length() + 12
-    with _ctx.workprec(bits):
-        q = _ctx.expjpi(2 * tau)
-    e = -_ctx.mag(q)
-    qr, qi = int(ldexp(q.real, bits + e)), int(ldexp(q.imag, bits + e))
+    bits = _PREC + max(s.trunc for s in series).bit_length() + 12
+    q = mpc_expjpi(mpc_mul_int(tau, 2, bits, "n"), bits, "n")
+    e = -max(x[2] + x[3] for x in q if x[1]) - all(x[1] for x in q)  # -mag(q), as mpmath bounds |q|
+    qr, qi = (to_int(mpf_shift(x, bits + e)) for x in q)
     out = []
     for s in series:
         parts = {}
@@ -246,7 +256,7 @@ def _parts(series: Sequence[LogQSeries], tau) -> tuple[mpc, mpc, list[dict[int, 
                 ar, ai = ((ar * qr - ai * qi) >> (bits + e)) + ((x << bits) >> lead), (ar * qi + ai * qr) >> (bits + e)
             parts[k] = (ar, ai, lead - bits, m)
         out.append(parts)
-    return tau, q, out
+    return q, out
 
 
 def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
@@ -265,7 +275,7 @@ def eichler_integral(f: QMPoly, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly:
     sum_r (-1)^r C(j+1, r+1) = 1 these sum to Eichler's regularized
     primitive -a_0 tau^(j+1)/(j+1) exactly.  The d + 1 words are suffixes
     of the longest, so their series are built once per (f, n_terms), and
-    the polynomial once per (f, tau, n_terms), tau taken as an ``mpc``
+    the polynomial once per (f, tau, n_terms), tau taken as its raw pair
     with Im tau >= MIN_IMAG, as for :func:`cocycle_r`.
     """
     tau = _require_upper(tau)
@@ -291,14 +301,14 @@ def _mul(z: tuple[int, int, int], w: tuple[int, int, int], bits: int) -> tuple[i
 
 
 @lru_cache(maxsize=_EICHLER_CACHE_SIZE, typed=True)
-def _eichler_poly(f: QMPoly, tau: mpc, n_terms: int) -> XYPoly:
+def _eichler_poly(f: QMPoly, tau: tuple, n_terms: int) -> XYPoly:
     # The polynomial is sum_r c_r Y^r (X - tau Y)^(d-r), c_r = (-1)^r d!/(d-r)! (2 pi i)^(d-r) V_r,
     # V_r summing (2 pi i tau)^k (re + i*im) 2^x q^m / den over its parts.  X = 2^s X', 1 <= |tau / 2^s| < 3,
     # makes it a Taylor shift, Horner in Z = X' - (tau / 2^s) Y over the c_r 2^(s(d-r)), in units 2^-scale.
     d = f.weight() - 2
     series = [iter_integral((ONE,) * r + (f,), n_terms) for r in range(d + 1)]
-    tau, q, parts = _parts(series, tau)
-    bits = _ctx.prec + 3 * d + 16  # the roundings in Horner grow by less than (d + 1) 4^d
+    q, parts = _parts(series, tau)
+    bits = _PREC + 3 * d + 16  # the roundings in Horner grow by less than (d + 1) 4^d
     mul = partial(_mul, bits=bits)
     ((tr,), (ti,), tx), ((qr,), (qi,), qx) = _read([tau]), _read([q])
     top = max((k for p in parts for k in p), default=0)
@@ -326,12 +336,12 @@ def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly
     Requires Im(tau) and Im(g.tau) at least 0.2; the result does not
     depend on tau.  P(tau) - P(g.tau)|g is formed exactly and rounded once.
     """
-    tau = _require_upper(tau)
+    tau = _ctx.make_mpc(_require_upper(tau))
     gtau = g.moebius(tau)
     _require_upper(gtau, "g.tau")
     p = eichler_integral(f, tau, n_terms).coeffs
     n = len(p)
-    re, im, x = _read(p + eichler_integral(f, gtau, n_terms).coeffs)
+    re, im, x = _read([c._mpc_ for c in p + eichler_integral(f, gtau, n_terms).coeffs])
     out = [[a - b for a, b in zip(u, w)] for u, w in zip((re, im), _slashed(re[n:], im[n:], g))]
     return XYPoly(n - 1, _rounded(*out, [x] * n))
 
@@ -373,9 +383,9 @@ def b3_to_sl2(word: Iterable[int]) -> SL2Mat:
     return _read_braid(word)[0]
 
 
-def _branch_log(j: mpc, turns: int) -> mpc:
-    """The branch of log(j), j = c*tau + d, a braid word selects, from its
-    matrix and winding count as :func:`_read_braid` reads them.
+def _branch_log(j: tuple, turns: int) -> tuple:
+    """The branch of log(j), j = c*tau + d as a raw pair, a braid word selects,
+    from its matrix and winding count as :func:`_read_braid` reads them.
 
     Generators take the principal branch and words compose by
     l_{w1 w2}(tau) = l_{w1}(gamma_{w2} tau) + l_{w2}(tau).  Each generator's
@@ -383,8 +393,8 @@ def _branch_log(j: mpc, turns: int) -> mpc:
     is 1 for s1^(+-1)), so the sum is the principal log of the word's own
     c*tau + d plus 2*pi*i times the winding count.
     """
-    value = log(j)
-    return value + 2j * pi * turns if turns else value
+    value = mpc_log(j, _PREC, "n")
+    return mpc_add(value, mpc_mul_int(_TWO_PI_I, turns, _PREC, "n"), _PREC, "n") if turns else value
 
 
 def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
@@ -402,18 +412,20 @@ def e2_cocycle(word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> mpc:
     is taken.
     """
     mat, turns = _read_braid(word)
-    tau = _require_upper(tau)
-    j = mat.c * tau + mat.d
-    gtau = _require_upper((mat.a * tau + mat.b) / j, "gamma.tau")
-    return _minus_log_disc(gtau, n_terms) - _minus_log_disc(tau, n_terms) + 12 * _branch_log(j, turns)
+    tau, p = _require_upper(tau), _PREC
+    j = mpc_add_mpf(mpc_mul_int(tau, mat.c, p, "n"), from_int(mat.d), p, "n")
+    gtau = mpc_div(mpc_add_mpf(mpc_mul_int(tau, mat.a, p, "n"), from_int(mat.b), p, "n"), j, p, "n")
+    gtau = _require_upper(_ctx.make_mpc(gtau), "gamma.tau")
+    value = mpc_sub(_minus_log_disc(gtau, n_terms), _minus_log_disc(tau, n_terms), p, "n")
+    return _ctx.make_mpc(mpc_add(value, mpc_mul_int(_branch_log(j, turns), 12, p, "n"), p, "n"))
 
 
 _LOG_DISC_CACHE_SIZE = 128  #: values of log Delta kept; a benchmark round evaluates it at 61 to 83 points
 
 
 @lru_cache(maxsize=_LOG_DISC_CACHE_SIZE, typed=True)
-def _minus_log_disc(tau: mpc, n_terms: int) -> mpc:
-    return eval_numeric(iter_integral((E2,), n_terms), tau)
+def _minus_log_disc(tau: tuple, n_terms: int) -> tuple:
+    return eval_numeric(iter_integral((E2,), n_terms), _ctx.make_mpc(tau))._mpc_
 
 
 def quasimodular_cocycle(

@@ -379,6 +379,17 @@ class TestRank:
         with pytest.raises(TypeError, match="^bar word letters must be QMPoly$"):
             independence_rank([(E6,), word], [ONE, ONE], 5)
 
+    @pytest.mark.parametrize("multiplier", [1, F(1, 2), "E4", None], ids=str)
+    def test_multiplier_not_qmpoly_rejected(self, multiplier, monkeypatch):
+        # an int multiplier raised AttributeError on its missing denominator; no series is built before the check
+        def no_series(*args):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(canonicalize, "expand", no_series)
+        monkeypatch.setattr(canonicalize, "iter_integral", no_series)
+        with pytest.raises(TypeError, match="^multipliers must be QMPoly$"):
+            independence_rank([(E4,), (E6,)], [ONE, multiplier], 5)
+
 
 def reference_rank(rows):
     """Rank over Q by plain Fraction elimination, the old algorithm."""

@@ -34,8 +34,8 @@ from iterqm.cli import (  # noqa: E402
     format_series, qmpoly_from_json, qmpoly_to_json, series_from_json, series_to_json,
 )
 from iterqm.cocycles import (  # noqa: E402
-    IDENTITY, WORKING_DPS, S, SL2Mat, T, XYPoly, _branch_log, _read, _read_braid, _slashed, admissible_tau, b3_to_sl2,
-    ldexp, mpc, slash_poly,
+    IDENTITY, WORKING_DPS, S, SL2Mat, T, XYPoly, _branch_log, _ctx, _read, _read_braid, _slashed, admissible_tau,
+    b3_to_sl2, mpc, slash_poly,
 )
 from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import IntegralPoly, ibp, iter_integral  # noqa: E402
@@ -563,7 +563,7 @@ braid_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=12).map(tuple)
 
 def branch_log(word, tau):
     mat, turns = _read_braid(word)
-    return _branch_log(mat.c * mpc(tau) + mat.d, turns)
+    return _ctx.make_mpc(_branch_log((mat.c * mpc(tau) + mat.d)._mpc_, turns))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -579,7 +579,7 @@ def test_branch_log_composes_along_the_word(w1, w2):
 
 
 st_words = st.lists(st.sampled_from((S, T)), max_size=6).map(lambda gs: reduce(operator.mul, gs, IDENTITY))
-dyadics = st.builds(lambda m, e: ldexp(m, e), st.integers(-2**30, 2**30), st.integers(-20, 20))
+dyadics = st.builds(lambda m, e: _ctx.ldexp(m, e), st.integers(-2**30, 2**30), st.integers(-20, 20))
 dyadic_polys = st.integers(0, 20).flatmap(
     lambda d: st.lists(st.builds(mpc, dyadics, dyadics), min_size=d + 1, max_size=d + 1).map(lambda cs: XYPoly(d, cs)))
 
@@ -589,13 +589,13 @@ dyadic_polys = st.integers(0, 20).flatmap(
 def test_slash_is_a_right_action(p, g1, g2):
     # exactly so on integers; each slash_poly rounds once, so the two sides
     # differ by at most the first rounding carried through g2 plus the last two
-    re, im, _ = _read(p.coeffs)
+    re, im, _ = _read([c._mpc_ for c in p.coeffs])
     assert _slashed(*_slashed(re, im, g1), g2) == _slashed(re, im, g1 * g2)
     once = slash_poly(p, g1)
     lhs, rhs = slash_poly(once, g2), slash_poly(p, g1 * g2)
     a, b, c, d = g2.entries()
     spread = sum(map(abs, once.coeffs)) * max(abs(a) + abs(b), abs(c) + abs(d)) ** p.degree
-    assert lhs.distance(rhs) <= ldexp(spread, -(dps_to_prec(WORKING_DPS) - 2))
+    assert lhs.distance(rhs) <= _ctx.ldexp(spread, -(dps_to_prec(WORKING_DPS) - 2))
     minus = slash_poly(p, SL2Mat(-1, 0, 0, -1))
     assert minus.coeffs == tuple((-1) ** p.degree * c for c in p.coeffs)
 
