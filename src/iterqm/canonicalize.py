@@ -305,6 +305,9 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """
     if len({len(row) for row in rows}) > 1:
         raise ValueError("rows must all have the same length")
+    for x in chain.from_iterable(rows):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected an exact rational, got {type(x).__name__}")
     matrix = [row for row in rows if any(row)]
     scales = [lcm(*(x.denominator for x in row)) for row in matrix]
     matrix = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(matrix, scales)]

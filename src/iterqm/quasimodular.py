@@ -11,8 +11,8 @@ filtered by depth (the E2-degree).  The module provides
 * :func:`transform_coeffs`, the polynomial coefficients governing the
   behaviour under the modular group, built from the E2 shift by 12X,
 * :func:`decompose` and :func:`derivative_decomposition`, which split any
-  form along QM = C*E2 + D(QM) + M, a direct sum in each weight, with one
-  inverted linear system per weight, and
+  form along QM = C*E2 + D(QM) + M, a direct sum in each weight, monomial
+  by monomial with one cached integer peel each, and
 * :func:`basis_b`, the ordered monomial basis of C*E2 + M used as the
   alphabet for canonical forms of iterated integrals.
 
@@ -318,73 +318,58 @@ def _monomials_of_weight(k: int) -> list[Exponents]:
             if (k - 2 * a - 4 * b) % 6 == 0]
 
 
-#: Weights whose inverted system :func:`decompose` keeps (a few dozen occur).
-_INVERSE_CACHE_WEIGHTS = 64
+_SPLIT_CACHE_MONOMIALS = 2048  #: monomial splits kept; a soundness round splits 119-123, weights <= 60 hold 1,041
 
 
-@lru_cache(maxsize=_INVERSE_CACHE_WEIGHTS)
-def _decomposition_inverse(k: int) -> tuple[list[Exponents], list[Exponents], dict, int]:
-    """The weight-k system of :func:`decompose`, solved once per monomial.
+@lru_cache(maxsize=_SPLIT_CACHE_MONOMIALS)
+def _monomial_split(mono: Exponents) -> tuple[tuple, tuple, int]:
+    """One monomial of weight k as m + derive(h): numerators of m (basis letters
+    of weight k) and of h (weight k - 2) over one denominator.
 
-    Unknowns: the basis letters of weight k (modular monomials, E2 at k = 2),
-    then the monomials h of weight k-2.  D raises the E2-degree by at most
-    one, and the top part of D(E2^a E4^b E6^c) is (a + 4b + 6c)/12 *
-    E2^(a+1) E4^b E6^c, nonzero for k > 2.  So a weight-k monomial is solved
-    by peeling its top E2-degree part off as D of an h-part until a modular
-    part is left, on integer numerators.  Returns both lists, per weight-k
-    monomial its nonzero solution entries as integer numerators, and their
-    one common denominator.
+    D raises the E2-degree by at most one, and the top part of D(E2^a E4^b E6^c)
+    is (a + 4b + 6c)/12 * E2^(a+1) E4^b E6^c, nonzero for k > 2.  So the monomial
+    is split by peeling its top E2-degree part off as D of an h-part until a
+    modular part is left, on integer numerators; E2 (k = 2) is its own part.
+    The (monomial, numerator) pairs are tuples, as the cache shares them.
     """
-    modular = [mono for mono in _monomials_of_weight(k) if mono[0] == 0 or k == 2]
-    lower = _monomials_of_weight(k - 2)
-    solutions = {}
-    for mono in _monomials_of_weight(k):
-        rest, h, d = {mono: 1}, {}, 1  # numerators over d
-        while k != 2 and (top := max((a for a, _, _ in rest), default=0)):
-            tops = {(a - 1, b, c): v for (a, b, c), v in rest.items() if a == top}
-            scale = 12 * lcm(*(a + 4 * b + 6 * c for a, b, c in tops))
-            step = {m: v * scale // (m[0] + 4 * m[1] + 6 * m[2]) for m, v in tops.items()}  # over d * scale / 12
-            rest = _accumulate({m: v * scale for m, v in rest.items()}, ((m, -v) for m, v in _derive12(step).items()))
-            h = _accumulate({m: v * scale for m, v in h.items()}, ((m, 12 * v) for m, v in step.items()))
-            d *= scale
-        g = gcd(d, *rest.values(), *h.values())
-        solutions[mono] = {m: v // g for m, v in (*rest.items(), *h.items())}, d // g  # weights k and k - 2
-    index = {mono: j for j, mono in enumerate(modular + lower)}
-    den = lcm(*(d for _, d in solutions.values()))
-    columns = {mono: [(index[key], v * (den // d)) for key, v in x.items()] for mono, (x, d) in solutions.items()}
-    return modular, lower, columns, den
+    rest, h, d = {mono: 1}, {}, 1  # numerators over d
+    while mono != (1, 0, 0) and (top := max((a for a, _, _ in rest), default=0)):
+        tops = {(a - 1, b, c): v for (a, b, c), v in rest.items() if a == top}
+        scale = 12 * lcm(*(a + 4 * b + 6 * c for a, b, c in tops))
+        step = {m: v * scale // (m[0] + 4 * m[1] + 6 * m[2]) for m, v in tops.items()}  # over d * scale / 12
+        rest = _accumulate({m: v * scale for m, v in rest.items()}, ((m, -v) for m, v in _derive12(step).items()))
+        h = _accumulate({m: v * scale for m, v in h.items()}, ((m, 12 * v) for m, v in step.items()))
+        d *= scale
+    g = gcd(d, *rest.values(), *h.values())
+    return tuple((m, v // g) for m, v in rest.items()), tuple((m, v // g) for m, v in h.items()), d // g
 
 
 def _split(p: QMPoly) -> tuple[dict[Exponents, int], dict[Exponents, int], int]:
     """p = m + derive(h), m of basis letters (E2 at weight 2, the constant at weight 0):
-    m's and h's numerators over one denominator.  Each weight is solved by its cached
-    inverse, and the weights, disjoint, are merged over the lcm of their denominators."""
-    sols: dict[int, list[int]] = {}
-    for mono, num in p.nums.items():
-        k = 2 * mono[0] + 4 * mono[1] + 6 * mono[2]
-        modular, lower, columns, _ = _decomposition_inverse(k)
-        if (sol := sols.get(k)) is None:
-            sol = sols[k] = [0] * (len(modular) + len(lower))
-        for j, value in columns[mono]:
-            sol[j] += num * value
-    parts = [(_decomposition_inverse(k), sol) for k, sol in sorted(sols.items())]
-    den = lcm(*(inverse[3] for inverse, _ in parts))
+    m's and h's numerators over one denominator, the sums of p's monomials' cached
+    splits over the lcm of their denominators."""
+    splits = [(num, _monomial_split(mono)) for mono, num in p.nums.items()]
+    den = lcm(*(d for _, (_, _, d) in splits))
     m, h = {}, {}
-    for (modular, lower, _, d), sol in parts:
-        f = den // d
-        m.update((mono, x * f) for mono, x in zip(modular, sol) if x)
-        h.update((mono, x * f) for mono, x in zip(lower, sol[len(modular):]) if x)
-    return m, h, den * p.den
+    for num, (mono_m, mono_h, d) in splits:
+        f = num * (den // d)
+        for mono, v in mono_m:
+            m[mono] = m.get(mono, 0) + f * v
+        for mono, v in mono_h:
+            h[mono] = h.get(mono, 0) + f * v
+    return {k: v for k, v in m.items() if v}, {k: v for k, v in h.items() if v}, den * p.den
 
 
 def decompose(p: QMPoly) -> tuple[Fraction, QMPoly, QMPoly]:
     """Split a form as p = c*E2 + m + derive(h), uniquely.
 
     m is a polynomial in E4, E6, and h has no constant term (D kills
-    constants); weight by weight, m has p's weight k, h weight k - 2,
-    and only k = 2 gives c.  The sum is direct in each weight, so the
-    split is unique and linear (:func:`_split`).
+    constants); a monomial of weight k gives m of weight k and h of weight
+    k - 2, and only k = 2 gives c.  The sum is direct in each weight, so the
+    split is unique and linear: the sum of the monomials' splits (:func:`_split`).
     """
+    if not isinstance(p, QMPoly):
+        raise TypeError(f"expected a QMPoly, got {type(p).__name__}")
     m, h, den = _split(p)
     return Fraction(m.pop((1, 0, 0), 0), den), QMPoly._of(m, den), QMPoly._of(h, den)
 
@@ -397,16 +382,15 @@ def derivative_decomposition(p: QMPoly) -> list[tuple[Fraction, int, QMPoly]]:
     """
     components: list[tuple[Fraction, int, QMPoly]] = []
     order = 0
-    current = p
-    while not current.is_zero():
-        c, m, h = decompose(current)
+    while True:
+        c, m, h = decompose(p)
         if c:
             components.append((c, order, E2))
         if not m.is_zero():
             components.append((Fraction(1), order, m))
-        current = h
-        order += 1
-    return components
+        if h.is_zero():
+            return components
+        p, order = h, order + 1
 
 
 def basis_b(max_weight: int, modular_only: bool = False) -> list[QMPoly]:

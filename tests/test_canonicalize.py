@@ -366,6 +366,13 @@ class TestRank:
         with pytest.raises(ValueError, match="^rows must all have the same length$"):
             rational_rank(rows)
 
+    @pytest.mark.parametrize("rows,kind", [([[0.5, 1]], "float"), ([[1, 2], [F(1, 3), 2.0]], "float"),
+                                           ([[0.0, 0.0]], "float"), ([[1, "2"]], "str")], ids=str)
+    def test_rational_rank_rejects_inexact_entries(self, rows, kind):
+        # a float raised AttributeError on its missing denominator; a zero row of floats gave rank 0
+        with pytest.raises(TypeError, match=f"^expected an exact rational, got {kind}$"):
+            rational_rank(rows)
+
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             independence_rank([()], [ONE, ONE], 5)
@@ -822,7 +829,7 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_decomposition_inverse",
+        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split",
                                                 "_eichler_poly", "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
@@ -834,7 +841,7 @@ class TestClearCaches:
         modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
-        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "build_parser",
+        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split", "build_parser",
                                                 "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches

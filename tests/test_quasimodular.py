@@ -277,6 +277,30 @@ class TestDecompose:
         # the split is direct in each weight, so one split serves any form
         assert decompose(ONE + E2) == (1, ONE, ZERO)
 
+    def test_mixed_denominators(self):
+        """The monomials' splits have denominators 1, 2, 5 and 14: each is brought to their lcm."""
+        from iterqm.quasimodular import _monomial_split
+
+        p = E2**3 * E4 - F(7, 3) * E2 * E6 + E2 + 1 + E2**2 * E4 + E2 * E4**2
+        assert sorted({_monomial_split(mono)[2] for mono in p.nums}) == [1, 2, 5, 14]
+        m = 2 * E4 * E6 - F(4, 3) * E4**2 + 1
+        h = 2 * E2**2 * E4 + F(8, 7) * E2 * E6 + F(20, 7) * E4**2 + F(12, 5) * E2 * E4 - F(46, 15) * E6
+        assert decompose(p) == (1, m, h)
+        assert E2 + m + derive(h) == p
+        # the sum of the reference's splits of the weights but 2, where E2 is its own part
+        weights = {}
+        for (a, b, c), v in p.terms.items():
+            weights[2 * a + 4 * b + 6 * c] = weights.get(2 * a + 4 * b + 6 * c, ZERO) + QMPoly({(a, b, c): v})
+        parts = [reference_decompose(part) for k, part in weights.items() if k != 2]
+        assert (m, h) == (sum((x[1] for x in parts), ZERO), sum((x[2] for x in parts), ZERO))
+
+    @pytest.mark.parametrize("value", [3, F(1, 2), 0.5, "E4", None], ids=repr)
+    def test_not_a_form_rejected(self, value):
+        with pytest.raises(TypeError, match=f"^expected a QMPoly, got {type(value).__name__}$"):
+            decompose(value)
+        with pytest.raises(TypeError, match=f"^expected a QMPoly, got {type(value).__name__}$"):
+            derivative_decomposition(value)
+
 
 class TestTrustedArithmetic:
     """Ring operations build their results without re-validation; each must
@@ -369,41 +393,33 @@ def reference_decompose(p: QMPoly):
     return F(0), m, h
 
 
-def reference_decomposition_inverse(k: int):
-    """The weight-k inverse of decompose by the top-E2-degree peel on QMPoly and Fraction arithmetic."""
-    from math import lcm
-
-    from iterqm.quasimodular import _monomials_of_weight
-
-    modular = [mono for mono in _monomials_of_weight(k) if mono[0] == 0]
-    lower = _monomials_of_weight(k - 2)
-    solutions = {}
-    for mono in _monomials_of_weight(k):
-        rest, h = QMPoly._of({mono: 1}), QMPoly()
-        while top := rest.depth():
-            step = QMPoly({(a - 1, b, c): F(12 * v, (a - 1 + 4 * b + 6 * c) * rest.den)
-                           for (a, b, c), v in rest.nums.items() if a == top})
-            rest, h = rest - derive(step), h + step
-        solutions[mono] = rest + h
-    index = {mono: j for j, mono in enumerate(modular + lower)}
-    den = lcm(*(x.den for x in solutions.values()))
-    columns = {mono: [(index[key], v * (den // x.den)) for key, v in x.nums.items()]
-               for mono, x in solutions.items()}
-    return modular, lower, columns, den
+def reference_monomial_split(mono):
+    """One monomial's split by the top-E2-degree peel on QMPoly and Fraction arithmetic:
+    m's and h's numerators over their lowest common denominator."""
+    rest, h = QMPoly._of({mono: 1}), QMPoly()
+    while top := rest.depth():
+        step = QMPoly({(a - 1, b, c): F(12 * v, (a - 1 + 4 * b + 6 * c) * rest.den)
+                       for (a, b, c), v in rest.nums.items() if a == top})
+        rest, h = rest - derive(step), h + step
+    both = rest + h  # of weights k and k - 2, so nothing cancels
+    return ({key: v for key, v in both.nums.items() if key in rest.nums},
+            {key: v for key, v in both.nums.items() if key in h.nums}, both.den)
 
 
 class TestDecomposeEveryWeight:
     @pytest.mark.parametrize("k", range(0, 62, 2))
     def test_inverse_matches_the_fraction_peel(self, k):
-        """The integer peel gives the same lists, columns (in order) and denominator."""
-        from iterqm.quasimodular import _decomposition_inverse
+        """The integer peel splits each monomial of weight k into the same numerators over the same denominator."""
+        from iterqm.quasimodular import _monomial_split
 
         if k == 2:  # E2 is its own part at weight 2; the peel divides by zero there
-            assert _decomposition_inverse(2) == ([(1, 0, 0)], [(0, 0, 0)], {(1, 0, 0): [(0, 1)]}, 1)
+            assert _monomial_split((1, 0, 0)) == ((((1, 0, 0), 1),), (), 1)
             with pytest.raises(ZeroDivisionError):
-                reference_decomposition_inverse(2)
+                reference_monomial_split((1, 0, 0))
         else:
-            assert _decomposition_inverse(k) == reference_decomposition_inverse(k)
+            for mono in monomials_of_weight(k):
+                m, h, d = _monomial_split(mono)
+                assert (dict(m), dict(h), d) == reference_monomial_split(mono)
 
     @pytest.mark.parametrize("k", range(4, 42, 2))
     def test_random_forms(self, k):
@@ -424,9 +440,11 @@ class TestDecomposeEveryWeight:
             assert decompose(unit) == reference_decompose(unit)
 
     def test_inverse_cache_is_bounded(self):
-        from iterqm.quasimodular import _INVERSE_CACHE_WEIGHTS, _decomposition_inverse
+        from iterqm.quasimodular import _SPLIT_CACHE_MONOMIALS, _monomial_split
 
-        assert _decomposition_inverse.cache_info().maxsize == _INVERSE_CACHE_WEIGHTS
+        assert _monomial_split.cache_info().maxsize == _SPLIT_CACHE_MONOMIALS
+        # every monomial of the weights above stays cached
+        assert sum(len(monomials_of_weight(k)) for k in range(0, 62, 2)) == 1041 <= _SPLIT_CACHE_MONOMIALS
 
 
 def test_deep_derivatives_of_e4():

@@ -1,6 +1,6 @@
-"""Print the exact outputs of the benchmark's soundness, certify or cocycle operations, or of the parser.
+"""Print the exact outputs of the benchmark's soundness, certify or cocycle operations, or of the parser and decompose.
 
-Usage: python3 tools/exact_outputs.py [--src DIR] [--seed N] [--workload soundness|certify|cocycle|parse]
+Usage: python3 tools/exact_outputs.py [--src DIR] [--seed N] [--workload soundness|certify|cocycle|parse|decompose]
 
 The operations of one seed are built by this checkout's
 ``bench/workloads.py`` and run in process with the iterqm package found
@@ -16,7 +16,10 @@ and ``rhs``.  For ``parse`` it draws 20,000 seeded texts of the grammar,
 spaced with ASCII and Unicode whitespace, half of them spoiled by a token
 such as ``E5``, ``²``, ``_`` or ``((((``, and prints for each text and each
 of ``iterqm.expr.parse``'s two modes the index, the mode, the SHA-256 of
-the value or the error message with its offset, and the text.  Two trees
+the value or the error message with its offset, and the text.  For
+``decompose`` it prints for each of the same texts the index, the SHA-256
+of ``iterqm decompose --json``'s output (of its error line where it fails)
+and the text.  Two trees
 give the same results on these inputs exactly when the two listings are
 byte-identical, so a change is checked against a base commit with
 
@@ -29,7 +32,9 @@ byte-identical, so a change is checked against a base commit with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import random
 import sys
@@ -94,7 +99,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the iterqm package")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=("soundness", "certify", "cocycle", "parse"), default="soundness")
+    parser.add_argument("--workload", choices=("soundness", "certify", "cocycle", "parse", "decompose"),
+                        default="soundness")
     args = parser.parse_args()
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
     from workloads import Certify, Cocycle, Soundness
@@ -113,6 +119,15 @@ def main() -> int:
                 except ExprError as exc:
                     out = f"error: {exc}"
                 print(i, "integrals" if integrals else "form", out, repr(text), sep="\t")
+        return 0
+    if args.workload == "decompose":
+        from iterqm.cli import main as iterqm_main
+
+        for i, text in enumerate(parse_texts(args.seed)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = iterqm_main(["decompose", "--json", "--", text])
+            print(i, hashlib.sha256((out if code == 0 else err).getvalue().encode()).hexdigest(), repr(text), sep="\t")
         return 0
     if args.workload == "certify":
         workload = Certify()
