@@ -36,7 +36,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .iterint import BarWord, IntegralPoly, _as_word, iter_integral
-from .linear import _accumulate
+from .linear import _add_row
 from .qseries import LogQSeries, Scalar, _pack
 from .quasimodular import (
     ONE,
@@ -115,18 +115,12 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
 
     def push(word: Word, start: int, nums: dict[Exponents, int], num: int, den: int) -> None:
         """Add num/den times the numerators nums to the word's row, filed by its first non-basis position."""
+        rows = out
         for i in range(start, len(word)):
             if not basis[word[i]]:
                 rows = pending.setdefault((len(word), i), {})
                 break
-        else:
-            rows = out
-        if (row := rows.get(word)) is None:
-            rows[word] = [den, {k: v * num for k, v in nums.items()}]
-            return
-        if (common := lcm(row[0], den)) != row[0]:
-            row[:] = common, {k: v * (common // row[0]) for k, v in row[1].items()}
-        _accumulate(row[1], ((k, v * (num * common // den)) for k, v in nums.items()))
+        _add_row(rows, word, nums, num, den)
 
     for word, coeff in combo.items():
         if all(word):

@@ -1,17 +1,19 @@
 """Sparse linear combinations: dicts from keys to nonzero coefficients.
 
-Quasimodular polynomials and the rows of letter reduction (monomials to
-integer numerators over a denominator kept beside the dict), combinations of
-bar words (words to polynomials) and polynomials in words (multisets of
-words, Lyndon or not, to coefficients) are all finite linear combinations.
+Quasimodular polynomials, combinations of bar words (words to polynomials),
+polynomials in words (multisets of words, Lyndon or not, to coefficients)
+and the numerators of a row are all finite linear combinations.
 :func:`_accumulate` is the one routine that adds terms into such a dict and
 drops those that cancel.  Coefficients may be any commutative ring elements,
-ints included, that support + and truthiness for zero tests.
+ints included, that support + and truthiness for zero tests.  The rows of
+both rewriting stages of the canonical path, [den, integer numerators by
+monomial], are added to only by :func:`_add_row`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import lcm
 
 
 def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
@@ -25,3 +27,14 @@ def _accumulate(out: dict, pairs: Iterable[tuple]) -> dict:
         elif cur is not None:
             del out[key]
     return out
+
+
+def _add_row(rows: dict, key, nums: dict, num: int, den: int) -> None:
+    """Add num/den times the integer numerators ``nums`` (never changed) to the row [den, numerators] at ``key``:
+    a copy of them on the first add, else over the lcm of the two denominators, numerators that cancel dropped."""
+    if (row := rows.get(key)) is None:
+        rows[key] = [den, {k: v * num for k, v in nums.items()}]
+        return
+    if (common := lcm(row[0], den)) != row[0]:
+        row[:] = common, {k: v * (common // row[0]) for k, v in row[1].items()}
+    _accumulate(row[1], ((k, v * (num * common // den)) for k, v in nums.items()))

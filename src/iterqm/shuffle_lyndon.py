@@ -16,11 +16,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
 from operator import neg
 from typing import Optional
 
-from .linear import _accumulate
+from .linear import _accumulate, _add_row
 from .quasimodular import QMPoly
 
 Word = tuple[int, ...]
@@ -272,53 +271,46 @@ def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
     lead*w plus smaller words of w's length, lead the number of w's leading
     factors equal to l.  So c*w is c/lead times l times v, v reduced in turn,
     less c/lead times those smaller words; longer words go first, so a word
-    is reduced once.  Coefficients are integer numerators, by monomial of
-    the Lyndon words split off, over one running denominator that grows
-    where lead does not divide them.  Lyndon input words keep theirs.
-    Shuffle-expanding returns exactly the input.
+    is reduced once.  Coefficients are integer rows, numerators over their
+    own denominator, by monomial of the Lyndon words split off, added only
+    by :func:`~iterqm.linear._add_row`, lead joining the denominator.  Lyndon
+    input words keep theirs.  Shuffle-expanding returns exactly the input.
     """
-    items = list(combo.items()) if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))]
-    kept = {(w,) if w else (): c for w, c in items if len(w) < 2 or is_lyndon(w)}
-    rest = {w: c if isinstance(c, QMPoly) else QMPoly.constant(c) for w, c in items if len(w) > 1 and not is_lyndon(w)}
-    den = lcm(*(c.den for c in rest.values()))
-    pending = {w: {(): {m: v * (den // c.den) for m, v in c.nums.items()}} for w, c in rest.items()}
-    heap = [(-len(w), tuple(map(neg, w))) for w in pending]  # longest, then largest words first
-    heapify(heap)
-    done, memo = {}, {}  # done: numerators by Lyndon monomial
+    items = combo.items() if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))]
+    kept, pending, done, memo = {}, {}, {}, {}  # pending: a word's rows; done: a row by Lyndon monomial
+    for w, c in items:
+        if len(w) < 2 or is_lyndon(w):
+            kept[(w,) if w else ()] = c
+        else:
+            c = c if isinstance(c, QMPoly) else QMPoly.constant(c)
+            _add_row(pending.setdefault(w, {}), (), c.nums, 1, c.den)
+    heapify(heap := [(-len(w), tuple(map(neg, w))) for w in pending])  # longest, then largest words first
     while heap:
         n, key = heappop(heap)
-        w = tuple(map(neg, key))
-        if not any((row := pending.pop(w)).values()):  # cancelled
+        row = pending.pop(w := tuple(map(neg, key)))
+        if not any(nums for _, nums in row.values()):  # cancelled
             continue
         factors = lyndon_factorize(w)
-        target, off = done, tuple(factors)  # where the row goes, with the Lyndon words split off
+        target, off, lead = done, tuple(factors), 1  # where the row goes, with the Lyndon words split off
         if len(factors) > 1:
             l, v = factors[0], w[len(factors[0]) :]
             shuffled = _shuffle(l, v, memo)
             assert max(shuffled) == w, "triangularity violated"
-            if (lead := shuffled[w]) != 1:
-                g = gcd(lead, *(c for nums in row.values() for c in nums.values()))
-                if (scale := lead // g) != 1:
-                    den *= scale
-                    for nums in (*done.values(), *(nums for r in pending.values() for nums in r.values())):
-                        for m in nums:
-                            nums[m] *= scale
-                row = {mono: {m: c // g for m, c in nums.items()} for mono, nums in row.items()}
+            lead = shuffled[w]
             for u, mult in shuffled.items():
                 if u != w:
-                    if (r := pending.get(u)) is None:
-                        pending[u] = {mono: {m: -c * mult for m, c in nums.items()} for mono, nums in row.items()}
+                    if (rows := pending.get(u)) is None:
+                        rows = pending[u] = {}
                         heappush(heap, (n, tuple(map(neg, u))))
-                    else:
-                        for mono, nums in row.items():
-                            _accumulate(r.setdefault(mono, {}), ((m, -c * mult) for m, c in nums.items()))
+                    for mono, (d, nums) in row.items():
+                        _add_row(rows, mono, nums, -mult, d * lead)
             if len(factors) > 2:
                 off = (l,)
                 if (target := pending.get(v)) is None:
                     target = pending[v] = {}
                     heappush(heap, (-len(v), tuple(map(neg, v))))
-        for mono, nums in row.items():
-            _accumulate(target.setdefault(tuple(sorted(mono + off)), {}), nums.items())
+        for mono, (d, nums) in row.items():
+            _add_row(target, tuple(sorted(mono + off)), nums, 1, d * lead)
     qm = any(isinstance(c, QMPoly) for _, c in items)
-    terms = {mono: QMPoly._of(nums, den) if qm else Fraction(nums[0, 0, 0], den) for mono, nums in done.items() if nums}
+    terms = {mono: QMPoly._of(nums, d) if qm else Fraction(nums[0, 0, 0], d) for mono, (d, nums) in done.items() if nums}
     return LyndonPoly._of(_accumulate(terms, kept.items()))

@@ -298,6 +298,15 @@ class TestXYPoly:
         assert [type(x) for x in p.coeffs] == [cocycles.mpc] * 3
         assert p.coeffs == (c, cocycles.mpc(3), cocycles.mpc(0.5))
 
+    def test_invalid_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be >= 0$"):
+            XYPoly(-1)
+        with pytest.raises(ValueError, match="^too many coefficients for the degree$"):
+            XYPoly(1, [1, 2, 3])
+        for combine in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(ValueError, match="^degrees differ$"):
+                combine(XYPoly(1, [1, 2]), XYPoly(2, [1, 2, 3]))
+
 
 class TestSlash:
     def test_identity(self):
@@ -370,6 +379,11 @@ class TestBraidGroup:
     def test_non_integer_entries_rejected(self, entries):
         # (0.5, 0; 0, 2) passed the determinant check, and slash_poly gave an X^2 coefficient of 0.0 for 0.25
         with pytest.raises(TypeError, match="^SL2Mat entries must be int$"):
+            SL2Mat(*entries)
+
+    @pytest.mark.parametrize("entries", [(2, 0, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 1), (0, 0, 0, 0)], ids=str)
+    def test_determinant_other_than_one_rejected(self, entries):
+        with pytest.raises(ValueError, match="^determinant must be 1$"):
             SL2Mat(*entries)
 
 
@@ -727,6 +741,9 @@ class TestEichlerIntegral:
             eichler_integral(E2, 1j)
         with pytest.raises(ValueError):
             eichler_integral(E2 * E4, 1j)
+        for constant in (ONE, QMPoly.constant(-3)):  # modular, of weight 0
+            with pytest.raises(ValueError, match="^weight must be an even integer >= 4$"):
+                eichler_integral(constant, 1j)
 
     @pytest.mark.parametrize("f,tau", [(E4, 10j), (E4, 1j), (E6, 1j), (DELTA, 1j), (DELTA, 0.3 + 1.1j)])
     def test_top_coefficient_matches_iterated_integral(self, f, tau):
@@ -959,6 +976,8 @@ class TestQuasimodularCocycle:
     def test_rejects_nonhomogeneous(self):
         with pytest.raises(ValueError):
             quasimodular_cocycle(E4 + E6, S, 1j)
+        with pytest.raises(ValueError, match="^weight must be at least 2$"):  # homogeneous, of weight 0
+            quasimodular_cocycle(QMPoly.constant(5), S, 1j)
 
 
 class TestPointMemos:

@@ -265,6 +265,13 @@ class TestIntegrationByParts:
     def test_ibp_middle_cancels_for_unit(self):
         assert ibp((E2,), ONE, (E4,)) == {}
 
+    def test_ibp_of_a_zero_letter_is_zero(self):
+        # the integral is multilinear: g = 0, so D(g) = 0, or a zero neighbour kills every term
+        zero = QMPoly()
+        for prefix, g, suffix in [((E2,), zero, (E4,)), ((), zero, ()), ((), zero, (E6,)), ((E4,), zero, ()),
+                                  ((zero,), E4, (E6,)), ((E2, zero), E4, ()), ((), E4, (E6, zero))]:
+            assert ibp(prefix, g, suffix) == {}
+
     def test_ibp_middle_numeric(self):
         for prefix, g, suffix in [((ONE,), E4, (ONE,)), ((E2,), E2, (E4,)), ((E4,), E6, (ONE, E2))]:
             lhs = iter_integral(prefix + (derive(g),) + suffix, 20)

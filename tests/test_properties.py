@@ -425,7 +425,7 @@ repeating_words = st.one_of(letter_words, st.lists(st.integers(0, 3), max_size=3
 @example({(1, 0, 1, 0): F(1, 3), (2, 2, 1): F(5), (0, 1, 0, 1): F(-2, 7), (3, 3, 3): F(1)})
 @example({(0, 1, 0, 1, 0, 1): E4 - E2 * E6 * F(1, 3), (3, 3, 3): E6, (2, 1, 2, 1): E2 * F(1, 2), (0,): ONE})
 def test_lyndon_basis_matches_the_reference(combo):
-    """Integer numerators over one running denominator give what reduction on the coefficients gives."""
+    """Integer rows, each over its own denominator, give what reduction on the coefficients gives."""
     assert to_lyndon_basis(combo) == reference_to_lyndon_basis(combo)
 
 

@@ -428,7 +428,7 @@ class TestResidues:
                 assert primitive(a).modulo(p) == primitive(ap) and primitive(b).modulo(p) == primitive(bp)
 
     def test_primitive_by_a_multiple_of_p_raises(self):
-        # the division by 7 occurs: the exact fallback of independence_rank relies on the error
+        # the division by 7 occurs: 7 has no inverse mod 7, so primitive raises
         q7 = [0] * 7 + [3]
         with pytest.raises(ZeroDivisionError):
             primitive(LogQSeries(10, {0: q7}, 7))

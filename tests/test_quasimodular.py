@@ -51,6 +51,11 @@ def test_bernoulli_odd_vanish():
     assert all(bernoulli(n) == 0 for n in (3, 5, 7, 9, 11))
 
 
+def test_bernoulli_rejects_negative_index():
+    with pytest.raises(ValueError, match="^Bernoulli numbers need n >= 0$"):
+        bernoulli(-1)
+
+
 class TestEisenstein:
     def test_weight2(self):
         assert eisenstein_qexp(2, 3) == LogQSeries(3, {0: [1, -24, -72, -96]})
@@ -358,6 +363,16 @@ class TestValueSemantics:
             with pytest.raises(TypeError, match="exact rational"):
                 make()
 
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError, match="^negative exponents are not allowed$"):
+            QMPoly({(0, -1, 0): 1})
+        for p in (E2 + E4, E4 + 1, ZERO):
+            with pytest.raises(ValueError, match="^weight is defined only for nonzero homogeneous forms$"):
+                p.weight()
+        with pytest.raises(ValueError, match="^negative powers are not allowed$"):
+            E4 ** -1
+        assert E4 ** 0 == ONE
+
     def test_never_equal_to_a_scalar(self):
         two = QMPoly.constant(2)
         assert two == QMPoly.constant(F(4, 2)) and two != 2 and two != F(2)
@@ -587,6 +602,13 @@ class TestBasisB:
     def test_modular_only(self):
         assert basis_b(2, modular_only=True) == [ONE]
         assert E2 not in basis_b(12, modular_only=True)
+        assert basis_b(0) == [ONE]
+
+    @pytest.mark.parametrize("max_weight", [3, -2, 7])
+    def test_odd_or_negative_weight_rejected(self, max_weight):
+        for modular_only in (False, True):
+            with pytest.raises(ValueError, match="^max_weight must be a non-negative even integer$"):
+                basis_b(max_weight, modular_only)
 
     def test_weight12_order(self):
         b = basis_b(12)

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 import iterqm.shuffle_lyndon as shuffle_lyndon
-from iterqm.linear import _accumulate
+from iterqm.linear import _accumulate, _add_row
+from iterqm.quasimodular import E2, E4, E6, QMPoly
 from iterqm.shuffle_lyndon import (
     LyndonPoly,
     _shuffle_all,
@@ -246,6 +247,44 @@ class TestLyndonBasis:
     def test_rejects_non_lyndon_monomial(self):
         with pytest.raises(ValueError):
             LyndonPoly.monomial([(B, A)])
+
+    def test_powers(self):
+        p = LyndonPoly.monomial([(A,)]) + LyndonPoly.monomial([(A, B)], F(1, 2))
+        assert p ** 1 is p and p ** 3 == p * p * p
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^only positive powers are defined$"):
+                p ** n
+
+    def test_input_word_fed_by_larger_words_keeps_the_callers_coefficient(self):
+        # (1) ш (0,0) = (1,0,0) + (0,1,0) + (0,0,1): rewriting (1,0,0) adds to the row that the
+        # input word (0,1,0)'s own coefficient c opened; (1,0,1,0) = (1)*(0,1,0) less smaller
+        # words opens a second row of (0,1,0); (0,0), fed by (1,0,0), has lead 2
+        c = E4 * F(3, 7) + E6
+        fresh = QMPoly(c.terms)
+        combo = {(1, 0, 1, 0): E2 * F(1, 2), (1, 0, 0): E4 - E6, (0, 1, 0): c, (0, 0): F(5, 3) * E4, (0, 1): E6}
+        got = to_lyndon_basis(combo)
+        assert (c.nums, c.den, hash(c)) == (fresh.nums, fresh.den, hash(fresh)) and c == fresh
+        assert got == reference_to_lyndon_basis(combo)
+        assert got.shuffle_expand() == _accumulate({}, combo.items())
+
+
+class TestAddRow:
+    """The one routine that adds into the integer rows [den, numerators] of both rewriting stages."""
+
+    def test_mixed_denominators_and_cancellation(self):
+        x, y, z = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+        rows, nums = {}, {x: 3, y: 1}
+        _add_row(rows, "w", nums, 1, 4)  # 3/4 + 1/4*E2
+        assert rows == {"w": [4, {x: 3, y: 1}]} and rows["w"][1] is not nums
+        _add_row(rows, "w", {x: 1, z: 2}, 5, 6)  # plus 5/6 + 5/3*E4, over lcm(4, 6) = 12
+        assert rows["w"] == [12, {x: 19, y: 3, z: 20}]
+        _add_row(rows, "w", {x: 1, y: 1}, -1, 4)  # a denominator that divides the row's
+        assert rows["w"] == [12, {x: 16, z: 20}]
+        _add_row(rows, "v", {x: 2, z: -1}, -3, 5)  # another key starts its own row
+        assert rows["v"] == [5, {x: -6, z: 3}]
+        _add_row(rows, "w", {x: 4, z: 5}, -1, 3)  # 4/3 + 5/3*E4 less itself: the row ends empty
+        assert rows == {"w": [12, {}], "v": [5, {x: -6, z: 3}]}
+        assert nums == {x: 3, y: 1}
 
 
 class TestShuffleMemo:

@@ -1,6 +1,6 @@
-"""Print the exact outputs of the benchmark's soundness, certify or cocycle operations, or of the parser and decompose.
+"""Print the exact outputs of the benchmark's soundness, certify or cocycle operations, or of the parser, decompose and the Lyndon rewrite.
 
-Usage: python3 tools/exact_outputs.py [--src DIR] [--seed N] [--workload soundness|certify|cocycle|parse|decompose]
+Usage: python3 tools/exact_outputs.py [--src DIR] [--seed N] [--workload soundness|certify|cocycle|parse|decompose|lyndon]
 
 The operations of one seed are built by this checkout's
 ``bench/workloads.py`` and run in process with the iterqm package found
@@ -19,7 +19,12 @@ of ``iterqm.expr.parse``'s two modes the index, the mode, the SHA-256 of
 the value or the error message with its offset, and the text.  For
 ``decompose`` it prints for each of the same texts the index, the SHA-256
 of ``iterqm decompose --json``'s output (of its error line where it fails)
-and the text.  Two trees
+and the text.  For ``lyndon`` it rewrites, with
+``iterqm.shuffle_lyndon.to_lyndon_basis``, the long words of the CI's
+canonical steps in basis ranks, (1,0)^7, (2,1,0)^3 and (2,)+(0,)^130, and
+200 seeded combinations of squared and repeated words with ``Fraction`` or
+``QMPoly`` coefficients, and prints for each the index, the SHA-256 of the
+sorted terms and the input.  Two trees
 give the same results on these inputs exactly when the two listings are
 byte-identical, so a change is checked against a base commit with
 
@@ -45,6 +50,9 @@ SPACES = ("", "", "", "", " ", " ", "\t", "\n", "\u00a0", "\u3000", "\u2003")
 #: What a text may be spoiled with: near-miss names, non-ASCII digits and
 #: stray punctuation, but no ASCII digits, so exponents stay small.
 NOISE = ("E5", "E24", "E", "x", "_", "١", "²", "１", "((((", "D(D(", "I(", "(", ")", ",", "^", "/", "-", "*")
+LYNDON_COMBOS = 200
+#: The monomials of the ``lyndon`` listing's QMPoly coefficients: 1, E2, E4, E6, E2^2 and E2*E4.
+LYNDON_MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0))
 
 
 def _expression(rng: random.Random, depth: int) -> list[str]:
@@ -85,6 +93,42 @@ def parse_texts(seed: int) -> list[str]:
     return texts
 
 
+def lyndon_inputs(seed: int) -> list:
+    """The inputs of the ``lyndon`` listing: the CI's long words in basis ranks, then
+    seeded combinations of words made by squaring or repeating a short word over four
+    letters, some with a tail, each combination's coefficients all Fractions or all QMPolys."""
+    from fractions import Fraction
+
+    from iterqm.quasimodular import QMPoly
+
+    rng = random.Random(seed)
+
+    def word() -> tuple:
+        base = tuple(rng.randrange(4) for _ in range(rng.randint(1, 3)))
+        tail = tuple(rng.randrange(4) for _ in range(rng.choice((0, 0, 1, 2))))
+        return base * rng.randint(2, max(2, 6 // len(base))) + tail
+
+    def ratio() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def form() -> QMPoly:
+        return QMPoly({mono: ratio() for mono in rng.sample(LYNDON_MONOMIALS, rng.randint(1, 3))})
+
+    combos = []
+    for _ in range(LYNDON_COMBOS):
+        coeff = form if rng.random() < 0.5 else ratio
+        combos.append({word(): coeff() for _ in range(rng.randint(1, 5))})
+    return [(1, 0) * 7, (2, 1, 0) * 3, (2,) + (0,) * 130, *combos]
+
+
+def coeff_key(c) -> str:
+    """A Fraction, or a form in the JSON of ``iterqm``, as text."""
+    from iterqm.cli import qmpoly_to_json
+    from iterqm.quasimodular import QMPoly
+
+    return qmpoly_to_json(c) if isinstance(c, QMPoly) else str(c)
+
+
 def value_key(value) -> str:
     """A form, or a polynomial in integrals with its letters in order, as text."""
     from iterqm.cli import qmpoly_to_json
@@ -99,7 +143,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding the iterqm package")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", choices=("soundness", "certify", "cocycle", "parse", "decompose"),
+    parser.add_argument("--workload", choices=("soundness", "certify", "cocycle", "parse", "decompose", "lyndon"),
                         default="soundness")
     args = parser.parse_args()
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
@@ -128,6 +172,14 @@ def main() -> int:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = iterqm_main(["decompose", "--json", "--", text])
             print(i, hashlib.sha256((out if code == 0 else err).getvalue().encode()).hexdigest(), repr(text), sep="\t")
+        return 0
+    if args.workload == "lyndon":
+        from iterqm.shuffle_lyndon import to_lyndon_basis
+
+        for i, combo in enumerate(lyndon_inputs(args.seed)):
+            terms = sorted((mono, coeff_key(c)) for mono, c in to_lyndon_basis(combo).terms.items())
+            text = repr(sorted((w, coeff_key(c)) for w, c in combo.items())) if isinstance(combo, dict) else repr(combo)
+            print(i, hashlib.sha256(repr(terms).encode()).hexdigest(), text, sep="\t")
         return 0
     if args.workload == "certify":
         workload = Certify()
