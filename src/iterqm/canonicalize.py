@@ -15,10 +15,12 @@ series exactly at any truncation.  :func:`independence_rank` gives the
 exact rank of the truncated expansions of families of such integrals, on
 rows built modulo a fixed prime p from the integer numerators of letters
 and multipliers (each the exact row times a positive integer), to q^t for
-t = 2*ceil(n/(1+l)) (n rows of words of length <= l), read L-part by
-L-part in one pass of :func:`_pivot_rows` mod p that gives the rank and
-the kernel, zero columns passed over: a row's L^k part for k >= 1, the
-letters' cusp values times the multiplier, is of low rank and read last.
+t = 2*ceil(n/(1+l)) (n rows of words of length <= l) and kept across
+calls per (multiplier, t, words), so a family ranked again at another
+truncation with the same t reuses them; they are read L-part by L-part in
+one pass of :func:`_pivot_rows` mod p that gives the rank and the kernel,
+zero columns passed over: a row's L^k part for k >= 1, the letters' cusp
+values times the multiplier, is of low rank and read last.
 Truncation is a linear map, so full rank at any truncation proves the
 integrals linearly independent over Q; a deficiency is one at that
 truncation only, proved by the kernel, lifted to Q and checked on exact
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Sequence
@@ -325,6 +327,16 @@ def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
     return [column for part in parts for column in part]
 
 
+_RESIDUE_CACHE_SIZE = 64  #: groups of residue rows kept; a certify round reads 25
+
+
+@lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
+def _residue_rows(multiplier: QMPoly, t: int, words: tuple[BarWord, ...]) -> tuple[LogQSeries, ...]:
+    """The rows multiplier * I(w) mod _RANK_PRIME to q^t of the words w, the multiplier expanded once."""
+    m = expand(multiplier, t, _RANK_PRIME)
+    return tuple(m * iter_integral(word, t, _RANK_PRIME) for word in words)
+
+
 def independence_rank(
     words: Sequence[Iterable[QMPoly]],
     multipliers: Sequence[QMPoly],
@@ -340,11 +352,14 @@ def independence_rank(
     only, which a higher one may lift.  Letters and multipliers enter by their
     integer numerators, each row times a positive integer, so no denominator
     meets p.  The n rows are built mod a fixed prime p to q^t for t =
-    min(trunc, 2*ceil(n/(1+l))): their columns are some of those at trunc, so
-    full rank is the answer, and a kernel is lifted to Q and checked on the
-    exact rows to q^trunc that it involves (see :func:`_certified_rank`), or
-    else :func:`rational_rank` decides on the exact rows, each built once.  A
-    DEBUG line names the truncation and route.
+    min(trunc, 2*ceil(n/(1+l))), grouped by multiplier, each expanded once;
+    a group's rows are cached by (multiplier, t, words), so a call at another
+    trunc with the same t builds none.  Their columns are some of those at
+    trunc, so full rank is the answer, and a kernel is lifted to Q and
+    checked on the exact rows to q^trunc that it involves (see
+    :func:`_certified_rank`), or else :func:`rational_rank` decides on the
+    exact rows, each built once per call.  A DEBUG line names the truncation
+    and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -356,12 +371,12 @@ def independence_rank(
     words = [tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words]
     multipliers = [m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers]
     n, longest = len(words), max(map(len, words), default=0)
-    expanded: dict[tuple[QMPoly, int, int], LogQSeries] = {}  # a few multipliers serve many rows
+    expanded: dict[QMPoly, LogQSeries] = {}  # a few multipliers serve many rows
 
-    def series(i: int, t: int, modulus: int = 0) -> LogQSeries:
-        if (key := (multipliers[i], t, modulus)) not in expanded:
-            expanded[key] = expand(*key)
-        return expanded[key] * iter_integral(words[i], t, modulus)
+    def series(i: int) -> LogQSeries:  # the exact row to q^trunc
+        if (m := multipliers[i]) not in expanded:
+            expanded[m] = expand(m, trunc)
+        return expanded[m] * iter_integral(words[i], trunc)
 
     exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
 
@@ -370,15 +385,20 @@ def independence_rank(
         for i, c in enumerate(lifts):
             if c:
                 if i not in exact:
-                    exact[i] = series(i, trunc)
+                    exact[i] = series(i)
                 total = total + exact[i].scale(c)
         return total.is_zero()
 
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
-    rank = _certified_rank(_columns([series(i, t, _RANK_PRIME) for i in range(n)], t), width, is_kernel)
+    groups: dict[QMPoly, list[int]] = {}  # rows by multiplier, each group's residue rows cached as one
+    for i, m in enumerate(multipliers):
+        groups.setdefault(m, []).append(i)
+    residues = dict(chain.from_iterable(zip(rows, _residue_rows(m, t, tuple(words[i] for i in rows)))
+                                        for m, rows in groups.items()))
+    rank = _certified_rank(_columns([residues[i] for i in range(n)], t), width, is_kernel)
     if rank is None:
         logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
-        rows = [exact[i] if i in exact else series(i, trunc) for i in range(n)]
+        rows = [exact[i] if i in exact else series(i) for i in range(n)]
         return rational_rank(list(zip(*_columns(rows, trunc))))
     route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
     logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)

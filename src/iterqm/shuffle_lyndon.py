@@ -273,16 +273,19 @@ def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
     less c/lead times those smaller words; longer words go first, so a word
     is reduced once.  Coefficients are integer rows, numerators over their
     own denominator, by monomial of the Lyndon words split off, added only
-    by :func:`~iterqm.linear._add_row`, lead joining the denominator.  Lyndon
-    input words keep theirs.  Shuffle-expanding returns exactly the input.
+    by :func:`~iterqm.linear._add_row`, lead joining the denominator; a
+    Lyndon input word's coefficient opens the row of its own monomial.  The
+    result's coefficients are QMPolys if any input coefficient is one, else
+    Fractions; a scalar that is not an exact rational raises TypeError.
+    Shuffle-expanding returns exactly the input.
     """
     items = combo.items() if isinstance(combo, Mapping) else [(tuple(combo), Fraction(1))]
-    kept, pending, done, memo = {}, {}, {}, {}  # pending: a word's rows; done: a row by Lyndon monomial
+    pending, done, memo = {}, {}, {}  # pending: a word's rows; done: a row by Lyndon monomial
     for w, c in items:
+        c = c if isinstance(c, QMPoly) else QMPoly.constant(c)
         if len(w) < 2 or is_lyndon(w):
-            kept[(w,) if w else ()] = c
+            _add_row(done, (w,) if w else (), c.nums, 1, c.den)
         else:
-            c = c if isinstance(c, QMPoly) else QMPoly.constant(c)
             _add_row(pending.setdefault(w, {}), (), c.nums, 1, c.den)
     heapify(heap := [(-len(w), tuple(map(neg, w))) for w in pending])  # longest, then largest words first
     while heap:
@@ -312,5 +315,5 @@ def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:
         for mono, (d, nums) in row.items():
             _add_row(target, tuple(sorted(mono + off)), nums, 1, d * lead)
     qm = any(isinstance(c, QMPoly) for _, c in items)
-    terms = {mono: QMPoly._of(nums, d) if qm else Fraction(nums[0, 0, 0], d) for mono, (d, nums) in done.items() if nums}
-    return LyndonPoly._of(_accumulate(terms, kept.items()))
+    return LyndonPoly._of({mono: QMPoly._of(nums, d) if qm else Fraction(nums[0, 0, 0], d)
+                           for mono, (d, nums) in done.items() if nums})

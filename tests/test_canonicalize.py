@@ -545,7 +545,10 @@ def moduli(monkeypatch):
 
 @pytest.fixture
 def exact_words(monkeypatch):
-    """The words whose exact integral is computed, and the multipliers expanded exactly."""
+    """The words whose exact integral is computed, and the multipliers expanded exactly.
+
+    The caches start empty, so that no series a test builds comes from one an earlier test cached."""
+    iterqm.clear_caches()
     seen = {"words": [], "multipliers": []}
     integral, expand = iterint._iter_integral, canonicalize.expand
 
@@ -724,7 +727,8 @@ class TestFirstTruncation:
 
     @pytest.fixture
     def truncations(self, monkeypatch):
-        """The (trunc, modulus) of every integral and multiplier series built."""
+        """The (trunc, modulus) of every integral and multiplier series built, from empty caches."""
+        iterqm.clear_caches()
         seen = {"integrals": set(), "multipliers": set()}
         integral, expand = iterint._iter_integral, canonicalize.expand
 
@@ -813,6 +817,78 @@ class TestFirstTruncation:
         assert not caplog.records
 
 
+class TestResidueRowsAcrossTruncations:
+    """The residue rows mod p to q^t of one multiplier and its words are kept: a call at
+    another N with the same t reuses them, while exact rows and the elimination stay per call."""
+
+    #: I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = min(N, 4)
+    WORDS = [(E6,), (derive(E4),), (ONE, E4), (), ()]
+    MULTIPLIERS = [ONE, ONE, E2, ONE, E4]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (trunc, modulus) of every integral and the (multiplier, trunc, modulus) of every
+        multiplier expanded, from empty caches."""
+        iterqm.clear_caches()
+        seen = {"integrals": [], "multipliers": []}
+        integral, expand = iterint._iter_integral, canonicalize.expand
+
+        def integral_spy(word, trunc, modulus):
+            seen["integrals"].append((trunc, modulus))
+            return integral(word, trunc, modulus)
+
+        def expand_spy(p, trunc, modulus=0):
+            seen["multipliers"].append((p, trunc, modulus))
+            return expand(p, trunc, modulus)
+
+        monkeypatch.setattr(iterint, "_iter_integral", integral_spy)
+        monkeypatch.setattr(canonicalize, "expand", expand_spy)
+        return seen
+
+    def test_same_t_builds_no_residue_series(self, moduli, built, exact_words, caplog):
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        assert independence_rank(self.WORDS, self.MULTIPLIERS, 30) == 4
+        assert (4, P) in built["integrals"] and (E2, 4, P) in built["multipliers"]
+        first = sorted(exact_words["words"], key=repr)
+        for seen in (built["integrals"], built["multipliers"], exact_words["words"]):
+            seen.clear()
+        assert independence_rank(self.WORDS, self.MULTIPLIERS, 40) == 4
+        assert {modulus for _, modulus in built["integrals"]} == {0}  # no residue series
+        assert sorted(built["multipliers"], key=repr) == sorted([(ONE, 40, 0), (E4, 40, 0)], key=repr)  # none mod p
+        assert sorted(exact_words["words"], key=repr) == first  # the kernel's exact rows stay per call
+        assert moduli == [P, P]  # each call eliminates
+        assert caplog.messages == [f"rank 4 at q^4 of q^{trunc}: kernel of 1 checked, 3 rows exact" for trunc in (30, 40)]
+
+    def test_new_t_builds_its_rows_and_expands_each_multiplier_once(self, built):
+        words, multipliers = self.WORDS + [(E4, E6)], self.MULTIPLIERS + [E2]  # n = 6, l = 2: t = min(N, 4)
+        for trunc, t in [(3, 3), (30, 4), (2, 2)]:
+            built["integrals"].clear()
+            built["multipliers"].clear()
+            assert independence_rank(words, multipliers, trunc) == 5
+            assert (t, P) in built["integrals"]
+            assert Counter(p for p, _, modulus in built["multipliers"] if modulus) == Counter([ONE, E2, E4])
+            assert Counter(p for p, _, modulus in built["multipliers"] if not modulus) == Counter([ONE, E4])
+
+    def test_ranks_at_rising_truncations_match_cold_ranks(self):
+        rng = random.Random(44)
+        letters = [ONE, E2, E4, E6, E4 * E4]
+        multipliers = [ONE, E2, E4, E6, E2 * E4]
+        for _ in range(12):
+            n = rng.randint(1, 9)
+            words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in range(n)]
+            mults = [rng.choice(multipliers) for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:  # a repeated row
+                words.append(words[0])
+                mults.append(mults[0])
+            truncs = [1, 2, 3, 5, 8, 12]
+            warm = [independence_rank(words, mults, trunc) for trunc in truncs]
+            cold = []
+            for trunc in truncs:
+                iterqm.clear_caches()
+                cold.append(independence_rank(words, mults, trunc))
+            assert warm == cold, (words, mults)
+
+
 class TestClearCaches:
     def test_every_module_cache_is_emptied_and_results_stay(self):
         words = [(E4,), (E6,), (E4 + E6,), (ONE, E4), ()]
@@ -829,7 +905,7 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split",
+        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split", "_residue_rows",
                                                 "_eichler_poly", "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
@@ -841,8 +917,8 @@ class TestClearCaches:
         modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
-        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split", "build_parser",
-                                                "_eichler_poly", "_minus_log_disc"}
+        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split", "_residue_rows",
+                                                "build_parser", "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []

@@ -267,6 +267,21 @@ class TestLyndonBasis:
         assert got == reference_to_lyndon_basis(combo)
         assert got.shuffle_expand() == _accumulate({}, combo.items())
 
+    def test_lyndon_input_words_take_the_coefficient_type_of_the_rows(self):
+        # a QMPoly anywhere makes every coefficient one; else each is a Fraction, ints included
+        mixed = to_lyndon_basis({(0, 0): E4, (0,): F(1, 2)})
+        assert mixed == to_lyndon_basis({(0, 0): E4, (0,): QMPoly.constant(F(1, 2))})
+        assert mixed.terms[((0,),)] == QMPoly.constant(F(1, 2))
+        assert {type(c) for c in mixed.terms.values()} == {QMPoly}
+        scalars = to_lyndon_basis({(0, 1): 2, (1,): 1, (): -3, (1, 0): F(3, 2)})
+        assert scalars.terms == {((0, 1),): F(1, 2), ((1,),): F(1), (): F(-3), ((0,), (1,)): F(3, 2)}
+        assert {type(c) for c in scalars.terms.values()} == {F}
+
+    @pytest.mark.parametrize("combo", [{(0, 1): 0.5}, {(1, 0): 0.5}, {(): 1.0}, {(0,): E4, (0, 1): 0.5}])
+    def test_inexact_coefficient_rejected_on_every_word(self, combo):
+        with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+            to_lyndon_basis(combo)
+
 
 class TestAddRow:
     """The one routine that adds into the integer rows [den, numerators] of both rewriting stages."""

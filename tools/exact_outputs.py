@@ -8,8 +8,12 @@ under DIR (default: this checkout's ``src``).  For each of the 150
 ``soundness`` expressions it runs ``iterqm canonical --json`` and
 ``iterqm integral -N 30 --json`` and prints one line: the expression's
 index, the SHA-256 of each output and the expression.  For each ``certify``
-operation it prints the operation's index, its truncation N and the
-``independence_rank`` of its family.  For each ``cocycle`` operation it
+operation it prints the operation's index, its truncation N, the
+``independence_rank`` of its family, the DEBUG line that
+``iterqm.canonicalize`` logs for it (its truncation and route), and the
+rank again after ``iterqm.clear_caches()``: the first reads what earlier
+operations left in the caches, the second starts from empty ones.  For
+each ``cocycle`` operation it
 prints the operation's index, its kind and the ``repr`` of every number it
 returns: the ``e2_cocycle`` value, or each coefficient of ``r1``, ``lhs``
 and ``rhs``.  For ``parse`` it draws 20,000 seeded texts of the grammar,
@@ -40,6 +44,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import logging
 import os
 import random
 import sys
@@ -182,9 +187,18 @@ def main() -> int:
             print(i, hashlib.sha256(repr(terms).encode()).hexdigest(), text, sep="\t")
         return 0
     if args.workload == "certify":
+        routes = io.StringIO()  # the DEBUG lines of iterqm.canonicalize, one per rank
+        logger = logging.getLogger("iterqm.canonicalize")
+        logger.addHandler(logging.StreamHandler(routes))
+        logger.setLevel(logging.DEBUG)
         workload = Certify()
         for i, op in enumerate(workload.inputs(args.seed, 1)):
-            print(i, op["n"], workload.run(op), sep="\t")
+            routes.seek(0)
+            routes.truncate()
+            rank = workload.run(op)
+            route = routes.getvalue().rstrip("\n")
+            iterqm.clear_caches()
+            print(i, op["n"], rank, route, workload.run(op), sep="\t")
         return 0
     if args.workload == "cocycle":
         workload = Cocycle()
