@@ -15,12 +15,13 @@ series exactly at any truncation.  :func:`independence_rank` gives the
 exact rank of the truncated expansions of families of such integrals, on
 rows built modulo a fixed prime p from the integer numerators of letters
 and multipliers (each the exact row times a positive integer), to q^t for
-t = 2*ceil(n/(1+l)) (n rows of words of length <= l) and kept across
-calls per (multiplier, t, words), so a family ranked again at another
-truncation with the same t reuses them; they are read L-part by L-part in
-one pass of :func:`_pivot_rows` mod p that gives the rank and the kernel,
-zero columns passed over: a row's L^k part for k >= 1, the letters' cusp
-values times the multiplier, is of low rank and read last.
+t = 2*ceil(n/(1+l)) (n rows of words of length <= l); they are read
+L-part by L-part in one pass of :func:`_pivot_rows` mod p that gives the
+rank and the kernel, zero columns passed over: a row's L^k part for
+k >= 1, the letters' cusp values times the multiplier, is of low rank and
+read last.  That certificate, the rank and the kernel lifted to Q, is kept
+per (t, multipliers, words), so a family ranked again at another
+truncation with the same t builds no residue row and eliminates nothing.
 Truncation is a linear map, so full rank at any truncation proves the
 integrals linearly independent over Q; a deficiency is one at that
 truncation only, proved by the kernel, lifted to Q and checked on exact
@@ -269,26 +270,35 @@ def _exact_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def _certified_rank(columns: list[Sequence[int]], ncols: int, is_kernel) -> int | None:
-    """The rank over Q of a matrix A, from some of its columns mod _RANK_PRIME, where they prove it.
+def _certificate(columns: list[Sequence[int]]) -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...] | None]:
+    """The rank mod _RANK_PRIME of some columns of a matrix A, and the rational lifts of its kernel.
 
     Each column lists A's entries from its last row up.  One Gauss-Jordan pass mod p,
     which stops once all n rows have a pivot, gives the rank r mod p of those columns,
-    never above A's rank over Q: r = n or r = ncols (A's true column count, or a bound
-    on it) is the answer.  Else the null space holds n - r independent v that vanish
-    on them mod p, in reduced row echelon form as the rows are reversed; if ``is_kernel``
-    confirms v*A = 0 for the rational lift of each, A's rank is r, else this is None.
+    never above A's rank over Q.  Below n, the null space holds n - r independent v that
+    vanish on them mod p, in reduced row echelon form as the rows are reversed; each is
+    lifted to Q and kept as its nonzero (row, lift) pairs in order of row, or the kernel
+    is None if an entry does not lift.
     """
     found, n = _pivot_rows(columns, _RANK_PRIME)  # pivot rows mod p, negated
-    rank = len(found)
-    if rank == n or rank == ncols:
-        return rank
+    kernel = []
     for free in sorted(set(range(n)).difference(c for c, _, _ in found), reverse=True):
         v = {free: 1, **{c: negated[free] for c, negated, _ in found}}
-        lifts = [_rational_lift(v.get(i, 0)) for i in reversed(range(n))]
-        if None in lifts or not is_kernel(lifts):
-            return None
-    return rank
+        lifts = sorted((n - 1 - c, _rational_lift(u)) for c, u in v.items() if u)
+        if any(lift is None for _, lift in lifts):
+            return len(found), None
+        kernel.append(tuple(lifts))
+    return len(found), tuple(kernel)
+
+
+def _certified_rank(rank: int, kernel, ncols: int, is_kernel) -> int | None:
+    """A's rank over Q from its :func:`_certificate` (rank, kernel), where it proves it.
+
+    r = n (an empty kernel) or r = ncols (A's true column count, or a bound on it)
+    is the answer; else A's rank is r if ``is_kernel`` confirms v*A = 0 for each
+    lifted kernel vector v, given as its (row, lift) pairs, and this is None if not.
+    """
+    return rank if rank == ncols or (kernel is not None and all(map(is_kernel, kernel))) else None
 
 
 def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -296,7 +306,7 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
     Rows are scaled to integers A by the lcm of their denominators and taken
     mod a fixed prime p: full rank there, or a kernel lifted to Q that
-    checks exactly, is the answer (see :func:`_certified_rank`).  Should a
+    checks exactly, is the answer (see :func:`_certificate`).  Should a
     lift or its check fail, elimination over Q settles the rank.
     """
     if len({len(row) for row in rows}) > 1:
@@ -309,12 +319,13 @@ def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     matrix = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(matrix, scales)]
     ncols = len(matrix[0]) if matrix else 0
 
-    def is_kernel(lifts: list[Fraction]) -> bool:
-        den = lcm(*(c.denominator for c in lifts))
-        kernel = [(c.numerator * (den // c.denominator), a) for c, a in zip(lifts, matrix) if c]
+    def is_kernel(lifts: Sequence[tuple[int, Fraction]]) -> bool:
+        den = lcm(*(c.denominator for _, c in lifts))
+        kernel = [(c.numerator * (den // c.denominator), matrix[i]) for i, c in lifts]
         return not any(sum(c * a[j] for c, a in kernel) for j in range(ncols))
 
-    rank = _certified_rank(list(zip(*([x % _RANK_PRIME for x in r] for r in matrix[::-1]))), ncols, is_kernel)
+    columns = list(zip(*([x % _RANK_PRIME for x in r] for r in matrix[::-1])))
+    rank = _certified_rank(*_certificate(columns), ncols, is_kernel)
     return _exact_rank(matrix) if rank is None else rank
 
 
@@ -327,14 +338,15 @@ def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
     return [column for part in parts for column in part]
 
 
-_RESIDUE_CACHE_SIZE = 64  #: groups of residue rows kept; a certify round reads 25
+_CERTIFICATE_CACHE_SIZE = 64  #: certificates kept, one per family and t; a certify round reads 15
 
 
-@lru_cache(maxsize=_RESIDUE_CACHE_SIZE)
-def _residue_rows(multiplier: QMPoly, t: int, words: tuple[BarWord, ...]) -> tuple[LogQSeries, ...]:
-    """The rows multiplier * I(w) mod _RANK_PRIME to q^t of the words w, the multiplier expanded once."""
-    m = expand(multiplier, t, _RANK_PRIME)
-    return tuple(m * iter_integral(word, t, _RANK_PRIME) for word in words)
+@lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
+def _residue_certificate(t: int, multipliers: tuple[QMPoly, ...], words: tuple[BarWord, ...]) -> tuple:
+    """The :func:`_certificate` of the rows multiplier * I(word) mod _RANK_PRIME to q^t, multipliers expanded once."""
+    expanded = {m: expand(m, t, _RANK_PRIME) for m in dict.fromkeys(multipliers)}
+    rows = (expanded[m] * iter_integral(w, t, _RANK_PRIME) for m, w in zip(multipliers, words))
+    return _certificate(_columns(list(rows), t))  # the rows are freed before the elimination
 
 
 def independence_rank(
@@ -352,14 +364,14 @@ def independence_rank(
     only, which a higher one may lift.  Letters and multipliers enter by their
     integer numerators, each row times a positive integer, so no denominator
     meets p.  The n rows are built mod a fixed prime p to q^t for t =
-    min(trunc, 2*ceil(n/(1+l))), grouped by multiplier, each expanded once;
-    a group's rows are cached by (multiplier, t, words), so a call at another
-    trunc with the same t builds none.  Their columns are some of those at
-    trunc, so full rank is the answer, and a kernel is lifted to Q and
-    checked on the exact rows to q^trunc that it involves (see
-    :func:`_certified_rank`), or else :func:`rational_rank` decides on the
-    exact rows, each built once per call.  A DEBUG line names the truncation
-    and route.
+    min(trunc, 2*ceil(n/(1+l))), each multiplier expanded once, and
+    eliminated there to a certificate, the rank mod p and the kernel lifted
+    to Q (see :func:`_certificate`), cached by (t, multipliers, words): a call
+    at another trunc with the same t builds no residue row and eliminates
+    nothing.  Those columns are some of those at trunc, so full rank is the
+    answer, and each call checks the kernel on the exact rows to q^trunc that
+    it involves, or else :func:`rational_rank` decides on the exact rows, each
+    built once per call.  A DEBUG line names the truncation and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -380,22 +392,16 @@ def independence_rank(
 
     exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
 
-    def is_kernel(lifts: list[Fraction]) -> bool:
+    def is_kernel(lifts: Sequence[tuple[int, Fraction]]) -> bool:
         total = LogQSeries.zero(trunc)
-        for i, c in enumerate(lifts):
-            if c:
-                if i not in exact:
-                    exact[i] = series(i)
-                total = total + exact[i].scale(c)
+        for i, c in lifts:
+            if i not in exact:
+                exact[i] = series(i)
+            total = total + exact[i].scale(c)
         return total.is_zero()
 
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
-    groups: dict[QMPoly, list[int]] = {}  # rows by multiplier, each group's residue rows cached as one
-    for i, m in enumerate(multipliers):
-        groups.setdefault(m, []).append(i)
-    residues = dict(chain.from_iterable(zip(rows, _residue_rows(m, t, tuple(words[i] for i in rows)))
-                                        for m, rows in groups.items()))
-    rank = _certified_rank(_columns([residues[i] for i in range(n)], t), width, is_kernel)
+    rank = _certified_rank(*_residue_certificate(t, tuple(multipliers), tuple(words)), width, is_kernel)
     if rank is None:
         logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
         rows = [exact[i] if i in exact else series(i) for i in range(n)]

@@ -21,6 +21,7 @@ from conftest import random_homogeneous, random_qmpoly
 from iterqm.canonicalize import (
     _RANK_PRIME,
     ModularModeError,
+    _certificate,
     _certified_rank,
     _exact_rank,
     _pivot_rows,
@@ -460,15 +461,23 @@ def reference_certified_rank(residues: list[list[int]], ncols: int, is_kernel) -
     return rank
 
 
+def certified_rank(columns: list[tuple[int, ...]], ncols: int, is_kernel) -> int | None:
+    """_certified_rank on the _certificate of the columns, each kernel vector handed to
+    ``is_kernel`` dense, in order of row, as the reference hands it."""
+    n = len(columns[0]) if columns else 0
+    return _certified_rank(*_certificate(columns), ncols,
+                           lambda lifts: is_kernel([dict(lifts).get(i, F(0)) for i in range(n)]))
+
+
 class TestOnePassCertificate:
     """One column pass gives the rank and kernel of the two-pass reference."""
 
     @staticmethod
     def both(rows, ncols=None, accept=True):
-        """(rank, kernel lifts) from the reference on the rows and from _certified_rank on the columns."""
+        """(rank, kernel lifts) from the reference on the rows and from the certificate on the columns."""
         ncols = len(rows[0]) if ncols is None else ncols
         results = []
-        for certify, matrix in ((reference_certified_rank, rows), (_certified_rank, list(zip(*reversed(rows))))):
+        for certify, matrix in ((reference_certified_rank, rows), (certified_rank, list(zip(*reversed(rows))))):
             lifts = []
             results.append((certify(matrix, ncols, lambda v: lifts.append(v) or accept), lifts))
         return results
@@ -521,7 +530,7 @@ class TestOnePassCertificate:
             results = []
             for _ in range(6):
                 lifts = []
-                results.append((_certified_rank(columns[:], width + 3, lambda v: lifts.append(v) or True), lifts))
+                results.append((certified_rank(columns[:], width + 3, lambda v: lifts.append(v) or True), lifts))
                 rng.shuffle(columns)
             assert results[0][0] == n - relations and len(results[0][1]) == relations
             assert results == results[:1] * 6
@@ -535,7 +544,10 @@ class TestOnePassCertificate:
 
 @pytest.fixture
 def moduli(monkeypatch):
-    """The modulus of each elimination: the certificate's pass mod p and any over Q."""
+    """The modulus of each elimination: the certificate's pass mod p and any over Q.
+
+    The caches start empty, so that no certificate an earlier test cached spares a pass."""
+    iterqm.clear_caches()
     seen = []
     pivot_rows, exact_rank = canonicalize._pivot_rows, canonicalize._exact_rank
     monkeypatch.setattr(canonicalize, "_pivot_rows", lambda rows, p: seen.append(p) or pivot_rows(rows, p))
@@ -817,9 +829,10 @@ class TestFirstTruncation:
         assert not caplog.records
 
 
-class TestResidueRowsAcrossTruncations:
-    """The residue rows mod p to q^t of one multiplier and its words are kept: a call at
-    another N with the same t reuses them, while exact rows and the elimination stay per call."""
+class TestCertificateAcrossTruncations:
+    """The certificate mod p to q^t of a family, its rank and lifted kernel, is kept: a call at
+    another N with the same t builds no residue row and runs no elimination, while the exact
+    rows to q^N, the kernel check and the exit to rational_rank stay per call."""
 
     #: I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = min(N, 4)
     WORDS = [(E6,), (derive(E4),), (ONE, E4), (), ()]
@@ -856,7 +869,7 @@ class TestResidueRowsAcrossTruncations:
         assert {modulus for _, modulus in built["integrals"]} == {0}  # no residue series
         assert sorted(built["multipliers"], key=repr) == sorted([(ONE, 40, 0), (E4, 40, 0)], key=repr)  # none mod p
         assert sorted(exact_words["words"], key=repr) == first  # the kernel's exact rows stay per call
-        assert moduli == [P, P]  # each call eliminates
+        assert moduli == [P]  # the second call reads the kept certificate
         assert caplog.messages == [f"rank 4 at q^4 of q^{trunc}: kernel of 1 checked, 3 rows exact" for trunc in (30, 40)]
 
     def test_new_t_builds_its_rows_and_expands_each_multiplier_once(self, built):
@@ -880,13 +893,44 @@ class TestResidueRowsAcrossTruncations:
             if n > 1 and rng.random() < 0.5:  # a repeated row
                 words.append(words[0])
                 mults.append(mults[0])
-            truncs = [1, 2, 3, 5, 8, 12]
-            warm = [independence_rank(words, mults, trunc) for trunc in truncs]
-            cold = []
-            for trunc in truncs:
+            for truncs in ([1, 2, 3, 5, 8, 12], [12, 8, 5, 3, 2, 1], [3, 12, 3, 1, 12, 2]):  # rising, falling, repeated
                 iterqm.clear_caches()
-                cold.append(independence_rank(words, mults, trunc))
-            assert warm == cold, (words, mults)
+                warm = [independence_rank(words, mults, trunc) for trunc in truncs]
+                cold = []
+                for trunc in truncs:
+                    iterqm.clear_caches()
+                    cold.append(independence_rank(words, mults, trunc))
+                assert warm == cold, (words, mults, truncs)
+
+    def test_kept_kernel_fails_at_a_higher_truncation(self, monkeypatch):
+        # I(E4) and I(CLOSE) agree to q^3: the kernel (1, -1) found at t = 2 checks at N = 2 and 3 only
+        words, mults, truncs = [(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE], [2, 20, 3, 4, 12, 5]
+        calls = []
+        real = canonicalize.rational_rank
+        monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: calls.append(rows) or real(rows))
+        iterqm.clear_caches()
+        warm = [independence_rank(words, mults, trunc) for trunc in truncs]
+        assert warm == [1, 2, 1, 2, 2, 2]
+        info = canonicalize._residue_certificate.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)  # t = 2 at every N: eliminated mod p once
+        assert len(calls) == 4  # each N where the kept kernel fails decides on its own exact rows
+        cold = []
+        for trunc in truncs:
+            iterqm.clear_caches()
+            cold.append(independence_rank(words, mults, trunc))
+        assert cold == warm
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_equal_rows_keep_linear_size(self, n):
+        # rank 1: n - 1 kernel vectors of two entries each, not n - 1 dense rows of n
+        iterqm.clear_caches()
+        assert independence_rank([(E4,)] * n, [ONE] * n, 30) == 1
+        t = min(30, 2 * -(-n // 2))
+        rank, kernel = canonicalize._residue_certificate(t, (ONE,) * n, ((E4,),) * n)
+        assert canonicalize._residue_certificate.cache_info().hits == 1
+        assert rank == 1 and len(kernel) == n - 1
+        assert all(len(v) == 2 and v[-1] == (n - 1, F(-1)) for v in kernel)
+        assert sorted(v[0] for v in kernel) == [(i, F(1)) for i in range(n - 1)]
 
 
 class TestClearCaches:
@@ -905,8 +949,8 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split", "_residue_rows",
-                                                "_eichler_poly", "_minus_log_disc"}
+        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split",
+                                                "_residue_certificate", "_eichler_poly", "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
         assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
@@ -917,8 +961,9 @@ class TestClearCaches:
         modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
-        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split", "_residue_rows",
-                                                "build_parser", "_eichler_poly", "_minus_log_disc"}
+        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split",
+                                                "_residue_certificate", "build_parser", "_eichler_poly",
+                                                "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []
