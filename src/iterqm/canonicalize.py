@@ -25,8 +25,9 @@ truncation with the same t builds no residue row and eliminates nothing.
 Truncation is a linear map, so full rank at any truncation proves the
 integrals linearly independent over Q; a deficiency is one at that
 truncation only, proved by the kernel, lifted to Q and checked on exact
-series of the rows it involves.  Should that fail, :func:`rational_rank`
-decides on the exact rows.
+series of the rows it involves.  Should that fail, the certificate at q^N,
+made and kept the same way, is read and checked; only if it fails too does
+:func:`_exact_rank` eliminate the exact rows over Q.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import logging
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .iterint import BarWord, IntegralPoly, _as_word, iter_integral
 from .linear import _add_row
-from .qseries import LogQSeries, Scalar, _pack
+from .qseries import LogQSeries, _pack
 from .quasimodular import (
     ONE,
     Exponents,
@@ -278,7 +279,8 @@ def _certificate(columns: list[Sequence[int]]) -> tuple[int, tuple[tuple[tuple[i
     never above A's rank over Q.  Below n, the null space holds n - r independent v that
     vanish on them mod p, in reduced row echelon form as the rows are reversed; each is
     lifted to Q and kept as its nonzero (row, lift) pairs in order of row, or the kernel
-    is None if an entry does not lift.
+    is None if an entry does not lift.  The rank over Q is r if r reaches A's column
+    count, or if each lifted v checks exactly: v*A = 0.
     """
     found, n = _pivot_rows(columns, _RANK_PRIME)  # pivot rows mod p, negated
     kernel = []
@@ -289,44 +291,6 @@ def _certificate(columns: list[Sequence[int]]) -> tuple[int, tuple[tuple[tuple[i
             return len(found), None
         kernel.append(tuple(lifts))
     return len(found), tuple(kernel)
-
-
-def _certified_rank(rank: int, kernel, ncols: int, is_kernel) -> int | None:
-    """A's rank over Q from its :func:`_certificate` (rank, kernel), where it proves it.
-
-    r = n (an empty kernel) or r = ncols (A's true column count, or a bound on it)
-    is the answer; else A's rank is r if ``is_kernel`` confirms v*A = 0 for each
-    lifted kernel vector v, given as its (row, lift) pairs, and this is None if not.
-    """
-    return rank if rank == ncols or (kernel is not None and all(map(is_kernel, kernel))) else None
-
-
-def rational_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over Q of a dense matrix of ints or Fractions, exactly.
-
-    Rows are scaled to integers A by the lcm of their denominators and taken
-    mod a fixed prime p: full rank there, or a kernel lifted to Q that
-    checks exactly, is the answer (see :func:`_certificate`).  Should a
-    lift or its check fail, elimination over Q settles the rank.
-    """
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("rows must all have the same length")
-    for x in chain.from_iterable(rows):
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-    matrix = [row for row in rows if any(row)]
-    scales = [lcm(*(x.denominator for x in row)) for row in matrix]
-    matrix = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(matrix, scales)]
-    ncols = len(matrix[0]) if matrix else 0
-
-    def is_kernel(lifts: Sequence[tuple[int, Fraction]]) -> bool:
-        den = lcm(*(c.denominator for _, c in lifts))
-        kernel = [(c.numerator * (den // c.denominator), matrix[i]) for i, c in lifts]
-        return not any(sum(c * a[j] for c, a in kernel) for j in range(ncols))
-
-    columns = list(zip(*([x % _RANK_PRIME for x in r] for r in matrix[::-1])))
-    rank = _certified_rank(*_certificate(columns), ncols, is_kernel)
-    return _exact_rank(matrix) if rank is None else rank
 
 
 def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
@@ -370,8 +334,11 @@ def independence_rank(
     at another trunc with the same t builds no residue row and eliminates
     nothing.  Those columns are some of those at trunc, so full rank is the
     answer, and each call checks the kernel on the exact rows to q^trunc that
-    it involves, or else :func:`rational_rank` decides on the exact rows, each
-    built once per call.  A DEBUG line names the truncation and route.
+    it involves.  Should the kernel not lift or check, the certificate at
+    q^trunc, kept the same way, is read and checked in turn; only if it fails
+    too does :func:`_exact_rank` eliminate the exact rows over Q.  Each exact
+    row is built at most once per call.  A DEBUG line names the truncation
+    and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -401,11 +368,12 @@ def independence_rank(
         return total.is_zero()
 
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
-    rank = _certified_rank(*_residue_certificate(t, tuple(multipliers), tuple(words)), width, is_kernel)
-    if rank is None:
-        logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
-        rows = [exact[i] if i in exact else series(i) for i in range(n)]
-        return rational_rank(list(zip(*_columns(rows, trunc))))
-    route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
-    logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
-    return rank
+    for t in dict.fromkeys((t, trunc)):  # the kept certificate at q^t, then at q^trunc
+        rank, kernel = _residue_certificate(t, tuple(multipliers), tuple(words))
+        if rank == width or kernel is not None and all(map(is_kernel, kernel)):
+            route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
+            logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
+            return rank
+    logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
+    # the columns of numerators, each row times its denominator, have the rows' rank
+    return _exact_rank(_columns([exact[i] if i in exact else series(i) for i in range(n)], trunc))

@@ -152,11 +152,6 @@ class LogQSeries:
         value = _as_fraction(value)
         return cls._of(trunc, value.denominator, {0: (value.numerator,) + (0,) * trunc}, modulus)
 
-    @classmethod
-    def log_power(cls, k: int, trunc: int, coeff: Scalar = 1) -> "LogQSeries":
-        """coeff * L^k."""
-        return cls(trunc, {k: [coeff]})
-
     # -- queries ----------------------------------------------------------
 
     def log_degree(self) -> int:

@@ -157,9 +157,9 @@ def test_criterion_07_integral_of_e2_is_minus_log_delta():
             acc -= c[j] * u.coefficient(m - j, 0)
         c[m] = acc
     log_u = LogQSeries(n, {0: [F(0)] + [c[m] / m for m in range(1, n + 1)]})
-    oracle = LogQSeries.log_power(1, n, -1) - log_u
+    oracle = LogQSeries(n, {1: [-1]}) - log_u
     assert iter_integral((E2,), n) == oracle
-    explicit = LogQSeries.log_power(1, n, -1) + LogQSeries(
+    explicit = LogQSeries(n, {1: [-1]}) + LogQSeries(
         n, {0: [F(0)] + [F(24 * _sigma(m, 1), m) for m in range(1, n + 1)]}
     )
     assert iter_integral((E2,), n) == explicit

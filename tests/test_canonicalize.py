@@ -22,20 +22,18 @@ from iterqm.canonicalize import (
     _RANK_PRIME,
     ModularModeError,
     _certificate,
-    _certified_rank,
     _exact_rank,
     _pivot_rows,
     _rational_lift,
     canonical_form,
     independence_rank,
-    rational_rank,
     reduce_letters,
 )
 from iterqm.expr import parse
-from iterqm.iterint import BarWord, IntegralPoly, ibp
+from iterqm.iterint import BarWord, IntegralPoly, ibp, iter_integral
 from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries
-from iterqm.quasimodular import E2, E4, E6, ONE, QMPoly, decompose, derive, is_basis_letter
+from iterqm.quasimodular import E2, E4, E6, ONE, ZERO, QMPoly, decompose, derive, expand, is_basis_letter
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle
 from test_quasimodular import reference_gauss_jordan
 
@@ -356,23 +354,12 @@ class TestRank:
         assert independence_rank([(ONE,), (ONE, ONE), (ONE,)], [ONE] * 3, 5) == 2
 
     def test_rational_rank_basics(self):
-        assert rational_rank([]) == 0
-        assert rational_rank([[F(0), F(0)]]) == 0
-        assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-        assert rational_rank([[F(1), F(0)], [F(1), F(1)]]) == 2
-
-    @pytest.mark.parametrize("rows", [[[1, 2], [2, 4, 5]], [[1, 2], [3]]], ids=str)
-    def test_rational_rank_rejects_ragged_rows(self, rows):
-        # the first was read as a rank-1 matrix, the second raised IndexError
-        with pytest.raises(ValueError, match="^rows must all have the same length$"):
-            rational_rank(rows)
-
-    @pytest.mark.parametrize("rows,kind", [([[0.5, 1]], "float"), ([[1, 2], [F(1, 3), 2.0]], "float"),
-                                           ([[0.0, 0.0]], "float"), ([[1, "2"]], "str")], ids=str)
-    def test_rational_rank_rejects_inexact_entries(self, rows, kind):
-        # a float raised AttributeError on its missing denominator; a zero row of floats gave rank 0
-        with pytest.raises(TypeError, match=f"^expected an exact rational, got {kind}$"):
-            rational_rank(rows)
+        # the rank over Q, by the one elimination over Q: _exact_rank on integer rows
+        assert _exact_rank([]) == 0
+        assert _exact_rank([[0, 0]]) == 0
+        assert _exact_rank([[1, 2], [2, 4]]) == 1
+        assert _exact_rank([[1, 0], [1, 1]]) == 2
+        assert _exact_rank([[0, 3], [0, 1], [2, 0]]) == 2  # the second row reduces to zero
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -462,11 +449,12 @@ def reference_certified_rank(residues: list[list[int]], ncols: int, is_kernel) -
 
 
 def certified_rank(columns: list[tuple[int, ...]], ncols: int, is_kernel) -> int | None:
-    """_certified_rank on the _certificate of the columns, each kernel vector handed to
-    ``is_kernel`` dense, in order of row, as the reference hands it."""
+    """The rank the _certificate of the columns proves, as independence_rank reads it, or None:
+    each kernel vector is handed to ``is_kernel`` dense, in order of row, as the reference hands it."""
     n = len(columns[0]) if columns else 0
-    return _certified_rank(*_certificate(columns), ncols,
-                           lambda lifts: is_kernel([dict(lifts).get(i, F(0)) for i in range(n)]))
+    rank, kernel = _certificate(columns)
+    checks = (is_kernel([dict(lifts).get(i, F(0)) for i in range(n)]) for lifts in kernel or ())
+    return rank if rank == ncols or kernel is not None and all(checks) else None
 
 
 class TestOnePassCertificate:
@@ -581,7 +569,8 @@ def exact_words(monkeypatch):
 
 class TestModularCertificate:
     """Full rank mod P certifies; a deficiency mod P is proved by its kernel
-    lifted to Q and checked exactly, or else settled by elimination over Q."""
+    lifted to Q and checked exactly, or else settled by the certificate at q^N
+    or, should that fail too, by elimination over Q."""
 
     def test_modulus_is_prime(self):
         assert P.bit_length() >= 30 and is_prime(P)
@@ -590,7 +579,7 @@ class TestModularCertificate:
             False, True, False, True, False, False]
 
     def test_full_rank_is_certified_mod_p(self, moduli):
-        assert rational_rank([[F(1, 3), F(2)], [F(5), F(-7, 2)]]) == 2
+        assert independence_rank([(E4,), (E6,)], [QMPoly.constant(F(1, 3)), QMPoly.constant(F(-7, 2))], 10) == 2
         assert moduli == [P]
 
     def test_full_rank_writes_no_rows(self, monkeypatch):
@@ -603,53 +592,56 @@ class TestModularCertificate:
             raise AssertionError("rows eliminated over Q")
 
         monkeypatch.setattr(canonicalize, "_exact_rank", eliminate)
-        assert rational_rank([[F(1, 3), F(2)], [F(5), F(-7, 2)]]) == 2
+        assert independence_rank([(E4,), (E6,)], [QMPoly.constant(F(1, 3)), QMPoly.constant(F(-7, 2))], 10) == 2
         assert independence_rank([(E4,), (E6,), (E4, E6)], [ONE, E4, ONE], 12) == 3
 
     def test_diagonal_p_falls_back(self, moduli):
-        assert rational_rank([[F(P), F(0)], [F(0), F(1)]]) == 2
+        # n = 2 rows of words of length 1 at N = 2: t = N, one certificate
+        assert independence_rank([(E4,), (E6,)], [QMPoly.constant(P), ONE], 2) == 2
         assert moduli == [P, 0]  # the kernel (1, 0) lifts but fails the exact check
 
     def test_row_of_multiples_of_p_falls_back(self, moduli):
-        rows = [[F(P, 3), F(2 * P, 5), F(-P)], [F(1), F(0), F(2)]]
-        assert rational_rank(rows) == 2
+        # the letter P/3 * E4 enters by its numerators: the row of P * I(E4), zero mod P
+        assert independence_rank([(E4 * F(P, 3),), (E6,)], [ONE, ONE], 2) == 2
         assert moduli == [P, 0]
 
     def test_denominators_divisible_by_p(self, moduli):
-        # scaled rows [1, P] and [1, 2P] agree mod P; the determinant over Q is 1
-        assert rational_rank([[F(1, P), F(1)], [F(1), F(2 * P)]]) == 2
+        # the numerators of E4/P + E6 are E4 + P*E6: the rows agree mod P, not over Q
+        assert independence_rank([(E4,), (E4 * F(1, P) + E6,)], [ONE, ONE], 2) == 2
         assert moduli == [P, 0]
-        assert rational_rank([[F(1, P * P), F(3, P)], [F(2, 7 * P), F(1, 5)]]) == 2
+        moduli.clear()
+        assert independence_rank([(E4,), (E6,)], [QMPoly.constant(F(1, P * P)), QMPoly.constant(F(3, P))], 10) == 2
+        assert moduli == [P]
 
     def test_deficient_over_q_too(self, moduli):
-        # det = (1/P) * P - 1 = 0: rank 1 over Q, proved by the lifted kernel
-        assert rational_rank([[F(1, P), F(1)], [F(1), F(P)]]) == 1
+        # the numerators of E4/P + E6 and of E4 + P*E6 agree: rank 1 over Q, proved by the lifted kernel
+        assert independence_rank([(E4 * F(1, P) + E6,), (E4 + E6 * P,)], [ONE, ONE], 10) == 1
         assert moduli == [P]  # the kernel (1, -1) lifts and checks: no elimination over Q
 
     def test_wide(self, moduli):
-        assert rational_rank([[F(1), F(2), F(3), F(4), F(5)], [F(0), F(1), F(1, 2), F(0), F(9)]]) == 2
+        assert independence_rank([(E4,), (ONE, E6)], [ONE, E2], 20) == 2
         assert moduli == [P]
-        wide = [[F(i + j) for j in range(6)] for i in range(3)]
-        assert rational_rank(wide) == 2
+        assert independence_rank([(E4,), (E6,), (E4 + E6 * 2,)], [ONE] * 3, 20) == 2
 
-    def test_tall(self, moduli):
-        tall = [[F(i), F(i * i + 1, 3)] for i in range(6)]
-        assert rational_rank(tall) == 2
-        assert moduli == [P]  # rank mod P reached the column count
-        assert rational_rank([[F(3 * i), F(-i, 2)] for i in range(5)]) == 1
+    def test_tall(self, moduli, exact_words):
+        # at N = 1 with words of length <= 1 there are 4 columns: q^0 and q^1 of L^0, then of L^1
+        words, multipliers = [(), (), (ONE,), (ONE,), (E4,), ()], [ONE, E4, ONE, E4, ONE, E6]
+        assert independence_rank(words, multipliers, 1) == 4
+        assert moduli == [P]  # rank mod P reached the column count: no kernel is checked
+        assert exact_words == {"words": [], "multipliers": []}
+        assert independence_rank([(E4,)] * 5, [QMPoly.constant(F(3 * i, 2)) for i in range(5)], 10) == 1
 
     def test_zero_rows(self, moduli):
-        zero = [F(0)] * 3
-        assert rational_rank([zero, [F(1), F(2), F(3)], zero]) == 1
+        assert independence_rank([(E4,), (E6,), (E4,)], [ZERO, ONE, ZERO], 10) == 1
         assert moduli == [P]
-        assert rational_rank([zero, zero]) == 0
-        assert rational_rank([[], []]) == 0
+        assert independence_rank([(E4,), ()], [ZERO, ZERO], 10) == 0
+        assert independence_rank([(), ()], [ZERO, ZERO], 0) == 0
 
     def test_integer_entries_stay_exact(self, moduli):
-        # det = -1 and -P: floats saw both rows as equal
-        assert rational_rank([[10**17, 1], [10**17 + 1, 1]]) == 2
-        assert rational_rank([[P * 10**17, 1], [P * 10**17 + P, 1]]) == 2
-        assert moduli == [P, P, 0]
+        # the multipliers differ by E4 and by P*E4: floats saw both rows of each pair as equal
+        assert independence_rank([(), ()], [E4 * 10**17 + 1, E4 * (10**17 + 1) + 1], 4) == 2
+        assert independence_rank([(), ()], [E4 * (P * 10**17) + 1, E4 * (P * 10**17 + P) + 1], 4) == 2
+        assert moduli == [P, P, 0]  # t = N = 4: the second pair's kernel (1, -1) fails, and Q decides
 
     def test_planted_relation_takes_the_kernel_path(self, moduli):
         # I(D(E4)) = 1 - E4, the regularized integral of a derivative
@@ -659,10 +651,12 @@ class TestModularCertificate:
         assert moduli == [P]
 
     def test_large_kernel_entries_fall_back(self, moduli):
-        a, b = 10**6 + 3, 999_999  # the kernel (1, b/a, -1/a) is beyond sqrt(P/2)
-        rows = [[1, 0, 2], [0, 1, 3], [a, b, 2 * a + 3 * b]]
-        assert rational_rank(rows) == 2
-        assert moduli == [P, 0]
+        a, b = 10**6 + 3, 999_999  # the kernel (a, b, -1), scaled to a 1, is beyond sqrt(P/2)
+        assert independence_rank([(E4,), (E6,), (E4 * a + E6 * b,)], [ONE] * 3, 2) == 2
+        assert moduli == [P, 0]  # t = N = 2
+        moduli.clear()
+        assert independence_rank([(E4,), (E6,), (E4 * a + E6 * b,)], [ONE] * 3, 40) == 2
+        assert moduli == [P, P, 0]  # no kernel lifts at q^4 or at q^40
         assert _rational_lift(b * pow(a, -1, P) % P) is None
 
     def test_rational_lift_bound(self):
@@ -685,17 +679,18 @@ class TestModularCertificate:
         # the row of P * I() is zero mod P; its kernel vector lifts but fails the exact check
         assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10) == 2
         assert moduli == [P, P, 0]  # at q^2, then at q^10, then over Q
+        iterqm.clear_caches()
+        moduli.clear()
+        assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 2) == 2
+        assert moduli == [P, 0]  # t = N = 2: one certificate, then over Q
 
-    def test_denominator_p_is_decided_mod_p(self, moduli, monkeypatch):
+    def test_denominator_p_is_decided_mod_p(self, moduli):
         # letters and multipliers enter by their numerators: each row times an integer, no denominator P
-        exact = []
-        real = canonicalize.rational_rank
-        monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: exact.append(rows) or real(rows))
         assert independence_rank([(E4,), (E4,)], [ONE, QMPoly.constant(F(1, P))], 10) == 1
-        assert exact == [] and moduli == [P]  # the rows are equal after scaling: the kernel (1, -1) checks
+        assert moduli == [P]  # the rows are equal after scaling: the kernel (1, -1) checks
         assert independence_rank([(E4 * F(1, P),), (E4,), (E6,)], [ONE] * 3, 10) == 2
         assert independence_rank([(ONE, E6 * F(2, P)), (E4,)], [QMPoly.constant(F(3, 7 * P)), E2], 10) == 2
-        assert exact == [] and moduli == [P, P, P]
+        assert moduli == [P, P, P]  # one certificate each, at q^t, and nothing over Q
 
     def test_full_rank_builds_no_exact_series(self, exact_words, moduli):
         words = [(E4,), (E6,), (ONE, E4), (E2, E6), ()]
@@ -711,28 +706,39 @@ class TestModularCertificate:
         assert exact_words["multipliers"] == [ONE]
 
     def test_leaves_input_alone(self):
-        rows = [[F(2), F(4)], [F(1), F(2)]]
-        assert rational_rank(rows) == 1
-        assert rows == [[F(2), F(4)], [F(1), F(2)]]
+        words, multipliers = [[E4 * F(1, 2)], [E4]], [QMPoly.constant(F(2, 3)), ONE]
+        assert independence_rank(words, multipliers, 6) == 1
+        assert words == [[E4 * F(1, 2)], [E4]] and multipliers == [QMPoly.constant(F(2, 3)), ONE]
 
     def test_random_against_reference(self):
         rng = random.Random(41)
+        pool = [0, 1, -1, 2, P, -P, 2 * P, F(1, P), F(P, 3), F(3, 7)]
         for _ in range(150):
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            pool = [0, 1, -1, 2, P, -P, 2 * P, F(1, P), F(P, 3), F(3, 7)]
             rows = [[F(rng.choice(pool)) for _ in range(ncols)] for _ in range(nrows)]
             if nrows > 1 and rng.random() < 0.5:  # plant a dependence
                 a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.choice(pool))
                 rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
-            assert rational_rank(rows) == reference_rank(rows), rows
             scales = [lcm(*(x.denominator for x in row)) for row in rows]
             assert _exact_rank([[int(x * s) for x in row] for row, s in zip(rows, scales)]) == reference_rank(rows)
+        # the same scalars as multipliers and letter scales of families with planted relations
+        for _ in range(30):
+            words = [(rng.choice([E4, E6, E4 + E6]) * F(rng.choice(pool[1:])),) for _ in range(rng.randint(1, 4))]
+            mults = [QMPoly.constant(F(rng.choice(pool))) for _ in words]
+            if rng.random() < 0.5:
+                words.append(words[0])
+                mults.append(mults[0] * F(rng.choice(pool[1:])))
+            trunc = rng.randint(0, 8)
+            rows = [expand(m, trunc) * iter_integral(w, trunc) for w, m in zip(words, mults)]
+            exact = [[s.coefficient(m, k) for k in range(2) for m in range(trunc + 1)] for s in rows]
+            assert independence_rank(words, mults, trunc) == reference_rank(exact), (words, mults, trunc)
 
 
 class TestFirstTruncation:
-    """Rows mod p are read to q^t for t = min(N, 2*ceil(n/(1+l))) only; when the
-    kernel found there does not lift or check at q^N, rational_rank decides on
-    the exact rows to q^N, each built once."""
+    """Rows mod p are read to q^t for t = min(N, 2*ceil(n/(1+l))) first; when the
+    kernel found there does not lift or check at q^N, the certificate at q^N is
+    read, and only if it fails too does _exact_rank decide on the exact rows to
+    q^N, each built once."""
 
     #: Agrees with E4 to q^3: 1728*Delta = E4^3 - E6^2 starts at q.
     CLOSE = E4 + (E4**3 - E6**2) ** 4
@@ -759,19 +765,23 @@ class TestFirstTruncation:
     def test_false_kernel_at_the_first_truncation(self, moduli, truncations):
         # n = 2 rows of words of length 1: t = 2, where the rows are equal
         assert independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20) == 2
-        assert moduli == [P, P]  # at q^2, then rational_rank's pass on the exact rows
-        assert truncations["integrals"] == {(2, P), (20, 0)}
+        assert moduli == [P, P]  # at q^2, then at q^20, where the rows have full rank mod p
+        assert truncations["integrals"] == {(2, P), (20, 0), (20, P)}
 
     def test_false_kernel_hands_the_exact_rows_to_rational_rank(self, truncations, monkeypatch):
+        # only when the certificates at q^t and at q^N both fail is the rank over Q computed,
+        # by _exact_rank on the columns of the exact rows' numerators, n entries each
         calls = []
-        real = canonicalize.rational_rank
-        monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: calls.append(rows) or real(rows))
+        real = canonicalize._exact_rank
+        monkeypatch.setattr(canonicalize, "_exact_rank", lambda rows: calls.append(list(rows)) or real(calls[-1]))
         assert independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20) == 2
-        assert [len(rows) for rows in calls] == [2]
-        assert (20, P) not in truncations["integrals"] | truncations["multipliers"]  # no residue series at q^N
+        assert calls == [] and (20, P) in truncations["integrals"]  # the certificate at q^20 decides
+        assert independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10) == 2
+        assert [{len(column) for column in columns} for columns in calls] == [{2}]
+        assert len(calls[0]) == 11 * 2  # q^0 to q^10 of L^0, then of L^1
 
     def test_each_exact_row_is_built_once(self, monkeypatch):
-        # the kernel check builds the rows of its support over Q; the exit to rational_rank reuses them
+        # the kernel checks build the rows of their support over Q; the exit to _exact_rank reuses them
         built = Counter()
         real = canonicalize.iter_integral
 
@@ -818,7 +828,7 @@ class TestFirstTruncation:
         assert caplog.messages == [
             "rank 2 at q^2 of q^20: full rank",
             "rank 2 at q^4 of q^20: kernel of 1 checked, 3 rows exact",
-            "rank at q^20: exact rows, the kernel did not lift or check",
+            "rank 2 at q^20 of q^20: full rank",
             "rank at q^10: exact rows, the kernel did not lift or check",
             "rank 1 at q^2 of q^10: kernel of 1 checked, 2 rows exact",
         ]
@@ -832,7 +842,7 @@ class TestFirstTruncation:
 class TestCertificateAcrossTruncations:
     """The certificate mod p to q^t of a family, its rank and lifted kernel, is kept: a call at
     another N with the same t builds no residue row and runs no elimination, while the exact
-    rows to q^N, the kernel check and the exit to rational_rank stay per call."""
+    rows to q^N, the kernel check and the exit to _exact_rank stay per call."""
 
     #: I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = min(N, 4)
     WORDS = [(E6,), (derive(E4),), (ONE, E4), (), ()]
@@ -906,14 +916,16 @@ class TestCertificateAcrossTruncations:
         # I(E4) and I(CLOSE) agree to q^3: the kernel (1, -1) found at t = 2 checks at N = 2 and 3 only
         words, mults, truncs = [(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE], [2, 20, 3, 4, 12, 5]
         calls = []
-        real = canonicalize.rational_rank
-        monkeypatch.setattr(canonicalize, "rational_rank", lambda rows: calls.append(rows) or real(rows))
+        real = canonicalize._exact_rank
+        monkeypatch.setattr(canonicalize, "_exact_rank", lambda rows: calls.append(rows) or real(rows))
         iterqm.clear_caches()
         warm = [independence_rank(words, mults, trunc) for trunc in truncs]
         assert warm == [1, 2, 1, 2, 2, 2]
         info = canonicalize._residue_certificate.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)  # t = 2 at every N: eliminated mod p once
-        assert len(calls) == 4  # each N where the kept kernel fails decides on its own exact rows
+        # t = 2 at every N: eliminated mod p once; each N where the kept kernel fails, 20, 4, 12
+        # and 5, is decided by its own certificate at q^N, and nothing is eliminated over Q
+        assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+        assert calls == []
         cold = []
         for trunc in truncs:
             iterqm.clear_caches()

@@ -396,6 +396,28 @@ class TestCommands:
         assert code == 0
         assert "PASS" in out
 
+    def test_cocycle_check_skips_a_refused_pair(self, capsys, monkeypatch):
+        # seed 65 draws g1 = (1 1; 1 2), g2 = (3 -1; 1 0) for Delta, and g1*g2 = (4 -1; 5 -1)
+        # has no admissible evaluation point: the pair is skipped and another drawn in its place
+        import iterqm.cocycles as cocycles
+
+        refused, real = [], cocycles.admissible_tau
+
+        def spy(g):
+            try:
+                return real(g)
+            except ValueError:
+                refused.append(g)
+                raise
+
+        monkeypatch.setattr(cocycles, "admissible_tau", spy)
+        code, out, _ = run(capsys, ["cocycle", "check", "--pairs", "1", "--seed", "65", "--n-terms", "40"])
+        assert code == 0
+        assert refused == [cocycles.SL2Mat(4, -1, 5, -1)]
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == ["E4", "E6", "Delta"]
+        assert all(line.endswith(" over 1 pairs") for line in lines[:3]) and lines[3].startswith("PASS")
+
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_cocycle_check_needs_a_pair(self, capsys, pairs):
         # no pair checked is no pass

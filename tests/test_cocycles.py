@@ -440,7 +440,7 @@ class TestEvalNumeric:
 
     def test_log_at_i(self):
         with mp.workdps(50):
-            assert abs(eval_numeric(LogQSeries.log_power(1, 5), 1j) - (-2 * mp.pi)) < 1e-40
+            assert abs(eval_numeric(LogQSeries(5, {1: [1]}), 1j) - (-2 * mp.pi)) < 1e-40
 
     def test_e4_at_i(self):
         # E4(i) = 3 Gamma(1/4)^8 / (2 pi)^6

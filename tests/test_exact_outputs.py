@@ -1,0 +1,38 @@
+"""The exact-output listings of ``tools/exact_outputs.py`` against the digests
+committed beside it, in ``tools/exact_outputs.sha256``.
+
+The cheap listings, ``soundness``, ``certify`` and ``cocycle`` at seed 1, are
+recomputed here (about 2 s); CI recomputes all eight on every event.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
+#: The (workload, seed) listings that CI diffs against the base commit of a pull request.
+LISTINGS = [("soundness", 1), ("certify", 1), ("cocycle", 1), ("parse", 1), ("decompose", 1),
+            ("cocycle", 4242), ("lyndon", 1), ("certify", 4242)]
+
+
+def committed_digests() -> dict[tuple[str, int], str]:
+    with open(os.path.join(TOOLS, "exact_outputs.sha256")) as f:
+        rows = [line.split() for line in f if line.strip() and not line.startswith("#")]
+    return {(workload, int(seed)): digest for workload, seed, digest in rows}
+
+
+def test_one_digest_per_listing():
+    digests = committed_digests()
+    assert sorted(digests) == sorted(LISTINGS)
+    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest in digests.values())
+
+
+@pytest.mark.parametrize("workload", ["soundness", "certify", "cocycle"])
+def test_listing_matches_its_digest(workload):
+    argv = [sys.executable, os.path.join(TOOLS, "exact_outputs.py"), "--seed", "1", "--workload", workload]
+    out = subprocess.run(argv, capture_output=True, check=True, timeout=120).stdout
+    assert hashlib.sha256(out).hexdigest() == committed_digests()[workload, 1]

@@ -21,7 +21,7 @@ from iterqm.shuffle_lyndon import LyndonPoly, shuffle
 
 
 def L(trunc, k=1, coeff=1):
-    return LogQSeries.log_power(k, trunc, coeff)
+    return LogQSeries(trunc, {k: [coeff]})
 
 
 class TestIterIntegral:
@@ -215,7 +215,7 @@ class TestRegularizationAgreesWithAlternatingSum:
                 consts *= f.cusp_value()
             piece = _combo_integral(r_map(word[:i]), n)
             if m - i:
-                piece = piece * LogQSeries.log_power(m - i, n, F(1, math.factorial(m - i)))
+                piece = piece * LogQSeries(n, {m - i: [F(1, math.factorial(m - i))]})
             total = total + piece.scale(consts * F((-1) ** (m - i)))
         return total
 

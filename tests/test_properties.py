@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -27,7 +27,7 @@ from mpmath.libmp import dps_to_prec  # noqa: E402
 
 from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import (  # noqa: E402
-    _RANK_PRIME, ModularModeError, canonical_form, independence_rank, rational_rank, reduce_letters,
+    _RANK_PRIME, ModularModeError, _exact_rank, canonical_form, independence_rank, reduce_letters,
 )
 from iterqm.cli import (  # noqa: E402
     _canonical_terms, _power, _word_name, canonical_from_json, canonical_to_json, format_canonical, format_qmpoly,
@@ -201,9 +201,7 @@ def test_decompose_splits_any_form(p):
 def rational_matrices(draw):
     """Small matrices of Fraction or int rows, with entries that are multiples
     or fractions of the rank prime and rows that are combinations of earlier
-    ones.  Large combination coefficients give kernels beyond the reach of
-    rational reconstruction, so both the lifted kernel and the fallback to
-    elimination over Q are exercised."""
+    ones, some with large coefficients."""
     ncols = draw(st.integers(1, 6))
     entry = st.one_of(
         st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
@@ -225,7 +223,9 @@ def rational_matrices(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(rational_matrices())
 def test_rational_rank_matches_elimination(rows):
-    assert rational_rank(rows) == reference_rank(rows)
+    # the rank over Q by _exact_rank, each row scaled to integers by the lcm of its denominators
+    scales = [lcm(*(F(x).denominator for x in row)) for row in rows]
+    assert _exact_rank([[int(F(x) * s) for x in row] for row, s in zip(rows, scales)]) == reference_rank(rows)
 
 
 def exact_rank_rows(words, multipliers, trunc):
@@ -292,7 +292,7 @@ def integral_families(draw):
 @example(([(E4,), (E6, ONE), (E4 + E6,), (E6,), (E4, ONE)], [E2, ONE, E2, E2, ONE]), 5)
 def test_independence_rank_matches_exact_rows(family, trunc):
     words, multipliers = family
-    assert independence_rank(words, multipliers, trunc) == rational_rank(exact_rank_rows(words, multipliers, trunc))
+    assert independence_rank(words, multipliers, trunc) == reference_rank(exact_rank_rows(words, multipliers, trunc))
 
 
 def forms(max_weight):

@@ -12,7 +12,7 @@ from iterqm.qseries import LogQSeries, _pack, d_op, primitive
 
 
 def L(trunc, k=1, coeff=1):
-    return LogQSeries.log_power(k, trunc, coeff)
+    return LogQSeries(trunc, {k: [coeff]})
 
 
 class TestArithmetic:

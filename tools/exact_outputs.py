@@ -36,6 +36,11 @@ byte-identical, so a change is checked against a base commit with
     python3 tools/exact_outputs.py --src ../base/src > base.txt
     python3 tools/exact_outputs.py > head.txt
     cmp base.txt head.txt
+
+The SHA-256 of each (workload, seed) listing that CI runs is committed
+beside this tool, in ``exact_outputs.sha256``, so a tree is also checked
+without a base commit; ``tests/test_exact_outputs.py`` recomputes the
+``soundness``, ``certify`` and ``cocycle`` listings of seed 1.
 """
 
 from __future__ import annotations
