@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 # Regularized iterated integrals as exact series in q and L = log q:
 # the defining differential equation, the shuffle product, and
-# integration by parts: one rule, ibp, for a derivative letter at any
-# position of a word.
+# integration by parts, which removes a derivative letter at any position
+# of a word (canonical forms run it inside their letter reduction).
 
 from iterqm import (
     DELTA,
@@ -13,7 +13,6 @@ from iterqm import (
     d_op,
     derive,
     expand,
-    ibp,
     iter_integral,
     shuffle,
 )
@@ -46,11 +45,13 @@ print("  I(E2)*I(E4) - (I(E2,E4) + I(E4,E2)) =", format_series(lhs - rhs))
 
 print("\nIntegration by parts removes a derivative letter at any position,")
 print("leaving words one letter shorter:")
-for prefix, suffix, label in (
-    ((), (DELTA,), "I(D(E4), Delta) = I(E4*Delta) - E4 * I(Delta)"),
-    ((E2,), (DELTA,), "I(E2, D(E4), Delta) = I(E2, E4*Delta) - I(E2*E4, Delta)"),
-    ((DELTA,), (), "I(Delta, D(E4)) = E4(cusp) * I(Delta) - I(Delta*E4)"),
+for word, terms, label in (
+    ((derive(E4), DELTA), {(E4 * DELTA,): 1, (DELTA,): -E4}, "I(D(E4), Delta) = I(E4*Delta) - E4 * I(Delta)"),
+    ((E2, derive(E4), DELTA), {(E2, E4 * DELTA): 1, (E2 * E4, DELTA): -1},
+     "I(E2, D(E4), Delta) = I(E2, E4*Delta) - I(E2*E4, Delta)"),
+    ((DELTA, derive(E4)), {(DELTA,): 1, (DELTA * E4,): -1},  # E4(cusp) = 1
+     "I(Delta, D(E4)) = E4(cusp) * I(Delta) - I(Delta*E4)"),
 ):
-    lhs = iter_integral(prefix + (derive(E4),) + suffix, N)
-    rhs = IntegralPoly.linear(ibp(prefix, E4, suffix)).expansion(N)
+    lhs = iter_integral(word, N)
+    rhs = IntegralPoly.linear(terms).expansion(N)
     print(f"  {label}: residual {format_series(lhs - rhs)}")

@@ -19,9 +19,7 @@ from .canonicalize import (
 from .iterint import (
     BarWord,
     IntegralPoly,
-    ibp,
     iter_integral,
-    r_map,
 )
 from .qseries import LogQSeries, d_op, primitive
 from .quasimodular import (
@@ -105,7 +103,6 @@ __all__ = [
     "eisenstein_qexp",
     "eval_numeric",
     "expand",
-    "ibp",
     "independence_rank",
     "is_lyndon",
     "iter_integral",
@@ -113,7 +110,6 @@ __all__ = [
     "lyndon_words",
     "primitive",
     "quasimodular_cocycle",
-    "r_map",
     "reduce_letters",
     "shuffle",
     "slash_poly",

@@ -70,9 +70,13 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
 
     Each letter is split once along QM = C*E2 + D(QM) + M; basis
     components are pulled out by multilinearity, and its derivative part
-    D(h) is eliminated by one integration by parts, by the rule of
-    :func:`~iterqm.iterint.ibp` applied here to interned letters and integer
-    rows; it shortens the word.  At DEBUG each elimination is logged under
+    D(h) is eliminated by one integration by parts, which shortens the word:
+
+        I(..., f, D(h), g, ...) = I(..., f, h*g, ...) - I(..., f*h, g, ...)
+
+    At an end of the word the missing neighbour gives a boundary term
+    instead: h(cusp) * I(prefix) at the right end, -h * I(suffix) at the
+    left, so I(D(h)) = h(cusp) - h.  At DEBUG each elimination is logged under
     the name of its position (``ibp_first``, ``ibp_middle`` or ``ibp_last``).
     Pending words wait, merged, in one dict per (length, first non-basis
     position), longer words and then earlier positions first, so a word is
@@ -80,7 +84,7 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     cancel.  Letters are interned as small ints for the call: each distinct
     letter is split once, and each product with an h formed once.  A word's
     coefficient is an integer row, numerators by monomial over a
-    denominator; only ibp's boundary term -h*I(suffix) multiplies it by a
+    denominator; only the boundary term -h*I(suffix) multiplies it by a
     form.  The expansion of the result equals that of the input exactly.
     """
     letters: list[QMPoly] = []  # by id
@@ -144,8 +148,8 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
                 if debug:
                     rule = "ibp_middle" if prefix and suffix else "ibp_first" if suffix else "ibp_last"
                     logger.debug("%s: word length %d", rule, n)
-                start = max(pos - 1, 0)  # ibp keeps the letters before pos - 1
-                h = hs[g]  # ibp's terms: I(.., h*g, ..) or h(cusp)*I(prefix), less I(.., f*h, ..) or h*I(suffix)
+                start = max(pos - 1, 0)  # the rule keeps the letters before pos - 1
+                h = hs[g]  # the rule's terms: I(.., h*g, ..) or h(cusp)*I(prefix), less I(.., f*h, ..) or h*I(suffix)
                 if suffix:
                     push(prefix + (times(g, suffix[0]),) + suffix[1:], start, nums, 1, den)
                 elif cusp := sum(h.nums.values()):

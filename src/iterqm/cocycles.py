@@ -130,11 +130,15 @@ class XYPoly:
         raise AttributeError("XYPoly is immutable")
 
     def __add__(self, other: "XYPoly") -> "XYPoly":
+        if not isinstance(other, XYPoly):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degrees differ")
         return XYPoly(self.degree, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
+        if not isinstance(other, XYPoly):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> "XYPoly":

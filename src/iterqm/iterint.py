@@ -12,13 +12,10 @@ integrating with :func:`~iterqm.qseries.primitive`, whose zero constant of
 integration at q^0 L^0 is exactly the cusp regularization.  The result is
 an exact element of W[log q] whose log-degree is at most the word length.
 
-The algebraic identities these integrals satisfy (R-map combination of
-truncated words with constant-letter words, and integration by parts at any
-position of a word) are word-level operations returning a linear combination
-of bar words: a dict from words to QMPoly coefficients.  The shuffle of two
-words is the product of their integrals (Chen), so :class:`IntegralPoly`, a
-polynomial in integrals, is unexpanded; a combination of words is one of
-degree one (:meth:`IntegralPoly.linear`).
+A linear combination of bar words is a dict from words to QMPoly
+coefficients.  The shuffle of two words is the product of their integrals
+(Chen), so :class:`IntegralPoly`, a polynomial in integrals, is unexpanded;
+a combination of words is one of degree one (:meth:`IntegralPoly.linear`).
 """
 
 from __future__ import annotations
@@ -28,13 +25,11 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple, Union
 
-from .linear import _accumulate
 from .qseries import LogQSeries, primitive
-from .quasimodular import ONE, QMPoly, expand
-from .shuffle_lyndon import LyndonPoly, shuffle
+from .quasimodular import QMPoly, expand
+from .shuffle_lyndon import LyndonPoly
 
 BarWord = tuple[QMPoly, ...]
-_MINUS_ONE = -ONE
 
 
 def _as_word(letters: Iterable[QMPoly]) -> BarWord:
@@ -107,43 +102,3 @@ def _iter_integral(word: BarWord, trunc: int, modulus: int) -> LogQSeries:
     head = expand(word[0], trunc, modulus)
     tail = _iter_integral(word[1:], trunc, modulus)
     return primitive(-(head * tail))
-
-
-def r_map(word: Iterable[QMPoly]) -> dict[BarWord, QMPoly]:
-    """Alternating shuffle of prefixes against reversed constant-term letters.
-
-    The n-th letter contributes its cusp value as a constant letter; the
-    image combination is the one whose iterated integrals converge at the
-    cusp without regularization.
-    """
-    word = _as_word(word)
-    n = len(word)
-    consts = tuple(QMPoly.constant(letter.cusp_value()) for letter in reversed(word))
-    total: dict[BarWord, QMPoly] = {}
-    for i in range(n + 1):
-        front, back = word[:i], consts[: n - i]
-        if all(front + back):  # the integral is multilinear: a zero letter kills it
-            sign = -1 if (n - i) % 2 else 1
-            _accumulate(total, ((w, QMPoly.constant(sign * m)) for w, m in shuffle(front, back).items()))
-    return total
-
-
-def ibp(prefix: Iterable[QMPoly], g: QMPoly, suffix: Iterable[QMPoly]) -> dict[BarWord, QMPoly]:
-    """Integration by parts: I(prefix, D(g), suffix) as words one letter shorter.
-
-        I(..., f, D(g), h, ...) = I(..., f, g*h, ...) - I(..., f*g, h, ...)
-
-    At an end of the word the missing neighbour gives a boundary term
-    instead: g(cusp) * I(prefix) at the right end, -g * I(suffix) at the
-    left, so I(D(g)) = g(cusp) - g.  Equal words merge, so that, for
-    example, I(f, D(1), h) is 0.
-    """
-    prefix, suffix = _as_word(prefix), _as_word(suffix)
-    # the integral is multilinear: a zero letter, D(g) included, kills it
-    if not g or not all(prefix + suffix):
-        return {}
-    s = sum(g.nums.values())  # g(cusp) = s / g.den
-    right = (prefix + (g * suffix[0],) + suffix[1:], ONE) if suffix else (
-        prefix, QMPoly._of({(0, 0, 0): s} if s else {}, g.den))
-    left = (prefix[:-1] + (prefix[-1] * g,) + suffix, _MINUS_ONE) if prefix else (suffix, -g)
-    return _accumulate({}, (right, left))

@@ -194,6 +194,8 @@ class LogQSeries:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "LogQSeries") -> "LogQSeries":
+        if not isinstance(other, LogQSeries):
+            return NotImplemented
         modulus = self._ring(other)
         n = min(self.trunc, other.trunc)
         den = math.lcm(self.den, other.den)
@@ -206,6 +208,8 @@ class LogQSeries:
         return LogQSeries._of(n, den, parts, modulus)
 
     def __sub__(self, other: "LogQSeries") -> "LogQSeries":
+        if not isinstance(other, LogQSeries):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "LogQSeries":

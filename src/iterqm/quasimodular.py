@@ -130,10 +130,6 @@ class QMPoly:
         """True when no E2 occurs (depth zero)."""
         return all(a == 0 for (a, _, _) in self.nums)
 
-    def cusp_value(self) -> Fraction:
-        """The constant term of the q-expansion (every E_{2k} starts at 1)."""
-        return Fraction(sum(self.nums.values()), self.den)
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "QMPoly":

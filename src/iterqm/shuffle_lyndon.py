@@ -56,24 +56,6 @@ def shuffle(w1: Iterable, w2: Iterable) -> dict[tuple, int]:
     return dict(_shuffle(tuple(w1), tuple(w2), {}))
 
 
-def shuffle_combos(c1: Mapping[Word, object], c2: Mapping[Word, object]) -> dict[Word, object]:
-    """Bilinear extension of the shuffle product to linear combinations."""
-    out, memo = {}, {}
-    for w1, a in c1.items():
-        for w2, b in c2.items():
-            ab = a * b
-            _accumulate(out, ((word, ab * mult) for word, mult in _shuffle(w1, w2, memo).items()))
-    return out
-
-
-def _shuffle_all(words: Iterable[Word], memo: dict) -> dict[Word, int]:
-    """Shuffle product of a sequence of words, with multiplicity."""
-    out: dict[Word, int] = {(): 1}
-    for w in words:
-        out = _accumulate({}, ((word, a * mult) for u, a in out.items() for word, mult in _shuffle(u, w, memo).items()))
-    return out
-
-
 def is_lyndon(w: Iterable[int]) -> bool:
     """True when the word is nonempty and smaller than all proper suffixes."""
     w = tuple(w)
@@ -215,6 +197,8 @@ class LyndonPoly:
         return LyndonPoly._of(_accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "LyndonPoly") -> "LyndonPoly":
+        if not isinstance(other, LyndonPoly):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> "LyndonPoly":
@@ -223,10 +207,6 @@ class LyndonPoly:
     def scale(self, factor) -> "LyndonPoly":
         """Every coefficient times ``factor``; products that vanish are dropped."""
         return LyndonPoly._of(_accumulate({}, ((mono, factor * coeff) for mono, coeff in self.terms.items())))
-
-    @classmethod
-    def monomial(cls, words: Iterable[Iterable[int]], coeff=Fraction(1)) -> "LyndonPoly":
-        return cls({tuple(tuple(w) for w in words): coeff})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -238,6 +218,8 @@ class LyndonPoly:
         return "LyndonPoly(" + " + ".join(bits) + ")"
 
     def __mul__(self, other: "LyndonPoly") -> "LyndonPoly":
+        if not isinstance(other, LyndonPoly):
+            return NotImplemented
         return LyndonPoly._of(_accumulate({}, (
             (tuple(sorted(m1 + m2)), c1 * c2)
             for m1, c1 in self.terms.items()
@@ -252,15 +234,6 @@ class LyndonPoly:
             return self
         half = self ** (n // 2)
         return half * half * self if n % 2 else half * half
-
-    def shuffle_expand(self) -> dict[Word, object]:
-        """Evaluate the polynomial in the shuffle algebra: a word combination."""
-        memo: dict = {}
-        return _accumulate({}, (
-            (word, coeff * mult)
-            for mono, coeff in self.terms.items()
-            for word, mult in _shuffle_all(mono, memo).items()
-        ))
 
 
 def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:

@@ -17,7 +17,7 @@ import pytest
 import iterqm
 import iterqm.canonicalize as canonicalize
 import iterqm.iterint as iterint
-from conftest import random_homogeneous, random_qmpoly
+from conftest import ibp, random_homogeneous, random_qmpoly
 from iterqm.canonicalize import (
     _RANK_PRIME,
     ModularModeError,
@@ -30,7 +30,7 @@ from iterqm.canonicalize import (
     reduce_letters,
 )
 from iterqm.expr import parse
-from iterqm.iterint import BarWord, IntegralPoly, ibp, iter_integral
+from iterqm.iterint import BarWord, IntegralPoly, iter_integral
 from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries
 from iterqm.quasimodular import E2, E4, E6, ONE, ZERO, QMPoly, decompose, derive, expand, is_basis_letter
@@ -49,7 +49,7 @@ def reference_reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, Q
     Letters are decomposed whole along QM = C*E2 + D(QM) + M; pure-basis
     components are pulled out by multilinearity (their rational multiples
     join the coefficient), and the derivative component is eliminated by
-    :func:`~iterqm.iterint.ibp`, integration by parts, which shortens the
+    ``conftest.ibp``, integration by parts, which shortens the
     word by one letter.  At DEBUG, each elimination is logged under the
     name of its position in the word (``ibp_first``, ``ibp_middle`` or
     ``ibp_last``).  Pending words wait, merged, in one dict per (length,
@@ -209,15 +209,13 @@ class TestCanonicalForm:
     def test_single_basis_word(self):
         cf = canonical_form(linear({(E4,): 1}))
         idx = cf.basis.index(E4)
-        assert cf.poly == LyndonPoly.monomial([(idx,)], QMPoly.constant(1))
+        assert cf.poly == LyndonPoly({((idx,),): QMPoly.constant(1)})
 
     def test_reversed_word(self):
         # [E4|1] = [1] sh [E4] - [1|E4]
         cf = canonical_form(linear({(E4, ONE): 1}))
         i1, i4 = cf.basis.index(ONE), cf.basis.index(E4)
-        want = LyndonPoly.monomial([(i1,), (i4,)], QMPoly.constant(1)) + LyndonPoly.monomial(
-            [(i1, i4)], QMPoly.constant(-1)
-        )
+        want = LyndonPoly({((i1,), (i4,)): QMPoly.constant(1), ((i1, i4),): QMPoly.constant(-1)})
         assert cf.poly == want
 
     def test_expansion_multiplies_only_between_factors(self, monkeypatch):
@@ -235,7 +233,7 @@ class TestCanonicalForm:
     def test_square_of_log(self):
         cf = canonical_form(linear({(ONE, ONE): 1}))
         i1 = cf.basis.index(ONE)
-        assert cf.poly == LyndonPoly.monomial([(i1,), (i1,)], QMPoly.constant(F(1, 2)))
+        assert cf.poly == LyndonPoly({((i1,), (i1,)): QMPoly.constant(F(1, 2))})
 
     def test_all_keys_lyndon(self):
         rng = random.Random(33)
@@ -285,7 +283,7 @@ class TestCanonicalForm:
         """canonical and integral -N 30 of I(E4,E6)^k are the k-th powers of those of I(E4,E6)."""
         integral = parse("I(E4,E6)")
         base, series = canonical_form(integral).poly, integral.expansion(30)
-        power, power_series = LyndonPoly.monomial([], ONE), LogQSeries.constant(1, 30)
+        power, power_series = LyndonPoly({(): ONE}), LogQSeries.constant(1, 30)
         for k in range(1, 13):
             power, power_series = power * base, power_series * series
             got = parse(f"I(E4,E6)^{k}")
@@ -303,9 +301,7 @@ class TestCanonicalForm:
         combo = linear({(ONE, E4): E2, (E2, E4): QMPoly.constant(3)})
         cf = canonical_form(combo)
         i1, i2, i4 = (cf.basis.index(x) for x in (ONE, E2, E4))
-        want = LyndonPoly.monomial([(i1, i4)], E2) + LyndonPoly.monomial(
-            [(i2, i4)], QMPoly.constant(3)
-        )
+        want = LyndonPoly({((i1, i4),): E2, ((i2, i4),): QMPoly.constant(3)})
         assert cf.poly == want
 
     def test_modular_mode_rejects_e2(self):

@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -306,6 +308,15 @@ class TestXYPoly:
         for combine in (lambda p, q: p + q, lambda p, q: p - q):
             with pytest.raises(ValueError, match="^degrees differ$"):
                 combine(XYPoly(1, [1, 2]), XYPoly(2, [1, 2, 3]))
+
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), 0.5, "x", None], ids=repr)
+    def test_foreign_operand_raises_type_error(self, other):
+        # a sum or difference declines an operand of another class, so the TypeError names its operator
+        p = XYPoly(2, [1, 2, 3])
+        for op, symbol in ((operator.add, "+"), (operator.sub, "-")):
+            with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+                op(p, other)
+        assert p.scale(2).distance(XYPoly(2, [2, 4, 6])) == 0
 
 
 class TestSlash:

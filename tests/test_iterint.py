@@ -1,20 +1,18 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import iterqm
 import iterqm.iterint as iterint
+from conftest import cusp_value, ibp
 from iterqm.expr import parse
-from iterqm.iterint import (
-    IntegralPoly,
-    _iter_integral,
-    ibp,
-    iter_integral,
-    r_map,
-)
+from iterqm.iterint import BarWord, IntegralPoly, _as_word, _iter_integral, iter_integral
+from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import DELTA, E2, E4, E6, ONE, QMPoly, derive, expand
 from iterqm.shuffle_lyndon import LyndonPoly, shuffle
@@ -106,7 +104,7 @@ class TestIterIntegral:
             s = iter_integral(word, 8)
             c = F(1)
             for f in word:
-                c *= f.cusp_value()
+                c *= cusp_value(f)
             coeff = c * F((-1) ** n, math.factorial(n))
             for k in range(s.log_degree() + 1):
                 expected = coeff if k == n else F(0)
@@ -187,6 +185,25 @@ class TestShuffleWords:
         assert cases == 40
 
 
+def r_map(word) -> dict[BarWord, QMPoly]:
+    """Alternating shuffle of prefixes against reversed constant-term letters.
+
+    The n-th letter contributes its cusp value as a constant letter; the
+    image combination is the one whose iterated integrals converge at the
+    cusp without regularization.
+    """
+    word = _as_word(word)
+    n = len(word)
+    consts = tuple(QMPoly.constant(cusp_value(letter)) for letter in reversed(word))
+    total: dict[BarWord, QMPoly] = {}
+    for i in range(n + 1):
+        front, back = word[:i], consts[: n - i]
+        if all(front + back):  # the integral is multilinear: a zero letter kills it
+            sign = -1 if (n - i) % 2 else 1
+            _accumulate(total, ((w, QMPoly.constant(sign * m)) for w, m in shuffle(front, back).items()))
+    return total
+
+
 def _combo_integral(combo, n):
     total = LogQSeries.zero(n)
     for word, coeff in combo.items():
@@ -212,7 +229,7 @@ class TestRegularizationAgreesWithAlternatingSum:
         for i in range(m + 1):
             consts = F(1)
             for f in word[i:]:
-                consts *= f.cusp_value()
+                consts *= cusp_value(f)
             piece = _combo_integral(r_map(word[:i]), n)
             if m - i:
                 piece = piece * LogQSeries(n, {m - i: [F(1, math.factorial(m - i))]})
@@ -284,11 +301,11 @@ class TestIntegrationByParts:
         assert ibp((E4,), DELTA, ()) == {(E4 * DELTA,): -ONE}
 
     def test_ibp_last_boundary_is_the_cusp_value(self):
-        # g(cusp) * I(f), built from g's numerators: the same dict as QMPoly.constant(g.cusp_value())
+        # g(cusp) * I(f), built from g's numerators: the same dict as QMPoly.constant(cusp_value(g))
         for g in (E4, E2 * F(-3, 7), E4 * F(6, 5) - E2 * E6 * F(1, 10), DELTA, E4 - E2 * E2, E6 * 691 + ONE):
-            want = {(E6,): QMPoly.constant(g.cusp_value())} if g.cusp_value() else {}
+            want = {(E6,): QMPoly.constant(cusp_value(g))} if cusp_value(g) else {}
             assert {w: c for w, c in ibp((E6,), g, ()).items() if w == (E6,)} == want, g
-            assert ibp((), g, ()) == {(): QMPoly.constant(g.cusp_value()) - g}, g
+            assert ibp((), g, ()) == {(): QMPoly.constant(cusp_value(g)) - g}, g
 
     def test_ibp_last_numeric(self):
         front, g = (E2,), E6
@@ -297,7 +314,7 @@ class TestIntegrationByParts:
     def test_ibp_last_empty_front(self):
         # I(D(g)) = g(cusp) - g, on the empty word
         for g in (E4, E2 * E4, DELTA):
-            assert ibp((), g, ()) == {(): QMPoly.constant(g.cusp_value()) - g}, g
+            assert ibp((), g, ()) == {(): QMPoly.constant(cusp_value(g)) - g}, g
             assert IntegralPoly.linear(ibp((), g, ())).expansion(20) == iter_integral((derive(g),), 20), g
 
     def test_random_instances(self):
@@ -357,11 +374,56 @@ class TestLinear:
 
 
 def test_public_names():
-    """Every exported name resolves, once; iterint exports integrals, the
-    R-map, integration by parts and the two forms of a combination only."""
+    """Every exported name resolves, once; iterint exports integrals and the
+    two forms of a combination only."""
     assert len(iterqm.__all__) == len(set(iterqm.__all__))
     assert all(hasattr(iterqm, name) for name in iterqm.__all__)
     own = {name for name, obj in vars(iterint).items()
            if not name.startswith("_") and getattr(obj, "__module__", None) == iterint.__name__}
-    assert own == {"IntegralPoly", "iter_integral", "r_map", "ibp"}
-    assert {"BarWord", "IntegralPoly", "iter_integral", "r_map", "ibp", "shuffle"} <= set(iterqm.__all__)
+    assert own == {"IntegralPoly", "iter_integral"}
+    assert {"BarWord", "IntegralPoly", "iter_integral", "shuffle"} <= set(iterqm.__all__)
+    assert not {"ibp", "r_map"} & set(iterqm.__all__)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, str]:
+    """The public module-level functions and classes, and the public methods of
+    public classes, of a module: each shown name to the name a reference reads."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                out.update({f"{node.name}.{m.name}": m.name for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")})
+    return out
+
+
+def _references(node: ast.AST, inside: frozenset = frozenset()):
+    """The names that Name and Attribute nodes read, each but those read inside
+    the def of the same name: a def's reference to itself is no caller."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_no_public_name_only_tests_use():
+    """Every public function, class and class method of iterqm is read by a
+    Name or an Attribute somewhere in src/, demos/, tools/ or bench/: one that
+    only tests call belongs in the tests.  The re-exports of __init__.py are
+    import aliases and strings of __all__, and a def is no Name, so neither
+    counts; an Attribute matches every method of its name."""
+    trees = [ast.parse(path.read_text(), str(path))
+             for top in ("src", "demos", "tools", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
+    used = {name for tree in trees for name in _references(tree)}
+    library = sorted((ROOT / "src" / "iterqm").glob("*.py"))
+    assert len(library) >= 10
+    unused = [f"{path.stem}.{shown}" for path in library
+              for shown, name in _public_definitions(ast.parse(path.read_text())).items() if name not in used]
+    assert unused == []

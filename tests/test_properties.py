@@ -25,7 +25,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from mpmath.libmp import dps_to_prec  # noqa: E402
 
-from conftest import monomials_of_weight, shuffle_expansion  # noqa: E402
+from conftest import ibp, monomials_of_weight, shuffle_combos, shuffle_expand, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import (  # noqa: E402
     _RANK_PRIME, ModularModeError, _exact_rank, canonical_form, independence_rank, reduce_letters,
 )
@@ -38,13 +38,13 @@ from iterqm.cocycles import (  # noqa: E402
     b3_to_sl2, mpc, slash_poly,
 )
 from iterqm.expr import parse  # noqa: E402
-from iterqm.iterint import IntegralPoly, ibp, iter_integral  # noqa: E402
+from iterqm.iterint import IntegralPoly, iter_integral  # noqa: E402
 from iterqm.linear import _accumulate  # noqa: E402
 from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import (  # noqa: E402
     E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter, monomial_name,
 )
-from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle_combos, to_lyndon_basis  # noqa: E402
+from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle, to_lyndon_basis  # noqa: E402
 from test_canonicalize import reference_rank, reference_reduce_letters  # noqa: E402
 from test_qseries import schoolbook  # noqa: E402
 from test_shuffle_lyndon import reference_to_lyndon_basis  # noqa: E402
@@ -368,7 +368,7 @@ def words(max_len):
 @given(words(3), words(3))
 def test_shuffle_expands_to_product_of_integrals(w1, w2):
     n = 6
-    product = shuffle_combos({w1: ONE}, {w2: ONE})
+    product = shuffle(w1, w2)
     assert IntegralPoly.linear(product).expansion(n) == iter_integral(w1, n) * iter_integral(w2, n)
 
 
@@ -390,7 +390,7 @@ def test_ibp_equals_the_integral_with_a_derivative_letter(prefix, g, suffix):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.lists(st.integers(0, 3), max_size=6).map(tuple))
 def test_lyndon_basis_shuffles_back_to_the_word(w):
-    assert to_lyndon_basis(w).shuffle_expand() == {w: 1}
+    assert shuffle_expand(to_lyndon_basis(w)) == {w: 1}
 
 
 letter_words = st.lists(st.integers(0, 3), max_size=6).map(tuple)
@@ -406,7 +406,7 @@ letter_words = st.lists(st.integers(0, 3), max_size=6).map(tuple)
 def test_lyndon_basis_of_a_combination(combo):
     """The whole combination reduces to what its words reduce to, term by term."""
     poly = to_lyndon_basis(combo)
-    assert poly.shuffle_expand() == combo
+    assert shuffle_expand(poly) == combo
     per_word = LyndonPoly.zero()
     for w, c in combo.items():
         per_word = per_word + to_lyndon_basis(w).scale(c)

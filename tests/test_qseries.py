@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction as F
 from itertools import chain
@@ -39,6 +40,16 @@ class TestArithmetic:
         s = LogQSeries(2, {0: [1, 2, 3]})
         assert s.scale(F(1, 2)) == LogQSeries(2, {0: [F(1, 2), 1, F(3, 2)]})
         assert s.scale(0).is_zero()
+
+    @pytest.mark.parametrize("other", [1, F(1, 2), 0.5, "x", None], ids=repr)
+    def test_foreign_operand_raises_type_error(self, other):
+        # a sum or difference declines an operand of another class, so the TypeError names its operator;
+        # a product with a scalar scales
+        s = LogQSeries.constant(1, 3)
+        for op, symbol in ((operator.add, "+"), (operator.sub, "-")):
+            with pytest.raises(TypeError, match=f"for {re.escape(symbol)}:"):
+                op(s, other)
+        assert s * 2 == 2 * s == s.scale(2) and s * F(1, 2) == s.scale(F(1, 2))
 
     def test_zero_parts_dropped(self):
         s = LogQSeries(2, {0: [1], 3: []})

@@ -1,17 +1,20 @@
 import heapq
 import itertools
+import math
+import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import iterqm.shuffle_lyndon as shuffle_lyndon
+from conftest import shuffle_expand
 from iterqm.linear import _accumulate, _add_row
-from iterqm.quasimodular import E2, E4, E6, QMPoly
+from iterqm.quasimodular import E2, E4, E6, QMPoly, basis_b
 from iterqm.shuffle_lyndon import (
     LyndonPoly,
-    _shuffle_all,
     is_lyndon,
     lyndon_factorize,
     lyndon_words,
@@ -32,7 +35,7 @@ def reference_to_lyndon_basis(combo):
     pending = _accumulate({}, combo.items() if isinstance(combo, dict) else [(tuple(combo), F(1))])
     heap = [tuple(-l for l in w) for w in pending]
     heapq.heapify(heap)
-    terms, memo = {}, {}
+    terms = {}
     while heap:
         w = tuple(-l for l in heapq.heappop(heap))
         c = pending.pop(w, None)
@@ -40,7 +43,7 @@ def reference_to_lyndon_basis(combo):
             continue
         factors = lyndon_factorize(w) if w else []
         if len(factors) > 1:
-            shuffled = _shuffle_all(factors, memo)
+            shuffled = shuffle_expand(LyndonPoly._of({tuple(factors): 1}))
             lead = shuffled[w]
             if lead != 1:
                 c = c * F(1, lead)
@@ -134,6 +137,34 @@ class TestEnumeration:
                 expected = sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
                 assert count == expected
 
+        def check_weighted(letter_weight, max_len, max_weight):
+            # Witt's count on a weighted alphabet: the Lyndon words of length n and weight k number
+            # L(n, k) = (1/n) sum_{d | gcd(n, k)} mu(d) W(n/d, k/d), W(m, v) the words of length m and weight v
+            words_by = [Counter({0: 1})]  # words_by[m][v] = W(m, v)
+            for _ in range(max_len):
+                words_by.append(Counter())
+                for v, count in words_by[-2].items():
+                    for weight in letter_weight.values():
+                        words_by[-1][v + weight] += count
+            got = Counter((len(w), sum(letter_weight[l] for l in w))
+                          for w in lyndon_words(len(letter_weight), max_len, letter_weight, max_weight))
+            want = Counter()
+            for n in range(1, max_len + 1):
+                for k in range(max_weight + 1):
+                    g = math.gcd(n, k)
+                    total = sum(mobius(d) * words_by[n // d][k // d] for d in range(1, g + 1) if g % d == 0)
+                    assert total % n == 0, (n, k)
+                    if total:
+                        want[n, k] = total // n
+            assert got == want, (letter_weight, max_len, max_weight)
+
+        for max_weight, max_len in ((12, 4), (16, 4), (20, 3)):
+            check_weighted({i: l.weight() for i, l in enumerate(basis_b(max_weight))}, max_len, max_weight)
+        rng = random.Random(13)
+        for _ in range(20):
+            size = rng.randint(1, 4)
+            check_weighted({l: rng.randint(0, 5) for l in range(size)}, rng.randint(1, 6), rng.randint(0, 15))
+
     def test_weight_filter(self):
         weights = {0: 0, 1: 2, 2: 4}
         words = lyndon_words(3, 3, weights, 4)
@@ -204,19 +235,19 @@ class TestFactorization:
 
 class TestLyndonBasis:
     def test_lyndon_input_is_monomial(self):
-        assert to_lyndon_basis((A, B)) == LyndonPoly.monomial([(A, B)])
+        assert to_lyndon_basis((A, B)) == LyndonPoly({((A, B),): F(1)})
 
     def test_ba(self):
-        want = LyndonPoly.monomial([(A,), (B,)]) - LyndonPoly.monomial([(A, B)])
+        want = LyndonPoly({((A,), (B,)): F(1), ((A, B),): F(-1)})
         assert to_lyndon_basis((B, A)) == want
 
     def test_aa(self):
-        assert to_lyndon_basis((A, A)) == LyndonPoly.monomial([(A,), (A,)], F(1, 2))
+        assert to_lyndon_basis((A, A)) == LyndonPoly({((A,), (A,)): F(1, 2)})
 
     def test_roundtrip(self):
         for n in range(0, 6):
             for w in itertools.product(range(3), repeat=n):
-                expanded = to_lyndon_basis(w).shuffle_expand()
+                expanded = shuffle_expand(to_lyndon_basis(w))
                 assert set(expanded) == {w}
                 assert expanded[w] == 1
 
@@ -224,7 +255,7 @@ class TestLyndonBasis:
     def test_long_words(self, w, monomials):
         poly = to_lyndon_basis(w)
         assert len(poly.terms) == monomials
-        assert poly.shuffle_expand() == {w: 1}
+        assert shuffle_expand(poly) == {w: 1}
 
     def test_every_short_word_matches_the_reference(self):
         words = [w for n in range(6) for w in itertools.product(range(3), repeat=n)]
@@ -246,14 +277,24 @@ class TestLyndonBasis:
 
     def test_rejects_non_lyndon_monomial(self):
         with pytest.raises(ValueError):
-            LyndonPoly.monomial([(B, A)])
+            LyndonPoly({((B, A),): F(1)})
 
     def test_powers(self):
-        p = LyndonPoly.monomial([(A,)]) + LyndonPoly.monomial([(A, B)], F(1, 2))
+        p = LyndonPoly({((A,),): F(1), ((A, B),): F(1, 2)})
         assert p ** 1 is p and p ** 3 == p * p * p
         for n in (0, -1):
             with pytest.raises(ValueError, match="^only positive powers are defined$"):
                 p ** n
+
+    @pytest.mark.parametrize("other", [1, F(1, 2), 0.5, "x", None], ids=repr)
+    def test_foreign_operand_raises_type_error(self, other):
+        # each operator declines an operand of another class, so a sum or difference names its operator
+        # (a string times it is a sequence repeat, refused by str); scale takes a scalar
+        p = LyndonPoly({((A,),): F(1)})
+        for op, symbol in ((operator.add, "+"), (operator.sub, "-"), (operator.mul, "*")):
+            with pytest.raises(TypeError, match=None if symbol == "*" else f"for {re.escape(symbol)}:"):
+                op(p, other)
+        assert p.scale(2) == LyndonPoly({((A,),): F(2)})
 
     def test_input_word_fed_by_larger_words_keeps_the_callers_coefficient(self):
         # (1) ш (0,0) = (1,0,0) + (0,1,0) + (0,0,1): rewriting (1,0,0) adds to the row that the
@@ -265,7 +306,7 @@ class TestLyndonBasis:
         got = to_lyndon_basis(combo)
         assert (c.nums, c.den, hash(c)) == (fresh.nums, fresh.den, hash(fresh)) and c == fresh
         assert got == reference_to_lyndon_basis(combo)
-        assert got.shuffle_expand() == _accumulate({}, combo.items())
+        assert shuffle_expand(got) == _accumulate({}, combo.items())
 
     def test_lyndon_input_words_take_the_coefficient_type_of_the_rows(self):
         # a QMPoly anywhere makes every coefficient one; else each is a Fraction, ints included
@@ -320,7 +361,7 @@ class TestShuffleMemo:
         # the factor shuffles of different popped words share suffix pairs
         assert computed and set(computed.values()) == {1}
         monkeypatch.setattr(shuffle_lyndon, "_shuffle", real)
-        assert poly.shuffle_expand() == {w: 1}
+        assert shuffle_expand(poly) == {w: 1}
 
     def test_a_returned_shuffle_is_the_callers(self):
         got = shuffle((A, B), (A,))
@@ -328,7 +369,6 @@ class TestShuffleMemo:
         got[(A, B, A)] = 7
         got[(C,)] = 1
         assert shuffle((A, B), (A,)) == {(A, B, A): 1, (A, A, B): 2}
-        assert shuffle_lyndon.shuffle_combos({(A, B): 1}, {(A,): 1}) == {(A, B, A): 1, (A, A, B): 2}
 
     def test_no_module_level_shuffle_cache(self):
         def held():
@@ -339,5 +379,4 @@ class TestShuffleMemo:
         before = held()
         to_lyndon_basis((1, 0) * 4)
         shuffle((A, B, C), (C, B, A))
-        LyndonPoly.monomial([(A,), (A, B)]).shuffle_expand()
         assert held() == before

@@ -12,7 +12,10 @@ operation it prints the operation's index, its truncation N, the
 ``independence_rank`` of its family, the DEBUG line that
 ``iterqm.canonicalize`` logs for it (its truncation and route), and the
 rank again after ``iterqm.clear_caches()``: the first reads what earlier
-operations left in the caches, the second starts from empty ones.  For
+operations left in the caches, the second starts from empty ones.  The
+seed only shuffles the rows of each family and no printed field depends
+on their order, so every seed prints the same ``certify`` listing: a
+second seed catches only a rank or route that depends on row order.  For
 each ``cocycle`` operation it
 prints the operation's index, its kind and the ``repr`` of every number it
 returns: the ``e2_cocycle`` value, or each coefficient of ``r1``, ``lhs``
