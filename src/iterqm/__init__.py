@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 #: The numeric layer's names, bound here with :mod:`iterqm.cocycles` itself on
 #: first use (PEP 562), so that ``import iterqm`` does not load mpmath.
-_NUMERIC = {"B3Word", "SL2Mat", "XYPoly", "b3_to_sl2", "cocycle_r", "e2_cocycle", "eichler_integral", "eval_numeric",
+_NUMERIC = {"SL2Mat", "XYPoly", "b3_to_sl2", "cocycle_r", "e2_cocycle", "eichler_integral", "eval_numeric",
             "quasimodular_cocycle", "slash_poly"}
 
 
@@ -73,46 +73,9 @@ def clear_caches() -> None:
                     obj.cache_clear()
 
 
-__all__ = [
-    "BarWord",
-    "B3Word",
-    "DELTA",
-    "E2",
-    "E4",
-    "E6",
-    "IntegralPoly",
-    "LogQSeries",
-    "LyndonPoly",
-    "ModularModeError",
-    "ONE",
-    "QMPoly",
-    "SL2Mat",
-    "XYPoly",
-    "b3_to_sl2",
-    "basis_b",
-    "bernoulli",
-    "canonical_form",
-    "clear_caches",
-    "cocycle_r",
-    "d_op",
-    "decompose",
-    "derivative_decomposition",
-    "derive",
-    "e2_cocycle",
-    "eichler_integral",
-    "eisenstein_qexp",
-    "eval_numeric",
-    "expand",
-    "independence_rank",
-    "is_lyndon",
-    "iter_integral",
-    "lyndon_factorize",
-    "lyndon_words",
-    "primitive",
-    "quasimodular_cocycle",
-    "reduce_letters",
-    "shuffle",
-    "slash_poly",
-    "to_lyndon_basis",
-    "transform_coeffs",
-]
+__all__ = sorted([
+    "BarWord", "DELTA", "E2", "E4", "E6", "IntegralPoly", "LogQSeries", "LyndonPoly", "ModularModeError", "ONE",
+    "QMPoly", "basis_b", "bernoulli", "canonical_form", "clear_caches", "d_op", "decompose", "derivative_decomposition",
+    "derive", "eisenstein_qexp", "expand", "independence_rank", "is_lyndon", "iter_integral", "lyndon_factorize",
+    "lyndon_words", "primitive", "reduce_letters", "shuffle", "to_lyndon_basis", "transform_coeffs", *_NUMERIC,
+])

@@ -49,7 +49,8 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, repeat
 from math import perm
-from typing import Iterable, Sequence, Union
+from numbers import Number
+from typing import Iterable, Sequence
 
 from mpmath import MPContext
 from mpmath.libmp import (finf, fninf, fnan, from_float, from_int, from_man_exp, fzero, mpc_add, mpc_add_mpf, mpc_div,
@@ -144,7 +145,16 @@ class XYPoly:
     def __neg__(self) -> "XYPoly":
         return XYPoly(self.degree, [-x for x in self.coeffs])
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, XYPoly):
+            return NotImplemented
+        return (self.degree, self.coeffs) == (other.degree, other.coeffs)
+
+    __hash__ = None
+
     def scale(self, factor) -> "XYPoly":
+        if not isinstance(factor, Number):
+            raise TypeError(f"cannot scale by {type(factor).__name__}")
         if isinstance(factor, Fraction):
             factor = mpf(factor.numerator) / factor.denominator
         factor = mpc(factor)
@@ -352,9 +362,6 @@ def cocycle_r(f: QMPoly, g: SL2Mat, tau, n_terms: int = DEFAULT_TERMS) -> XYPoly
 
 # --- braid group ----------------------------------------------------------
 
-B3Word = tuple[int, ...]  # entries in {1, -1, 2, -2} for the generators
-
-
 def _read_braid(word: Iterable[int]) -> tuple[SL2Mat, int]:
     """The word's matrix and winding count, read from the right over integers.
 
@@ -432,37 +439,25 @@ def _minus_log_disc(tau: tuple, n_terms: int) -> tuple:
     return eval_numeric(iter_integral((E2,), n_terms), _ctx.make_mpc(tau))._mpc_
 
 
-def quasimodular_cocycle(
-    f: QMPoly,
-    gamma: Union[SL2Mat, Iterable[int]],
-    tau,
-    n_terms: int = DEFAULT_TERMS,
-) -> list[XYPoly]:
-    """Cocycle components of a homogeneous quasimodular form.
+def quasimodular_cocycle(f: QMPoly, word: Iterable[int], tau, n_terms: int = DEFAULT_TERMS) -> list[XYPoly]:
+    """Cocycle components of a homogeneous quasimodular form at a braid word.
 
     The form is written as a sum of repeated derivatives of modular forms
     and of the weight-two series; each modular piece of weight w
-    contributes its scaled cocycle in degree w - 2, and the weight-two
-    piece contributes the braid cocycle as a degree-0 polynomial.  The
-    braid piece requires ``gamma`` to be a braid word; a bare matrix does
-    not determine it.
+    contributes its scaled cocycle at the word's matrix in degree w - 2, and
+    the weight-two piece contributes the braid cocycle of the word as a
+    degree-0 polynomial.  The word is needed, as for :func:`e2_cocycle`: a
+    bare matrix does not determine the braid piece.
     """
     if not f.is_homogeneous() or f.is_zero():
         raise ValueError("a nonzero homogeneous quasimodular form is required")
     if f.weight() < 2:
         raise ValueError("weight must be at least 2")
-    if isinstance(gamma, SL2Mat):
-        word, mat = None, gamma
-    else:
-        word = tuple(gamma)
-        mat = b3_to_sl2(word)
+    word = tuple(word)
+    mat = b3_to_sl2(word)
     out: list[XYPoly] = []
     for lam, _order, g in derivative_decomposition(f):
         if g == E2:
-            if word is None:
-                raise ValueError(
-                    "the E2 component needs a braid word, not just a matrix"
-                )
             out.append(XYPoly(0, [lam * e2_cocycle(word, tau, n_terms)]))
         else:
             out.append(cocycle_r(g, mat, tau, n_terms).scale(Fraction(lam)))

@@ -63,16 +63,16 @@ class LogQSeries:
     operand truncations.
 
     ``modulus`` is 0 for a series over Q, or a prime p for its image over
-    Z/p: then ``den`` is 1 and the numerators are residues in [0, p).  A
-    denominator divisible by p raises ZeroDivisionError, and operations
-    mixing two rings raise ValueError.
+    Z/p, made by :meth:`modulo`: then ``den`` is 1 and the numerators are
+    residues in [0, p).  A denominator divisible by p raises
+    ZeroDivisionError, and operations mixing two rings raise ValueError.
     """
 
     __slots__ = ("trunc", "den", "parts", "modulus")
 
-    def __init__(self, trunc: int, parts: Mapping[int, Iterable[Scalar]], modulus: int = 0):
+    def __init__(self, trunc: int, parts: Mapping[int, Iterable[Scalar]]):
         """``parts`` maps k to the rational coefficients of q^0 L^k, q^1 L^k, ...;
-        missing trailing coefficients are zero.  A prime ``modulus`` reduces them."""
+        missing trailing coefficients are zero.  The series is over Q; :meth:`modulo` reduces it mod p."""
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
         rational: dict[int, list[Fraction]] = {}
@@ -87,7 +87,7 @@ class LogQSeries:
         numerators = {
             k: tuple(c.numerator * (den // c.denominator) for c in cs) for k, cs in rational.items()
         }
-        self._set(trunc, den, numerators, modulus)
+        self._set(trunc, den, numerators)
 
     def _set(self, trunc: int, den: int, parts: dict[int, tuple[int, ...]], modulus: int = 0) -> None:
         """Store the series, dropping zero parts and cancelling common factors;
@@ -165,13 +165,6 @@ class LogQSeries:
 
     def is_zero(self) -> bool:
         return not self.parts
-
-    def truncate(self, trunc: int) -> "LogQSeries":
-        if trunc < 0:
-            raise ValueError("truncation order must be >= 0")
-        if trunc > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return LogQSeries._of(trunc, self.den, {k: p[: trunc + 1] for k, p in self.parts.items()}, self.modulus)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogQSeries):

@@ -41,8 +41,9 @@ class QMPoly:
     all over the positive integer ``den``, with gcd(den, *nums) = 1 (so the
     zero form has den 1): equal polynomials have equal fields.  ``terms``
     is the same polynomial with Fraction coefficients, for outside readers.
-    The monomial E2^a E4^b E6^c has weight 2a + 4b + 6c.  Instances are
-    immutable and hashable, so they can serve as letters of bar words.
+    The monomial E2^a E4^b E6^c has weight 2a + 4b + 6c and depth a, and a
+    form's depth is its largest a.  Instances are immutable and hashable,
+    so they can serve as letters of bar words.
     """
 
     __slots__ = ("nums", "den", "_hash")
@@ -121,10 +122,6 @@ class QMPoly:
         if len(weights) != 1:
             raise ValueError("weight is defined only for nonzero homogeneous forms")
         return weights.pop()
-
-    def depth(self) -> int:
-        """The E2-degree (0 for the zero form)."""
-        return max((a for (a, _, _) in self.nums), default=0)
 
     def is_modular(self) -> bool:
         """True when no E2 occurs (depth zero)."""

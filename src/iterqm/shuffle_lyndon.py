@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import neg
+from operator import index, neg
 from typing import Optional
 
 from .linear import _accumulate, _add_row
@@ -181,9 +181,6 @@ class LyndonPoly:
     def zero(cls) -> "LyndonPoly":
         return cls._of({})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LyndonPoly):
             return NotImplemented
@@ -204,10 +201,6 @@ class LyndonPoly:
     def __neg__(self) -> "LyndonPoly":
         return LyndonPoly._of({mono: -coeff for mono, coeff in self.terms.items()})
 
-    def scale(self, factor) -> "LyndonPoly":
-        """Every coefficient times ``factor``; products that vanish are dropped."""
-        return LyndonPoly._of(_accumulate({}, ((mono, factor * coeff) for mono, coeff in self.terms.items())))
-
     def __repr__(self) -> str:
         if not self.terms:
             return "LyndonPoly(0)"
@@ -227,8 +220,8 @@ class LyndonPoly:
         )))
 
     def __pow__(self, n: int) -> "LyndonPoly":
-        """The n-th power for n >= 1 (the coefficient ring's 1 is unknown), by squaring."""
-        if n < 1:
+        """The n-th power for an integer n >= 1 (the coefficient ring's 1 is unknown), by squaring."""
+        if (n := index(n)) < 1:
             raise ValueError("only positive powers are defined")
         if n == 1:
             return self

@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: seeded random form generators, and
-reference word operations (integration by parts, the bilinear shuffle and
+"""Shared helpers for the test suite: seeded random form generators, a form's
+depth, and reference word operations (integration by parts, the bilinear shuffle and
 shuffle expansion) that the library runs only inside its own pipeline."""
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ def random_qmpoly(rng: random.Random, max_weight: int, parts: int = 2) -> QMPoly
         w = 2 * rng.randint(0, max_weight // 2)
         total = total + random_homogeneous(rng, w)
     return total
+
+
+def depth(p: QMPoly) -> int:
+    """The E2-degree (0 for the zero form)."""
+    return max((a for (a, _, _) in p.nums), default=0)
 
 
 def cusp_value(f: QMPoly) -> Fraction:

@@ -318,6 +318,18 @@ class TestXYPoly:
                 op(p, other)
         assert p.scale(2).distance(XYPoly(2, [2, 4, 6])) == 0
 
+    def test_equality_compares_degree_and_coefficients(self):
+        p = XYPoly(2, [1, 2, 3])
+        assert p == XYPoly(2, [1, 2, 3]) == XYPoly(2, [cocycles.mpc(1), 2.0, 3])
+        assert p != XYPoly(2, [1, 2, 4]) and p != XYPoly(3, [1, 2, 3])
+        assert p.scale(Fraction(1, 2)) == XYPoly(2, [0.5, 1, 1.5]) and p.scale(1j) == XYPoly(2, [1j, 2j, 3j])
+        assert p.__eq__((1, 2, 3)) is NotImplemented and p != (1, 2, 3)
+
+    @pytest.mark.parametrize("factor", ["x", "2", None, [2]], ids=repr)
+    def test_scale_by_a_non_number_raises_type_error(self, factor):
+        with pytest.raises(TypeError, match="^cannot scale by "):
+            XYPoly(2, [1, 2, 3]).scale(factor)
+
 
 class TestSlash:
     def test_identity(self):
@@ -962,7 +974,7 @@ class TestE2Cocycle:
 
 class TestQuasimodularCocycle:
     def test_modular_passthrough(self):
-        comps = quasimodular_cocycle(E4, S, 1j)
+        comps = quasimodular_cocycle(E4, (-1, -2, -1), 1j)  # the word of S
         assert len(comps) == 1
         assert comps[0].distance(cocycle_r(E4, S, 1j)) < 1e-20
 
@@ -980,15 +992,11 @@ class TestQuasimodularCocycle:
         expected = 12 * e2_cocycle((1,), 1.3j)
         assert abs(complex(comps[1].coeffs[0] - expected)) < 1e-10
 
-    def test_matrix_rejected_when_e2_present(self):
-        with pytest.raises(ValueError):
-            quasimodular_cocycle(E2, S, 1.3j)
-
     def test_rejects_nonhomogeneous(self):
         with pytest.raises(ValueError):
-            quasimodular_cocycle(E4 + E6, S, 1j)
+            quasimodular_cocycle(E4 + E6, (-1, -2, -1), 1j)
         with pytest.raises(ValueError, match="^weight must be at least 2$"):  # homogeneous, of weight 0
-            quasimodular_cocycle(QMPoly.constant(5), S, 1j)
+            quasimodular_cocycle(QMPoly.constant(5), (-1, -2, -1), 1j)
 
 
 class TestPointMemos:

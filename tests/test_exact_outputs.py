@@ -7,9 +7,11 @@ recomputed here (about 2 s); CI recomputes all eight on every event.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -35,4 +37,7 @@ def test_one_digest_per_listing():
 def test_listing_matches_its_digest(workload):
     argv = [sys.executable, os.path.join(TOOLS, "exact_outputs.py"), "--seed", "1", "--workload", workload]
     out = subprocess.run(argv, capture_output=True, check=True, timeout=120).stdout
-    assert hashlib.sha256(out).hexdigest() == committed_digests()[workload, 1]
+    with open(os.path.join(TOOLS, "exact_outputs.sha256")) as f:
+        assumed = re.search(r"mpmath (\S+);", f.read()).group(1)
+    assert hashlib.sha256(out).hexdigest() == committed_digests()[workload, 1], (
+        f"the digests assume mpmath {assumed}; this run has mpmath {mpmath.__version__}")

@@ -388,42 +388,58 @@ def test_public_names():
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _public_definitions(tree: ast.Module) -> dict[str, str]:
-    """The public module-level functions and classes, and the public methods of
-    public classes, of a module: each shown name to the name a reference reads."""
+def _public_definitions(tree: ast.Module) -> dict[str, set[tuple]]:
+    """The public module-level functions, classes and assigned names, and the
+    public methods of public classes, of a module: each shown name to the
+    references (as :func:`_references` yields them) that read it.  A
+    module-level name is read by a Name or an Attribute of its name; a method
+    only by an Attribute, and by ``self.<m>`` or ``cls.<m>`` only in its class."""
     out = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            out[node.name] = node.name
-            if isinstance(node, ast.ClassDef):
-                out.update({f"{node.name}.{m.name}": m.name for m in node.body
-                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")})
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)]
+        out.update({name: {("name", name), ("attr", name)} for name in names if not name.startswith("_")})
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out.update({f"{node.name}.{m.name}": {("attr", m.name), ("self", node.name, m.name)} for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")})
     return out
 
 
-def _references(node: ast.AST, inside: frozenset = frozenset()):
-    """The names that Name and Attribute nodes read, each but those read inside
-    the def of the same name: a def's reference to itself is no caller."""
+def _references(node: ast.AST, inside: frozenset = frozenset(), owner: str | None = None):
+    """The reads of a tree: ("name", n) for a Name n that is loaded, so an
+    assignment target is no reader; ("self", C, n) for ``self.n`` or ``cls.n``
+    in the body of class C; ("attr", n) for any other Attribute n.  Each but
+    those inside the def of the same name: a def's reference to itself is no
+    caller."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside | {node.name}
-    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-    if name is not None and name not in inside:
-        yield name
+        owner = node.name if isinstance(node, ast.ClassDef) else owner
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in inside:
+        yield "name", node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in inside:
+        receiver = node.value.id if isinstance(node.value, ast.Name) else None
+        yield ("self", owner, node.attr) if owner and receiver in ("self", "cls") else ("attr", node.attr)
     for child in ast.iter_child_nodes(node):
-        yield from _references(child, inside)
+        yield from _references(child, inside, owner)
 
 
 def test_no_public_name_only_tests_use():
-    """Every public function, class and class method of iterqm is read by a
-    Name or an Attribute somewhere in src/, demos/, tools/ or bench/: one that
-    only tests call belongs in the tests.  The re-exports of __init__.py are
-    import aliases and strings of __all__, and a def is no Name, so neither
-    counts; an Attribute matches every method of its name."""
+    """Every public function, class, class method and module-level assigned
+    name of iterqm is read somewhere in src/, demos/, tools/ or bench/: one
+    that only tests read belongs in the tests.  The re-exports of __init__.py
+    are import aliases and strings of __all__, and a def is no Name, so
+    neither counts.  Receivers are resolved only as far as self and cls: a
+    read like ``x.scale``, x any other name, still matches every method named
+    scale, so a method that only tests call hides behind a namesake that
+    runs."""
     trees = [ast.parse(path.read_text(), str(path))
              for top in ("src", "demos", "tools", "bench") for path in sorted((ROOT / top).rglob("*.py"))]
-    used = {name for tree in trees for name in _references(tree)}
+    used = {ref for tree in trees for ref in _references(tree)}
     library = sorted((ROOT / "src" / "iterqm").glob("*.py"))
     assert len(library) >= 10
     unused = [f"{path.stem}.{shown}" for path in library
-              for shown, name in _public_definitions(ast.parse(path.read_text())).items() if name not in used]
+              for shown, reads in _public_definitions(ast.parse(path.read_text())).items() if not reads & used]
     assert unused == []

@@ -103,18 +103,6 @@ class TestRepresentation:
         assert [type(c) for c in got] == [F] * 4
         assert [c.denominator for c in got] == [2, 1, 1, 1]
 
-    def test_truncate_renormalizes(self):
-        s = LogQSeries(2, {0: [1, 0, F(1, 2)], 1: [0, 0, 7]})
-        assert s.truncate(1) == LogQSeries.constant(1, 1)
-        assert (s.truncate(1).den, s.truncate(1).parts) == (1, {0: (1, 0)})
-        with pytest.raises(ValueError, match="^cannot extend"):
-            s.truncate(3)
-
-    def test_truncate_rejects_negative_order(self):
-        with pytest.raises(ValueError, match=r"^truncation order must be >= 0$"):
-            LogQSeries.constant(1, 3).truncate(-1)
-        assert LogQSeries.constant(1, 3).truncate(0) == LogQSeries.constant(1, 0)
-
     def test_constructor_validates(self):
         with pytest.raises(ValueError):
             LogQSeries(-1, {})
@@ -442,17 +430,17 @@ class TestResidues:
         # the division by 7 occurs: 7 has no inverse mod 7, so primitive raises
         q7 = [0] * 7 + [3]
         with pytest.raises(ZeroDivisionError):
-            primitive(LogQSeries(10, {0: q7}, 7))
+            primitive(LogQSeries(10, {0: q7}).modulo(7))
         with pytest.raises(ZeroDivisionError):
-            primitive(LogQSeries(10, {1: [0, 1], 2: q7}, 7))
+            primitive(LogQSeries(10, {1: [0, 1], 2: q7}).modulo(7))
         with pytest.raises(ZeroDivisionError):
-            primitive(LogQSeries(10, {6: [2]}, 7))  # q^0 L^6 integrates to q^0 L^7 / 7
+            primitive(LogQSeries(10, {6: [2]}).modulo(7))  # q^0 L^6 integrates to q^0 L^7 / 7
         # no division by 7 occurs: q^8 is divided by 8 = 1 mod 7
         f = LogQSeries(10, {0: [0, 1] + [0] * 6 + [5], 5: [1, 0, 2]})
         assert primitive(f.modulo(7)) == primitive(f).modulo(7)
 
     def test_constructors(self):
-        assert LogQSeries(2, {0: [F(1, 2), 3], 1: [P]}, P) == LogQSeries(2, {0: [F(1, 2), 3]}).modulo(P)
+        assert LogQSeries(2, {0: [F(1, 2), 3], 1: [P]}).modulo(P) == LogQSeries(2, {0: [F(1, 2), 3]}).modulo(P)
         assert LogQSeries.constant(-1, 1, P).parts == {0: (P - 1, 0)}
         assert LogQSeries.zero(3, P).is_zero() and LogQSeries.zero(3, P).modulus == P
         assert LogQSeries(2, {0: [F(P, 3)]}).modulo(P).is_zero()

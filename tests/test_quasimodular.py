@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from conftest import monomials_of_weight, random_homogeneous, random_qmpoly
+from conftest import depth, monomials_of_weight, random_homogeneous, random_qmpoly
 from test_qseries import schoolbook
 from iterqm.canonicalize import _pivot_rows, canonical_form
 from iterqm.iterint import IntegralPoly
@@ -224,7 +224,7 @@ class TestTransform:
             p = random_homogeneous(rng, 2 * rng.randint(0, 7))
             coeffs = transform_coeffs(p)
             assert coeffs[0] == p
-            assert len(coeffs) == p.depth() + 1
+            assert len(coeffs) == depth(p) + 1
 
     def test_rejects_mixed_weight(self):
         with pytest.raises(ValueError):
@@ -412,7 +412,7 @@ def reference_monomial_split(mono):
     """One monomial's split by the top-E2-degree peel on QMPoly and Fraction arithmetic:
     m's and h's numerators over their lowest common denominator."""
     rest, h = QMPoly._of({mono: 1}), QMPoly()
-    while top := rest.depth():
+    while top := depth(rest):
         step = QMPoly({(a - 1, b, c): F(12 * v, (a - 1 + 4 * b + 6 * c) * rest.den)
                        for (a, b, c), v in rest.nums.items() if a == top})
         rest, h = rest - derive(step), h + step
