@@ -90,7 +90,6 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     letters: list[QMPoly] = []  # by id
     ids: dict[QMPoly, int] = {}
     basis: list[bool] = []  # by id
-    monomials: dict[Exponents, int] = {}  # the ids of the monic monomials splits gave
     splits: dict[int, tuple[list[tuple[int, int, int]], int | None]] = {}
     hs: list[QMPoly] = []  # the h of each D(h) part split off
     products: dict[tuple[int, int], int] = {}  # (index of h, letter) to the id of their product
@@ -107,11 +106,7 @@ def reduce_letters(combo: Mapping[BarWord, QMPoly]) -> dict[BarWord, QMPoly]:
     def split(i: int) -> tuple[list[tuple[int, int, int]], int | None]:
         """Basis letters with their multiples num/den, and the index of the h of the D(h) part, if any."""
         m, h, den = _split(letters[i])
-        subs = []
-        for mono, num in m.items():
-            if (b := monomials.get(mono)) is None:
-                b = monomials[mono] = intern(QMPoly._of({mono: 1}))
-            subs.append((b, num, den))
+        subs = [(intern(QMPoly._of({mono: 1})), num, den) for mono, num in m.items()]
         if h:
             hs.append(QMPoly._of(h, den))
         return subs, len(hs) - 1 if h else None
@@ -355,20 +350,19 @@ def independence_rank(
     multipliers = [m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers]
     n, longest = len(words), max(map(len, words), default=0)
     expanded: dict[QMPoly, LogQSeries] = {}  # a few multipliers serve many rows
-
-    def series(i: int) -> LogQSeries:  # the exact row to q^trunc
-        if (m := multipliers[i]) not in expanded:
-            expanded[m] = expand(m, trunc)
-        return expanded[m] * iter_integral(words[i], trunc)
-
     exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
+
+    def row(i: int) -> LogQSeries:  # the exact row to q^trunc
+        if (s := exact.get(i)) is None:
+            if (m := multipliers[i]) not in expanded:
+                expanded[m] = expand(m, trunc)
+            s = exact[i] = expanded[m] * iter_integral(words[i], trunc)
+        return s
 
     def is_kernel(lifts: Sequence[tuple[int, Fraction]]) -> bool:
         total = LogQSeries.zero(trunc)
         for i, c in lifts:
-            if i not in exact:
-                exact[i] = series(i)
-            total = total + exact[i].scale(c)
+            total = total + row(i).scale(c)
         return total.is_zero()
 
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
@@ -380,4 +374,4 @@ def independence_rank(
             return rank
     logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
     # the columns of numerators, each row times its denominator, have the rows' rank
-    return _exact_rank(_columns([exact[i] if i in exact else series(i) for i in range(n)], trunc))
+    return _exact_rank(_columns([row(i) for i in range(n)], trunc))

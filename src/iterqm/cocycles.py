@@ -93,6 +93,8 @@ class SL2Mat:
             raise ValueError("determinant must be 1")
 
     def __mul__(self, other: "SL2Mat") -> "SL2Mat":
+        if not isinstance(other, SL2Mat):
+            return NotImplemented
         return SL2Mat(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -228,8 +230,10 @@ def eval_numeric(f: LogQSeries, tau) -> mpc:
     """The value of the truncated sum at q = exp(2*pi*i*tau), L = 2*pi*i*tau.
 
     50 digits, from the parts of :func:`_parts`, combined by Horner in L; requires
-    tau in the open upper half-plane with |tau| <= 10^(WORKING_DPS - 20).
+    a series over Q and tau in the open upper half-plane with |tau| <= 10^(WORKING_DPS - 20).
     """
+    if f.modulus:
+        raise ValueError(f"a series mod {f.modulus} has no numeric value")
     tau, p = _finite(tau), _PREC
     if mpf_le(tau[1], fzero):
         raise ValueError("tau must lie in the upper half-plane")

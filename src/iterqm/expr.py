@@ -47,7 +47,6 @@ class ExprError(ValueError):
 _GENERATORS = {"E2": E2, "E4": E4, "E6": E6}
 #: A token after any whitespace: ASCII digits, a name, one other character or the end.
 _TOKEN = re.compile(r"\s*([0-9]+|[^\W_]+|.|\Z)", re.S)
-_PUNCTUATORS = frozenset("()+-*^/,")  # read without the pattern
 _GEN = r"E[246](?:\s*\^\s*[0-9]+)?"
 _GENS = rf"{_GEN}(?:\s*\*\s*{_GEN})*"
 #: A whole term that is a monomial, such as ``-8*E2^2*E4``: a signed integer,
@@ -77,12 +76,9 @@ class _Parser:
     def _peek(self) -> str:
         """The next token ("" at the end), from start to end; ``self.pos = self.end`` consumes it."""
         if self.pos != self.peeked:
-            self.peeked = pos = self.pos
-            if (ch := self.text[pos : pos + 1]) in _PUNCTUATORS:
-                self.token, self.start, self.end = ch, pos, pos + 1
-            else:
-                match = _TOKEN.match(self.text, pos)
-                self.token, self.start, self.end = match[1], match.start(1), match.end()
+            self.peeked = self.pos
+            match = _TOKEN.match(self.text, self.pos)
+            self.token, self.start, self.end = match[1], match.start(1), match.end()
         return self.token
 
     def _expect(self, token: str) -> None:

@@ -7,7 +7,8 @@ and the numerators of a row are all finite linear combinations.
 drops those that cancel.  Coefficients may be any commutative ring elements,
 ints included, that support + and truthiness for zero tests.  The rows of
 both rewriting stages of the canonical path, [den, integer numerators by
-monomial], are added to only by :func:`_add_row`.
+monomial], are added to only by :func:`_add_row`.  :func:`_power` is the one
+square-and-multiply of both polynomial rings.
 """
 
 from __future__ import annotations
@@ -38,3 +39,14 @@ def _add_row(rows: dict, key, nums: dict, num: int, den: int) -> None:
     if (common := lcm(row[0], den)) != row[0]:
         row[:] = common, {k: v * (common // row[0]) for k, v in row[1].items()}
     _accumulate(row[1], ((k, v * (num * common // den)) for k, v in nums.items()))
+
+
+def _power(x, n: int):
+    """x**n for an int n >= 1, by square-and-multiply from the lowest bit of n."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        if not (n := n >> 1):
+            return result
+        x = x * x

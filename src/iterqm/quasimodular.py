@@ -27,8 +27,9 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
+from operator import index
 
-from .linear import _accumulate
+from .linear import _accumulate, _power
 from .qseries import LogQSeries, Scalar, _as_fraction
 
 Exponents = tuple[int, int, int]  # powers of (E2, E4, E6)
@@ -165,16 +166,9 @@ class QMPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QMPoly":
-        if n < 0:
+        if (n := index(n)) < 0:
             raise ValueError("negative powers are not allowed")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else ONE
 
     def d_de2(self) -> "QMPoly":
         """Formal partial derivative with respect to E2."""
@@ -305,12 +299,6 @@ def transform_coeffs(p: QMPoly) -> list[QMPoly]:
     return coeffs[:-1]
 
 
-def _monomials_of_weight(k: int) -> list[Exponents]:
-    """All (a, b, c) with 2a + 4b + 6c = k, ordered lexicographically."""
-    return [(a, b, (k - 2 * a - 4 * b) // 6) for a in range(k // 2 + 1) for b in range((k - 2 * a) // 4 + 1)
-            if (k - 2 * a - 4 * b) % 6 == 0]
-
-
 _SPLIT_CACHE_MONOMIALS = 2048  #: monomial splits kept; a soundness round splits 119-123, weights <= 60 hold 1,041
 
 
@@ -398,7 +386,7 @@ def basis_b(max_weight: int, modular_only: bool = False) -> list[QMPoly]:
     if max_weight >= 2 and not modular_only:
         letters.append(E2)
     for k in range(4, max_weight + 1, 2):
-        letters.extend(QMPoly._of({mono: 1}) for mono in _monomials_of_weight(k) if mono[0] == 0)
+        letters.extend(QMPoly._of({(0, b, (k - 4 * b) // 6): 1}) for b in range(k // 4 + 1) if (k - 4 * b) % 6 == 0)
     return letters
 
 

@@ -1,12 +1,13 @@
 """Shuffle-algebra combinatorics over a totally ordered integer alphabet.
 
 Words are tuples of non-negative letter indices; the order on letters is
-the integer order and words compare lexicographically.  Provides Lyndon
-word testing and enumeration (Duval's algorithm), the unique nonincreasing
-factorization of a word into Lyndon words, and the rewriting of any
-combination of words, with rational or QMPoly coefficients, as a
-polynomial in Lyndon words with respect to the shuffle product, by
-leading-word reduction on integer numerators.  Coefficients of a
+the integer order and words compare lexicographically.  Provides Duval's
+algorithm for the weight-bounded enumeration of Lyndon words and for the
+unique nonincreasing factorization of a word into Lyndon words, which also
+decides whether a word is Lyndon, and the rewriting of any combination of
+words, with rational or QMPoly coefficients, as a polynomial in Lyndon
+words with respect to the shuffle product, by leading-word reduction on
+integer numerators.  Coefficients of a
 :class:`LyndonPoly` live in any commutative ring that supports +, *,
 unary -, and truthiness for zero tests.
 """
@@ -17,9 +18,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import index, neg
-from typing import Optional
 
-from .linear import _accumulate, _add_row
+from .linear import _accumulate, _add_row, _power
 from .quasimodular import QMPoly
 
 Word = tuple[int, ...]
@@ -57,43 +57,29 @@ def shuffle(w1: Iterable, w2: Iterable) -> dict[tuple, int]:
 
 
 def is_lyndon(w: Iterable[int]) -> bool:
-    """True when the word is nonempty and smaller than all proper suffixes."""
-    w = tuple(w)
-    if not w:
-        return False
-    return all(w < w[i:] for i in range(1, len(w)))
+    """True when the word is nonempty and smaller than all proper suffixes: its Duval factorization is itself."""
+    return bool(w := tuple(w)) and len(lyndon_factorize(w)) == 1
 
 
-def lyndon_words(
-    alphabet_size: int,
-    max_len: int,
-    letter_weight: Optional[Mapping[int, int]] = None,
-    max_weight: Optional[int] = None,
-) -> list[Word]:
-    """All Lyndon words of length <= max_len, in lexicographic order.
+def lyndon_words(alphabet_size: int, max_len: int, letter_weight: Mapping[int, int], max_weight: int) -> list[Word]:
+    """All Lyndon words of length <= max_len and total weight <= max_weight, in lexicographic order.
 
-    Generated by Duval's algorithm.  Letter weights and max_weight are given
-    together or not at all; given, only words of total weight at most
-    max_weight are kept.  Each letter needs a weight, and the weights must be
-    non-negative, so no extension of a heavier word is kept either, and the
-    enumeration skips them: it keeps the weight of every prefix and stops
-    extending a word at the first letter that passes the bound.
+    Generated by Duval's algorithm.  Each letter needs a weight, and the
+    weights must be non-negative, so no extension of a heavier word is kept
+    either, and the enumeration skips them: it keeps the weight of every
+    prefix and stops extending a word at the first letter that passes the
+    bound.  Zero weights and max_weight 0 list every Lyndon word.
     """
     for name, value in (("alphabet_size", alphabet_size), ("max_len", max_len)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if (letter_weight is None) != (max_weight is None):
-        raise ValueError("letter_weight and max_weight must be given together")
     if not alphabet_size or not max_len:
         return []
-    if max_weight is None:
-        letter_weight, max_weight = [0] * alphabet_size, 0
-    else:
-        for l in range(alphabet_size):
-            if l not in letter_weight:
-                raise ValueError(f"letter {l} has no weight")
-            if letter_weight[l] < 0:
-                raise ValueError("letter weights must be non-negative")
+    for l in range(alphabet_size):
+        if l not in letter_weight:
+            raise ValueError(f"letter {l} has no weight")
+        if letter_weight[l] < 0:
+            raise ValueError("letter weights must be non-negative")
 
     out: list[Word] = []
     w, prefix = [0], [0, letter_weight[0]]  # prefix[i]: weight of w[:i]
@@ -220,13 +206,10 @@ class LyndonPoly:
         )))
 
     def __pow__(self, n: int) -> "LyndonPoly":
-        """The n-th power for an integer n >= 1 (the coefficient ring's 1 is unknown), by squaring."""
+        """The n-th power for an integer n >= 1 (the coefficient ring's 1 is unknown)."""
         if (n := index(n)) < 1:
             raise ValueError("only positive powers are defined")
-        if n == 1:
-            return self
-        half = self ** (n // 2)
-        return half * half * self if n % 2 else half * half
+        return _power(self, n)
 
 
 def to_lyndon_basis(combo: Iterable[int] | Mapping[Word, object]) -> LyndonPoly:

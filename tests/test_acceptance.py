@@ -213,7 +213,7 @@ def test_criterion_09_canonicalization_soundness():
 
 def test_criterion_10_lyndon_tables():
     # Example list on two letters
-    two_letter = lyndon_words(2, 4)
+    two_letter = lyndon_words(2, 4, dict.fromkeys(range(2), 0), 0)
     assert set(two_letter) == {
         (0,), (1,), (0, 1), (0, 0, 1), (0, 1, 1), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)
     }

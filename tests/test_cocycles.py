@@ -409,6 +409,12 @@ class TestBraidGroup:
         with pytest.raises(ValueError, match="^determinant must be 1$"):
             SL2Mat(*entries)
 
+    @pytest.mark.parametrize("other", [2, "x", None, (1, 0, 0, 1)], ids=repr)
+    def test_foreign_operand_raises_type_error(self, other):
+        # the product declines an operand that is not an SL2Mat, so Python raises TypeError
+        with pytest.raises(TypeError):
+            T * other
+
 
 class TestBranchLog:
     def test_matches_per_generator_reference(self):
@@ -471,6 +477,14 @@ class TestEvalNumeric:
             want = 3 * mp.gamma(mpf(1) / 4) ** 8 / (2 * mp.pi) ** 6
             value = eval_numeric(expand(E4, 60), 1j)
             assert abs(value - want) < 1e-40
+
+    @pytest.mark.parametrize("series", [lambda p: iter_integral((E4,), 20, p), lambda p: expand(E4**4, 20, p)],
+                             ids=["I(E4)", "E4^4"])
+    def test_rejects_a_series_mod_p(self, series):
+        # residues summed as rationals give nonsense: -6.74e9 for I(E4) at i, whose value over Q is 5.831
+        p = 2**30 - 35
+        with pytest.raises(ValueError, match=f"^a series mod {p} has no numeric value$"):
+            eval_numeric(series(p), 1j)
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):

@@ -373,6 +373,12 @@ class TestValueSemantics:
             E4 ** -1
         assert E4 ** 0 == ONE
 
+    @pytest.mark.parametrize("n", [0.0, 2.0, F(0), "2", None], ids=repr)
+    def test_non_integer_power_raises_type_error(self, n):
+        # the exponent is read as an index, so a float or Fraction is refused even when it is whole
+        with pytest.raises(TypeError):
+            E4 ** n
+
     def test_never_equal_to_a_scalar(self):
         two = QMPoly.constant(2)
         assert two == QMPoly.constant(F(4, 2)) and two != 2 and two != F(2)

@@ -25,6 +25,16 @@ from iterqm.shuffle_lyndon import (
 A, B, C = 0, 1, 2
 
 
+def all_lyndon_words(k, max_len):
+    """Lyndon words of length <= max_len over k letters: no weights, no bound."""
+    return lyndon_words(k, max_len, dict.fromkeys(range(k), 0), 0)
+
+
+def lyndon_by_definition(w):
+    """Nonempty and smaller than each proper suffix."""
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+
+
 def reference_to_lyndon_basis(combo):
     """Leading-word reduction on the coefficients themselves, a whole factor shuffle per word.
 
@@ -90,10 +100,16 @@ class TestIsLyndon:
     def test_aabab_is_lyndon(self):
         assert is_lyndon((A, A, B, A, B))
 
+    def test_matches_definition(self):
+        # is_lyndon reads Duval's factorization; every word of length <= 7 over three letters
+        for n in range(8):
+            for w in itertools.product(range(3), repeat=n):
+                assert is_lyndon(w) == lyndon_by_definition(w), w
+
 
 class TestEnumeration:
     def test_two_letter_table(self):
-        words = lyndon_words(2, 4)
+        words = all_lyndon_words(2, 4)
         expect = {
             (A,), (B,), (A, B),
             (A, A, B), (A, B, B),
@@ -103,16 +119,16 @@ class TestEnumeration:
         assert words == sorted(words)
 
     def test_single_letter(self):
-        assert lyndon_words(1, 3) == [(A,)]
+        assert all_lyndon_words(1, 3) == [(A,)]
 
     def test_matches_bruteforce(self):
         for k, max_len in ((2, 6), (3, 4)):
             expect = set()
             for n in range(1, max_len + 1):
                 for w in itertools.product(range(k), repeat=n):
-                    if is_lyndon(w):
+                    if lyndon_by_definition(w):
                         expect.add(w)
-            assert set(lyndon_words(k, max_len)) == expect
+            assert set(all_lyndon_words(k, max_len)) == expect
 
     def test_necklace_counts(self):
         def mobius(n):
@@ -131,7 +147,7 @@ class TestEnumeration:
             return result
 
         for k in (1, 2, 3):
-            words = lyndon_words(k, 6)
+            words = all_lyndon_words(k, 6)
             for n in range(1, 7):
                 count = sum(1 for w in words if len(w) == n)
                 expected = sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
@@ -175,7 +191,7 @@ class TestEnumeration:
             k, n = rng.randint(1, 4), rng.randint(1, 7)
             weights = {l: rng.randint(0, 5) for l in range(k)}
             bound = rng.randint(0, 20)
-            expected = [w for w in lyndon_words(k, n) if sum(weights[l] for l in w) <= bound]
+            expected = [w for w in all_lyndon_words(k, n) if sum(weights[l] for l in w) <= bound]
             assert lyndon_words(k, n, weights, bound) == expected
         # long words of small weight: 1, E2 and 1^j E2 for j < 400
         long_words = lyndon_words(2, 400, {0: 0, 1: 2}, 2)
@@ -186,23 +202,16 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="non-negative"):
             lyndon_words(2, 3, {0: 1, 1: -1}, 4)
 
-    @pytest.mark.parametrize("args", [({0: 0, 1: 2, 2: 4}, None), (None, 2), ({0: 0}, None)], ids=str)
-    def test_weights_without_bound_rejected(self, args):
-        # each alone was ignored: all six words of length <= 2 over three letters came back
-        for k, n in [(3, 2), (0, 2), (3, 0)]:
-            with pytest.raises(ValueError, match="^letter_weight and max_weight must be given together$"):
-                lyndon_words(k, n, *args)
-
     def test_letter_without_weight_rejected(self):
         with pytest.raises(ValueError, match=r"^letter 1 has no weight$"):
             lyndon_words(2, 2, {0: 0}, 4)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match=r"^max_len must be >= 0, got -1$"):
-            lyndon_words(2, -1)
+            all_lyndon_words(2, -1)
         with pytest.raises(ValueError, match=r"^alphabet_size must be >= 0, got -2$"):
-            lyndon_words(-2, 3)
-        assert lyndon_words(0, 3) == lyndon_words(2, 0) == lyndon_words(0, 0) == []
+            all_lyndon_words(-2, 3)
+        assert all_lyndon_words(0, 3) == all_lyndon_words(2, 0) == all_lyndon_words(0, 0) == []
 
 
 class TestFactorization:

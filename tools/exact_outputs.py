@@ -43,7 +43,7 @@ byte-identical, so a change is checked against a base commit with
 The SHA-256 of each (workload, seed) listing that CI runs is committed
 beside this tool, in ``exact_outputs.sha256``, so a tree is also checked
 without a base commit; ``tests/test_exact_outputs.py`` recomputes the
-``soundness``, ``certify`` and ``cocycle`` listings of seed 1.
+``soundness``, ``certify``, ``cocycle`` and ``parse`` listings of seed 1.
 """
 
 from __future__ import annotations
