@@ -23,7 +23,9 @@ read last.  That certificate, the rank and the kernel lifted to Q, is kept
 per (t, multipliers, words), so a family ranked again at another
 truncation with the same t builds no residue row and eliminates nothing.
 Truncation is a linear map, so full rank at any truncation proves the
-integrals linearly independent over Q; a deficiency is one at that
+integrals linearly independent over Q, and gives full rank at every higher
+one: the lowest truncation whose certificate gave a family full rank is
+kept, and answers every call at or above it.  A deficiency is one at that
 truncation only, proved by the kernel, lifted to Q and checked on exact
 series of the rows it involves.  Should that fail, the certificate at q^N,
 made and kept the same way, is read and checked; only if it fails too does
@@ -301,7 +303,7 @@ def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
     return [column for part in parts for column in part]
 
 
-_CERTIFICATE_CACHE_SIZE = 64  #: certificates kept, one per family and t; a certify round reads 15
+_CERTIFICATE_CACHE_SIZE = 64  #: certificates kept per family and t, floors per family; a certify round reads 14 of each
 
 
 @lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
@@ -310,6 +312,12 @@ def _residue_certificate(t: int, multipliers: tuple[QMPoly, ...], words: tuple[B
     expanded = {m: expand(m, t, _RANK_PRIME) for m in dict.fromkeys(multipliers)}
     rows = (expanded[m] * iter_integral(w, t, _RANK_PRIME) for m, w in zip(multipliers, words))
     return _certificate(_columns(list(rows), t))  # the rows are freed before the elimination
+
+
+@lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
+def _full_rank_floor(multipliers: tuple[QMPoly, ...], words: tuple[BarWord, ...]) -> list[int]:
+    """The lowest truncation at which a certificate gave the family full rank, as a one-item list, or empty."""
+    return []
 
 
 def independence_rank(
@@ -336,8 +344,11 @@ def independence_rank(
     it involves.  Should the kernel not lift or check, the certificate at
     q^trunc, kept the same way, is read and checked in turn; only if it fails
     too does :func:`_exact_rank` eliminate the exact rows over Q.  Each exact
-    row is built at most once per call.  A DEBUG line names the truncation
-    and route.
+    row is built at most once per call.  The lowest truncation s whose
+    certificate, at q^t or q^trunc, reached rank n is kept per (multipliers,
+    words), so a call at trunc >= s returns n and builds and eliminates
+    nothing; a rank below n, even the width, sets none.  A DEBUG line names
+    the truncation and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -346,9 +357,12 @@ def independence_rank(
     if not all(isinstance(m, QMPoly) for m in multipliers):
         raise TypeError("multipliers must be QMPoly")
     # the integral is linear in each letter: numerators multiply a row by a positive integer
-    words = [tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words]
-    multipliers = [m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers]
+    words = tuple(tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words)
+    multipliers = tuple(m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers)
     n, longest = len(words), max(map(len, words), default=0)
+    if (floor := _full_rank_floor(multipliers, words)) and floor[0] <= trunc:  # q^s's columns are some of q^trunc's
+        logger.debug("rank %d at q^%d of q^%d: full rank", n, floor[0], trunc)
+        return n
     expanded: dict[QMPoly, LogQSeries] = {}  # a few multipliers serve many rows
     exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
 
@@ -367,7 +381,9 @@ def independence_rank(
 
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
     for t in dict.fromkeys((t, trunc)):  # the kept certificate at q^t, then at q^trunc
-        rank, kernel = _residue_certificate(t, tuple(multipliers), tuple(words))
+        rank, kernel = _residue_certificate(t, multipliers, words)
+        if rank == n:  # below the floor, if any: it proves full rank from q^t up
+            floor[:] = [t]
         if rank == width or kernel is not None and all(map(is_kernel, kernel)):
             route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
             logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)

@@ -206,14 +206,16 @@ def eisenstein_qexp(weight: int, trunc: int) -> LogQSeries:
     """
     if weight <= 0 or weight % 2:
         raise ValueError("Eisenstein series exist for positive even weight only")
+    if trunc < 0:
+        raise ValueError("truncation order must be >= 0")
     factor = Fraction(-2 * weight) / bernoulli(weight)
     sigma = [0] * (trunc + 1)  # sigma_{2k-1}(n), summed by one sieve over the divisors d <= trunc
     for d in range(1, trunc + 1):
         power = d ** (weight - 1)
         for n in range(d, trunc + 1, d):
             sigma[n] += power
-    coeffs = [Fraction(1)] + [factor * s for s in sigma[1:]]
-    return LogQSeries(trunc, {0: coeffs})
+    num, den = factor.numerator, factor.denominator
+    return LogQSeries._of(trunc, den, {0: (den, *(num * s for s in sigma[1:]))})
 
 
 _MONOMIAL_CACHE_SIZE = 512  #: monomial q-expansions kept; a benchmark round reads 12 to 117

@@ -777,7 +777,8 @@ class TestFirstTruncation:
         assert len(calls[0]) == 11 * 2  # q^0 to q^10 of L^0, then of L^1
 
     def test_each_exact_row_is_built_once(self, monkeypatch):
-        # the kernel checks build the rows of their support over Q; the exit to _exact_rank reuses them
+        # the kernel checks build the rows of their support over Q; the exit to _exact_rank reuses them.
+        # The caches start empty: a family kept at full rank by an earlier test builds no row
         built = Counter()
         real = canonicalize.iter_integral
 
@@ -789,6 +790,7 @@ class TestFirstTruncation:
         monkeypatch.setattr(canonicalize, "iter_integral", spy)
         for words, multipliers, trunc in [([(E4,), ()], [ONE, QMPoly.constant(P)], 10),
                                           ([(E4,), (self.CLOSE,)], [ONE, ONE], 20)]:
+            iterqm.clear_caches()
             built.clear()
             assert independence_rank(words, multipliers, trunc) == 2
             assert built == Counter(words)
@@ -838,7 +840,8 @@ class TestFirstTruncation:
 class TestCertificateAcrossTruncations:
     """The certificate mod p to q^t of a family, its rank and lifted kernel, is kept: a call at
     another N with the same t builds no residue row and runs no elimination, while the exact
-    rows to q^N, the kernel check and the exit to _exact_rank stay per call."""
+    rows to q^N, the kernel check and the exit to _exact_rank stay per call.  The lowest
+    truncation whose certificate gave full rank is kept too, and answers every N at or above it."""
 
     #: I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = min(N, 4)
     WORDS = [(E6,), (derive(E4),), (ONE, E4), (), ()]
@@ -888,10 +891,19 @@ class TestCertificateAcrossTruncations:
             assert Counter(p for p, _, modulus in built["multipliers"] if modulus) == Counter([ONE, E2, E4])
             assert Counter(p for p, _, modulus in built["multipliers"] if not modulus) == Counter([ONE, E4])
 
+    #: Families of full rank below their t = 2*ceil(n/(1+l)), or only above it, or of rank = width < n
+    FAMILIES = [
+        ([(E4,), (E6,), (ONE, E4), (E2, E6), ()], [ONE, E2, ONE, E4, E6]),  # t = 4, full rank from q^1
+        ([(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE]),  # t = 2, full rank from q^4
+        ([()] * 9, [ONE, E2, E4, E6, E2 * E2, E2 * E4, E2 * E6, E4 * E4, E4 * E6]),  # t = 18, rank min(N + 1, 9)
+        ([(), (), ()], [ONE, E4, E4]),  # rank 2 = width at q^1, and 2 above it
+    ]
+
     def test_ranks_at_rising_truncations_match_cold_ranks(self):
         rng = random.Random(44)
         letters = [ONE, E2, E4, E6, E4 * E4]
         multipliers = [ONE, E2, E4, E6, E2 * E4]
+        families = list(self.FAMILIES)
         for _ in range(12):
             n = rng.randint(1, 9)
             words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in range(n)]
@@ -899,6 +911,8 @@ class TestCertificateAcrossTruncations:
             if n > 1 and rng.random() < 0.5:  # a repeated row
                 words.append(words[0])
                 mults.append(mults[0])
+            families.append((words, mults))
+        for words, mults in families:
             for truncs in ([1, 2, 3, 5, 8, 12], [12, 8, 5, 3, 2, 1], [3, 12, 3, 1, 12, 2]):  # rising, falling, repeated
                 iterqm.clear_caches()
                 warm = [independence_rank(words, mults, trunc) for trunc in truncs]
@@ -918,15 +932,39 @@ class TestCertificateAcrossTruncations:
         warm = [independence_rank(words, mults, trunc) for trunc in truncs]
         assert warm == [1, 2, 1, 2, 2, 2]
         info = canonicalize._residue_certificate.cache_info()
-        # t = 2 at every N: eliminated mod p once; each N where the kept kernel fails, 20, 4, 12
-        # and 5, is decided by its own certificate at q^N, and nothing is eliminated over Q
-        assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+        # t = 2 at N = 2, 20, 3 and 4: eliminated mod p once; at 20 and 4 the kept kernel fails and
+        # the certificate at q^N gives full rank, so 12 and 5, above the floor q^4, read no
+        # certificate, and nothing is eliminated over Q
+        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
         assert calls == []
         cold = []
         for trunc in truncs:
             iterqm.clear_caches()
             cold.append(independence_rank(words, mults, trunc))
         assert cold == warm
+
+    def test_full_rank_below_t_answers_above_it(self, moduli, exact_words, caplog):
+        # n = 5, l = 2: t = 4, but the rows have full rank at q^1 already
+        words, mults = self.FAMILIES[0]
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        assert independence_rank(words, mults, 1) == 5
+        info = canonicalize._residue_certificate.cache_info()
+        assert independence_rank(words, mults, 30) == 5
+        assert canonicalize._residue_certificate.cache_info() == info  # no certificate read
+        assert moduli == [P]  # one elimination in all
+        assert exact_words == {"words": [], "multipliers": []}
+        assert caplog.messages == ["rank 5 at q^1 of q^1: full rank", "rank 5 at q^1 of q^30: full rank"]
+
+    def test_floor_answers_only_at_or_above_it(self, caplog):
+        # a floor read below its truncation, or set by a rank that is only the width or
+        # a kernel's, would give n here
+        iterqm.clear_caches()
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        close = [(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE]
+        assert [independence_rank(*close, trunc) for trunc in (20, 3, 25)] == [2, 1, 2]
+        assert caplog.messages[-1] == "rank 2 at q^20 of q^25: full rank"
+        constants = [(), (), ()], [ONE, E4, E4]
+        assert [independence_rank(*constants, trunc) for trunc in (0, 3, 5)] == [1, 2, 2]
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_equal_rows_keep_linear_size(self, n):
@@ -958,7 +996,8 @@ class TestClearCaches:
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
         assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split",
-                                                "_residue_certificate", "_eichler_poly", "_minus_log_disc"}
+                                                "_residue_certificate", "_full_rank_floor", "_eichler_poly",
+                                                "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
         assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
@@ -970,8 +1009,8 @@ class TestClearCaches:
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
         assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split",
-                                                "_residue_certificate", "build_parser", "_eichler_poly",
-                                                "_minus_log_disc"}
+                                                "_residue_certificate", "_full_rank_floor", "build_parser",
+                                                "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import depth, monomials_of_weight, random_homogeneous, random_qmpoly
 from test_qseries import schoolbook
-from iterqm.canonicalize import _pivot_rows, canonical_form
+from iterqm.canonicalize import _RANK_PRIME as P, _pivot_rows, canonical_form
 from iterqm.iterint import IntegralPoly
 from iterqm.qseries import LogQSeries, d_op
 from iterqm.quasimodular import (
@@ -70,6 +70,22 @@ class TestEisenstein:
         for w in (0, -2, 3, 5):
             with pytest.raises(ValueError):
                 eisenstein_qexp(w, 5)
+
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError, match="^truncation order must be >= 0$"):
+            eisenstein_qexp(4, -1)
+
+    @pytest.mark.parametrize("weight", range(2, 31, 2))
+    def test_integer_numerators_match_the_rational_coefficients(self, weight):
+        # 1 and -(2*weight/B_weight)*sigma_{weight-1}(n), each a Fraction, through the checking constructor
+        factor = F(-2 * weight) / bernoulli(weight)
+        coeffs = [F(1)] + [factor * sum(d ** (weight - 1) for d in range(1, n + 1) if n % d == 0)
+                                  for n in range(1, 101)]
+        for trunc in range(101):
+            expected = LogQSeries(trunc, {0: coeffs[: trunc + 1]})
+            series = eisenstein_qexp(weight, trunc)
+            assert (series.den, series.parts) == (expected.den, expected.parts)
+            assert series.modulo(P) == expected.modulo(P)
 
 
 def _generator_power(which: int, exponent: int, trunc: int, modulus: int) -> LogQSeries:
