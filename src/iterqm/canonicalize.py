@@ -24,12 +24,13 @@ per (t, multipliers, words), so a family ranked again at another
 truncation with the same t builds no residue row and eliminates nothing.
 Truncation is a linear map, so full rank at any truncation proves the
 integrals linearly independent over Q, and gives full rank at every higher
-one: the lowest truncation whose certificate gave a family full rank is
-kept, and answers every call at or above it.  A deficiency is one at that
-truncation only, proved by the kernel, lifted to Q and checked on exact
-series of the rows it involves.  Should that fail, the certificate at q^N,
-made and kept the same way, is read and checked; only if it fails too does
-:func:`_exact_rank` eliminate the exact rows over Q.
+one; so does a kernel that :func:`reduce_letters` rewrites to nothing, a
+set of identities: the lowest truncation whose certificate gave either is
+kept with the rank, and answers every call at or above it.  Any other
+deficiency is one at that truncation only, proved by the kernel, lifted to
+Q and checked on exact series of the rows it involves.  Should that fail,
+the certificate at q^N, made and kept the same way, is read and checked;
+only if it fails too does :func:`_exact_rank` eliminate the exact rows over Q.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ import logging
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Mapping, Sequence
 
 from .iterint import BarWord, IntegralPoly, _as_word, iter_integral
-from .linear import _add_row
+from .linear import _accumulate, _add_row
 from .qseries import LogQSeries, _pack
 from .quasimodular import (
     ONE,
@@ -303,7 +304,7 @@ def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
     return [column for part in parts for column in part]
 
 
-_CERTIFICATE_CACHE_SIZE = 64  #: certificates kept per family and t, floors per family; a certify round reads 14 of each
+_CERTIFICATE_CACHE_SIZE = 64  #: certificates per family and t, floors (full rank or identities) per family; 14 a round
 
 
 @lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
@@ -315,8 +316,8 @@ def _residue_certificate(t: int, multipliers: tuple[QMPoly, ...], words: tuple[B
 
 
 @lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
-def _full_rank_floor(multipliers: tuple[QMPoly, ...], words: tuple[BarWord, ...]) -> list[int]:
-    """The lowest truncation at which a certificate gave the family full rank, as a one-item list, or empty."""
+def _rank_floor(multipliers: tuple[QMPoly, ...], words: tuple[BarWord, ...]) -> list[int]:
+    """The lowest truncation s whose certificate proved the family's rank r at every N >= s, as [s, r], or empty."""
     return []
 
 
@@ -340,15 +341,20 @@ def independence_rank(
     to Q (see :func:`_certificate`), cached by (t, multipliers, words): a call
     at another trunc with the same t builds no residue row and eliminates
     nothing.  Those columns are some of those at trunc, so full rank is the
-    answer, and each call checks the kernel on the exact rows to q^trunc that
-    it involves.  Should the kernel not lift or check, the certificate at
+    answer.  A kernel vector c is an identity if :func:`reduce_letters`, which
+    rewrites by exact identities only, turns sum c_i * multiplier_i * I(word_i)
+    into nothing; it is tried if the words' products of letter monomial counts
+    sum to at most the width, the coefficients of an exact row.  Otherwise
+    each call checks the kernel on the exact rows to q^trunc that it
+    involves.  Should the kernel not lift or check, the certificate at
     q^trunc, kept the same way, is read and checked in turn; only if it fails
     too does :func:`_exact_rank` eliminate the exact rows over Q.  Each exact
     row is built at most once per call.  The lowest truncation s whose
-    certificate, at q^t or q^trunc, reached rank n is kept per (multipliers,
-    words), so a call at trunc >= s returns n and builds and eliminates
-    nothing; a rank below n, even the width, sets none.  A DEBUG line names
-    the truncation and route.
+    certificate, at q^t or q^trunc, reached rank n or had a kernel of
+    identities is kept with its rank r per (multipliers, words), so a call at
+    trunc >= s returns r and builds and eliminates nothing; a kernel checked
+    on exact rows, or a rank that is only the width, sets none.  A DEBUG line
+    names the truncation and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -360,9 +366,14 @@ def independence_rank(
     words = tuple(tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words)
     multipliers = tuple(m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers)
     n, longest = len(words), max(map(len, words), default=0)
-    if (floor := _full_rank_floor(multipliers, words)) and floor[0] <= trunc:  # q^s's columns are some of q^trunc's
-        logger.debug("rank %d at q^%d of q^%d: full rank", n, floor[0], trunc)
-        return n
+
+    def proved(s: int, rank: int) -> int:  # the rank at every N >= s
+        logger.debug("rank %d at q^%d of q^%d: %s", rank, s, trunc,
+                     "full rank" if rank == n else f"kernel of {n - rank} an identity")
+        return rank
+
+    if (floor := _rank_floor(multipliers, words)) and floor[0] <= trunc:  # q^s's columns are some of q^trunc's
+        return proved(*floor)
     expanded: dict[QMPoly, LogQSeries] = {}  # a few multipliers serve many rows
     exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
 
@@ -379,13 +390,18 @@ def independence_rank(
             total = total + row(i).scale(c)
         return total.is_zero()
 
+    def is_identity(lifts: Sequence[tuple[int, Fraction]]) -> bool:  # tried only within the width
+        return (sum(prod(len(l.nums) for l in words[i]) for i, _ in lifts) <= width
+                and not reduce_letters(_accumulate({}, ((words[i], multipliers[i] * c) for i, c in lifts))))
+
     width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
     for t in dict.fromkeys((t, trunc)):  # the kept certificate at q^t, then at q^trunc
         rank, kernel = _residue_certificate(t, multipliers, words)
-        if rank == n:  # below the floor, if any: it proves full rank from q^t up
-            floor[:] = [t]
+        if kernel is not None and all(map(is_identity, kernel)):  # rank n, or n - rank identities: rank from q^t up
+            floor[:] = [t, rank]  # below the floor, if any
+            return proved(t, rank)
         if rank == width or kernel is not None and all(map(is_kernel, kernel)):
-            route = "full rank" if rank in (n, width) else f"kernel of {n - rank} checked, {len(exact)} rows exact"
+            route = "full rank" if rank == width else f"kernel of {n - rank} checked, {len(exact)} rows exact"
             logger.debug("rank %d at q^%d of q^%d: %s", rank, t, trunc, route)
             return rank
     logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)

@@ -188,6 +188,7 @@ E6 = QMPoly({(0, 0, 1): 1})
 DELTA = (E4**3 - E6**2) * Fraction(1, 1728)
 
 
+@lru_cache(maxsize=64, typed=True)  # a Fraction is immutable; every Eisenstein series built reads one
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, B_1 = -1/2, from sum_{j<=m} C(m+1, j) B_j = 0 for m = 1..n."""
     if n < 0:

@@ -349,7 +349,7 @@ class TestRank:
         assert independence_rank([(ONE,)] + words, [ONE] * 4, 5) == 3
         assert independence_rank([(ONE,), (ONE, ONE), (ONE,)], [ONE] * 3, 5) == 2
 
-    def test_rational_rank_basics(self):
+    def test_exact_rank_of_integer_rows(self):
         # the rank over Q, by the one elimination over Q: _exact_rank on integer rows
         assert _exact_rank([]) == 0
         assert _exact_rank([[0, 0]]) == 0
@@ -694,11 +694,13 @@ class TestModularCertificate:
         assert exact_words == {"words": [], "multipliers": []} and moduli == [P]
 
     def test_deficiency_builds_exact_series_on_the_kernel_support(self, exact_words, moduli):
-        # the kernel is (0, 0, 1, -1): only I(1, E4) is computed exactly
-        words = [(E6,), (E2, E4), (ONE, E4), (ONE, E4)]
-        assert independence_rank(words, [E2, E4, ONE, ONE], 10) == 3
+        # the kernel is (0, 0, 1, -1), which holds to q^3 and is no identity: only I(1, E4) and
+        # I(1, CLOSE), with their suffixes, are computed exactly
+        close = TestFirstTruncation.CLOSE
+        words = [(E6,), (E2, E4), (ONE, E4), (ONE, close)]
+        assert independence_rank(words, [E2, E4, ONE, ONE], 3) == 3
         assert moduli == [P]
-        assert exact_words["words"] and set(exact_words["words"]) <= {(ONE, E4), (E4,), ()}
+        assert set(exact_words["words"]) == {(ONE, E4), (E4,), (ONE, close), (close,), ()}
         assert exact_words["multipliers"] == [ONE]
 
     def test_leaves_input_alone(self):
@@ -764,7 +766,7 @@ class TestFirstTruncation:
         assert moduli == [P, P]  # at q^2, then at q^20, where the rows have full rank mod p
         assert truncations["integrals"] == {(2, P), (20, 0), (20, P)}
 
-    def test_false_kernel_hands_the_exact_rows_to_rational_rank(self, truncations, monkeypatch):
+    def test_failed_certificates_hand_exact_rows_to_exact_rank(self, truncations, monkeypatch):
         # only when the certificates at q^t and at q^N both fail is the rank over Q computed,
         # by _exact_rank on the columns of the exact rows' numerators, n entries each
         calls = []
@@ -802,13 +804,13 @@ class TestFirstTruncation:
         assert truncations == {"integrals": {(4, P)}, "multipliers": {(4, P)}}
 
     def test_planted_relation_is_decided_there(self, moduli, truncations, exact_words):
-        # I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = 4
+        # I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = 4.  reduce_letters rewrites
+        # the kernel's combination to nothing, so no exact series is built
         words = [(E6,), (derive(E4),), (ONE, E4), (), ()]
         assert independence_rank(words, [ONE, ONE, E2, ONE, E4], 30) == 4
         assert moduli == [P]
         assert {t for t, m in truncations["integrals"] if m} == {4}
-        assert set(exact_words["words"]) == {(3 * derive(E4),), ()}  # the numerators of D(E4)
-        assert sorted(exact_words["multipliers"], key=repr) == sorted([ONE, E4], key=repr)
+        assert exact_words == {"words": [], "multipliers": []}
 
     def test_short_truncation_is_read_once(self, moduli, truncations):
         # t = min(N, 2*ceil(n/(1+l))) = N: one pass
@@ -817,18 +819,24 @@ class TestFirstTruncation:
         assert truncations["integrals"] == {(1, P), (1, 0)}
 
     def test_logs_the_truncation_and_route(self, caplog):
+        iterqm.clear_caches()
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
         independence_rank([(E4,), (E6,)], [ONE, ONE], 20)
         independence_rank([(derive(E4),), (), ()], [ONE, ONE, E4], 20)
+        independence_rank([(derive(E4),), (), ()], [ONE, ONE, E4], 25)
         independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 20)
+        independence_rank([(E4,), (self.CLOSE,)], [ONE, ONE], 3)
         independence_rank([(E4,), ()], [ONE, QMPoly.constant(P)], 10)
         independence_rank([(E4,), (E4,)], [ONE, QMPoly.constant(F(1, P))], 10)
         assert caplog.messages == [
             "rank 2 at q^2 of q^20: full rank",
-            "rank 2 at q^4 of q^20: kernel of 1 checked, 3 rows exact",
+            "ibp_last: word length 1",  # reduce_letters proves I(3*D(E4)) - 3 + 3*E4 = 0
+            "rank 2 at q^4 of q^20: kernel of 1 an identity",
+            "rank 2 at q^4 of q^25: kernel of 1 an identity",  # the floor answers
             "rank 2 at q^20 of q^20: full rank",
+            "rank 1 at q^2 of q^3: kernel of 1 checked, 2 rows exact",
             "rank at q^10: exact rows, the kernel did not lift or check",
-            "rank 1 at q^2 of q^10: kernel of 1 checked, 2 rows exact",
+            "rank 1 at q^2 of q^10: kernel of 1 an identity",  # the numerators make the rows equal
         ]
 
     def test_silent_without_debug(self, caplog):
@@ -841,11 +849,16 @@ class TestCertificateAcrossTruncations:
     """The certificate mod p to q^t of a family, its rank and lifted kernel, is kept: a call at
     another N with the same t builds no residue row and runs no elimination, while the exact
     rows to q^N, the kernel check and the exit to _exact_rank stay per call.  The lowest
-    truncation whose certificate gave full rank is kept too, and answers every N at or above it."""
+    truncation whose certificate gave full rank, or a kernel that reduce_letters rewrites to
+    nothing, is kept too with its rank, and answers every N at or above it."""
 
     #: I(D(E4)) - 1 + E4 = 0 on rows 1, 3 and 4; n = 5, l = 2: t = min(N, 4)
     WORDS = [(E6,), (derive(E4),), (ONE, E4), (), ()]
     MULTIPLIERS = [ONE, ONE, E2, ONE, E4]
+    #: E4 * (I(E4) - I(FAR)) = O(q^6) on rows 1 and 4, no identity; n = 5, l = 2: t = min(N, 4)
+    FAR = E4 + (E4**3 - E6**2) ** 6
+    NEAR_WORDS = [(E6,), (E4,), (ONE, E4), (), (FAR,)]
+    NEAR_MULTIPLIERS = [ONE, E4, E2, ONE, E4]
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -869,27 +882,74 @@ class TestCertificateAcrossTruncations:
 
     def test_same_t_builds_no_residue_series(self, moduli, built, exact_words, caplog):
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
-        assert independence_rank(self.WORDS, self.MULTIPLIERS, 30) == 4
+        assert independence_rank(self.NEAR_WORDS, self.NEAR_MULTIPLIERS, 5) == 4
         assert (4, P) in built["integrals"] and (E2, 4, P) in built["multipliers"]
         first = sorted(exact_words["words"], key=repr)
         for seen in (built["integrals"], built["multipliers"], exact_words["words"]):
             seen.clear()
-        assert independence_rank(self.WORDS, self.MULTIPLIERS, 40) == 4
+        assert independence_rank(self.NEAR_WORDS, self.NEAR_MULTIPLIERS, 4) == 4
         assert {modulus for _, modulus in built["integrals"]} == {0}  # no residue series
-        assert sorted(built["multipliers"], key=repr) == sorted([(ONE, 40, 0), (E4, 40, 0)], key=repr)  # none mod p
+        assert built["multipliers"] == [(E4, 4, 0)]  # none mod p, and E4 once for both rows
         assert sorted(exact_words["words"], key=repr) == first  # the kernel's exact rows stay per call
         assert moduli == [P]  # the second call reads the kept certificate
-        assert caplog.messages == [f"rank 4 at q^4 of q^{trunc}: kernel of 1 checked, 3 rows exact" for trunc in (30, 40)]
+        assert caplog.messages == [f"rank 4 at q^4 of q^{trunc}: kernel of 1 checked, 2 rows exact" for trunc in (5, 4)]
 
     def test_new_t_builds_its_rows_and_expands_each_multiplier_once(self, built):
-        words, multipliers = self.WORDS + [(E4, E6)], self.MULTIPLIERS + [E2]  # n = 6, l = 2: t = min(N, 4)
-        for trunc, t in [(3, 3), (30, 4), (2, 2)]:
+        words, multipliers = self.NEAR_WORDS + [(E4, E6)], self.NEAR_MULTIPLIERS + [E2]  # n = 6, l = 2: t = min(N, 4)
+        for trunc, t in [(5, 4), (3, 3), (2, 2)]:
             built["integrals"].clear()
             built["multipliers"].clear()
             assert independence_rank(words, multipliers, trunc) == 5
             assert (t, P) in built["integrals"]
             assert Counter(p for p, _, modulus in built["multipliers"] if modulus) == Counter([ONE, E2, E4])
-            assert Counter(p for p, _, modulus in built["multipliers"] if not modulus) == Counter([ONE, E4])
+            assert Counter(p for p, _, modulus in built["multipliers"] if not modulus) == Counter([E4])
+
+    def test_identity_kernel_answers_every_truncation_above_it(self, moduli, built, caplog):
+        # the planted relation is proved at t = 4 for every N >= 4, and again at each lower t;
+        # at N = 0 the rank is the width, 3, and the kernel of 2 holds a false vector, so the
+        # floor stays at q^1 and answers N = 25
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        truncs = [30, 40, 3, 2, 1, 0, 25]
+        assert [independence_rank(self.WORDS, self.MULTIPLIERS, trunc) for trunc in truncs] == [4, 4, 4, 4, 4, 3, 4]
+        assert sorted({t for t, modulus in built["integrals"] if modulus}) == [0, 1, 2, 3, 4]
+        assert moduli == [P] * 5  # one certificate per distinct t, and nothing over Q
+        assert [m for m in caplog.messages if m.startswith("rank")][:2] == [
+            f"rank 4 at q^4 of q^{trunc}: kernel of 1 an identity" for trunc in (30, 40)]
+        assert not [s for s in built["integrals"] + built["multipliers"] if not s[-1]]  # no exact row at any N
+        cold = []
+        for trunc in truncs:
+            iterqm.clear_caches()
+            cold.append(independence_rank(self.WORDS, self.MULTIPLIERS, trunc))
+        assert cold == [4, 4, 4, 4, 4, 3, 4]
+
+    def test_identity_reads_the_multipliers(self):
+        # I(E4) and (1 + (E4^3 - E6^2)^4) * I(E4) agree to q^3; the kernel (1, -1) at t = 2 sums to
+        # -(E4^3 - E6^2)^4 on the word (E4,), no identity.  Without the multipliers it would be one,
+        # and N = 20 and 25 would give 1
+        iterqm.clear_caches()
+        mults = [ONE, ONE + (E4**3 - E6**2) ** 4]
+        assert [independence_rank([(E4,), (E4,)], mults, trunc) for trunc in (20, 3, 25)] == [2, 1, 2]
+
+    def test_kernel_checked_on_exact_rows_sets_no_floor(self):
+        # the CLOSE pair's kernel checks at q^3 only: a floor set there would answer 1 at N = 25
+        iterqm.clear_caches()
+        close = [(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE]
+        assert [independence_rank(*close, trunc) for trunc in (3, 25)] == [1, 2]
+
+    def test_identity_is_tried_only_within_the_width(self, monkeypatch):
+        # C has 5 monomials: the kernel (1, -1, -1) of these rows is an identity by multilinearity,
+        # but its words have 2 * 5^7 + 5^7 + 5^7 monomial products, far above the width 11 * 9 at
+        # N = 10, and reduce_letters would expand each C before the words cancel
+        calls = []
+        real = canonicalize.reduce_letters
+        monkeypatch.setattr(canonicalize, "reduce_letters", lambda combo: calls.append(combo) or real(combo))
+        c = E4 + E6 + E4**2 + E4 * E6 + E6**2
+        iterqm.clear_caches()
+        assert independence_rank([(c,) * 7 + (E4 + E6,), (c,) * 7 + (E4,), (c,) * 7 + (E6,)], [ONE] * 3, 10) == 2
+        assert calls == []
+        # the same rows with the differing letter first and one C are within it, and proved
+        assert independence_rank([(E4 + E6, c), (E4, c), (E6, c)], [ONE] * 3, 10) == 2
+        assert len(calls) == 1
 
     #: Families of full rank below their t = 2*ceil(n/(1+l)), or only above it, or of rank = width < n
     FAMILIES = [
@@ -897,6 +957,8 @@ class TestCertificateAcrossTruncations:
         ([(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE]),  # t = 2, full rank from q^4
         ([()] * 9, [ONE, E2, E4, E6, E2 * E2, E2 * E4, E2 * E6, E4 * E4, E4 * E6]),  # t = 18, rank min(N + 1, 9)
         ([(), (), ()], [ONE, E4, E4]),  # rank 2 = width at q^1, and 2 above it
+        (WORDS, MULTIPLIERS),  # t = 4, rank 4 from q^1 by an identity, 3 = width at q^0
+        ([(E4,), (E4,)], [ONE, ONE + (E4**3 - E6**2) ** 4]),  # t = 2, a kernel that checks to q^3 only
     ]
 
     def test_ranks_at_rising_truncations_match_cold_ranks(self):
@@ -995,8 +1057,8 @@ class TestClearCaches:
                   for obj in vars(module).values()
                   if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
                   and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"_gen_power", "_iter_integral", "_monomial_split",
-                                                "_residue_certificate", "_full_rank_floor", "_eichler_poly",
+        assert {c.__name__ for c in caches} == {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split",
+                                                "_residue_certificate", "_rank_floor", "_eichler_poly",
                                                 "_minus_log_disc"}
         assert all(c.cache_info().currsize for c in caches)
         iterqm.clear_caches()
@@ -1008,8 +1070,8 @@ class TestClearCaches:
         modules = [importlib.import_module(f"iterqm.{info.name}") for info in pkgutil.iter_modules(iterqm.__path__)]
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
-        assert {c.__name__ for c in caches} >= {"_gen_power", "_iter_integral", "_monomial_split",
-                                                "_residue_certificate", "_full_rank_floor", "build_parser",
+        assert {c.__name__ for c in caches} >= {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split",
+                                                "_residue_certificate", "_rank_floor", "build_parser",
                                                 "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches

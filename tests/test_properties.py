@@ -222,7 +222,7 @@ def rational_matrices(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(rational_matrices())
-def test_rational_rank_matches_elimination(rows):
+def test_exact_rank_matches_elimination(rows):
     # the rank over Q by _exact_rank, each row scaled to integers by the lcm of its denominators
     scales = [lcm(*(F(x).denominator for x in row)) for row in rows]
     assert _exact_rank([[int(F(x) * s) for x in row] for row, s in zip(rows, scales)]) == reference_rank(rows)
@@ -290,6 +290,7 @@ def integral_families(draw):
 @example(([(ONE, E4), (E6,), (ONE, CLOSE_TO_E4)], [E2, ONE, E2]), 9)
 @example(([(E4,), (E6,), (E4 + E6,)], [ONE] * 3), 6)
 @example(([(E4,), (E6, ONE), (E4 + E6,), (E6,), (E4, ONE)], [E2, ONE, E2, E2, ONE]), 5)
+@example(([(derive(E4),), (), (E6, derive(E4)), (), (E6, ONE)], [ONE, ONE, E2, E4, E2]), 7)  # I(D(E4)) = 1 - E4
 def test_independence_rank_matches_exact_rows(family, trunc):
     words, multipliers = family
     assert independence_rank(words, multipliers, trunc) == reference_rank(exact_rank_rows(words, multipliers, trunc))

@@ -47,6 +47,15 @@ def test_bernoulli_matches_mpmath():
     assert [bernoulli(n) for n in range(61)] == [F(*mpmath.bernfrac(n)) for n in range(61)]
 
 
+def test_bernoulli_is_kept_per_int():
+    # each B_n is built once; a float n is its own key and still fails, as the recurrence takes an int
+    bernoulli.cache_clear()
+    assert bernoulli(12) == bernoulli(12) == F(-691, 2730)
+    assert bernoulli.cache_info().hits == 1
+    with pytest.raises(TypeError):
+        bernoulli(12.0)
+
+
 def test_bernoulli_odd_vanish():
     assert all(bernoulli(n) == 0 for n in (3, 5, 7, 9, 11))
 

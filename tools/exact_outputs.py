@@ -10,7 +10,8 @@ under DIR (default: this checkout's ``src``).  For each of the 150
 index, the SHA-256 of each output and the expression.  For each ``certify``
 operation it prints the operation's index, its truncation N, the
 ``independence_rank`` of its family, the DEBUG line that
-``iterqm.canonicalize`` logs for it (its truncation and route), and the
+``iterqm.canonicalize`` logs for it (its truncation and route; the
+``ibp_*`` lines of a kernel proved by ``reduce_letters`` are left out), and the
 rank again after ``iterqm.clear_caches()``: the first reads what earlier
 operations left in the caches, the second starts from empty ones.  The
 seed only shuffles the rows of each family and no printed field depends
@@ -195,9 +196,11 @@ def main() -> int:
             print(i, hashlib.sha256(repr(terms).encode()).hexdigest(), text, sep="\t")
         return 0
     if args.workload == "certify":
-        routes = io.StringIO()  # the DEBUG lines of iterqm.canonicalize, one per rank
+        routes = io.StringIO()  # the route lines of iterqm.canonicalize at DEBUG, one per rank
         logger = logging.getLogger("iterqm.canonicalize")
-        logger.addHandler(logging.StreamHandler(routes))
+        handler = logging.StreamHandler(routes)
+        handler.addFilter(lambda record: record.msg.startswith("rank"))  # not reduce_letters' ibp_* lines
+        logger.addHandler(handler)
         logger.setLevel(logging.DEBUG)
         workload = Certify()
         for i, op in enumerate(workload.inputs(args.seed, 1)):
