@@ -13,16 +13,19 @@ inverts ``D`` with the normalization that the coefficient of ``q^0 L^0``
 vanishes; this is the regularization used for all integrals downstream.
 
 All arithmetic is exact over the rationals: a series stores integer
-numerators over one positive denominator shared by all its log-parts, and
+numerators over one positive denominator shared by all its log-parts;
 :class:`~fractions.Fraction` appears only where values come in (the
-constructor) and go out (:meth:`LogQSeries.coefficient`); this module
-has no floating point.  A series with a prime ``modulus`` is the same
-series over Z/p: its numerators are residues, the denominator folded in,
-and :func:`primitive` multiplies by inverses of 1..N mod p (exact rank
-certificates read their rows this way).  Numeric values are taken in
-:func:`iterqm.cocycles.eval_numeric`.  Series are multiplied on integers
-(Kronecker substitution): each log-part is packed into one big integer,
-``2^b`` per coefficient, and each pair of parts is multiplied once.
+constructor) and go out (:meth:`LogQSeries.coefficient`), and floating
+point only in :func:`iterqm.cocycles.eval_numeric`, outside this module.
+A series with a prime ``modulus`` is the same series over Z/p: its
+numerators are residues, the denominator folded in, and :func:`primitive`
+multiplies by inverses of 1..N mod p (exact rank certificates read their
+rows this way).  The constructors, sums, scaling and :func:`d_op`
+normalize what they build; mod p, the product, negation and
+:func:`primitive` store the residues they compute, each reduced once.
+Series are multiplied on integers (Kronecker substitution): each log-part
+is packed into one big integer, ``2^b`` per coefficient, and each pair of
+parts is multiplied once.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class LogQSeries:
 
     ``modulus`` is 0 for a series over Q, or a prime p for its image over
     Z/p, made by :meth:`modulo`: then ``den`` is 1 and the numerators are
-    residues in [0, p).  A denominator divisible by p raises
+    residues in [0, p), which the product, negation and :func:`primitive`
+    store as they compute them.  A denominator divisible by p raises
     ZeroDivisionError, and operations mixing two rings raise ValueError.
     """
 
@@ -90,8 +94,8 @@ class LogQSeries:
         self._set(trunc, den, numerators)
 
     def _set(self, trunc: int, den: int, parts: dict[int, tuple[int, ...]], modulus: int = 0) -> None:
-        """Store the series, dropping zero parts and cancelling common factors;
-        modulo a prime, the numerators times den^-1 are reduced instead."""
+        """Normalize and store, for the constructors (modulo, constant, scale, expand), sums and d_op: drop zero parts
+        and cancel common factors, or modulo a prime reduce the numerators times den^-1."""
         if modulus:
             if den % modulus == 0:
                 raise ZeroDivisionError(f"denominator {den} is not invertible mod {modulus}")
@@ -107,10 +111,11 @@ class LogQSeries:
                 parts = {k: tuple(x // g for x in p) for k, p in parts.items()}
         self._store(trunc, den, parts, modulus)
 
-    def _store(self, *fields) -> None:
-        """Store trunc, den, parts and modulus as they are: a normalized series."""
+    def _store(self, *fields) -> "LogQSeries":
+        """Store the fields as they are and return the series: normalized already, as mod-p products compute them."""
         for name, value in zip(LogQSeries.__slots__, fields):
             object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def _of(cls, trunc: int, den: int, parts: dict[int, tuple[int, ...]], modulus: int = 0) -> "LogQSeries":
@@ -206,12 +211,9 @@ class LogQSeries:
         return self + (-other)
 
     def __neg__(self) -> "LogQSeries":
-        parts = {k: tuple(map(int.__neg__, p)) for k, p in self.parts.items()}
-        if self.modulus:
-            return LogQSeries._of(self.trunc, self.den, parts, self.modulus)
-        neg = object.__new__(LogQSeries)  # over Q, -x keeps every part nonzero and den coprime to the numerators
-        neg._store(self.trunc, self.den, parts, 0)
-        return neg
+        m = self.modulus  # -x over Q, and p - x mod p for x != 0, keep every part nonzero and the series normalized
+        parts = {k: tuple(x and m - x for x in p) if m else tuple(map(int.__neg__, p)) for k, p in self.parts.items()}
+        return object.__new__(LogQSeries)._store(self.trunc, self.den, parts, m)
 
     def __mul__(self, other) -> "LogQSeries":
         if not isinstance(other, LogQSeries):
@@ -246,10 +248,23 @@ class LogQSeries:
             a = pack(p)
             for k2, b in packed_b.items():
                 sums[k1 + k2] = sums.get(k1 + k2, 0) + a * b
-        mask, half, low = (1 << bits) - 1, 1 << (bits - 1), (1 << bits * (n + 1)) - 1
+        mask, half, low = (1 << bits) - 1, 1 << (bits - 1), (1 << bits * (n + 1)) - 1  # slots above q^n: not needed
+        if modulus:  # no slot is negative: one to_bytes of the sum gives every slot, each reduced once
+            size, parts = bits // 8, {}
+            high = {9: "B", 10: "H", 12: "I", 16: "Q"}.get(size)  # struct reads the slot as 8 low bytes and the rest
+            for k, packed in sums.items():
+                data = (packed & low).to_bytes(size * (n + 1), "little")
+                if high:
+                    u = iter(struct.unpack("<" + ("Q" + high) * (n + 1), data))
+                    r = tuple([(lo + (hi << 64)) % modulus for lo, hi in zip(u, u)])
+                else:
+                    r = tuple(int.from_bytes(data[i : i + size], "little") % modulus for i in range(0, len(data), size))
+                if any(r):  # a part that vanishes mod p is dropped
+                    parts[k] = r
+            return object.__new__(LogQSeries)._store(n, 1, parts, modulus)
         parts = {}
         for k, packed in sums.items():
-            packed &= low  # the slots above q^n are not needed
+            packed &= low
             out = []
             for _ in range(n + 1):
                 slot = packed & mask
@@ -312,7 +327,7 @@ def primitive(f: LogQSeries) -> LogQSeries:
         for k in range(max(parts, default=-1), -1, -1):  # the q^m for m >= 1, an L-part at a time
             rhs = map(int.__sub__, parts.get(k, zero), map((k + 1).__mul__, out.get(k + 1, zero)))
             out.setdefault(k, [0] * (n + 1))[1:] = islice(map(modulus.__rmod__, map(int.__mul__, rhs, inv)), 1, None)
-        return LogQSeries._of(n, 1, {k: tuple(a) for k, a in out.items()}, modulus)
+        return object.__new__(LogQSeries)._store(n, 1, {k: tuple(a) for k, a in out.items() if any(a)}, modulus)
     highest = {m: k for k in sorted(parts) for m in compress(range(1, n + 1), parts[k][1:])}  # q^m's top L-power
     scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]), *(m ** (j + 1) for m, j in highest.items()))
     out = {k + 1: [scale * p[0] // (k + 1)] + [0] * n for k, p in parts.items()}  # a_0 = 0 by normalization

@@ -10,6 +10,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from fractions import Fraction as F
+from itertools import product
 from math import isqrt, lcm
 
 import pytest
@@ -33,7 +34,9 @@ from iterqm.expr import parse
 from iterqm.iterint import BarWord, IntegralPoly, iter_integral
 from iterqm.linear import _accumulate
 from iterqm.qseries import LogQSeries
-from iterqm.quasimodular import E2, E4, E6, ONE, ZERO, QMPoly, decompose, derive, expand, is_basis_letter
+from iterqm.quasimodular import (
+    E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter, letter_sort_key,
+)
 from iterqm.shuffle_lyndon import LyndonPoly, is_lyndon, shuffle
 from test_quasimodular import reference_gauss_jordan
 
@@ -1039,6 +1042,56 @@ class TestCertificateAcrossTruncations:
         assert rank == 1 and len(kernel) == n - 1
         assert all(len(v) == 2 and v[-1] == (n - 1, F(-1)) for v in kernel)
         assert sorted(v[0] for v in kernel) == [(i, F(1)) for i in range(n - 1)]
+
+
+def graded_piece(weight: int, length: int) -> tuple[list[BarWord], list[QMPoly]]:
+    """The rows m * I(w) of the I^QM graded piece: each word w of 1 to ``length`` letters over
+    basis_b(weight) with wt(w) <= weight, times each monomial E2^a E4^b E6^c of weight weight - wt(w)."""
+    words, multipliers = [], []
+    for word in (w for j in range(1, length + 1) for w in product(basis_b(weight), repeat=j)):
+        rest = weight - sum(letter_sort_key(l)[0] for l in word)
+        for a in range(rest // 2 + 1):
+            for b in range((rest - 2 * a) // 4 + 1):
+                if (rest - 2 * a - 4 * b) % 6 == 0:
+                    words.append(word)
+                    multipliers.append(E2**a * E4**b * E6 ** ((rest - 2 * a - 4 * b) // 6))
+    return words, multipliers
+
+
+def graded_piece_size(weight: int, length: int) -> int:
+    """sum over the words w of the piece of dim QM_(weight - wt w), by a closed formula: dim M_k =
+    floor(k/12) + (k != 2 mod 12) for even k >= 0, dim QM_k = sum_i dim M_(k-2i), and basis_b has one
+    letter of weight 0, one of weight 2 and dim M_k of each weight k >= 4."""
+    dim_m = [k // 12 + (k % 12 != 2) if k % 2 == 0 else 0 for k in range(weight + 1)]
+    dim_qm = [sum(dim_m[k - 2 * i] for i in range(k // 2 + 1)) if k % 2 == 0 else 0 for k in range(weight + 1)]
+    letters = [1, 0, 1] + dim_m[3:]  # letters of each weight
+    words, total = [1] + [0] * weight, 0  # words of each weight, of the length reached
+    for _ in range(length):
+        words = [sum(words[w - v] * letters[v] for v in range(w + 1)) for w in range(weight + 1)]
+        total += sum(words[w] * dim_qm[weight - w] for w in range(weight + 1))
+    return total
+
+
+class TestGradedPiece:
+    """The paper's theorem on a whole graded piece of I^QM: the rows m * I(w) of weight 12 and
+    length <= 3 are independent, and a planted relation drops the rank by exactly one.  Ranked
+    from empty caches in one pass mod p, to q^124 and q^126, so that products of 125 and 127
+    slots are read."""
+
+    def test_full_rank(self, moduli, caplog):
+        words, multipliers = graded_piece(12, 3)
+        assert len(words) == graded_piece_size(12, 3) == 248
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        assert independence_rank(words, multipliers, 124) == 248
+        assert moduli == [P] and caplog.messages == ["rank 248 at q^124 of q^124: full rank"]
+
+    def test_planted_relation(self, moduli, caplog):
+        # I(D(E4)) - 1 * I() + E4 * I() = 0, the relation the certify workload plants
+        words, multipliers = graded_piece(12, 3)
+        words, multipliers = words + [(derive(E4),), (), ()], multipliers + [ONE, ONE, E4]
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        assert independence_rank(words, multipliers, 126) == 250
+        assert moduli == [P] and caplog.messages[-1] == "rank 250 at q^126 of q^126: kernel of 1 an identity"
 
 
 class TestClearCaches:

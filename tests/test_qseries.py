@@ -398,33 +398,57 @@ class TestResidues:
                               for k in rng.sample(range(4), rng.randint(0, 3))})
 
     def test_reduction_is_a_ring_homomorphism(self):
+        # the product, negation and primitive mod p store their residues unchecked: each must be normalized;
+        # mod 2^61 - 1 a product's slots have 16 bytes while its pairs of parts times n + 1 are at most 16, else 17
         rng = random.Random(51)
-        for _ in range(100):
-            n = rng.randint(0, 10)
-            a, b = self.random_series(rng, n), self.random_series(rng, rng.randint(0, 10))
-            ap, bp = a.modulo(P), b.modulo(P)
-            assert ap.den == 1 and all(0 <= x < P for p in ap.parts.values() for x in p)
-            c = a.coefficient(n, 0)
-            assert ap.coefficient(n, 0) == c.numerator * pow(c.denominator, -1, P) % P
-            assert (a * b).modulo(P) == ap * bp == schoolbook(a, b).modulo(P)
-            assert (a + b).modulo(P) == ap + bp and (a - b).modulo(P) == ap - bp
-            assert primitive(a).modulo(P) == primitive(ap)
-            assert d_op(a).modulo(P) == d_op(ap)
-            assert a.scale(F(-3, 7)).modulo(P) == ap.scale(F(-3, 7)) == ap * F(-3, 7)
+        for p in (P, 2**61 - 1):
+            for _ in range(100):
+                n = rng.randint(0, 10)
+                a, b = self.random_series(rng, n), self.random_series(rng, rng.randint(0, 10))
+                ap, bp = a.modulo(p), b.modulo(p)
+                assert ap.den == 1 and all(0 <= x < p for part in ap.parts.values() for x in part)
+                c = a.coefficient(n, 0)
+                assert ap.coefficient(n, 0) == c.numerator * pow(c.denominator, -1, p) % p
+                assert (a * b).modulo(p) == ap * bp == schoolbook(a, b).modulo(p)
+                assert (a + b).modulo(p) == ap + bp and (a - b).modulo(p) == ap - bp
+                assert (-a).modulo(p) == -ap and primitive(a).modulo(p) == primitive(ap)
+                assert all(map(is_normalized, (ap * bp, bp * ap, -ap, primitive(ap), primitive(-bp))))
+                assert d_op(a).modulo(p) == d_op(ap)
+                assert a.scale(F(-3, 7)).modulo(p) == ap.scale(F(-3, 7)) == ap * F(-3, 7)
 
-    @pytest.mark.parametrize("n", [20, 30, 40])
+    @pytest.mark.parametrize("n", [20, 30, 40, 100, 300])
     def test_agreement_at_certify_sizes(self, n):
-        # residues sit near p for the prime just above the truncation (41 at N = 40); a prime
-        # beyond 2^32 has its residues packed whole
+        # residues sit near p for the prime just above the truncation (41 at N = 40); a product's slots
+        # have 9 or 10 bytes mod P, 11 or 12 mod 2^40 - 87 and 17 mod 2^61 - 1, and a prime beyond 2^32
+        # has its residues packed whole; every result mod p must be normalized
         rng = random.Random(n)
-        for p in (P, next(q for q in range(n + 1, 2 * n + 2) if all(q % d for d in range(2, q))), 2**61 - 1):
+        for p in (P, next(q for q in range(n + 1, 2 * n + 2) if all(q % d for d in range(2, q))), 2**40 - 87,
+                  2**61 - 1):
             for _ in range(4):
                 a, b = (LogQSeries(n, {k: [F(rng.randint(-10**6, 10**6), rng.choice([1, 2, 3, 7, 9, 11, 13]))
                                            for _ in range(n + 1)] for k in rng.sample(range(5), rng.randint(1, 5))})
                         for _ in range(2))
                 ap, bp = a.modulo(p), b.modulo(p)
-                assert a.log_degree() <= 4 and (a * b).modulo(p) == ap * bp
-                assert primitive(a).modulo(p) == primitive(ap) and primitive(b).modulo(p) == primitive(bp)
+                assert a.log_degree() <= 4
+                for got, want in ((ap * bp, (a * b).modulo(p)), (-bp, (-b).modulo(p)),
+                                  (primitive(ap), primitive(a).modulo(p)), (primitive(bp), primitive(b).modulo(p))):
+                    assert got == want and is_normalized(got)
+
+    def test_parts_that_vanish_mod_p_are_dropped(self):
+        # (1 + q^2 L) * (c + d q^2 L) = c + (c + d) q^2 L + O(q^4): with c + d = p the L-part vanishes mod p
+        # but not over Q, in a slot read whole (mod 7) or by struct (mod P)
+        for p in (7, P):
+            a, b = LogQSeries(3, {0: [1], 1: [0, 0, 1]}), LogQSeries(3, {0: [p - 1], 1: [0, 0, 1]})
+            assert (a * b).parts.keys() == {0, 1}
+            for prod in (a.modulo(p) * b.modulo(p), b.modulo(p) * a.modulo(p)):
+                assert prod == (a * b).modulo(p) == LogQSeries.constant(p - 1, 3, p) and is_normalized(prod)
+        # D(q L^2 + 7 q L - 7 q) = q L^2 + 9 q L: mod 7 the primitive's L and L^0 parts vanish
+        f = LogQSeries(1, {2: [0, 1], 1: [0, 9]})
+        assert primitive(f) == LogQSeries(1, {2: [0, 1], 1: [0, 7], 0: [0, -7]})
+        assert primitive(f.modulo(7)) == LogQSeries(1, {2: [0, 1]}).modulo(7) and is_normalized(primitive(f.modulo(7)))
+        # q^0 coefficient 7: the L-part 7 L of the primitive vanishes mod 7
+        g = primitive(LogQSeries(2, {0: [7, 1, 2]}).modulo(7))
+        assert g == LogQSeries(2, {0: [0, 1, 1]}).modulo(7) and g.parts.keys() == {0} and is_normalized(g)
 
     def test_primitive_by_a_multiple_of_p_raises(self):
         # the division by 7 occurs: 7 has no inverse mod 7, so primitive raises
