@@ -64,12 +64,14 @@ def __getattr__(name: str):
 
 
 def clear_caches() -> None:
-    """Empty every functools cache, each bounded, defined in a loaded :mod:`iterqm` module;
-    :mod:`iterqm.cocycles` is not loaded for it.  Results stay the same."""
+    """Empty every cache, each bounded, defined in a loaded :mod:`iterqm` module: the functools
+    caches and the rank proofs, :data:`iterqm.canonicalize._proofs`; :mod:`iterqm.cocycles` is
+    not loaded for it.  Results stay the same."""
     for name, module in list(sys.modules.items()):
         if name.startswith(f"{__name__}."):
             for obj in vars(module).values():
-                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                if (hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name
+                        and not isinstance(obj, type)):  # the class of the rank proofs is no cache
                     obj.cache_clear()
 
 

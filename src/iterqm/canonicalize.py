@@ -12,32 +12,16 @@ rewrites the combination by leading-word reduction.
 
 Soundness is checkable: re-expanding the output reproduces the input
 series exactly at any truncation.  :func:`independence_rank` gives the
-exact rank of the truncated expansions of families of such integrals, on
-rows built modulo a fixed prime p from the integer numerators of letters
-and multipliers (each the exact row times a positive integer), to q^t for
-t = 2*ceil(n/(1+l)) (n rows of words of length <= l); they are read
-L-part by L-part in one pass of :func:`_pivot_rows` mod p that gives the
-rank and the kernel, zero columns passed over: a row's L^k part for
-k >= 1, the letters' cusp values times the multiplier, is of low rank and
-read last.  That certificate, the rank and the kernel lifted to Q, is kept
-per (t, multipliers, words), so a family ranked again at another
-truncation with the same t builds no residue row and eliminates nothing.
-Truncation is a linear map, so full rank at any truncation proves the
-integrals linearly independent over Q, and gives full rank at every higher
-one; so does a kernel that :func:`reduce_letters` rewrites to nothing, a
-set of identities: the lowest truncation whose certificate gave either is
-kept with the rank, and answers every call at or above it.  Any other
-deficiency is one at that truncation only, proved by the kernel, lifted to
-Q and checked on exact series of the rows it involves.  Should that fail,
-the certificate at q^N, made and kept the same way, is read and checked;
-only if it fails too does :func:`_exact_rank` eliminate the exact rows over Q.
+exact rank of the truncated expansions of families of such integrals, by
+certificates mod a fixed prime p, the rank and the kernel lifted to Q and
+checked exactly; each family keeps its proof, whatever its row order.
 """
 
 from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from math import gcd, isqrt, prod
 from typing import Iterable, Mapping, Sequence
@@ -273,25 +257,25 @@ def _exact_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def _certificate(columns: list[Sequence[int]]) -> tuple[int, tuple[tuple[tuple[int, Fraction], ...], ...] | None]:
+def _certificate(columns: list[Sequence[int]], rows: Sequence) -> tuple[int, tuple[dict, ...] | None]:
     """The rank mod _RANK_PRIME of some columns of a matrix A, and the rational lifts of its kernel.
 
-    Each column lists A's entries from its last row up.  One Gauss-Jordan pass mod p,
-    which stops once all n rows have a pivot, gives the rank r mod p of those columns,
-    never above A's rank over Q.  Below n, the null space holds n - r independent v that
-    vanish on them mod p, in reduced row echelon form as the rows are reversed; each is
-    lifted to Q and kept as its nonzero (row, lift) pairs in order of row, or the kernel
-    is None if an entry does not lift.  The rank over Q is r if r reaches A's column
-    count, or if each lifted v checks exactly: v*A = 0.
+    Each column lists A's entries from its last row up; ``rows`` names A's rows, first to last.
+    One Gauss-Jordan pass mod p, which stops once all n rows have a pivot, gives the rank r mod p
+    of those columns, never above A's rank over Q.  Below n, the null space holds n - r independent
+    v that vanish on them mod p, in reduced row echelon form as the rows are reversed; each is
+    lifted to Q and kept as its nonzero lifts by row name, in order of row, or the kernel is None
+    if an entry does not lift.  The rank over Q is r if r reaches A's column count, or if each
+    lifted v checks exactly: v*A = 0.
     """
     found, n = _pivot_rows(columns, _RANK_PRIME)  # pivot rows mod p, negated
     kernel = []
     for free in sorted(set(range(n)).difference(c for c, _, _ in found), reverse=True):
         v = {free: 1, **{c: negated[free] for c, negated, _ in found}}
-        lifts = sorted((n - 1 - c, _rational_lift(u)) for c, u in v.items() if u)
-        if any(lift is None for _, lift in lifts):
+        lifts = {rows[n - 1 - c]: _rational_lift(v[c]) for c in sorted(v, reverse=True) if v[c]}
+        if None in lifts.values():
             return len(found), None
-        kernel.append(tuple(lifts))
+        kernel.append(lifts)
     return len(found), tuple(kernel)
 
 
@@ -304,21 +288,37 @@ def _columns(series: Sequence[LogQSeries], trunc: int) -> list[tuple[int, ...]]:
     return [column for part in parts for column in part]
 
 
-_CERTIFICATE_CACHE_SIZE = 64  #: certificates per family and t, floors (full rank or identities) per family; 14 a round
+def _residue_certificate(rows: Sequence[tuple[QMPoly, BarWord]], t: int) -> tuple:
+    """The :func:`_certificate` of the rows (multiplier, word), multiplier * I(word) mod _RANK_PRIME
+    to q^t, multipliers expanded once."""
+    expanded = {m: expand(m, t, _RANK_PRIME) for m in dict.fromkeys(m for m, _ in rows)}
+    series = (expanded[m] * iter_integral(w, t, _RANK_PRIME) for m, w in rows)
+    return _certificate(_columns(list(series), t), rows)  # the rows are freed before the elimination
 
 
-@lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
-def _residue_certificate(t: int, multipliers: tuple[QMPoly, ...], words: tuple[BarWord, ...]) -> tuple:
-    """The :func:`_certificate` of the rows multiplier * I(word) mod _RANK_PRIME to q^t, multipliers expanded once."""
-    expanded = {m: expand(m, t, _RANK_PRIME) for m in dict.fromkeys(multipliers)}
-    rows = (expanded[m] * iter_integral(w, t, _RANK_PRIME) for m, w in zip(multipliers, words))
-    return _certificate(_columns(list(rows), t))  # the rows are freed before the elimination
+class _Proofs(dict):
+    """Rank proofs by family, the frozenset of its distinct rows (multiplier, word), whatever
+    their order: the floor (s, r), the lowest truncation s whose certificate proved the rank r
+    at every N >= s, and the certificate at q^t0, each None until found.  At most ``maxsize``
+    families, the least recently used dropped first; :func:`iterqm.clear_caches` empties it."""
+
+    maxsize = 64  # 14 families a certify round
+
+    def read(self, key: frozenset) -> tuple:  # the family's (floor, certificate), now the most recently used
+        if (proof := self.pop(key, None)) is None:
+            return None, None
+        self[key] = proof
+        return proof
+
+    def keep(self, key: frozenset, floor: tuple | None, certificate: tuple | None) -> None:
+        self[key] = floor, certificate
+        if len(self) > self.maxsize:
+            del self[next(iter(self))]
+
+    cache_clear = dict.clear
 
 
-@lru_cache(maxsize=_CERTIFICATE_CACHE_SIZE)
-def _rank_floor(multipliers: tuple[QMPoly, ...], words: tuple[BarWord, ...]) -> list[int]:
-    """The lowest truncation s whose certificate proved the family's rank r at every N >= s, as [s, r], or empty."""
-    return []
+_proofs = _Proofs()
 
 
 def independence_rank(
@@ -328,33 +328,16 @@ def independence_rank(
 ) -> int:
     """Exact rank of the multiplied integrals' coefficient vectors.
 
-    Each series expand(multiplier) * integral(word) is a row over the q^m L^k
-    grid (m <= trunc, k up to the longest word, l), read column by column: the
-    q-powers of L^0, then of L^1 and so on, zero columns passed over.
-    Truncation is a linear map, so full rank proves the family's functions
-    Q-linearly independent; a lower rank is a deficiency at this truncation
-    only, which a higher one may lift.  Letters and multipliers enter by their
-    integer numerators, each row times a positive integer, so no denominator
-    meets p.  The n rows are built mod a fixed prime p to q^t for t =
-    min(trunc, 2*ceil(n/(1+l))), each multiplier expanded once, and
-    eliminated there to a certificate, the rank mod p and the kernel lifted
-    to Q (see :func:`_certificate`), cached by (t, multipliers, words): a call
-    at another trunc with the same t builds no residue row and eliminates
-    nothing.  Those columns are some of those at trunc, so full rank is the
-    answer.  A kernel vector c is an identity if :func:`reduce_letters`, which
-    rewrites by exact identities only, turns sum c_i * multiplier_i * I(word_i)
-    into nothing; it is tried if the words' products of letter monomial counts
-    sum to at most the width, the coefficients of an exact row.  Otherwise
-    each call checks the kernel on the exact rows to q^trunc that it
-    involves.  Should the kernel not lift or check, the certificate at
-    q^trunc, kept the same way, is read and checked in turn; only if it fails
-    too does :func:`_exact_rank` eliminate the exact rows over Q.  Each exact
-    row is built at most once per call.  The lowest truncation s whose
-    certificate, at q^t or q^trunc, reached rank n or had a kernel of
-    identities is kept with its rank r per (multipliers, words), so a call at
-    trunc >= s returns r and builds and eliminates nothing; a kernel checked
-    on exact rows, or a rank that is only the width, sets none.  A DEBUG line
-    names the truncation and route.
+    Each series expand(multiplier) * integral(word) is a row over the q^m L^k grid (m <= trunc,
+    k up to the longest word, l), read L-part by L-part.  Letters and multipliers enter by their
+    integer numerators, each row times a positive integer; equal rows count once.  The n distinct
+    rows are certified mod p (see :func:`_certificate`) to q^t for t = min(trunc, t0), t0 =
+    2*ceil(n/(1+l)), then to q^trunc.  A certificate decides if its rank is the width, or if each
+    kernel vector is an identity (:func:`reduce_letters` rewrites it to nothing; tried within the
+    width) or checks on the exact rows to q^trunc; else :func:`_exact_rank` eliminates the exact
+    rows.  Truncation is a linear map: full rank at q^s, or a kernel of identities, gives the rank
+    at every N >= s.  The lowest such s, with its rank, and the certificate at q^t0 are kept per
+    family in :data:`_proofs`.  A DEBUG line names the truncation and route.
     """
     if trunc < 0:
         raise ValueError("truncation order must be >= 0")
@@ -365,40 +348,50 @@ def independence_rank(
     # the integral is linear in each letter: numerators multiply a row by a positive integer
     words = tuple(tuple(l if l.den == 1 else QMPoly._of(dict(l.nums)) for l in _as_word(word)) for word in words)
     multipliers = tuple(m if m.den == 1 else QMPoly._of(dict(m.nums)) for m in multipliers)
-    n, longest = len(words), max(map(len, words), default=0)
+    key = frozenset(zip(multipliers, words))  # the family, whatever its row order
+    n = len(key)  # a repeated row adds nothing to the rank
 
     def proved(s: int, rank: int) -> int:  # the rank at every N >= s
         logger.debug("rank %d at q^%d of q^%d: %s", rank, s, trunc,
                      "full rank" if rank == n else f"kernel of {n - rank} an identity")
         return rank
 
-    if (floor := _rank_floor(multipliers, words)) and floor[0] <= trunc:  # q^s's columns are some of q^trunc's
+    floor, kept = _proofs.read(key)
+    if floor and floor[0] <= trunc:  # q^s's columns are some of q^trunc's
         return proved(*floor)
+    rows = list(dict.fromkeys(zip(multipliers, words)))  # in the caller's order
+    longest = max((len(w) for _, w in rows), default=0)
     expanded: dict[QMPoly, LogQSeries] = {}  # a few multipliers serve many rows
-    exact: dict[int, LogQSeries] = {}  # rows over Q to q^trunc, each built once
+    exact: dict[tuple[QMPoly, BarWord], LogQSeries] = {}  # rows over Q to q^trunc, each built once
 
-    def row(i: int) -> LogQSeries:  # the exact row to q^trunc
-        if (s := exact.get(i)) is None:
-            if (m := multipliers[i]) not in expanded:
+    def row(r: tuple[QMPoly, BarWord]) -> LogQSeries:  # the exact row to q^trunc
+        if (s := exact.get(r)) is None:
+            if (m := r[0]) not in expanded:
                 expanded[m] = expand(m, trunc)
-            s = exact[i] = expanded[m] * iter_integral(words[i], trunc)
+            s = exact[r] = expanded[m] * iter_integral(r[1], trunc)
         return s
 
-    def is_kernel(lifts: Sequence[tuple[int, Fraction]]) -> bool:
+    def is_kernel(v: dict) -> bool:
         total = LogQSeries.zero(trunc)
-        for i, c in lifts:
-            total = total + row(i).scale(c)
+        for r, c in v.items():
+            total = total + row(r).scale(c)
         return total.is_zero()
 
-    def is_identity(lifts: Sequence[tuple[int, Fraction]]) -> bool:  # tried only within the width
-        return (sum(prod(len(l.nums) for l in words[i]) for i, _ in lifts) <= width
-                and not reduce_letters(_accumulate({}, ((words[i], multipliers[i] * c) for i, c in lifts))))
+    def is_identity(v: dict) -> bool:  # tried only within the width
+        return (sum(prod(len(l.nums) for l in w) for _, w in v) <= width
+                and not reduce_letters(_accumulate({}, ((w, m * c) for (m, w), c in v.items()))))
 
-    width, t = (trunc + 1) * (1 + longest), min(trunc, 2 * -(-n // (1 + longest)))
-    for t in dict.fromkeys((t, trunc)):  # the kept certificate at q^t, then at q^trunc
-        rank, kernel = _residue_certificate(t, multipliers, words)
+    width, t0 = (trunc + 1) * (1 + longest), 2 * -(-n // (1 + longest))
+    for t in dict.fromkeys((min(trunc, t0), trunc)):  # q^t0 or a lower q^trunc, then q^trunc
+        if t != t0:
+            rank, kernel = _residue_certificate(rows, t)
+        elif kept:
+            rank, kernel = kept
+        else:
+            rank, kernel = kept = _residue_certificate(rows, t)
+            _proofs.keep(key, floor, kept)
         if kernel is not None and all(map(is_identity, kernel)):  # rank n, or n - rank identities: rank from q^t up
-            floor[:] = [t, rank]  # below the floor, if any
+            _proofs.keep(key, (t, rank), kept)  # below the floor, if any
             return proved(t, rank)
         if rank == width or kernel is not None and all(map(is_kernel, kernel)):
             route = "full rank" if rank == width else f"kernel of {n - rank} checked, {len(exact)} rows exact"
@@ -406,4 +399,4 @@ def independence_rank(
             return rank
     logger.debug("rank at q^%d: exact rows, the kernel did not lift or check", trunc)
     # the columns of numerators, each row times its denominator, have the rows' rank
-    return _exact_rank(_columns([row(i) for i in range(n)], trunc))
+    return _exact_rank(_columns([row(r) for r in rows], trunc))

@@ -451,8 +451,8 @@ def certified_rank(columns: list[tuple[int, ...]], ncols: int, is_kernel) -> int
     """The rank the _certificate of the columns proves, as independence_rank reads it, or None:
     each kernel vector is handed to ``is_kernel`` dense, in order of row, as the reference hands it."""
     n = len(columns[0]) if columns else 0
-    rank, kernel = _certificate(columns)
-    checks = (is_kernel([dict(lifts).get(i, F(0)) for i in range(n)]) for lifts in kernel or ())
+    rank, kernel = _certificate(columns, range(n))  # rows named by index
+    checks = (is_kernel([lifts.get(i, F(0)) for i in range(n)]) for lifts in kernel or ())
     return rank if rank == ncols or kernel is not None and all(checks) else None
 
 
@@ -839,7 +839,7 @@ class TestFirstTruncation:
             "rank 2 at q^20 of q^20: full rank",
             "rank 1 at q^2 of q^3: kernel of 1 checked, 2 rows exact",
             "rank at q^10: exact rows, the kernel did not lift or check",
-            "rank 1 at q^2 of q^10: kernel of 1 an identity",  # the numerators make the rows equal
+            "rank 1 at q^2 of q^10: full rank",  # the numerators make the rows equal: one row
         ]
 
     def test_silent_without_debug(self, caplog):
@@ -987,21 +987,15 @@ class TestCertificateAcrossTruncations:
                     cold.append(independence_rank(words, mults, trunc))
                 assert warm == cold, (words, mults, truncs)
 
-    def test_kept_kernel_fails_at_a_higher_truncation(self, monkeypatch):
+    def test_kept_kernel_fails_at_a_higher_truncation(self, moduli):
         # I(E4) and I(CLOSE) agree to q^3: the kernel (1, -1) found at t = 2 checks at N = 2 and 3 only
         words, mults, truncs = [(E4,), (TestFirstTruncation.CLOSE,)], [ONE, ONE], [2, 20, 3, 4, 12, 5]
-        calls = []
-        real = canonicalize._exact_rank
-        monkeypatch.setattr(canonicalize, "_exact_rank", lambda rows: calls.append(rows) or real(rows))
-        iterqm.clear_caches()
         warm = [independence_rank(words, mults, trunc) for trunc in truncs]
         assert warm == [1, 2, 1, 2, 2, 2]
-        info = canonicalize._residue_certificate.cache_info()
         # t = 2 at N = 2, 20, 3 and 4: eliminated mod p once; at 20 and 4 the kept kernel fails and
-        # the certificate at q^N gives full rank, so 12 and 5, above the floor q^4, read no
-        # certificate, and nothing is eliminated over Q
-        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-        assert calls == []
+        # the certificate at q^N gives full rank, so 12 and 5, above the floor q^4, eliminate
+        # nothing, and nothing is eliminated over Q
+        assert moduli == [P, P, P]
         cold = []
         for trunc in truncs:
             iterqm.clear_caches()
@@ -1013,10 +1007,8 @@ class TestCertificateAcrossTruncations:
         words, mults = self.FAMILIES[0]
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
         assert independence_rank(words, mults, 1) == 5
-        info = canonicalize._residue_certificate.cache_info()
         assert independence_rank(words, mults, 30) == 5
-        assert canonicalize._residue_certificate.cache_info() == info  # no certificate read
-        assert moduli == [P]  # one elimination in all
+        assert moduli == [P]  # one elimination in all: the floor q^1 answers q^30
         assert exact_words == {"words": [], "multipliers": []}
         assert caplog.messages == ["rank 5 at q^1 of q^1: full rank", "rank 5 at q^1 of q^30: full rank"]
 
@@ -1032,16 +1024,24 @@ class TestCertificateAcrossTruncations:
         assert [independence_rank(*constants, trunc) for trunc in (0, 3, 5)] == [1, 2, 2]
 
     @pytest.mark.parametrize("n", [2, 7, 40])
-    def test_equal_rows_keep_linear_size(self, n):
-        # rank 1: n - 1 kernel vectors of two entries each, not n - 1 dense rows of n
-        iterqm.clear_caches()
+    def test_equal_rows_keep_linear_size(self, n, moduli, caplog):
+        # n equal rows are ranked as one: one row to q^2, of full rank, kept as a family of one row
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
         assert independence_rank([(E4,)] * n, [ONE] * n, 30) == 1
-        t = min(30, 2 * -(-n // 2))
-        rank, kernel = canonicalize._residue_certificate(t, (ONE,) * n, ((E4,),) * n)
-        assert canonicalize._residue_certificate.cache_info().hits == 1
-        assert rank == 1 and len(kernel) == n - 1
-        assert all(len(v) == 2 and v[-1] == (n - 1, F(-1)) for v in kernel)
-        assert sorted(v[0] for v in kernel) == [(i, F(1)) for i in range(n - 1)]
+        assert moduli == [P] and caplog.messages == ["rank 1 at q^2 of q^30: full rank"]
+        assert [len(family) for family in canonicalize._proofs] == [1]
+
+    def test_reordered_rows_read_the_same_proof(self, moduli, caplog):
+        # the rows reversed, with the first repeated, are the same family: the kernel kept at
+        # q^4 is read by row and checked again, the floor kept at q^4 answers
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        for words, mults, trunc in [(self.NEAR_WORDS, self.NEAR_MULTIPLIERS, 5), (self.WORDS, self.MULTIPLIERS, 30)]:
+            caplog.clear()
+            ranks = [independence_rank(words, mults, trunc),
+                     independence_rank(words[::-1] + words[:1], mults[::-1] + mults[:1], trunc)]
+            routes = [m for m in caplog.messages if m.startswith("rank")]
+            assert ranks == [4, 4] and len(routes) == 2 and routes[0] == routes[1], routes
+        assert moduli == [P, P]  # one elimination per family
 
 
 def graded_piece(weight: int, length: int) -> tuple[list[BarWord], list[QMPoly]]:
@@ -1105,17 +1105,20 @@ class TestClearCaches:
                     repr(iterqm.cocycle_r(E4, iterqm.cocycles.S, 1j)), repr(iterqm.e2_cocycle((1, 2), 1.3j)))
 
         before = results()
-        # every functools cache in the package but the CLI's one argument parser
-        caches = {obj for name, module in list(sys.modules.items()) if name.split(".")[0] == "iterqm"
-                  for obj in vars(module).values()
-                  if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("iterqm")
-                  and obj.__name__ != "build_parser"}
-        assert {c.__name__ for c in caches} == {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split",
-                                                "_residue_certificate", "_rank_floor", "_eichler_poly",
-                                                "_minus_log_disc"}
-        assert all(c.cache_info().currsize for c in caches)
+        # every functools cache in the package but the CLI's one argument parser, and the rank proofs
+        caches = {name: obj for module_name, module in list(sys.modules.items())
+                  if module_name.split(".")[0] == "iterqm" for name, obj in vars(module).items()
+                  if hasattr(obj, "cache_clear") and not isinstance(obj, type)
+                  and getattr(obj, "__module__", "").startswith("iterqm") and name != "build_parser"}
+        assert set(caches) == {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split", "_proofs",
+                               "_eichler_poly", "_minus_log_disc"}
+
+        def sizes():
+            return [len(c) if c is canonicalize._proofs else c.cache_info().currsize for c in caches.values()]
+
+        assert all(sizes())
         iterqm.clear_caches()
-        assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+        assert sizes() == [0] * len(caches)
         assert results() == before
         assert before[0] == 4
 
@@ -1124,11 +1127,26 @@ class TestClearCaches:
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
         assert {c.__name__ for c in caches} >= {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split",
-                                                "_residue_certificate", "_rank_floor", "build_parser",
-                                                "_eichler_poly", "_minus_log_disc"}
+                                                "build_parser", "_eichler_poly", "_minus_log_disc"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []
+        assert canonicalize._proofs.maxsize == 64  # the rank proofs, bounded by their own store
+
+    def test_rank_proofs_stay_bounded_and_are_emptied(self, moduli):
+        # 70 families of one row, k * I(E4), each settled by a floor at q^1: the 64 last kept
+        families = [([(E4,)], [QMPoly.constant(k)]) for k in range(1, 71)]
+        for family in families[:64]:
+            assert independence_rank(*family, 1) == 1
+        assert independence_rank(*families[0], 1) == 1  # read: now the most recently used
+        for family in families[64:]:
+            assert independence_rank(*family, 1) == 1
+        assert len(canonicalize._proofs) == 64 and len(moduli) == 70
+        kept = [k for k, family in enumerate(families) if frozenset(zip(family[1], family[0])) in canonicalize._proofs]
+        assert kept == [0] + list(range(7, 70))  # families 1 to 6, the least recently used, were dropped
+        assert independence_rank(*families[1], 1) == 1 and len(moduli) == 71  # eliminated again
+        iterqm.clear_caches()
+        assert len(canonicalize._proofs) == 0
 
     def test_numeric_caches_are_emptied_once_loaded_and_never_loaded(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

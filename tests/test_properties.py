@@ -23,8 +23,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule  # noqa: E402
 from mpmath.libmp import dps_to_prec  # noqa: E402
 
+import iterqm  # noqa: E402
 from conftest import ibp, monomials_of_weight, shuffle_combos, shuffle_expand, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import (  # noqa: E402
     _RANK_PRIME, ModularModeError, _exact_rank, canonical_form, independence_rank, reduce_letters,
@@ -294,6 +296,82 @@ def integral_families(draw):
 def test_independence_rank_matches_exact_rows(family, trunc):
     words, multipliers = family
     assert independence_rank(words, multipliers, trunc) == reference_rank(exact_rank_rows(words, multipliers, trunc))
+
+
+def reference_integral(word, trunc, modulus):
+    """iter_integral by its recursion on reference expansions, letter by letter from the last: no integral is cached."""
+    series = LogQSeries.constant(1, trunc, modulus)
+    for letter in reversed(word):
+        series = primitive(-(reference_expand(letter, trunc, modulus) * series))
+    return series
+
+
+TRUNCATIONS = st.lists(st.integers(0, 12), min_size=1, max_size=4)  #: the N at which a rule ranks its family
+
+
+class WarmRanksEqualCold(RuleBasedStateMachine):
+    """Ranks through whatever the caches hold equal ranks from empty caches.
+
+    Drawn families are ranked at one to four drawn N, then ranked again as
+    they are, reversed with a row repeated, with their rows permuted and a
+    row repeated at a drawn place, or with other multipliers, so that what
+    one call keeps is read by another.  Between
+    them, integrals and expansions over Q and mod p fill and evict the series
+    caches, each checked against a reference that shares none of them, and
+    clear_caches() empties everything.  Each rank is compared at the end
+    with the rank of the same call from emptied caches."""
+
+    families = Bundle("families")
+
+    def __init__(self):
+        super().__init__()
+        iterqm.clear_caches()
+        self.ranks = []  # (words, multipliers, N, rank)
+
+    def rank(self, words, multipliers, truncs):
+        for trunc in truncs:
+            self.ranks.append((words, multipliers, trunc, independence_rank(words, multipliers, trunc)))
+
+    @rule(target=families, family=integral_families(), truncs=TRUNCATIONS)
+    def rank_new(self, family, truncs):
+        self.rank(*family, truncs)
+        return family
+
+    @rule(family=families, truncs=TRUNCATIONS, data=st.data(),
+          change=st.sampled_from(["none", "reversed", "permuted", "multipliers"]))
+    def rank_again(self, family, truncs, change, data):
+        rows = list(zip(*family))
+        if change == "reversed":  # and its first row repeated
+            rows = rows[-1:] + rows[::-1]
+        elif change == "permuted":  # and a row repeated
+            rows = data.draw(st.permutations(rows))
+            rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+        elif change == "multipliers":
+            rows = [(w, data.draw(st.sampled_from(FAMILY_MULTIPLIERS))) for w, _ in rows]
+        self.rank([w for w, _ in rows], [m for _, m in rows], truncs)
+
+    @rule(word=st.lists(st.sampled_from(FAMILY_LETTERS), max_size=3), trunc=st.integers(0, 12),
+          modulus=st.sampled_from([0, _RANK_PRIME]))
+    def integral(self, word, trunc, modulus):
+        assert iter_integral(word, trunc, modulus) == reference_integral(word, trunc, modulus)
+
+    @rule(form=st.sampled_from([f for f in FAMILY_LETTERS + FAMILY_MULTIPLIERS if f.den % _RANK_PRIME]),
+          trunc=st.integers(0, 12), modulus=st.sampled_from([0, _RANK_PRIME]))
+    def expansion(self, form, trunc, modulus):
+        assert expand(form, trunc, modulus) == reference_expand(form, trunc, modulus)
+
+    @rule()
+    def clear(self):
+        iterqm.clear_caches()
+
+    def teardown(self):
+        for words, multipliers, trunc, rank in self.ranks:
+            iterqm.clear_caches()
+            assert independence_rank(words, multipliers, trunc) == rank, (words, multipliers, trunc)
+
+
+TestWarmRanksEqualCold = WarmRanksEqualCold.TestCase
+TestWarmRanksEqualCold.settings = settings(derandomize=True, deadline=None, max_examples=40, stateful_step_count=12)
 
 
 def forms(max_weight):
