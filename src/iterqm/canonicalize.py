@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .iterint import BarWord, IntegralPoly, _as_word, iter_integral
 from .linear import _accumulate, _add_row
-from .qseries import LogQSeries, _pack
+from .qseries import LogQSeries, _pack, _unpack
 from .quasimodular import (
     ONE,
     Exponents,
@@ -209,9 +209,10 @@ def _pivot_rows(rows: Sequence[Sequence[int]], modulus: int) -> tuple[list[tuple
     and, unless it vanishes, scaled to a new one with a 1 at its first nonzero
     entry, until every column has a pivot.  A pivot is kept negated, -y mod p,
     and packed in one int by :func:`~iterqm.qseries._pack`: a row update is one
-    multiply-add.  Should the rows end short of full rank, each pivot is reduced
-    by the later ones, so the pivots are a reduced row echelon form.  Returns
-    the pivots as (column, negated row, packed) in order of column, and the width.
+    multiply-add, and a new pivot is read back by :func:`~iterqm.qseries._unpack`.
+    Should the rows end short of full rank, each pivot is reduced by the later
+    ones, so the pivots are a reduced row echelon form.  Returns the pivots as
+    (column, negated row, packed) in order of column, and the width.
     """
     width = len(rows[0]) if rows else 0
     size = (modulus + width * modulus**2).bit_length() // 8 + 1  # a slot's bytes: it stays below p + rank * p^2
@@ -224,8 +225,9 @@ def _pivot_rows(rows: Sequence[Sequence[int]], modulus: int) -> tuple[list[tuple
         return x
 
     def pivot(c: int, x: int) -> tuple[int, list[int], int]:  # the reduced row scaled to -1 in column c
-        inv = -pow(x >> shifts[c] & mask, -1, modulus)
-        negated = [(x >> s & mask) * inv % modulus for s in shifts]
+        row = _unpack(x, size, width, modulus)
+        inv = -pow(row[c], -1, modulus)
+        negated = [r * inv % modulus for r in row]
         return c, negated, _pack(negated, size, modulus)
 
     found, free = [], list(range(width))  # pivots as found, as pivot gives them; columns without one

@@ -25,7 +25,9 @@ normalize what they build; mod p, the product, negation and
 :func:`primitive` store the residues they compute, each reduced once.
 Series are multiplied on integers (Kronecker substitution): each log-part
 is packed into one big integer, ``2^b`` per coefficient, and each pair of
-parts is multiplied once.
+parts is multiplied once.  Over Q half a slot is added to every slot, so
+none borrows from the next; mod p the slots are whole bytes, read by
+:func:`_unpack`, the one reader of packed residues, the elimination's too.
 """
 
 from __future__ import annotations
@@ -48,11 +50,21 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 
 def _pack(residues: Sequence[int], size: int, modulus: int) -> int:
-    """Residues mod ``modulus`` as the slots of one int, ``size`` bytes each, the first lowest: one ``struct.pack``
-    call, a little-endian uint32 and size - 4 zero bytes a slot, where the slots and a modulus up to 2^32 allow it."""
+    """Residues mod ``modulus`` as ``size``-byte slots of one int, the first lowest, as :func:`_unpack` reads them:
+    one ``struct.pack``, a little-endian uint32 and size - 4 zero bytes a slot, if size >= 4 and modulus <= 2^32."""
     if size < 4 or modulus > 1 << 32:  # else one int.to_bytes per residue
         return int.from_bytes(b"".join(r.to_bytes(size, "little") for r in residues), "little")
     return int.from_bytes(struct.pack("<" + f"I{size - 4}x" * len(residues), *residues), "little")
+
+
+def _unpack(x: int, size: int, count: int, modulus: int) -> list[int]:
+    """The ``count`` slots of ``size`` bytes of x, the first lowest, each reduced mod ``modulus`` as it is read: one
+    ``struct.unpack`` (8 low bytes and the rest) for 9-, 10-, 12- and 16-byte slots, else int.from_bytes per slot."""
+    data = x.to_bytes(size * count, "little")
+    if high := {9: "B", 10: "H", 12: "I", 16: "Q"}.get(size):
+        u = iter(struct.unpack("<" + ("Q" + high) * count, data))
+        return [(lo + (hi << 64)) % modulus for lo, hi in zip(u, u)]
+    return [int.from_bytes(data[i : i + size], "little") % modulus for i in range(0, len(data), size)]
 
 
 class LogQSeries:
@@ -229,9 +241,10 @@ class LogQSeries:
                     return f
                 parts = {k: tuple(num * x for x in p[: n + 1]) for k, p in f.parts.items()}
                 return LogQSeries._of(n, c.den * f.den, parts, modulus)
-        # Every product coefficient, summed over the pairs of parts that meet at one L-exponent, is at most
-        # bound in absolute value (residues are below the modulus), so a slot of bound's bits plus a sign and
-        # a guard bit holds it exactly; residues are packed by their bytes, in whole bytes.
+        # Every product coefficient c, summed over the pairs of parts that meet at one L-exponent, is at most
+        # bound in absolute value (residues are below the modulus).  Over Q a slot has bound's bits plus two,
+        # so c plus half a slot lies in [0, 2^bits): with that bias in every slot no slot borrows from the next,
+        # and each is one shift and mask.  Residues are packed by their bytes, in whole bytes, and read by _unpack.
         pairs = min(len(self.parts), len(other.parts))
         bound = pairs * (n + 1) * (
             (modulus - 1) ** 2 if modulus else max(max(map(abs, p)) for p in self.parts.values()) * max(
@@ -248,32 +261,15 @@ class LogQSeries:
             a = pack(p)
             for k2, b in packed_b.items():
                 sums[k1 + k2] = sums.get(k1 + k2, 0) + a * b
-        mask, half, low = (1 << bits) - 1, 1 << (bits - 1), (1 << bits * (n + 1)) - 1  # slots above q^n: not needed
-        if modulus:  # no slot is negative: one to_bytes of the sum gives every slot, each reduced once
-            size, parts = bits // 8, {}
-            high = {9: "B", 10: "H", 12: "I", 16: "Q"}.get(size)  # struct reads the slot as 8 low bytes and the rest
-            for k, packed in sums.items():
-                data = (packed & low).to_bytes(size * (n + 1), "little")
-                if high:
-                    u = iter(struct.unpack("<" + ("Q" + high) * (n + 1), data))
-                    r = tuple([(lo + (hi << 64)) % modulus for lo, hi in zip(u, u)])
-                else:
-                    r = tuple(int.from_bytes(data[i : i + size], "little") % modulus for i in range(0, len(data), size))
-                if any(r):  # a part that vanishes mod p is dropped
-                    parts[k] = r
-            return object.__new__(LogQSeries)._store(n, 1, parts, modulus)
-        parts = {}
+        low = (1 << bits * (n + 1)) - 1  # slots above q^n: not needed
+        if modulus:  # no slot is negative: each part read by _unpack from its masked sum, each slot reduced once
+            parts = {k: tuple(r) for k, x in sums.items() if any(r := _unpack(x & low, bits // 8, n + 1, modulus))}
+            return object.__new__(LogQSeries)._store(n, 1, parts, modulus)  # a part that vanishes mod p is dropped
+        mask, half, parts = (1 << bits) - 1, 1 << (bits - 1), {}
+        bias = half * (low // mask)  # half a slot in every slot: slot c then holds c + half, in [0, 2^bits)
         for k, packed in sums.items():
-            packed &= low
-            out = []
-            for _ in range(n + 1):
-                slot = packed & mask
-                packed >>= bits
-                if slot >= half:  # a negative slot borrowed one from the next
-                    slot -= 1 << bits
-                    packed += 1
-                out.append(slot)
-            parts[k] = tuple(out)
+            packed = (packed & low) + bias
+            parts[k] = tuple([(packed >> s & mask) - half for s in shifts])
         return LogQSeries._of(n, self.den * other.den, parts, modulus)
 
     def __rmul__(self, other) -> "LogQSeries":

@@ -1044,13 +1044,14 @@ class TestCertificateAcrossTruncations:
         assert moduli == [P, P]  # one elimination per family
 
 
-def graded_piece(weight: int, length: int) -> tuple[list[BarWord], list[QMPoly]]:
+def graded_piece(weight: int, length: int, modular: bool = False) -> tuple[list[BarWord], list[QMPoly]]:
     """The rows m * I(w) of the I^QM graded piece: each word w of 1 to ``length`` letters over
-    basis_b(weight) with wt(w) <= weight, times each monomial E2^a E4^b E6^c of weight weight - wt(w)."""
+    basis_b(weight) with wt(w) <= weight, times each monomial E2^a E4^b E6^c of weight weight - wt(w);
+    of the I^M piece if ``modular``: letters of basis_b(weight, modular_only=True), monomials E4^b E6^c."""
     words, multipliers = [], []
-    for word in (w for j in range(1, length + 1) for w in product(basis_b(weight), repeat=j)):
+    for word in (w for j in range(1, length + 1) for w in product(basis_b(weight, modular), repeat=j)):
         rest = weight - sum(letter_sort_key(l)[0] for l in word)
-        for a in range(rest // 2 + 1):
+        for a in range(1 if modular else rest // 2 + 1):
             for b in range((rest - 2 * a) // 4 + 1):
                 if (rest - 2 * a - 4 * b) % 6 == 0:
                     words.append(word)
@@ -1058,17 +1059,18 @@ def graded_piece(weight: int, length: int) -> tuple[list[BarWord], list[QMPoly]]
     return words, multipliers
 
 
-def graded_piece_size(weight: int, length: int) -> int:
-    """sum over the words w of the piece of dim QM_(weight - wt w), by a closed formula: dim M_k =
-    floor(k/12) + (k != 2 mod 12) for even k >= 0, dim QM_k = sum_i dim M_(k-2i), and basis_b has one
-    letter of weight 0, one of weight 2 and dim M_k of each weight k >= 4."""
+def graded_piece_size(weight: int, length: int, modular: bool = False) -> int:
+    """sum over the words w of the piece of dim QM_(weight - wt w), or of dim M_(weight - wt w) if ``modular``,
+    by a closed formula: dim M_k = floor(k/12) + (k != 2 mod 12) for even k >= 0, dim QM_k = sum_i dim M_(k-2i),
+    and basis_b has one letter of weight 0, one of weight 2 (none if ``modular``) and dim M_k of each weight k >= 4."""
     dim_m = [k // 12 + (k % 12 != 2) if k % 2 == 0 else 0 for k in range(weight + 1)]
     dim_qm = [sum(dim_m[k - 2 * i] for i in range(k // 2 + 1)) if k % 2 == 0 else 0 for k in range(weight + 1)]
-    letters = [1, 0, 1] + dim_m[3:]  # letters of each weight
+    letters = dim_m if modular else [1, 0, 1] + dim_m[3:]  # letters of each weight
+    dims = dim_m if modular else dim_qm
     words, total = [1] + [0] * weight, 0  # words of each weight, of the length reached
     for _ in range(length):
         words = [sum(words[w - v] * letters[v] for v in range(w + 1)) for w in range(weight + 1)]
-        total += sum(words[w] * dim_qm[weight - w] for w in range(weight + 1))
+        total += sum(words[w] * dims[weight - w] for w in range(weight + 1))
     return total
 
 
@@ -1092,6 +1094,30 @@ class TestGradedPiece:
         caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
         assert independence_rank(words, multipliers, 126) == 250
         assert moduli == [P] and caplog.messages[-1] == "rank 250 at q^126 of q^126: kernel of 1 an identity"
+
+
+class TestModularGradedPiece:
+    """The same for I^M: the rows m * I(w) of weight 20 and length <= 3 over basis_b(20, modular_only=True),
+    m a monomial E4^b E6^c, are independent, ranked from empty caches in one pass mod p to q^114.  A
+    multilinearity row (m1 + m2) * I(w) beside m1 * I(w) and m2 * I(w) drops the rank by exactly one: an
+    elimination that ends short of full rank, with each pivot reduced by the later ones, at a width of 229."""
+
+    def test_full_rank(self, moduli, caplog):
+        words, multipliers = graded_piece(20, 3, modular=True)
+        assert len(words) == graded_piece_size(20, 3, modular=True) == 228
+        assert all(m.is_modular() and E2 not in word for m, word in zip(multipliers, words))
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        assert independence_rank(words, multipliers, 114) == 228
+        assert moduli == [P] and caplog.messages == ["rank 228 at q^114 of q^114: full rank"]
+
+    def test_planted_multilinearity(self, moduli, caplog):
+        words, multipliers = graded_piece(20, 3, modular=True)
+        m1, m2 = E4**4, E4 * E6**2  # M_16 is two-dimensional
+        assert {(m1, (E4,)), (m2, (E4,))} <= set(zip(multipliers, words))
+        words, multipliers = words + [(E4,)], multipliers + [m1 + m2]
+        caplog.set_level(logging.DEBUG, logger="iterqm.canonicalize")
+        assert independence_rank(words, multipliers, 114) == 228
+        assert moduli == [P] and caplog.messages[-1] == "rank 228 at q^114 of q^114: kernel of 1 an identity"
 
 
 class TestClearCaches:

@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 from iterqm.canonicalize import _RANK_PRIME as P
-from iterqm.qseries import LogQSeries, _pack, d_op, primitive
+from iterqm.qseries import LogQSeries, _pack, _unpack, d_op, primitive
 
 
 def L(trunc, k=1, coeff=1):
@@ -218,6 +218,20 @@ class TestIntegerProduct:
                 assert got.coefficient(n, 2) == -3 * (n + 1) * big**2
                 self.check(a, a)
 
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 40])
+    def test_slots_alternate_at_the_bound(self, n):
+        # a_i = (-1)^i A and b_j = (-1)^j B in three parts each: the q^m L^2 coefficient is
+        # (-1)^m 3(m+1) AB, so the slots alternate in sign and the last is +-bound, the edge
+        # of the half-slot bias; the product negated reaches the other sign
+        for big_a, big_b in [(1, 1), (2**64 - 1, 3), (10**30 + 7, 10**20 + 9)]:
+            a = LogQSeries(n, {k: [(-1) ** i * big_a for i in range(n + 1)] for k in range(3)})
+            b = LogQSeries(n, {k: [(-1) ** j * big_b for j in range(n + 1)] for k in range(3)})
+            for x, y in [(a, b), (a, -b), (-a, -b)]:
+                got = self.check(x, y)
+                sign = 1 if (x.coefficient(0, 0) > 0) == (y.coefficient(0, 0) > 0) else -1
+                assert [got.coefficient(m, 2) for m in range(n + 1)] == [
+                    sign * (-1) ** m * 3 * (m + 1) * big_a * big_b for m in range(n + 1)]
+
     def test_large_coefficients(self):
         from iterqm.quasimodular import eisenstein_qexp
 
@@ -261,6 +275,27 @@ class TestPack:
         for size in sizes:
             residues = [rng.choice((0, 1, modulus - 1, rng.randrange(modulus))) for _ in range(25)]
             assert _pack(residues, size, modulus) == self.joined(residues, size)
+
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_unpack_reads_back_what_pack_wrote(self, size):
+        # the struct read (9, 10, 12 and 16 bytes) and the int.from_bytes read (any other width)
+        rng = random.Random(100 + size)
+        for modulus in (7, 2**30 - 35, 2**32, 2**61 - 1):
+            if (modulus - 1).bit_length() > 8 * size:
+                continue  # m - 1 does not fit the slot
+            for count in (0, 1, 2, 25, 301):
+                residues = ([0, 1, modulus - 1] + [rng.randrange(modulus) for _ in range(count)])[:count]
+                assert _unpack(_pack(residues, size, modulus), size, count, modulus) == residues
+
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_unpack_reduces_each_slot(self, size):
+        # slots above the modulus, up to the slot's largest value, come back reduced
+        rng = random.Random(200 + size)
+        top = (1 << 8 * size) - 1
+        for modulus in (7, 2**30 - 35, 2**32, 2**61 - 1):
+            for count in (1, 2, 25, 301):
+                slots = [rng.choice((top, top - 1, modulus, rng.randrange(top + 1))) % (top + 1) for _ in range(count)]
+                assert _unpack(self.joined(slots, size), size, count, modulus) == [x % modulus for x in slots]
 
 
 class TestDerivation:
