@@ -587,18 +587,6 @@ class TestRowReduce:
                 assert (len(found[0]) < width) == short
                 assert_reference_pivots(rows, p)
 
-    @pytest.mark.parametrize("p, width, size", [(2**30 - 35, 8, 8), (2**30 - 35, 20, 9), (2**36 - 5, 12, 10),
-                                                (2**44 - 17, 12, 12), (2**61 - 1, 20, 16), (2**61 - 1, 40, 17)])
-    def test_every_slot_width(self, p, width, size):
-        # pivots are read back by qseries._unpack in slots of size bytes, below p + width * p^2:
-        # through struct at 9, 10, 12 and 16 bytes, through int.from_bytes at 8 and 17
-        assert (p + width * p**2).bit_length() // 8 + 1 == size
-        rng = random.Random(size)
-        for n in (width // 2, width + 3):
-            rows = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(width)] for _ in range(n)]
-            rows[-1] = [(a + 3 * b) % p for a, b in zip(rows[0], rows[1])]  # a dependent row
-            assert_reference_pivots(rows, p)  # short of full rank, then full rank
-
     def test_gauss_jordan_mod_p_against_fractions(self):
         rng = random.Random(3)
         for p, n, width in [(7, 5, 8), (2**30 - 35, 4, 6), (2**30 - 35, 9, 5), (2**30 - 35, 12, 30),
@@ -609,6 +597,17 @@ class TestRowReduce:
             if p > 7:  # p divides no pivot of these small rows: the form over Q maps to the one mod p
                 pivots, reduced = reference_gauss_jordan(rows)
                 assert reference_gauss_jordan(rows, p) == (pivots, residues(reduced, p))
+        # full-range residues, short of and at full rank: pivots are read back by qseries._unpack in
+        # slots below p + width * p^2, through struct at 9, 10, 12 and 16 bytes, int.from_bytes at 8 and 17
+        sizes = set()
+        for p, width in [(2**30 - 35, 8), (2**30 - 35, 20), (2**36 - 5, 12), (2**44 - 17, 12), (2**61 - 1, 20),
+                         (2**61 - 1, 40)]:
+            sizes.add((p + width * p**2).bit_length() // 8 + 1)
+            for n in (width // 2, width + 3):
+                rows = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(width)] for _ in range(n)]
+                rows[-1] = [(a + 3 * b) % p for a, b in zip(rows[0], rows[1])]
+                assert_reference_pivots(rows, p)
+        assert sizes == {8, 9, 10, 12, 16, 17}
 
 
 class TestDerivativeDecomposition:

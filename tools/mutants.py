@@ -1,6 +1,6 @@
 """Run the mutation catalogue: each named mutant of ``src/`` must fail the tests that guard it.
 
-Usage: python3 tools/mutants.py [--list] [NAME ...]
+Usage: python3 tools/mutants.py
 
 A mutant is an exact snippet of one file under ``src/``, its replacement and
 the test selection that must kill it.  Each is applied to a fresh temporary
@@ -10,13 +10,13 @@ checkout's and the package is the mutant; Hypothesis does not shrink a failing
 example there, as any failure kills the mutant.  The run fails (exit status 1)
 if a mutant survives, that is if its tests pass, or if its snippet does not
 occur exactly once in its file: a refactor that moves the code updates the
-catalogue with it.  Names select mutants; ``--list`` prints the catalogue.
-Standard library only.
+catalogue with it.  Before any mutant, every selection runs once on an
+unmutated copy and must pass, so that a kill is the mutant's doing and not
+that of a test already failing.  Standard library only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -62,7 +62,7 @@ CATALOGUE = (
     Mutant(
         "unpack-10-byte-slot-as-9", "iterqm/qseries.py",
         '{9: "B", 10: "H", 12: "I", 16: "Q"}', '{9: "B", 10: "B", 12: "I", 16: "Q"}',
-        ("tests/test_qseries.py::TestPack", "tests/test_quasimodular.py::TestRowReduce::test_every_slot_width"),
+        ("tests/test_qseries.py::TestPack", "tests/test_quasimodular.py::TestRowReduce::test_gauss_jordan_mod_p_against_fractions"),
     ),
     Mutant(
         "pivots-without-back-reduction", "iterqm/canonicalize.py",
@@ -104,54 +104,51 @@ CATALOGUE = (
 )
 
 
-def run(mutant: Mutant) -> str | None:
-    """Apply the mutant to a copy of src/ and run its tests: None if they fail, else what went wrong."""
+def run(selection: tuple[str, ...], mutant: Mutant | None = None) -> tuple[int, str]:
+    """Run ``pytest -x -q <selection>`` on a copy of src/, with the mutant applied if one is given.
+
+    Returns pytest's exit status and the tail of its output, or -1 and why the run could not be made.
+    """
     with tempfile.TemporaryDirectory(prefix="iterqm-mutant-") as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
-        path = os.path.join(src, mutant.path)
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        if (count := text.count(mutant.snippet)) != 1:
-            return f"its snippet occurs {count} times in src/{mutant.path}, not once"
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text.replace(mutant.snippet, mutant.replacement))
+        if mutant:
+            path = os.path.join(src, mutant.path)
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+            if (count := text.count(mutant.snippet)) != 1:
+                return -1, f"its snippet occurs {count} times in src/{mutant.path}, not once"
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace(mutant.snippet, mutant.replacement))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
                    PYTHONDONTWRITEBYTECODE="1")
         where = subprocess.run([sys.executable, "-c", "import iterqm; print(iterqm.__file__)"], env=env, cwd=ROOT,
                                capture_output=True, text=True)
         if not where.stdout.startswith(src):
-            return f"the tests would import iterqm from {where.stdout.strip() or where.stderr.strip()}, not the copy"
-        tests = subprocess.run([sys.executable, "-c", PYTEST, "-x", "-q", "-p", "no:cacheprovider", *mutant.selection],
+            return -1, f"the tests would import iterqm from {where.stdout.strip() or where.stderr.strip()}, not the copy"
+        tests = subprocess.run([sys.executable, "-c", PYTEST, "-x", "-q", "-p", "no:cacheprovider", *selection],
                                env=env, cwd=ROOT, capture_output=True, text=True)
-        if tests.returncode == 0:
-            return "it survives: " + " ".join(mutant.selection) + " passed"
-        if tests.returncode != 1:  # 1: tests failed; anything else is an error of the run, not a kill
-            return f"pytest exited {tests.returncode}:\n{tests.stdout[-2000:]}{tests.stderr[-2000:]}"
-    return None
+        return tests.returncode, tests.stdout[-2000:] + tests.stderr[-2000:]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="the mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print each mutant's name, file and selection")
-    args = parser.parse_args(argv)
-    names = {m.name for m in CATALOGUE}
-    if unknown := [n for n in args.names if n not in names]:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
-    if args.list:
-        for m in chosen:
-            print(m.name, m.path, " ".join(m.selection))
-        return 0
+def main() -> int:
+    selection = tuple(dict.fromkeys(node for m in CATALOGUE for node in m.selection))
+    status, output = run(selection)
+    if status != 0:
+        print(f"the tests of the catalogue do not pass on unmutated src/ (status {status}):\n{output}")
+        return 1
     failures = 0
-    for m in chosen:
+    for m in CATALOGUE:
         start = time.perf_counter()
-        problem = run(m)
+        status, output = run(m.selection, m)
+        if status == 0:
+            problem = "it survives: " + " ".join(m.selection) + " passed"
+        elif status != 1:  # 1: tests failed; anything else is an error of the run, not a kill
+            problem = output if status == -1 else f"pytest exited {status}:\n{output}"
         took = f"{time.perf_counter() - start:.1f} s"
-        print(f"{m.name}: {f'killed in {took}' if problem is None else f'FAILED in {took}, {problem}'}", flush=True)
-        failures += problem is not None
-    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
+        print(f"{m.name}: {f'killed in {took}' if status == 1 else f'FAILED in {took}, {problem}'}", flush=True)
+        failures += status != 1
+    print(f"{len(CATALOGUE) - failures} of {len(CATALOGUE)} mutants killed")
     return 1 if failures else 0
 
 
