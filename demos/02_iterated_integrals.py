@@ -14,6 +14,7 @@ from iterqm import (
     derive,
     expand,
     iter_integral,
+    primitive,
     shuffle,
 )
 from iterqm.cli import format_series
@@ -37,6 +38,9 @@ print("\nThe defining ODE: D I(f1,...,fn) + f1 * I(f2,...,fn) = 0")
 word = (E2, E4)
 residual = d_op(iter_integral(word, N)) + expand(E2, N) * iter_integral((E4,), N)
 print("  residual for I(E2,E4):", format_series(residual))
+solution = primitive(-(expand(E2, 5) * iter_integral((E4,), 5)))  # the recursion, one step
+print("  its solution primitive(-(E2 * I(E4))) =", format_series(solution))
+print("  equals I(E2,E4):", solution == iter_integral(word, 5))
 
 print("\nProducts of integrals are shuffles (Chen's identity, exact):")
 lhs = parse("I(E2)*I(E4)").expansion(N)

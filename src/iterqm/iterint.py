@@ -8,9 +8,10 @@ characterizes the integral by its differential equation,
 
     D I(f1,...,fn) = -f1 * I(f2,...,fn),      I() = 1,
 
-integrating with :func:`~iterqm.qseries.primitive`, whose zero constant of
-integration at q^0 L^0 is exactly the cusp regularization.  The result is
-an exact element of W[log q] whose log-degree is at most the word length.
+integrating as :func:`~iterqm.qseries.primitive` does, whose zero constant of
+integration at q^0 L^0 is exactly the cusp regularization; each step is one
+pass from the packed product to the solver.  The result is an exact element
+of W[log q] whose log-degree is at most the word length.
 
 A linear combination of bar words is a dict from words to QMPoly
 coefficients.  The shuffle of two words is the product of their integrals
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple, Union
 
-from .qseries import LogQSeries, primitive
+from .qseries import LogQSeries, _integral_step
 from .quasimodular import QMPoly, expand
 from .shuffle_lyndon import LyndonPoly
 
@@ -99,6 +100,4 @@ _INTEGRAL_CACHE_SIZE = 4096  #: integrals of words (suffixes included) kept; a b
 def _iter_integral(word: BarWord, trunc: int, modulus: int) -> LogQSeries:
     if not word:
         return LogQSeries.constant(1, trunc, modulus)
-    head = expand(word[0], trunc, modulus)
-    tail = _iter_integral(word[1:], trunc, modulus)
-    return primitive(-(head * tail))
+    return _integral_step(expand(word[0], trunc, modulus), _iter_integral(word[1:], trunc, modulus))

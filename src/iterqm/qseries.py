@@ -18,16 +18,16 @@ numerators over one positive denominator shared by all its log-parts;
 constructor) and go out (:meth:`LogQSeries.coefficient`), and floating
 point only in :func:`iterqm.cocycles.eval_numeric`, outside this module.
 A series with a prime ``modulus`` is the same series over Z/p: its
-numerators are residues, the denominator folded in, and :func:`primitive`
-multiplies by inverses of 1..N mod p (exact rank certificates read their
-rows this way).  The constructors, sums, scaling and :func:`d_op`
-normalize what they build; mod p, the product, negation and
-:func:`primitive` store the residues they compute, each reduced once.
-Series are multiplied on integers (Kronecker substitution): each log-part
-is packed into one big integer, ``2^b`` per coefficient, and each pair of
-parts is multiplied once.  Over Q half a slot is added to every slot, so
-none borrows from the next; mod p the slots are whole bytes, read by
-:func:`_unpack`, the one reader of packed residues, the elimination's too.
+numerators are residues, the denominator folded in, and the primitive
+multiplies by a kept table of inverses of 1..N mod p (exact rank
+certificates read their rows this way).  Constructors, sums, scaling and
+:func:`d_op` normalize what they build; mod p, the product, negation and
+the primitive store the residues they compute, each reduced once.  One
+kernel multiplies, :func:`_products` (Kronecker substitution): each log-part
+is packed into one big integer, a slot per coefficient, whole bytes mod p,
+read by :func:`_unpack`, the elimination's reader too.  One solver,
+:func:`_primitive`, serves :func:`primitive` and :func:`_integral_step`, an
+iterated integral's step, which hands it the product's parts as read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import chain, compress, islice
+from functools import lru_cache
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -65,6 +66,44 @@ def _unpack(x: int, size: int, count: int, modulus: int) -> list[int]:
         u = iter(struct.unpack("<" + ("Q" + high) * count, data))
         return [(lo + (hi << 64)) % modulus for lo, hi in zip(u, u)]
     return [int.from_bytes(data[i : i + size], "little") % modulus for i in range(0, len(data), size)]
+
+
+def _products(a: Mapping[int, Sequence[int]], b: Mapping[int, Sequence[int]], n: int, modulus: int) -> dict:
+    """The packed product of two sets of parts to q^n: for each k, the coefficients of the sum over
+    k1 + k2 = k of a[k1] * b[k2], with zero parts kept; mod p residues, each reduced once as read."""
+    if not (a and b):
+        return {}
+    for c, f in ((a, b), (b, a)):
+        if c.keys() == {0} and not any(c[0][1 : n + 1]):  # a constant scales
+            if (num := c[0][0]) == 1:
+                return {k: p[: n + 1] for k, p in f.items()}
+            return {k: tuple(x * num % modulus if modulus else x * num for x in p[: n + 1]) for k, p in f.items()}
+    # Every product coefficient c, summed over the pairs of parts that meet at one L-exponent, is at most bound in
+    # absolute value.  Over Q a slot has bound's bits plus two, so c plus half a slot lies in [0, 2^bits): with that
+    # bias in every slot none borrows from the next, and each is one shift and mask.  Residues fill whole bytes.
+    big = (modulus - 1) ** 2 if modulus else max(map(abs, chain(*a.values()))) * max(map(abs, chain(*b.values())))
+    bound = min(len(a), len(b)) * (n + 1) * big
+    bits = (bound.bit_length() + 9) // 8 * 8 if modulus else bound.bit_length() + 2
+    shifts = range(0, bits * (n + 1), bits)
+
+    def pack(p: Sequence[int]) -> int:
+        return _pack(p[: n + 1], bits // 8, modulus) if modulus else sum(map(int.__lshift__, p[: n + 1], shifts))
+
+    packed_b = {k: pack(p) for k, p in b.items()}
+    sums: dict[int, int] = {}
+    for k1, p in a.items():
+        x = pack(p)
+        for k2, y in packed_b.items():
+            sums[k1 + k2] = sums.get(k1 + k2, 0) + x * y
+    low = (1 << bits * (n + 1)) - 1  # slots above q^n: not needed
+    if modulus:  # no slot is negative: each part read by _unpack from its masked sum, each slot reduced once
+        return {k: _unpack(x & low, bits // 8, n + 1, modulus) for k, x in sums.items()}
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    bias = half * (low // mask)  # half a slot in every slot: slot c then holds c + half, in [0, 2^bits)
+    for k, packed in sums.items():
+        packed = (packed & low) + bias
+        sums[k] = tuple([(packed >> s & mask) - half for s in shifts])
+    return sums
 
 
 class LogQSeries:
@@ -230,47 +269,14 @@ class LogQSeries:
     def __mul__(self, other) -> "LogQSeries":
         if not isinstance(other, LogQSeries):
             return self.scale(other)
-        modulus = self._ring(other)
-        n = min(self.trunc, other.trunc)
-        if not (self.parts and other.parts):
-            return LogQSeries.zero(n, modulus)
-        for c, f in ((self, other), (other, self)):
-            if c.parts.keys() == {0} and not any(c.parts[0][1 : n + 1]):  # a constant scales
-                num = c.parts[0][0]
-                if num == c.den == 1 and f.trunc == n:
-                    return f
-                parts = {k: tuple(num * x for x in p[: n + 1]) for k, p in f.parts.items()}
-                return LogQSeries._of(n, c.den * f.den, parts, modulus)
-        # Every product coefficient c, summed over the pairs of parts that meet at one L-exponent, is at most
-        # bound in absolute value (residues are below the modulus).  Over Q a slot has bound's bits plus two,
-        # so c plus half a slot lies in [0, 2^bits): with that bias in every slot no slot borrows from the next,
-        # and each is one shift and mask.  Residues are packed by their bytes, in whole bytes, and read by _unpack.
-        pairs = min(len(self.parts), len(other.parts))
-        bound = pairs * (n + 1) * (
-            (modulus - 1) ** 2 if modulus else max(max(map(abs, p)) for p in self.parts.values()) * max(
-                max(map(abs, p)) for p in other.parts.values()))
-        bits = (bound.bit_length() + 9) // 8 * 8 if modulus else bound.bit_length() + 2
-        shifts = range(0, bits * (n + 1), bits)
-
-        def pack(p: tuple[int, ...]) -> int:
-            return _pack(p[: n + 1], bits // 8, modulus) if modulus else sum(map(int.__lshift__, p[: n + 1], shifts))
-
-        packed_b = {k: pack(p) for k, p in other.parts.items()}
-        sums: dict[int, int] = {}
-        for k1, p in self.parts.items():
-            a = pack(p)
-            for k2, b in packed_b.items():
-                sums[k1 + k2] = sums.get(k1 + k2, 0) + a * b
-        low = (1 << bits * (n + 1)) - 1  # slots above q^n: not needed
-        if modulus:  # no slot is negative: each part read by _unpack from its masked sum, each slot reduced once
-            parts = {k: tuple(r) for k, x in sums.items() if any(r := _unpack(x & low, bits // 8, n + 1, modulus))}
-            return object.__new__(LogQSeries)._store(n, 1, parts, modulus)  # a part that vanishes mod p is dropped
-        mask, half, parts = (1 << bits) - 1, 1 << (bits - 1), {}
-        bias = half * (low // mask)  # half a slot in every slot: slot c then holds c + half, in [0, 2^bits)
-        for k, packed in sums.items():
-            packed = (packed & low) + bias
-            parts[k] = tuple([(packed >> s & mask) - half for s in shifts])
-        return LogQSeries._of(n, self.den * other.den, parts, modulus)
+        modulus, n = self._ring(other), min(self.trunc, other.trunc)
+        for c, f in ((self, other), (other, self)):  # times 1 to f's truncation: f itself
+            if f.trunc == n and c.den == 1 and c.parts.keys() == {0} and c.parts[0][: n + 1] == (1,) + (0,) * n:
+                return f
+        parts = _products(self.parts, other.parts, n, modulus)
+        if modulus:  # a part that vanishes mod p is dropped
+            return object.__new__(LogQSeries)._store(n, 1, {k: tuple(r) for k, r in parts.items() if any(r)}, modulus)
+        return LogQSeries._of(n, self.den * other.den, parts)
 
     def __rmul__(self, other) -> "LogQSeries":
         return self.scale(other)
@@ -300,35 +306,55 @@ def d_op(f: LogQSeries) -> LogQSeries:
     return LogQSeries._of(f.trunc, f.den, parts, f.modulus)
 
 
-def primitive(f: LogQSeries) -> LogQSeries:
-    """The unique g with D(g) = f and zero coefficient of q^0 L^0.
+@lru_cache(maxsize=16)
+def _inverses(modulus: int, sign: int, size: int) -> tuple[int, ...]:
+    """sign/i mod a prime ``modulus`` p for 0 <= i < size, 0 for multiples of p: 1/i = -(p // i) * 1/(p % i)."""
+    inv = [0, 1]
+    for i in range(2, size):
+        inv.append(inv[i % modulus] if i >= modulus else -(modulus // i) * inv[modulus % i] % modulus)
+    return tuple(inv) if sign > 0 else tuple(x and modulus - x for x in inv)
 
-    For each q-power m the equations ``m*a_k + (k+1)*a_{k+1} = c_k`` are upper
-    triangular in the log-degree; they are solved directly (raising the log-degree
-    by one) for m = 0 and top-down, an L-part at a time, for m >= 1.  Over Q they are
-    solved in integers for ``den * S * a`` with exact division, S clearing the
-    divisions that occur: k + 1 for each nonzero q^0 L^k coefficient, m^(j+1) for a
-    q^m column whose highest nonzero coefficient is at L^j.  Over Z/p they are solved
-    by a table of the inverses of 1..max(trunc, log-degree + 1); a division by a
-    multiple of p raises ZeroDivisionError.
-    """
-    n, parts, modulus, zero = f.trunc, f.parts, f.modulus, (0,) * (f.trunc + 1)
+
+def _primitive(parts: Mapping[int, Sequence[int]], den: int, n: int, modulus: int, sign: int) -> LogQSeries:
+    """The solver of :func:`primitive` for sign * f, f the parts over den to q^n and sign 1 or -1, normalized once:
+    mod p it multiplies by sign/m from a kept table of inverses, over Q it divides sign * S * c exactly."""
+    zero, out, top = (0,) * (n + 1), {}, max(parts, default=-1)
     if modulus:
         if any(c[m] for k, c in parts.items() for m in range((k + 1) % modulus and modulus, n + 1, modulus)):
             raise ZeroDivisionError(f"the primitive divides by a multiple of {modulus}")  # k + 1 at m = 0
-        inv = [0, 1]  # 1/i = -(p // i) * 1/(p % i) for i < p
-        for i in range(2, max(n, max(parts, default=0) + 1) + 1):
-            inv.append(inv[i % modulus] if i >= modulus else -(modulus // i) * inv[modulus % i] % modulus)
-        out = {k + 1: [c[0] * inv[k + 1] % modulus] + [0] * n for k, c in parts.items()}  # D(L^(k+1)) = (k+1) L^k
-        for k in range(max(parts, default=-1), -1, -1):  # the q^m for m >= 1, an L-part at a time
-            rhs = map(int.__sub__, parts.get(k, zero), map((k + 1).__mul__, out.get(k + 1, zero)))
-            out.setdefault(k, [0] * (n + 1))[1:] = islice(map(modulus.__rmod__, map(int.__mul__, rhs, inv)), 1, None)
+        inv, above = _inverses(modulus, sign, 1 << max(n, top + 1).bit_length()), zero
+        for k in range(top, -1, -1):  # inv[0] = 0 leaves q^0 to the loop below
+            j = sign * (k + 1)
+            out[k] = above = [(x - j * y) * v % modulus for x, y, v in zip(parts.get(k, zero), above, inv)]
+        for k, c in parts.items():  # D(L^(k+1)) = (k+1) L^k at q^0
+            out.setdefault(k + 1, [0] * (n + 1))[0] = c[0] * inv[k + 1] % modulus
         return object.__new__(LogQSeries)._store(n, 1, {k: tuple(a) for k, a in out.items() if any(a)}, modulus)
     highest = {m: k for k in sorted(parts) for m in compress(range(1, n + 1), parts[k][1:])}  # q^m's top L-power
     scale = math.lcm(*(k + 1 for k, p in parts.items() if p[0]), *(m ** (j + 1) for m, j in highest.items()))
-    out = {k + 1: [scale * p[0] // (k + 1)] + [0] * n for k, p in parts.items()}  # a_0 = 0 by normalization
-    for k in range(max(highest.values(), default=-1), -1, -1):  # the q^m for m >= 1, an L-part at a time
-        below = map((k + 1).__mul__, out.get(k + 1, zero)[1:])
-        rhs = map(int.__sub__, map(scale.__mul__, parts.get(k, zero)[1:]), below)
-        out.setdefault(k, [0] * (n + 1))[1:] = map(int.__floordiv__, rhs, range(1, n + 1))
-    return LogQSeries._of(n, f.den * scale, {k: tuple(a) for k, a in out.items()})
+    s, above = sign * scale, zero
+    for k in range(max(highest.values(), default=-1), -1, -1):
+        c = parts.get(k, zero)
+        out[k] = above = [0] + [(s * x - (k + 1) * y) // m for m, x, y in zip(range(1, n + 1), c[1:], above[1:])]
+    for k, c in parts.items():
+        out.setdefault(k + 1, [0] * (n + 1))[0] = s * c[0] // (k + 1)
+    return LogQSeries._of(n, den * scale, {k: tuple(a) for k, a in out.items()})
+
+
+def primitive(f: LogQSeries) -> LogQSeries:
+    """The unique g with D(g) = f and zero coefficient of q^0 L^0.
+
+    For each q-power m the equations ``m*a_k + (k+1)*a_{k+1} = c_k`` are upper triangular in the
+    log-degree; they are solved directly (raising the log-degree by one) for m = 0 and top-down, an
+    L-part at a time, for m >= 1.  Over Q they are solved in integers for ``den * S * a`` with exact
+    division, S clearing the divisions that occur: k + 1 for each nonzero q^0 L^k coefficient, m^(j+1)
+    for a q^m column whose highest nonzero coefficient is at L^j.  Over Z/p a kept table of the inverses
+    of 1..max(trunc, log-degree + 1) solves them; a division by a multiple of p raises ZeroDivisionError.
+    Iterated integrals reach the same solver through :func:`_integral_step`, with no negated product.
+    """
+    return _primitive(f.parts, f.den, f.trunc, f.modulus, 1)
+
+
+def _integral_step(head: LogQSeries, tail: LogQSeries) -> LogQSeries:
+    """``primitive(-(head * tail))``, D I(f, w) = -f * I(w), in one pass: the product's parts read into the solver."""
+    modulus, n = head._ring(tail), min(head.trunc, tail.trunc)
+    return _primitive(_products(head.parts, tail.parts, n, modulus), head.den * tail.den, n, modulus, -1)

@@ -1137,7 +1137,7 @@ class TestClearCaches:
                   if hasattr(obj, "cache_clear") and not isinstance(obj, type)
                   and getattr(obj, "__module__", "").startswith("iterqm") and name != "build_parser"}
         assert set(caches) == {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split", "_proofs",
-                               "_eichler_poly", "_minus_log_disc"}
+                               "_eichler_poly", "_minus_log_disc", "_inverses"}
 
         def sizes():
             return [len(c) if c is canonicalize._proofs else c.cache_info().currsize for c in caches.values()]
@@ -1153,7 +1153,7 @@ class TestClearCaches:
         caches = [obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_parameters") and getattr(obj, "__module__", "").startswith("iterqm")]
         assert {c.__name__ for c in caches} >= {"bernoulli", "_gen_power", "_iter_integral", "_monomial_split",
-                                                "build_parser", "_eichler_poly", "_minus_log_disc"}
+                                                "build_parser", "_eichler_poly", "_minus_log_disc", "_inverses"}
         # a cache of a function without arguments holds one entry whatever its bound
         assert [c.__name__ for c in caches
                 if c.cache_parameters()["maxsize"] is None and inspect.signature(c).parameters] == []

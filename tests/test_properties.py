@@ -23,10 +23,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule  # noqa: E402
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, rule  # noqa: E402
 from mpmath.libmp import dps_to_prec  # noqa: E402
 
 import iterqm  # noqa: E402
+from iterqm import canonicalize  # noqa: E402
 from conftest import ibp, monomials_of_weight, shuffle_combos, shuffle_expand, shuffle_expansion  # noqa: E402
 from iterqm.canonicalize import (  # noqa: E402
     _RANK_PRIME, ModularModeError, _exact_rank, canonical_form, independence_rank, reduce_letters,
@@ -42,7 +43,7 @@ from iterqm.cocycles import (  # noqa: E402
 from iterqm.expr import parse  # noqa: E402
 from iterqm.iterint import IntegralPoly, iter_integral  # noqa: E402
 from iterqm.linear import _accumulate  # noqa: E402
-from iterqm.qseries import LogQSeries, d_op, primitive  # noqa: E402
+from iterqm.qseries import LogQSeries, _integral_step, d_op, primitive  # noqa: E402
 from iterqm.quasimodular import (  # noqa: E402
     E2, E4, E6, ONE, ZERO, QMPoly, basis_b, decompose, derive, expand, is_basis_letter, monomial_name,
 )
@@ -246,6 +247,8 @@ CLOSE_TO_E4 = E4 + (E4**3 - E6**2) ** 3
 FAMILY_LETTERS = [ONE, E2, E4, E6, E4 + E6, E2 * E4 - E6, derive(E4), E4 * F(3, 7), CLOSE_TO_E4]
 FAMILY_MULTIPLIERS = [ONE, E2, E4, E4 + E6, QMPoly.constant(F(-3, 2)), QMPoly.constant(_RANK_PRIME),
                       QMPoly.constant(F(1, _RANK_PRIME))]
+#: what a twin adds to a letter, (E4^3 - E6^2)^3 or ^5: O(q^3) or O(q^5)
+TWIN_SHIFTS = [CLOSE_TO_E4 - E4, (E4**3 - E6**2) ** 5]
 
 
 @st.composite
@@ -257,15 +260,16 @@ def integral_families(draw):
     exact escape; a letter or multiplier with it in a denominator enters by
     its numerators.  Half the families start from a row and its
     twin, the row with one letter moved by CLOSE_TO_E4 - E4, which agrees
-    with it to q^2.  n <= 1 + l rows of words of up to l letters are read
-    mod p to q^2 first, where the two look dependent, so only the pass at
-    trunc tells them apart."""
+    with it to q^2, or by a multiple of Delta^5, which agrees to q^4.
+    n <= 1 + l rows of words of up to l letters are read mod p to q^2
+    first, where the two look dependent, so only the pass at trunc tells
+    them apart, or, to q^4, only an exact pass."""
     word = st.lists(st.sampled_from(FAMILY_LETTERS), max_size=3).map(tuple)
     row = st.tuples(word, st.sampled_from(FAMILY_MULTIPLIERS))
     if draw(st.booleans()):
         w, m = draw(row.filter(lambda r: r[0]))
         i = draw(st.integers(0, len(w) - 1))
-        rows = [(w, m), (w[:i] + (w[i] + CLOSE_TO_E4 - E4,) + w[i + 1 :], m)]
+        rows = [(w, m), (w[:i] + (w[i] + draw(st.sampled_from(TWIN_SHIFTS)),) + w[i + 1 :], m)]
     else:
         rows = draw(st.lists(row, min_size=1, max_size=5))
     for _ in range(draw(st.integers(0, 2))):
@@ -310,37 +314,74 @@ TRUNCATIONS = st.lists(st.integers(0, 12), min_size=1, max_size=4)  #: the N at 
 
 
 class WarmRanksEqualCold(RuleBasedStateMachine):
-    """Ranks through whatever the caches hold equal ranks from empty caches.
+    """Ranks through whatever the caches hold equal ranks from empty caches,
+    and a kept proof spares exactly the eliminations it stands for.
 
     Drawn families are ranked at one to four drawn N, then ranked again as
     they are, reversed with a row repeated, with their rows permuted and a
-    row repeated at a drawn place, or with other multipliers, so that what
-    one call keeps is read by another.  Between
+    row repeated at a drawn place, or with other multipliers, at those N and
+    one to four more, so that what one call keeps is read by another.  Between
     them, integrals and expansions over Q and mod p fill and evict the series
     caches, each checked against a reference that shares none of them, and
     clear_caches() empties everything.  Each rank is compared at the end
-    with the rank of the same call from emptied caches."""
+    with the rank of the same call from emptied caches, and so are its
+    eliminations, the truncation of each certificate mod p and any exact
+    one: none where the family's floor answered; where it read a certificate
+    kept at q^t, those of its maker's rows from empty caches after their own
+    at q^t, since a kept kernel, read by row, decides as it did for them
+    (above q^t a new certificate in another row order may lift where theirs
+    does not, so there only certificates count); else those of the call."""
 
     families = Bundle("families")
 
     def __init__(self):
         super().__init__()
         iterqm.clear_caches()
-        self.ranks = []  # (words, multipliers, N, rank)
+        self.ranks = []  # (words, multipliers, N, rank, floor and certificate read, eliminations)
+        self.makers = {}  # id of a kept certificate: it, its t and the (words, multipliers) of the call that made it
+
+    @staticmethod
+    def observe(words, multipliers, trunc):
+        """The rank, the family's key and (floor, certificate) as the call reads them, and its
+        eliminations in order: (t, certificate) for each mod p, ("Q", None) for the exact one."""
+        read, certify, exact = canonicalize._Proofs.read, canonicalize._residue_certificate, canonicalize._exact_rank
+        seen, made = [], []
+        canonicalize._Proofs.read = lambda store, key: seen.append((key, read(store, key))) or seen[-1][1]
+        canonicalize._residue_certificate = lambda rows, t: made.append((t, certify(rows, t))) or made[-1][1]
+        canonicalize._exact_rank = lambda rows: made.append(("Q", None)) or exact(rows)
+        try:
+            rank = independence_rank(words, multipliers, trunc)
+        finally:
+            canonicalize._Proofs.read, canonicalize._residue_certificate = read, certify
+            canonicalize._exact_rank = exact
+        return rank, *seen, made
 
     def rank(self, words, multipliers, truncs):
         for trunc in truncs:
-            self.ranks.append((words, multipliers, trunc, independence_rank(words, multipliers, trunc)))
+            rank, (key, proof), made = self.observe(words, multipliers, trunc)
+            kept = canonicalize._proofs.get(key, (None, None))[1]
+            if kept is not None and kept is not proof[1]:  # made by this call's first certificate
+                self.makers[id(kept)] = kept, made[0][0], (words, multipliers)
+            self.ranks.append((words, multipliers, trunc, rank, proof, [t for t, _ in made]))
+
+    @initialize(target=families)
+    def rank_twins(self):
+        """I(E4) and its twin, which agrees with it to q^4, ranked at q^3: the kernel of the
+        certificate at q^2 is no identity but checks on the exact rows, so the certificate stays
+        kept, and every run holds a family whose reordered calls read a kept kernel."""
+        family = ([(E4,), (E4 + TWIN_SHIFTS[1],)], [ONE, ONE], [3])
+        self.rank(*family)
+        return family
 
     @rule(target=families, family=integral_families(), truncs=TRUNCATIONS)
     def rank_new(self, family, truncs):
         self.rank(*family, truncs)
-        return family
+        return (*family, truncs)
 
     @rule(family=families, truncs=TRUNCATIONS, data=st.data(),
           change=st.sampled_from(["none", "reversed", "permuted", "multipliers"]))
     def rank_again(self, family, truncs, change, data):
-        rows = list(zip(*family))
+        rows, first = list(zip(*family[:2])), family[2]  # the rows, and the N they were first ranked at
         if change == "reversed":  # and its first row repeated
             rows = rows[-1:] + rows[::-1]
         elif change == "permuted":  # and a row repeated
@@ -348,7 +389,7 @@ class WarmRanksEqualCold(RuleBasedStateMachine):
             rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
         elif change == "multipliers":
             rows = [(w, data.draw(st.sampled_from(FAMILY_MULTIPLIERS))) for w, _ in rows]
-        self.rank([w for w, _ in rows], [m for _, m in rows], truncs)
+        self.rank([w for w, _ in rows], [m for _, m in rows], first + truncs)
 
     @rule(word=st.lists(st.sampled_from(FAMILY_LETTERS), max_size=3), trunc=st.integers(0, 12),
           modulus=st.sampled_from([0, _RANK_PRIME]))
@@ -365,9 +406,20 @@ class WarmRanksEqualCold(RuleBasedStateMachine):
         iterqm.clear_caches()
 
     def teardown(self):
-        for words, multipliers, trunc, rank in self.ranks:
+        for words, multipliers, trunc, rank, (floor, kept), made in self.ranks:
             iterqm.clear_caches()
-            assert independence_rank(words, multipliers, trunc) == rank, (words, multipliers, trunc)
+            cold, _, cold_made = self.observe(words, multipliers, trunc)
+            assert cold == rank, (words, multipliers, trunc)
+            if floor and floor[0] <= trunc:
+                want = []
+            elif kept is not None and (maker := self.makers[id(kept)])[1] <= trunc:
+                iterqm.clear_caches()
+                want = [t for t, _ in self.observe(*maker[2], trunc)[2]][1:]
+                if maker[1] < trunc:
+                    made, want = ([t for t in ts if t != "Q"] for ts in (made, want))
+            else:
+                want = [t for t, _ in cold_made]
+            assert made == want, (words, multipliers, trunc)
 
 
 TestWarmRanksEqualCold = WarmRanksEqualCold.TestCase
@@ -397,6 +449,44 @@ def test_expand_matches_the_per_monomial_reference(p, scale, trunc, modulus):
             expand(p, trunc, modulus)
     else:
         assert expand(p, trunc, modulus) == want
+
+
+@st.composite
+def step_tails(draw):
+    """Tails for an integration step to q^0..q^40: up to four L-parts at exponents in 0..8, with gaps
+    between them, or one lone q^0 entry.  Denominators up to 6, so every tail has an image mod 7 and 23."""
+    trunc, coefficient = draw(st.integers(0, 40)), st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 6))
+    if draw(st.booleans()):
+        return LogQSeries(trunc, {draw(st.integers(0, 8)): [draw(coefficient.filter(bool))]})
+    parts = st.lists(coefficient, min_size=trunc // 2, max_size=trunc + 1)
+    return LogQSeries(trunc, {k: draw(parts) for k in draw(st.sets(st.integers(0, 8), max_size=4))})
+
+
+LONE_L6 = LogQSeries(9, {6: [1]})  # D(L^7) = 7 L^6: mod 7 the step divides by 7 at q^0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(st.sampled_from([ONE, -ONE, ZERO]), *[forms(12)] * 3), st.integers(0, 40), step_tails(),
+       st.sampled_from([0, _RANK_PRIME, 2**61 - 1, 7, 23]))
+@example(ONE, 9, LONE_L6, 7)
+@example(ONE, 9, LONE_L6, 0)
+@example(E4, 9, LogQSeries(9, {0: [0] * 7 + [1]}), 7)  # q^7 divided by 7
+@example(E4, 30, LogQSeries(30, {0: [0] * 23 + [1]}), 23)  # q^23 divided by 23
+@example(-ONE, 30, LogQSeries(30, {22: [1]}), 23)
+def test_integral_step_is_the_primitive_of_minus_the_product(form, head_trunc, tail, modulus):
+    """The one-pass step of iter_integral equals primitive(-(head * tail)), the two raising
+    ZeroDivisionError on the same inputs, and solves D g = -(head * tail) with no q^0 L^0
+    term.  Heads are constant (1, -1, 0) one time in four, else a form's expansion."""
+    head, tail = expand(form, head_trunc, modulus), tail.modulo(modulus)
+    try:
+        want = primitive(-(head * tail))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            _integral_step(head, tail)
+        return
+    got = _integral_step(head, tail)
+    assert got == want
+    assert d_op(got) == -(head * tail) and got.coefficient(0, 0) == 0
 
 
 @st.composite

@@ -53,10 +53,10 @@ CATALOGUE = (
     ),
     Mutant(
         "product-without-bias", "iterqm/qseries.py",
-        '''            packed = (packed & low) + bias
-            parts[k] = tuple([(packed >> s & mask) - half for s in shifts])''',
-        '''            packed &= low
-            parts[k] = tuple([packed >> s & mask for s in shifts])''',
+        '''        packed = (packed & low) + bias
+        sums[k] = tuple([(packed >> s & mask) - half for s in shifts])''',
+        '''        packed &= low
+        sums[k] = tuple([packed >> s & mask for s in shifts])''',
         ("tests/test_qseries.py::TestIntegerProduct::test_slots_alternate_at_the_bound",),
     ),
     Mutant(
@@ -98,8 +98,43 @@ CATALOGUE = (
             rank, kernel = _residue_certificate(rows, t)
             given = list(zip(multipliers, words))
             kept = rank, kernel and tuple({given.index(r): c for r, c in v.items()} for v in kernel)''',
-        ("tests/test_properties.py::TestWarmRanksEqualCold",
-         "tests/test_canonicalize.py::TestCertificateAcrossTruncations::test_reordered_rows_read_the_same_proof"),
+        ("tests/test_properties.py::TestWarmRanksEqualCold",),  # its rank stays right, its eliminations do not
+    ),
+    Mutant(
+        "step-sign-flipped", "iterqm/qseries.py",  # the (k+1) a_(k+1) term of the solver mod p, added
+        "            j = sign * (k + 1)", "            j = -sign * (k + 1)",
+        ("tests/test_properties.py::test_integral_step_is_the_primitive_of_minus_the_product",),
+    ),
+    Mutant(
+        "inverses-kept-without-modulus", "iterqm/qseries.py",  # the first modulus's table read for every other
+        '''@lru_cache(maxsize=16)
+def _inverses(modulus: int, sign: int, size: int) -> tuple[int, ...]:''',
+        '''def _inverses(modulus: int, sign: int, size: int, kept={}) -> tuple[int, ...]:
+    return kept.setdefault((sign, size), _table(modulus, sign, size))
+
+
+def _table(modulus: int, sign: int, size: int) -> tuple[int, ...]:''',
+        ("tests/test_properties.py::test_integral_step_is_the_primitive_of_minus_the_product",),
+    ),
+    Mutant(
+        "step-without-q0-entry", "iterqm/qseries.py",  # D(L^(k+1)) = (k+1) L^k at q^0, solved as 0
+        "            out.setdefault(k + 1, [0] * (n + 1))[0] = c[0] * inv[k + 1] % modulus",
+        "            out.setdefault(k + 1, [0] * (n + 1))[0] = 0",
+        ("tests/test_properties.py::test_integral_step_is_the_primitive_of_minus_the_product",),
+    ),
+    Mutant(
+        "integral-from-lower-truncation", "iterqm/iterint.py",  # a word's integral kept at q^t answers every N > t
+        '''@lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
+def _iter_integral(word: BarWord, trunc: int, modulus: int) -> LogQSeries:''',
+        '''def _iter_integral(word: BarWord, trunc: int, modulus: int, lower={}) -> LogQSeries:
+    if (kept := lower.get((word, modulus))) is None or kept.trunc > trunc:
+        kept = lower[word, modulus] = _integral_at(word, trunc, modulus)
+    return kept
+
+
+@lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
+def _integral_at(word: BarWord, trunc: int, modulus: int) -> LogQSeries:''',
+        ("tests/test_properties.py::TestWarmRanksEqualCold",),
     ),
 )
 
