@@ -263,7 +263,8 @@ def integral_families(draw):
     with it to q^2, or by a multiple of Delta^5, which agrees to q^4.
     n <= 1 + l rows of words of up to l letters are read mod p to q^2
     first, where the two look dependent, so only the pass at trunc tells
-    them apart, or, to q^4, only an exact pass."""
+    them apart; up to q^4 a Delta^5 twin is dependent, which the kernel's
+    check on the exact rows shows."""
     word = st.lists(st.sampled_from(FAMILY_LETTERS), max_size=3).map(tuple)
     row = st.tuples(word, st.sampled_from(FAMILY_MULTIPLIERS))
     if draw(st.booleans()):
